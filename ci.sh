@@ -37,6 +37,13 @@ echo "== mutation equivalence (explicit) =="
 cargo test --release -q -p engine --test mutation_equivalence
 cargo test --release -q -p searchidx --test live_index
 
+echo "== benchmark of record: its own tests + a smoke run of the suite =="
+# benchmark/ is a package of its own, so the workspace stages above never
+# build it: a crates/ change that breaks its correctness gate (fingerprints
+# across reps, oracle agreement, refused ops) would otherwise pass CI.
+(cd benchmark && cargo test --release --offline -q)
+benchmark/run.sh --smoke --seconds 1
+
 echo "== postings_decode bench builds =="
 cargo build --release -p bench --bench postings_decode
 

@@ -113,6 +113,22 @@ impl SyntheticIndex {
     fn mean_tf(&self, term: TermId) -> f64 {
         (self.occurrences(term) / self.df[term as usize] as f64).max(1.0)
     }
+
+    /// `(doc_start, stride)` of `term`'s doc-id walk: position `i` holds
+    /// doc `(doc_start + i·stride) mod docs`, with `gcd(stride, docs) = 1`.
+    fn doc_walk(&self, term: TermId) -> (u64, u64) {
+        let mut rng = Rng::new(self.spec.seed ^ (term as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let docs = self.spec.docs;
+        let doc_start = rng.next_below(docs);
+        let mut stride = rng.next_range(1, docs.max(2) - 1) | 1;
+        while gcd(stride, docs) != 1 {
+            stride = (stride + 2) % docs;
+            if stride < 2 {
+                stride = 1;
+            }
+        }
+        (doc_start, stride)
+    }
 }
 
 impl IndexReader for SyntheticIndex {
@@ -157,19 +173,8 @@ impl IndexReader for SyntheticIndex {
         if start >= end {
             return Vec::new();
         }
-        let mut rng = Rng::new(self.spec.seed ^ (term as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let docs = self.spec.docs;
-        let doc_start = rng.next_below(docs);
-        let stride = {
-            let mut s = rng.next_range(1, docs.max(2) - 1) | 1;
-            while gcd(s, docs) != 1 {
-                s = (s + 2) % docs;
-                if s < 2 {
-                    s = 1;
-                }
-            }
-            s
-        };
+        let (doc_start, stride) = self.doc_walk(term);
         let mean_tf = self.mean_tf(term);
         let p = (1.0 / mean_tf).clamp(1e-6, 1.0);
         let ln_q = if p >= 1.0 { 0.0 } else { (1.0 - p).ln() };
@@ -189,6 +194,34 @@ impl IndexReader for SyntheticIndex {
             })
             .collect()
     }
+
+    /// O(1) in the list length: the walk `(doc_start + i·stride) mod docs`
+    /// is a bijection on `[0, docs)`, so `doc` sits at
+    /// `i = (doc − doc_start)·stride⁻¹ mod docs`, and is a member iff
+    /// `i < df`.
+    fn position_of(&self, term: TermId, doc: DocId) -> Option<u64> {
+        let docs = self.spec.docs;
+        if doc as u64 >= docs {
+            return None;
+        }
+        let (doc_start, stride) = self.doc_walk(term);
+        let offset = (doc as u64 + docs - doc_start) % docs;
+        let i = (offset as u128 * mod_inverse(stride, docs) as u128 % docs as u128) as u64;
+        (i < self.doc_freq(term)).then_some(i)
+    }
+}
+
+/// `a⁻¹ mod m` for coprime `a` and `m` (extended Euclid).
+fn mod_inverse(a: u64, m: u64) -> u64 {
+    let (mut r0, mut r1) = (m as i128, (a % m) as i128);
+    let (mut t0, mut t1) = (0i128, 1i128);
+    while r1 != 0 {
+        let q = r0 / r1;
+        (r0, r1) = (r1, r0 - q * r1);
+        (t0, t1) = (t1, t0 - q * t1);
+    }
+    debug_assert_eq!(r0, 1, "{a} and {m} are not coprime");
+    t0.rem_euclid(m as i128) as u64
 }
 
 fn gcd(mut a: u64, mut b: u64) -> u64 {

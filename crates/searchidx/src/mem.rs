@@ -11,7 +11,9 @@ use crate::types::{DocId, IndexReader, Posting, PostingList, TermId};
 /// Exact inverted index over explicit documents.
 #[derive(Debug, Clone, Default)]
 pub struct MemIndex {
-    lists: FxHashMap<TermId, Vec<Posting>>,
+    lists: FxHashMap<TermId, PostingList>,
+    /// Where each `(term, doc)` sits in its canonical list.
+    positions: FxHashMap<(TermId, DocId), u32>,
     num_docs: u64,
     num_terms: u64,
 }
@@ -23,7 +25,7 @@ impl MemIndex {
         D: IntoIterator<Item = T>,
         T: AsRef<[TermId]>,
     {
-        let mut lists: FxHashMap<TermId, Vec<Posting>> = FxHashMap::default();
+        let mut raw: FxHashMap<TermId, Vec<Posting>> = FxHashMap::default();
         let mut num_docs = 0u64;
         let mut num_terms = 0u64;
         for (doc_id, doc) in docs.into_iter().enumerate() {
@@ -34,14 +36,25 @@ impl MemIndex {
                 num_terms = num_terms.max(t as u64 + 1);
             }
             for (t, f) in tf {
-                lists.entry(t).or_default().push(Posting {
+                raw.entry(t).or_default().push(Posting {
                     doc: doc_id as DocId,
                     tf: f,
                 });
             }
         }
+        let lists: FxHashMap<TermId, PostingList> = raw
+            .into_iter()
+            .map(|(t, postings)| (t, PostingList::new(t, postings)))
+            .collect();
+        let mut positions = FxHashMap::default();
+        for (&t, list) in &lists {
+            for (i, p) in list.postings().iter().enumerate() {
+                positions.insert((t, p.doc), i as u32);
+            }
+        }
         MemIndex {
             lists,
+            positions,
             num_docs,
             num_terms,
         }
@@ -72,7 +85,14 @@ impl IndexReader for MemIndex {
     }
 
     fn postings(&self, term: TermId) -> PostingList {
-        PostingList::new(term, self.lists.get(&term).cloned().unwrap_or_default())
+        self.lists
+            .get(&term)
+            .cloned()
+            .unwrap_or_else(|| PostingList::new(term, Vec::new()))
+    }
+
+    fn position_of(&self, term: TermId, doc: DocId) -> Option<u64> {
+        self.positions.get(&(term, doc)).map(|&i| i as u64)
     }
 }
 

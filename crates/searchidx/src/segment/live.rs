@@ -12,17 +12,26 @@
 //!
 //! Queries see the **merged view**: per-term, the tombstone-filtered
 //! k-way merge of every layer's canonical tf-descending list, with ties
-//! broken by layer order (base first, then sealed by id, then write) so
-//! the merge is stable — the postings a query takes from a layer are
-//! always a *prefix* of that layer's own canonical order, which is what
-//! lets the engine charge per-segment partial reads exactly.
+//! broken by layer order (base first, then sealed in doc-range order,
+//! then write) so the merge is stable — the postings a query takes from
+//! a layer are always a *prefix* of that layer's own canonical order,
+//! which is what lets the engine charge per-segment partial reads
+//! exactly.
+//!
+//! The view is **lazy**: per term only the small merge of the delta
+//! layers (sealed + write; ingested documents only) is built eagerly.
+//! The merged list itself is generated as a prefix, extended on demand
+//! by a two-way merge that pulls the base through `postings_range` in
+//! chunks — a query after a mutation pays for the postings it scans,
+//! the term's delta postings and the tombstones it has not seen yet,
+//! never for the whole list.
 //!
 //! **Pristine fast path:** until the first mutation, every reader method
 //! delegates straight to the base. A zero-ingest live index is therefore
 //! bit-identical to the frozen arm *by construction* — the
 //! `mutation_equivalence` suite pins this.
 
-use std::cell::RefCell;
+use std::cell::{RefCell, RefMut};
 
 use fxmap::{FxHashMap, FxHashSet};
 use invariant::{Report, Validate};
@@ -162,14 +171,91 @@ pub struct UsagePart {
     pub df: u64,
 }
 
-/// A materialized merged list with per-posting origin tracking.
-#[derive(Debug, Clone)]
-struct MergedList {
-    postings: Vec<Posting>,
-    /// Index into `parts` for each posting.
-    origin: Vec<u32>,
-    /// `(segment, df)` per contributing layer, in merge-priority order.
+/// Views kept at most; reaching it drops them all (they rebuild lazily).
+const VIEW_CAP: usize = 4096;
+
+/// Fewest base postings one pull asks the base for.
+const BASE_CHUNK: u64 = 64;
+
+/// What the index remembers about one queried term.
+#[derive(Debug, Default)]
+struct TermView {
+    /// How much of `LiveIndex::base_tombstones` this term has been
+    /// probed for.
+    tombstones_seen: usize,
+    /// Base positions of this term's tombstoned base docs, ascending.
+    /// Base tombstones are never cleared, so these outlive every merge.
+    base_dead: Vec<u64>,
+    /// The lazily merged list; `None` once a mutation made it stale.
+    merge: Option<LazyMerge>,
+}
+
+/// A term's merged list, generated as a prefix on demand.
+#[derive(Debug)]
+struct LazyMerge {
+    /// `(segment, live df)` per contributing layer, in merge-priority
+    /// order; the base is always first.
     parts: Vec<(SegmentId, u64)>,
+    /// Tombstone-filtered stable merge of the delta layers, each posting
+    /// with its index into `parts`.
+    delta: Vec<(Posting, u32)>,
+    /// Delta postings already merged into the prefix.
+    delta_taken: usize,
+    /// Raw base positions already pulled.
+    base_pulled: u64,
+    /// Live base postings pulled but not merged yet, and how many of
+    /// them the prefix has taken.
+    pending: Vec<Posting>,
+    pending_taken: usize,
+    /// The merged prefix generated so far, and each posting's index into
+    /// `parts`.
+    postings: Vec<Posting>,
+    origin: Vec<u32>,
+}
+
+impl LazyMerge {
+    fn df(&self) -> u64 {
+        self.parts.iter().map(|&(_, df)| df).sum()
+    }
+
+    /// Grow the prefix to `min(len, df)` postings: a stable two-way merge
+    /// of the live base stream and the delta, the base winning ties.
+    /// `base_dead` holds the base positions to skip.
+    fn extend_to<B: IndexReader>(&mut self, base: &B, term: TermId, base_dead: &[u64], len: u64) {
+        let len = len.min(self.df()) as usize;
+        let base_df = base.doc_freq(term);
+        while self.postings.len() < len {
+            if self.pending_taken == self.pending.len() && self.base_pulled < base_df {
+                let from = self.base_pulled;
+                let want = ((len - self.postings.len()) as u64).max(BASE_CHUNK);
+                let to = (from + want).min(base_df);
+                self.pending = base.postings_range(term, from, to);
+                let dead = base_dead.partition_point(|&p| p < from)
+                    ..base_dead.partition_point(|&p| p < to);
+                for &p in base_dead[dead].iter().rev() {
+                    self.pending.remove((p - from) as usize);
+                }
+                self.pending_taken = 0;
+                self.base_pulled = to;
+                continue;
+            }
+            let base_head = self.pending.get(self.pending_taken);
+            let delta_head = self.delta.get(self.delta_taken);
+            match (base_head, delta_head) {
+                (Some(b), d) if d.is_none_or(|(d, _)| b.tf >= d.tf) => {
+                    self.postings.push(*b);
+                    self.origin.push(0);
+                    self.pending_taken += 1;
+                }
+                (_, Some(&(d, part))) => {
+                    self.postings.push(d);
+                    self.origin.push(part);
+                    self.delta_taken += 1;
+                }
+                (_, None) => unreachable!("df counts only postings a layer holds"),
+            }
+        }
+    }
 }
 
 /// The segmented mutable index over an immutable base reader.
@@ -194,12 +280,13 @@ pub struct LiveIndex<B> {
     /// Sticky: set on the first mutation, never cleared. While false the
     /// reader delegates wholesale to the base.
     mutated: bool,
-    /// Bumped on every mutation; cached merged lists are keyed by it.
-    epoch: u64,
     dirty: DirtyTerms,
     growth_sealed: GrowthStats,
     stats: MutationStats,
-    merged: RefCell<FxHashMap<TermId, (u64, MergedList)>>,
+    /// Every tombstoned base doc, in delete order (compaction never
+    /// covers the base range, so none is ever cleared).
+    base_tombstones: Vec<DocId>,
+    views: RefCell<FxHashMap<TermId, TermView>>,
 }
 
 impl<B: IndexReader> LiveIndex<B> {
@@ -223,11 +310,11 @@ impl<B: IndexReader> LiveIndex<B> {
             next_segment: 1,
             retired: Vec::new(),
             mutated: false,
-            epoch: 0,
             dirty: DirtyTerms::default(),
             growth_sealed: GrowthStats::default(),
             stats: MutationStats::default(),
-            merged: RefCell::new(FxHashMap::default()),
+            base_tombstones: Vec::new(),
+            views: RefCell::new(FxHashMap::default()),
         }
     }
 
@@ -298,9 +385,12 @@ impl<B: IndexReader> LiveIndex<B> {
         std::mem::take(&mut self.dirty)
     }
 
-    fn mark_mutated(&mut self) {
-        self.mutated = true;
-        self.epoch += 1;
+    /// Drop every term's merged list: the delta layers changed shape
+    /// (seal, compaction) or lost a document whose terms are unknown.
+    fn drop_merges(&mut self) {
+        for view in self.views.get_mut().values_mut() {
+            view.merge = None;
+        }
     }
 
     /// Accept a document. `terms` must be distinct, ascending, in-vocab
@@ -325,7 +415,13 @@ impl<B: IndexReader> LiveIndex<B> {
         debug_assert_eq!(assigned, doc);
         self.next_doc += 1;
         self.stats.docs_added += 1;
-        self.mark_mutated();
+        self.mutated = true;
+        let views = self.views.get_mut();
+        for (t, _) in terms {
+            if let Some(view) = views.get_mut(t) {
+                view.merge = None;
+            }
+        }
         if !self.dirty.all {
             for &(t, _) in terms {
                 if let Err(i) = self.dirty.terms.binary_search(&t) {
@@ -353,7 +449,13 @@ impl<B: IndexReader> LiveIndex<B> {
         self.tombstones.insert(doc);
         self.dead.insert(doc);
         self.stats.docs_deleted += 1;
-        self.mark_mutated();
+        self.mutated = true;
+        if (doc as u64) < self.base_docs {
+            // Each view probes the base for it when next read.
+            self.base_tombstones.push(doc);
+        } else {
+            self.drop_merges();
+        }
         self.dirty.all = true;
         self.dirty.terms.clear();
         DeleteOutcome {
@@ -393,7 +495,8 @@ impl<B: IndexReader> LiveIndex<B> {
         // Content of the merged view is unchanged (stable merge): the
         // sealed lists equal the write-segment lists they froze. Only
         // origin attribution moves, so no terms go dirty.
-        self.mark_mutated();
+        self.mutated = true;
+        self.drop_merges();
         Some(SealOutcome {
             segment: id,
             docs,
@@ -442,7 +545,8 @@ impl<B: IndexReader> LiveIndex<B> {
         self.stats.compactions += 1;
         self.stats.merge_bytes_read += bytes_read;
         self.stats.merge_bytes_written += bytes_written;
-        self.mark_mutated();
+        self.mutated = true;
+        self.drop_merges();
         if content_changed {
             self.dirty.all = true;
             self.dirty.terms.clear();
@@ -465,102 +569,93 @@ impl<B: IndexReader> LiveIndex<B> {
         if self.is_pristine() {
             return None;
         }
-        self.with_merged(term, |m| {
-            let take = (scanned as usize).min(m.origin.len());
-            let mut counts = vec![0u64; m.parts.len()];
-            for &o in &m.origin[..take] {
-                counts[o as usize] += 1;
-            }
-            m.parts
-                .iter()
-                .zip(&counts)
+        let merged = self.merged_prefix(term, scanned);
+        let take = (scanned as usize).min(merged.origin.len());
+        let mut counts = vec![0u64; merged.parts.len()];
+        for &o in &merged.origin[..take] {
+            counts[o as usize] += 1;
+        }
+        let parts = merged.parts.iter().zip(&counts);
+        Some(
+            parts
                 .filter(|&(_, &c)| c > 0)
                 .map(|(&(segment, df), &c)| UsagePart {
                     segment,
                     scanned: c,
                     df,
                 })
-                .collect::<Vec<_>>()
-        })
-        .into()
+                .collect(),
+        )
     }
 
-    /// Run `f` over the (possibly freshly materialized) merged list.
-    fn with_merged<T>(&self, term: TermId, f: impl FnOnce(&MergedList) -> T) -> T {
-        let mut cache = self.merged.borrow_mut();
-        let entry = cache.entry(term);
-        let slot = entry.or_insert_with(|| {
-            (
-                u64::MAX,
-                MergedList {
-                    postings: Vec::new(),
-                    origin: Vec::new(),
-                    parts: Vec::new(),
-                },
-            )
-        });
-        if slot.0 != self.epoch {
-            *slot = (self.epoch, self.materialize(term));
+    /// `term`'s merged list with at least `min(len, df)` postings of its
+    /// prefix generated.
+    fn merged_prefix(&self, term: TermId, len: u64) -> RefMut<'_, LazyMerge> {
+        let mut views = self.views.borrow_mut();
+        if views.len() >= VIEW_CAP && !views.contains_key(&term) {
+            views.clear();
         }
-        f(&slot.1)
+        RefMut::map(views, |views| {
+            let view = views.entry(term).or_default();
+            for &doc in &self.base_tombstones[view.tombstones_seen..] {
+                if let Some(pos) = self.base.position_of(term, doc) {
+                    let at = view.base_dead.partition_point(|&p| p < pos);
+                    view.base_dead.insert(at, pos);
+                    view.merge = None;
+                }
+            }
+            view.tombstones_seen = self.base_tombstones.len();
+            let base_live = self.base.doc_freq(term) - view.base_dead.len() as u64;
+            let merge = view
+                .merge
+                .get_or_insert_with(|| self.merge_delta(term, base_live));
+            merge.extend_to(&self.base, term, &view.base_dead, len);
+            merge
+        })
     }
 
-    /// Build the merged, tombstone-filtered view of one term.
-    fn materialize(&self, term: TermId) -> MergedList {
-        // Layer lists in priority order: base, then sealed segments in
+    /// A fresh merged list for `term`: the delta layers merged, no
+    /// prefix generated yet.
+    fn merge_delta(&self, term: TermId, base_live: u64) -> LazyMerge {
+        // Layers in priority order: base, then sealed segments in
         // doc-range order (`self.sealed` is maintained doc-ascending:
         // seals append, compaction outputs re-enter at the front), then
         // the write segment. Doc order — not id order — is what keeps
         // the merge stable across compactions: a merged segment slots in
         // exactly where its inputs were.
-        let mut layers: Vec<(SegmentId, Vec<Posting>)> = Vec::new();
-        let base_list = self.base.postings(term);
-        layers.push((BASE_SEGMENT, base_list.postings().to_vec()));
-        for seg in &self.sealed {
-            if let Some(l) = seg.list(term) {
-                layers.push((seg.id(), l.postings().to_vec()));
-            }
-        }
-        let wl = self.write.postings(term);
-        if !wl.is_empty() {
-            layers.push((WRITE_SEGMENT, wl.postings().to_vec()));
-        }
-        // Tombstone filter (before the merge, so df per layer is live).
-        if !self.tombstones.is_empty() {
-            for (_, l) in &mut layers {
-                l.retain(|p| !self.tombstones.contains(&p.doc));
-            }
-        }
-        layers.retain(|(seg, l)| *seg == BASE_SEGMENT || !l.is_empty());
-        let parts: Vec<(SegmentId, u64)> = layers
+        let mut parts = vec![(BASE_SEGMENT, base_live)];
+        let mut delta = Vec::new();
+        let write = self.write.postings(term);
+        let sealed = self
+            .sealed
             .iter()
-            .map(|(seg, l)| (*seg, l.len() as u64))
-            .collect();
-        // Stable k-way merge by descending tf; ties go to the earlier
-        // layer, preserving each layer's internal order.
-        let total: usize = layers.iter().map(|(_, l)| l.len()).sum();
-        let mut postings = Vec::with_capacity(total);
-        let mut origin = Vec::with_capacity(total);
-        let mut heads = vec![0usize; layers.len()];
-        for _ in 0..total {
-            let mut best: Option<(usize, u32)> = None;
-            for (i, (_, l)) in layers.iter().enumerate() {
-                if heads[i] < l.len() {
-                    let tf = l[heads[i]].tf;
-                    if best.is_none_or(|(_, btf)| tf > btf) {
-                        best = Some((i, tf));
-                    }
-                }
+            .filter_map(|seg| Some((seg.id(), seg.list(term)?)));
+        for (segment, list) in sealed.chain([(WRITE_SEGMENT, &write)]) {
+            // Tombstone filter before the merge, so df per layer is live.
+            let before = delta.len();
+            let part = parts.len() as u32;
+            let live = list.postings().iter();
+            delta.extend(
+                live.filter(|p| !self.tombstones.contains(&p.doc))
+                    .map(|&p| (p, part)),
+            );
+            if delta.len() > before {
+                parts.push((segment, (delta.len() - before) as u64));
             }
-            let (i, _) = best.expect("total counted");
-            postings.push(layers[i].1[heads[i]]);
-            origin.push(i as u32);
-            heads[i] += 1;
         }
-        MergedList {
-            postings,
-            origin,
+        // Each layer is tf-descending, so a stable sort of their
+        // concatenation is their k-way merge with ties to the earlier
+        // layer, each layer's internal order kept.
+        delta.sort_by_key(|&(p, _)| std::cmp::Reverse(p.tf));
+        LazyMerge {
             parts,
+            delta,
+            delta_taken: 0,
+            base_pulled: 0,
+            pending: Vec::new(),
+            pending_taken: 0,
+            postings: Vec::new(),
+            origin: Vec::new(),
         }
     }
 
@@ -568,7 +663,8 @@ impl<B: IndexReader> LiveIndex<B> {
     /// `no-segment-bypass` lint forbids calls outside `searchidx`.
     #[doc(hidden)]
     pub fn write_segment_mut(&mut self) -> &mut WriteSegment {
-        self.mark_mutated();
+        self.mutated = true;
+        self.drop_merges();
         &mut self.write
     }
 
@@ -621,7 +717,7 @@ impl<B: IndexReader> IndexReader for LiveIndex<B> {
         if self.is_pristine() {
             self.base.doc_freq(term)
         } else {
-            self.with_merged(term, |m| m.postings.len() as u64)
+            self.merged_prefix(term, 0).df()
         }
     }
 
@@ -629,20 +725,22 @@ impl<B: IndexReader> IndexReader for LiveIndex<B> {
         if self.is_pristine() {
             self.base.postings(term)
         } else {
-            self.with_merged(term, |m| PostingList::from_sorted(term, m.postings.clone()))
+            let merged = self.merged_prefix(term, u64::MAX);
+            PostingList::from_sorted(term, merged.postings.clone())
         }
     }
 
+    // Pinned as `frozen-read-path` in `crates/xtask/oracle.lock`: the
+    // pristine branch is the frozen arm's read path and stays verbatim.
     fn postings_range(&self, term: TermId, start: u64, end: u64) -> Vec<Posting> {
         if self.is_pristine() {
             self.base.postings_range(term, start, end)
         } else {
-            self.with_merged(term, |m| {
-                let len = m.postings.len() as u64;
-                let s = start.min(len) as usize;
-                let e = end.min(len) as usize;
-                m.postings[s..e].to_vec()
-            })
+            let merged = self.merged_prefix(term, end);
+            let len = merged.postings.len() as u64;
+            let s = start.min(len) as usize;
+            let e = end.min(len) as usize;
+            merged.postings[s..e].to_vec()
         }
     }
 
@@ -754,5 +852,64 @@ impl<B: IndexReader> Validate for LiveIndex<B> {
                 )
             },
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::corpus::{CorpusSpec, SyntheticIndex};
+
+    fn live() -> LiveIndex<SyntheticIndex> {
+        let spec = CorpusSpec {
+            vocab: VIEW_CAP as u64 + 500,
+            ..CorpusSpec::tiny(3)
+        };
+        LiveIndex::new(SyntheticIndex::new(spec), SegmentPolicy::default())
+    }
+
+    fn merges_held(live: &LiveIndex<SyntheticIndex>) -> usize {
+        let views = live.views.borrow();
+        views.values().filter(|v| v.merge.is_some()).count()
+    }
+
+    #[test]
+    fn views_are_capped_and_still_exact() {
+        let mut live = live();
+        live.add_document(SimTime::ZERO, &[(0, 2), (4_500, 1)]);
+        live.delete_document(SimTime::ZERO, 11);
+        for t in 0..live.num_terms() as TermId {
+            let hidden = live.base.position_of(t, 11).is_some() as u64;
+            let added = [0, 4_500].contains(&t) as u64;
+            assert_eq!(live.doc_freq(t), live.base.doc_freq(t) + added - hidden);
+            assert!(live.views.borrow().len() <= VIEW_CAP);
+        }
+        assert!(
+            live.views.borrow().len() < 1_000,
+            "the cap never emptied the map"
+        );
+    }
+
+    #[test]
+    fn a_stale_merge_is_dropped_by_the_mutation_that_staled_it() {
+        let mut live = live();
+        live.add_document(SimTime::ZERO, &[(0, 2), (7, 1)]);
+        for t in [0, 1, 7] {
+            live.postings_range(t, 0, 10);
+        }
+        assert_eq!(merges_held(&live), 3);
+        // An add drops the merges of the terms it mentions, no others.
+        live.add_document(SimTime::ZERO, &[(7, 3)]);
+        assert_eq!(merges_held(&live), 2);
+        // A base-doc delete drops nothing until a term is found to hold it.
+        live.delete_document(SimTime::ZERO, 11);
+        assert_eq!(merges_held(&live), 2);
+        // A seal moves every delta posting to another layer.
+        live.seal(SimTime::ZERO);
+        assert_eq!(merges_held(&live), 0);
+        live.postings_range(0, 0, 10);
+        // So does losing an ingested doc, whose terms are not recorded.
+        live.delete_document(SimTime::ZERO, live.base_docs as DocId);
+        assert_eq!(merges_held(&live), 0);
     }
 }

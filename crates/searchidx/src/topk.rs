@@ -371,13 +371,11 @@ impl TopKProcessor {
         let mut order: Vec<TermId> = terms.to_vec();
         order.sort_unstable();
         order.dedup();
-        order.sort_by(|&a, &b| {
-            index
-                .idf(b)
-                .partial_cmp(&index.idf(a))
-                .expect("idf is finite")
-        });
-        order
+        // One idf per term, not one per comparison: on the live index each
+        // is a view lookup and an `ln`.
+        let mut keyed: Vec<(f64, TermId)> = order.into_iter().map(|t| (index.idf(t), t)).collect();
+        keyed.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("idf is finite"));
+        keyed.into_iter().map(|(_, t)| t).collect()
     }
 
     /// Evaluate a disjunctive (OR) query. Terms are processed in

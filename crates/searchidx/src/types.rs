@@ -140,6 +140,17 @@ pub trait IndexReader {
         list.postings()[start..end].to_vec()
     }
 
+    /// The position of `doc` in `term`'s canonical order, `None` when the
+    /// list does not hold it. The default scans the full list; readers
+    /// that can answer without generating it override this.
+    fn position_of(&self, term: TermId, doc: DocId) -> Option<u64> {
+        let list = self.postings(term);
+        list.postings()
+            .iter()
+            .position(|p| p.doc == doc)
+            .map(|i| i as u64)
+    }
+
     /// On-disk size of a term's list in bytes.
     fn list_bytes(&self, term: TermId) -> u64 {
         self.doc_freq(term) * POSTING_BYTES

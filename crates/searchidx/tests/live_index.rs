@@ -1,6 +1,6 @@
 //! The segmented mutable index against its oracles.
 //!
-//! Three kinds of evidence:
+//! Five kinds of evidence:
 //! * **Pristine delegation** — a live index that has never been mutated
 //!   answers every reader method bit-identically to its base (the
 //!   engine-level `mutation_equivalence` suite builds on this).
@@ -11,13 +11,21 @@
 //!   lose a live document or resurrect a deleted one, and that the
 //!   `segment-doc-range` / `tombstone-conservation` / `wal-monotonic`
 //!   validators catch planted corruption of each kind.
+//! * **Lazy-view equivalence** — the lazily generated merged view equals
+//!   the whole-list merge it replaced (kept here as [`materialize`]) on
+//!   every reader method, after every step of a random history.
+//! * **Work proportionality** — counted, not timed: a query after a
+//!   mutation asks the base for the postings it scans, not for the list.
+
+use std::cell::Cell;
 
 use fxmap::FxHashMap;
 use invariant::Validate;
 use proptest::prelude::*;
 use searchidx::{
-    CorpusSpec, GrowthPolicy, IndexReader, LiveIndex, MemIndex, Posting, SegmentPolicy,
-    SyntheticIndex, TermId, BASE_SEGMENT, WRITE_SEGMENT,
+    CorpusSpec, DocId, GrowthPolicy, IndexReader, LiveIndex, MemIndex, Posting, PostingList,
+    SegmentId, SegmentPolicy, SyntheticIndex, TermId, TopKConfig, TopKProcessor, UsagePart,
+    BASE_SEGMENT, WRITE_SEGMENT,
 };
 use simclock::SimTime;
 
@@ -436,4 +444,289 @@ proptest! {
             }
         }
     }
+}
+
+// --- the lazy merged view against the whole-list merge ----------------
+
+/// A fully merged list: postings, each posting's index into `parts`, and
+/// `(segment, live df)` per contributing layer.
+struct Materialized {
+    postings: Vec<Posting>,
+    origin: Vec<u32>,
+    parts: Vec<(SegmentId, u64)>,
+}
+
+/// The whole-list merge `LiveIndex` ran on every read before its view
+/// became lazy, verbatim but for reading the layers through the public
+/// API: every layer regenerated, tombstone-filtered and k-way merged.
+/// `added` is every document ingested so far (slot, terms); the write
+/// segment's docs are those past the last sealed range.
+fn materialize(
+    live: &LiveIndex<MemIndex>,
+    added: &[(DocId, Vec<(TermId, u32)>)],
+    term: TermId,
+) -> Materialized {
+    let mut layers: Vec<(SegmentId, Vec<Posting>)> = Vec::new();
+    layers.push((BASE_SEGMENT, live.base().postings(term).postings().to_vec()));
+    let mut write_lo = live.base().num_docs() as DocId;
+    for id in live.sealed_ids() {
+        let seg = live.sealed_segment(id).expect("listed id");
+        write_lo = seg.doc_range().1;
+        if let Some(l) = seg.list(term) {
+            layers.push((id, l.postings().to_vec()));
+        }
+    }
+    let write: Vec<Posting> = added
+        .iter()
+        .filter(|(doc, _)| *doc >= write_lo)
+        .filter_map(|(doc, terms)| {
+            let &(_, tf) = terms.iter().find(|(t, _)| *t == term)?;
+            Some(Posting { doc: *doc, tf })
+        })
+        .collect();
+    if !write.is_empty() {
+        let canonical = PostingList::new(term, write);
+        layers.push((WRITE_SEGMENT, canonical.postings().to_vec()));
+    }
+    // Tombstone filter (before the merge, so df per layer is live).
+    for (_, l) in &mut layers {
+        l.retain(|p| live.doc_alive(p.doc));
+    }
+    layers.retain(|(seg, l)| *seg == BASE_SEGMENT || !l.is_empty());
+    let parts: Vec<(SegmentId, u64)> = layers
+        .iter()
+        .map(|(seg, l)| (*seg, l.len() as u64))
+        .collect();
+    // Stable k-way merge by descending tf; ties go to the earlier
+    // layer, preserving each layer's internal order.
+    let total: usize = layers.iter().map(|(_, l)| l.len()).sum();
+    let mut postings = Vec::with_capacity(total);
+    let mut origin = Vec::with_capacity(total);
+    let mut heads = vec![0usize; layers.len()];
+    for _ in 0..total {
+        let mut best: Option<(usize, u32)> = None;
+        for (i, (_, l)) in layers.iter().enumerate() {
+            if heads[i] < l.len() {
+                let tf = l[heads[i]].tf;
+                if best.is_none_or(|(_, btf)| tf > btf) {
+                    best = Some((i, tf));
+                }
+            }
+        }
+        let (i, _) = best.expect("total counted");
+        postings.push(layers[i].1[heads[i]]);
+        origin.push(i as u32);
+        heads[i] += 1;
+    }
+    Materialized {
+        postings,
+        origin,
+        parts,
+    }
+}
+
+impl Materialized {
+    fn range(&self, start: u64, end: u64) -> &[Posting] {
+        let len = self.postings.len() as u64;
+        &self.postings[start.min(len) as usize..end.min(len) as usize]
+    }
+
+    fn split_usage(&self, scanned: u64) -> Vec<UsagePart> {
+        let take = (scanned as usize).min(self.origin.len());
+        let mut counts = vec![0u64; self.parts.len()];
+        for &o in &self.origin[..take] {
+            counts[o as usize] += 1;
+        }
+        let parts = self.parts.iter().zip(&counts);
+        parts
+            .filter(|&(_, &c)| c > 0)
+            .map(|(&(segment, df), &c)| UsagePart {
+                segment,
+                scanned: c,
+                df,
+            })
+            .collect()
+    }
+}
+
+/// Base for the equivalence histories: lists of ~100 postings with tfs
+/// 1–4, so the merge pulls the base in several chunks and the ingested
+/// postings (same tf range) interleave with it.
+fn wide_base() -> Vec<Vec<TermId>> {
+    (0..600u32)
+        .map(|d| {
+            let mut doc = vec![d % 20; (d % 4 + 1) as usize];
+            doc.extend([(d * 3 + 1) % 20, (d * 7 + 2) % 20]);
+            doc
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn lazy_view_equals_whole_list_merge(
+        steps in prop::collection::vec(
+            (op_strategy(), 0u32..20, 0u64..140, 0u64..140, 0u64..140),
+            1..60,
+        ),
+        seal_threshold in 2u64..12,
+        fanin in 2usize..5,
+        chained in any::<bool>(),
+    ) {
+        let growth = if chained { GrowthPolicy::Chained } else { GrowthPolicy::Contiguous };
+        let mut live = LiveIndex::new(
+            MemIndex::from_docs(wide_base()),
+            policy(seal_threshold, fanin, growth),
+        );
+        let mut added: Vec<(DocId, Vec<(TermId, u32)>)> = Vec::new();
+        let t0 = SimTime::ZERO;
+        for (op, term, a, b, c) in steps {
+            match op {
+                Op::Add(terms) => {
+                    let out = live.add_document(t0, &terms);
+                    added.push((out.doc, terms));
+                }
+                // `Delete` picks up to 400: mostly base docs, and the
+                // ingested ones once the history has grown.
+                Op::Delete(pick) => {
+                    let doc = (pick as u64 * 7 % live.num_docs()) as DocId;
+                    live.delete_document(t0, doc);
+                }
+                Op::Seal => { live.seal(t0); }
+                Op::Compact => { live.compact(t0); }
+            }
+            if live.is_pristine() {
+                prop_assert_eq!(live.split_usage(term, a), None);
+                continue;
+            }
+            // One term per step, so other terms' views live through
+            // several mutations before they are read again. Reads come
+            // in no particular order: a range somewhere in the list
+            // first, then usage splits on either side of it.
+            let want = materialize(&live, &added, term);
+            let df = want.postings.len() as u64;
+            let (start, end) = (a.min(b), a.max(b));
+            prop_assert_eq!(live.postings_range(term, start, end), want.range(start, end));
+            prop_assert_eq!(live.split_usage(term, c), Some(want.split_usage(c)));
+            prop_assert_eq!(live.doc_freq(term), df);
+            let idf = if df == 0 { 0.0 } else { (1.0 + live.num_docs() as f64 / df as f64).ln() };
+            prop_assert_eq!(live.idf(term).to_bits(), idf.to_bits());
+            prop_assert_eq!(live.postings_range(term, b, b + c), want.range(b, b + c));
+        }
+        for term in 0..20u32 {
+            let want = materialize(&live, &added, term);
+            let df = want.postings.len() as u64;
+            prop_assert_eq!(live.doc_freq(term), df);
+            for scanned in (0..=df + 1).rev() {
+                let split = live.split_usage(term, scanned);
+                if live.is_pristine() {
+                    prop_assert_eq!(split, None);
+                } else {
+                    prop_assert_eq!(split, Some(want.split_usage(scanned)), "term {}", term);
+                }
+            }
+            prop_assert_eq!(live.postings(term), PostingList::from_sorted(term, want.postings));
+        }
+    }
+}
+
+#[test]
+fn position_of_matches_a_linear_scan() {
+    fn check<R: IndexReader>(index: &R, what: &str) {
+        let docs = index.num_docs() as usize;
+        for term in 0..index.num_terms() as TermId + 1 {
+            let mut want: Vec<Option<u64>> = vec![None; docs + 1];
+            for (i, p) in index.postings(term).postings().iter().enumerate() {
+                want[p.doc as usize] = Some(i as u64);
+            }
+            for (doc, &w) in want.iter().enumerate() {
+                assert_eq!(
+                    index.position_of(term, doc as DocId),
+                    w,
+                    "{what}: term {term} doc {doc}"
+                );
+            }
+        }
+    }
+    check(&SyntheticIndex::new(CorpusSpec::tiny(7)), "synthetic");
+    check(&MemIndex::from_docs(wide_base()), "mem");
+}
+
+// --- work proportionality: counts, no wall clock -----------------------
+
+/// A base that counts the postings it is asked to produce.
+struct Counting<B> {
+    inner: B,
+    asked: Cell<u64>,
+}
+
+impl<B: IndexReader> IndexReader for Counting<B> {
+    fn num_docs(&self) -> u64 {
+        self.inner.num_docs()
+    }
+    fn num_terms(&self) -> u64 {
+        self.inner.num_terms()
+    }
+    fn doc_freq(&self, term: TermId) -> u64 {
+        self.inner.doc_freq(term)
+    }
+    fn postings(&self, term: TermId) -> PostingList {
+        let list = self.inner.postings(term);
+        self.asked.set(self.asked.get() + list.len() as u64);
+        list
+    }
+    fn postings_range(&self, term: TermId, start: u64, end: u64) -> Vec<Posting> {
+        let range = self.inner.postings_range(term, start, end);
+        self.asked.set(self.asked.get() + range.len() as u64);
+        range
+    }
+    fn position_of(&self, term: TermId, doc: DocId) -> Option<u64> {
+        self.inner.position_of(term, doc)
+    }
+}
+
+#[test]
+fn a_query_after_a_mutation_pays_for_what_it_scans() {
+    let base = Counting {
+        inner: SyntheticIndex::new(CorpusSpec::enwiki_like(100_000, 11)),
+        asked: Cell::new(0),
+    };
+    let mut live = LiveIndex::new(base, SegmentPolicy::default());
+    let config = TopKConfig::default();
+    let processor = TopKProcessor::new(config);
+    // What the processor asks for beyond what it scans is at most one
+    // batch; the view rounds its own pulls up by less than that.
+    let chunk = config.check_every as u64;
+    let (touched, untouched) = (0u32, 1u32);
+    let asked_by = |live: &LiveIndex<Counting<SyntheticIndex>>, term: TermId| {
+        let before = live.base().asked.get();
+        let out = processor.process(live, &[term]);
+        (out.usage[0].scanned, live.base().asked.get() - before)
+    };
+
+    live.add_document(SimTime::ZERO, &[(touched, 3)]);
+    live.delete_document(SimTime::ZERO, 17);
+    let (n, asked) = asked_by(&live, touched);
+    assert!(n > 0 && live.base().doc_freq(touched) >= 50 * n, "n = {n}");
+    assert!(
+        asked <= n + 2 * chunk,
+        "scanned {n}, asked the base for {asked}"
+    );
+
+    let (n, asked) = asked_by(&live, untouched);
+    assert!(
+        n > 0 && live.base().doc_freq(untouched) >= 50 * n,
+        "n = {n}"
+    );
+    assert!(
+        asked <= n + 2 * chunk,
+        "scanned {n}, asked the base for {asked}"
+    );
+    // An add that does not mention the term leaves its view alone.
+    live.add_document(SimTime::ZERO, &[(touched, 1), (9, 2)]);
+    let (again, asked) = asked_by(&live, untouched);
+    assert_eq!(again, n);
+    assert_eq!(asked, 0, "an unrelated add must not regenerate the prefix");
 }
