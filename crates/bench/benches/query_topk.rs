@@ -59,6 +59,32 @@ fn bench_topk(c: &mut Criterion) {
             black_box(proc.process_reference(&index, &q.terms).postings_scanned())
         });
     });
+
+    // Deep accumulator: one exact-mode list of >= 4 000 docs, so every
+    // posting is a new accumulator entry and the threshold is refreshed
+    // dozens of times over a set that keeps growing. The reference pays
+    // a whole-accumulator selection at each refresh; `process` reads its
+    // heap root.
+    let deep_term = (0..searchidx::IndexReader::num_terms(&index) as u32)
+        .find(|&t| (4_000..8_000).contains(&searchidx::IndexReader::doc_freq(&index, t)))
+        .expect("a term with 4k-8k postings");
+    let exact = TopKConfig {
+        epsilon: 0.0,
+        ..TopKConfig::default()
+    };
+    g.bench_function("deep_accumulator_exact", |b| {
+        let proc = TopKProcessor::new(exact);
+        b.iter(|| black_box(proc.process(&index, &[deep_term]).postings_scanned()));
+    });
+    g.bench_function("deep_accumulator_exact_hashmap_reference", |b| {
+        let proc = TopKProcessor::new(exact);
+        b.iter(|| {
+            black_box(
+                proc.process_reference(&index, &[deep_term])
+                    .postings_scanned(),
+            )
+        });
+    });
     g.finish();
 }
 

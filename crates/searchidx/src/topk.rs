@@ -11,6 +11,8 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 
+use invariant::{audit, Report, Validate};
+
 use crate::blocks::{BlockStore, BlockStoreStats, PostingsBackend, BLOCK_SIZE};
 use crate::skips::SkipStats;
 use crate::types::{
@@ -99,12 +101,19 @@ impl QueryOutcome {
 }
 
 /// Open-addressed score accumulator: a power-of-two table with linear
-/// probing and a multiplicative (fx-style) hash. Replaces the per-query
-/// `HashMap<DocId, f32>` on the hot path — no per-query allocation (the
-/// table is pooled across queries), no SipHash, no per-entry boxing. The
-/// accumulated multiset of `(doc, score)` pairs is identical to the
-/// HashMap's, and every consumer below is order-independent, so results
-/// are bit-identical to [`TopKProcessor::process_reference`].
+/// probing and a multiplicative (fx-style) hash, pooled across queries
+/// (no per-query allocation, no SipHash, no per-entry boxing), that also
+/// keeps the current best `k` entries in an indexed binary heap.
+///
+/// The heap is ordered by the *final* comparator `(score desc, doc asc)`
+/// with the worst member at the root. Scores only grow (every
+/// contribution is positive), so an entry inside the heap can only move
+/// away from the root and an entry outside it can only displace the
+/// root: after every [`ScoreAccumulator::add`] the heap is exactly the
+/// top-`k` prefix of that total order. The pruning threshold is
+/// therefore the root's score and the result is the sorted heap — the
+/// same values [`TopKProcessor::process_reference`] re-derives with a
+/// selection over the whole `HashMap` at every refresh, ties included.
 #[derive(Debug, Clone)]
 struct ScoreAccumulator {
     /// Slot → index into `entries`, [`EMPTY_SLOT`] when free. 4-byte
@@ -114,13 +123,32 @@ struct ScoreAccumulator {
     mask: usize,
     /// Occupied slot positions — sparse clearing.
     touched: Vec<u32>,
-    /// `(doc, score)` pairs in insertion order. Threshold refreshes and
-    /// top-K extraction stream this contiguously instead of chasing
-    /// occupied slots through the probe array.
-    entries: Vec<(DocId, f32)>,
+    entries: Vec<AccEntry>,
+    /// How many entries the heap retains (the query's K).
+    k: usize,
+    /// `entries` indices of the best `min(k, len)` entries; a binary
+    /// heap whose root is the worst of them.
+    heap: Vec<u32>,
 }
 
-/// Free-slot sentinel (an `entries` index, so no doc id is reserved).
+/// One accumulated document.
+#[derive(Debug, Clone, Copy)]
+struct AccEntry {
+    doc: DocId,
+    score: f32,
+    /// Position in `heap`, [`EMPTY_SLOT`] while outside it.
+    pos: u32,
+}
+
+impl AccEntry {
+    /// Whether `self` ranks after `other` in `(score desc, doc asc)`.
+    #[inline]
+    fn worse_than(&self, other: &AccEntry) -> bool {
+        self.score < other.score || (self.score == other.score && self.doc > other.doc)
+    }
+}
+
+/// Free-slot / not-in-heap sentinel (an index, so no doc id is reserved).
 const EMPTY_SLOT: u32 = u32::MAX;
 
 impl Default for ScoreAccumulator {
@@ -137,6 +165,8 @@ impl ScoreAccumulator {
             mask: capacity - 1,
             touched: Vec::new(),
             entries: Vec::new(),
+            k: 0,
+            heap: Vec::new(),
         }
     }
 
@@ -152,9 +182,9 @@ impl ScoreAccumulator {
         self.entries.len()
     }
 
-    /// Reset for the next query, keeping the allocations. Sparse
-    /// occupancy clears only the touched slots.
-    fn clear(&mut self) {
+    /// Reset for the next query (which keeps its best `k`), keeping the
+    /// allocations. Sparse occupancy clears only the touched slots.
+    fn reset(&mut self, k: usize) {
         if self.touched.len() * 4 < self.slots.len() {
             for &i in &self.touched {
                 self.slots[i as usize] = EMPTY_SLOT;
@@ -164,30 +194,103 @@ impl ScoreAccumulator {
         }
         self.touched.clear();
         self.entries.clear();
+        self.heap.clear();
+        self.k = k;
     }
 
-    /// Accumulate `delta` into `doc`'s score.
+    /// Accumulate `delta` (never negative) into `doc`'s score.
     #[inline]
     fn add(&mut self, doc: DocId, delta: f32) {
         if self.entries.len() * 2 >= self.slots.len() {
             self.grow();
         }
         let mut i = self.hash(doc);
-        loop {
+        let idx = loop {
             let idx = self.slots[i];
             if idx == EMPTY_SLOT {
                 self.slots[i] = self.entries.len() as u32;
                 self.touched.push(i as u32);
-                self.entries.push((doc, delta));
-                return;
+                self.entries.push(AccEntry {
+                    doc,
+                    score: delta,
+                    pos: EMPTY_SLOT,
+                });
+                break self.entries.len() - 1;
             }
             let e = &mut self.entries[idx as usize];
-            if e.0 == doc {
-                e.1 += delta;
-                return;
+            if e.doc == doc {
+                e.score += delta;
+                if e.pos != EMPTY_SLOT {
+                    // Already among the best: it got better, so it can
+                    // only sink away from the (worst-at-root) top.
+                    let pos = e.pos as usize;
+                    self.sift_down(pos);
+                    return;
+                }
+                break idx as usize;
             }
             i = (i + 1) & self.mask;
+        };
+        // `idx` is outside the heap: admit it while there is room, else
+        // only if it now beats the current K-th.
+        if self.heap.len() < self.k {
+            self.heap.push(idx as u32);
+            self.sift_up(self.heap.len() - 1);
+        } else if let Some(&root) = self.heap.first() {
+            if self.entries[root as usize].worse_than(&self.entries[idx]) {
+                self.entries[root as usize].pos = EMPTY_SLOT;
+                self.heap[0] = idx as u32;
+                self.sift_down(0);
+            }
         }
+    }
+
+    /// Move the member at heap position `at` towards the root until its
+    /// parent is worse, recording positions.
+    fn sift_up(&mut self, mut at: usize) {
+        let idx = self.heap[at];
+        let moving = self.entries[idx as usize];
+        while at > 0 {
+            let parent = (at - 1) / 2;
+            let p = self.heap[parent];
+            if !moving.worse_than(&self.entries[p as usize]) {
+                break;
+            }
+            self.heap[at] = p;
+            self.entries[p as usize].pos = at as u32;
+            at = parent;
+        }
+        self.heap[at] = idx;
+        self.entries[idx as usize].pos = at as u32;
+    }
+
+    /// Move the member at heap position `at` away from the root while a
+    /// child is worse than it, recording positions.
+    fn sift_down(&mut self, mut at: usize) {
+        let idx = self.heap[at];
+        let moving = self.entries[idx as usize];
+        loop {
+            let mut child = 2 * at + 1;
+            if child >= self.heap.len() {
+                break;
+            }
+            let right = child + 1;
+            if right < self.heap.len()
+                && self.entries[self.heap[right] as usize]
+                    .worse_than(&self.entries[self.heap[child] as usize])
+            {
+                child = right;
+            }
+            let c = self.heap[child];
+            if !self.entries[c as usize].worse_than(&moving) {
+                break;
+            }
+            self.heap[at] = c;
+            self.entries[c as usize].pos = at as u32;
+            at = child;
+        }
+        self.heap[at] = idx;
+        self.entries[idx as usize].pos = at as u32;
     }
 
     /// Double the probe array and re-seat the (unchanged) entries.
@@ -197,9 +300,8 @@ impl ScoreAccumulator {
         self.slots.resize(capacity, EMPTY_SLOT);
         self.mask = capacity - 1;
         self.touched.clear();
-        for (idx, e) in self.entries.iter().enumerate() {
-            let mut i =
-                ((e.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & self.mask;
+        for idx in 0..self.entries.len() {
+            let mut i = self.hash(self.entries[idx].doc);
             while self.slots[i] != EMPTY_SLOT {
                 i = (i + 1) & self.mask;
             }
@@ -208,48 +310,72 @@ impl ScoreAccumulator {
         }
     }
 
-    /// Visit live entries in insertion order.
+    /// The K-th largest score (0 when fewer than K docs): the heap root.
     #[inline]
-    fn iter(&self) -> impl Iterator<Item = (DocId, f32)> + '_ {
-        self.entries.iter().copied()
-    }
-
-    /// The K-th largest score (0 when fewer than K docs), using a pooled
-    /// selection buffer. Same `select_nth_unstable_by` as the reference —
-    /// the value only depends on the score multiset, not its order.
-    fn kth_largest(&self, k: usize, scores: &mut Vec<f32>) -> f64 {
-        if self.len() < k || k == 0 {
-            return 0.0;
+    fn kth_largest(&self) -> f64 {
+        match self.heap.first() {
+            Some(&root) if self.heap.len() == self.k => self.entries[root as usize].score as f64,
+            _ => 0.0,
         }
-        scores.clear();
-        scores.extend(self.iter().map(|(_, s)| s));
-        let idx = scores.len() - k;
-        let (_, kth, _) =
-            scores.select_nth_unstable_by(idx, |a, b| a.partial_cmp(b).expect("scores are finite"));
-        *kth as f64
     }
 
-    /// Extract the top K docs, best first, via a pooled sort buffer. The
-    /// `(score desc, doc asc)` comparator is a total order over distinct
-    /// docs, so the output is independent of accumulation order.
-    fn top_k(&self, k: usize, docs: &mut Vec<ScoredDoc>) -> ResultEntry {
+    /// Extract the top K docs, best first, via a pooled sort buffer: the
+    /// heap members under the comparator that ordered the heap.
+    fn top_k(&self, docs: &mut Vec<ScoredDoc>) -> ResultEntry {
         docs.clear();
-        docs.extend(self.iter().map(|(doc, score)| ScoredDoc { doc, score }));
-        let cmp = |a: &ScoredDoc, b: &ScoredDoc| {
+        docs.extend(self.heap.iter().map(|&idx| {
+            let e = &self.entries[idx as usize];
+            ScoredDoc {
+                doc: e.doc,
+                score: e.score,
+            }
+        }));
+        docs.sort_unstable_by(|a, b| {
             b.score
                 .partial_cmp(&a.score)
                 .expect("scores are finite")
                 .then(a.doc.cmp(&b.doc))
-        };
-        // The comparator is a total order over distinct docs, so
-        // partitioning the best K to the front (O(N)) and sorting only
-        // them yields exactly what sorting the whole set would.
-        if k > 0 && docs.len() > k {
-            docs.select_nth_unstable_by(k - 1, cmp);
-        }
-        docs.truncate(k);
-        docs.sort_unstable_by(cmp);
+        });
         ResultEntry { docs: docs.clone() }
+    }
+}
+
+impl Validate for ScoreAccumulator {
+    fn validate(&self, report: &mut Report) {
+        let (k, len, members) = (self.k, self.entries.len(), self.heap.len());
+        let mut check = |ok: bool, invariant: &'static str, at: usize| {
+            report.check(ok, "ScoreAccumulator", invariant, || {
+                format!("at index {at} (k {k}, {len} entries, {members} in the heap)")
+            });
+        };
+        check(members == k.min(len), "heap-len", members);
+        if self.heap.iter().any(|&idx| idx as usize >= len) {
+            return check(false, "heap-pos-agree", len);
+        }
+        for (at, &idx) in self.heap.iter().enumerate() {
+            let e = &self.entries[idx as usize];
+            check(e.pos as usize == at, "heap-pos-agree", at);
+            let parent = &self.entries[self.heap[at.saturating_sub(1) / 2] as usize];
+            check(at == 0 || parent.worse_than(e), "heap-order", at);
+        }
+        let root = self.heap.first().map(|&r| self.entries[r as usize]);
+        for (idx, e) in self.entries.iter().enumerate() {
+            if e.pos == EMPTY_SLOT {
+                let beaten = root.map_or(k == 0, |r| e.worse_than(&r));
+                check(beaten, "heap-is-top-k", idx);
+            } else {
+                let held = self.heap.get(e.pos as usize) == Some(&(idx as u32));
+                check(held, "pos-heap-agree", idx);
+            }
+            let mut i = self.hash(e.doc);
+            while self.slots[i] != EMPTY_SLOT && self.slots[i] != idx as u32 {
+                i = (i + 1) & self.mask;
+            }
+            check(self.slots[i] == idx as u32, "slot-entry-agree", idx);
+        }
+        let occupied = self.slots.iter().filter(|&&s| s != EMPTY_SLOT).count();
+        let consistent = occupied == len && self.touched.len() == occupied;
+        check(consistent, "slot-accounting", occupied);
     }
 }
 
@@ -257,7 +383,7 @@ impl ScoreAccumulator {
 #[derive(Debug, Clone, Default)]
 struct Scratch {
     acc: ScoreAccumulator,
-    scores: Vec<f32>,
+    /// Sort buffer of [`ScoreAccumulator::top_k`].
     docs: Vec<ScoredDoc>,
     /// Decode target for blocked scans — the per-engine decode arena of
     /// the disjunctive path (one buffer suffices: scans visit one block
@@ -265,7 +391,8 @@ struct Scratch {
     block_buf: Vec<Posting>,
     /// Which `(term, block)` currently sits in `block_buf`. Blocks are
     /// immutable once encoded, so a matching key means the decode can be
-    /// skipped outright (hot for the Zipf-repeated head terms).
+    /// skipped outright (hot for the Zipf-repeated head terms); dropping
+    /// a term's encoding must forget the key with it.
     cached_block: Option<(TermId, u64)>,
 }
 
@@ -346,28 +473,29 @@ impl TopKProcessor {
     /// underlying index is mutable: the store is keyed by term only, so a
     /// changed list would otherwise alias its stale encoding.
     pub fn invalidate_term(&self, term: TermId) -> bool {
+        self.scratch.borrow_mut().cached_block = None;
         self.store.borrow_mut().remove(term)
     }
 
     /// Drop every encoded list (for mutations whose touched-term set is
     /// unknown: tombstone deletes and content-changing compactions).
     pub fn invalidate_all_terms(&self) {
+        self.scratch.borrow_mut().cached_block = None;
         self.store.borrow_mut().clear();
     }
 
     /// Audit every block-compressed list the processor has encoded so
     /// far (block accounting, alignment, skip-key agreement).
-    pub fn validation_report(&self) -> invariant::Report {
-        use invariant::Validate;
-        let mut report = invariant::Report::new();
+    pub fn validation_report(&self) -> Report {
+        let mut report = Report::new();
         self.store.borrow().validate(&mut report);
         report
     }
 
-    /// Dedup the query's terms and order them rarest (highest-idf) first:
-    /// their contributions set a high bar early, letting long lists
-    /// terminate sooner.
-    fn term_order<R: IndexReader>(index: &R, terms: &[TermId]) -> Vec<TermId> {
+    /// Dedup the query's terms and order them rarest (highest-idf) first,
+    /// each with its idf: their contributions set a high bar early,
+    /// letting long lists terminate sooner.
+    fn keyed_term_order<R: IndexReader>(index: &R, terms: &[TermId]) -> Vec<(f64, TermId)> {
         let mut order: Vec<TermId> = terms.to_vec();
         order.sort_unstable();
         order.dedup();
@@ -375,7 +503,83 @@ impl TopKProcessor {
         // is a view lookup and an `ln`.
         let mut keyed: Vec<(f64, TermId)> = order.into_iter().map(|t| (index.idf(t), t)).collect();
         keyed.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("idf is finite"));
+        keyed
+    }
+
+    /// [`TopKProcessor::keyed_term_order`] without the idfs.
+    fn term_order<R: IndexReader>(index: &R, terms: &[TermId]) -> Vec<TermId> {
+        let keyed = Self::keyed_term_order(index, terms);
         keyed.into_iter().map(|(_, t)| t).collect()
+    }
+
+    /// Postings per threshold refresh before the accumulator outgrows it.
+    fn base_chunk(&self) -> u64 {
+        if self.config.check_every > 0 {
+            self.config.check_every as u64
+        } else {
+            1024
+        }
+    }
+
+    /// Whether a scan stops at a posting contributing `contribution`.
+    /// Lists are tf-descending, so the contribution is non-increasing:
+    /// once it cannot move the K-th score, the rest of the list can't
+    /// either. Three pruning rules, all gated on ε > 0 and a full
+    /// candidate set:
+    ///  1. ε-quit — contribution negligible vs the K-th;
+    ///  2. last-term tie — on the final list, an entry that can at best
+    ///     tie the K-th cannot change the set;
+    ///  3. accumulator quit — with the candidate budget full, a
+    ///     contribution that cannot beat the K-th is abandoned
+    ///     (Moffat–Zobel "quit").
+    ///
+    /// Monotone: downward closed in `contribution`, upward in `acc_len`.
+    #[inline]
+    fn quits(&self, contribution: f64, kth_score: f64, acc_len: usize, is_last: bool) -> bool {
+        self.config.epsilon > 0.0
+            && acc_len >= self.config.k
+            && (contribution < self.config.epsilon * kth_score
+                || (is_last && contribution <= kth_score)
+                || (acc_len >= self.config.accumulator_limit && contribution <= kth_score))
+    }
+
+    /// Scan `term`'s list uncompressed, fetching postings lazily via
+    /// `postings_range` so an early-terminated list only pays for the
+    /// prefix it visits; returns the postings scanned. `kth_score` is
+    /// refreshed after every batch of `base_chunk.max(|acc|/4)` postings
+    /// and once more at the end — [`TopKProcessor::process_reference`]'s
+    /// cadence, kept because the quit rules read the threshold stale
+    /// between refreshes, which makes the refresh points part of the
+    /// figures.
+    fn scan_uncompressed<R: IndexReader>(
+        &self,
+        index: &R,
+        (idf, term): (f64, TermId),
+        df: u64,
+        is_last: bool,
+        acc: &mut ScoreAccumulator,
+        kth_score: &mut f64,
+    ) -> u64 {
+        let base_chunk = self.base_chunk();
+        let mut scanned = 0u64;
+        'scan: while scanned < df {
+            let chunk = base_chunk.max(acc.len() as u64 / 4);
+            let batch = index.postings_range(term, scanned, scanned + chunk);
+            if batch.is_empty() {
+                break;
+            }
+            for p in &batch {
+                let contribution = self.weights.get(p.tf) * idf;
+                if self.quits(contribution, *kth_score, acc.len(), is_last) {
+                    break 'scan;
+                }
+                acc.add(p.doc, contribution as f32);
+                scanned += 1;
+            }
+            *kth_score = acc.kth_largest();
+        }
+        *kth_score = acc.kth_largest();
+        scanned
     }
 
     /// Evaluate a disjunctive (OR) query. Terms are processed in
@@ -391,82 +595,34 @@ impl TopKProcessor {
         }
     }
 
-    /// The uncompressed hot path (PR 1): accumulates into the pooled
-    /// open-addressed scratch table, fetching postings lazily via
-    /// `postings_range`. Bit-identical to
+    /// The uncompressed hot path (PR 1): every list through
+    /// [`TopKProcessor::scan_uncompressed`] into the pooled scratch
+    /// accumulator. Bit-identical to
     /// [`TopKProcessor::process_reference`] — see the equivalence tests.
     fn process_scan<R: IndexReader>(&self, index: &R, terms: &[TermId]) -> QueryOutcome {
-        let order = Self::term_order(index, terms);
+        let order = Self::keyed_term_order(index, terms);
 
         let mut scratch = self.scratch.borrow_mut();
-        let Scratch {
-            acc, scores, docs, ..
-        } = &mut *scratch;
-        acc.clear();
+        let Scratch { acc, docs, .. } = &mut *scratch;
+        acc.reset(self.config.k);
         let mut usage = Vec::with_capacity(order.len());
         let mut kth_score = 0.0f64;
 
         let num_terms = order.len();
-        for (term_idx, term) in order.into_iter().enumerate() {
+        for (term_idx, (idf, term)) in order.into_iter().enumerate() {
             let is_last = term_idx + 1 == num_terms;
             let df = index.doc_freq(term);
-            let idf = index.idf(term);
-            if df == 0 || idf == 0.0 {
-                usage.push(TermUsage {
-                    term,
-                    scanned: 0,
-                    df,
-                });
-                continue;
-            }
-            let mut scanned = 0u64;
-            let base_chunk = if self.config.check_every > 0 {
-                self.config.check_every as u64
+            let scanned = if df == 0 || idf == 0.0 {
+                0
             } else {
-                1024
+                self.scan_uncompressed(index, (idf, term), df, is_last, acc, &mut kth_score)
             };
-            'scan: while scanned < df {
-                // Lazy chunked fetch: an early-terminated list only pays
-                // for the prefix it visits. The threshold-refresh interval
-                // grows with the accumulator set so the O(|acc|) selection
-                // stays amortized-linear over the whole scan.
-                let chunk = base_chunk.max(acc.len() as u64 / 4);
-                let batch = index.postings_range(term, scanned, scanned + chunk);
-                if batch.is_empty() {
-                    break;
-                }
-                for p in &batch {
-                    // tf-descending ⇒ contribution is non-increasing; once
-                    // it cannot move the K-th score, the rest of the list
-                    // can't either. Three pruning rules, all gated on
-                    // ε > 0 and a full candidate set:
-                    //  1. ε-quit — contribution negligible vs the K-th;
-                    //  2. last-term tie — on the final list, an entry that
-                    //     can at best tie the K-th cannot change the set;
-                    //  3. accumulator quit — with the candidate budget
-                    //     full, a contribution that cannot beat the K-th
-                    //     is abandoned (Moffat–Zobel "quit").
-                    let contribution = weight(p.tf) * idf;
-                    if self.config.epsilon > 0.0 && acc.len() >= self.config.k {
-                        let quit = contribution < self.config.epsilon * kth_score
-                            || (is_last && contribution <= kth_score)
-                            || (acc.len() >= self.config.accumulator_limit
-                                && contribution <= kth_score);
-                        if quit {
-                            break 'scan;
-                        }
-                    }
-                    acc.add(p.doc, contribution as f32);
-                    scanned += 1;
-                }
-                kth_score = acc.kth_largest(self.config.k, scores);
-            }
-            kth_score = acc.kth_largest(self.config.k, scores);
             usage.push(TermUsage { term, scanned, df });
         }
 
+        audit!(&*acc, "TopKProcessor::process_scan");
         QueryOutcome {
-            result: acc.top_k(self.config.k, docs),
+            result: acc.top_k(docs),
             usage,
             skip_stats: SkipStats::default(),
         }
@@ -474,17 +630,17 @@ impl TopKProcessor {
 
     /// The blocked hot path: scans the block-compressed store instead of
     /// regenerating postings through `postings_range` on every traversal.
-    /// Structurally a mirror of [`TopKProcessor::process_scan`] — same
-    /// chunking (`base_chunk.max(|acc|/4)`), same per-batch threshold
-    /// refresh, same three pruning rules — plus one addition: before a
-    /// block is decoded, its block-max bound `weight(max_tf) · idf` is
-    /// tested against the quit predicate. The predicate is downward
-    /// closed in the contribution and canonical order is tf-descending,
-    /// so `quit(bound)` implies the reference would quit on this block's
-    /// very next posting: skipping the decode reproduces the reference's
-    /// exact `scanned` count, keeping usage (and every simulated figure
-    /// downstream) bit-identical while whole blocks of decode *and*
-    /// generation work disappear.
+    /// Structurally a mirror of [`TopKProcessor::scan_uncompressed`] —
+    /// same chunking (`base_chunk.max(|acc|/4)`), same per-batch
+    /// threshold refresh, same [`TopKProcessor::quits`] — plus one
+    /// addition: before a block is decoded, its block-max bound
+    /// `weight(max_tf) · idf` is tested against the quit predicate. The
+    /// predicate is downward closed in the contribution and canonical
+    /// order is tf-descending, so `quits(bound)` implies the reference
+    /// would quit on this block's very next posting: skipping the decode
+    /// reproduces the reference's exact `scanned` count, keeping usage
+    /// (and every simulated figure downstream) bit-identical while whole
+    /// blocks of decode *and* generation work disappear.
     ///
     /// Three more mechanisms, none of which can move the figures:
     /// * terms are encoded on their *second* visit (first visits scan
@@ -499,27 +655,26 @@ impl TopKProcessor {
     ///   of the add loop (`tf_weight` itself is memoized bit-identically
     ///   in a [`WeightTable`]).
     fn process_blocked<R: IndexReader>(&self, index: &R, terms: &[TermId]) -> QueryOutcome {
-        let order = Self::term_order(index, terms);
+        let order = Self::keyed_term_order(index, terms);
 
         let mut store = self.store.borrow_mut();
         let mut scratch = self.scratch.borrow_mut();
         let Scratch {
             acc,
-            scores,
             docs,
             block_buf,
             cached_block,
         } = &mut *scratch;
-        acc.clear();
+        acc.reset(self.config.k);
         let mut usage = Vec::with_capacity(order.len());
         let mut skip_stats = SkipStats::default();
         let mut kth_score = 0.0f64;
+        let base_chunk = self.base_chunk();
 
         let num_terms = order.len();
-        for (term_idx, term) in order.into_iter().enumerate() {
+        for (term_idx, (idf, term)) in order.into_iter().enumerate() {
             let is_last = term_idx + 1 == num_terms;
             let df = index.doc_freq(term);
-            let idf = index.idf(term);
             if df == 0 || idf == 0.0 {
                 usage.push(TermUsage {
                     term,
@@ -529,45 +684,18 @@ impl TopKProcessor {
                 continue;
             }
             let list = store.list_mut(term, df);
-            let mut scanned = 0u64;
-            let base_chunk = if self.config.check_every > 0 {
-                self.config.check_every as u64
-            } else {
-                1024
-            };
             if !list.note_visit() {
                 // First sighting of this term: scan uncompressed, like
-                // the reference arm (same batches, same quit rules, the
-                // memoized weights) and encode nothing. Under a Zipf
+                // the reference arm, and encode nothing. Under a Zipf
                 // log the once-queried tail never repays an encode;
                 // terms that come back pay it on their second visit and
                 // amortize it over every visit after that.
-                'cold: while scanned < df {
-                    let chunk = base_chunk.max(acc.len() as u64 / 4);
-                    let batch = index.postings_range(term, scanned, scanned + chunk);
-                    if batch.is_empty() {
-                        break;
-                    }
-                    for p in &batch {
-                        let contribution = self.weights.get(p.tf) * idf;
-                        if self.config.epsilon > 0.0 && acc.len() >= self.config.k {
-                            let quit = contribution < self.config.epsilon * kth_score
-                                || (is_last && contribution <= kth_score)
-                                || (acc.len() >= self.config.accumulator_limit
-                                    && contribution <= kth_score);
-                            if quit {
-                                break 'cold;
-                            }
-                        }
-                        acc.add(p.doc, contribution as f32);
-                        scanned += 1;
-                    }
-                    kth_score = acc.kth_largest(self.config.k, scores);
-                }
-                kth_score = acc.kth_largest(self.config.k, scores);
+                let scanned =
+                    self.scan_uncompressed(index, (idf, term), df, is_last, acc, &mut kth_score);
                 usage.push(TermUsage { term, scanned, df });
                 continue;
             }
+            let mut scanned = 0u64;
             'scan: while scanned < df {
                 let chunk = base_chunk.max(acc.len() as u64 / 4);
                 let batch_end = (scanned + chunk).min(df);
@@ -585,10 +713,7 @@ impl TopKProcessor {
                         // predicate the per-posting loop would.
                         skip_stats.skip_probes += 1;
                         let bound = self.weights.get(list.block_max_tf(block as usize)) * idf;
-                        let quit = bound < self.config.epsilon * kth_score
-                            || (is_last && bound <= kth_score)
-                            || (acc.len() >= self.config.accumulator_limit && bound <= kth_score);
-                        if quit {
+                        if self.quits(bound, kth_score, acc.len(), is_last) {
                             skip_stats.skipped += df - scanned;
                             break 'scan;
                         }
@@ -609,27 +734,16 @@ impl TopKProcessor {
                     let lo = (scanned - block_start) as usize;
                     let hi = ((batch_end - block_start) as usize).min(buf.len());
                     let slice = &buf[lo..hi];
-                    // Hoisted quit check. The quit predicate is monotone
-                    // — downward in the contribution, upward in the
-                    // accumulator size — and canonical order is
-                    // tf-descending, so the slice's *last* posting at
+                    // Hoisted quit check: the slice's *last* posting at
                     // the *largest* accumulator the slice could produce
-                    // is the easiest quit there is. If even that cannot
-                    // fire, no posting in the slice can, and the
-                    // per-posting checks drop out of the loop entirely.
-                    let check_free = self.config.epsilon <= 0.0
-                        || match slice.last() {
-                            Some(last) => {
-                                let len_max = acc.len() + slice.len();
-                                let c_min = self.weights.get(last.tf) * idf;
-                                !(len_max >= self.config.k
-                                    && (c_min < self.config.epsilon * kth_score
-                                        || (is_last && c_min <= kth_score)
-                                        || (len_max >= self.config.accumulator_limit
-                                            && c_min <= kth_score)))
-                            }
-                            None => true,
-                        };
+                    // is the easiest quit there is (`quits` is monotone
+                    // in both). If even that cannot fire, no posting in
+                    // the slice can, and the per-posting checks drop out
+                    // of the loop entirely.
+                    let check_free = !slice.last().is_some_and(|last| {
+                        let c_min = self.weights.get(last.tf) * idf;
+                        self.quits(c_min, kth_score, acc.len() + slice.len(), is_last)
+                    });
                     if check_free {
                         for p in slice {
                             acc.add(p.doc, (self.weights.get(p.tf) * idf) as f32);
@@ -639,15 +753,9 @@ impl TopKProcessor {
                     } else {
                         for p in slice {
                             let contribution = self.weights.get(p.tf) * idf;
-                            if self.config.epsilon > 0.0 && acc.len() >= self.config.k {
-                                let quit = contribution < self.config.epsilon * kth_score
-                                    || (is_last && contribution <= kth_score)
-                                    || (acc.len() >= self.config.accumulator_limit
-                                        && contribution <= kth_score);
-                                if quit {
-                                    skip_stats.skipped += df - scanned;
-                                    break 'scan;
-                                }
+                            if self.quits(contribution, kth_score, acc.len(), is_last) {
+                                skip_stats.skipped += df - scanned;
+                                break 'scan;
                             }
                             acc.add(p.doc, contribution as f32);
                             scanned += 1;
@@ -655,14 +763,15 @@ impl TopKProcessor {
                         }
                     }
                 }
-                kth_score = acc.kth_largest(self.config.k, scores);
+                kth_score = acc.kth_largest();
             }
-            kth_score = acc.kth_largest(self.config.k, scores);
+            kth_score = acc.kth_largest();
             usage.push(TermUsage { term, scanned, df });
         }
 
+        audit!(&*acc, "TopKProcessor::process_blocked");
         QueryOutcome {
-            result: acc.top_k(self.config.k, docs),
+            result: acc.top_k(docs),
             usage,
             skip_stats,
         }
@@ -763,6 +872,7 @@ fn top_k(acc: &HashMap<DocId, f32>, k: usize) -> ResultEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blocks::HOT_PREFIX;
     use crate::corpus::{CorpusSpec, SyntheticIndex};
     use crate::mem::MemIndex;
     use crate::types::IndexReader;
@@ -1081,6 +1191,164 @@ mod tests {
             let stats = blocked.store_stats();
             assert!(stats.terms > 0 && stats.encoded_bytes > 0);
             assert_eq!(scan.store_stats(), BlockStoreStats::default());
+        }
+    }
+
+    /// Every `add` of `ops` (doc, delta) into `acc`, checked against the
+    /// definition: the free `kth_largest` / `top_k` (a `select_nth` over
+    /// the whole score multiset, a full `(score desc, doc asc)` sort
+    /// truncated to K) over a `HashMap` model, plus the audit.
+    fn check_adds_against_definition(
+        acc: &mut ScoreAccumulator,
+        k: usize,
+        ops: &[(DocId, f32)],
+    ) -> Result<(), proptest::error::TestCaseError> {
+        use proptest::prelude::*;
+        let mut model: HashMap<DocId, f32> = HashMap::new();
+        let mut docs = Vec::new();
+        acc.reset(k);
+        for &(doc, delta) in ops {
+            acc.add(doc, delta);
+            *model.entry(doc).or_insert(0.0) += delta;
+            prop_assert_eq!(acc.len(), model.len());
+            prop_assert_eq!(acc.kth_largest(), kth_largest(&model, k));
+            prop_assert_eq!(acc.top_k(&mut docs), top_k(&model, k));
+            let report = acc.validation_report();
+            prop_assert!(report.is_clean(), "{}", report.summary());
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn heap_matches_selection_after_every_add(
+            // Few docs: repeated adds to in-heap and out-of-heap entries.
+            // Quarter-step deltas: exact f32 sums, so equal scores (and
+            // doc-id ties at the K-th boundary) are the common case.
+            dense in proptest::prop::collection::vec((0u32..40, 0u32..5), 0..300),
+            // Many docs: the 4-slot table doubles half a dozen times.
+            sparse in proptest::prop::collection::vec((0u32..100_000, 0u32..5), 0..300),
+            k_first in 0usize..5,
+            k_second in 0usize..5,
+        ) {
+            const KS: [usize; 5] = [0, 1, 3, 50, 10_000];
+            let ops = |raw: &[(u32, u32)]| -> Vec<(DocId, f32)> {
+                raw.iter().map(|&(doc, q)| (doc, q as f32 * 0.25)).collect()
+            };
+            let mut acc = ScoreAccumulator::with_capacity(4);
+            check_adds_against_definition(&mut acc, KS[k_first], &ops(&dense))?;
+            // Reuse after a reset, grown and dirty, under another K.
+            check_adds_against_definition(&mut acc, KS[k_second], &ops(&sparse))?;
+            check_adds_against_definition(&mut acc, KS[k_first], &ops(&dense))?;
+        }
+    }
+
+    /// Ten docs with distinct scores under K = 3: docs 7, 8, 9 in the
+    /// heap (root = doc 7), the rest outside.
+    fn seeded_accumulator() -> ScoreAccumulator {
+        let mut acc = ScoreAccumulator::with_capacity(4);
+        acc.reset(3);
+        for doc in 0..10u32 {
+            acc.add(doc, 1.0 + doc as f32);
+        }
+        assert!(acc.validation_report().is_clean());
+        assert_eq!(acc.entries[acc.heap[0] as usize].doc, 7);
+        acc
+    }
+
+    fn violated(acc: &ScoreAccumulator) -> Vec<&'static str> {
+        let report = acc.validation_report();
+        report.violations().iter().map(|v| v.invariant).collect()
+    }
+
+    #[test]
+    fn validator_catches_each_seeded_corruption() {
+        let mut acc = seeded_accumulator();
+        let dropped = acc.heap.pop().expect("three members");
+        acc.entries[dropped as usize].pos = EMPTY_SLOT;
+        assert!(violated(&acc).contains(&"heap-len"));
+
+        let mut acc = seeded_accumulator();
+        acc.heap.swap(1, 2);
+        assert!(violated(&acc).contains(&"heap-pos-agree"));
+
+        // The root stops being the worst member.
+        let mut acc = seeded_accumulator();
+        let root = acc.heap[0] as usize;
+        acc.entries[root].score = 1e9;
+        assert_eq!(violated(&acc), ["heap-order", "heap-order"]);
+
+        // An entry outside the heap outranks the K-th.
+        let mut acc = seeded_accumulator();
+        acc.entries[2].score = 1e9;
+        assert_eq!(violated(&acc), ["heap-is-top-k"]);
+
+        // Tie direction: equal score, lower doc id ranks first.
+        let mut acc = seeded_accumulator();
+        acc.entries[2].score = acc.entries[7].score;
+        assert_eq!(violated(&acc), ["heap-is-top-k"]);
+
+        let mut acc = seeded_accumulator();
+        acc.entries[2].pos = 0;
+        assert_eq!(violated(&acc), ["pos-heap-agree"]);
+
+        let mut acc = seeded_accumulator();
+        let slot = acc.hash(4);
+        acc.slots[slot] = EMPTY_SLOT;
+        assert!(violated(&acc).contains(&"slot-entry-agree"));
+
+        let mut acc = seeded_accumulator();
+        acc.touched.pop();
+        assert_eq!(violated(&acc), ["slot-accounting"]);
+    }
+
+    #[test]
+    fn invalidation_forgets_the_decoded_block() {
+        // One df-4200 list: its last block, 32, is the first past the
+        // pinned HOT_PREFIX, so a full scan leaves it in the one-block
+        // decode cache. The second index keeps the df and changes only
+        // the tail docs (tf 1 everywhere, so canonical order is doc
+        // order); K covers the whole list so the tail reaches the result.
+        let list_of = |tail_from: u32| -> Vec<Vec<TermId>> {
+            (0..4300u32)
+                .map(|d| {
+                    let has = d < 4100 || (tail_from..tail_from + 100).contains(&d);
+                    vec![if has { 0 } else { 1 }]
+                })
+                .collect()
+        };
+        let before = MemIndex::from_docs(list_of(4100));
+        let after = MemIndex::from_docs(list_of(4200));
+        assert_eq!(before.doc_freq(0), 4200);
+        assert_eq!(after.doc_freq(0), 4200);
+        assert!(4200 > HOT_PREFIX && 4200 <= HOT_PREFIX + BLOCK_SIZE as u64);
+        let proc = TopKProcessor::new(TopKConfig {
+            k: 5000,
+            epsilon: 0.0,
+            check_every: 128,
+            accumulator_limit: 400,
+        });
+        for _ in 0..3 {
+            let out = proc.process(&before, &[0]);
+            assert_eq!(out.result, proc.process_reference(&before, &[0]).result);
+        }
+        assert!(proc.invalidate_term(0));
+        // Cold first visit, then the first blocked one re-reaches block 32.
+        for visit in 0..3 {
+            let out = proc.process(&after, &[0]);
+            let want = proc.process_reference(&after, &[0]);
+            assert_eq!(out.result, want.result, "visit {visit} after invalidation");
+            assert_eq!(out.usage, want.usage);
+        }
+        // Same through the drop-everything invalidator.
+        proc.invalidate_all_terms();
+        for visit in 0..3 {
+            let out = proc.process(&before, &[0]);
+            let want = proc.process_reference(&before, &[0]);
+            assert_eq!(
+                out.result, want.result,
+                "visit {visit} after invalidate_all"
+            );
         }
     }
 
