@@ -50,6 +50,18 @@ cargo build --release -p bench --bench postings_decode
 echo "== perf_regress binary builds (BENCH_6 serving + BENCH_7 offload + BENCH_8 mutation arms included) =="
 cargo build --release -p bench --bin perf_regress --bin divergence_probe
 
+echo "== postings backends in lockstep (divergence_probe --postings) =="
+# The block-max gate points are part of the figures' pedigree: 30 000 queries
+# must stay bit-identical across the backends *and* probe/prune exactly what
+# BENCH_3 recorded (blockmax_bounds_probed / blockmax_postings_pruned).
+probe_out="$(target/release/divergence_probe --postings)"
+echo "$probe_out"
+grep -q "no divergence over 30000 queries between postings backends" <<<"$probe_out" \
+  && grep -q " 411608 block-max probes, 7505840124 postings pruned " <<<"$probe_out" || {
+    echo "divergence_probe --postings: diverged, or the pinned block-max counts moved" >&2
+    exit 1
+  }
+
 echo "== xtask lint gate =="
 cargo run -q -p xtask -- lint
 

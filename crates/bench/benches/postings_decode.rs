@@ -1,14 +1,15 @@
-//! Criterion micro-benchmarks of the block-compressed postings
-//! representation: decode throughput against the lazily regenerated
-//! reference lists, backend-vs-backend top-K over a query log, and
-//! galloping vs skip-table intersection.
+//! Criterion micro-benchmarks of the blocked postings representation:
+//! reading the pinned prefix against regenerating it through
+//! `postings_range` (at a list's short-run head and in its tf = 1 tail),
+//! backend-vs-backend top-K over a query log, and galloping vs
+//! skip-table intersection.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use searchidx::{
     AndProcessor, BlockPostings, BlockSortedList, CorpusSpec, DecodeArena, DocSortedList,
-    IndexReader, Posting, PostingsBackend, SyntheticIndex, TermId, TopKConfig, TopKProcessor,
+    IndexReader, PostingsBackend, SyntheticIndex, TermId, TopKConfig, TopKProcessor,
 };
 use simclock::Rng;
 use workload::{QueryLog, QueryLogSpec};
@@ -19,25 +20,36 @@ fn bench_postings_decode(c: &mut Criterion) {
     let mut g = c.benchmark_group("postings_decode");
     g.sample_size(30);
 
-    // Steady-state serving cost of a head term's first 4k postings:
-    // varint block decode from the warm store vs regeneration through
-    // `postings_range` (transcendental math + a fresh Vec per call).
+    // Steady-state serving cost of a head term's first 4k postings: a
+    // read of the pinned prefix vs regeneration through `postings_range`
+    // (the head term's head is the generator's worst case: runs of equal
+    // tf are a posting or two long, so nearly every position costs an
+    // `ln`).
     let head: TermId = 0;
     let depth = 4_096u64;
     let mut warm = BlockPostings::new(index.doc_freq(head));
     warm.ensure(&index, head, depth);
-    g.bench_function("block_decode_hot", |b| {
-        let mut buf: Vec<Posting> = Vec::new();
+    g.bench_function("pinned_prefix_read", |b| {
         b.iter(|| {
-            let mut total = 0u64;
-            for blk in 0..warm.num_blocks() {
-                total += warm.decode_block(blk, &mut buf) as u64;
-            }
-            black_box(total)
+            let sum: u64 = warm
+                .hot_prefix()
+                .iter()
+                .map(|p| (p.doc ^ p.tf) as u64)
+                .sum();
+            black_box(sum)
         });
     });
     g.bench_function("lazy_regen_reference", |b| {
         b.iter(|| black_box(index.postings_range(head, 0, depth).len() as u64));
+    });
+    // The generator's best case: the same depth at the end of a
+    // mid-popularity list, where every tf is 1 and no quantile is
+    // evaluated past the first.
+    let mid: TermId = 500;
+    let df = index.doc_freq(mid);
+    assert_eq!(index.postings_range(mid, df - depth, df)[0].tf, 1);
+    g.bench_function("lazy_regen_tf1_tail", |b| {
+        b.iter(|| black_box(index.postings_range(mid, df - depth, df).len() as u64));
     });
 
     // End-to-end disjunctive top-K over the same seeded query stream on

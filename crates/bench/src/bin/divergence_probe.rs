@@ -9,9 +9,9 @@
 //! `ClusterReport`s at the end.
 //!
 //! With `--postings` it bisects the *postings backends*: two engines
-//! differing only in `PostingsBackend` (uncompressed reference vs
-//! block-compressed) run in lockstep until the first query whose
-//! response or cache counters diverge.
+//! differing only in `PostingsBackend` (reference vs blocked) run in
+//! lockstep until the first query whose response or cache counters
+//! diverge.
 //!
 //! With `--iopath` it bisects the *I/O-path arms*: a `Direct` engine and
 //! a `Queued { depth: 1 }` + FIFO engine (which must be its bit-identical
@@ -275,8 +275,8 @@ fn probe_postings(policy: PolicyKind, seed_flag: bool) {
         let store = b.postings_store_stats();
         println!("no divergence over {queries} queries between postings backends");
         println!(
-            "  blocked arm: {} block-max probes, {} postings pruned undecoded, \
-             {} terms encoded ({} B)",
+            "  blocked arm: {} block-max probes, {} postings pruned unread, \
+             {} terms pinned ({} B)",
             skips.skip_probes, skips.skipped, store.terms, store.encoded_bytes
         );
     }

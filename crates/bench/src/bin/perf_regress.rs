@@ -18,12 +18,12 @@
 //! at 4 shards needs ≥2 free cores.
 //!
 //! **Postings arm** (PR 3, `BENCH_3.json`): runs the engine workload on
-//! both `PostingsBackend`s — the uncompressed reference traversal and
-//! the block-compressed lists with block-max skipping — with every other
-//! toggle held at its optimized setting, so the measured gap is the
-//! postings representation alone. The blocked arm additionally reports
-//! its block-max accounting (bounds consulted, postings pruned without
-//! decode) and the block store's encoded footprint.
+//! both `PostingsBackend`s — the reference traversal and the blocked
+//! lists with block-max skipping — with every other toggle held at its
+//! optimized setting, so the measured gap is the postings representation
+//! alone. The blocked arm additionally reports its block-max accounting
+//! (bounds consulted, postings pruned unread) and the block store's
+//! footprint.
 //!
 //! **I/O-path arm** (PR 4, `BENCH_4.json`): runs the engine workload
 //! three times across the `IoPath` toggle — the synchronous `Direct`

@@ -554,13 +554,13 @@ impl SearchEngine {
 
     /// Aggregated block-max skip accounting since the last measurement
     /// reset (all zeros unless the blocked backend ran): `skip_probes`
-    /// block-max bounds consulted, `skipped` postings pruned without
-    /// decode, `visited` postings decoded and scored.
+    /// block-max bounds consulted, `skipped` postings pruned unread,
+    /// `visited` postings read and scored.
     pub fn postings_skip_stats(&self) -> searchidx::SkipStats {
         self.block_skips
     }
 
-    /// Footprint of the processor's block-compressed store.
+    /// Footprint of the processor's block store (the pinned prefixes).
     pub fn postings_store_stats(&self) -> searchidx::BlockStoreStats {
         self.processor.store_stats()
     }

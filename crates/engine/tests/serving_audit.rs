@@ -14,11 +14,10 @@
 //! private mutators.)
 
 use engine::{
-    EngineConfig, FrontQueue, OpenLoopConfig, OutcomeLedger, SearchCluster, ServingMode,
-    ServingOutcome, ServingSim, ShedPolicy,
+    EngineConfig, OpenLoopConfig, SearchCluster, ServingMode, ServingOutcome, ServingSim,
+    ShedPolicy,
 };
 use hybridcache::{HybridConfig, PolicyKind};
-use invariant::Validate;
 use simclock::SimDuration;
 use workload::{ArrivalKind, ArrivalProcess};
 
@@ -90,8 +89,13 @@ fn corrupting_a_real_runs_ledger_trips_the_outcome_validator() {
     );
 }
 
+/// `audit!` sites compile away without `debug_assertions`, so there is
+/// nothing to panic in a release build (tier-1 runs debug).
+#[cfg(debug_assertions)]
 #[test]
 fn a_corrupted_structure_panics_at_the_audit_site() {
+    use engine::{FrontQueue, OutcomeLedger};
+    use invariant::Validate;
     invariant::force_enable();
 
     let queue_hit = std::panic::catch_unwind(|| {

@@ -1,39 +1,40 @@
-//! Block-compressed posting lists.
+//! Blocked posting lists.
 //!
 //! The seed's query hot path regenerates synthetic postings on every
-//! traversal (`IndexReader::postings_range`) — transcendental math and a
-//! fresh `Vec` per chunk. This module provides the second postings
-//! representation of the engine: delta-encoded doc ids packed in
-//! fixed-size blocks, each block carrying enough metadata (`max_doc`,
-//! block-max `tf`) to be *skipped without being decoded*. It follows the
-//! compressed in-memory segment design of Asadi & Lin ("Fast, Incremental
-//! Inverted Indexing in Main Memory") and the block-max indexes of the
-//! WAND family: decode cost is paid per block actually visited, and whole
-//! blocks that cannot matter are jumped via their metadata.
+//! traversal (`IndexReader::postings_range`) and tests every posting
+//! against the quit rules. This module provides the second postings
+//! representation of the engine: lists cut into fixed-size blocks, each
+//! carrying enough metadata (a block-max `tf`, or a `max_doc`) to be
+//! *skipped without being read*, after the block-max indexes of the WAND
+//! family: whole blocks that cannot matter are jumped via their metadata.
 //!
-//! Two list layouts share the codec:
+//! Two list layouts:
 //!
 //! * [`BlockPostings`] — **canonical (tf-descending) order**, the order
-//!   the disjunctive [`crate::topk`] processor scans. Blocks of
-//!   [`BLOCK_SIZE`] postings carry a block-max `tf`, the bound behind
-//!   block-max early termination. Lists are built *lazily by prefix*:
-//!   only the depth a workload actually scans is ever generated and
-//!   encoded, mirroring the partial-traversal economics of the paper.
+//!   the disjunctive [`crate::topk`] processor scans. It keeps what
+//!   queries read and nothing else: the first [`HOT_PREFIX`] postings of
+//!   a list, pinned as plain `Posting`s and built *lazily by prefix* in
+//!   blocks of [`BLOCK_SIZE`] — only the depth a workload actually scans
+//!   is ever generated, mirroring the partial-traversal economics of the
+//!   paper. A block's first posting carries its largest `tf` (the order
+//!   is tf-descending), so the block-max bound needs no stored metadata.
+//!   The rare scan that runs past the pinned prefix regenerates the
+//!   block it is in through `postings_range`; nothing is kept for it.
 //! * [`BlockSortedList`] — **doc-ascending order**, the order conjunctive
-//!   evaluation intersects in. Blocks of [`SORTED_BLOCK`] postings carry
-//!   their last (maximum) doc id; [`BlockCursor::advance_to`] gallops
-//!   over that metadata and binary-searches inside a lazily-decoded
-//!   block.
-//!
-//! Decoding goes through a [`DecodeArena`] of pooled buffers so the
-//! steady state allocates nothing.
+//!   evaluation intersects in. Blocks of [`SORTED_BLOCK`] postings are
+//!   LEB128-varint delta coded (the compressed in-memory segment of
+//!   Asadi & Lin, "Fast, Incremental Inverted Indexing in Main Memory")
+//!   and carry their last (maximum) doc id; [`BlockCursor::advance_to`]
+//!   gallops over that metadata and binary-searches inside a
+//!   lazily-decoded block, through a [`DecodeArena`] of pooled buffers
+//!   so the steady state allocates nothing.
 
 use fxmap::FxHashMap;
 
 use invariant::{audit, Report, Validate};
 
 use crate::skips::{PostingsCursor, SkipStats, SKIP_INTERVAL};
-use crate::types::{DocId, IndexReader, Posting, PostingList, TermId};
+use crate::types::{DocId, IndexReader, Posting, PostingList, TermId, POSTING_BYTES};
 
 /// Postings per block in canonical (tf-descending) lists.
 pub const BLOCK_SIZE: usize = 128;
@@ -48,23 +49,22 @@ pub const SORTED_BLOCK: usize = SKIP_INTERVAL;
 /// Which posting-list representation the query processors traverse.
 ///
 /// Mirrors the `VictimSelection` / `ClusterExecution` toggles: the
-/// reference arm is the seed's uncompressed path kept verbatim, the
+/// reference arm is the seed's unblocked path kept verbatim, the
 /// blocked arm is the optimized one, and every simulated figure must be
 /// bit-identical between them (`perf_regress` re-checks this end-to-end;
 /// `postings_equivalence` proves it property-by-property).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum PostingsBackend {
-    /// Uncompressed traversal straight off `IndexReader::postings_range`
-    /// (the seed's behavior).
+    /// Traversal straight off `IndexReader::postings_range` (the seed's
+    /// behavior).
     Reference,
-    /// Block-compressed lists with block-max skipping and galloping
-    /// intersection.
+    /// Blocked lists with block-max skipping and galloping intersection.
     #[default]
     Blocked,
 }
 
 // ---------------------------------------------------------------------
-// Codec: LEB128 varints, zigzag for signed deltas.
+// Codec of the doc-sorted lists: LEB128 varints.
 // ---------------------------------------------------------------------
 
 #[inline]
@@ -74,20 +74,6 @@ fn write_varint(out: &mut Vec<u8>, mut v: u64) {
         v >>= 7;
     }
     out.push(v as u8);
-}
-
-/// `write_varint` into a stack buffer at offset `n`, returning the new
-/// offset — lets an encoder emit a posting's varints with one bulk
-/// `extend_from_slice` instead of per-byte `push` capacity checks.
-#[inline]
-fn put_varint(buf: &mut [u8; 20], mut n: usize, mut v: u64) -> usize {
-    while v >= 0x80 {
-        buf[n] = (v as u8) | 0x80;
-        n += 1;
-        v >>= 7;
-    }
-    buf[n] = v as u8;
-    n + 1
 }
 
 #[inline]
@@ -103,16 +89,6 @@ fn read_varint(data: &[u8], pos: &mut usize) -> u64 {
         }
         shift += 7;
     }
-}
-
-#[inline]
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-#[inline]
-fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
 // ---------------------------------------------------------------------
@@ -154,58 +130,32 @@ impl DecodeArena {
 // Canonical-order blocked lists (the top-K scan representation)
 // ---------------------------------------------------------------------
 
-/// Per-block metadata of a canonical-order list.
-#[derive(Debug, Clone, Copy)]
-struct CanonicalBlock {
-    /// Byte offset of the block's first varint in `data`.
-    offset: u32,
-    /// Postings in the block (== [`BLOCK_SIZE`] except possibly the last).
-    len: u16,
-    /// Largest term frequency in the block — because canonical order is
-    /// tf-descending this is the block's *first* tf, and
-    /// `weight(max_tf) · idf` bounds every contribution the block can
-    /// make: the block-max score of the WAND family.
-    max_tf: u32,
-}
+/// Postings per list pinned in memory (a whole number of blocks).
+pub const HOT_PREFIX: u64 = 32 * BLOCK_SIZE as u64;
 
-/// A block-compressed posting list in canonical (tf-descending) order,
+/// The pinned head of a posting list in canonical (tf-descending) order,
 /// built lazily by prefix.
 ///
-/// Doc ids within a block are zigzag-delta coded against the previous
-/// posting (canonical order leaves them unsorted, so deltas are signed);
-/// term frequencies are zigzag-delta coded too (non-increasing, so the
-/// deltas are small). Each block's first posting is coded against zero,
-/// making blocks independently decodable.
+/// Impact order means the head of every list is by far the most
+/// re-scanned part (most queries early-terminate well inside it), so the
+/// first [`HOT_PREFIX`] postings a workload reaches are kept as a plain
+/// slice; positions past it are not stored at all.
 #[derive(Debug, Clone)]
 pub struct BlockPostings {
     /// Full list length (the term's document frequency).
     df: u64,
-    /// Postings encoded so far — always a multiple of [`BLOCK_SIZE`], or
-    /// `df` once the list is complete.
-    built: u64,
-    data: Vec<u8>,
-    blocks: Vec<CanonicalBlock>,
-    /// The first [`HOT_PREFIX`] postings, pinned decoded. Impact order
-    /// means the head of every list is by far the most re-scanned part
-    /// (most queries early-terminate well inside it), so serving it as a
-    /// plain slice skips the varint decode on every revisit; the tail
-    /// past the pin stays compressed-only.
+    /// The pinned prefix: a whole number of [`BLOCK_SIZE`] blocks, or all
+    /// `min(df, HOT_PREFIX)` postings once complete.
     hot: Vec<Posting>,
     /// Traversals recorded via [`BlockPostings::note_visit`].
     visits: u32,
 }
-
-/// Postings per list pinned in decoded form (a whole number of blocks).
-pub const HOT_PREFIX: u64 = 32 * BLOCK_SIZE as u64;
 
 impl BlockPostings {
     /// An empty (not yet built) list of known length.
     pub fn new(df: u64) -> Self {
         BlockPostings {
             df,
-            built: 0,
-            data: Vec::new(),
-            blocks: Vec::new(),
             hot: Vec::new(),
             visits: 0,
         }
@@ -216,67 +166,35 @@ impl BlockPostings {
         self.df
     }
 
-    /// Postings encoded so far.
+    /// Postings pinned so far.
     pub fn built(&self) -> u64 {
-        self.built
+        self.hot.len() as u64
     }
 
-    /// Blocks encoded so far.
-    pub fn num_blocks(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Encoded footprint in bytes (payload + metadata).
+    /// Memory the pinned postings take, in bytes.
     pub fn bytes(&self) -> u64 {
-        self.data.len() as u64 + self.blocks.len() as u64 * 10
+        self.built() * POSTING_BYTES
     }
 
-    /// Extend the encoded prefix to cover at least `upto` postings
-    /// (rounded up to a whole block, clamped to `df`). Generation goes
-    /// through `index.postings_range`, so the encoded content is exactly
-    /// the canonical sequence the reference backend scans.
+    /// Extend the pinned prefix to cover at least `upto` postings
+    /// (rounded up to a whole block, clamped to `df` and to
+    /// [`HOT_PREFIX`]). Generation goes through `index.postings_range`,
+    /// so the content is exactly the canonical sequence the reference
+    /// backend scans.
     pub fn ensure<R: IndexReader>(&mut self, index: &R, term: TermId, upto: u64) {
-        let want = upto.min(self.df);
-        if self.built >= want {
+        let want = upto.min(self.df).min(HOT_PREFIX);
+        if self.built() >= want {
             return;
         }
         let target = (want.div_ceil(BLOCK_SIZE as u64) * BLOCK_SIZE as u64).min(self.df);
-        let fresh = index.postings_range(term, self.built, target);
-        debug_assert_eq!(fresh.len() as u64, target - self.built);
-        let pin = HOT_PREFIX
-            .saturating_sub(self.built)
-            .min(fresh.len() as u64);
-        self.hot.extend_from_slice(&fresh[..pin as usize]);
-        self.data.reserve(fresh.len() * 6);
-        for chunk in fresh.chunks(BLOCK_SIZE) {
-            let max_tf = chunk.iter().map(|p| p.tf).max().unwrap_or(0);
-            self.blocks.push(CanonicalBlock {
-                offset: u32::try_from(self.data.len()).expect("list under 4 GiB"),
-                len: chunk.len() as u16,
-                max_tf,
-            });
-            let (mut prev_doc, mut prev_tf) = (0i64, 0i64);
-            let mut tmp = [0u8; 20];
-            for p in chunk {
-                let mut n = put_varint(&mut tmp, 0, zigzag(p.doc as i64 - prev_doc));
-                n = put_varint(&mut tmp, n, zigzag(p.tf as i64 - prev_tf));
-                self.data.extend_from_slice(&tmp[..n]);
-                prev_doc = p.doc as i64;
-                prev_tf = p.tf as i64;
-            }
-        }
-        self.built = target;
+        let fresh = index.postings_range(term, self.built(), target);
+        debug_assert_eq!(fresh.len() as u64, target - self.built());
+        self.hot.extend(fresh);
         audit!(self, "BlockPostings::ensure");
     }
 
-    /// The block-max `tf` of block `b` (must be built).
-    #[inline]
-    pub fn block_max_tf(&self, b: usize) -> u32 {
-        self.blocks[b].max_tf
-    }
-
-    /// The pinned decoded prefix (first `min(built, HOT_PREFIX)`
-    /// postings, identical to what decoding the head blocks yields).
+    /// The pinned prefix (the first [`BlockPostings::built`] postings of
+    /// the list).
     #[inline]
     pub fn hot_prefix(&self) -> &[Posting] {
         &self.hot
@@ -284,88 +202,41 @@ impl BlockPostings {
 
     /// Record a traversal of this list, returning whether it had been
     /// traversed (or built) before. Scanners use this to defer the
-    /// encode until a term proves reusable: under a Zipf query log the
-    /// once-queried tail never repays an encode, while head terms are
+    /// build until a term proves reusable: under a Zipf query log the
+    /// once-queried tail never repays pinning, while head terms are
     /// re-scanned hundreds of times.
     #[inline]
     pub fn note_visit(&mut self) -> bool {
-        let seen = self.visits > 0 || self.built > 0;
+        let seen = self.visits > 0 || !self.hot.is_empty();
         self.visits = self.visits.saturating_add(1);
         seen
-    }
-
-    /// Decode block `b` (must be built) into `out`, replacing its
-    /// contents. Returns the number of postings decoded.
-    pub fn decode_block(&self, b: usize, out: &mut Vec<Posting>) -> usize {
-        let blk = self.blocks[b];
-        out.clear();
-        let mut pos = blk.offset as usize;
-        let (mut doc, mut tf) = (0i64, 0i64);
-        for _ in 0..blk.len {
-            doc += unzigzag(read_varint(&self.data, &mut pos));
-            tf += unzigzag(read_varint(&self.data, &mut pos));
-            out.push(Posting {
-                doc: doc as DocId,
-                tf: tf as u32,
-            });
-        }
-        blk.len as usize
     }
 }
 
 impl Validate for BlockPostings {
     fn validate(&self, report: &mut Report) {
         let subject = "BlockPostings";
-        report.check(self.built <= self.df, subject, "built-bounded", || {
-            format!("built {} postings of a df-{} list", self.built, self.df)
-        });
-        report.check(
-            self.built == self.df || self.built % BLOCK_SIZE as u64 == 0,
-            subject,
-            "built-block-aligned",
-            || {
-                format!(
-                    "built prefix {} is not a whole number of blocks",
-                    self.built
-                )
-            },
-        );
-        let total: u64 = self.blocks.iter().map(|b| b.len as u64).sum();
-        report.check(total == self.built, subject, "block-accounting", || {
+        let (built, full) = (self.built(), self.df.min(HOT_PREFIX));
+        report.check(built <= full, subject, "built-bounded", || {
             format!(
-                "{total} postings across blocks but built counter {}",
-                self.built
+                "{built} postings pinned of a df-{} list (cap {HOT_PREFIX})",
+                self.df
             )
         });
         report.check(
-            self.hot.len() as u64 == self.built.min(HOT_PREFIX),
+            built == full || built % BLOCK_SIZE as u64 == 0,
             subject,
-            "hot-prefix",
-            || {
-                format!(
-                    "{} postings pinned; expected min(built {}, {HOT_PREFIX})",
-                    self.hot.len(),
-                    self.built
-                )
-            },
+            "built-block-aligned",
+            || format!("pinned prefix {built} is not a whole number of blocks"),
         );
-        // Block-max soundness: the stored bound must dominate every tf in
-        // its block, or block-max skipping would silently drop results.
-        let mut buf = Vec::new();
-        for b in 0..self.blocks.len() {
-            self.decode_block(b, &mut buf);
-            let actual_max = buf.iter().map(|p| p.tf).max().unwrap_or(0);
-            report.check(
-                self.blocks[b].max_tf == actual_max,
-                subject,
-                "block-max-agree",
-                || {
-                    format!(
-                        "block {b}: stored max_tf {} but decoded max {}",
-                        self.blocks[b].max_tf, actual_max
-                    )
-                },
-            );
+        // Block-max soundness: the scan bounds a block by its first tf,
+        // which must dominate every tf in the block, or block-max
+        // skipping would silently drop results.
+        for (b, block) in self.hot.chunks(BLOCK_SIZE).enumerate() {
+            let max = block.iter().map(|p| p.tf).max().unwrap_or(0);
+            report.check(block[0].tf == max, subject, "block-max-first", || {
+                format!("block {b}: first tf {} but block max {max}", block[0].tf)
+            });
         }
     }
 }
@@ -375,17 +246,19 @@ impl Validate for BlockPostings {
 pub struct BlockStoreStats {
     /// Terms with at least one block built.
     pub terms: usize,
-    /// Postings encoded across all lists.
+    /// Postings built across all lists. The store keeps nothing but the
+    /// pinned prefixes, so this always equals `hot_postings`.
     pub built_postings: u64,
-    /// Encoded bytes across all lists (payload + metadata).
+    /// Bytes the store holds: pinned postings × [`POSTING_BYTES`].
+    /// (Nothing is encoded any more; the name is what the benchmark of
+    /// record reads.)
     pub encoded_bytes: u64,
-    /// Postings pinned decoded across all lists (the hot prefixes).
+    /// Postings pinned across all lists (the hot prefixes).
     pub hot_postings: u64,
 }
 
 /// The per-engine cache of canonical blocked lists, keyed by term.
-/// Contents are append-only: once a block is encoded it never changes,
-/// which is what lets decoded-block caching skip re-decodes safely.
+/// Contents are append-only: once a block is pinned it never changes.
 #[derive(Debug, Clone, Default)]
 pub struct BlockStore {
     lists: FxHashMap<TermId, BlockPostings>,
@@ -405,17 +278,17 @@ impl BlockStore {
             .or_insert_with(|| BlockPostings::new(df))
     }
 
-    /// Drop `term`'s encoded list, if any. Returns whether one existed.
+    /// Drop `term`'s pinned list, if any. Returns whether one existed.
     ///
     /// The store is keyed by term only, so when an index becomes mutable
-    /// a merged/updated list would silently *alias* the stale encoding —
+    /// a merged/updated list would silently *alias* the stale prefix —
     /// the live-index engine must drop touched terms before the next
     /// query reads them.
     pub fn remove(&mut self, term: TermId) -> bool {
         self.lists.remove(&term).is_some()
     }
 
-    /// Drop every encoded list (deletes and content-changing merges
+    /// Drop every pinned list (deletes and content-changing merges
     /// invalidate an unknown term set).
     pub fn clear(&mut self) {
         self.lists.clear();
@@ -425,12 +298,12 @@ impl BlockStore {
     pub fn stats(&self) -> BlockStoreStats {
         let mut s = BlockStoreStats::default();
         for l in self.lists.values() {
-            if l.built > 0 {
+            if l.built() > 0 {
                 s.terms += 1;
             }
-            s.built_postings += l.built;
+            s.built_postings += l.built();
             s.encoded_bytes += l.bytes();
-            s.hot_postings += l.hot.len() as u64;
+            s.hot_postings += l.built();
         }
         s
     }
@@ -762,46 +635,31 @@ mod tests {
     use crate::skips::{DocSortedList, SkipCursor};
 
     #[test]
-    fn varint_zigzag_roundtrip() {
-        let values: Vec<i64> = vec![
-            0,
-            1,
-            -1,
-            63,
-            -64,
-            127,
-            -128,
-            300_000,
-            -300_000,
-            i32::MAX as i64,
-        ];
+    fn varint_roundtrip() {
+        let values: Vec<u64> = vec![0, 1, 63, 127, 128, 300_000, u32::MAX as u64, u64::MAX];
         let mut buf = Vec::new();
         for &v in &values {
-            write_varint(&mut buf, zigzag(v));
+            write_varint(&mut buf, v);
         }
         let mut pos = 0;
         for &v in &values {
-            assert_eq!(unzigzag(read_varint(&buf, &mut pos)), v);
+            assert_eq!(read_varint(&buf, &mut pos), v);
         }
         assert_eq!(pos, buf.len());
     }
 
     #[test]
     fn canonical_roundtrip_matches_postings_range() {
+        // Terms 0 and 7 are longer than the pin, 150 and 1999 shorter.
         let idx = SyntheticIndex::new(CorpusSpec::tiny(3));
+        assert!(idx.doc_freq(7) > HOT_PREFIX && idx.doc_freq(150) < HOT_PREFIX);
         for term in [0u32, 7, 150, 1999] {
-            let df = crate::types::IndexReader::doc_freq(&idx, term);
+            let df = idx.doc_freq(term);
             let mut bp = BlockPostings::new(df);
             bp.ensure(&idx, term, df);
-            assert_eq!(bp.built(), df);
-            let mut decoded = Vec::new();
-            let mut buf = Vec::new();
-            for b in 0..bp.num_blocks() {
-                bp.decode_block(b, &mut buf);
-                decoded.extend_from_slice(&buf);
-            }
-            let want = idx.postings_range(term, 0, df);
-            assert_eq!(decoded, want, "term {term}");
+            assert_eq!(bp.built(), df.min(HOT_PREFIX));
+            let want = idx.postings_range(term, 0, bp.built());
+            assert_eq!(bp.hot_prefix(), want, "term {term}");
         }
     }
 
@@ -809,41 +667,78 @@ mod tests {
     fn lazy_prefix_build_is_incremental_and_block_aligned() {
         let idx = SyntheticIndex::new(CorpusSpec::tiny(3));
         let term = 1u32;
-        let df = crate::types::IndexReader::doc_freq(&idx, term);
-        assert!(df > 2 * BLOCK_SIZE as u64, "need a multi-block list");
+        let df = idx.doc_freq(term);
+        assert!(df > HOT_PREFIX, "need a list longer than the pin");
         let mut bp = BlockPostings::new(df);
         bp.ensure(&idx, term, 1);
         assert_eq!(bp.built(), BLOCK_SIZE as u64, "rounds up to a block");
-        let before = bp.bytes();
         bp.ensure(&idx, term, 1); // no-op
-        assert_eq!(bp.bytes(), before);
+        assert_eq!(bp.built(), BLOCK_SIZE as u64);
         bp.ensure(&idx, term, BLOCK_SIZE as u64 + 1);
         assert_eq!(bp.built(), 2 * BLOCK_SIZE as u64);
+        assert_eq!(bp.bytes(), 2 * BLOCK_SIZE as u64 * POSTING_BYTES);
         bp.ensure(&idx, term, u64::MAX);
-        assert_eq!(bp.built(), df);
-        // Stitched decode equals the straight generation.
-        let mut decoded = Vec::new();
-        let mut buf = Vec::new();
-        for b in 0..bp.num_blocks() {
-            bp.decode_block(b, &mut buf);
-            decoded.extend_from_slice(&buf);
-        }
-        assert_eq!(decoded, idx.postings_range(term, 0, df));
+        assert_eq!(bp.built(), HOT_PREFIX, "nothing is kept past the pin");
+        // The stitched prefix equals the straight generation.
+        assert_eq!(bp.hot_prefix(), idx.postings_range(term, 0, HOT_PREFIX));
     }
 
     #[test]
     fn block_max_bounds_every_tf() {
         let idx = SyntheticIndex::new(CorpusSpec::tiny(3));
         let term = 0u32;
-        let df = crate::types::IndexReader::doc_freq(&idx, term);
-        let mut bp = BlockPostings::new(df);
-        bp.ensure(&idx, term, df);
-        let mut buf = Vec::new();
-        for b in 0..bp.num_blocks() {
-            bp.decode_block(b, &mut buf);
-            let max = buf.iter().map(|p| p.tf).max().unwrap();
-            assert_eq!(bp.block_max_tf(b), max, "block {b}");
+        let mut bp = BlockPostings::new(idx.doc_freq(term));
+        bp.ensure(&idx, term, u64::MAX);
+        let blocks: Vec<&[Posting]> = bp.hot_prefix().chunks(BLOCK_SIZE).collect();
+        assert_eq!(blocks.len() as u64, HOT_PREFIX / BLOCK_SIZE as u64);
+        for (b, block) in blocks.iter().enumerate() {
+            let max = block.iter().map(|p| p.tf).max().unwrap();
+            assert_eq!(block[0].tf, max, "block {b}");
         }
+        assert!(
+            blocks[0][0].tf > blocks[31][0].tf,
+            "bounds tighten with depth"
+        );
+    }
+
+    fn violated(bp: &BlockPostings) -> Vec<&'static str> {
+        let mut report = Report::new();
+        bp.validate(&mut report);
+        report.violations().iter().map(|v| v.invariant).collect()
+    }
+
+    #[test]
+    fn validator_catches_each_seeded_corruption() {
+        let idx = SyntheticIndex::new(CorpusSpec::tiny(3));
+        let pinned = |term: TermId, upto: u64| {
+            let mut bp = BlockPostings::new(idx.doc_freq(term));
+            bp.ensure(&idx, term, upto);
+            assert!(violated(&bp).is_empty());
+            bp
+        };
+        let filler = Posting { doc: 0, tf: 1 };
+
+        // More pinned than the list holds (a whole number of blocks, so
+        // only the bound trips) ...
+        let short = idx.doc_freq(1999);
+        assert!(short < BLOCK_SIZE as u64);
+        let mut bp = pinned(1999, short);
+        bp.hot.resize(BLOCK_SIZE, filler);
+        assert_eq!(violated(&bp), ["built-bounded"]);
+        // ... and more than the pin allows.
+        let mut bp = pinned(0, u64::MAX);
+        bp.hot.extend([filler; BLOCK_SIZE]);
+        assert_eq!(violated(&bp), ["built-bounded"]);
+
+        // A prefix that stops inside a block.
+        let mut bp = pinned(0, 2 * BLOCK_SIZE as u64);
+        bp.hot.pop();
+        assert_eq!(violated(&bp), ["built-block-aligned"]);
+
+        // A block whose first tf no longer dominates it.
+        let mut bp = pinned(0, 2 * BLOCK_SIZE as u64);
+        bp.hot[BLOCK_SIZE + 5].tf = bp.hot[BLOCK_SIZE].tf + 1;
+        assert_eq!(violated(&bp), ["block-max-first"]);
     }
 
     #[test]
@@ -851,13 +746,17 @@ mod tests {
         let idx = SyntheticIndex::new(CorpusSpec::tiny(3));
         let mut store = BlockStore::new();
         assert_eq!(store.stats(), BlockStoreStats::default());
-        let df = crate::types::IndexReader::doc_freq(&idx, 5);
+        let df = idx.doc_freq(5);
+        assert!(df > HOT_PREFIX);
         store.list_mut(5, df).ensure(&idx, 5, df);
+        let short = idx.doc_freq(150);
+        store.list_mut(150, short).ensure(&idx, 150, short);
         store.list_mut(9, 100); // created but never built
         let s = store.stats();
-        assert_eq!(s.terms, 1);
-        assert_eq!(s.built_postings, df);
-        assert!(s.encoded_bytes > 0);
+        assert_eq!(s.terms, 2);
+        assert_eq!(s.built_postings, HOT_PREFIX + short);
+        assert_eq!(s.hot_postings, s.built_postings);
+        assert_eq!(s.encoded_bytes, s.built_postings * POSTING_BYTES);
     }
 
     fn sorted_list(docs: &[u32]) -> BlockSortedList {

@@ -166,6 +166,14 @@ impl IndexReader for SyntheticIndex {
     /// * doc ids follow a stride walk `(start + i·stride) mod docs` with
     ///   `gcd(stride, docs) = 1`, guaranteeing distinctness without
     ///   materializing a permutation.
+    ///
+    /// Generated **by runs**: tf is non-increasing in `i`, so the quantile
+    /// (an `ln`) is evaluated only where a run of equal tf can end — the
+    /// previous run's length ahead, then galloping, then bisecting — and
+    /// never again once tf reaches 1; each run is filled by stepping the
+    /// walk with an add and a conditional subtract. Near a list's head
+    /// runs are one posting long and this is one `ln` per position; a few
+    /// hundred positions in it is a handful per run.
     fn postings_range(&self, term: TermId, start: u64, end: u64) -> Vec<Posting> {
         let df = self.doc_freq(term);
         let start = start.min(df);
@@ -178,21 +186,61 @@ impl IndexReader for SyntheticIndex {
         let mean_tf = self.mean_tf(term);
         let p = (1.0 / mean_tf).clamp(1e-6, 1.0);
         let ln_q = if p >= 1.0 { 0.0 } else { (1.0 - p).ln() };
-        (start..end)
-            .map(|i| {
-                let doc =
-                    ((doc_start as u128 + i as u128 * stride as u128) % docs as u128) as DocId;
-                let tf = if ln_q == 0.0 {
-                    1
-                } else {
-                    // Quantile of Geometric(p) at q = 1 - (i+0.5)/df:
-                    // x = ceil(ln(1 - q) / ln(1 - p)).
-                    let u = (i as f64 + 0.5) / df as f64;
-                    (u.ln() / ln_q).ceil().clamp(1.0, u32::MAX as f64) as u32
-                };
-                Posting { doc, tf }
-            })
-            .collect()
+        let tf_at = |i: u64| -> u32 {
+            if ln_q == 0.0 {
+                return 1;
+            }
+            // Quantile of Geometric(p) at q = 1 - (i+0.5)/df:
+            // x = ceil(ln(1 - q) / ln(1 - p)).
+            let u = (i as f64 + 0.5) / df as f64;
+            (u.ln() / ln_q).ceil().clamp(1.0, u32::MAX as f64) as u32
+        };
+
+        let mut out = Vec::with_capacity((end - start) as usize);
+        let mut doc = ((doc_start as u128 + start as u128 * stride as u128) % docs as u128) as u64;
+        let mut at = start;
+        let mut tf = tf_at(at);
+        let mut prev_run = 1;
+        while at < end {
+            // `[at, run_end)` holds `tf`; `next_tf` is the tf at
+            // `run_end` whenever that is still inside the range.
+            let (mut run_end, mut next_tf) = (end, tf);
+            if tf > 1 {
+                // Invariant: tf_at(last_same) == tf, and tf_at(run_end) ==
+                // next_tf < tf unless run_end is still `end`.
+                let mut last_same = at;
+                let (mut step, mut next_step) = (prev_run, 1);
+                let mut bracketed = false;
+                while run_end - last_same > 1 {
+                    let probe = if bracketed {
+                        last_same + (run_end - last_same) / 2
+                    } else {
+                        (last_same + step).min(run_end - 1)
+                    };
+                    let probe_tf = tf_at(probe);
+                    if probe_tf == tf {
+                        last_same = probe;
+                        (step, next_step) = (next_step, next_step * 2);
+                    } else {
+                        (run_end, next_tf) = (probe, probe_tf);
+                        bracketed = true;
+                    }
+                }
+            }
+            for _ in at..run_end {
+                out.push(Posting {
+                    doc: doc as DocId,
+                    tf,
+                });
+                doc += stride;
+                if doc >= docs {
+                    doc -= docs;
+                }
+            }
+            prev_run = run_end - at;
+            (at, tf) = (run_end, next_tf);
+        }
+        out
     }
 
     /// O(1) in the list length: the walk `(doc_start + i·stride) mod docs`
@@ -354,6 +402,120 @@ mod tests {
             // Clamping.
             assert!(i.postings_range(term, df, df + 10).is_empty());
             assert_eq!(i.postings_range(term, df - 1, df * 2).len(), 1);
+        }
+    }
+
+    /// The generator's definition: one quantile evaluation and one
+    /// wide-multiply walk step per position, as `postings_range` computed
+    /// it before it generated by runs. The oracle for everything below.
+    fn per_position(idx: &SyntheticIndex, term: TermId, start: u64, end: u64) -> Vec<Posting> {
+        let df = idx.doc_freq(term);
+        let (start, end) = (start.min(df), end.min(df));
+        if start >= end {
+            return Vec::new();
+        }
+        let docs = idx.spec.docs;
+        let (doc_start, stride) = idx.doc_walk(term);
+        let p = (1.0 / idx.mean_tf(term)).clamp(1e-6, 1.0);
+        let ln_q = if p >= 1.0 { 0.0 } else { (1.0 - p).ln() };
+        (start..end)
+            .map(|i| {
+                let doc =
+                    ((doc_start as u128 + i as u128 * stride as u128) % docs as u128) as DocId;
+                let tf = if ln_q == 0.0 {
+                    1
+                } else {
+                    let u = (i as f64 + 0.5) / df as f64;
+                    (u.ln() / ln_q).ceil().clamp(1.0, u32::MAX as f64) as u32
+                };
+                Posting { doc, tf }
+            })
+            .collect()
+    }
+
+    /// Index of [`oracle_indexes`] whose tail terms have `ln_q == 0`.
+    const SPARSE: usize = 3;
+    /// Index of [`oracle_indexes`] whose head term has a mean tf in the
+    /// thousands.
+    const DENSE: usize = 4;
+
+    /// The collections the run generator is held to its definition on.
+    fn oracle_indexes() -> &'static [SyntheticIndex] {
+        static INDEXES: std::sync::OnceLock<Vec<SyntheticIndex>> = std::sync::OnceLock::new();
+        INDEXES.get_or_init(|| {
+            let spec = |docs, vocab, avg_doc_len| CorpusSpec {
+                docs,
+                vocab,
+                alpha: 1.0,
+                avg_doc_len,
+                seed: 11,
+            };
+            [
+                CorpusSpec::tiny(42),
+                CorpusSpec::enwiki_like(400_000, 42),
+                CorpusSpec::enwiki_like(40_000, 7),
+                spec(100_000, 5_000, 1),
+                spec(2_000, 100, 50_000),
+            ]
+            .map(SyntheticIndex::new)
+            .into()
+        })
+    }
+
+    #[test]
+    fn oracle_indexes_reach_both_tf_extremes() {
+        // p clamps to 1.0: every tf is 1 and the quantile is never taken.
+        let sparse = &oracle_indexes()[SPARSE];
+        let flat: Vec<TermId> = (0..5_000).filter(|&t| sparse.mean_tf(t) == 1.0).collect();
+        assert!(flat.len() > 1_000, "{} terms with ln_q == 0", flat.len());
+        assert!(
+            sparse.doc_freq(flat[0]) >= 50,
+            "df {}",
+            sparse.doc_freq(flat[0])
+        );
+        for &t in &flat[..50] {
+            let list = sparse.postings_range(t, 0, u64::MAX);
+            assert!(list.iter().all(|p| p.tf == 1));
+            assert_eq!(list, per_position(sparse, t, 0, u64::MAX));
+        }
+        // A huge mean tf: every run is one posting long for hundreds of
+        // positions, so the generator never leaves its per-position gear.
+        let dense = &oracle_indexes()[DENSE];
+        assert!(dense.mean_tf(0) > 1_000.0);
+        let head = dense.postings_range(0, 0, 500);
+        assert!(head.windows(2).all(|w| w[0].tf > w[1].tf));
+        assert_eq!(head, per_position(dense, 0, 0, 500));
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn runs_match_the_per_position_definition(
+            which in 0usize..5,
+            head_term in proptest::prelude::any::<bool>(),
+            term in proptest::prelude::any::<u32>(),
+            shape in 0u32..4,
+            at in proptest::prelude::any::<u64>(),
+            len in 1u64..3_000,
+        ) {
+            use proptest::prelude::*;
+            let idx = &oracle_indexes()[which];
+            let vocab = idx.num_terms() as u32;
+            let term = term % if head_term { vocab.min(200) } else { vocab };
+            let df = idx.doc_freq(term);
+            let (start, end) = match shape {
+                // The whole list.
+                0 => (0, df),
+                // A range that starts and (usually) ends inside a run;
+                // near the tail its end runs past the list.
+                1 => (at % df, at % df + len),
+                // One posting, as the engine's `[scanned − 1, scanned)`.
+                2 => (at % df, at % df + 1),
+                // Nothing: the start is at or past the end of the list.
+                _ => (df + at % 3, df + len),
+            };
+            let got = idx.postings_range(term, start, end);
+            prop_assert_eq!(got.len() as u64, end.min(df).saturating_sub(start));
+            prop_assert_eq!(got, per_position(idx, term, start, end));
         }
     }
 

@@ -9,9 +9,10 @@
 //!
 //! The on-device image stays at the fixed [`crate::types::POSTING_BYTES`]
 //! per posting — the simulated I/O figures are defined against it — while
-//! the *in-memory* serving copy may be the block-compressed
-//! [`crate::blocks`] representation, which encodes the same canonical
-//! sequence in fewer bytes. The layout is byte-for-byte reproducible
+//! the *in-memory* serving copy is the pinned prefix of the
+//! [`crate::blocks`] representation, which holds the head of the same
+//! canonical sequence and nothing past it. The layout is byte-for-byte
+//! reproducible
 //! across runs: it iterates term ranks `0..num_terms`, and index
 //! byproducts feeding it (e.g. `MemIndex::terms()`) are sorted.
 
@@ -185,7 +186,7 @@ mod tests {
 
     #[test]
     fn blocked_lists_fit_inside_their_extents() {
-        // The compressed in-memory copy must never outgrow the on-device
+        // The pinned in-memory prefix must never outgrow the on-device
         // extent it mirrors, or memory accounting derived from the layout
         // would underestimate the serving footprint.
         let (idx, l) = layout();
@@ -193,9 +194,10 @@ mod tests {
             let df = idx.doc_freq(t);
             let mut bp = crate::blocks::BlockPostings::new(df);
             bp.ensure(&idx, t, df);
+            assert!(bp.bytes() > 0);
             assert!(
                 bp.bytes() <= l.extent(t).bytes(),
-                "term {t}: encoded {} B > extent {} B",
+                "term {t}: pinned {} B > extent {} B",
                 bp.bytes(),
                 l.extent(t).bytes()
             );

@@ -18,9 +18,11 @@
 //!   the paper's Formula 1 input);
 //! * [`layout`] — the on-device index image: one sector extent per
 //!   posting list, so partial traversals become partial extent reads;
-//! * [`blocks`] — the block-compressed in-memory representation: delta
-//!   coded fixed-size blocks with block-max metadata, behind the runtime
-//!   [`PostingsBackend`] toggle, so skipped reads skip decode work too.
+//! * [`blocks`] — the blocked in-memory representation behind the
+//!   runtime [`PostingsBackend`] toggle: pinned list prefixes scanned a
+//!   block at a time under a block-max bound for top-K, varint-coded
+//!   doc-sorted blocks for intersection, so skipped reads skip their
+//!   work too.
 
 #![forbid(unsafe_code)]
 

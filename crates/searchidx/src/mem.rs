@@ -91,6 +91,14 @@ impl IndexReader for MemIndex {
             .unwrap_or_else(|| PostingList::new(term, Vec::new()))
     }
 
+    /// O(end − start): a slice of the stored canonical list, where the
+    /// trait default would clone the whole list first.
+    fn postings_range(&self, term: TermId, start: u64, end: u64) -> Vec<Posting> {
+        let list = self.lists.get(&term).map_or(&[][..], |l| l.postings());
+        let len = list.len() as u64;
+        list[start.min(len) as usize..end.min(len) as usize].to_vec()
+    }
+
     fn position_of(&self, term: TermId, doc: DocId) -> Option<u64> {
         self.positions.get(&(term, doc)).map(|&i| i as u64)
     }
@@ -126,6 +134,46 @@ mod tests {
         // tf-descending: doc 1 (tf 3) before doc 0 (tf 1).
         assert_eq!(l.postings()[0], Posting { doc: 1, tf: 3 });
         assert_eq!(l.postings()[1], Posting { doc: 0, tf: 1 });
+    }
+
+    /// The trait's default `postings_range` over a [`MemIndex`]: every
+    /// other method forwards, `postings_range` is not overridden.
+    struct ViaDefault<'a>(&'a MemIndex);
+
+    impl IndexReader for ViaDefault<'_> {
+        fn num_docs(&self) -> u64 {
+            self.0.num_docs()
+        }
+        fn num_terms(&self) -> u64 {
+            self.0.num_terms()
+        }
+        fn doc_freq(&self, term: TermId) -> u64 {
+            self.0.doc_freq(term)
+        }
+        fn postings(&self, term: TermId) -> PostingList {
+            self.0.postings(term)
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn postings_range_equals_the_trait_default(
+            docs in proptest::prop::collection::vec(
+                proptest::prop::collection::vec(0u32..12, 1..10), 0..80),
+            // Terms 12..14 are out of vocabulary; bounds run past any df.
+            ranges in proptest::prop::collection::vec((0u32..14, 0u64..100, 0u64..100), 1..20),
+        ) {
+            use proptest::prelude::*;
+            let idx = MemIndex::from_docs(docs);
+            for (term, a, b) in ranges {
+                let (start, end) = (a.min(b), a.max(b));
+                prop_assert_eq!(
+                    idx.postings_range(term, start, end),
+                    ViaDefault(&idx).postings_range(term, start, end),
+                    "term {} [{}, {})", term, start, end
+                );
+            }
+        }
     }
 
     #[test]

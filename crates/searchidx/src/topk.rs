@@ -87,7 +87,7 @@ pub struct QueryOutcome {
     pub usage: Vec<TermUsage>,
     /// Block-max accounting (zero on the reference backends):
     /// `skip_probes` counts block-max bounds consulted, `skipped` counts
-    /// postings pruned without decoding their block. Diagnostic only — it
+    /// postings pruned without reading their block. Diagnostic only — it
     /// deliberately lives outside `usage`, whose `scanned` counts are
     /// part of the bit-identical simulated figures.
     pub skip_stats: SkipStats,
@@ -385,14 +385,13 @@ struct Scratch {
     acc: ScoreAccumulator,
     /// Sort buffer of [`ScoreAccumulator::top_k`].
     docs: Vec<ScoredDoc>,
-    /// Decode target for blocked scans — the per-engine decode arena of
-    /// the disjunctive path (one buffer suffices: scans visit one block
-    /// at a time).
+    /// The block a blocked scan regenerated last — scans past the pinned
+    /// prefix visit one block at a time, so one buffer suffices.
     block_buf: Vec<Posting>,
-    /// Which `(term, block)` currently sits in `block_buf`. Blocks are
-    /// immutable once encoded, so a matching key means the decode can be
-    /// skipped outright (hot for the Zipf-repeated head terms); dropping
-    /// a term's encoding must forget the key with it.
+    /// Which `(term, block)` currently sits in `block_buf`. A list is
+    /// immutable until its term is invalidated, so a matching key means
+    /// the regeneration can be skipped outright (the batches of one scan
+    /// revisit a block); invalidating a term must forget the key with it.
     cached_block: Option<(TermId, u64)>,
 }
 
@@ -424,8 +423,8 @@ impl WeightTable {
 }
 
 /// The query processor. Stateless apart from configuration, pooled
-/// scratch buffers, and the append-only [`BlockStore`] of compressed
-/// lists; all collection state comes through the [`IndexReader`].
+/// scratch buffers, and the append-only [`BlockStore`] of pinned list
+/// prefixes; all collection state comes through the [`IndexReader`].
 #[derive(Debug, Clone, Default)]
 pub struct TopKProcessor {
     config: TopKConfig,
@@ -458,34 +457,34 @@ impl TopKProcessor {
     }
 
     /// Select the postings representation. Switching away from `Blocked`
-    /// keeps the store's already-encoded lists for a later switch back.
+    /// keeps the store's already-pinned lists for a later switch back.
     pub fn set_backend(&mut self, backend: PostingsBackend) {
         self.backend = backend;
     }
 
-    /// Footprint of the block store (what the blocked backend has encoded
+    /// Footprint of the block store (what the blocked backend has pinned
     /// so far).
     pub fn store_stats(&self) -> BlockStoreStats {
         self.store.borrow().stats()
     }
 
-    /// Drop `term`'s encoded list from the block store. Required when the
+    /// Drop `term`'s pinned list from the block store. Required when the
     /// underlying index is mutable: the store is keyed by term only, so a
-    /// changed list would otherwise alias its stale encoding.
+    /// changed list would otherwise alias its stale prefix.
     pub fn invalidate_term(&self, term: TermId) -> bool {
         self.scratch.borrow_mut().cached_block = None;
         self.store.borrow_mut().remove(term)
     }
 
-    /// Drop every encoded list (for mutations whose touched-term set is
+    /// Drop every pinned list (for mutations whose touched-term set is
     /// unknown: tombstone deletes and content-changing compactions).
     pub fn invalidate_all_terms(&self) {
         self.scratch.borrow_mut().cached_block = None;
         self.store.borrow_mut().clear();
     }
 
-    /// Audit every block-compressed list the processor has encoded so
-    /// far (block accounting, alignment, skip-key agreement).
+    /// Audit every list prefix the processor has pinned so far (bound,
+    /// block alignment, block-max soundness).
     pub fn validation_report(&self) -> Report {
         let mut report = Report::new();
         self.store.borrow().validate(&mut report);
@@ -543,7 +542,7 @@ impl TopKProcessor {
                 || (acc_len >= self.config.accumulator_limit && contribution <= kth_score))
     }
 
-    /// Scan `term`'s list uncompressed, fetching postings lazily via
+    /// Scan `term`'s list off the index, fetching postings lazily via
     /// `postings_range` so an early-terminated list only pays for the
     /// prefix it visits; returns the postings scanned. `kth_score` is
     /// refreshed after every batch of `base_chunk.max(|acc|/4)` postings
@@ -595,7 +594,7 @@ impl TopKProcessor {
         }
     }
 
-    /// The uncompressed hot path (PR 1): every list through
+    /// The unblocked hot path (PR 1): every list through
     /// [`TopKProcessor::scan_uncompressed`] into the pooled scratch
     /// accumulator. Bit-identical to
     /// [`TopKProcessor::process_reference`] — see the equivalence tests.
@@ -628,27 +627,29 @@ impl TopKProcessor {
         }
     }
 
-    /// The blocked hot path: scans the block-compressed store instead of
-    /// regenerating postings through `postings_range` on every traversal.
-    /// Structurally a mirror of [`TopKProcessor::scan_uncompressed`] —
-    /// same chunking (`base_chunk.max(|acc|/4)`), same per-batch
-    /// threshold refresh, same [`TopKProcessor::quits`] — plus one
-    /// addition: before a block is decoded, its block-max bound
-    /// `weight(max_tf) · idf` is tested against the quit predicate. The
-    /// predicate is downward closed in the contribution and canonical
-    /// order is tf-descending, so `quits(bound)` implies the reference
-    /// would quit on this block's very next posting: skipping the decode
-    /// reproduces the reference's exact `scanned` count, keeping usage
-    /// (and every simulated figure downstream) bit-identical while whole
-    /// blocks of decode *and* generation work disappear.
+    /// The blocked hot path: scans the pinned prefixes of the block store
+    /// instead of regenerating postings through `postings_range` on every
+    /// traversal. Structurally a mirror of
+    /// [`TopKProcessor::scan_uncompressed`] — same chunking
+    /// (`base_chunk.max(|acc|/4)`), same per-batch threshold refresh,
+    /// same [`TopKProcessor::quits`] — plus one addition: before a block
+    /// is scanned, its block-max bound `weight(first tf) · idf` is tested
+    /// against the quit predicate. The predicate is downward closed in
+    /// the contribution and canonical order is tf-descending, so
+    /// `quits(bound)` implies the reference would quit on this block's
+    /// very next posting: skipping the block reproduces the reference's
+    /// exact `scanned` count, keeping usage (and every simulated figure
+    /// downstream) bit-identical while whole blocks of per-posting checks
+    /// *and* generation work disappear.
     ///
     /// Three more mechanisms, none of which can move the figures:
-    /// * terms are encoded on their *second* visit (first visits scan
-    ///   uncompressed, reference-style) — the once-queried Zipf tail
-    ///   never funds a build it cannot amortize;
-    /// * the head [`crate::blocks::HOT_PREFIX`] postings of each built
-    ///   list stay pinned decoded, so the impact-ordered region every
-    ///   query re-reads is served as a plain slice;
+    /// * terms are pinned on their *second* visit (first visits scan
+    ///   through `postings_range`, reference-style) — the once-queried
+    ///   Zipf tail never funds a build it cannot amortize;
+    /// * only the head [`crate::blocks::HOT_PREFIX`] postings of a list
+    ///   are pinned — the impact-ordered region every query re-reads is
+    ///   served as a plain slice, and the rare block past it is
+    ///   regenerated when (and only when) a scan gets there;
     /// * per slice, a hoisted check on the *weakest* posting at the
     ///   *largest* possible accumulator proves the (monotone) quit
     ///   predicate cannot fire, letting the per-posting checks drop out
@@ -685,11 +686,11 @@ impl TopKProcessor {
             }
             let list = store.list_mut(term, df);
             if !list.note_visit() {
-                // First sighting of this term: scan uncompressed, like
-                // the reference arm, and encode nothing. Under a Zipf
-                // log the once-queried tail never repays an encode;
-                // terms that come back pay it on their second visit and
-                // amortize it over every visit after that.
+                // First sighting of this term: scan like the reference
+                // arm and pin nothing. Under a Zipf log the once-queried
+                // tail never repays a build; terms that come back pay it
+                // on their second visit and amortize it over every visit
+                // after that.
                 let scanned =
                     self.scan_uncompressed(index, (idf, term), df, is_last, acc, &mut kth_score);
                 usage.push(TermUsage { term, scanned, df });
@@ -702,35 +703,36 @@ impl TopKProcessor {
                 while scanned < batch_end {
                     let block = scanned / BLOCK_SIZE as u64;
                     let block_start = block * BLOCK_SIZE as u64;
-                    // Build only this block: if the gate below quits
-                    // here, the rest of the batch is never generated —
-                    // the reference arm pays `postings_range` for the
-                    // full chunk it is about to abandon.
+                    // Pin only this block: if the gate below quits here,
+                    // the rest of the batch is never generated — the
+                    // reference arm pays `postings_range` for the full
+                    // chunk it is about to abandon.
                     list.ensure(index, term, block_start + 1);
+                    // Serve the block from the pinned prefix when it is
+                    // covered; regenerate it (through the one-block
+                    // cache) otherwise.
+                    let block_end = (block_start + BLOCK_SIZE as u64).min(df);
+                    let buf: &[Posting] = if block_end <= list.built() {
+                        &list.hot_prefix()[block_start as usize..block_end as usize]
+                    } else {
+                        if *cached_block != Some((term, block)) {
+                            *block_buf = index.postings_range(term, block_start, block_end);
+                            *cached_block = Some((term, block));
+                        }
+                        block_buf
+                    };
                     if self.config.epsilon > 0.0 && acc.len() >= self.config.k {
-                        // Block-max gate: bound every contribution the
-                        // block can make and apply the same quit
-                        // predicate the per-posting loop would.
+                        // Block-max gate: canonical order is tf-descending,
+                        // so the block's first posting bounds every
+                        // contribution the block can make; apply the same
+                        // quit predicate the per-posting loop would.
                         skip_stats.skip_probes += 1;
-                        let bound = self.weights.get(list.block_max_tf(block as usize)) * idf;
+                        let bound = self.weights.get(buf[0].tf) * idf;
                         if self.quits(bound, kth_score, acc.len(), is_last) {
                             skip_stats.skipped += df - scanned;
                             break 'scan;
                         }
                     }
-                    // Serve the block from the pinned decoded prefix
-                    // when it is covered; decode (through the one-block
-                    // cache) otherwise.
-                    let block_end = (block_start + BLOCK_SIZE as u64).min(df);
-                    let buf: &[Posting] = if block_end <= list.hot_prefix().len() as u64 {
-                        &list.hot_prefix()[block_start as usize..block_end as usize]
-                    } else {
-                        if *cached_block != Some((term, block)) {
-                            list.decode_block(block as usize, block_buf);
-                            *cached_block = Some((term, block));
-                        }
-                        block_buf
-                    };
                     let lo = (scanned - block_start) as usize;
                     let hi = ((batch_end - block_start) as usize).min(buf.len());
                     let slice = &buf[lo..hi];
@@ -1134,7 +1136,7 @@ mod tests {
     #[test]
     fn blocked_backend_matches_scan_and_reference() {
         // Same sweep as `scratch_accumulator_matches_hashmap_reference`,
-        // but pitting the block-compressed backend (with its dirty,
+        // but pitting the blocked backend (with its dirty,
         // reused store) against both reference paths, and checking the
         // block-max accounting actually fires under pruning configs.
         let idx = SyntheticIndex::new(CorpusSpec::tiny(5));
@@ -1165,8 +1167,8 @@ mod tests {
             let mut scan = TopKProcessor::new(config);
             scan.set_backend(PostingsBackend::Reference);
             let mut pruned_blocks = 0u64;
-            // Two passes: the first sees every term cold (scanned
-            // uncompressed, nothing encoded), the second sees them warm
+            // Two passes: the first sees every term cold (scanned off
+            // the index, nothing pinned), the second sees them warm
             // (store-backed, block-max gated). Outcomes must match the
             // references in both states.
             for pass in 0..2 {
@@ -1305,8 +1307,8 @@ mod tests {
     #[test]
     fn invalidation_forgets_the_decoded_block() {
         // One df-4200 list: its last block, 32, is the first past the
-        // pinned HOT_PREFIX, so a full scan leaves it in the one-block
-        // decode cache. The second index keeps the df and changes only
+        // pinned HOT_PREFIX, so a full scan leaves it (regenerated) in the
+        // one-block cache. The second index keeps the df and changes only
         // the tail docs (tf 1 everywhere, so canonical order is doc
         // order); K covers the whole list so the tail reaches the result.
         let list_of = |tail_from: u32| -> Vec<Vec<TermId>> {
