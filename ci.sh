@@ -21,8 +21,8 @@ cargo test --release -q -p engine --test cluster_equivalence
 echo "== postings equivalence (explicit) =="
 cargo test --release -q -p searchidx --test postings_equivalence
 
-echo "== I/O-path equivalence (explicit) =="
-cargo test --release -q -p engine --test io_path_equivalence
+echo "== the one I/O path: depth-1 scheduler invariance, deep-queue occupancy, golden ledger (explicit) =="
+cargo test --release -q -p engine --test io_path_equivalence --test golden_ledger
 
 echo "== admission equivalence (explicit) =="
 cargo test --release -q -p engine --test admission_equivalence --test admission_audit
@@ -43,12 +43,6 @@ echo "== benchmark of record: its own tests + a smoke run of the suite =="
 # across reps, oracle agreement, refused ops) would otherwise pass CI.
 (cd benchmark && cargo test --release --offline -q)
 benchmark/run.sh --smoke --seconds 1
-
-echo "== postings_decode bench builds =="
-cargo build --release -p bench --bench postings_decode
-
-echo "== perf_regress binary builds (BENCH_6 serving + BENCH_7 offload + BENCH_8 mutation arms included) =="
-cargo build --release -p bench --bin perf_regress --bin divergence_probe
 
 echo "== postings backends in lockstep (divergence_probe --postings) =="
 # The block-max gate points are part of the figures' pedigree: 30 000 queries
@@ -71,6 +65,10 @@ cargo run -q -p xtask -- analyze
 echo "== equivalence suites under INVARIANT_AUDIT (debug) =="
 INVARIANT_AUDIT=1 cargo test -q -p hybridcache --test victim_equivalence
 INVARIANT_AUDIT=1 cargo test -q -p engine --test cluster_equivalence --test io_path_equivalence
+# Every ledger row under per-mutation audits, depth 1 and deep; the rows
+# run in parallel (~3.5 min on two cores: each FTL write re-validates the
+# page map).
+INVARIANT_AUDIT=1 cargo test -q -p engine --test golden_ledger
 INVARIANT_AUDIT=1 cargo test -q -p engine --test admission_audit
 INVARIANT_AUDIT=1 cargo test -q -p engine --test serving_equivalence --test serving_audit
 INVARIANT_AUDIT=1 cargo test -q -p engine --test offload_equivalence --test offload_audit

@@ -13,11 +13,6 @@
 //! lockstep until the first query whose response or cache counters
 //! diverge.
 //!
-//! With `--iopath` it bisects the *I/O-path arms*: a `Direct` engine and
-//! a `Queued { depth: 1 }` + FIFO engine (which must be its bit-identical
-//! event-driven restatement) run in lockstep, comparing every response,
-//! the cache counters, and both devices' submission-queue accounting.
-//!
 //! With `--admission` it bisects the *admission-tier arms*: a plain
 //! engine and one carrying a fully-populated sketch-admission config
 //! pinned to `AdmissionPolicy::Static` (which must leave the tier
@@ -35,8 +30,8 @@
 //! bit-identical on every simulated figure — only the bus-byte ledger
 //! may move) run in lockstep, comparing every response, the cache
 //! counters, both submission-queue sections, and the cache pipeline's
-//! stats mirror. `--depth N` and `--channels N` pick the queued
-//! configuration to bisect under.
+//! stats mirror. `--depth N` and `--channels N` pick the queue depth and
+//! channel count to bisect under.
 //!
 //! With `--mutation` it bisects the *mutability arms*: a `Frozen` engine
 //! and a zero-ingest `Live` one (whose pristine segmented index must
@@ -46,7 +41,7 @@
 //!
 //!     cargo run --release -p bench --bin divergence_probe \
 //!         [-- --policy lru|cblru|cbslru] [--no-seed] \
-//!         [--cluster] [--workers N] [--postings] [--iopath] [--admission] \
+//!         [--cluster] [--workers N] [--postings] [--admission] \
 //!         [--serving] [--offload] [--depth N] [--channels N] [--mutation]
 
 use engine::{
@@ -54,7 +49,7 @@ use engine::{
     Outcome, PostingsBackend, SearchCluster, SearchEngine, ServingMode, ServingOutcome, ServingSim,
 };
 use hybridcache::{AdmissionConfig, AdmissionPolicy, PolicyKind};
-use storagecore::{BlockDevice, IoPath, SchedulerPolicy};
+use storagecore::BlockDevice;
 use workload::{Arrival, ArrivalKind, ArrivalProcess, Query};
 
 /// One engine-pair lockstep bisection — the loop every per-arm probe
@@ -282,48 +277,6 @@ fn probe_postings(policy: PolicyKind, seed_flag: bool) {
     }
 }
 
-/// Lockstep bisection of the I/O-path arms: `Direct` vs its event-driven
-/// restatement at queue depth 1 with FIFO scheduling.
-fn probe_iopath(policy: PolicyKind, seed_flag: bool) {
-    let docs = 400_000;
-    let queries = 30_000usize;
-    let seed = 42;
-    let cfg = || {
-        EngineConfig::cached(
-            docs,
-            hybridcache::HybridConfig::paper(16 << 20, 160 << 20, policy),
-            seed,
-        )
-    };
-    let mut a = SearchEngine::new(cfg());
-    let mut b = SearchEngine::new(cfg());
-    b.set_io_path(IoPath::Queued { depth: 1 });
-    b.set_io_scheduler(SchedulerPolicy::Fifo);
-    println!(
-        "iopath probe: {docs} docs, arm A = {:?}, arm B = {:?} + {:?}",
-        a.io_path(),
-        b.io_path(),
-        b.io_scheduler()
-    );
-    let seed_static = seed_flag && matches!(policy, PolicyKind::Cbslru { .. });
-    if lockstep_engines(
-        "direct",
-        "queued",
-        &mut a,
-        &mut b,
-        queries,
-        seed_static,
-        |e| (e.index_queue_stats(), e.cache_queue_stats()),
-    ) {
-        println!(
-            "no divergence over {queries} queries between I/O-path arms \
-             ({} index dispatches, {} cache dispatches)",
-            b.index_queue_stats().dispatches(),
-            b.cache_queue_stats().dispatches()
-        );
-    }
-}
-
 /// Lockstep bisection of the admission-tier arms: arm A carries the
 /// default (empty) static admission config, arm B a fully-populated
 /// sketch config forced back to `Static` policy. The sketch machinery
@@ -375,17 +328,14 @@ fn probe_offload(policy: PolicyKind, seed_flag: bool, depth: usize, channels: u3
             seed,
         );
         c.ssd_channels = channels;
-        if depth > 0 {
-            c.io_path = IoPath::Queued { depth };
-        }
+        c.queue_depth = depth;
         c
     };
     let mut a = SearchEngine::new(cfg());
     let mut b = SearchEngine::new(cfg());
     b.set_offload_mode(OffloadMode::InFlash);
     println!(
-        "offload probe: {docs} docs, {channels} channels, {:?}, arm A = {:?}, arm B = {:?}",
-        a.io_path(),
+        "offload probe: {docs} docs, {channels} channels, queue depth {depth}, arm A = {:?}, arm B = {:?}",
         a.offload_mode(),
         b.offload_mode()
     );
@@ -463,13 +413,12 @@ fn main() {
     let mut seed_flag = true;
     let mut cluster = false;
     let mut postings = false;
-    let mut iopath = false;
     let mut admission = false;
     let mut serving = false;
     let mut offload = false;
     let mut mutation = false;
     let mut workers = 0usize;
-    let mut depth = 0usize;
+    let mut depth = 1usize;
     let mut channels = 4u32;
     let mut args = std::env::args();
     while let Some(a) = args.next() {
@@ -478,7 +427,6 @@ fn main() {
             "--no-seed" => seed_flag = false,
             "--cluster" => cluster = true,
             "--postings" => postings = true,
-            "--iopath" => iopath = true,
             "--admission" => admission = true,
             "--serving" => serving = true,
             "--offload" => offload = true,
@@ -506,10 +454,6 @@ fn main() {
     }
     if postings {
         probe_postings(policy, seed_flag);
-        return;
-    }
-    if iopath {
-        probe_iopath(policy, seed_flag);
         return;
     }
     if admission {

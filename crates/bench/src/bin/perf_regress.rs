@@ -25,16 +25,15 @@
 //! (bounds consulted, postings pruned unread) and the block store's
 //! footprint.
 //!
-//! **I/O-path arm** (PR 4, `BENCH_4.json`): runs the engine workload
-//! three times across the `IoPath` toggle — the synchronous `Direct`
-//! reference, `Queued { depth: 1 }` + FIFO (which must be bit-identical
-//! to `Direct`, queue accounting included), and `Queued { depth: 4 }` +
-//! elevator scheduling, where NCQ-style reordering of the batched index
-//! reads is *allowed* to move the simulated response times. A second
-//! uncached seek-bound pair (`ncq_arms`) isolates the elevator's
-//! benefit: with every query batching HDD index reads, depth-4 elevator
-//! scheduling shortens the seek path and improves mean response — the
-//! headline `response_time_ratio_vs_direct`. On the hybrid config the
+//! **I/O-path arm** (PR 4, `BENCH_4.json`): runs the engine workload at
+//! queue depth 1 + FIFO (the synchronous model; the committed file's
+//! `direct` rows are these) and at depth 4 + elevator scheduling, where
+//! NCQ-style reordering of the batched index reads is *allowed* to move
+//! the simulated response times. A second uncached seek-bound pair
+//! (`ncq_arms`) isolates the elevator's benefit: with every query
+//! batching HDD index reads, depth-4 elevator scheduling shortens the
+//! seek path and improves mean response — the headline
+//! `response_time_ratio_vs_depth1`. On the hybrid config the
 //! cache SSD absorbs most reads and the dominant queueing effect is
 //! RB-flush lane contention, so that ratio (`hybrid_response_time_*`)
 //! dips slightly below 1 and is recorded alongside. Both deep arms
@@ -115,8 +114,8 @@ use searchidx::{
 };
 use simclock::SimDuration;
 use storagecore::{
-    BlockDevice, Extent, IoPath, IoRequest, IoStats, QueueDepthStats, SchedulerPolicy,
-    OFFLOAD_DESCRIPTOR_BYTES, SECTOR_SIZE,
+    BlockDevice, Extent, IoRequest, QueueDepthStats, SchedulerPolicy, OFFLOAD_DESCRIPTOR_BYTES,
+    SECTOR_SIZE,
 };
 use workload::{
     Arrival, ArrivalKind, ArrivalProcess, DriftingZipfLog, IngestSpec, IngestStream, MutationOp,
@@ -524,9 +523,9 @@ fn cluster_regress(out: &str) -> bool {
 }
 
 /// One measured I/O-path arm.
-struct IoPathArm {
+struct DepthArm {
     label: String,
-    path: String,
+    depth: usize,
     scheduler: &'static str,
     report: RunReport,
     wall_secs: f64,
@@ -534,17 +533,14 @@ struct IoPathArm {
     index_queue: QueueDepthStats,
     /// Submission-queue accounting at the cache SSD.
     cache_queue: QueueDepthStats,
-    /// Full cache-SSD stats (part of the bit-identity contract).
-    cache_dev: IoStats,
 }
 
 fn run_iopath_arm(
     label: String,
-    path_name: String,
     sched_name: &'static str,
-    path: IoPath,
+    depth: usize,
     policy: SchedulerPolicy,
-) -> IoPathArm {
+) -> DepthArm {
     let cfg = cache_config(
         MEM_BYTES,
         SSD_BYTES,
@@ -555,19 +551,18 @@ fn run_iopath_arm(
     let t0 = Instant::now();
     let mut e = SearchEngine::new(EngineConfig::cached(DOCS, cfg, SEED));
     e.seed_static_from_log(QUERIES);
-    e.set_io_path(path);
+    e.set_queue_depth(depth);
     e.set_io_scheduler(policy);
     let report = e.run(QUERIES);
     let wall_secs = t0.elapsed().as_secs_f64();
-    IoPathArm {
+    DepthArm {
         label,
-        path: path_name,
+        depth,
         scheduler: sched_name,
         report,
         wall_secs,
         index_queue: e.index_queue_stats(),
         cache_queue: e.cache_queue_stats(),
-        cache_dev: e.cache().expect("cached config").device().stats().clone(),
     }
 }
 
@@ -576,7 +571,7 @@ fn run_iopath_arm(
 /// whole effect.
 struct NcqArm {
     label: String,
-    path: String,
+    depth: usize,
     scheduler: &'static str,
     report: RunReport,
     wall_secs: f64,
@@ -590,20 +585,19 @@ const NCQ_QUERIES: usize = 10_000;
 
 fn run_ncq_arm(
     label: String,
-    path_name: String,
     sched_name: &'static str,
-    path: IoPath,
+    depth: usize,
     policy: SchedulerPolicy,
 ) -> NcqArm {
     let t0 = Instant::now();
     let mut e = SearchEngine::new(EngineConfig::no_cache(DOCS, IndexPlacement::Hdd, SEED));
-    e.set_io_path(path);
+    e.set_queue_depth(depth);
     e.set_io_scheduler(policy);
     let report = e.run(NCQ_QUERIES);
     let wall_secs = t0.elapsed().as_secs_f64();
     NcqArm {
         label,
-        path: path_name,
+        depth,
         scheduler: sched_name,
         report,
         wall_secs,
@@ -617,7 +611,7 @@ fn ncq_arm_json(a: &NcqArm) -> String {
         concat!(
             "    {{\n",
             "      \"label\": \"{}\",\n",
-            "      \"io_path\": \"{}\",\n",
+            "      \"queue_depth\": {},\n",
             "      \"scheduler\": \"{}\",\n",
             "      \"wall_clock_secs\": {:.6},\n",
             "      \"sim_mean_response_ns\": {},\n",
@@ -631,7 +625,7 @@ fn ncq_arm_json(a: &NcqArm) -> String {
             "    }}"
         ),
         a.label,
-        a.path,
+        a.depth,
         a.scheduler,
         a.wall_secs,
         r.mean_response.as_nanos(),
@@ -645,13 +639,13 @@ fn ncq_arm_json(a: &NcqArm) -> String {
     )
 }
 
-fn iopath_arm_json(a: &IoPathArm) -> String {
+fn iopath_arm_json(a: &DepthArm) -> String {
     let r = &a.report;
     format!(
         concat!(
             "    {{\n",
             "      \"label\": \"{}\",\n",
-            "      \"io_path\": \"{}\",\n",
+            "      \"queue_depth\": {},\n",
             "      \"scheduler\": \"{}\",\n",
             "      \"wall_clock_secs\": {:.6},\n",
             "      \"sim_hit_ratio\": {:.17},\n",
@@ -669,7 +663,7 @@ fn iopath_arm_json(a: &IoPathArm) -> String {
             "    }}"
         ),
         a.label,
-        a.path,
+        a.depth,
         a.scheduler,
         a.wall_secs,
         r.hit_ratio(),
@@ -687,92 +681,58 @@ fn iopath_arm_json(a: &IoPathArm) -> String {
     )
 }
 
-/// Run the three I/O-path arms, emit `BENCH_4.json`, and return whether
-/// the depth-1 FIFO arm was bit-identical to the `Direct` reference.
-/// `depth` sets the deep arm's queue depth (4 in the committed report;
-/// `--iopath-depth` sweeps it).
-fn iopath_regress(out: &str, depth: usize) -> bool {
-    let direct = run_iopath_arm(
-        "direct".into(),
-        "direct".into(),
-        "fifo",
-        IoPath::Direct,
-        SchedulerPolicy::Fifo,
-    );
+/// Run the I/O-path arms and emit `BENCH_4.json`. `depth` sets the deep
+/// arms' queue depth (4 in the committed report; `--iopath-depth` sweeps
+/// it).
+fn iopath_regress(out: &str, depth: usize) {
+    let shallow = run_iopath_arm("depth1_fifo".into(), "fifo", 1, SchedulerPolicy::Fifo);
     eprintln!(
-        "iopath direct:   {} ({:.2}s wall)",
-        direct.report.summary(),
-        direct.wall_secs
-    );
-    let queued1 = run_iopath_arm(
-        "queued_depth1_fifo".into(),
-        "queued(1)".into(),
-        "fifo",
-        IoPath::Queued { depth: 1 },
-        SchedulerPolicy::Fifo,
-    );
-    eprintln!(
-        "iopath queued-1: {} ({:.2}s wall)",
-        queued1.report.summary(),
-        queued1.wall_secs
+        "iopath depth-1: {} ({:.2}s wall)",
+        shallow.report.summary(),
+        shallow.wall_secs
     );
     let deep = run_iopath_arm(
-        format!("queued_depth{depth}_elevator"),
-        format!("queued({depth})"),
+        format!("depth{depth}_elevator"),
         "elevator",
-        IoPath::Queued { depth },
+        depth,
         SchedulerPolicy::Elevator,
     );
     eprintln!(
-        "iopath queued-{depth}: {} ({:.2}s wall)",
+        "iopath depth-{depth}: {} ({:.2}s wall)",
         deep.report.summary(),
         deep.wall_secs
     );
 
     // The NCQ pair: the uncached seek-bound workload, where every query
     // batches index reads and elevator reordering shortens the seek path.
-    let ncq_direct = run_ncq_arm(
-        "ncq_direct".into(),
-        "direct".into(),
-        "fifo",
-        IoPath::Direct,
-        SchedulerPolicy::Fifo,
-    );
+    let ncq_shallow = run_ncq_arm("ncq_depth1_fifo".into(), "fifo", 1, SchedulerPolicy::Fifo);
     eprintln!(
-        "ncq direct:      {} ({:.2}s wall)",
-        ncq_direct.report.summary(),
-        ncq_direct.wall_secs
+        "ncq depth-1:    {} ({:.2}s wall)",
+        ncq_shallow.report.summary(),
+        ncq_shallow.wall_secs
     );
     let ncq_deep = run_ncq_arm(
-        format!("ncq_queued_depth{depth}_elevator"),
-        format!("queued({depth})"),
+        format!("ncq_depth{depth}_elevator"),
         "elevator",
-        IoPath::Queued { depth },
+        depth,
         SchedulerPolicy::Elevator,
     );
     eprintln!(
-        "ncq queued-{depth}:    {} ({:.2}s wall)",
+        "ncq depth-{depth}:    {} ({:.2}s wall)",
         ncq_deep.report.summary(),
         ncq_deep.wall_secs
     );
 
-    // The contract: at depth 1 + FIFO the pipeline degenerates to the
-    // synchronous call tree — the full RunReport, both submission-queue
-    // sections, and the cache SSD's complete IoStats are bit-identical.
-    let identical = direct.report == queued1.report
-        && direct.index_queue == queued1.index_queue
-        && direct.cache_queue == queued1.cache_queue
-        && direct.cache_dev == queued1.cache_dev;
     // The headline: NCQ reordering is *supposed* to move response times
     // downward on the seek-bound workload (elevator shortens each
     // batch's seek path). On the hybrid config the same deep queue is
     // reported too, but there the cache SSD absorbs most reads and the
     // dominant queueing effect is RB-flush lane contention — that ratio
     // dips slightly below 1 and is recorded honestly alongside.
-    let response_ratio = ncq_direct.report.mean_response.as_nanos() as f64
+    let response_ratio = ncq_shallow.report.mean_response.as_nanos() as f64
         / ncq_deep.report.mean_response.as_nanos() as f64;
-    let hybrid_ratio =
-        direct.report.mean_response.as_nanos() as f64 / deep.report.mean_response.as_nanos() as f64;
+    let hybrid_ratio = shallow.report.mean_response.as_nanos() as f64
+        / deep.report.mean_response.as_nanos() as f64;
 
     let json = format!(
         concat!(
@@ -787,15 +747,14 @@ fn iopath_regress(out: &str, depth: usize) -> bool {
             "    \"policy\": \"CBSLRU(0.3)\"\n",
             "  }},\n",
             "  \"queue_depth\": {},\n",
-            "  \"arms\": [\n{},\n{},\n{}\n  ],\n",
+            "  \"arms\": [\n{},\n{}\n  ],\n",
             "  \"ncq_workload\": {{ \"docs\": {}, \"queries\": {}, \"placement\": \"hdd_no_cache\" }},\n",
             "  \"ncq_arms\": [\n{},\n{}\n  ],\n",
-            "  \"sim_figures_bit_identical\": {},\n",
             "  \"deep_max_device_queue_occupancy\": {},\n",
             "  \"deep_mean_device_queue_occupancy\": {:.6},\n",
-            "  \"response_time_ratio_vs_direct\": {:.6},\n",
+            "  \"response_time_ratio_vs_depth1\": {:.6},\n",
             "  \"hybrid_deep_max_device_queue_occupancy\": {},\n",
-            "  \"hybrid_response_time_ratio_vs_direct\": {:.6}\n",
+            "  \"hybrid_response_time_ratio_vs_depth1\": {:.6}\n",
             "}}\n"
         ),
         DOCS,
@@ -804,14 +763,12 @@ fn iopath_regress(out: &str, depth: usize) -> bool {
         MEM_BYTES,
         SSD_BYTES,
         depth,
-        iopath_arm_json(&direct),
-        iopath_arm_json(&queued1),
+        iopath_arm_json(&shallow),
         iopath_arm_json(&deep),
         DOCS,
         NCQ_QUERIES,
-        ncq_arm_json(&ncq_direct),
+        ncq_arm_json(&ncq_shallow),
         ncq_arm_json(&ncq_deep),
-        identical,
         ncq_deep.index_queue.max_occupancy(),
         ncq_deep.index_queue.mean_occupancy(),
         response_ratio,
@@ -823,11 +780,9 @@ fn iopath_regress(out: &str, depth: usize) -> bool {
     println!("{json}");
     println!(
         "wrote {out}; depth-{depth} NCQ response ratio {response_ratio:.3}x \
-         (max queue occupancy {}), hybrid deep ratio {hybrid_ratio:.3}x, \
-         depth-1 identical: {identical}",
+         (max queue occupancy {}), hybrid deep ratio {hybrid_ratio:.3}x",
         ncq_deep.index_queue.max_occupancy()
     );
-    identical
 }
 
 // The pinned admission workload: same corpus and budgets as the engine
@@ -1516,7 +1471,7 @@ struct OffloadCell {
     wall_secs: f64,
 }
 
-/// Run one Host/`InFlash` pair. `depth == 0` means the `Direct` I/O path.
+/// Run one Host/`InFlash` pair at queue depth `depth`.
 fn run_offload_pair(
     docs: u64,
     queries: usize,
@@ -1529,10 +1484,8 @@ fn run_offload_pair(
     let mk = |mode| {
         let mut cfg = EngineConfig::cached(docs, cache_config(mem, ssd, PolicyKind::Cblru), SEED);
         cfg.ssd_channels = channels;
+        cfg.queue_depth = depth;
         let mut e = SearchEngine::new(cfg);
-        if depth > 0 {
-            e.set_io_path(IoPath::Queued { depth });
-        }
         e.set_offload_mode(mode);
         e
     };
@@ -1727,10 +1680,10 @@ fn offload_regress(out: &str) -> bool {
             cells.push(cell);
         }
     }
-    // The headline pair: the standard pinned engine workload at the
-    // Direct path and 4 channels, for the bus-reduction figure at
+    // The headline pair: the standard pinned engine workload at queue
+    // depth 1 and 4 channels, for the bus-reduction figure at
     // production scale.
-    let headline = run_offload_pair(DOCS, QUERIES, MEM_BYTES, SSD_BYTES, 0, 4);
+    let headline = run_offload_pair(DOCS, QUERIES, MEM_BYTES, SSD_BYTES, 1, 4);
     eprintln!(
         "offload headline: identical {} ({} offloads, {} bus bytes saved, {:.2}s wall)",
         headline.identical, headline.offload_ops, headline.saved_bytes, headline.wall_secs
@@ -1805,7 +1758,7 @@ fn offload_regress(out: &str) -> bool {
             "  \"gate_cells\": [\n{}\n  ],\n",
             "  \"headline_workload\": {{ \"docs\": {}, \"queries\": {}, \"seed\": {}, ",
             "\"mem_bytes\": {}, \"ssd_bytes\": {}, \"policy\": \"CBLRU\", ",
-            "\"channels\": 4, \"io_path\": \"direct\" }},\n",
+            "\"channels\": 4, \"queue_depth\": 1 }},\n",
             "  \"headline\": {},\n",
             "  \"microbench_compute\": \"active (8 us/page scan, 50 ns/entry emit, ",
             "100 nJ/page, 1 nJ/entry)\",\n",
@@ -2309,7 +2262,7 @@ fn main() {
 
     let postings_identical = postings_regress(&postings_out);
     let cluster_identical = cluster_regress(&cluster_out);
-    let iopath_identical = iopath_regress(&iopath_out, iopath_depth);
+    iopath_regress(&iopath_out, iopath_depth);
     let admission_ok = admission_regress(&admission_out);
     let serving_ok = serving_regress(&serving_out);
     let offload_ok = offload_regress(&offload_out);
@@ -2328,13 +2281,6 @@ fn main() {
         eprintln!(
             "FAIL: cluster arms diverged — bisect with \
              `cargo run --release -p bench --bin divergence_probe -- --cluster`"
-        );
-    }
-    if !iopath_identical {
-        eprintln!(
-            "FAIL: the queued depth-1 FIFO arm diverged from the Direct \
-             reference — bisect with \
-             `cargo run --release -p bench --bin divergence_probe -- --iopath`"
         );
     }
     if !admission_ok {
@@ -2376,7 +2322,6 @@ fn main() {
     if !identical
         || !postings_identical
         || !cluster_identical
-        || !iopath_identical
         || !admission_ok
         || !serving_ok
         || !offload_ok

@@ -4,7 +4,7 @@ use flashsim::ComputeParams;
 use hybridcache::HybridConfig;
 use searchidx::{PostingsBackend, TopKConfig};
 use simclock::SimDuration;
-use storagecore::{IoPath, SchedulerPolicy};
+use storagecore::SchedulerPolicy;
 
 /// Where the index files live (the paper's "HDD" vs "SSD" index storage
 /// variants of Figs. 15, 16(a) and 18(a)).
@@ -131,13 +131,13 @@ pub struct EngineConfig {
     /// fetch. Result-cache hits skip these reads entirely, which is part
     /// of why result caching pays.
     pub snippet_fetches: usize,
-    /// How the engine reaches its devices: the synchronous reference
-    /// call-tree (`Direct`) or the explicit submit/complete pipeline
-    /// (`Queued { depth }`). `Queued { depth: 1 }` + FIFO is
-    /// bit-identical to `Direct` (the `io_path_equivalence` suite proves
-    /// it); larger depths overlap independent requests.
-    pub io_path: IoPath,
-    /// Dispatch-order policy for the queued path (ignored by `Direct`).
+    /// Outstanding foreground requests each device's submission queue
+    /// admits. 1 (the default; 0 is taken as 1) is the synchronous model
+    /// every figure is calibrated on: one request in flight, its
+    /// completion awaited. Larger depths overlap independent requests.
+    pub queue_depth: usize,
+    /// Dispatch-order policy of the submission queues (every policy
+    /// picks the same, only, candidate at depth 1).
     pub io_scheduler: SchedulerPolicy,
     /// Flash channels on the cache SSD (1 = the paper's Table III
     /// device). More channels let queued page operations overlap.
@@ -179,7 +179,7 @@ impl EngineConfig {
             cost: CpuCostModel::default(),
             capture_trace: false,
             snippet_fetches: 0,
-            io_path: IoPath::Direct,
+            queue_depth: 1,
             io_scheduler: SchedulerPolicy::Fifo,
             ssd_channels: 1,
             ssd_compute: ComputeParams::reference(),
@@ -190,20 +190,8 @@ impl EngineConfig {
     /// A cached configuration with index files on HDD.
     pub fn cached(docs: u64, cache: HybridConfig, seed: u64) -> Self {
         EngineConfig {
-            docs,
-            seed,
             cache: Some(cache),
-            index_placement: IndexPlacement::Hdd,
-            topk: Self::default_topk(docs),
-            postings: PostingsBackend::default(),
-            cost: CpuCostModel::default(),
-            capture_trace: false,
-            snippet_fetches: 0,
-            io_path: IoPath::Direct,
-            io_scheduler: SchedulerPolicy::Fifo,
-            ssd_channels: 1,
-            ssd_compute: ComputeParams::reference(),
-            mutability: IndexMutability::default(),
+            ..Self::no_cache(docs, IndexPlacement::Hdd, seed)
         }
     }
 }

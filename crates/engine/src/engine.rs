@@ -9,12 +9,12 @@ use searchidx::{
 };
 use simclock::{Clock, Histogram, RunningStats, SimDuration, SimTime};
 use storagecore::{
-    BlockDevice, BusStats, Extent, Geometry, IoError, IoEvent, IoPath, IoRequest, IoStats, Lba,
+    BlockDevice, BusStats, Extent, Geometry, IoError, IoEvent, IoRequest, IoStats, Lba, NullSink,
     OffloadDescriptor, OffloadMode, PipelinedDevice, QueueDepthStats, SchedulerPolicy, TraceSink,
 };
 use workload::{Query, QueryLog, QueryLogSpec};
 
-use crate::config::{CompactionMode, CpuCostModel, EngineConfig, IndexMutability, IndexPlacement};
+use crate::config::{CompactionMode, EngineConfig, IndexMutability, IndexPlacement};
 use crate::mutation::{IndexArm, SegLayout, SegmentArena};
 use crate::payload::CachedResult;
 use crate::report::{FlashReport, RunReport};
@@ -108,6 +108,17 @@ impl TraceSink for ToggleSink {
     }
 }
 
+/// One query's list charges between the two phases of
+/// [`SearchEngine::execute`]: the situation records in term order, and
+/// the index-device reads still owed — `extents[i]` completes
+/// `records[slots[i]]`.
+#[derive(Debug, Default)]
+struct ListCharges {
+    records: Vec<(Situation, SimDuration)>,
+    slots: Vec<usize>,
+    extents: Vec<Extent>,
+}
+
 // The cluster's worker pool moves whole engines into long-lived threads;
 // this keeps the `Send` obligation explicit so a future non-`Send` field
 // (an `Rc`, a raw pointer) fails here, at the definition, rather than in
@@ -141,16 +152,13 @@ pub struct SearchEngine {
     /// cache-hit): equal digests ⇒ equal match sets, the equal-correctness
     /// gate of the compaction-mode comparison. Accounting only.
     result_digest: u64,
-    /// Index device behind the explicit I/O pipeline. In
-    /// [`IoPath::Direct`] the wrapper is a synchronous pass-through with
-    /// the legacy trace-timestamp semantics; in `Queued` mode the engine
-    /// batches deferred reads through submit/wait.
+    /// Index device behind the explicit I/O pipeline: foreground reads
+    /// go through submit/wait in windows of the queue depth (which this
+    /// wrapper and the cache SSD's always share).
     index_dev: PipelinedDevice<IndexDevice, ToggleSink>,
     /// Payloads are [`CachedResult`] — one shared buffer per entry, so
     /// the manager's admit/flush clones are refcount bumps, not copies.
     cache: Option<CacheManager<CachedResult, PipelinedDevice<SsdDisk<PageMapFtl>>>>,
-    /// The active I/O path, mirrored onto both pipelined devices.
-    io_path: IoPath,
     /// Where SSD-tier postings predicates are evaluated: `Host` is the
     /// seed path verbatim; `InFlash` attaches an [`OffloadDescriptor`]
     /// to cache-SSD list reads whose per-block cost rule says pushing
@@ -229,8 +237,8 @@ impl SearchEngine {
             params.channels = config.ssd_channels.max(1);
             params.compute = config.ssd_compute;
             let device = SsdDisk::with_ftl(PageMapFtl::new(params));
-            let mut piped = PipelinedDevice::direct(device);
-            piped.set_path(config.io_path);
+            let mut piped = PipelinedDevice::new(device, NullSink);
+            piped.set_depth(config.queue_depth);
             piped.set_policy(config.io_scheduler);
             CacheManager::new(hc, piped)
         });
@@ -262,12 +270,11 @@ impl SearchEngine {
             result_digest: 0xcbf2_9ce4_8422_2325,
             index_dev: {
                 let mut piped = PipelinedDevice::new(index_dev, sink);
-                piped.set_path(config.io_path);
+                piped.set_depth(config.queue_depth);
                 piped.set_policy(config.io_scheduler);
                 piped
             },
             cache,
-            io_path: config.io_path,
             offload_mode: OffloadMode::Host,
             log,
             clock: Clock::new(),
@@ -418,20 +425,13 @@ impl SearchEngine {
         report
     }
 
-    /// Switch the I/O path at runtime (devices are idle between
-    /// queries, so the toggle is always legal there). `Direct` and
-    /// `Queued { depth: 1 }` + FIFO produce bit-identical figures.
-    pub fn set_io_path(&mut self, path: IoPath) {
-        self.io_path = path;
-        self.index_dev.set_path(path);
+    /// Change both devices' queue depth at runtime (devices are idle
+    /// between queries, so this is always legal there).
+    pub fn set_queue_depth(&mut self, depth: usize) {
+        self.index_dev.set_depth(depth);
         if let Some(cache) = self.cache.as_mut() {
-            cache.device_mut().set_path(path);
+            cache.device_mut().set_depth(depth);
         }
-    }
-
-    /// The active I/O path.
-    pub fn io_path(&self) -> IoPath {
-        self.io_path
     }
 
     /// Switch the submission-queue scheduler (FIFO reference, NCQ-style
@@ -506,8 +506,8 @@ impl SearchEngine {
     /// victim-equivalence property tests in `hybridcache` prove the
     /// victim choices match); only wall-clock differs. The `perf_regress`
     /// harness uses this to measure the optimized paths against the
-    /// originals. The postings backend is a separate, orthogonal axis —
-    /// see [`SearchEngine::set_postings_backend`].
+    /// originals. The postings backend ([`EngineConfig::postings`]) is a
+    /// separate, orthogonal axis.
     pub fn set_reference_mode(&mut self, on: bool) {
         self.reference_mode = on;
         let selection = if on {
@@ -538,13 +538,6 @@ impl SearchEngine {
             .map_or(hybridcache::AdmissionPolicy::Static, |c| {
                 c.admission_policy()
             })
-    }
-
-    /// Select which posting-list representation the processor scans.
-    /// Both produce bit-identical simulated figures; the `perf_regress`
-    /// postings arm measures the wall-clock gap.
-    pub fn set_postings_backend(&mut self, backend: searchidx::PostingsBackend) {
-        self.processor.set_backend(backend);
     }
 
     /// The active postings backend.
@@ -608,10 +601,6 @@ impl SearchEngine {
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.index_dev_now()
-    }
-
-    fn index_dev_now(&self) -> SimTime {
         self.clock.now()
     }
 
@@ -653,29 +642,26 @@ impl SearchEngine {
     }
 
     /// Execute one query on the virtual clock, returning its response
-    /// time.
+    /// time. There is one path: cache lookups run inline in term order,
+    /// foreground index reads are explicit submissions in windows of the
+    /// queue depth, and what they cost derives from completion
+    /// timestamps (`finish − submit`), not from summed call latencies.
+    /// At depth 1 a window is one request whose completion the host
+    /// awaits — the synchronous model every figure is calibrated on (the
+    /// `golden_ledger` suite pins it); at larger depths a window finishes
+    /// when its last completion lands, so independent requests on
+    /// different lanes overlap.
     pub fn execute(&mut self, query: &Query) -> SimDuration {
-        match self.io_path {
-            IoPath::Direct => self.execute_direct(query),
-            IoPath::Queued { depth } => self.execute_queued(query, depth.max(1)),
-        }
-    }
-
-    /// The synchronous reference arm: every device call returns its
-    /// latency and the clock advances in place. Kept verbatim as the
-    /// `Direct` half of the [`IoPath`] toggle.
-    fn execute_direct(&mut self, query: &Query) -> SimDuration {
         let start = self.clock.now();
         let cost = self.config.cost;
         self.clock.advance(cost.per_query);
-        if let Some(cache) = self.cache.as_mut() {
-            // Feed the clock through for TTL expiry (dynamic scenario).
-            cache.set_now(start);
-        }
 
         // Query management: the result cache first.
         if let Some(cache) = self.cache.as_mut() {
+            // Feed the clock through for TTL expiry (dynamic scenario).
+            cache.set_now(start);
             let lookup_start = self.clock.now();
+            cache.device_mut().set_now(lookup_start);
             let (result, tier, latency) = cache.lookup_result(query.id);
             self.clock.advance(latency);
             if let Some(result) = result {
@@ -719,7 +705,9 @@ impl SearchEngine {
                     .as_ref()
                     .and_then(|c| c.config().intersections)
                     .map_or(u64::MAX, |x| x.pair_threshold);
+                let now = self.clock.now();
                 let cache = self.cache.as_mut().expect("checked above");
+                cache.device_mut().set_now(now);
                 if let Some(serve) = cache.lookup_intersection((pair.0 as u64, pair.1 as u64), est)
                 {
                     // Served: the two lists' storage I/O is replaced by
@@ -738,296 +726,65 @@ impl SearchEngine {
                 } else if self.pair_freq.record(&pair) >= threshold {
                     // Materialize it for next time (built from postings
                     // already in hand this query — no extra storage I/O).
-                    let cache = self.cache.as_mut().expect("checked above");
                     cache.install_intersection((pair.0 as u64, pair.1 as u64), est);
                     self.intersection_installs += 1;
                 }
             }
         }
 
+        // Phase 1: cache lookups in term order. Index reads are deferred
+        // as (record slot, extent) pairs and the situation records are
+        // buffered, to be completed by phase 2 and flushed in term order:
+        // the `SituationTable`'s running stats are float-order-sensitive.
+        let mut lists = ListCharges::default();
         for u in &outcome.usage {
             if u.scanned == 0 {
                 // "…or are not traversed at all" — no storage touched.
                 continue;
             }
-            if let Some((a, b)) = paired {
-                if u.term == a || u.term == b {
-                    continue; // served by the cached intersection
-                }
+            if paired.is_some_and(|(a, b)| u.term == a || u.term == b) {
+                continue; // served by the cached intersection
             }
             // Once the live index has mutated, a scanned prefix splits
-            // into per-layer shares; while frozen (or pristine) the
-            // split is `None` and the seed path below runs verbatim.
+            // into per-layer shares. Frozen or pristine it is one part,
+            // the base layer's whole prefix — the only shape the offload
+            // predicate describes.
             let split = self
                 .index
                 .live()
                 .and_then(|l| l.split_usage(u.term, u.scanned));
-            if let Some(parts) = split {
-                self.charge_parts_direct(u.term, &parts, cost);
-                continue;
-            }
-            let needed = u.bytes_scanned();
-            let pu = u.utilization();
-            let full = self.index.list_bytes(u.term);
-            let offload = self.offload_template(u);
-            let list_start = self.clock.now();
-            if let Some(cache) = self.cache.as_mut() {
-                let serve = cache.lookup_list_offload(u.term as u64, needed, full, pu, offload);
-                self.clock.advance(serve.ssd_latency);
-                self.clock.advance(cost.mem_read(serve.from_mem));
-                if serve.from_hdd + serve.fill_from_hdd > 0 {
-                    // The request's own tail, plus whatever extra the
-                    // policy decided to fill (whole-list reads under the
-                    // traditional LRU baseline).
-                    let from = serve.from_mem + serve.from_ssd;
-                    let to = needed + serve.fill_from_hdd;
-                    let extent = self.layout.range_extent(u.term, from.min(to - 1), to);
-                    let t = self
-                        .index_dev
-                        .read(extent)
-                        .expect("index extents are on-device");
-                    self.clock.advance(t);
-                }
-                self.situations.record(
-                    classify_list(serve.from_mem, serve.from_ssd, serve.from_hdd),
-                    self.clock.now() - list_start,
-                );
-            } else {
-                let extent = self.layout.prefix_extent(u.term, needed);
-                let t = self
-                    .index_dev
-                    .read(extent)
-                    .expect("index extents are on-device");
-                self.clock.advance(t);
-                self.situations
-                    .record(Situation::S9ListHdd, self.clock.now() - list_start);
-            }
-        }
-
-        // Stored-field (snippet) fetches for the assembled page — small
-        // random reads the result cache exists to avoid.
-        let fetches = self.config.snippet_fetches.min(outcome.result.docs.len());
-        for d in &outcome.result.docs[..fetches] {
-            let t = self
-                .index_dev
-                .read(self.docstore.extent(self.doc_slot(d.doc)))
-                .expect("doc store is on-device");
-            self.clock.advance(t);
-        }
-
-        // Scoring + result-page assembly CPU.
-        self.clock
-            .advance(cost.per_posting * outcome.postings_scanned());
-        self.clock
-            .advance(cost.per_result_doc * outcome.result.docs.len() as u64);
-
-        if let Some(cache) = self.cache.as_mut() {
-            let t = cache.complete_result(query.id, CachedResult::encode(&outcome.result));
-            self.clock.advance(t);
-        }
-        self.situations
-            .record(Situation::S8ResultHdd, self.clock.now() - start);
-        self.finish(start)
-    }
-
-    /// The event-driven arm: foreground index reads become explicit
-    /// submissions in windows of `depth`, and the response derives from
-    /// completion timestamps (`finish − submit`) rather than summed call
-    /// latencies. Per-device request order matches the direct arm
-    /// exactly — the cache SSD is driven term-by-term and the index
-    /// device FIFO at depth 1 degenerates to the synchronous call-tree,
-    /// which is what makes `Queued { depth: 1 }` bit-identical to
-    /// `Direct` (the `io_path_equivalence` suite proves it). At larger
-    /// depths the batch finishes when its last completion lands, so
-    /// independent requests on different lanes overlap.
-    fn execute_queued(&mut self, query: &Query, depth: usize) -> SimDuration {
-        let start = self.clock.now();
-        let cost = self.config.cost;
-        self.clock.advance(cost.per_query);
-        if let Some(cache) = self.cache.as_mut() {
-            // Feed the clock through for TTL expiry (dynamic scenario).
-            cache.set_now(start);
-            cache.device_mut().set_now(start);
-        }
-
-        // Query management: the result cache first.
-        if let Some(cache) = self.cache.as_mut() {
-            let lookup_start = self.clock.now();
-            cache.device_mut().set_now(lookup_start);
-            let (result, tier, latency) = cache.lookup_result(query.id);
-            self.clock.advance(latency);
-            if let Some(result) = result {
-                self.clock.advance(cost.mem_read(result.bytes()));
-                let service = self.clock.now() - lookup_start;
-                let situation = match tier {
-                    Tier::Mem => Situation::S1ResultMem,
-                    _ => Situation::S3ResultSsd,
-                };
-                self.situations.record(situation, service);
-                self.digest_result(&result.decode());
-                return self.finish(start);
-            }
-        }
-
-        // Compute from the index, charging list I/O per visited prefix.
-        let outcome = self.topk(&query.terms);
-        self.postings_scanned += outcome.postings_scanned();
-        self.digest_result(&outcome.result);
-
-        // Three-level mode (identical to the direct arm: intersection
-        // serves are cache-device work, dispatched inline).
-        let mut paired: Option<(u32, u32)> = None;
-        if self
-            .cache
-            .as_ref()
-            .is_some_and(|c| c.intersections_enabled())
-        {
-            let mut heavy: Vec<(u64, u32)> = outcome
-                .usage
-                .iter()
-                .filter(|u| u.scanned > 0)
-                .map(|u| (u.bytes_scanned(), u.term))
-                .collect();
-            if heavy.len() >= 2 {
-                heavy.sort_unstable_by_key(|&(bytes, _)| std::cmp::Reverse(bytes));
-                let pair = (heavy[0].1.min(heavy[1].1), heavy[0].1.max(heavy[1].1));
-                let est = self.expected_intersection_bytes(pair.0, pair.1);
-                let threshold = self
-                    .cache
-                    .as_ref()
-                    .and_then(|c| c.config().intersections)
-                    .map_or(u64::MAX, |x| x.pair_threshold);
-                let now = self.clock.now();
-                let cache = self.cache.as_mut().expect("checked above");
-                cache.device_mut().set_now(now);
-                if let Some(serve) = cache.lookup_intersection((pair.0 as u64, pair.1 as u64), est)
-                {
-                    self.intersection_hits += 1;
-                    self.clock.advance(serve.ssd_latency);
-                    self.clock.advance(cost.mem_read(serve.from_mem));
-                    let situation = if serve.from_ssd > 0 {
-                        Situation::S4ListSsd
-                    } else {
-                        Situation::S2ListMem
+            match split {
+                Some(parts) => self.charge_parts(u.term, &parts, None, &mut lists),
+                None => {
+                    let whole = searchidx::UsagePart {
+                        segment: searchidx::BASE_SEGMENT,
+                        scanned: u.scanned,
+                        df: u.df,
                     };
-                    self.situations
-                        .record(situation, serve.ssd_latency + cost.mem_read(serve.from_mem));
-                    paired = Some(pair);
-                } else if self.pair_freq.record(&pair) >= threshold {
-                    let cache = self.cache.as_mut().expect("checked above");
-                    cache.install_intersection((pair.0 as u64, pair.1 as u64), est);
-                    self.intersection_installs += 1;
+                    self.charge_parts(u.term, &[whole], self.offload_template(u), &mut lists);
                 }
             }
         }
 
-        // Phase 1: cache lookups in term order. HDD/index reads are
-        // deferred as (record slot, extent) pairs; the situation records
-        // are buffered in term order and completed after phase 2, so the
-        // `SituationTable` sees the exact record sequence of the direct
-        // arm (its running stats are float-order-sensitive).
-        let mut records: Vec<(Situation, SimDuration)> = Vec::new();
-        let mut deferred: Vec<(usize, Extent)> = Vec::new();
-        for u in &outcome.usage {
-            if u.scanned == 0 {
-                continue;
-            }
-            if let Some((a, b)) = paired {
-                if u.term == a || u.term == b {
-                    continue; // served by the cached intersection
-                }
-            }
-            // Per-layer split once the live index has mutated (same
-            // branch as the direct arm; `None` keeps the seed path).
-            let split = self
-                .index
-                .live()
-                .and_then(|l| l.split_usage(u.term, u.scanned));
-            if let Some(parts) = split {
-                self.charge_parts_queued(u.term, &parts, cost, &mut records, &mut deferred);
-                continue;
-            }
-            let needed = u.bytes_scanned();
-            let pu = u.utilization();
-            let full = self.index.list_bytes(u.term);
-            let offload = self.offload_template(u);
-            if let Some(cache) = self.cache.as_mut() {
-                cache.device_mut().set_now(self.clock.now());
-                let serve = cache.lookup_list_offload(u.term as u64, needed, full, pu, offload);
-                self.clock.advance(serve.ssd_latency);
-                self.clock.advance(cost.mem_read(serve.from_mem));
-                let slot = records.len();
-                records.push((
-                    classify_list(serve.from_mem, serve.from_ssd, serve.from_hdd),
-                    serve.ssd_latency + cost.mem_read(serve.from_mem),
-                ));
-                if serve.from_hdd + serve.fill_from_hdd > 0 {
-                    let from = serve.from_mem + serve.from_ssd;
-                    let to = needed + serve.fill_from_hdd;
-                    deferred.push((slot, self.layout.range_extent(u.term, from.min(to - 1), to)));
-                }
-            } else {
-                let slot = records.len();
-                records.push((Situation::S9ListHdd, SimDuration::ZERO));
-                deferred.push((slot, self.layout.prefix_extent(u.term, needed)));
-            }
+        // Phase 2: the deferred reads; each term's situation charge
+        // grows by its own read's response time.
+        let responses = self.read_in_windows(&lists.extents);
+        for (slot, response) in lists.slots.into_iter().zip(responses) {
+            lists.records[slot].1 += response;
         }
-
-        // Phase 2: submit the deferred reads in windows of `depth`; the
-        // window costs wall-clock until its last completion, and each
-        // term's situation charge is its own response time.
-        for window in deferred.chunks(depth) {
-            let base = self.clock.now();
-            self.index_dev.set_now(base);
-            let ids: Vec<(usize, u64)> = window
-                .iter()
-                .map(|&(slot, extent)| {
-                    let id = self
-                        .index_dev
-                        .submit(IoRequest::read(extent))
-                        .expect("index extents are on-device");
-                    (slot, id)
-                })
-                .collect();
-            let mut batch_end = base;
-            for (slot, id) in ids {
-                let c = self
-                    .index_dev
-                    .wait(id)
-                    .expect("index extents are on-device");
-                records[slot].1 += c.response();
-                batch_end = batch_end.max(c.finish_at);
-            }
-            self.clock.advance(batch_end.since(base));
-        }
-        for (situation, duration) in records {
+        for (situation, duration) in lists.records {
             self.situations.record(situation, duration);
         }
 
-        // Stored-field (snippet) fetches, batched through the same queue.
+        // Stored-field (snippet) fetches for the assembled page — small
+        // random reads the result cache exists to avoid — through the
+        // same queue.
         let fetches = self.config.snippet_fetches.min(outcome.result.docs.len());
         let extents: Vec<Extent> = outcome.result.docs[..fetches]
             .iter()
             .map(|d| self.docstore.extent(self.doc_slot(d.doc)))
             .collect();
-        for window in extents.chunks(depth) {
-            let base = self.clock.now();
-            self.index_dev.set_now(base);
-            let ids: Vec<u64> = window
-                .iter()
-                .map(|&extent| {
-                    self.index_dev
-                        .submit(IoRequest::read(extent))
-                        .expect("doc store is on-device")
-                })
-                .collect();
-            let mut batch_end = base;
-            for id in ids {
-                let c = self.index_dev.wait(id).expect("doc store is on-device");
-                batch_end = batch_end.max(c.finish_at);
-            }
-            self.clock.advance(batch_end.since(base));
-        }
+        self.read_in_windows(&extents);
 
         // Scoring + result-page assembly CPU.
         self.clock
@@ -1043,6 +800,40 @@ impl SearchEngine {
         self.situations
             .record(Situation::S8ResultHdd, self.clock.now() - start);
         self.finish(start)
+    }
+
+    /// Submit `extents` as foreground index-device reads in windows of
+    /// the queue depth. Each window is stamped with the clock at its
+    /// submission and costs wall-clock until its last completion lands;
+    /// returns every read's own response (queue wait + service), in
+    /// order.
+    fn read_in_windows(&mut self, extents: &[Extent]) -> Vec<SimDuration> {
+        let mut responses = Vec::with_capacity(extents.len());
+        for window in extents.chunks(self.index_dev.depth()) {
+            self.index_dev.set_now(self.clock.now());
+            // The clock the window is stamped with: ours, unless depth-1
+            // background mutation I/O has carried the device's past it.
+            let base = self.index_dev.now();
+            let ids: Vec<u64> = window
+                .iter()
+                .map(|&extent| {
+                    self.index_dev
+                        .submit(IoRequest::read(extent))
+                        .expect("index and doc-store extents are on-device")
+                })
+                .collect();
+            let mut batch_end = base;
+            for id in ids {
+                let c = self
+                    .index_dev
+                    .wait(id)
+                    .expect("index and doc-store extents are on-device");
+                responses.push(c.response());
+                batch_end = batch_end.max(c.finish_at);
+            }
+            self.clock.advance(batch_end.since(base));
+        }
+        responses
     }
 
     fn finish(&mut self, start: SimTime) -> SimDuration {
@@ -1203,24 +994,6 @@ impl SearchEngine {
         self.sync_processor();
         self.run_segment_lifecycle();
         out.deleted
-    }
-
-    /// Force a seal of the current write segment regardless of the
-    /// threshold (tests and shutdown paths).
-    pub fn force_seal(&mut self) -> Option<searchidx::SealOutcome> {
-        let at = self.clock.now();
-        let out = self.index.live_mut()?.seal(at)?;
-        self.on_seal(&out);
-        Some(out)
-    }
-
-    /// Force a compaction round regardless of the fan-in threshold
-    /// (needs at least two sealed segments).
-    pub fn force_compact(&mut self) -> Option<searchidx::CompactOutcome> {
-        let at = self.clock.now();
-        let out = self.index.live_mut()?.compact(at)?;
-        self.on_compact(&out);
-        Some(out)
     }
 
     /// The deterministic background lifecycle: seal at the policy
@@ -1476,84 +1249,26 @@ impl SearchEngine {
         }
     }
 
-    /// Charge one term's traversal across the live layers, direct arm.
-    /// Each non-empty part is an independent cacheable unit keyed by
-    /// `(segment, term)`; the write-segment share is RAM-resident and
-    /// never cached.
-    fn charge_parts_direct(
+    /// Charge one term's traversal, layer by layer. Each non-empty part
+    /// is an independent cacheable unit keyed by `(segment, term)`; the
+    /// write-segment share is RAM-resident and never cached. Cache serves
+    /// happen inline; index-device tails are deferred into `out`.
+    /// `offload` is the push-down template of an unsplit base-layer scan
+    /// (`None` for split layers: see [`Self::offload_template`]).
+    fn charge_parts(
         &mut self,
         term: u32,
         parts: &[searchidx::UsagePart],
-        cost: CpuCostModel,
+        offload: Option<OffloadDescriptor>,
+        out: &mut ListCharges,
     ) {
-        for p in parts {
-            let needed = p.scanned * searchidx::POSTING_BYTES;
-            let list_start = self.clock.now();
-            if p.segment == searchidx::WRITE_SEGMENT {
-                self.clock.advance(cost.mem_read(needed));
-                self.situations
-                    .record(Situation::S2ListMem, self.clock.now() - list_start);
-                continue;
-            }
-            let full = p.df * searchidx::POSTING_BYTES;
-            let pu = if p.df == 0 {
-                0.0
-            } else {
-                (p.scanned as f64 / p.df as f64).min(1.0)
-            };
-            let key = hybridcache::list_key(p.segment, term);
-            if let Some(cache) = self.cache.as_mut() {
-                let serve = cache.lookup_list_offload(key, needed, full, pu, None);
-                self.clock.advance(serve.ssd_latency);
-                self.clock.advance(cost.mem_read(serve.from_mem));
-                if serve.from_hdd + serve.fill_from_hdd > 0 {
-                    let from = serve.from_mem + serve.from_ssd;
-                    let to = needed + serve.fill_from_hdd;
-                    if let Some(extent) =
-                        self.live_range_extent(p.segment, term, from.min(to - 1), to)
-                    {
-                        let t = self
-                            .index_dev
-                            .read(extent)
-                            .expect("segment extents are on-device");
-                        self.clock.advance(t);
-                    }
-                }
-                self.situations.record(
-                    classify_list(serve.from_mem, serve.from_ssd, serve.from_hdd),
-                    self.clock.now() - list_start,
-                );
-            } else {
-                if let Some(extent) = self.live_prefix_extent(p.segment, term, needed) {
-                    let t = self
-                        .index_dev
-                        .read(extent)
-                        .expect("segment extents are on-device");
-                    self.clock.advance(t);
-                }
-                self.situations
-                    .record(Situation::S9ListHdd, self.clock.now() - list_start);
-            }
-        }
-    }
-
-    /// Charge one term's traversal across the live layers, queued arm:
-    /// cache serves happen inline, HDD tails are deferred into the
-    /// caller's `(record slot, extent)` batch like the seed path.
-    fn charge_parts_queued(
-        &mut self,
-        term: u32,
-        parts: &[searchidx::UsagePart],
-        cost: CpuCostModel,
-        records: &mut Vec<(Situation, SimDuration)>,
-        deferred: &mut Vec<(usize, Extent)>,
-    ) {
+        let cost = self.config.cost;
         for p in parts {
             let needed = p.scanned * searchidx::POSTING_BYTES;
             if p.segment == searchidx::WRITE_SEGMENT {
                 let t = cost.mem_read(needed);
                 self.clock.advance(t);
-                records.push((Situation::S2ListMem, t));
+                out.records.push((Situation::S2ListMem, t));
                 continue;
             }
             let full = p.df * searchidx::POSTING_BYTES;
@@ -1563,31 +1278,33 @@ impl SearchEngine {
                 (p.scanned as f64 / p.df as f64).min(1.0)
             };
             let key = hybridcache::list_key(p.segment, term);
-            if let Some(cache) = self.cache.as_mut() {
+            let slot = out.records.len();
+            let extent = if let Some(cache) = self.cache.as_mut() {
                 cache.device_mut().set_now(self.clock.now());
-                let serve = cache.lookup_list_offload(key, needed, full, pu, None);
+                let serve = cache.lookup_list_offload(key, needed, full, pu, offload);
                 self.clock.advance(serve.ssd_latency);
                 self.clock.advance(cost.mem_read(serve.from_mem));
-                let slot = records.len();
-                records.push((
+                out.records.push((
                     classify_list(serve.from_mem, serve.from_ssd, serve.from_hdd),
                     serve.ssd_latency + cost.mem_read(serve.from_mem),
                 ));
+                // The request's own tail, plus whatever extra the policy
+                // decided to fill (whole-list reads under the traditional
+                // LRU baseline).
+                let from = serve.from_mem + serve.from_ssd;
+                let to = needed + serve.fill_from_hdd;
                 if serve.from_hdd + serve.fill_from_hdd > 0 {
-                    let from = serve.from_mem + serve.from_ssd;
-                    let to = needed + serve.fill_from_hdd;
-                    if let Some(extent) =
-                        self.live_range_extent(p.segment, term, from.min(to - 1), to)
-                    {
-                        deferred.push((slot, extent));
-                    }
+                    self.live_range_extent(p.segment, term, from.min(to - 1), to)
+                } else {
+                    None
                 }
             } else {
-                let slot = records.len();
-                records.push((Situation::S9ListHdd, SimDuration::ZERO));
-                if let Some(extent) = self.live_prefix_extent(p.segment, term, needed) {
-                    deferred.push((slot, extent));
-                }
+                out.records.push((Situation::S9ListHdd, SimDuration::ZERO));
+                self.live_prefix_extent(p.segment, term, needed)
+            };
+            if let Some(extent) = extent {
+                out.slots.push(slot);
+                out.extents.push(extent);
             }
         }
     }

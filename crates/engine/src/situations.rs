@@ -134,6 +134,13 @@ impl SituationTable {
         self.stats[situation.index()].mean_duration()
     }
 
+    /// The running service-time statistics (nanoseconds) of a situation:
+    /// the float state `PartialEq` compares, for digests that must see a
+    /// change in the order records arrived.
+    pub fn stats(&self, situation: Situation) -> &RunningStats {
+        &self.stats[situation.index()]
+    }
+
     /// Render the table in the paper's layout.
     pub fn render(&self) -> String {
         let mut out = String::from("Situation  Description           Probability  Mean time\n");

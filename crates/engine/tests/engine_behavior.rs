@@ -300,3 +300,32 @@ fn measurement_reset_preserves_cache_warmth() {
     // A warm cache hits immediately in the new window.
     assert!(steady.hit_ratio() > 0.2, "hit {}", steady.hit_ratio());
 }
+
+#[test]
+fn captured_trace_carries_the_engine_clock() {
+    // Every index-device event is stamped on the engine's clock, inside its
+    // query's window: a trace's inter-arrival times and depth profile mean it.
+    let cached = EngineConfig::cached(40_000, small_cache(PolicyKind::Cblru), 7);
+    for mut cfg in [
+        EngineConfig::no_cache(40_000, IndexPlacement::Hdd, 7),
+        cached,
+    ] {
+        cfg.capture_trace = true;
+        let per_query = cfg.cost.per_query;
+        let mut e = SearchEngine::new(cfg);
+        let (mut last, mut events, mut stamped) = (e.now(), 0, 0);
+        for q in e.log().clone().stream(50) {
+            let start = e.now();
+            e.execute(&q);
+            for ev in e.take_trace() {
+                let in_window = start + per_query <= ev.at && ev.finish <= e.now();
+                let ordered = last <= ev.at && ev.at <= ev.start && ev.start <= ev.finish;
+                stamped += (in_window && ordered) as usize;
+                events += 1;
+                last = ev.at;
+            }
+        }
+        assert!(events > 0, "the run never touched the index device");
+        assert_eq!(stamped, events, "events stamped inside their query");
+    }
+}

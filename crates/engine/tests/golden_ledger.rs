@@ -1,0 +1,235 @@
+//! The golden ledger: one committed 64-bit digest per pinned engine
+//! configuration, over every per-query response and every simulated
+//! statistic the engine reports. It is the witness that outlived the
+//! synchronous `Direct` query path: the constants were recorded on the
+//! last commit that had it (depth-1 rows under `Direct`, and unchanged
+//! under `Queued { depth: 1 }` + FIFO; deep rows under `Queued { depth:
+//! 4 }` + elevator) and must not move without an issue that says which
+//! figure changed and why. The deep rows pin depth ≥ 2 on their own,
+//! where two-arm lockstep suites let both arms drift together.
+
+use engine::{
+    CompactionMode, EngineConfig, IndexMutability, IndexPlacement, LiveConfig, SearchEngine,
+    Situation,
+};
+use hybridcache::{HybridConfig, IntersectionConfig, PolicyKind};
+use searchidx::{GrowthPolicy, SegmentPolicy};
+use simclock::SimDuration;
+use storagecore::{BlockDevice, IoKind, IoStats, SchedulerPolicy};
+use workload::{IngestSpec, IngestStream, MutationOp};
+
+const DOCS: u64 = 40_000;
+const SEED: u64 = 7;
+
+/// FNV-1a over the little-endian bytes of 64-bit words; floats enter by
+/// `to_bits`, never through `Debug`.
+struct Digest(u64);
+
+impl Digest {
+    fn put(&mut self, words: &[u64]) {
+        for b in words.iter().flat_map(|w| w.to_le_bytes()) {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn io(&mut self, s: &IoStats) {
+        for k in [IoKind::Read, IoKind::Write, IoKind::Trim] {
+            let k = s.kind(k);
+            self.put(&[k.ops(), k.sectors(), k.busy().as_nanos()]);
+        }
+        let (q, bus) = (s.queue(), s.bus());
+        self.put(&[
+            q.dispatches(),
+            q.max_occupancy(),
+            q.mean_occupancy().to_bits(),
+            q.total_wait().as_nanos(),
+            q.max_wait().as_nanos(),
+            bus.host_crossed_bytes(),
+            bus.saved_bytes() as u64,
+            s.latency_quantile(0.5).as_nanos(),
+            s.latency_quantile(0.99).as_nanos(),
+        ]);
+    }
+
+    fn engine(&mut self, e: &SearchEngine) {
+        let r = e.report();
+        self.put(&[
+            r.mean_response.as_nanos(),
+            r.p99_response.as_nanos(),
+            r.postings_scanned,
+            r.index_ops,
+            r.index_mean_latency.as_nanos(),
+        ]);
+        for s in Situation::ALL {
+            // Welford state, bit for bit: sensitive to record order.
+            let t = r.situations.stats(s);
+            self.put(&[t.count(), t.mean().to_bits(), t.variance().to_bits()]);
+        }
+        let f = r.flash.unwrap_or_default();
+        self.put(&[
+            f.block_erases,
+            f.page_reads,
+            f.page_programs,
+            f.host_writes,
+            f.gc_runs,
+            f.pages_moved,
+            f.write_amplification.to_bits(),
+            f.mean_access.as_nanos(),
+        ]);
+        let c = r.cache.unwrap_or_default();
+        for f in [c.results, c.lists, c.intersections] {
+            self.put(&[f.mem_hits, f.ssd_hits, f.partial_hits, f.misses]);
+            self.put(&[f.ssd_admissions, f.ssd_rejections, f.rewrites_avoided]);
+        }
+        self.put(&[
+            c.ssd_time.as_nanos(),
+            c.ssd_bytes_written,
+            c.ssd_bytes_read,
+            c.trims,
+        ]);
+        let (rs, ls) = e.cache().map(|m| m.store_stats()).unwrap_or_default();
+        self.put(&[
+            rs.rb_writes,
+            rs.entry_writes,
+            rs.rewrites_avoided,
+            rs.collateral_evictions,
+            rs.trims,
+            ls.block_writes,
+            ls.rewrites_avoided,
+            ls.evictions,
+            ls.replaceable_victims,
+            ls.size_match_victims,
+            ls.oversize_rejections,
+            ls.trims,
+        ]);
+        self.io(e.index_io_stats());
+        self.io(e.cache().map_or(&IoStats::new(), |m| m.device().stats()));
+        let m = e.mutation_stats();
+        self.put(&[
+            m.docs_added,
+            m.docs_deleted,
+            m.wal_records,
+            m.wal_bytes,
+            m.seals,
+            m.seal_bytes,
+            m.compactions,
+            m.merge_bytes_read,
+            m.merge_bytes_written,
+            m.tombstones_cleared,
+            m.growth.appended,
+            m.growth.reallocs,
+            m.growth.copied,
+            e.mutation_io_time().as_nanos(),
+            e.result_digest(),
+            e.intersection_stats().0,
+            e.intersection_stats().1,
+        ]);
+    }
+}
+
+fn cached(policy: PolicyKind) -> EngineConfig {
+    // A small cache fills, and its SSD garbage-collects, within a few
+    // hundred queries; it also bounds the cost under `INVARIANT_AUDIT=1`,
+    // where every FTL mutation re-validates the whole page map.
+    EngineConfig::cached(DOCS, HybridConfig::paper(256 << 10, 2 << 20, policy), SEED)
+}
+
+fn hdd() -> EngineConfig {
+    EngineConfig::no_cache(DOCS, IndexPlacement::Hdd, SEED)
+}
+
+fn with(mut cfg: EngineConfig, edit: impl FnOnce(&mut EngineConfig)) -> EngineConfig {
+    edit(&mut cfg);
+    cfg
+}
+
+/// An eager lifecycle (seal at 16 docs, compact at fan-in 3).
+fn live(cfg: EngineConfig, compaction: CompactionMode) -> EngineConfig {
+    let segments = SegmentPolicy {
+        seal_threshold_docs: 16,
+        compact_fanin: 3,
+        growth: GrowthPolicy::Contiguous,
+    };
+    with(cfg, |c| {
+        c.mutability = IndexMutability::Live(LiveConfig {
+            segments,
+            compaction,
+        })
+    })
+}
+
+/// Depth 4 under the elevator: the deep rows.
+fn deep(cfg: EngineConfig) -> EngineConfig {
+    with(cfg, |c| {
+        c.queue_depth = 4;
+        c.io_scheduler = SchedulerPolicy::Elevator;
+    })
+}
+
+/// Run `queries` queries one at a time — on a live configuration each
+/// preceded by one `IngestSpec::small` op — and check the digest over
+/// every response plus the engine's whole statistics surface.
+fn check(cfg: EngineConfig, queries: usize, golden: u64) {
+    let mut e = SearchEngine::new(cfg);
+    e.seed_static_from_log(2_000); // no-op unless the policy has a static share
+    let ops = IngestStream::new(IngestSpec::small(4_000, SEED)).generate(queries);
+    let mut alive: Vec<u32> = Vec::new();
+    let mut d = Digest(0xcbf2_9ce4_8422_2325);
+    for (q, m) in e.log().clone().stream(queries).iter().zip(&ops) {
+        match &m.op {
+            _ if !e.is_live() => {}
+            MutationOp::AddDoc { terms } => alive.push(e.ingest_document(terms).unwrap()),
+            MutationOp::DeleteDoc { pick } if !alive.is_empty() => {
+                let doc = alive.swap_remove((*pick % alive.len() as u64) as usize);
+                assert!(e.delete_document(doc));
+            }
+            MutationOp::DeleteDoc { .. } => {}
+        }
+        d.put(&[e.execute(q).as_nanos()]);
+    }
+    d.engine(&e);
+    let audit = e.validation_report();
+    assert!(audit.is_clean(), "{}", audit.summary());
+    assert!(!e.is_live() || e.mutation_stats().compactions >= 1);
+    let three_level = e.cache().is_some_and(|c| c.intersections_enabled());
+    assert!(!three_level || e.intersection_stats().0 >= 1);
+    assert_eq!(d.0, golden, "the ledger moved: {:#018x}", d.0);
+}
+
+macro_rules! ledger {
+    ($($name:ident: $cfg:expr, $queries:expr => $golden:expr;)*) => {$(
+        #[test]
+        fn $name() {
+            check($cfg, $queries, $golden);
+        }
+    )*};
+}
+
+const CBLRU: PolicyKind = PolicyKind::Cblru;
+const CBSLRU: PolicyKind = PolicyKind::Cbslru {
+    static_fraction: 0.3,
+};
+const COOPERATIVE: CompactionMode = CompactionMode::Cooperative;
+const THREE_LEVEL: IntersectionConfig = IntersectionConfig {
+    mem_bytes: 256 << 10,
+    ssd_bytes: 2 << 20,
+    pair_threshold: 2,
+};
+
+ledger! {
+    cblru: cached(CBLRU), 1_000 => 0xa96a_2f18_a803_e950;
+    cbslru_seeded: cached(CBSLRU), 1_000 => 0xaf1e_69ac_4335_a59f;
+    lru: cached(PolicyKind::Lru), 600 => 0xb262_fe15_beae_bc70;
+    cblru_ttl: with(cached(CBLRU), |c| c.cache.as_mut().unwrap().ttl = Some(SimDuration::from_secs(2))), 600 => 0x510a_fc8a_08c5_aa99;
+    three_level: with(cached(CBLRU), |c| c.cache.as_mut().unwrap().intersections = Some(THREE_LEVEL)), 600 => 0x313d_8c2e_9231_28d8;
+    snippets: with(cached(CBLRU), |c| c.snippet_fetches = 10), 600 => 0x57ba_4fd5_d181_560f;
+    snippets_uncached_ssd: with(EngineConfig::no_cache(DOCS, IndexPlacement::Ssd, SEED), |c| c.snippet_fetches = 10), 600 => 0x03f1_a4fd_035b_4aa5;
+    uncached_hdd: hdd(), 600 => 0x56c3_f9f7_fc26_a356;
+    live_cooperative: live(cached(CBLRU), COOPERATIVE), 600 => 0xf899_0d5d_b0b8_bd9e;
+    live_invalidate_all: live(cached(CBLRU), CompactionMode::InvalidateAll), 600 => 0xff44_670c_f0ca_a460;
+    live_uncached: live(hdd(), COOPERATIVE), 600 => 0x04ed_13c6_a37a_b38e;
+    deep_uncached_hdd: deep(hdd()), 600 => 0xe885_a0b4_5264_59c0;
+    deep_cblru_4ch: deep(with(cached(CBLRU), |c| c.ssd_channels = 4)), 1_000 => 0xdc35_ce71_6b8e_e665;
+    deep_lru: deep(cached(PolicyKind::Lru)), 600 => 0xbeab_cfe8_fd6d_3c78;
+    deep_live: deep(live(cached(CBLRU), COOPERATIVE)), 600 => 0x187b_1035_fb11_a1a0;
+}

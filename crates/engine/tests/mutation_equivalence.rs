@@ -5,8 +5,8 @@
 //!   a mutation must be indistinguishable from the `Frozen` seed arm on
 //!   every simulated figure: the full [`engine::RunReport`], the cache
 //!   stats, both devices' `IoStats`, the result digest, and every
-//!   individual response time, across seeds, cache configs and I/O
-//!   paths. The pristine `LiveIndex` delegates every read to its base,
+//!   individual response time, across seeds, cache configs and queue
+//!   depths. The pristine `LiveIndex` delegates every read to its base,
 //!   so this holds by construction — these tests pin it.
 //! * **Segmentation invisibility** — the same mutation history applied
 //!   under an aggressive seal/compact policy and under a
@@ -25,7 +25,7 @@ use engine::{
 use hybridcache::{HybridConfig, PolicyKind};
 use proptest::prelude::*;
 use searchidx::{GrowthPolicy, IndexReader, SegmentPolicy};
-use storagecore::{BlockDevice, IoPath, SchedulerPolicy};
+use storagecore::{BlockDevice, SchedulerPolicy};
 use workload::{IngestSpec, IngestStream, MutationOp, Query};
 
 const DOCS: u64 = 40_000;
@@ -145,21 +145,18 @@ fn zero_ingest_live_is_bit_identical_to_frozen() {
 
 #[test]
 fn zero_ingest_lockstep_responses_match_on_both_io_paths() {
-    for (path, policy) in [
-        (IoPath::Direct, SchedulerPolicy::Fifo),
-        (IoPath::Queued { depth: 4 }, SchedulerPolicy::Elevator),
-    ] {
+    for (depth, policy) in [(1, SchedulerPolicy::Fifo), (4, SchedulerPolicy::Elevator)] {
         let mut frozen = SearchEngine::new(cached_cfg(7));
         let mut arm = SearchEngine::new(live(cached_cfg(7)));
         for e in [&mut frozen, &mut arm] {
-            e.set_io_path(path);
+            e.set_queue_depth(depth);
             e.set_io_scheduler(policy);
         }
         let stream: Vec<Query> = frozen.log().clone().stream(120);
         for (i, q) in stream.iter().enumerate() {
             let tf = frozen.execute(q);
             let tl = arm.execute(q);
-            assert_eq!(tf, tl, "response diverged at query {i} under {path:?}");
+            assert_eq!(tf, tl, "response diverged at query {i} at depth {depth}");
         }
         assert_engines_identical(&frozen, &arm);
     }
@@ -293,20 +290,19 @@ fn cooperative_and_invalidate_all_agree_on_every_result() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Zero-ingest bit-identity across seeds, cache configs and both
-    /// I/O paths.
+    /// Zero-ingest bit-identity across seeds, cache configs and queue
+    /// depths 1 and 2.
     #[test]
-    fn zero_ingest_equivalence_for_every_seed(seed in 0u64..1_000, cached: bool, queued: bool) {
+    fn zero_ingest_equivalence_for_every_seed(seed in 0u64..1_000, cached: bool, depth in 1usize..=2) {
         let cfg = || if cached {
             cached_cfg(seed)
         } else {
             EngineConfig::no_cache(DOCS, IndexPlacement::Hdd, seed)
         };
-        let path = if queued { IoPath::Queued { depth: 2 } } else { IoPath::Direct };
         let mut frozen = SearchEngine::new(cfg());
         let mut arm = SearchEngine::new(live(cfg()));
-        frozen.set_io_path(path);
-        arm.set_io_path(path);
+        frozen.set_queue_depth(depth);
+        arm.set_queue_depth(depth);
         let rf = frozen.run(120);
         let rl = arm.run(120);
         prop_assert_eq!(rf, rl);

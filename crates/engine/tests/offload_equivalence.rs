@@ -12,7 +12,7 @@
 use engine::{EngineConfig, OffloadMode, SearchEngine};
 use hybridcache::{HybridConfig, PolicyKind};
 use proptest::prelude::*;
-use storagecore::{BlockDevice, IoKind, IoPath, SchedulerPolicy};
+use storagecore::{BlockDevice, IoKind, SchedulerPolicy};
 
 const DOCS: u64 = 40_000;
 const QUERIES: usize = 400;
@@ -33,9 +33,9 @@ fn cached_cfg(seed: u64, channels: u32) -> EngineConfig {
     cfg
 }
 
-fn engine_with(cfg: EngineConfig, path: IoPath, mode: OffloadMode) -> SearchEngine {
+fn engine_with(cfg: EngineConfig, depth: usize, mode: OffloadMode) -> SearchEngine {
     let mut e = SearchEngine::new(cfg);
-    e.set_io_path(path);
+    e.set_queue_depth(depth);
     e.set_offload_mode(mode);
     e
 }
@@ -78,8 +78,8 @@ fn assert_arms_identical(host: &mut SearchEngine, flash: &mut SearchEngine) {
 fn in_flash_matches_host_bit_for_bit_and_saves_bus_bytes() {
     // Audit every cache/queue/FTL mutation during the runs (debug builds).
     invariant::force_enable();
-    let mut host = engine_with(cached_cfg(3, 4), IoPath::Direct, OffloadMode::Host);
-    let mut flash = engine_with(cached_cfg(3, 4), IoPath::Direct, OffloadMode::InFlash);
+    let mut host = engine_with(cached_cfg(3, 4), 1, OffloadMode::Host);
+    let mut flash = engine_with(cached_cfg(3, 4), 1, OffloadMode::InFlash);
     let rh = host.run(QUERIES);
     let rf = flash.run(QUERIES);
     assert_eq!(rh, rf, "reference compute must be timing-neutral");
@@ -114,9 +114,8 @@ fn in_flash_matches_host_bit_for_bit_and_saves_bus_bytes() {
 fn arms_match_across_depths_channels_and_schedulers() {
     for channels in [1u32, 8] {
         for depth in [1usize, 8] {
-            let path = IoPath::Queued { depth };
             let mk = |mode| {
-                let mut e = engine_with(cached_cfg(11, channels), path, mode);
+                let mut e = engine_with(cached_cfg(11, channels), depth, mode);
                 e.set_io_scheduler(SchedulerPolicy::Elevator);
                 e
             };
@@ -135,18 +134,18 @@ fn mid_run_toggle_changes_nothing() {
     // Flip to in-flash halfway through: the second-half window must
     // equal an all-host run's, because the offload carries the
     // cumulative cache/device state forward unchanged.
-    let mut toggled = engine_with(cached_cfg(9, 4), IoPath::Direct, OffloadMode::Host);
+    let mut toggled = engine_with(cached_cfg(9, 4), 1, OffloadMode::Host);
     toggled.run(QUERIES / 2);
     toggled.set_offload_mode(OffloadMode::InFlash);
     let toggled_report = toggled.run(QUERIES / 2);
 
-    let mut straight = engine_with(cached_cfg(9, 4), IoPath::Direct, OffloadMode::Host);
+    let mut straight = engine_with(cached_cfg(9, 4), 1, OffloadMode::Host);
     straight.run(QUERIES / 2);
     let straight_report = straight.run(QUERIES / 2);
     assert_eq!(toggled_report, straight_report);
 
     // And back again: in-flash → host mid-run is equally invisible.
-    let mut back = engine_with(cached_cfg(9, 4), IoPath::Direct, OffloadMode::InFlash);
+    let mut back = engine_with(cached_cfg(9, 4), 1, OffloadMode::InFlash);
     back.run(QUERIES / 2);
     back.set_offload_mode(OffloadMode::Host);
     assert_eq!(back.run(QUERIES / 2), straight_report);
@@ -156,14 +155,27 @@ fn mid_run_toggle_changes_nothing() {
 fn lockstep_responses_match_per_query() {
     // What `divergence_probe --offload` automates: every individual
     // response time must agree, not just the aggregates.
-    let mut host = engine_with(cached_cfg(7, 4), IoPath::Direct, OffloadMode::Host);
-    let mut flash = engine_with(cached_cfg(7, 4), IoPath::Direct, OffloadMode::InFlash);
+    let mut host = engine_with(cached_cfg(7, 4), 1, OffloadMode::Host);
+    let mut flash = engine_with(cached_cfg(7, 4), 1, OffloadMode::InFlash);
     let stream = host.log().clone().stream(120);
     for (i, q) in stream.iter().enumerate() {
         let th = host.execute(q);
         let tf = flash.execute(q);
         assert_eq!(th, tf, "response diverged at query {i}");
     }
+}
+
+#[test]
+fn no_predicate_is_pushed_down_once_the_live_index_has_mutated() {
+    // A layer's share of a merged list is not the frequency-sorted
+    // prefix a descriptor describes.
+    let mut cfg = cached_cfg(5, 4);
+    cfg.mutability = engine::IndexMutability::Live(engine::LiveConfig::default());
+    let mut e = engine_with(cfg, 1, OffloadMode::InFlash);
+    e.ingest_document(&[(3, 2), (9, 1)])
+        .expect("live arm ingests");
+    e.run(QUERIES);
+    assert_eq!(e.cache_bus_stats().offload_ops(), 0);
 }
 
 proptest! {
@@ -176,9 +188,8 @@ proptest! {
     #[test]
     fn arms_match_for_every_seed(seed in 0u64..1_000, depth in 1usize..8, wide: bool) {
         let channels = if wide { 4 } else { 1 };
-        let path = IoPath::Queued { depth };
-        let mut host = engine_with(cached_cfg(seed, channels), path, OffloadMode::Host);
-        let mut flash = engine_with(cached_cfg(seed, channels), path, OffloadMode::InFlash);
+        let mut host = engine_with(cached_cfg(seed, channels), depth, OffloadMode::Host);
+        let mut flash = engine_with(cached_cfg(seed, channels), depth, OffloadMode::InFlash);
         let rh = host.run(100);
         let rf = flash.run(100);
         prop_assert_eq!(rh, rf);

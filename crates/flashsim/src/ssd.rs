@@ -463,12 +463,12 @@ mod tests {
 
     #[test]
     fn queued_reads_overlap_on_distinct_channels() {
-        use storagecore::{IoPath, PipelinedDevice};
+        use storagecore::{NullSink, PipelinedDevice};
         let mut params = FlashParams::tiny(8);
         params.channels = 2;
-        let mut d = PipelinedDevice::direct(SsdDisk::with_ftl(PageMapFtl::new(params)));
+        let mut d = PipelinedDevice::new(SsdDisk::with_ftl(PageMapFtl::new(params)), NullSink);
         d.write(Extent::new(0, 16)).unwrap(); // prime pages 0..4
-        d.set_path(IoPath::Queued { depth: 2 });
+        d.set_depth(2);
         let a = d.submit_read(Extent::new(0, 4)).unwrap(); // page 0 → lane 0
         let b = d.submit_read(Extent::new(4, 4)).unwrap(); // page 1 → lane 1
         let ca = d.wait(a).unwrap();

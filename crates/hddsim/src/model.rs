@@ -267,7 +267,7 @@ mod tests {
 
     #[test]
     fn elevator_ncq_shortens_seek_travel() {
-        use storagecore::{IoPath, IoRequest, PipelinedDevice, SchedulerPolicy};
+        use storagecore::{IoRequest, NullSink, PipelinedDevice, SchedulerPolicy};
         // Submission order alternates between a low and a high band — the
         // worst case for FIFO, which seeks across the stroke every
         // request. The elevator sweeps each band in turn.
@@ -275,8 +275,8 @@ mod tests {
             0u64, 1_500_000, 60_000, 1_560_000, 120_000, 1_620_000, 180_000, 1_680_000,
         ];
         let run = |policy| {
-            let mut d = PipelinedDevice::direct(disk());
-            d.set_path(IoPath::Queued { depth: 8 });
+            let mut d = PipelinedDevice::new(disk(), NullSink);
+            d.set_depth(8);
             d.set_policy(policy);
             for &lba in &lbas {
                 d.submit(IoRequest::read(Extent::new(lba, 8))).unwrap();

@@ -24,8 +24,8 @@ pub mod types;
 
 pub use device::{BlockDevice, IoError};
 pub use queue::{
-    IoCompletion, IoPath, IoRequest, OffloadDescriptor, OffloadMode, PipelinedDevice,
-    SchedulerPolicy, DEADLINE_WINDOW, OFFLOAD_DESCRIPTOR_BYTES,
+    IoCompletion, IoRequest, OffloadDescriptor, OffloadMode, PipelinedDevice, SchedulerPolicy,
+    DEADLINE_WINDOW, OFFLOAD_DESCRIPTOR_BYTES,
 };
 pub use ramdisk::RamDisk;
 pub use stats::{BusStats, IoStats, QueueDepthStats};

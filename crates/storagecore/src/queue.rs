@@ -3,32 +3,38 @@
 //!
 //! The synchronous [`BlockDevice`] contract models a host that issues one
 //! command and waits: nothing ever overlaps. [`PipelinedDevice`] wraps any
-//! device behind an explicit request/completion pipeline selected by
-//! [`IoPath`]:
+//! device behind an explicit request/completion pipeline: requests become
+//! [`IoRequest`]s in a submission queue of at most `depth` outstanding
+//! commands. A [`SchedulerPolicy`] picks the dispatch order; dispatch
+//! consults the device's lane topology ([`BlockDevice::lanes`] /
+//! [`BlockDevice::lane_of`]) so independent operations on different
+//! lanes overlap in simulated time. Completions carry submit, start and
+//! finish timestamps; a request's *response* is `finish - submit`,
+//! which includes queue wait — the quantity a latency-honest driver
+//! reports.
 //!
-//! * [`IoPath::Direct`] — the reference arm. Every call passes straight
-//!   through to the wrapped device and returns its service latency,
-//!   exactly like calling the device without the wrapper (the wrapper
-//!   additionally mirrors statistics and emits trace events).
-//! * [`IoPath::Queued { depth }`] — requests become [`IoRequest`]s in a
-//!   submission queue of at most `depth` outstanding commands. A
-//!   [`SchedulerPolicy`] picks the dispatch order; dispatch consults the
-//!   device's lane topology ([`BlockDevice::lanes`] /
-//!   [`BlockDevice::lane_of`]) so independent operations on different
-//!   lanes overlap in simulated time. Completions carry submit, start and
-//!   finish timestamps; a request's *response* is `finish - submit`,
-//!   which includes queue wait — the quantity a latency-honest driver
-//!   reports.
+//! **Depth 1 is the synchronous model.** With one command in flight, its
+//! completion delivered before the host proceeds, the device is never
+//! observably busy when a request arrives. Dispatch therefore uses
+//! `start = submit` at depth 1 (the lane-busy horizon is only consulted
+//! at depth ≥ 2): no wait accrues, response equals service, and every
+//! scheduler picks the same (only) candidate — so every latency,
+//! statistic and device-state transition is what calling the wrapped
+//! device directly would produce.
 //!
-//! **Reference equivalence.** At `Queued { depth: 1 }` under
-//! [`SchedulerPolicy::Fifo`] the pipeline degenerates to the synchronous
-//! call-tree: one command in flight, its completion delivered before the
-//! host proceeds, and the device never observably busy when a request
-//! arrives. Dispatch therefore uses `start = submit` at depth 1 (the
-//! lane-busy horizon is only consulted at depth ≥ 2), so every latency,
-//! statistic and device-state transition is bit-identical to `Direct`.
-//! The `io_path_equivalence` suite in the engine crate proves this over
-//! full simulation runs.
+//! **The host clock.** Submissions are stamped with the wrapper's clock,
+//! which the driver syncs through [`BlockDevice::set_now`] (monotone).
+//! At depth 1 — and only there — the wrapper also advances it to each
+//! completion's finish: the synchronous host has lived through that
+//! request, so a driver that never syncs reads as issuing requests
+//! back-to-back, and the clock is invisible to every latency and
+//! statistic (`start = submit`, whatever `submit` is). At depth ≥ 2 only
+//! the driver moves it: `CacheManager` issues several device operations
+//! per lookup without re-syncing, and they are modelled as submitted at
+//! one instant. A depth-1 clock may therefore run ahead of its driver's
+//! (after background work the driver did not wait for); a driver that
+//! reads completion timestamps measures them against
+//! [`PipelinedDevice::now`], not its own clock.
 //!
 //! **Background requests.** Requests flagged [`IoRequest::background`]
 //! (cache write-buffer flushes, trims of dead entries) dispatch
@@ -47,29 +53,6 @@ use crate::device::{BlockDevice, IoError};
 use crate::stats::IoStats;
 use crate::trace::{IoEvent, NullSink, TraceSink};
 use crate::types::{Extent, Geometry, IoKind, Lba};
-
-/// How the host reaches the device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoPath {
-    /// Synchronous pass-through (the seed's call-tree, kept verbatim).
-    Direct,
-    /// Explicit submission queue with at most `depth` outstanding
-    /// requests. `depth: 1` + FIFO is bit-identical to `Direct`.
-    Queued {
-        /// Maximum outstanding foreground requests.
-        depth: usize,
-    },
-}
-
-impl IoPath {
-    /// The queue depth this path admits (1 for `Direct`).
-    pub fn depth(&self) -> usize {
-        match self {
-            IoPath::Direct => 1,
-            IoPath::Queued { depth } => (*depth).max(1),
-        }
-    }
-}
 
 /// Dispatch-order policy for the submission queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -255,17 +238,16 @@ struct Pending {
 /// A [`BlockDevice`] behind the explicit submit/complete pipeline.
 ///
 /// The wrapper keeps a host-side clock (synced by the driver through
-/// [`BlockDevice::set_now`]; in `Direct` mode it self-advances by each
-/// service latency, so an unsynced trace reads as a driver issuing
-/// requests back-to-back), a per-lane busy horizon, its own
-/// [`IoStats`] mirror (kind counters identical to the inner device's,
-/// plus the queue-depth section), and a [`TraceSink`] that receives one
+/// [`BlockDevice::set_now`]; self-advancing at depth 1 — see the module
+/// docs), a per-lane busy horizon, its own [`IoStats`] mirror (kind
+/// counters identical to the inner device's, plus the queue-depth
+/// section), and a [`TraceSink`] that receives one
 /// submit/start/finish-stamped [`IoEvent`] per completion.
 #[derive(Debug)]
 pub struct PipelinedDevice<D, S = NullSink> {
     inner: D,
     sink: S,
-    path: IoPath,
+    depth: usize,
     policy: SchedulerPolicy,
     pending: Vec<Pending>,
     done: Vec<IoCompletion>,
@@ -278,22 +260,15 @@ pub struct PipelinedDevice<D, S = NullSink> {
     stats: IoStats,
 }
 
-impl<D: BlockDevice> PipelinedDevice<D, NullSink> {
-    /// Wrap `inner` in `Direct` mode with no trace sink.
-    pub fn direct(inner: D) -> Self {
-        Self::new(inner, NullSink)
-    }
-}
-
 impl<D: BlockDevice, S: TraceSink> PipelinedDevice<D, S> {
-    /// Wrap `inner`, sending completion events to `sink`. Starts in
-    /// [`IoPath::Direct`] under [`SchedulerPolicy::Fifo`].
+    /// Wrap `inner`, sending completion events to `sink`. Starts at
+    /// queue depth 1 under [`SchedulerPolicy::Fifo`].
     pub fn new(inner: D, sink: S) -> Self {
         let lanes = inner.lanes().max(1) as usize;
         PipelinedDevice {
             inner,
             sink,
-            path: IoPath::Direct,
+            depth: 1,
             policy: SchedulerPolicy::Fifo,
             pending: Vec::new(),
             done: Vec::new(),
@@ -327,19 +302,20 @@ impl<D: BlockDevice, S: TraceSink> PipelinedDevice<D, S> {
         &mut self.sink
     }
 
-    /// The active path.
-    pub fn path(&self) -> IoPath {
-        self.path
+    /// Maximum outstanding foreground requests.
+    pub fn depth(&self) -> usize {
+        self.depth
     }
 
-    /// Switch the I/O path at runtime. The submission queue must be idle
-    /// (it always is between driver operations — waits drain it).
-    pub fn set_path(&mut self, path: IoPath) {
+    /// Change the queue depth at runtime (0 is taken as 1). The
+    /// submission queue must be idle (it always is between driver
+    /// operations — waits drain it).
+    pub fn set_depth(&mut self, depth: usize) {
         assert!(
             self.pending.is_empty(),
-            "cannot switch IoPath with requests in flight"
+            "cannot change the queue depth with requests in flight"
         );
-        self.path = path;
+        self.depth = depth.max(1);
     }
 
     /// The active scheduler policy.
@@ -357,21 +333,20 @@ impl<D: BlockDevice, S: TraceSink> PipelinedDevice<D, S> {
         self.now
     }
 
-    /// Submit a foreground request into the queue, returning its id. In
-    /// `Direct` mode (and for background requests) the request dispatches
-    /// immediately; its completion is still retained for a later
-    /// [`PipelinedDevice::wait`]. If the submission overflows the queue
-    /// depth, the scheduler dispatches pending requests to make room.
+    /// Submit a request into the queue, returning its id. A background
+    /// request dispatches immediately; its completion is still retained
+    /// for a later [`PipelinedDevice::wait`]. If the submission overflows
+    /// the queue depth, the scheduler dispatches pending requests to make
+    /// room.
     pub fn submit(&mut self, request: IoRequest) -> Result<u64, IoError> {
         self.inner.check(request.extent)?;
         let id = self.next_id;
         self.next_id += 1;
         let submit_at = self.now;
-        let immediate = matches!(self.path, IoPath::Direct) || request.background;
-        if immediate {
+        if request.background {
             let completion = self.run_request(id, request, submit_at, 1)?;
             self.done.push(completion);
-            audit!(self, "PipelinedDevice::submit(immediate)");
+            audit!(self, "PipelinedDevice::submit(background)");
             return Ok(id);
         }
         self.pending.push(Pending {
@@ -379,7 +354,7 @@ impl<D: BlockDevice, S: TraceSink> PipelinedDevice<D, S> {
             request,
             submit_at,
         });
-        while self.pending.len() > self.path.depth() {
+        while self.pending.len() > self.depth {
             self.dispatch_one()?;
         }
         audit!(self, "PipelinedDevice::submit");
@@ -482,10 +457,8 @@ impl<D: BlockDevice, S: TraceSink> PipelinedDevice<D, S> {
         // Depth 1 degenerates to the synchronous call-tree: the device is
         // never observably busy when a request arrives, so `start` pins to
         // the submission instant and no queue wait can accrue.
-        let depth = self.path.depth();
-        let direct = matches!(self.path, IoPath::Direct);
         let lane = self.inner.lane_of(request.extent);
-        let start = if direct || depth <= 1 {
+        let start = if self.depth == 1 {
             submit_at
         } else {
             let horizon = match lane {
@@ -536,9 +509,8 @@ impl<D: BlockDevice, S: TraceSink> PipelinedDevice<D, S> {
             finish,
         });
         self.seq += 1;
-        if direct {
-            // Unsynced direct mode reads as a driver issuing back-to-back.
-            self.now += service;
+        if self.depth == 1 {
+            self.now = self.now.max(finish);
         }
         Ok(IoCompletion {
             id,
@@ -574,24 +546,29 @@ impl<D: BlockDevice, S: TraceSink> PipelinedDevice<D, S> {
         self.compute_busy[idx] = self.lane_busy[idx] + ahead;
     }
 
-    /// Foreground synchronous dispatch: submit, wait, and return the
-    /// host-observed response (wait + service). Equal to the service
-    /// latency in `Direct` mode and at depth 1.
+    /// Synchronous dispatch: the host-observed response of a foreground
+    /// request (wait + service; equal to the service latency at depth 1),
+    /// or the device's service latency for a background one, whose
+    /// submitter does not wait. A background request never queues, and
+    /// with nothing pending there is nothing to schedule a foreground one
+    /// against: both dispatch on the spot — what submit + wait would do,
+    /// minus a queue round trip on every cache-SSD operation. No
+    /// completion is retained.
     fn sync_request(&mut self, request: IoRequest) -> Result<SimDuration, IoError> {
-        if matches!(self.path, IoPath::Direct) || request.background {
-            // Immediate dispatch; the submitter does not wait, so the
-            // charge is the device's service latency.
+        if request.background || self.pending.is_empty() {
             self.inner.check(request.extent)?;
             let id = self.next_id;
             self.next_id += 1;
-            let submit_at = self.now;
-            let completion = self.run_request(id, request, submit_at, 1)?;
+            let completion = self.run_request(id, request, self.now, 1)?;
             audit!(self, "PipelinedDevice::sync_request(immediate)");
-            return Ok(completion.service);
+            return Ok(if request.background {
+                completion.service
+            } else {
+                completion.response()
+            });
         }
         let id = self.submit(request)?;
-        let completion = self.wait(id)?;
-        Ok(completion.response())
+        Ok(self.wait(id)?.response())
     }
 }
 
@@ -699,22 +676,17 @@ impl<D: BlockDevice, S: TraceSink> Validate for PipelinedDevice<D, S> {
             });
         }
         report.check(
-            self.pending.len() <= self.path.depth(),
+            self.pending.len() <= self.depth,
             subject,
             "queue-depth",
             || {
                 format!(
                     "{} pending requests exceed depth {}",
                     self.pending.len(),
-                    self.path.depth()
+                    self.depth
                 )
             },
         );
-        if matches!(self.path, IoPath::Direct) {
-            report.check(self.pending.is_empty(), subject, "direct-idle", || {
-                format!("{} requests queued on the Direct path", self.pending.len())
-            });
-        }
         // The queue holds requests in submission order: ids strictly
         // increasing, all drawn from the id counter, stamped no later
         // than the host clock.
@@ -849,24 +821,27 @@ mod tests {
 
     const US: u64 = 1_000;
 
-    fn dev(path: IoPath) -> PipelinedDevice<RamDisk, VecSink> {
+    fn dev(depth: usize) -> PipelinedDevice<RamDisk, VecSink> {
         let mut d = PipelinedDevice::new(
             RamDisk::with_capacity_bytes(1 << 20, SimDuration::from_micros(10)),
             VecSink::new(),
         );
-        d.set_path(path);
+        d.set_depth(depth);
         d
     }
 
     #[test]
     fn direct_matches_bare_device() {
+        // Depth 1 is the synchronous model: same latencies and stats as
+        // calling the wrapped device directly, no wait, occupancy 1.
         let mut bare = RamDisk::with_capacity_bytes(1 << 20, SimDuration::from_micros(10));
-        let mut wrapped = dev(IoPath::Direct);
+        let mut wrapped = dev(1);
         for lba in [0u64, 100, 17] {
             let a = bare.read(Extent::new(lba, 8)).unwrap();
             let b = wrapped.read(Extent::new(lba, 8)).unwrap();
             assert_eq!(a, b);
         }
+        assert_eq!(bare.stats().total_ops(), wrapped.stats().total_ops());
         assert_eq!(
             bare.stats().total_busy(),
             wrapped.stats().total_busy(),
@@ -877,25 +852,10 @@ mod tests {
     }
 
     #[test]
-    fn depth_one_fifo_matches_direct() {
-        let mut a = dev(IoPath::Direct);
-        let mut b = dev(IoPath::Queued { depth: 1 });
-        for lba in [0u64, 512, 3, 900] {
-            let ta = a.read(Extent::new(lba, 4)).unwrap();
-            let tb = b.read(Extent::new(lba, 4)).unwrap();
-            assert_eq!(ta, tb);
-        }
-        assert_eq!(a.stats().total_ops(), b.stats().total_ops());
-        assert_eq!(a.stats().total_busy(), b.stats().total_busy());
-        assert_eq!(b.stats().queue().total_wait(), SimDuration::ZERO);
-        assert_eq!(b.stats().queue().max_occupancy(), 1);
-    }
-
-    #[test]
     fn batch_waits_queue_on_single_lane() {
         // RamDisk has one lane: three queued reads serialize, and the
         // later ones' responses include queue wait.
-        let mut d = dev(IoPath::Queued { depth: 4 });
+        let mut d = dev(4);
         let ids: Vec<u64> = (0..3)
             .map(|i| d.submit_read(Extent::new(i * 16, 8)).unwrap())
             .collect();
@@ -916,7 +876,7 @@ mod tests {
 
     #[test]
     fn submission_past_depth_forces_dispatch() {
-        let mut d = dev(IoPath::Queued { depth: 2 });
+        let mut d = dev(2);
         d.submit_read(Extent::new(0, 1)).unwrap();
         d.submit_read(Extent::new(8, 1)).unwrap();
         assert_eq!(d.queued(), 2);
@@ -928,7 +888,7 @@ mod tests {
 
     #[test]
     fn background_requests_do_not_wait() {
-        let mut d = dev(IoPath::Queued { depth: 4 });
+        let mut d = dev(4);
         let t = d
             .request(&IoRequest::write(Extent::new(0, 8)).background())
             .unwrap();
@@ -941,7 +901,7 @@ mod tests {
 
     #[test]
     fn events_carry_submit_start_finish() {
-        let mut d = dev(IoPath::Queued { depth: 4 });
+        let mut d = dev(4);
         d.submit_read(Extent::new(0, 4)).unwrap();
         d.submit_read(Extent::new(100, 4)).unwrap();
         d.wait_all().unwrap();
@@ -957,7 +917,7 @@ mod tests {
 
     #[test]
     fn set_now_is_monotone() {
-        let mut d = dev(IoPath::Queued { depth: 2 });
+        let mut d = dev(2);
         d.set_now(SimTime::from_nanos(500));
         d.set_now(SimTime::from_nanos(100));
         assert_eq!(d.now(), SimTime::from_nanos(500));
@@ -966,14 +926,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "in flight")]
     fn path_switch_requires_idle_queue() {
-        let mut d = dev(IoPath::Queued { depth: 4 });
+        let mut d = dev(4);
         d.submit_read(Extent::new(0, 1)).unwrap();
-        d.set_path(IoPath::Direct);
+        d.set_depth(1);
     }
 
     #[test]
     fn wait_on_unknown_id_panics() {
-        let mut d = dev(IoPath::Queued { depth: 2 });
+        let mut d = dev(2);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _ = d.wait(99);
         }));
@@ -982,17 +942,13 @@ mod tests {
 
     #[test]
     fn validation_clean_across_paths_and_policies() {
-        for path in [
-            IoPath::Direct,
-            IoPath::Queued { depth: 1 },
-            IoPath::Queued { depth: 4 },
-        ] {
+        for depth in [1, 4] {
             for policy in [
                 SchedulerPolicy::Fifo,
                 SchedulerPolicy::Elevator,
                 SchedulerPolicy::Deadline,
             ] {
-                let mut d = dev(path);
+                let mut d = dev(depth);
                 d.set_policy(policy);
                 for i in 0..6u64 {
                     d.submit(IoRequest::read(Extent::new((i * 37) % 512, 8)))
@@ -1006,9 +962,7 @@ mod tests {
                 let report = d.validation_report();
                 assert!(
                     report.is_clean(),
-                    "{:?}/{:?}: {}",
-                    path,
-                    policy,
+                    "depth {depth}/{policy:?}: {}",
                     report.summary()
                 );
             }
@@ -1017,7 +971,7 @@ mod tests {
 
     #[test]
     fn protocol_errors_surface_at_submit() {
-        let mut d = dev(IoPath::Queued { depth: 2 });
+        let mut d = dev(2);
         assert_eq!(
             d.submit_read(Extent::new(0, 0)).unwrap_err(),
             IoError::EmptyRequest

@@ -44,9 +44,8 @@ impl KindStats {
 }
 
 /// Submission-queue accounting maintained by the event-driven I/O
-/// pipeline ([`crate::PipelinedDevice`]). The synchronous `Direct` path
-/// records every request at occupancy 1 with zero wait, so these
-/// counters stay comparable across [`crate::IoPath`] arms.
+/// pipeline ([`crate::PipelinedDevice`]). At queue depth 1 every
+/// request is recorded at occupancy 1 with zero wait.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueDepthStats {
     dispatches: u64,

@@ -4,7 +4,7 @@
 
 use hddsim::{HddDisk, HddParams};
 use simclock::{Rng, SimDuration, SimTime};
-use storagecore::{BlockDevice, Extent, IoPath, IoRequest, PipelinedDevice, RamDisk, VecSink};
+use storagecore::{BlockDevice, Extent, IoRequest, PipelinedDevice, RamDisk, VecSink};
 use tracetools::{parse_trace, replay, write_trace, QueueDepthProfile};
 
 const RAM_LATENCY: SimDuration = SimDuration::from_micros(8);
@@ -17,7 +17,7 @@ fn ram() -> RamDisk {
 /// write, submitted four-deep, with host time advancing between batches.
 fn record_queued_ram_trace() -> (PipelinedDevice<RamDisk, VecSink>, Vec<storagecore::IoEvent>) {
     let mut dev = PipelinedDevice::new(ram(), VecSink::new());
-    dev.set_path(IoPath::Queued { depth: 4 });
+    dev.set_depth(4);
     let mut rng = Rng::new(7);
     let sectors = dev.geometry().sectors;
     let mut now = SimTime::ZERO;
@@ -97,7 +97,7 @@ fn hdd_trace_replay_reproduces_seek_history() {
     let events = rec.sink().events().to_vec();
 
     let profile = QueueDepthProfile::from_events(&events);
-    assert_eq!(profile.max_outstanding, 1, "direct driver never overlaps");
+    assert_eq!(profile.max_outstanding, 1, "depth 1 never overlaps");
     assert_eq!(profile.total_wait, SimDuration::ZERO);
 
     let parsed = parse_trace(&write_trace(&events)).expect("parses");

@@ -21,7 +21,7 @@
 //!    so would skip the submission queue, the trace sink, and the
 //!    invariant audit hooks at the request boundary.
 //! 4. **Every `pub enum` carries a doc comment.** The runtime toggles
-//!    (VictimSelection, ClusterExecution, PostingsBackend, IoPath, ...)
+//!    (VictimSelection, ClusterExecution, PostingsBackend, OffloadMode, ...)
 //!    are enums; an undocumented one is an equivalence arm nobody can
 //!    review.
 //! 5. **SSD writes go through the admission gate.** The SSD stores'

@@ -1,6 +1,6 @@
 //! Oracle-freeze witness: every bit-identity oracle arm (the verbatim
-//! Reference/Frozen/Host/Static/Direct/ClosedLoop/Scan functions each
-//! toggle PR kept as its ground truth) gets a normalized token-stream
+//! Reference/Frozen/Host/Static/ClosedLoop/Scan functions each toggle
+//! PR kept as its ground truth) gets a normalized token-stream
 //! hash committed to `crates/xtask/oracle.lock`. Any edit to an oracle
 //! function — even one that preserves behavior — fails `xtask analyze`
 //! until deliberately re-witnessed with `xtask bless-oracles`, forcing
@@ -80,12 +80,6 @@ pub fn default_registry() -> Vec<OracleSpec> {
             "crates/core/src/selection.rs",
             None,
             "admit_list",
-        ),
-        OracleSpec::new(
-            "direct-io-path",
-            "crates/storagecore/src/queue.rs",
-            Some("PipelinedDevice"),
-            "submit",
         ),
         OracleSpec::new(
             "closedloop-serving",
