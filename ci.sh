@@ -20,6 +20,9 @@ cargo test --release -q -p engine --test cluster_equivalence
 
 echo "== postings equivalence (explicit) =="
 cargo test --release -q -p searchidx --test postings_equivalence
+# Release-only: the two backends in per-query lockstep over the pinned
+# 400k-doc x 30k-query workload, block-max probe/prune counts pinned.
+cargo test --release -q -p engine --test postings_lockstep
 
 echo "== the one I/O path: depth-1 scheduler invariance, deep-queue occupancy, golden ledger (explicit) =="
 cargo test --release -q -p engine --test io_path_equivalence --test golden_ledger
@@ -43,18 +46,6 @@ echo "== benchmark of record: its own tests + a smoke run of the suite =="
 # across reps, oracle agreement, refused ops) would otherwise pass CI.
 (cd benchmark && cargo test --release --offline -q)
 benchmark/run.sh --smoke --seconds 1
-
-echo "== postings backends in lockstep (divergence_probe --postings) =="
-# The block-max gate points are part of the figures' pedigree: 30 000 queries
-# must stay bit-identical across the backends *and* probe/prune exactly what
-# BENCH_3 recorded (blockmax_bounds_probed / blockmax_postings_pruned).
-probe_out="$(target/release/divergence_probe --postings)"
-echo "$probe_out"
-grep -q "no divergence over 30000 queries between postings backends" <<<"$probe_out" \
-  && grep -q " 411608 block-max probes, 7505840124 postings pruned " <<<"$probe_out" || {
-    echo "divergence_probe --postings: diverged, or the pinned block-max counts moved" >&2
-    exit 1
-  }
 
 echo "== xtask lint gate =="
 cargo run -q -p xtask -- lint

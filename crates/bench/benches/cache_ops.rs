@@ -7,7 +7,7 @@ use std::hint::black_box;
 use cachekit::{LruCache, LruList, SegmentedLru};
 use hybridcache::mem::{ListMeta, MemListCache};
 use hybridcache::ssd::{ListStore, SlotRegion};
-use hybridcache::{PolicyKind, VictimSelection};
+use hybridcache::PolicyKind;
 use simclock::{Rng, SimDuration};
 use storagecore::RamDisk;
 
@@ -70,70 +70,61 @@ fn bench_lru_cache(c: &mut Criterion) {
     g.finish();
 }
 
-/// The old linear victim scans against the indexed cascade — same
-/// victims by construction (see `hybridcache`'s victim-equivalence
-/// property tests), so the delta is pure selection overhead.
+/// Churn on the indexed victim cascades (Figs. 12 and 13).
 fn bench_victim_selection(c: &mut Criterion) {
     const BLOCK: u64 = 128 * 1024;
     let mut g = c.benchmark_group("victim_selection");
-    for (label, selection) in [
-        ("scan", VictimSelection::Scan),
-        ("indexed", VictimSelection::Indexed),
-    ] {
-        g.bench_function(format!("list_store_churn_{label}"), |b| {
-            b.iter_batched(
-                || {
-                    let mut s: ListStore<u32> =
-                        ListStore::new(SlotRegion::new(0, BLOCK, 256), BLOCK, true, 16, 0.0);
-                    s.set_victim_selection(selection);
-                    let dev = RamDisk::with_capacity_bytes(64 << 20, SimDuration::from_micros(10));
-                    (s, dev, Rng::new(3))
-                },
-                |(mut s, mut dev, mut rng)| {
-                    for i in 0..512u64 {
-                        let term = rng.next_below(192) as u32;
-                        let blocks = 1 + rng.next_below(4);
-                        s.offer(term, blocks, blocks * BLOCK, 1 + i % 7, &mut dev);
-                        if i % 3 == 0 {
-                            black_box(s.lookup(term, BLOCK, &mut dev, true));
-                        }
+    g.bench_function("list_store_churn_indexed", |b| {
+        b.iter_batched(
+            || {
+                let s: ListStore<u32> =
+                    ListStore::new(SlotRegion::new(0, BLOCK, 256), BLOCK, true, 16, 0.0);
+                let dev = RamDisk::with_capacity_bytes(64 << 20, SimDuration::from_micros(10));
+                (s, dev, Rng::new(3))
+            },
+            |(mut s, mut dev, mut rng)| {
+                for i in 0..512u64 {
+                    let term = rng.next_below(192) as u32;
+                    let blocks = 1 + rng.next_below(4);
+                    s.offer(term, blocks, blocks * BLOCK, 1 + i % 7, &mut dev);
+                    if i % 3 == 0 {
+                        black_box(s.lookup(term, BLOCK, &mut dev, true));
                     }
-                    black_box(s.stats().evictions)
-                },
-                BatchSize::SmallInput,
-            );
-        });
-        g.bench_function(format!("mem_ev_churn_{label}"), |b| {
-            b.iter_batched(
-                || {
-                    let mut m: MemListCache<u32> =
-                        MemListCache::new(64 * 1024, PolicyKind::Cblru, 16, 1024);
-                    m.set_victim_selection(selection);
-                    (m, Rng::new(5))
-                },
-                |(mut m, mut rng)| {
-                    for _ in 0..512 {
-                        let term = rng.next_below(256) as u32;
-                        let si_bytes = 1024 * (1 + rng.next_below(4));
-                        if m.touch(term, si_bytes, 0.5).is_none() {
-                            let _ = m.insert(
-                                term,
-                                ListMeta {
-                                    si_bytes,
-                                    pu: 0.5,
-                                    freq: 1,
-                                    full_bytes: 8 * 1024,
-                                },
-                            );
-                        }
-                        m.drain_evicted();
+                }
+                black_box(s.stats().evictions)
+            },
+            BatchSize::SmallInput,
+        );
+    });
+    g.bench_function("mem_ev_churn_indexed", |b| {
+        b.iter_batched(
+            || {
+                let m: MemListCache<u32> =
+                    MemListCache::new(64 * 1024, PolicyKind::Cblru, 16, 1024);
+                (m, Rng::new(5))
+            },
+            |(mut m, mut rng)| {
+                for _ in 0..512 {
+                    let term = rng.next_below(256) as u32;
+                    let si_bytes = 1024 * (1 + rng.next_below(4));
+                    if m.touch(term, si_bytes, 0.5).is_none() {
+                        let _ = m.insert(
+                            term,
+                            ListMeta {
+                                si_bytes,
+                                pu: 0.5,
+                                freq: 1,
+                                full_bytes: 8 * 1024,
+                            },
+                        );
                     }
-                    black_box(m.len())
-                },
-                BatchSize::SmallInput,
-            );
-        });
-    }
+                    m.drain_evicted();
+                }
+                black_box(m.len())
+            },
+            BatchSize::SmallInput,
+        );
+    });
     g.finish();
 }
 

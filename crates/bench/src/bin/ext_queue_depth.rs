@@ -1,0 +1,114 @@
+//! Extension — queue-depth sweep (DESIGN.md §10, the simulated record is
+//! `BENCH_4.json`): the pinned workload at queue depth 1 + FIFO (the
+//! synchronous model every paper figure runs on) and at depths 2–16 under
+//! elevator scheduling, where NCQ-style reordering of the batched index
+//! reads is *allowed* to move the simulated response times. Two workloads:
+//! the uncached seek-bound one, where every query batches HDD index reads
+//! and the elevator shortens the seek path, and the hybrid CBSLRU one,
+//! where the cache SSD absorbs most reads and the dominant queueing effect
+//! is the RB flush contending for flash lanes. `BENCH_4.json` is the
+//! depth-4 row of each workload.
+
+use bench::{cache_config, print_table};
+use engine::{EngineConfig, IndexPlacement, SearchEngine};
+use hybridcache::PolicyKind;
+use storagecore::SchedulerPolicy;
+
+const DOCS: u64 = 400_000;
+const QUERIES: usize = 30_000;
+const SEED: u64 = 42;
+const MEM_BYTES: u64 = 16 << 20;
+const SSD_BYTES: u64 = 160 << 20;
+/// Every query misses (no cache), so each one batches its index reads —
+/// this is the workload where the device queue actually fills and the
+/// elevator's seek-shortening shows up as a response-time win.
+const NCQ_QUERIES: usize = 10_000;
+const DEPTHS: [usize; 5] = [1, 2, 4, 8, 16];
+
+fn main() {
+    let policy = PolicyKind::Cbslru {
+        static_fraction: 0.3,
+    };
+    let workloads = [
+        (
+            "uncached_hdd",
+            NCQ_QUERIES,
+            EngineConfig::no_cache(DOCS, IndexPlacement::Hdd, SEED),
+        ),
+        (
+            "hybrid_cbslru",
+            QUERIES,
+            EngineConfig::cached(DOCS, cache_config(MEM_BYTES, SSD_BYTES, policy), SEED),
+        ),
+    ];
+    let mut rows = Vec::new();
+    for (workload, queries, cfg) in workloads {
+        let mut depth1_ns = 0;
+        for depth in DEPTHS {
+            let mut e = SearchEngine::new(cfg.clone());
+            // Seeded at depth 1, then switched: the static partition's
+            // writes are not part of the sweep (a no-op when uncached).
+            e.seed_static_from_log(QUERIES);
+            let (scheduler, sched_policy) = if depth == 1 {
+                ("fifo", SchedulerPolicy::Fifo)
+            } else {
+                ("elevator", SchedulerPolicy::Elevator)
+            };
+            e.set_queue_depth(depth);
+            e.set_io_scheduler(sched_policy);
+            let r = e.run(queries);
+            let mean_ns = r.mean_response.as_nanos();
+            if depth == 1 {
+                depth1_ns = mean_ns;
+            }
+            let (index, cache) = (e.index_queue_stats(), e.cache_queue_stats());
+            rows.push(vec![
+                workload.to_string(),
+                depth.to_string(),
+                scheduler.to_string(),
+                format!("{:.17}", r.hit_ratio()),
+                mean_ns.to_string(),
+                r.elapsed.as_nanos().to_string(),
+                index.dispatches().to_string(),
+                format!("{:.6}", index.mean_occupancy()),
+                index.max_occupancy().to_string(),
+                index.mean_wait().as_nanos().to_string(),
+                index.max_wait().as_nanos().to_string(),
+                cache.dispatches().to_string(),
+                format!("{:.6}", cache.mean_occupancy()),
+                cache.max_occupancy().to_string(),
+                // Above 1 the deeper queue answers faster.
+                format!("{:.6}", depth1_ns as f64 / mean_ns as f64),
+            ]);
+        }
+    }
+    print_table(
+        "Extension: queue depth (400k docs; uncached HDD index 10k queries, CBSLRU 16+160 MiB 30k)",
+        &[
+            "workload",
+            "depth",
+            "scheduler",
+            "hit_ratio",
+            "mean_response_ns",
+            "elapsed_ns",
+            "index_dispatches",
+            "index_mean_occupancy",
+            "index_max_occupancy",
+            "index_mean_wait_ns",
+            "index_max_wait_ns",
+            "cache_dispatches",
+            "cache_mean_occupancy",
+            "cache_max_occupancy",
+            "response_ratio_vs_depth1",
+        ],
+        &rows,
+    );
+    println!(
+        "reading: on the seek-bound workload the queue fills (max occupancy =\n\
+         depth, until the largest per-query batch — 4 reads — caps it) and the\n\
+         elevator buys ~1 % mean response; on the hybrid workload the index\n\
+         queue rarely fills and the ratio dips below 1 — the price of modelling\n\
+         RB-flush lane contention at all, which depth 1 books off the response\n\
+         path."
+    );
+}

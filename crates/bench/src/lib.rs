@@ -16,22 +16,37 @@ use hybridcache::{HybridConfig, PolicyKind};
 pub struct Scale(pub f64);
 
 impl Scale {
-    /// Parse from argv: `--full` (0.5), `--scale F`, default 0.1.
-    pub fn from_args() -> Self {
-        let mut args = std::env::args();
+    /// Parse the arguments after the program name: `--full` (0.5),
+    /// `--scale F` with `F` finite and > 0, default 0.1. Anything else —
+    /// an unknown flag, a missing or unparsable value, a scale the corpus
+    /// builder would reject — is an error, not the default.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Scale, String> {
+        let mut args = args.into_iter();
         let mut scale = 0.1;
         while let Some(a) = args.next() {
             match a.as_str() {
                 "--full" => scale = 0.5,
                 "--scale" => {
-                    if let Some(v) = args.next() {
-                        scale = v.parse().unwrap_or(scale);
-                    }
+                    let v = args.next().ok_or("--scale needs a value")?;
+                    scale = v
+                        .parse()
+                        .ok()
+                        .filter(|f: &f64| f.is_finite() && *f > 0.0)
+                        .ok_or_else(|| format!("--scale {v}: not a finite number > 0"))?;
                 }
-                _ => {}
+                other => return Err(format!("unknown argument {other}")),
             }
         }
-        Scale(scale)
+        Ok(Scale(scale))
+    }
+
+    /// [`Scale::parse`] over argv; a bad command line prints the reason
+    /// and the usage to stderr and exits 2.
+    pub fn from_args() -> Self {
+        Self::parse(std::env::args().skip(1)).unwrap_or_else(|msg| {
+            eprintln!("{msg}\nusage: [--full | --scale F]  (F finite and > 0; default 0.1)");
+            std::process::exit(2)
+        })
     }
 
     /// The paper's 1–5 M document sweep, scaled.
@@ -160,6 +175,44 @@ mod tests {
         // Capacities shrink with the docs; 1 MB floor.
         assert_eq!(s.bytes(200 << 20), 20 << 20);
         assert_eq!(s.bytes(1 << 20), 1 << 20);
+    }
+
+    fn parse(args: &[&str]) -> Result<f64, String> {
+        Scale::parse(args.iter().map(|a| a.to_string())).map(|s| s.0)
+    }
+
+    #[test]
+    fn parse_defaults_to_a_tenth() {
+        assert_eq!(parse(&[]), Ok(0.1));
+    }
+
+    #[test]
+    fn parse_accepts_full_and_scale() {
+        assert_eq!(parse(&["--full"]), Ok(0.5));
+        assert_eq!(parse(&["--scale", "0.01"]), Ok(0.01));
+    }
+
+    #[test]
+    fn parse_rejects_an_unparsable_scale() {
+        assert!(parse(&["--scale", "abc"]).unwrap_err().contains("abc"));
+    }
+
+    #[test]
+    fn parse_rejects_a_missing_scale_value() {
+        assert!(parse(&["--scale"]).unwrap_err().contains("needs a value"));
+    }
+
+    #[test]
+    fn parse_rejects_a_misspelt_flag() {
+        let err = parse(&["--sclae", "0.01"]).unwrap_err();
+        assert!(err.contains("--sclae"), "{err}");
+    }
+
+    #[test]
+    fn parse_rejects_scales_the_corpus_cannot_build() {
+        for bad in ["0", "-0.5", "nan", "inf"] {
+            assert!(parse(&["--scale", bad]).is_err(), "--scale {bad} accepted");
+        }
     }
 
     #[test]

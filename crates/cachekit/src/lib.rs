@@ -43,4 +43,4 @@ pub use lru::LruList;
 pub use lru_cache::LruCache;
 pub use segmented::{SegmentedLru, WindowEvent};
 pub use sketch::{FreqSketch, COUNTER_MAX};
-pub use victim::{MaxScoreIndex, OrdF64, OrderIndex, SizeClassIndex, VictimSelection};
+pub use victim::{MaxScoreIndex, OrdF64, OrderIndex, SizeClassIndex};

@@ -24,7 +24,8 @@
 //! on an intra-window touch), so stamp order and list order never diverge.
 //! The old scan-based primitives (`best_in_replace_first`,
 //! `find_in_replace_first`, `find_anywhere`) are kept verbatim as the
-//! reference implementations the property tests compare against.
+//! reference implementations the audited victim cross-checks in `core`
+//! compare against.
 
 use fxmap::FxHashMap;
 use std::hash::Hash;
@@ -269,18 +270,12 @@ impl<K: Eq + Hash + Clone> SegmentedLru<K> {
         out.append(&mut self.events);
     }
 
-    /// Stop recording membership changes and drop any unread events.
-    pub fn disable_window_events(&mut self) {
-        self.track_events = false;
-        self.events.clear();
-    }
-
     /// The best victim in the replace-first region by `score` (higher is
     /// more evictable); `None` if the list is empty. Ties go to the less
     /// recently used entry, i.e. the first encountered.
     ///
     /// This is the seed's O(W) reference scan; indexed callers mirror the
-    /// window into a `victim::MaxScoreIndex` instead and property tests
+    /// window into a `victim::MaxScoreIndex` instead and, under audit,
     /// assert both pick the same victim.
     pub fn best_in_replace_first<S, F>(&self, mut score: F) -> Option<&K>
     where

@@ -14,9 +14,9 @@
 //! All three are keyed by the **window stamps** handed out by
 //! [`crate::SegmentedLru`]: among current members a smaller stamp is
 //! closer to the LRU end, so "first encountered by the reference scan"
-//! equals "smallest stamp". Property tests in `core` drive the indexed
-//! and scan paths with identical operation sequences and assert they
-//! choose identical victims.
+//! equals "smallest stamp". The scans stay in `core` as the oracle: under
+//! `INVARIANT_AUDIT` every eviction asserts the indexed victim equal to
+//! the scan's on the same state.
 
 use fxmap::FxHashMap;
 use std::cmp::Reverse;
@@ -25,19 +25,6 @@ use std::fmt::Debug;
 use std::hash::Hash;
 
 use invariant::{Report, Validate};
-
-/// How a cache locates its victims: the original reference scans over the
-/// replace-first region, or the incremental indexes in this module. Both
-/// paths pick provably identical victims; `Indexed` is the default and
-/// `Scan` remains available for property tests and old-vs-new benchmarks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum VictimSelection {
-    /// The seed's linear scans (reference implementation).
-    Scan,
-    /// Incremental priority indexes (O(log W) victim selection).
-    #[default]
-    Indexed,
-}
 
 /// Total-order wrapper for finite `f64` scores (EV values are positive
 /// finite numbers, so `total_cmp` agrees with the reference scan's
@@ -134,12 +121,6 @@ impl<K: Eq + Hash + Clone, S: Ord + Copy> MaxScoreIndex<K, S> {
     /// Iterate every member as `(key, score, stamp)` in arbitrary order.
     pub fn iter(&self) -> impl Iterator<Item = (&K, S, u64)> {
         self.by_key.iter().map(|(k, &(s, t))| (k, s, t))
-    }
-
-    /// Remove everything.
-    pub fn clear(&mut self) {
-        self.by_score.clear();
-        self.by_key.clear();
     }
 }
 
@@ -242,12 +223,6 @@ impl<K: Eq + Hash + Clone> OrderIndex<K> {
     pub fn iter(&self) -> impl Iterator<Item = (&K, u64)> {
         self.by_key.iter().map(|(k, &t)| (k, t))
     }
-
-    /// Remove everything.
-    pub fn clear(&mut self) {
-        self.by_stamp.clear();
-        self.by_key.clear();
-    }
 }
 
 impl<K: Eq + Hash + Clone + Debug> Validate for OrderIndex<K> {
@@ -347,12 +322,6 @@ impl<K: Eq + Hash + Clone> SizeClassIndex<K> {
     pub fn iter(&self) -> impl Iterator<Item = (&K, u64, u64)> {
         self.by_key.iter().map(|(k, &(s, t))| (k, s, t))
     }
-
-    /// Remove everything.
-    pub fn clear(&mut self) {
-        self.buckets.clear();
-        self.by_key.clear();
-    }
 }
 
 impl<K: Eq + Hash + Clone + Debug> Validate for SizeClassIndex<K> {
@@ -449,7 +418,8 @@ mod tests {
         assert_eq!(idx.first(), Some(&6));
         idx.remove(&6);
         assert_eq!(idx.first(), Some(&5));
-        idx.clear();
+        idx.remove(&5);
+        idx.remove(&7);
         assert_eq!(idx.first(), None);
     }
 

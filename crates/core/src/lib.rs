@@ -44,7 +44,6 @@ pub mod stats;
 pub mod ttl;
 
 pub use admission::{AdmissionStats, AdmissionTier};
-pub use cachekit::VictimSelection;
 pub use config::{
     AdmissionConfig, AdmissionPolicy, CachingScheme, HybridConfig, IntersectionConfig, PolicyKind,
 };

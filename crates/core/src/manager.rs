@@ -167,21 +167,6 @@ impl<V: Clone, D: BlockDevice> CacheManager<V, D> {
         self.mem_xc.is_some()
     }
 
-    /// Switch every store between the seed's reference victim scans and
-    /// the indexed victim path. Both select provably identical victims;
-    /// `Scan` exists for property tests and old-vs-new benchmarks.
-    pub fn set_victim_selection(&mut self, selection: cachekit::VictimSelection) {
-        self.mem_ic.set_victim_selection(selection);
-        self.ssd_rc.set_victim_selection(selection);
-        self.ssd_ic.set_victim_selection(selection);
-        if let Some(xc) = self.mem_xc.as_mut() {
-            xc.set_victim_selection(selection);
-        }
-        if let Some(xc) = self.ssd_xc.as_mut() {
-            xc.set_victim_selection(selection);
-        }
-    }
-
     /// Switch the SSD admission gate at runtime. `Static` is the paper's
     /// EV/TEV check verbatim; `Sketch` consults the frequency-sketch
     /// admission tier instead. Sketch state persists across a round trip

@@ -13,9 +13,7 @@ use core::fmt::Debug;
 use fxmap::FxHashMap;
 use std::hash::Hash;
 
-use cachekit::{
-    ByteBudget, LruCache, MaxScoreIndex, OrdF64, SegmentedLru, VictimSelection, WindowEvent,
-};
+use cachekit::{ByteBudget, LruCache, MaxScoreIndex, OrdF64, SegmentedLru, WindowEvent};
 use invariant::{audit, Report, Validate};
 
 use crate::config::PolicyKind;
@@ -143,8 +141,7 @@ pub struct MemListCache<K: Eq + Hash + Copy + Debug = TermKey> {
     /// Entries displaced by prefix growth inside [`MemListCache::touch`],
     /// awaiting collection by the manager's selection management.
     pending_evictions: Vec<(K, ListMeta)>,
-    selection: VictimSelection,
-    /// Window members indexed by negated EV (cost-based, indexed mode):
+    /// Window members indexed by negated EV (cost-based policies):
     /// `peek_best` answers "lowest EV in the replace-first region" without
     /// recomputing every member's EV per eviction.
     ev_index: MaxScoreIndex<K, OrdF64>,
@@ -157,8 +154,7 @@ impl<K: Eq + Hash + Copy + Debug> MemListCache<K> {
     /// `window` and SSD block size `block_bytes` (for EV computation).
     pub fn new(capacity_bytes: u64, policy: PolicyKind, window: usize, block_bytes: u64) -> Self {
         let mut lru = SegmentedLru::new(window);
-        let selection = VictimSelection::default();
-        if selection == VictimSelection::Indexed && policy.is_cost_based() {
+        if policy.is_cost_based() {
             lru.enable_window_events();
         }
         MemListCache {
@@ -168,42 +164,9 @@ impl<K: Eq + Hash + Copy + Debug> MemListCache<K> {
             policy,
             block_bytes,
             pending_evictions: Vec::new(),
-            selection,
             ev_index: MaxScoreIndex::new(),
             events: Vec::new(),
         }
-    }
-
-    /// Switch between the reference scans and the indexed victim path
-    /// (rebuilds the index on enable).
-    pub fn set_victim_selection(&mut self, selection: VictimSelection) {
-        if selection == self.selection {
-            return;
-        }
-        self.selection = selection;
-        self.ev_index.clear();
-        match selection {
-            VictimSelection::Indexed if self.policy.is_cost_based() => {
-                self.lru.enable_window_events();
-                let members: Vec<K> = self.lru.iter_replace_first().copied().collect();
-                for t in members {
-                    let stamp = self.lru.window_stamp(&t).expect("window member");
-                    self.ev_index.insert(t, stamp, self.score(&t));
-                }
-            }
-            _ => self.lru.disable_window_events(),
-        }
-        audit!(self, "MemListCache::set_victim_selection");
-    }
-
-    /// The active victim-selection mode.
-    pub fn victim_selection(&self) -> VictimSelection {
-        self.selection
-    }
-
-    /// Whether the incremental index is live.
-    fn indexing(&self) -> bool {
-        self.selection == VictimSelection::Indexed && self.policy.is_cost_based()
     }
 
     /// The index score of a cached entry: negated EV, because the index
@@ -214,7 +177,7 @@ impl<K: Eq + Hash + Copy + Debug> MemListCache<K> {
 
     /// Mirror pending window-membership changes into the EV index.
     fn sync_index(&mut self) {
-        if !self.indexing() {
+        if !self.policy.is_cost_based() {
             return;
         }
         self.lru.take_window_events(&mut self.events);
@@ -233,7 +196,7 @@ impl<K: Eq + Hash + Copy + Debug> MemListCache<K> {
 
     /// Refresh a window member's score after its metadata changed.
     fn rescore(&mut self, term: &K) {
-        if self.indexing() && self.lru.in_replace_first(term) {
+        if self.policy.is_cost_based() && self.lru.in_replace_first(term) {
             let score = self.score(term);
             self.ev_index.update_score(term, score);
         }
@@ -359,14 +322,10 @@ impl<K: Eq + Hash + Copy + Debug> MemListCache<K> {
         evicted
     }
 
-    /// Victim selection per policy. `pick_victim_scan` is the seed's
-    /// reference implementation; the indexed path must choose the exact
-    /// same entry (see `tests/victim_equivalence.rs`).
+    /// Victim selection per policy. Under audit every pick is checked
+    /// against `pick_victim_scan`, Fig. 12 written out literally.
     fn pick_victim(&self, keep: Option<K>) -> Option<K> {
-        if self.selection == VictimSelection::Scan {
-            return self.pick_victim_scan(keep);
-        }
-        if self.policy.is_cost_based() {
+        let victim = if self.policy.is_cost_based() {
             // Lowest EV inside the replace-first region (Fig. 12): the
             // index keeps members ordered by negated EV, ties to LRU-most.
             self.ev_index
@@ -376,10 +335,21 @@ impl<K: Eq + Hash + Copy + Debug> MemListCache<K> {
                 .or_else(|| self.lru.lru_most_excluding(keep.as_ref()).copied())
         } else {
             self.lru.lru_most_excluding(keep.as_ref()).copied()
+        };
+        #[cfg(debug_assertions)]
+        if invariant::audit_enabled() {
+            let scan = self.pick_victim_scan(keep);
+            assert!(
+                victim == scan,
+                "MemListCache: indexed victim {victim:?} is not the scan victim {scan:?}"
+            );
         }
+        victim
     }
 
-    /// The seed's scan-based victim selection, kept as the reference.
+    /// The seed's scan-based victim selection: the oracle `pick_victim`
+    /// is audited against.
+    #[cfg_attr(not(debug_assertions), allow(dead_code))]
     fn pick_victim_scan(&self, keep: Option<K>) -> Option<K> {
         let excluded = |t: &K| Some(*t) == keep;
         if self.policy.is_cost_based() {
@@ -449,7 +419,7 @@ impl<K: Eq + Hash + Copy + Debug> Validate for MemListCache<K> {
             },
         );
 
-        if self.indexing() {
+        if self.policy.is_cost_based() {
             let members: Vec<K> = self.lru.iter_replace_first().copied().collect();
             report.check(
                 self.ev_index.len() == members.len(),
@@ -587,6 +557,23 @@ mod tests {
             c.peek(1).is_some(),
             "high-EV entry survives despite being LRU"
         );
+    }
+
+    /// The audited cross-check fires: an EV index out of step with the
+    /// metadata it mirrors is caught at the next eviction.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(
+        expected = "MemListCache: indexed victim Some(1) is not the scan victim Some(2)"
+    )]
+    fn cross_check_catches_a_stale_ev_index() {
+        invariant::force_enable();
+        let mut c = MemListCache::new(3 * SB, PolicyKind::Cblru, 2, SB);
+        c.insert(1, meta(SB, 1.0, 100)).unwrap(); // EV = 100
+        c.insert(2, meta(SB, 1.0, 5)).unwrap(); // EV = 5: Fig. 12's victim
+        c.insert(3, meta(SB, 1.0, 1)).unwrap(); // outside the window
+        c.ev_index.update_score(&1, OrdF64(0.0)); // indexed as EV 0, below 2's
+        let _ = c.insert(4, meta(SB, 1.0, 50));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use fxmap::FxHashMap;
 
-use cachekit::{OrderIndex, SegmentedLru, SizeClassIndex, VictimSelection, WindowEvent};
+use cachekit::{OrderIndex, SegmentedLru, SizeClassIndex, WindowEvent};
 use invariant::{audit, Report, Validate};
 use simclock::SimDuration;
 use storagecore::BlockDevice;
@@ -66,7 +66,6 @@ pub struct ListStore<K: Eq + Hash + Copy + Debug = TermKey> {
     static_blocks: u32,
     static_used: u32,
     stats: ListStoreStats,
-    selection: VictimSelection,
     /// Replaceable window members, LRU-first (cascade step 1).
     repl_idx: OrderIndex<K>,
     /// All window members bucketed by block count (cascade step 2).
@@ -86,8 +85,7 @@ impl<K: Eq + Hash + Copy + Debug> ListStore<K> {
     ) -> Self {
         let static_blocks = (region.capacity() as f64 * static_fraction).floor() as u32;
         let mut lru = SegmentedLru::new(window);
-        let selection = VictimSelection::default();
-        if selection == VictimSelection::Indexed && cost_based {
+        if cost_based {
             lru.enable_window_events();
         }
         ListStore {
@@ -99,55 +97,17 @@ impl<K: Eq + Hash + Copy + Debug> ListStore<K> {
             static_blocks,
             static_used: 0,
             stats: ListStoreStats::default(),
-            selection,
             repl_idx: OrderIndex::new(),
             size_idx: SizeClassIndex::new(),
             events: Vec::new(),
         }
     }
 
-    /// Switch between the reference scans and the indexed victim path
-    /// (rebuilds the indexes on enable).
-    pub fn set_victim_selection(&mut self, selection: VictimSelection) {
-        if selection == self.selection {
-            return;
-        }
-        self.selection = selection;
-        self.repl_idx.clear();
-        self.size_idx.clear();
-        match selection {
-            VictimSelection::Indexed if self.cost_based => {
-                self.lru.enable_window_events();
-                let members: Vec<K> = self.lru.iter_replace_first().copied().collect();
-                for t in members {
-                    let stamp = self.lru.window_stamp(&t).expect("window member");
-                    let e = &self.entries[&t];
-                    self.size_idx.insert(t, stamp, e.blocks.len() as u64);
-                    if e.state == EntryState::Replaceable {
-                        self.repl_idx.insert(t, stamp);
-                    }
-                }
-            }
-            _ => self.lru.disable_window_events(),
-        }
-        audit!(self, "ListStore::set_victim_selection");
-    }
-
-    /// The active victim-selection mode.
-    pub fn victim_selection(&self) -> VictimSelection {
-        self.selection
-    }
-
-    /// Whether the incremental indexes are live.
-    fn indexing(&self) -> bool {
-        self.selection == VictimSelection::Indexed && self.cost_based
-    }
-
     /// Mirror pending window-membership changes into the cascade indexes.
     /// Entry state is read at application time, so callers must update an
     /// entry's state *before* the LRU operation that re-stamps it.
     fn sync_index(&mut self) {
-        if !self.indexing() {
+        if !self.cost_based {
             return;
         }
         self.lru.take_window_events(&mut self.events);
@@ -361,13 +321,24 @@ impl<K: Eq + Hash + Copy + Debug> ListStore<K> {
         (true, latency)
     }
 
-    /// Fig. 13's victim cascade. `pick_victim_scan` is the seed's
-    /// reference implementation; the indexed path must choose the exact
-    /// same entry (see `tests/victim_equivalence.rs`).
+    /// Fig. 13's victim cascade, answered by the indexes. Under audit
+    /// every pick is checked against `pick_victim_scan`, the cascade
+    /// written out literally.
     fn pick_victim(&self, blocks_needed: u64) -> Option<K> {
-        if self.selection == VictimSelection::Scan {
-            return self.pick_victim_scan(blocks_needed);
+        let victim = self.pick_victim_indexed(blocks_needed);
+        #[cfg(debug_assertions)]
+        if invariant::audit_enabled() {
+            let scan = self.pick_victim_scan(blocks_needed);
+            assert!(
+                victim == scan,
+                "ListStore: indexed victim {victim:?} is not the scan victim {scan:?}"
+            );
         }
+        victim
+    }
+
+    /// The cascade's four steps as index lookups.
+    fn pick_victim_indexed(&self, blocks_needed: u64) -> Option<K> {
         if !self.cost_based {
             return self.lru.peek_lru().copied();
         }
@@ -387,7 +358,9 @@ impl<K: Eq + Hash + Copy + Debug> ListStore<K> {
         self.lru.peek_lru().copied()
     }
 
-    /// The seed's scan-based victim cascade, kept as the reference.
+    /// The seed's scan-based victim cascade: the oracle `pick_victim` is
+    /// audited against.
+    #[cfg_attr(not(debug_assertions), allow(dead_code))]
     fn pick_victim_scan(&self, blocks_needed: u64) -> Option<K> {
         if !self.cost_based {
             return self.lru.find_anywhere(|_| true).copied();
@@ -643,7 +616,7 @@ impl<K: Eq + Hash + Copy + Debug> Validate for ListStore<K> {
         );
 
         // Victim indexes mirror the replace-first window exactly.
-        if self.selection == VictimSelection::Indexed && self.cost_based {
+        if self.cost_based {
             let members: Vec<K> = self.lru.iter_replace_first().copied().collect();
             report.check(
                 self.size_idx.len() == members.len(),

@@ -11,7 +11,7 @@
 
 use fxmap::FxHashMap;
 
-use cachekit::{MaxScoreIndex, SegmentedLru, VictimSelection, WindowEvent};
+use cachekit::{MaxScoreIndex, SegmentedLru, WindowEvent};
 use invariant::{audit, Report, Validate};
 use simclock::SimDuration;
 use storagecore::BlockDevice;
@@ -86,8 +86,7 @@ pub struct ResultStore<V> {
     /// Slots reserved for (and consumed by) the CBSLRU static partition.
     static_slots: u32,
     stats: ResultStoreStats,
-    selection: VictimSelection,
-    /// Replace-first RBs indexed by IREN (cost-based, indexed mode).
+    /// Replace-first RBs indexed by IREN (cost-based stores).
     iren_index: MaxScoreIndex<SlotId, usize>,
     /// Scratch buffer for draining window-membership events.
     events: Vec<WindowEvent<SlotId>>,
@@ -108,8 +107,7 @@ impl<V: Clone> ResultStore<V> {
         assert!(entries_per_rb > 0);
         let static_slots = (region.capacity() as f64 * static_fraction).floor() as u32;
         let mut rb_lru = SegmentedLru::new(window);
-        let selection = VictimSelection::default();
-        if selection == VictimSelection::Indexed && cost_based {
+        if cost_based {
             rb_lru.enable_window_events();
         }
         ResultStore {
@@ -126,47 +124,14 @@ impl<V: Clone> ResultStore<V> {
             write_buffer: Vec::new(),
             static_slots,
             stats: ResultStoreStats::default(),
-            selection,
             iren_index: MaxScoreIndex::new(),
             events: Vec::new(),
         }
     }
 
-    /// Switch between the reference scans and the indexed victim path
-    /// (rebuilds the index on enable).
-    pub fn set_victim_selection(&mut self, selection: VictimSelection) {
-        if selection == self.selection {
-            return;
-        }
-        self.selection = selection;
-        self.iren_index.clear();
-        match selection {
-            VictimSelection::Indexed if self.cost_based => {
-                self.rb_lru.enable_window_events();
-                let members: Vec<SlotId> = self.rb_lru.iter_replace_first().copied().collect();
-                for slot in members {
-                    let stamp = self.rb_lru.window_stamp(&slot).expect("window member");
-                    self.iren_index.insert(slot, stamp, self.rbs[&slot].invalid);
-                }
-            }
-            _ => self.rb_lru.disable_window_events(),
-        }
-        audit!(self, "ResultStore::set_victim_selection");
-    }
-
-    /// The active victim-selection mode.
-    pub fn victim_selection(&self) -> VictimSelection {
-        self.selection
-    }
-
-    /// Whether the incremental index is live.
-    fn indexing(&self) -> bool {
-        self.selection == VictimSelection::Indexed && self.cost_based
-    }
-
     /// Mirror pending window-membership changes into the IREN index.
     fn sync_index(&mut self) {
-        if !self.indexing() {
+        if !self.cost_based {
             return;
         }
         self.rb_lru.take_window_events(&mut self.events);
@@ -186,7 +151,7 @@ impl<V: Clone> ResultStore<V> {
 
     /// Refresh a window member's score after its IREN changed.
     fn rescore(&mut self, slot: SlotId) {
-        if self.indexing() && self.rb_lru.in_replace_first(&slot) {
+        if self.cost_based && self.rb_lru.in_replace_first(&slot) {
             let score = self.rbs[&slot].invalid;
             debug_assert_eq!(score, self.iren(slot), "IREN counter drifted");
             self.iren_index.update_score(&slot, score);
@@ -367,15 +332,21 @@ impl<V: Clone> ResultStore<V> {
                 return Some(slot);
             }
         }
-        let victim = match self.selection {
-            // Fig. 11's max-IREN victim, answered by the incremental
-            // index; the scan below is the seed's reference path.
-            VictimSelection::Indexed => self.iren_index.peek_best(None).copied(),
-            VictimSelection::Scan => self
+        // Fig. 11's max-IREN victim, answered by the incremental index;
+        // under audit it is checked against the figure's literal scan.
+        let victim = self.iren_index.peek_best(None).copied();
+        #[cfg(debug_assertions)]
+        if invariant::audit_enabled() {
+            let scan = self
                 .rb_lru
                 .best_in_replace_first(|&s| self.iren(s))
-                .copied(),
-        }?;
+                .copied();
+            assert!(
+                victim == scan,
+                "ResultStore: indexed victim {victim:?} is not the scan victim {scan:?}"
+            );
+        }
+        let victim = victim?;
         self.destroy_rb(victim);
         Some(victim)
     }
@@ -560,7 +531,7 @@ impl<V: Clone> ResultStore<V> {
             EntryState::Normal => rb.invalid -= 1,
         }
         stored.state = state;
-        if self.indexing() && self.rb_lru.in_replace_first(&slot) {
+        if self.cost_based && self.rb_lru.in_replace_first(&slot) {
             let score = self.rbs[&slot].invalid;
             self.iren_index.update_score(&slot, score);
         }
@@ -851,7 +822,7 @@ impl<V> Validate for ResultStore<V> {
         }
 
         // Victim index mirrors the replace-first window exactly.
-        if self.selection == VictimSelection::Indexed && self.cost_based {
+        if self.cost_based {
             let members: Vec<SlotId> = self.rb_lru.iter_replace_first().copied().collect();
             report.check(
                 self.iren_index.len() == members.len(),

@@ -15,13 +15,12 @@
 //! # Execution arms
 //!
 //! Shards are fully independent (no shared mutable state), so the
-//! cluster offers two execution arms behind [`ClusterExecution`],
-//! mirroring the `VictimSelection` pattern: the seed's sequential
-//! per-query shard loop stays as the `Sequential` reference, and
-//! `Parallel` runs a **persistent worker pool** — long-lived threads fed
-//! query batches over channels, each owning a disjoint set of shard
-//! engines exclusively (no thread spawn per query, no locking around an
-//! engine). Workers return per-query shard latencies and the coordinator
+//! cluster offers two execution arms behind [`ClusterExecution`]: the
+//! seed's sequential per-query shard loop stays as the `Sequential`
+//! reference, and `Parallel` runs a **persistent worker pool** —
+//! long-lived threads fed query batches over channels, each owning a
+//! disjoint set of shard engines exclusively (no thread spawn per query,
+//! no locking around an engine). Workers return per-query shard latencies and the coordinator
 //! performs the scatter-gather merge (max-over-shards + merge cost) in
 //! query order, so every simulated figure — [`ClusterReport`], per-shard
 //! [`RunReport`]s, the virtual clock — is **bit-identical** across arms
@@ -32,7 +31,6 @@
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 use simclock::{RunningStats, SimDuration};
 use workload::{Query, QueryLog, QueryLogSpec};
@@ -96,12 +94,8 @@ enum Job {
 
 /// One worker's answer to a [`Job`].
 enum Reply {
-    /// Per owned shard: `(shard id, per-query latencies)`, plus how long
-    /// the worker was busy executing (wall time inside the batch).
-    Batch {
-        latencies: Vec<(usize, Vec<SimDuration>)>,
-        busy: Duration,
-    },
+    /// Per owned shard: `(shard id, per-query latencies)`.
+    Batch(Vec<(usize, Vec<SimDuration>)>),
     /// Per owned shard: `(shard id, report snapshot)`.
     Report(Vec<(usize, RunReport)>),
     /// Per owned shard: `(shard id, invariant audit findings)`.
@@ -117,17 +111,12 @@ fn worker_main(
 ) -> Vec<(usize, SearchEngine)> {
     while let Ok(job) = jobs.recv() {
         let reply = match job {
-            Job::Batch(queries) => {
-                let t0 = Instant::now();
-                let latencies = engines
+            Job::Batch(queries) => Reply::Batch(
+                engines
                     .iter_mut()
                     .map(|(id, engine)| (*id, queries.iter().map(|q| engine.execute(q)).collect()))
-                    .collect();
-                Reply::Batch {
-                    latencies,
-                    busy: t0.elapsed(),
-                }
-            }
+                    .collect(),
+            ),
             Job::Report => Reply::Report(engines.iter().map(|(id, e)| (*id, e.report())).collect()),
             Job::Validate => Reply::Validate(
                 engines
@@ -183,9 +172,6 @@ impl Drop for Worker {
 struct WorkerPool {
     workers: Vec<Worker>,
     num_shards: usize,
-    /// Cumulative busy time per worker across all batches — `max` over
-    /// workers is the critical path a fully parallel machine would pay.
-    busy: Vec<Duration>,
 }
 
 impl WorkerPool {
@@ -215,12 +201,10 @@ impl WorkerPool {
                     handle: Some(handle),
                 }
             })
-            .collect::<Vec<_>>();
-        let busy = vec![Duration::ZERO; workers.len()];
+            .collect();
         WorkerPool {
             workers,
             num_shards,
-            busy,
         }
     }
 
@@ -230,16 +214,15 @@ impl WorkerPool {
 
     /// Broadcast the batch and gather per-shard latency vectors, indexed
     /// by shard id.
-    fn run_batch(&mut self, queries: Arc<Vec<Query>>) -> Vec<Vec<SimDuration>> {
+    fn run_batch(&self, queries: Arc<Vec<Query>>) -> Vec<Vec<SimDuration>> {
         let n = queries.len();
         for worker in &self.workers {
             worker.send(Job::Batch(Arc::clone(&queries)));
         }
         let mut per_shard: Vec<Vec<SimDuration>> = vec![Vec::new(); self.num_shards];
-        for (wi, worker) in self.workers.iter().enumerate() {
+        for worker in &self.workers {
             match worker.recv() {
-                Reply::Batch { latencies, busy } => {
-                    self.busy[wi] += busy;
+                Reply::Batch(latencies) => {
                     for (shard, lat) in latencies {
                         debug_assert_eq!(lat.len(), n);
                         per_shard[shard] = lat;
@@ -290,14 +273,6 @@ impl WorkerPool {
             }
         }
         merged
-    }
-
-    fn max_busy(&self) -> Duration {
-        self.busy.iter().copied().max().unwrap_or_default()
-    }
-
-    fn busy(&self) -> &[Duration] {
-        &self.busy
     }
 
     /// End the pool and recover the engines, in shard order.
@@ -410,27 +385,6 @@ impl SearchCluster {
                 Backend::Parallel(WorkerPool::new(engines, workers))
             }
         };
-    }
-
-    /// Cumulative busy time of the busiest pool worker — the wall-clock
-    /// a machine with one core per worker would pay for the batches so
-    /// far. `None` on the sequential arm.
-    pub fn max_worker_busy(&self) -> Option<Duration> {
-        match &self.backend {
-            Backend::Sequential(_) => None,
-            Backend::Parallel(pool) => Some(pool.max_busy()),
-        }
-    }
-
-    /// Cumulative busy time of *every* pool worker, in worker order —
-    /// the per-core utilization picture a serving report records so a
-    /// timeshared single-core host is self-describing. `None` on the
-    /// sequential arm.
-    pub fn worker_busy(&self) -> Option<Vec<Duration>> {
-        match &self.backend {
-            Backend::Sequential(_) => None,
-            Backend::Parallel(pool) => Some(pool.busy().to_vec()),
-        }
     }
 
     /// Draw the next `n` queries from the shared log (the stream the
@@ -745,7 +699,6 @@ mod tests {
         assert_eq!(c.execution(), ClusterExecution::Parallel { workers: 2 });
         let r = c.run(50);
         assert_eq!(r.queries, 50);
-        assert!(c.max_worker_busy().is_some());
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub enum CompactionMode {
     #[default]
     Cooperative,
     /// Naive: drop every cached list on every merge. The trivially
-    /// correct baseline `perf_regress`'s mutation arm compares against.
+    /// correct baseline the `ext_ingest` sweep compares against.
     InvalidateAll,
 }
 
@@ -118,8 +118,8 @@ pub struct EngineConfig {
     /// Query-processing knobs.
     pub topk: TopKConfig,
     /// Which posting-list representation the processor scans. Both
-    /// backends produce bit-identical simulated figures (`perf_regress`
-    /// postings arm asserts it); `Blocked` is the fast default.
+    /// backends produce bit-identical simulated figures (the
+    /// `postings_lockstep` test asserts it); `Blocked` is the fast default.
     pub postings: PostingsBackend,
     /// CPU cost model.
     pub cost: CpuCostModel,

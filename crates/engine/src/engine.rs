@@ -337,11 +337,6 @@ impl SearchEngine {
         self.result_digest
     }
 
-    /// The response-time quantile `q` over all queries so far.
-    pub fn response_quantile(&self, q: f64) -> SimDuration {
-        SimDuration::from_nanos(self.response_hist.quantile(q))
-    }
-
     /// The on-device index layout.
     pub fn layout(&self) -> &IndexLayout {
         &self.layout
@@ -443,27 +438,17 @@ impl SearchEngine {
         }
     }
 
-    /// The active scheduler policy.
-    pub fn io_scheduler(&self) -> SchedulerPolicy {
-        self.index_dev.policy()
-    }
-
     /// Switch where SSD-tier postings predicates are evaluated. `Host`
     /// is the seed path verbatim; `InFlash` serializes each traversed
     /// term's predicate into an offload descriptor and attaches it to
     /// the cache-SSD reads where the per-block cost rule says the
     /// descriptor pays. Under the reference compute model the two arms
     /// are bit-identical on every simulated figure (the
-    /// `offload_equivalence` suite proves it; `divergence_probe --offload`
-    /// bisects); only the bus-byte ledger differs. Devices are idle
-    /// between queries, so mid-run toggles are always legal.
+    /// `offload_equivalence` suite proves it per query); only the bus-byte
+    /// ledger differs. Devices are idle between queries, so mid-run
+    /// toggles are always legal.
     pub fn set_offload_mode(&mut self, mode: OffloadMode) {
         self.offload_mode = mode;
-    }
-
-    /// The active offload mode.
-    pub fn offload_mode(&self) -> OffloadMode {
-        self.offload_mode
     }
 
     /// Host-bus transfer ledger of the cache SSD (zeros when uncached):
@@ -499,32 +484,20 @@ impl SearchEngine {
             .unwrap_or_default()
     }
 
-    /// Switch both hot paths to their reference implementations: linear
-    /// victim scans in the cache and the `HashMap` top-K accumulator
-    /// (which always traverses uncompressed postings, regardless of the
-    /// postings backend). Simulated figures are identical either way (the
-    /// victim-equivalence property tests in `hybridcache` prove the
-    /// victim choices match); only wall-clock differs. The `perf_regress`
-    /// harness uses this to measure the optimized paths against the
-    /// originals. The postings backend ([`EngineConfig::postings`]) is a
-    /// separate, orthogonal axis.
+    /// Route top-K through `TopKProcessor::process_reference` — the seed's
+    /// `HashMap` accumulator over uncompressed postings, whatever the
+    /// postings backend ([`EngineConfig::postings`]) — and nothing else.
+    /// Simulated figures are identical either way; the benchmark's oracle
+    /// engine runs with this on.
     pub fn set_reference_mode(&mut self, on: bool) {
         self.reference_mode = on;
-        let selection = if on {
-            hybridcache::VictimSelection::Scan
-        } else {
-            hybridcache::VictimSelection::Indexed
-        };
-        if let Some(cache) = self.cache.as_mut() {
-            cache.set_victim_selection(selection);
-        }
     }
 
     /// Switch the cache's SSD admission gate at runtime (a no-op when
     /// uncached). `Static` is the paper's EV/TEV threshold verbatim — the
     /// reference arm, bit-identical to the seed on every simulated
-    /// figure; `Sketch` consults the frequency-sketch admission tier
-    /// (`divergence_probe --admission` bisects the two).
+    /// figure (`admission_equivalence` holds the two in lockstep);
+    /// `Sketch` consults the frequency-sketch admission tier.
     pub fn set_admission_policy(&mut self, policy: hybridcache::AdmissionPolicy) {
         if let Some(cache) = self.cache.as_mut() {
             cache.set_admission_policy(policy);
@@ -538,11 +511,6 @@ impl SearchEngine {
             .map_or(hybridcache::AdmissionPolicy::Static, |c| {
                 c.admission_policy()
             })
-    }
-
-    /// The active postings backend.
-    pub fn postings_backend(&self) -> searchidx::PostingsBackend {
-        self.processor.backend()
     }
 
     /// Aggregated block-max skip accounting since the last measurement

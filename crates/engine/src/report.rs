@@ -32,8 +32,7 @@ pub struct FlashReport {
 }
 
 /// Summary of one engine run. `PartialEq` compares every simulated
-/// figure bit-for-bit — the equality the cluster equivalence tests and
-/// the `perf_regress` arms assert.
+/// figure bit-for-bit — the equality the `*_equivalence` suites assert.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// Queries executed.

@@ -24,7 +24,7 @@
 //! overhead) drives the cluster through the exact same sequence of
 //! `execute_batch` calls as the closed loop, so the per-query service
 //! times and every cumulative shard statistic are bit-identical —
-//! `divergence_probe --serving` bisects any regression of this contract.
+//! `tests/serving_equivalence.rs` pins this contract per query.
 
 use std::collections::VecDeque;
 

@@ -73,9 +73,9 @@ fn static_arm_is_bit_identical_with_sketch_params_present() {
 
 #[test]
 fn static_arm_is_bit_identical_in_lockstep() {
-    // Per-query lockstep (the divergence_probe shape): responses, cache
-    // stats, and store stats agree after *every* query, not just at the
-    // end — so a transient divergence cannot cancel out.
+    // Per-query lockstep: responses, cache stats, and store stats agree
+    // after *every* query, not just at the end — so a transient
+    // divergence cannot cancel out.
     let mut a = SearchEngine::new(cfg_with(
         PolicyKind::Cblru,
         AdmissionConfig::static_default(),

@@ -95,9 +95,8 @@ fn both_arms_stay_structurally_coherent() {
 
 #[test]
 fn per_query_responses_match_across_arms() {
-    // Lockstep single-query execution (what `divergence_probe --cluster`
-    // automates): every individual response time must agree, not just
-    // the aggregate report.
+    // Lockstep single-query execution: every individual response time
+    // must agree, not just the aggregate report.
     let mut seq = SearchCluster::new(cached_cfg(7), 3);
     let mut par = SearchCluster::new(cached_cfg(7), 3);
     par.set_execution(ClusterExecution::Parallel { workers: 3 });

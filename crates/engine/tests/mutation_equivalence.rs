@@ -16,7 +16,7 @@
 //! * **Coherence-mode correctness** — `Cooperative` and `InvalidateAll`
 //!   compaction handling must agree on every result (equal digests,
 //!   equal postings scanned); they may only differ on cache hit ratios
-//!   and I/O, which is `perf_regress`'s business (BENCH_8), not
+//!   and I/O, which is the `ext_ingest` sweep's business (BENCH_8), not
 //!   correctness.
 
 use engine::{

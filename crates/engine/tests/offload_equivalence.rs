@@ -153,8 +153,8 @@ fn mid_run_toggle_changes_nothing() {
 
 #[test]
 fn lockstep_responses_match_per_query() {
-    // What `divergence_probe --offload` automates: every individual
-    // response time must agree, not just the aggregates.
+    // Every individual response time must agree, not just the
+    // aggregates.
     let mut host = engine_with(cached_cfg(7, 4), 1, OffloadMode::Host);
     let mut flash = engine_with(cached_cfg(7, 4), 1, OffloadMode::InFlash);
     let stream = host.log().clone().stream(120);

@@ -14,8 +14,8 @@
 //! random keys, which already proves order independence; the few
 //! order-sensitive consumers such as log analysis sort with explicit
 //! tie-breaks). Swapping the hasher therefore changes wall-clock time
-//! only, never a simulated quantity — `perf_regress` re-asserts the
-//! committed figures after the swap.
+//! only, never a simulated quantity — every committed figure reproduced
+//! after the swap, and `golden_ledger` pins them since.
 
 #![forbid(unsafe_code)]
 

@@ -15,6 +15,9 @@
 //!   in debug builds unless the `INVARIANT_AUDIT` environment variable is
 //!   set (or a test opts in via [`force_enable`]), so the default developer
 //!   loop stays fast while CI can run every equivalence suite fully audited.
+//!   The same switch gates oracle cross-checks written at the call site:
+//!   `hybridcache`'s stores assert, at every eviction, that the indexed
+//!   victim is the one the paper's literal scan picks.
 //!
 //! Validators themselves are compiled unconditionally — corruption tests
 //! exercise them in release builds too; only the *call sites* are gated.
@@ -190,7 +193,7 @@ pub fn audit_panic_on_violations<T: Validate + ?Sized>(value: &T, context: &str)
 /// violation list if any invariant is broken — but only in debug builds
 /// (`cfg(debug_assertions)`) and only when [`audit_enabled`] says so.
 /// Release builds compile the whole call away, so instrumented hot paths
-/// carry no cost in `perf_regress`.
+/// carry no cost in what the benchmark times.
 #[macro_export]
 macro_rules! audit {
     ($value:expr, $context:expr) => {

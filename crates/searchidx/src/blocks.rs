@@ -48,11 +48,11 @@ pub const SORTED_BLOCK: usize = SKIP_INTERVAL;
 
 /// Which posting-list representation the query processors traverse.
 ///
-/// Mirrors the `VictimSelection` / `ClusterExecution` toggles: the
-/// reference arm is the seed's unblocked path kept verbatim, the
-/// blocked arm is the optimized one, and every simulated figure must be
-/// bit-identical between them (`perf_regress` re-checks this end-to-end;
-/// `postings_equivalence` proves it property-by-property).
+/// Mirrors the `ClusterExecution` toggle: the reference arm is the
+/// seed's unblocked path kept verbatim, the blocked arm is the optimized
+/// one, and every simulated figure must be bit-identical between them (`postings_equivalence` proves it
+/// property-by-property; the engine's release-only `postings_lockstep`
+/// test holds the two in per-query lockstep at production scale).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum PostingsBackend {
     /// Traversal straight off `IndexReader::postings_range` (the seed's

@@ -586,7 +586,8 @@ impl TopKProcessor {
     ///
     /// Dispatches on the configured [`PostingsBackend`]; both arms are
     /// bit-identical at the `ResultEntry`/`TermUsage` level (see the
-    /// `postings_equivalence` suite and the `perf_regress` postings arm).
+    /// `postings_equivalence` suite and the engine's `postings_lockstep`
+    /// test).
     pub fn process<R: IndexReader>(&self, index: &R, terms: &[TermId]) -> QueryOutcome {
         match self.backend {
             PostingsBackend::Reference => self.process_scan(index, terms),

@@ -13,15 +13,16 @@
 //!    figure must be a pure function of the virtual clock
 //!    (`simclock::SimDuration`); a stray `std::time::Instant` or
 //!    `SystemTime` would leak host timing into "measured" numbers. Only
-//!    the measurement harnesses (bench, the criterion shim, the cluster
-//!    worker pool's wall-time accounting) may touch real time.
+//!    the criterion micro-benchmarks (`crates/bench/benches/`, the
+//!    criterion shim) and this crate may touch real time; the simulator's
+//!    own wall time has one owner, `benchmark/`, outside this walk.
 //! 3. **All device I/O goes through `BlockDevice::request`.** Consumer
 //!    crates must never reach past the queued I/O path into raw device
 //!    mutators (`Nand::program`/`erase`, `SsdDisk::ftl_mut`, ...): doing
 //!    so would skip the submission queue, the trace sink, and the
 //!    invariant audit hooks at the request boundary.
 //! 4. **Every `pub enum` carries a doc comment.** The runtime toggles
-//!    (VictimSelection, ClusterExecution, PostingsBackend, OffloadMode, ...)
+//!    (ClusterExecution, PostingsBackend, OffloadMode, ...)
 //!    are enums; an undocumented one is an equivalence arm nobody can
 //!    review.
 //! 5. **SSD writes go through the admission gate.** The SSD stores'
@@ -60,14 +61,11 @@ use lexer::{lex, Tok, TokKind};
 /// Files allowed to contain `unsafe` (workspace-relative, `/`-separated).
 pub const UNSAFE_ALLOWLIST: &[&str] = &["crates/workload/src/sweep.rs", "shims/loom/src/lib.rs"];
 
-/// Path prefixes allowed to use wall-clock time (measurement harnesses).
+/// Path prefixes allowed to use wall-clock time: the criterion
+/// micro-benchmarks and this crate. The figure binaries under
+/// `crates/bench/src/` print simulated quantities only.
 pub const WALL_CLOCK_ALLOW_PREFIXES: &[&str] =
-    &["crates/bench/", "crates/xtask/", "shims/criterion/"];
-
-/// Individual files allowed to use wall-clock time: the cluster worker
-/// pool reports real elapsed busy-time next to (never inside) the
-/// virtual-clock figures.
-pub const WALL_CLOCK_ALLOW_FILES: &[&str] = &["crates/engine/src/cluster.rs"];
+    &["crates/bench/benches/", "crates/xtask/", "shims/criterion/"];
 
 /// Crates that *are* the device layer: raw device mutators are their
 /// implementation, not a bypass.
@@ -461,10 +459,9 @@ fn check_unsafe(file: &str, toks: &[Tok], out: &mut Vec<Violation>) {
 }
 
 fn check_wall_clock(file: &str, toks: &[Tok], out: &mut Vec<Violation>) {
-    if WALL_CLOCK_ALLOW_FILES.contains(&file)
-        || WALL_CLOCK_ALLOW_PREFIXES
-            .iter()
-            .any(|p| file.starts_with(p))
+    if WALL_CLOCK_ALLOW_PREFIXES
+        .iter()
+        .any(|p| file.starts_with(p))
     {
         return;
     }

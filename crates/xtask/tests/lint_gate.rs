@@ -119,13 +119,25 @@ fn planted_wall_clock_is_caught() {
     assert_eq!(v.len(), 1, "{v:?}");
     assert_eq!(v[0].rule, "no-wall-clock");
     assert_eq!(v[0].line, 2);
-    // The same token in a measurement harness is allowed.
+    // The same token in a criterion micro-benchmark is allowed.
     let s2 = Scratch::new("clock-allow");
     s2.write(
-        "crates/bench/src/lib.rs",
+        "crates/bench/benches/x.rs",
         "use std::time::Instant;\npub fn t() { let _ = Instant::now(); }\n",
     );
     assert!(s2.lint().is_empty());
+    // A figure binary and the cluster worker pool are not harnesses: only
+    // `benchmark/` times the simulator.
+    for file in ["crates/bench/src/bin/x.rs", "crates/engine/src/cluster.rs"] {
+        let s3 = Scratch::new("clock-deny");
+        s3.write(
+            file,
+            "use std::time::Instant;\npub fn t() { let _ = Instant::now(); }\n",
+        );
+        let v = s3.lint();
+        assert_eq!(v.len(), 1, "{file}: {v:?}");
+        assert_eq!(v[0].rule, "no-wall-clock");
+    }
 }
 
 #[test]
