@@ -1,15 +1,14 @@
 //! Criterion micro-benchmarks of the blocked postings representation:
 //! reading the pinned prefix against regenerating it through
 //! `postings_range` (at a list's short-run head and in its tf = 1 tail),
-//! backend-vs-backend top-K over a query log, and galloping vs
-//! skip-table intersection.
+//! and backend-vs-backend top-K over a query log.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use searchidx::{
-    AndProcessor, BlockPostings, BlockSortedList, CorpusSpec, DecodeArena, DocSortedList,
-    IndexReader, PostingsBackend, SyntheticIndex, TermId, TopKConfig, TopKProcessor,
+    BlockPostings, CorpusSpec, IndexReader, PostingsBackend, SyntheticIndex, TermId, TopKConfig,
+    TopKProcessor,
 };
 use simclock::Rng;
 use workload::{QueryLog, QueryLogSpec};
@@ -70,34 +69,6 @@ fn bench_postings_decode(c: &mut Criterion) {
         b.iter(|| {
             let q = log.sample(&mut rng);
             black_box(proc.process(&index, &q.terms).postings_scanned())
-        });
-    });
-
-    // Skewed intersection (head term ∩ rare term): galloping block-max
-    // cursor vs the reference skip-table cursor over prebuilt lists.
-    let pair: [TermId; 2] = [0, 1_500];
-    let sorted: Vec<(TermId, DocSortedList)> = pair
-        .iter()
-        .map(|&t| (t, DocSortedList::from_postings(&index.postings(t))))
-        .collect();
-    let sorted_refs: Vec<(TermId, &DocSortedList)> = sorted.iter().map(|(t, l)| (*t, l)).collect();
-    let blocked: Vec<(TermId, BlockSortedList)> = pair
-        .iter()
-        .map(|&t| (t, BlockSortedList::from_postings(&index.postings(t))))
-        .collect();
-    let blocked_refs: Vec<(TermId, &BlockSortedList)> =
-        blocked.iter().map(|(t, l)| (*t, l)).collect();
-    let proc = AndProcessor::default();
-    g.bench_function("skip_intersect", |b| {
-        b.iter(|| black_box(proc.intersect(&index, &sorted_refs).match_count()));
-    });
-    g.bench_function("galloping_intersect", |b| {
-        let mut arena = DecodeArena::new();
-        b.iter(|| {
-            black_box(
-                proc.intersect_blocked(&index, &blocked_refs, &mut arena)
-                    .match_count(),
-            )
         });
     });
     g.finish();

@@ -1,5 +1,5 @@
 //! Extension — in-flash offload sweep (DESIGN.md §14, the simulated record
-//! is `BENCH_7.json`): host-side galloping against the in-flash postings
+//! is `BENCH_7.json`): plain host reads against the in-flash postings
 //! predicate offload. Two questions, two instruments. **The bus ledger** —
 //! a queue-depth × channel-count grid of Host/`InFlash` engine pairs under
 //! the reference (timing-neutral) compute model, plus one production-scale
@@ -8,18 +8,18 @@
 //! all there is to report. **The price** — a device-level selectivity
 //! microbench under the *active* compute model across three regimes:
 //! selective intersections (large bus reduction, scan latency amortized
-//! across channels), sparse probes (host galloping does far less device
-//! work), and dense matches (the offload honestly *loses*: it crosses more
-//! bytes than the plain read and its serial emit cost grows with channels).
+//! across channels), sparse probes (the scan streams a whole extent for a
+//! handful of matches), and dense matches (the offload honestly *loses*:
+//! it crosses more bytes than the plain read and its serial emit cost
+//! grows with channels).
 
 use bench::{cache_config, print_table};
 use engine::{EngineConfig, OffloadMode, SearchEngine};
 use flashsim::{ComputeParams, FlashParams, PageMapFtl, SsdDisk};
 use hybridcache::PolicyKind;
-use searchidx::{
-    flash_scan, host_gallop, BlockSortedList, DecodeArena, OffloadPredicate, Posting, PostingList,
+use storagecore::{
+    BlockDevice, Extent, IoRequest, OffloadDescriptor, OFFLOAD_DESCRIPTOR_BYTES, SECTOR_SIZE,
 };
-use storagecore::{BlockDevice, Extent, IoRequest, OFFLOAD_DESCRIPTOR_BYTES, SECTOR_SIZE};
 
 const SEED: u64 = 42;
 // The pinned grid (docs, queries, memory bytes, SSD bytes): a small corpus
@@ -64,34 +64,31 @@ fn bus_row(
     ]
 }
 
-/// One selectivity regime: a pinned block-compressed list and predicate,
-/// priced both ways on an SSD running the active compute model at each
-/// channel width. Returns the row, the bus-byte reduction, and the
-/// in-flash read's latency overhead (ns) per width.
-fn regime(name: &str, pred: OffloadPredicate) -> (Vec<String>, f64, Vec<u64>) {
-    let postings: Vec<Posting> = (0..REGIME_ENTRIES)
-        .map(|i| Posting {
-            doc: i * 4,
-            tf: i % 7 + 1,
-        })
-        .collect();
-    let list = BlockSortedList::from_postings(&PostingList::new(0, postings));
-    let scan = flash_scan(&list, &pred);
-    // The host gallop skips; the flash scan cannot and decodes every entry.
-    let (_, gallop) = host_gallop(&list, &pred, &mut DecodeArena::new());
+/// One selectivity regime: a pinned list (entry `i` is doc `4i`, tf
+/// `i % 7 + 1`) and a predicate `first_doc <= doc <= last_doc, tf >=
+/// min_tf`, priced both ways on an SSD running the active compute model
+/// at each channel width. Returns the row, the bus-byte reduction, and
+/// the in-flash read's latency overhead (ns) per width.
+fn regime(
+    name: &str,
+    (first_doc, last_doc, min_tf): (u32, u32, u32),
+) -> (Vec<String>, f64, Vec<u64>) {
+    // The compute unit cannot skip: it streams every entry of the extent.
+    let entries = REGIME_ENTRIES as u64;
+    let emitted = (0..REGIME_ENTRIES)
+        .filter(|i| (first_doc..=last_doc).contains(&(i * 4)) && i % 7 + 1 >= min_tf)
+        .count() as u64;
 
     let entry_bytes = searchidx::types::POSTING_BYTES;
-    let sectors = (list.len() as u64 * entry_bytes).div_ceil(SECTOR_SIZE as u64);
+    let sectors = (entries * entry_bytes).div_ceil(SECTOR_SIZE as u64);
     let page = flashsim::PAPER_PAGE_BYTES as u64;
     let scanned_bytes = (sectors * SECTOR_SIZE as u64).div_ceil(page) * page;
-    let emitted = scan.matches.len() as u64;
     let bus_inflash = OFFLOAD_DESCRIPTOR_BYTES + emitted * entry_bytes;
 
     let mut row = vec![
         name.to_string(),
-        scan.entries_scanned.to_string(),
+        entries.to_string(),
         emitted.to_string(),
-        gallop.visited.to_string(),
         scanned_bytes.to_string(),
         bus_inflash.to_string(),
     ];
@@ -105,8 +102,7 @@ fn regime(name: &str, pred: OffloadPredicate) -> (Vec<String>, f64, Vec<u64>) {
         let extent = Extent::new(0, sectors);
         d.write(extent).expect("regime extent fits the device");
         let host_ns = d.read(extent).expect("in-region").as_nanos();
-        let desc = pred
-            .descriptor(entry_bytes as u32)
+        let desc = OffloadDescriptor::new(first_doc, last_doc, min_tf, entry_bytes as u32)
             .with_counts((scanned_bytes / entry_bytes) as u32, emitted as u32);
         let flash_ns = d
             .request(&IoRequest::read(extent).with_offload(desc))
@@ -148,14 +144,11 @@ fn main() {
     let doc_span = (REGIME_ENTRIES - 1) * 4;
     let regimes = [
         // ~1/64 of the list matches: the offload's home turf.
-        regime(
-            "selective_intersection",
-            OffloadPredicate::new(0, doc_span / 64, 0),
-        ),
-        // A handful of matches, and the gallop skips almost everything.
-        regime("sparse_probes", OffloadPredicate::new(40_000, 40_016, 0)),
+        regime("selective_intersection", (0, doc_span / 64, 0)),
+        // A handful of matches in one narrow doc range.
+        regime("sparse_probes", (40_000, 40_016, 0)),
         // Everything matches: the descriptor is pure overhead.
-        regime("dense_matches", OffloadPredicate::new(0, doc_span, 1)),
+        regime("dense_matches", (0, doc_span, 1)),
     ];
     let rows: Vec<Vec<String>> = regimes.iter().map(|r| r.0.clone()).collect();
     print_table(
@@ -164,7 +157,6 @@ fn main() {
             "regime",
             "entries",
             "matches",
-            "gallop_visited",
             "bus_bytes_host",
             "bus_bytes_inflash",
             "ch1_host_read_ns",

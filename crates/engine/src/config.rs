@@ -69,7 +69,7 @@ pub enum CompactionMode {
     InvalidateAll,
 }
 
-/// Knobs of the live (mutable) index arm.
+/// Knobs of a mutable index.
 #[derive(Debug, Clone, Default)]
 pub struct LiveConfig {
     /// Segment lifecycle policy (seal threshold, compaction fan-in,
@@ -81,24 +81,24 @@ pub struct LiveConfig {
 
 /// Whether the index accepts mutations at run time.
 ///
-/// `Frozen` is the seed behaviour, kept verbatim: one immutable index,
-/// cache keys numerically equal to term ids. `Live` wraps the same base
-/// corpus in a segmented [`searchidx::LiveIndex`]; until the first
-/// mutation it delegates every read to the base, so a zero-ingest live
-/// run is bit-identical to the frozen arm by construction (the
+/// Either way the engine holds one [`searchidx::LiveIndex`] over the base
+/// corpus, and until its first mutation that index delegates every read
+/// to the base. `Frozen` means only that mutations are refused: it can
+/// never leave that state, and the segment policy is never consulted.
+/// A zero-ingest `Live` run is bit-identical to a `Frozen` one (the
 /// `mutation_equivalence` suite asserts it on every simulated figure).
 #[derive(Debug, Clone, Default)]
 pub enum IndexMutability {
-    /// The read-only seed path.
+    /// Mutations are refused.
     #[default]
     Frozen,
-    /// The segmented write path: WAL + write segment + sealed segments +
+    /// Mutations are accepted: WAL + write segment + sealed segments +
     /// tombstones + background compaction.
     Live(LiveConfig),
 }
 
 impl IndexMutability {
-    /// Whether this is the live arm.
+    /// Whether mutations are accepted.
     pub fn is_live(&self) -> bool {
         matches!(self, IndexMutability::Live(_))
     }
@@ -149,7 +149,7 @@ pub struct EngineConfig {
     /// for the latency-realism sweeps.
     pub ssd_compute: ComputeParams,
     /// Whether the index accepts run-time mutations. `Frozen` (the
-    /// default) is the seed read-only path, untouched.
+    /// default) = mutations refused.
     pub mutability: IndexMutability,
 }
 

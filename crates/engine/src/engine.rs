@@ -5,7 +5,8 @@ use flashsim::{PageMapFtl, SsdDisk};
 use hddsim::{HddDisk, HddParams};
 use hybridcache::{CacheManager, Tier};
 use searchidx::{
-    CorpusSpec, DocStore, IndexLayout, IndexReader, QueryOutcome, SyntheticIndex, TopKProcessor,
+    CorpusSpec, DocStore, IndexLayout, IndexReader, LiveIndex, QueryOutcome, SyntheticIndex,
+    TopKProcessor,
 };
 use simclock::{Clock, Histogram, RunningStats, SimDuration, SimTime};
 use storagecore::{
@@ -15,7 +16,7 @@ use storagecore::{
 use workload::{Query, QueryLog, QueryLogSpec};
 
 use crate::config::{CompactionMode, EngineConfig, IndexMutability, IndexPlacement};
-use crate::mutation::{IndexArm, SegLayout, SegmentArena};
+use crate::mutation::{SegLayout, SegmentArena};
 use crate::payload::CachedResult;
 use crate::report::{FlashReport, RunReport};
 use crate::situations::{classify_list, Situation, SituationTable};
@@ -132,14 +133,16 @@ const _: () = {
 #[derive(Debug)]
 pub struct SearchEngine {
     config: EngineConfig,
-    index: IndexArm,
+    /// The one index. Until its first mutation every read delegates to
+    /// the base corpus; `arena` decides whether a mutation is accepted.
+    index: LiveIndex<SyntheticIndex>,
     layout: IndexLayout,
     docstore: DocStore,
-    /// Per-sealed-segment on-device layouts (live arm only; empty while
-    /// frozen or pristine).
+    /// Per-sealed-segment on-device layouts (empty while pristine).
     seg_layouts: std::collections::HashMap<searchidx::SegmentId, SegLayout>,
     /// Ring allocator for WAL appends and segment images in the free
-    /// region past the doc store (live arm only).
+    /// region past the doc store. `Some` iff `mutability` is
+    /// [`IndexMutability::Live`] — the single gate on mutation.
     arena: Option<SegmentArena>,
     /// Cache-coherence strategy for compaction merges.
     compaction_mode: CompactionMode,
@@ -165,8 +168,7 @@ pub struct SearchEngine {
     /// the filter down pays.
     offload_mode: OffloadMode,
     processor: TopKProcessor,
-    /// Run the straight-line reference paths (linear victim scans,
-    /// `HashMap` top-K) instead of the indexed/pooled ones.
+    /// Route top-K through `TopKProcessor::process_reference`.
     reference_mode: bool,
     log: QueryLog,
     clock: Clock,
@@ -190,8 +192,10 @@ impl SearchEngine {
     /// Build the whole testbed from a configuration. Construction is O(vocabulary).
     pub fn new(config: EngineConfig) -> Self {
         let base = SyntheticIndex::new(CorpusSpec::enwiki_like(config.docs, config.seed));
-        let index = match &config.mutability {
-            IndexMutability::Frozen => IndexArm::Frozen(base),
+        // Frozen refuses every mutation, so its policy and compaction
+        // mode are never consulted.
+        let (segments, compaction_mode) = match &config.mutability {
+            IndexMutability::Frozen => Default::default(),
             IndexMutability::Live(live) => {
                 // The three-level intersection family has no segment
                 // story (pair keys carry no segment identity), so it
@@ -203,13 +207,10 @@ impl SearchEngine {
                         .is_none_or(|c| c.intersections.is_none()),
                     "intersection caching is incompatible with IndexMutability::Live"
                 );
-                IndexArm::Live(Box::new(searchidx::LiveIndex::new(base, live.segments)))
+                (live.segments, live.compaction)
             }
         };
-        let compaction_mode = match &config.mutability {
-            IndexMutability::Live(live) => live.compaction,
-            IndexMutability::Frozen => CompactionMode::default(),
-        };
+        let index = LiveIndex::new(base, segments);
         let layout = IndexLayout::build(index.base(), 0);
         // Stored fields live right after the posting lists.
         let docstore = DocStore::new(layout.end(), config.docs);
@@ -248,10 +249,10 @@ impl SearchEngine {
         ));
         let mut processor = TopKProcessor::new(config.topk);
         processor.set_backend(config.postings);
-        // The live arm rings its WAL and segment images through the free
+        // A live engine rings its WAL and segment images through the free
         // region past the doc store; the device capacity formulas above
-        // are *unchanged* so the frozen geometry (and thus seek timing)
-        // is preserved bit-for-bit.
+        // do not depend on mutability, so geometry (and thus seek timing)
+        // is the same either way.
         let arena = config.mutability.is_live().then(|| {
             let used = docstore.end();
             let capacity = index_dev.geometry().sectors;
@@ -306,21 +307,21 @@ impl SearchEngine {
         (expect * 12).max(64)
     }
 
-    /// The base (frozen) synthetic index. Both arms share it; the live
-    /// arm's segments layer on top without renumbering its documents.
+    /// The base synthetic index; ingested segments layer on top without
+    /// renumbering its documents.
     pub fn index(&self) -> &SyntheticIndex {
         self.index.base()
     }
 
     /// The live index, when `mutability` is [`IndexMutability::Live`].
-    pub fn live_index(&self) -> Option<&searchidx::LiveIndex<SyntheticIndex>> {
-        self.index.live()
+    pub fn live_index(&self) -> Option<&LiveIndex<SyntheticIndex>> {
+        self.is_live().then_some(&self.index)
     }
 
-    /// Mutation-lifecycle counters of the live arm (zero-default when
-    /// frozen).
+    /// Mutation-lifecycle counters (all zero when frozen: nothing was
+    /// ever accepted).
     pub fn mutation_stats(&self) -> searchidx::MutationStats {
-        self.index.live().map(|l| l.stats()).unwrap_or_default()
+        self.index.stats()
     }
 
     /// Virtual time spent in background mutation I/O (WAL appends, seal
@@ -368,8 +369,8 @@ impl SearchEngine {
     /// (`mutation_audit` plants WAL/segment/tombstone inconsistencies to
     /// prove the validators fire). Not part of the public surface.
     #[doc(hidden)]
-    pub fn debug_live_mut(&mut self) -> Option<&mut searchidx::LiveIndex<SyntheticIndex>> {
-        self.index.live_mut()
+    pub fn debug_live_mut(&mut self) -> Option<&mut LiveIndex<SyntheticIndex>> {
+        self.is_live().then_some(&mut self.index)
     }
 
     /// Full I/O statistics of the index device, submission-queue section
@@ -392,29 +393,27 @@ impl SearchEngine {
             cache.device().inner().validate(&mut report);
         }
         self.index_dev.validate(&mut report);
-        if let Some(live) = self.index.live() {
-            // The segment stack's own validators (WAL monotonicity,
-            // doc-range disjointness, tombstone conservation).
-            live.validate(&mut report);
-            // Cache/segment coherence: no tier may hold a key whose
-            // segment has been retired by compaction — a stale prefix
-            // there could alias a freshly merged list.
-            if let Some(cache) = &self.cache {
-                let retired = live.retired_ids();
-                for key in cache.cached_list_keys() {
-                    let seg = hybridcache::key_segment(key);
-                    report.check(
-                        !retired.contains(&seg),
-                        "SearchEngine",
-                        "no-cached-prefix-for-dead-segment",
-                        || {
-                            format!(
-                                "cache holds key (segment {seg}, term {}) but segment {seg} is retired",
-                                hybridcache::key_term(key)
-                            )
-                        },
-                    );
-                }
+        // The segment stack's own validators (WAL monotonicity,
+        // doc-range disjointness, tombstone conservation).
+        self.index.validate(&mut report);
+        // Cache/segment coherence: no tier may hold a key whose segment
+        // has been retired by compaction — a stale prefix there could
+        // alias a freshly merged list.
+        if let Some(cache) = &self.cache {
+            let retired = self.index.retired_ids();
+            for key in cache.cached_list_keys() {
+                let seg = hybridcache::key_segment(key);
+                report.check(
+                    !retired.contains(&seg),
+                    "SearchEngine",
+                    "no-cached-prefix-for-dead-segment",
+                    || {
+                        format!(
+                            "cache holds key (segment {seg}, term {}) but segment {seg} is retired",
+                            hybridcache::key_term(key)
+                        )
+                    },
+                );
             }
         }
         report
@@ -540,7 +539,7 @@ impl SearchEngine {
         // Once the live index has mutated, a cached list is one segment's
         // share of a term, not the frequency-sorted prefix the descriptor
         // describes — the push-down predicate no longer applies.
-        if self.index.live().is_some_and(|l| !l.is_pristine()) {
+        if !self.index.is_pristine() {
             return None;
         }
         let tf_bound = self
@@ -713,15 +712,11 @@ impl SearchEngine {
             if paired.is_some_and(|(a, b)| u.term == a || u.term == b) {
                 continue; // served by the cached intersection
             }
-            // Once the live index has mutated, a scanned prefix splits
-            // into per-layer shares. Frozen or pristine it is one part,
-            // the base layer's whole prefix — the only shape the offload
-            // predicate describes.
-            let split = self
-                .index
-                .live()
-                .and_then(|l| l.split_usage(u.term, u.scanned));
-            match split {
+            // Once the index has mutated, a scanned prefix splits into
+            // per-layer shares. Pristine it is one part, the base layer's
+            // whole prefix — the only shape the offload predicate
+            // describes.
+            match self.index.split_usage(u.term, u.scanned) {
                 Some(parts) => self.charge_parts(u.term, &parts, None, &mut lists),
                 None => {
                     let whole = searchidx::UsagePart {
@@ -928,22 +923,23 @@ impl SearchEngine {
     // Live-index mutation path
     // ------------------------------------------------------------------
 
-    /// Whether the live (mutable) arm is active.
+    /// Whether the index accepts mutations.
     pub fn is_live(&self) -> bool {
-        self.index.live().is_some()
+        self.arena.is_some()
     }
 
     /// Ingest one document into the live index: WAL append (background
     /// write), in-memory postings growth, and — at the seal/compaction
     /// thresholds — the background segment lifecycle. Returns the
-    /// assigned document slot, or `None` on the frozen arm.
+    /// assigned document slot, or `None` when frozen.
     ///
     /// `terms` must be distinct, ascending, in-vocabulary `(term, tf)`
     /// pairs with `tf > 0`.
     pub fn ingest_document(&mut self, terms: &[(u32, u32)]) -> Option<u32> {
-        let at = self.clock.now();
-        let live = self.index.live_mut()?;
-        let out = live.add_document(at, terms);
+        if !self.is_live() {
+            return None;
+        }
+        let out = self.index.add_document(self.clock.now(), terms);
         self.charge_wal(out.wal_bytes);
         self.sync_processor();
         self.run_segment_lifecycle();
@@ -951,13 +947,12 @@ impl SearchEngine {
     }
 
     /// Tombstone-delete a document from the live index. Returns whether
-    /// it was alive (always `false` on the frozen arm).
+    /// it was alive (always `false` when frozen).
     pub fn delete_document(&mut self, doc: u32) -> bool {
-        let at = self.clock.now();
-        let Some(live) = self.index.live_mut() else {
+        if !self.is_live() {
             return false;
-        };
-        let out = live.delete_document(at, doc);
+        }
+        let out = self.index.delete_document(self.clock.now(), doc);
         self.charge_wal(out.wal_bytes);
         self.sync_processor();
         self.run_segment_lifecycle();
@@ -968,30 +963,37 @@ impl SearchEngine {
     /// threshold, then compact at the fan-in threshold.
     fn run_segment_lifecycle(&mut self) {
         let at = self.clock.now();
-        let sealed = {
-            let Some(live) = self.index.live_mut() else {
-                return;
-            };
-            if live.seal_due() {
-                live.seal(at)
-            } else {
-                None
+        if self.index.seal_due() {
+            if let Some(out) = self.index.seal(at) {
+                self.on_seal(&out);
             }
-        };
-        if let Some(out) = sealed {
-            self.on_seal(&out);
         }
-        let compacted = {
-            let live = self.index.live_mut().expect("checked above");
-            if live.compaction_due() {
-                live.compact(at)
-            } else {
-                None
+        if self.index.compaction_due() {
+            if let Some(out) = self.index.compact(at) {
+                self.on_compact(&out);
             }
-        };
-        if let Some(out) = compacted {
-            self.on_compact(&out);
         }
+    }
+
+    /// Background mutation I/O on the index device, stamped with the
+    /// engine clock: `reads`, then one `write`. Its time accrues to
+    /// `mutation_io_time`, never to a query's response.
+    fn background_io(&mut self, reads: &[Extent], write: Extent) {
+        self.index_dev.set_now(self.clock.now());
+        self.index_dev.set_background(true);
+        let mut t = SimDuration::ZERO;
+        for &extent in reads {
+            t += self
+                .index_dev
+                .read(extent)
+                .expect("segment arena is on-device");
+        }
+        t += self
+            .index_dev
+            .write(write)
+            .expect("WAL ring and segment arena are on-device");
+        self.index_dev.set_background(false);
+        self.mutation_io_time += t;
     }
 
     /// Charge a WAL append as a background write into the WAL ring.
@@ -999,43 +1001,31 @@ impl SearchEngine {
         if bytes == 0 {
             return;
         }
-        let Some(arena) = self.arena.as_mut() else {
-            return;
-        };
+        let arena = self.arena.as_mut().expect("only a live engine mutates");
         let extent = arena.wal_extent(bytes);
-        self.index_dev.set_now(self.clock.now());
-        self.index_dev.set_background(true);
-        let t = self.index_dev.write(extent).expect("WAL ring is on-device");
-        self.index_dev.set_background(false);
-        self.mutation_io_time += t;
+        self.background_io(&[], extent);
+    }
+
+    /// Lay sealed segment `id` out in the arena and keep its layout;
+    /// returns the image extent the caller writes.
+    fn place_segment(&mut self, id: searchidx::SegmentId) -> Extent {
+        let seg = self
+            .index
+            .sealed_segment(id)
+            .expect("a segment just sealed or merged is active");
+        let arena = self.arena.as_mut().expect("only a live engine mutates");
+        let layout = SegLayout::build(seg, arena);
+        let image = layout.image_extent();
+        self.seg_layouts.insert(id, layout);
+        image
     }
 
     /// A freshly sealed segment: lay it out in the arena and charge the
     /// image write as background I/O.
     fn on_seal(&mut self, out: &searchidx::SealOutcome) {
         self.charge_wal(out.wal_bytes);
-        let (layout, image) = {
-            let live = self.index.live().expect("seal implies live");
-            let seg = live
-                .sealed_segment(out.segment)
-                .expect("sealed segment exists");
-            let arena = self.arena.as_mut().expect("live arm has an arena");
-            // Build at 0 first to learn the footprint, then place.
-            let probe = SegLayout::build(seg, 0);
-            let base = arena.alloc_segment(probe.sectors());
-            let layout = SegLayout::build(seg, base);
-            let image = layout.image_extent();
-            (layout, image)
-        };
-        self.index_dev.set_now(self.clock.now());
-        self.index_dev.set_background(true);
-        let t = self
-            .index_dev
-            .write(image)
-            .expect("segment arena is on-device");
-        self.index_dev.set_background(false);
-        self.mutation_io_time += t;
-        self.seg_layouts.insert(out.segment, layout);
+        let image = self.place_segment(out.segment);
+        self.background_io(&[], image);
         self.audit_mutation("SearchEngine::on_seal");
     }
 
@@ -1044,37 +1034,14 @@ impl SearchEngine {
     /// cache under the configured [`CompactionMode`].
     fn on_compact(&mut self, out: &searchidx::CompactOutcome) {
         self.charge_wal(out.wal_bytes);
-        self.index_dev.set_now(self.clock.now());
-        self.index_dev.set_background(true);
-        let mut t = SimDuration::ZERO;
-        for id in &out.inputs {
-            if let Some(l) = self.seg_layouts.get(id) {
-                t += self
-                    .index_dev
-                    .read(l.image_extent())
-                    .expect("segment arena is on-device");
-            }
-        }
-        let layout = {
-            let live = self.index.live().expect("compact implies live");
-            let seg = live
-                .sealed_segment(out.output)
-                .expect("merge output exists");
-            let arena = self.arena.as_mut().expect("live arm has an arena");
-            let probe = SegLayout::build(seg, 0);
-            let base = arena.alloc_segment(probe.sectors());
-            SegLayout::build(seg, base)
-        };
-        t += self
-            .index_dev
-            .write(layout.image_extent())
-            .expect("segment arena is on-device");
-        self.index_dev.set_background(false);
-        self.mutation_io_time += t;
-        for id in &out.inputs {
-            self.seg_layouts.remove(id);
-        }
-        self.seg_layouts.insert(out.output, layout);
+        let inputs: Vec<Extent> = out
+            .inputs
+            .iter()
+            .filter_map(|id| self.seg_layouts.remove(id))
+            .map(|l| l.image_extent())
+            .collect();
+        let image = self.place_segment(out.output);
+        self.background_io(&inputs, image);
         self.reconcile_cache(out);
         if out.content_changed {
             self.processor.invalidate_all_terms();
@@ -1127,8 +1094,7 @@ impl SearchEngine {
                 }
                 // Pass 2: the merged survivor's footprint per term.
                 let full_bytes: Vec<u64> = {
-                    let live = self.index.live().expect("compact implies live");
-                    let seg = live.sealed_segment(out.output);
+                    let seg = self.index.sealed_segment(out.output);
                     carried
                         .iter()
                         .map(|&(t, ..)| seg.map_or(0, |s| s.doc_freq(t) * 8))
@@ -1152,10 +1118,7 @@ impl SearchEngine {
     /// per-term caches (block postings + weight scratch are keyed by
     /// term only, so stale entries must go before the next query).
     fn sync_processor(&mut self) {
-        let Some(live) = self.index.live_mut() else {
-            return;
-        };
-        let dirty = live.take_dirty();
+        let dirty = self.index.take_dirty();
         if dirty.all {
             self.processor.invalidate_all_terms();
         } else {

@@ -19,7 +19,6 @@
 pub mod cluster;
 pub mod config;
 pub mod engine;
-pub mod model;
 pub mod mutation;
 pub mod payload;
 pub mod report;
@@ -32,8 +31,6 @@ pub use config::{
 };
 pub use engine::SearchEngine;
 pub use flashsim::{ComputeParams, ComputeStats};
-pub use model::{predict, FixedCosts, ModelCheck};
-pub use mutation::IndexArm;
 pub use payload::CachedResult;
 pub use report::{FlashReport, RunReport};
 pub use searchidx::PostingsBackend;

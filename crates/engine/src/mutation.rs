@@ -1,11 +1,11 @@
-//! Live-index plumbing for the engine: the frozen/live index arm, the
-//! on-device layout of sealed segments, and the ring arena that places
-//! WAL appends and segment images after the base index.
+//! Live-index plumbing for the engine: the on-device layout of sealed
+//! segments and the ring arena that places WAL appends and segment
+//! images after the base index.
 //!
 //! The base index image and the [`searchidx::IndexLayout`] over it are
 //! untouched by mutation — document slots are never renumbered, so the
-//! frozen extents stay valid for the base layer forever. Everything the
-//! live arm adds (WAL records, sealed-segment images, merge outputs)
+//! frozen extents stay valid for the base layer forever. Everything
+//! mutation adds (WAL records, sealed-segment images, merge outputs)
 //! lives in the free region between the end of the doc store and the
 //! device's capacity, allocated ring-wise: the simulation charges honest
 //! seeks/programs for the background writes without ever growing the
@@ -13,100 +13,8 @@
 
 use std::collections::HashMap;
 
-use searchidx::{
-    IndexReader, LiveIndex, Posting, PostingList, SealedSegment, SyntheticIndex, TermId,
-    POSTING_BYTES,
-};
+use searchidx::{IndexReader, SealedSegment, TermId, POSTING_BYTES};
 use storagecore::{Extent, Lba, SECTOR_SIZE};
-
-/// The engine's index: the seed read-only path, or the segmented
-/// mutable stack over the same base corpus.
-#[derive(Debug)]
-pub enum IndexArm {
-    /// One immutable [`SyntheticIndex`] — the seed behaviour verbatim.
-    Frozen(SyntheticIndex),
-    /// The segmented write path. Until the first mutation it delegates
-    /// every read to the base, so a zero-ingest live run is
-    /// bit-identical to the frozen arm by construction.
-    Live(Box<LiveIndex<SyntheticIndex>>),
-}
-
-impl IndexArm {
-    /// The base (frozen) index both arms share.
-    pub fn base(&self) -> &SyntheticIndex {
-        match self {
-            IndexArm::Frozen(i) => i,
-            IndexArm::Live(l) => l.base(),
-        }
-    }
-
-    /// The live index, when this is the live arm.
-    pub fn live(&self) -> Option<&LiveIndex<SyntheticIndex>> {
-        match self {
-            IndexArm::Frozen(_) => None,
-            IndexArm::Live(l) => Some(l),
-        }
-    }
-
-    /// Mutable live access.
-    pub fn live_mut(&mut self) -> Option<&mut LiveIndex<SyntheticIndex>> {
-        match self {
-            IndexArm::Frozen(_) => None,
-            IndexArm::Live(l) => Some(l),
-        }
-    }
-}
-
-impl IndexReader for IndexArm {
-    fn num_docs(&self) -> u64 {
-        match self {
-            IndexArm::Frozen(i) => i.num_docs(),
-            IndexArm::Live(l) => l.num_docs(),
-        }
-    }
-
-    fn num_terms(&self) -> u64 {
-        match self {
-            IndexArm::Frozen(i) => i.num_terms(),
-            IndexArm::Live(l) => l.num_terms(),
-        }
-    }
-
-    fn doc_freq(&self, term: TermId) -> u64 {
-        match self {
-            IndexArm::Frozen(i) => i.doc_freq(term),
-            IndexArm::Live(l) => l.doc_freq(term),
-        }
-    }
-
-    fn postings(&self, term: TermId) -> PostingList {
-        match self {
-            IndexArm::Frozen(i) => i.postings(term),
-            IndexArm::Live(l) => l.postings(term),
-        }
-    }
-
-    fn postings_range(&self, term: TermId, start: u64, end: u64) -> Vec<Posting> {
-        match self {
-            IndexArm::Frozen(i) => i.postings_range(term, start, end),
-            IndexArm::Live(l) => l.postings_range(term, start, end),
-        }
-    }
-
-    fn list_bytes(&self, term: TermId) -> u64 {
-        match self {
-            IndexArm::Frozen(i) => i.list_bytes(term),
-            IndexArm::Live(l) => l.list_bytes(term),
-        }
-    }
-
-    fn idf(&self, term: TermId) -> f64 {
-        match self {
-            IndexArm::Frozen(i) => i.idf(term),
-            IndexArm::Live(l) => l.idf(term),
-        }
-    }
-}
 
 /// Compact on-device layout of one sealed segment: only the terms the
 /// segment actually holds get extents (a full [`searchidx::IndexLayout`]
@@ -117,32 +25,28 @@ impl IndexReader for IndexArm {
 pub struct SegLayout {
     base: Lba,
     sectors: u64,
-    /// `term -> (first sector, sectors, list bytes)`, extents laid out
-    /// in ascending-term order.
-    by_term: HashMap<TermId, (Lba, u64, u64)>,
+    /// `term -> (first sector within the image, sectors, list bytes)`,
+    /// extents laid out in ascending-term order.
+    by_term: HashMap<TermId, (u64, u64, u64)>,
 }
 
 impl SegLayout {
-    /// Lay the segment's lists out starting at sector `base`.
-    pub fn build(seg: &SealedSegment, base: Lba) -> Self {
+    /// Lay the segment's lists out back to back and place the image in
+    /// a run of `arena` sectors.
+    pub fn build(seg: &SealedSegment, arena: &mut SegmentArena) -> Self {
         let mut by_term = HashMap::new();
-        let mut cursor = base;
+        let mut sectors = 0;
         for term in seg.terms() {
             let bytes = seg.doc_freq(term) * POSTING_BYTES;
-            let sectors = bytes.div_ceil(SECTOR_SIZE as u64).max(1);
-            by_term.insert(term, (cursor, sectors, bytes));
-            cursor += sectors;
+            let len = bytes.div_ceil(SECTOR_SIZE as u64).max(1);
+            by_term.insert(term, (sectors, len, bytes));
+            sectors += len;
         }
         SegLayout {
-            base,
-            sectors: cursor - base,
+            base: arena.alloc_segment(sectors),
+            sectors,
             by_term,
         }
-    }
-
-    /// Total sectors occupied.
-    pub fn sectors(&self) -> u64 {
-        self.sectors
     }
 
     /// The whole image as one extent (what seal/merge I/O moves).
@@ -154,7 +58,7 @@ impl SegLayout {
     pub fn extent(&self, term: TermId) -> Option<Extent> {
         self.by_term
             .get(&term)
-            .map(|&(lba, sectors, _)| Extent::new(lba, sectors))
+            .map(|&(first, sectors, _)| Extent::new(self.base + first, sectors))
     }
 
     /// The extent covering the first `bytes` of a term's list (whole
@@ -240,8 +144,7 @@ impl SegmentArena {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use searchidx::{GrowthPolicy, SegmentPolicy, WriteSegment};
-    use simclock::SimTime;
+    use searchidx::{GrowthPolicy, WriteSegment};
 
     fn sealed() -> SealedSegment {
         let mut ws = WriteSegment::new(100, GrowthPolicy::Contiguous);
@@ -254,9 +157,10 @@ mod tests {
     #[test]
     fn seg_layout_covers_every_list_without_vocab_padding() {
         let seg = sealed();
-        let l = SegLayout::build(&seg, 5_000);
+        let mut arena = SegmentArena::new(4_000, 8_000);
+        let l = SegLayout::build(&seg, &mut arena);
         // Only present terms are laid out; extents are disjoint and
-        // back-to-back in ascending term order.
+        // back-to-back in ascending term order from the arena's run.
         let mut terms: Vec<TermId> = seg.terms().collect();
         terms.sort_unstable();
         let mut cursor = 5_000;
@@ -266,7 +170,7 @@ mod tests {
             assert!(e.bytes() >= seg.doc_freq(t) * POSTING_BYTES);
             cursor = e.end();
         }
-        assert_eq!(l.image_extent(), Extent::new(5_000, l.sectors()));
+        assert_eq!(l.image_extent(), Extent::new(5_000, cursor - 5_000));
         assert_eq!(l.extent(999), None, "absent term has no extent");
         // Prefix/range clamp like the base layout.
         let t = terms[0];
@@ -298,27 +202,5 @@ mod tests {
                 "segment run escaped the arena"
             );
         }
-    }
-
-    #[test]
-    fn index_arm_pristine_live_reads_equal_frozen() {
-        let spec = searchidx::CorpusSpec::tiny(11);
-        let frozen = IndexArm::Frozen(SyntheticIndex::new(spec.clone()));
-        let live = IndexArm::Live(Box::new(LiveIndex::new(
-            SyntheticIndex::new(spec),
-            SegmentPolicy::default(),
-        )));
-        assert_eq!(frozen.num_docs(), live.num_docs());
-        assert_eq!(frozen.num_terms(), live.num_terms());
-        for t in [0u32, 5, 100, 1_999] {
-            assert_eq!(frozen.doc_freq(t), live.doc_freq(t));
-            assert_eq!(frozen.postings(t), live.postings(t));
-            assert_eq!(frozen.list_bytes(t), live.list_bytes(t));
-            assert!((frozen.idf(t) - live.idf(t)).abs() == 0.0, "idf bit-equal");
-        }
-        let mut arm = live;
-        let l = arm.live_mut().expect("live arm");
-        l.add_document(SimTime::ZERO, &[(0, 1)]);
-        assert_eq!(arm.num_docs(), arm.base().num_docs() + 1);
     }
 }

@@ -2,12 +2,13 @@
 //!
 //! Three layers of evidence:
 //! * **Zero-ingest bit-identity** — a `Live` engine that never receives
-//!   a mutation must be indistinguishable from the `Frozen` seed arm on
-//!   every simulated figure: the full [`engine::RunReport`], the cache
-//!   stats, both devices' `IoStats`, the result digest, and every
-//!   individual response time, across seeds, cache configs and queue
-//!   depths. The pristine `LiveIndex` delegates every read to its base,
-//!   so this holds by construction — these tests pin it.
+//!   a mutation must be indistinguishable from a `Frozen` one on every
+//!   simulated figure: the full [`engine::RunReport`], the cache stats,
+//!   both devices' `IoStats`, the result digest, and every individual
+//!   response time, across seeds, cache configs and queue depths. Both
+//!   read through the same pristine `LiveIndex`; what differs is the
+//!   segment arena and policy a `Live` engine carries — these tests pin
+//!   that neither touches device geometry or any figure.
 //! * **Segmentation invisibility** — the same mutation history applied
 //!   under an aggressive seal/compact policy and under a
 //!   never-seal policy must yield the same match sets for the same
@@ -182,10 +183,19 @@ fn ingested_documents_are_visible_and_deletes_hide() {
     assert!(!l.doc_alive(doc));
     assert!(l.postings(3).postings().iter().all(|p| p.doc != doc));
 
-    // The frozen arm refuses mutations.
+    // A frozen engine refuses mutations, and a refusal leaves no trace:
+    // no live handle, no ledger entry, no WAL charge on the device.
     let mut f = SearchEngine::new(EngineConfig::no_cache(DOCS, IndexPlacement::Hdd, 11));
+    let ops_before = f.index_io_stats().total_ops();
     assert_eq!(f.ingest_document(&[(3, 1)]), None);
     assert!(!f.delete_document(0));
+    assert!(f.live_index().is_none() && !f.is_live());
+    assert_eq!(f.mutation_stats(), searchidx::MutationStats::default());
+    assert_eq!(f.mutation_io_time(), simclock::SimDuration::ZERO);
+    assert_eq!(f.index_io_stats().total_ops(), ops_before);
+    // The segment validators run on frozen engines too.
+    let audit = f.validation_report();
+    assert!(audit.is_clean(), "{}", audit.summary());
 }
 
 #[test]

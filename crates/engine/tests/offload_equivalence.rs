@@ -5,7 +5,7 @@
 //! sets via `postings_scanned`, cache hit/eviction counters), both
 //! submission-queue sections, the pipeline wrapper's whole `IoStats`
 //! mirror, NAND wear, and the inner SSD's per-kind I/O figures must
-//! agree bit-for-bit with the `Host` galloping arm. The only thing
+//! agree bit-for-bit with the `Host` arm. The only thing
 //! allowed to move is the bus-byte ledger — which is the entire point
 //! of the offload.
 

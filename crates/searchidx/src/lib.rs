@@ -20,40 +20,34 @@
 //!   posting list, so partial traversals become partial extent reads;
 //! * [`blocks`] — the blocked in-memory representation behind the
 //!   runtime [`PostingsBackend`] toggle: pinned list prefixes scanned a
-//!   block at a time under a block-max bound for top-K, varint-coded
-//!   doc-sorted blocks for intersection, so skipped reads skip their
-//!   work too.
+//!   block at a time under a block-max bound, so skipped reads skip
+//!   their work too;
+//! * [`segment`] — the mutable index: WAL, write segment, sealed
+//!   segments and tombstones layered over an immutable base reader.
 
 #![forbid(unsafe_code)]
 
 pub mod blocks;
-pub mod conjunctive;
 pub mod corpus;
 pub mod docstore;
 pub mod layout;
 pub mod mem;
-pub mod offload;
 pub mod segment;
-pub mod skips;
 pub mod topk;
 pub mod types;
 
 pub use blocks::{
-    BlockCursor, BlockPostings, BlockSortedList, BlockStore, BlockStoreStats, DecodeArena,
-    PostingsBackend, BLOCK_SIZE, SORTED_BLOCK,
+    BlockPostings, BlockStore, BlockStoreStats, PostingsBackend, SkipStats, BLOCK_SIZE,
 };
-pub use conjunctive::{AndOutcome, AndProcessor};
 pub use corpus::{CorpusSpec, SyntheticIndex};
 pub use docstore::DocStore;
 pub use layout::IndexLayout;
 pub use mem::MemIndex;
-pub use offload::{flash_scan, host_gallop, OffloadPredicate, ScanOutcome};
 pub use segment::{
     AddOutcome, CompactOutcome, DeleteOutcome, DirtyTerms, GrowthPolicy, GrowthStats, LiveIndex,
     MutationStats, SealOutcome, SealedSegment, SegmentId, SegmentPolicy, UsagePart, WalOp,
     WalRecord, WriteAheadLog, WriteSegment, BASE_SEGMENT, WRITE_SEGMENT,
 };
-pub use skips::{DocSortedList, PostingsCursor, SkipCursor, SkipStats, SKIP_INTERVAL};
 pub use topk::{QueryOutcome, TermUsage, TopKConfig, TopKProcessor};
 pub use types::{
     tf_weight, DocId, IndexReader, Posting, PostingList, ResultEntry, ScoredDoc, TermId,

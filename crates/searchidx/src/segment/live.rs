@@ -27,9 +27,9 @@
 //! never for the whole list.
 //!
 //! **Pristine fast path:** until the first mutation, every reader method
-//! delegates straight to the base. A zero-ingest live index is therefore
-//! bit-identical to the frozen arm *by construction* — the
-//! `mutation_equivalence` suite pins this.
+//! delegates straight to the base, so an index that is never mutated —
+//! every engine with `IndexMutability::Frozen` — reads exactly what the
+//! bare base would. The engine's `golden_ledger` pins that branch.
 
 use std::cell::{RefCell, RefMut};
 
@@ -563,8 +563,7 @@ impl<B: IndexReader> LiveIndex<B> {
     }
 
     /// Split a partial scan of `term`'s merged list into per-layer
-    /// prefixes. `None` while pristine: everything came from the base,
-    /// and callers must take the frozen-identical path.
+    /// prefixes. `None` while pristine: everything came from the base.
     pub fn split_usage(&self, term: TermId, scanned: u64) -> Option<Vec<UsagePart>> {
         if self.is_pristine() {
             return None;
@@ -730,8 +729,7 @@ impl<B: IndexReader> IndexReader for LiveIndex<B> {
         }
     }
 
-    // Pinned as `frozen-read-path` in `crates/xtask/oracle.lock`: the
-    // pristine branch is the frozen arm's read path and stays verbatim.
+    // The pristine branch is every never-mutated engine's read path.
     fn postings_range(&self, term: TermId, start: u64, end: u64) -> Vec<Posting> {
         if self.is_pristine() {
             self.base.postings_range(term, start, end)

@@ -13,8 +13,7 @@ use std::collections::HashMap;
 
 use invariant::{audit, Report, Validate};
 
-use crate::blocks::{BlockStore, BlockStoreStats, PostingsBackend, BLOCK_SIZE};
-use crate::skips::SkipStats;
+use crate::blocks::{BlockStore, BlockStoreStats, PostingsBackend, SkipStats, BLOCK_SIZE};
 use crate::types::{
     tf_weight as weight, DocId, IndexReader, Posting, ResultEntry, ScoredDoc, TermId,
 };

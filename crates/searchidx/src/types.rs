@@ -17,9 +17,9 @@ pub const RESULT_DOC_BYTES: u64 = 400;
 
 /// Sub-linear tf damping, the classic `1 + ln(tf)`. The single source of
 /// truth for the per-posting score contribution `tf_weight(tf) · idf`:
-/// the disjunctive processor, conjunctive evaluation, and the block-max
-/// bounds in [`crate::blocks`] must all use the same function, or
-/// block-max skipping would stop being a sound upper bound.
+/// the disjunctive processor and the block-max bounds in
+/// [`crate::blocks`] must use the same function, or block-max skipping
+/// would stop being a sound upper bound.
 #[inline]
 pub fn tf_weight(tf: u32) -> f64 {
     1.0 + (tf.max(1) as f64).ln()

@@ -2,21 +2,18 @@
 //!
 //! The blocked representation is only allowed to change *how fast*
 //! queries run, never *what they return*: random corpora and query mixes
-//! must produce identical top-K results, identical per-term scan counts
-//! (the simulated figures are built from them), identical conjunctive
-//! match sets — and the blocked cursors must never visit more postings
-//! than the reference skip cursors.
+//! must produce identical top-K results and identical per-term scan
+//! counts (the simulated figures are built from them).
 
 use proptest::prelude::*;
 use searchidx::blocks::HOT_PREFIX;
 use searchidx::{
-    AndProcessor, BlockPostings, BlockSortedList, CorpusSpec, DecodeArena, DocSortedList,
-    IndexReader, MemIndex, Posting, PostingList, PostingsBackend, SkipCursor, SyntheticIndex,
-    TermId, TopKConfig, TopKProcessor, BLOCK_SIZE,
+    BlockPostings, CorpusSpec, IndexReader, MemIndex, PostingsBackend, SyntheticIndex, TermId,
+    TopKConfig, TopKProcessor, BLOCK_SIZE,
 };
 
 /// Random small corpora: documents as term-id sequences over a compact
-/// vocabulary (so lists overlap and intersections are non-trivial).
+/// vocabulary (so lists overlap).
 fn corpus() -> impl Strategy<Value = Vec<Vec<TermId>>> {
     prop::collection::vec(prop::collection::vec(0u32..30, 1..20), 1..120)
 }
@@ -70,33 +67,6 @@ proptest! {
         }
     }
 
-    /// Conjunctive evaluation: identical match sets (docs *and* per-term
-    /// postings), identical ranked results, identical match counts — and
-    /// the blocked traversal never examines more postings individually.
-    #[test]
-    fn and_backends_bit_identical(docs in corpus(), qs in queries()) {
-        let idx = MemIndex::from_docs(docs);
-        let reference = AndProcessor { k: 10, backend: PostingsBackend::Reference };
-        let blocked = AndProcessor { k: 10, backend: PostingsBackend::Blocked };
-        for q in &qs {
-            let a = reference.process(&idx, q);
-            let b = blocked.process(&idx, q);
-            prop_assert_eq!(&a.matches, &b.matches, "match set for {:?}", q);
-            prop_assert_eq!(&a.result, &b.result, "ranked result for {:?}", q);
-            prop_assert_eq!(a.match_count(), b.match_count());
-            prop_assert!(
-                b.skip_stats.visited <= a.skip_stats.visited,
-                "blocked visited {} > reference {} for {:?}",
-                b.skip_stats.visited, a.skip_stats.visited, q
-            );
-            prop_assert_eq!(
-                a.skip_stats.visited + a.skip_stats.skipped,
-                b.skip_stats.visited + b.skip_stats.skipped,
-                "span accounting for {:?}", q
-            );
-        }
-    }
-
     /// The pinned prefix is a faithful copy: after any `ensure` schedule
     /// it equals `postings_range(0, built)`, and `built` is a whole
     /// number of blocks or all of `min(df, HOT_PREFIX)`. The corpora's
@@ -116,47 +86,6 @@ proptest! {
         } else {
             check_ensure_schedule(&MemIndex::from_docs(docs), term, &steps)?;
         }
-    }
-
-    /// Cursor-level equivalence on random doc-sorted lists: an identical
-    /// interleaving of steps and advances lands both cursors on identical
-    /// postings, with identical position accounting and no extra visits.
-    #[test]
-    fn cursors_agree_on_random_walks(
-        gaps in prop::collection::vec(1u32..50, 1..400),
-        jumps in prop::collection::vec((any::<bool>(), 0u32..2_000), 1..60),
-    ) {
-        let mut doc = 0u32;
-        let postings: Vec<Posting> = gaps
-            .iter()
-            .map(|&g| {
-                doc += g;
-                Posting { doc, tf: doc % 5 + 1 }
-            })
-            .collect();
-        let reference = DocSortedList::from_postings(&PostingList::new(0, postings.clone()));
-        let blocked = BlockSortedList::from_postings(&PostingList::new(0, postings));
-        let mut report = invariant::Report::new();
-        invariant::Validate::validate(&blocked, &mut report);
-        prop_assert!(report.is_clean(), "{}", report.summary());
-        let mut arena = DecodeArena::new();
-        let mut sc = SkipCursor::new(&reference);
-        let mut bc = searchidx::BlockCursor::new(&blocked, &mut arena);
-        for (step, delta) in jumps {
-            let (a, b) = if step {
-                (sc.step(), bc.step())
-            } else {
-                let target = sc.current().map(|p| p.doc).unwrap_or(doc).saturating_add(delta);
-                (sc.advance_to(target), bc.advance_to(target))
-            };
-            prop_assert_eq!(a, b);
-        }
-        prop_assert!(bc.stats().visited <= sc.stats().visited);
-        prop_assert_eq!(
-            sc.stats().visited + sc.stats().skipped,
-            bc.stats().visited + bc.stats().skipped
-        );
-        arena.release(bc.into_buf());
     }
 }
 

@@ -9,15 +9,13 @@
 //! Devices deliberately do **not** carry data payloads: the experiment
 //! drivers keep logical content in ordinary Rust structures and charge
 //! device time for touching it, which keeps memory bounded at search-engine
-//! scale. Where byte-level integrity matters in tests, wrap a device in
-//! [`shadow::ShadowStore`].
+//! scale.
 
 #![forbid(unsafe_code)]
 
 pub mod device;
 pub mod queue;
 pub mod ramdisk;
-pub mod shadow;
 pub mod stats;
 pub mod trace;
 pub mod types;

@@ -77,8 +77,8 @@ pub const DEADLINE_WINDOW: SimDuration = SimDuration::from_millis(10);
 /// Where postings matching runs for cache-SSD reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OffloadMode {
-    /// Host-side galloping intersection over full pages — the seed path,
-    /// kept verbatim as the oracle.
+    /// Host-side matching over full pages — the seed path, kept
+    /// verbatim as the oracle.
     Host,
     /// Near-data matching: the device's per-channel compute units scan
     /// the addressed pages and only matching entries cross the bus.
@@ -96,9 +96,8 @@ pub const OFFLOAD_DESCRIPTOR_BYTES: u64 = 24;
 /// The descriptor is deliberately flat — six words — so the in-flash
 /// evaluator stays a linear scan: decode each entry in the addressed
 /// extent, keep it iff `first_doc <= doc <= last_doc` and
-/// `tf >= tf_bound`. `searchidx` serializes block-compressed postings
-/// predicates (doc-range + block-max filter) into this form; the host
-/// oracle is `BlockCursor::advance_to` galloping over the same blocks.
+/// `tf >= tf_bound`. The engine fills it from a query's scanned prefix
+/// (doc range + the boundary posting's tf); it is charged, never run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OffloadDescriptor {
     /// Smallest document id the predicate admits.

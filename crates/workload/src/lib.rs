@@ -21,14 +21,12 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod arrival;
-pub mod drift;
 pub mod ingest;
 pub mod querylog;
 pub mod scenario;
 pub mod sweep;
 
 pub use arrival::{offered_qps, Arrival, ArrivalKind, ArrivalProcess};
-pub use drift::DriftingLog;
 pub use ingest::{IngestSpec, IngestStream, MutationOp, TimedMutation};
 pub use querylog::{Query, QueryLog, QueryLogSpec};
 pub use scenario::{DriftingZipfLog, ScanHeavyLog, TopicChurnLog};

@@ -1,6 +1,6 @@
 //! Oracle-freeze witness: every bit-identity oracle arm (the verbatim
-//! Reference/Frozen/Host/Static/ClosedLoop/Scan functions each toggle
-//! PR kept as its ground truth) gets a normalized token-stream
+//! Reference/Static/ClosedLoop/Scan functions each toggle PR kept as
+//! its ground truth) gets a normalized token-stream
 //! hash committed to `crates/xtask/oracle.lock`. Any edit to an oracle
 //! function — even one that preserves behavior — fails `xtask analyze`
 //! until deliberately re-witnessed with `xtask bless-oracles`, forcing
@@ -62,18 +62,6 @@ pub fn default_registry() -> Vec<OracleSpec> {
             "crates/searchidx/src/topk.rs",
             Some("TopKProcessor"),
             "process_reference",
-        ),
-        OracleSpec::new(
-            "frozen-read-path",
-            "crates/searchidx/src/segment/live.rs",
-            Some("LiveIndex"),
-            "postings_range",
-        ),
-        OracleSpec::new(
-            "host-gallop",
-            "crates/searchidx/src/offload.rs",
-            None,
-            "host_gallop",
         ),
         OracleSpec::new(
             "static-admission-gate",
