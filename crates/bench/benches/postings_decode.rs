@@ -1,14 +1,15 @@
 //! Criterion micro-benchmarks of the blocked postings representation:
-//! reading the pinned prefix against regenerating it through
-//! `postings_range` (at a list's short-run head and in its tf = 1 tail),
+//! reading the pinned prefix (doc ids plus tf runs) against regenerating
+//! it through `postings_range` (at a list's short-run head and in its
+//! tf = 1 tail), a query's first list accumulated into an empty table,
 //! and backend-vs-backend top-K over a query log.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use searchidx::{
-    BlockPostings, CorpusSpec, IndexReader, PostingsBackend, SyntheticIndex, TermId, TopKConfig,
-    TopKProcessor,
+    BlockPostings, CorpusSpec, IndexReader, MemIndex, PostingsBackend, SyntheticIndex, TermId,
+    TopKConfig, TopKProcessor,
 };
 use simclock::Rng;
 use workload::{QueryLog, QueryLogSpec};
@@ -30,11 +31,12 @@ fn bench_postings_decode(c: &mut Criterion) {
     warm.ensure(&index, head, depth);
     g.bench_function("pinned_prefix_read", |b| {
         b.iter(|| {
-            let sum: u64 = warm
-                .hot_prefix()
-                .iter()
-                .map(|p| (p.doc ^ p.tf) as u64)
-                .sum();
+            let ((docs, runs), mut start, mut sum) = (warm.pinned(), 0, 0u64);
+            for &(end, tf) in runs {
+                let run = &docs[start..end as usize];
+                sum += run.iter().map(|&doc| (doc ^ tf) as u64).sum::<u64>();
+                start = end as usize;
+            }
             black_box(sum)
         });
     });
@@ -49,6 +51,21 @@ fn bench_postings_decode(c: &mut Criterion) {
     assert_eq!(index.postings_range(mid, df - depth, df)[0].tf, 1);
     g.bench_function("lazy_regen_tf1_tail", |b| {
         b.iter(|| black_box(index.postings_range(mid, df - depth, df).len() as u64));
+    });
+
+    // What most scored postings are: the first (rarest) list of a query,
+    // 2,000 distinct docs in ~20 equal-tf runs, accumulated into a reset
+    // table under K = 50. A one-term index of exactly that list, queried
+    // warm (pinned from the second visit on), so the time is the reset,
+    // the inserts and the 50-entry result.
+    let first_list = MemIndex::from_docs((0..2_000u32).map(|d| vec![0; 1 + d as usize % 20]));
+    assert_eq!(first_list.doc_freq(0), 2_000);
+    g.bench_function("accumulate_first_list", |b| {
+        let proc = TopKProcessor::new(TopKConfig {
+            epsilon: 0.0,
+            ..TopKConfig::default()
+        });
+        b.iter(|| black_box(proc.process(&first_list, &[0]).postings_scanned()));
     });
 
     // End-to-end disjunctive top-K over the same seeded query stream on

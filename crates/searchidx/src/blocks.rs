@@ -1,21 +1,19 @@
-//! Blocked posting lists.
+//! Blocked posting lists: what the query processor scans instead of
+//! regenerating postings through `IndexReader::postings_range` on every
+//! traversal.
 //!
-//! The seed's query hot path regenerates synthetic postings on every
-//! traversal (`IndexReader::postings_range`) and tests every posting
-//! against the quit rules. This module provides the second postings
-//! representation of the engine: lists cut into fixed-size blocks, each
-//! carrying enough metadata (a block-max `tf`) to be *skipped without
-//! being read*, after the block-max indexes of the WAND family: whole
-//! blocks that cannot matter are jumped via their metadata.
-//!
-//! [`BlockPostings`] holds a list in **canonical (tf-descending) order**,
-//! the order the disjunctive [`crate::topk`] processor scans. It keeps
-//! what queries read and nothing else: the first [`HOT_PREFIX`] postings
-//! of a list, pinned as plain `Posting`s and built *lazily by prefix* in
-//! blocks of [`BLOCK_SIZE`] — only the depth a workload actually scans is
-//! ever generated, mirroring the partial-traversal economics of the
-//! paper. A block's first posting carries its largest `tf` (the order is
-//! tf-descending), so the block-max bound needs no stored metadata. The
+//! [`BlockPostings`] holds the head of a list in **canonical
+//! (tf-descending) order**, the order the disjunctive [`crate::topk`]
+//! processor scans: the first [`HOT_PREFIX`] postings, built *lazily by
+//! prefix* in blocks of [`BLOCK_SIZE`] — only the depth a workload
+//! actually scans is ever generated, mirroring the partial-traversal
+//! economics of the paper. A frequency-sorted head is a handful of
+//! equal-tf runs, so a posting is stored as one doc id and a run's
+//! `(end, tf)` once — 4 B per posting plus 8 B per run where plain
+//! `Posting`s take 8 B each — and a scan weighs a run once, not once per
+//! posting. A block's first posting carries its largest `tf`, so the
+//! block-max bound that lets a scan skip the block unread (after the
+//! block-max indexes of the WAND family) needs no stored metadata. The
 //! rare scan that runs past the pinned prefix regenerates the block it is
 //! in through `postings_range`; nothing is kept for it.
 
@@ -23,24 +21,26 @@ use fxmap::FxHashMap;
 
 use invariant::{audit, Report, Validate};
 
-use crate::types::{IndexReader, Posting, TermId, POSTING_BYTES};
+use crate::types::{DocId, IndexReader, Posting, TermId};
 
 /// Postings per block in canonical (tf-descending) lists.
 pub const BLOCK_SIZE: usize = 128;
 
-/// Which posting-list representation the query processors traverse.
+/// Where the query processor reads postings from.
 ///
-/// Mirrors the `ClusterExecution` toggle: the reference arm is the
-/// seed's unblocked path kept verbatim, the blocked arm is the optimized
-/// one, and every simulated figure must be bit-identical between them (`postings_equivalence` proves it
-/// property-by-property; the engine's release-only `postings_lockstep`
+/// `Blocked` is what every engine, figure and benchmark workload runs.
+/// `Reference` regenerates every list through `postings_range` on every
+/// traversal and exists to be compared against: every simulated figure
+/// must be bit-identical between the two (`postings_equivalence` proves
+/// it property-by-property; the engine's release-only `postings_lockstep`
 /// test holds the two in per-query lockstep at production scale).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum PostingsBackend {
     /// Traversal straight off `IndexReader::postings_range` (the seed's
     /// behavior).
     Reference,
-    /// Blocked lists with block-max skipping.
+    /// Pinned run-length list prefixes (the [`BlockStore`]), scanned a
+    /// run at a time behind a per-block block-max gate.
     #[default]
     Blocked,
 }
@@ -68,20 +68,36 @@ impl SkipStats {
 /// Postings per list pinned in memory (a whole number of blocks).
 pub const HOT_PREFIX: u64 = 32 * BLOCK_SIZE as u64;
 
+/// Append `postings` to a `(docs, runs)` sequence, extending the last run
+/// while the tf repeats. A run is `(end, tf)`: positions `[previous run's
+/// end, end)` of `docs` all carry `tf`.
+pub(crate) fn append_runs(docs: &mut Vec<DocId>, runs: &mut Vec<(u32, u32)>, postings: &[Posting]) {
+    for run in postings.chunk_by(|a, b| a.tf == b.tf) {
+        docs.extend(run.iter().map(|p| p.doc));
+        match runs.last_mut() {
+            Some(last) if last.1 == run[0].tf => last.0 = docs.len() as u32,
+            _ => runs.push((docs.len() as u32, run[0].tf)),
+        }
+    }
+}
+
 /// The pinned head of a posting list in canonical (tf-descending) order,
 /// built lazily by prefix.
 ///
 /// Impact order means the head of every list is by far the most
 /// re-scanned part (most queries early-terminate well inside it), so the
-/// first [`HOT_PREFIX`] postings a workload reaches are kept as a plain
-/// slice; positions past it are not stored at all.
+/// first [`HOT_PREFIX`] postings a workload reaches are kept, as doc ids
+/// plus tf runs; positions past it are not stored at all.
 #[derive(Debug, Clone)]
 pub struct BlockPostings {
     /// Full list length (the term's document frequency).
     df: u64,
-    /// The pinned prefix: a whole number of [`BLOCK_SIZE`] blocks, or all
-    /// `min(df, HOT_PREFIX)` postings once complete.
-    hot: Vec<Posting>,
+    /// Doc ids of the pinned prefix: a whole number of [`BLOCK_SIZE`]
+    /// blocks, or all `min(df, HOT_PREFIX)` postings once complete.
+    docs: Vec<DocId>,
+    /// The prefix's tfs as maximal `(end, tf)` runs, ends strictly
+    /// increasing up to `docs.len()`.
+    runs: Vec<(u32, u32)>,
     /// Traversals recorded via [`BlockPostings::note_visit`].
     visits: u32,
 }
@@ -91,24 +107,20 @@ impl BlockPostings {
     pub fn new(df: u64) -> Self {
         BlockPostings {
             df,
-            hot: Vec::new(),
+            docs: Vec::new(),
+            runs: Vec::new(),
             visits: 0,
         }
     }
 
-    /// Full list length.
-    pub fn df(&self) -> u64 {
-        self.df
-    }
-
     /// Postings pinned so far.
     pub fn built(&self) -> u64 {
-        self.hot.len() as u64
+        self.docs.len() as u64
     }
 
-    /// Memory the pinned postings take, in bytes.
+    /// Memory the pinned postings take, in bytes: 4 per doc id, 8 per run.
     pub fn bytes(&self) -> u64 {
-        self.built() * POSTING_BYTES
+        4 * self.docs.len() as u64 + 8 * self.runs.len() as u64
     }
 
     /// Extend the pinned prefix to cover at least `upto` postings
@@ -124,15 +136,25 @@ impl BlockPostings {
         let target = (want.div_ceil(BLOCK_SIZE as u64) * BLOCK_SIZE as u64).min(self.df);
         let fresh = index.postings_range(term, self.built(), target);
         debug_assert_eq!(fresh.len() as u64, target - self.built());
-        self.hot.extend(fresh);
+        append_runs(&mut self.docs, &mut self.runs, &fresh);
         audit!(self, "BlockPostings::ensure");
     }
 
     /// The pinned prefix (the first [`BlockPostings::built`] postings of
-    /// the list).
-    #[inline]
-    pub fn hot_prefix(&self) -> &[Posting] {
-        &self.hot
+    /// the list): its doc ids, and its tfs as `(end, tf)` runs — positions
+    /// `[previous end, end)` carry `tf`.
+    pub fn pinned(&self) -> (&[DocId], &[(u32, u32)]) {
+        (&self.docs, &self.runs)
+    }
+
+    /// The pinned prefix re-materialised as `Posting`s.
+    pub fn postings(&self) -> impl Iterator<Item = Posting> + '_ {
+        let mut start = 0;
+        self.runs.iter().flat_map(move |&(end, tf)| {
+            let run = &self.docs[start..end as usize];
+            start = end as usize;
+            run.iter().map(move |&doc| Posting { doc, tf })
+        })
     }
 
     /// Record a traversal of this list, returning whether it had been
@@ -142,7 +164,7 @@ impl BlockPostings {
     /// re-scanned hundreds of times.
     #[inline]
     pub fn note_visit(&mut self) -> bool {
-        let seen = self.visits > 0 || !self.hot.is_empty();
+        let seen = self.visits > 0 || !self.docs.is_empty();
         self.visits = self.visits.saturating_add(1);
         seen
     }
@@ -150,28 +172,33 @@ impl BlockPostings {
 
 impl Validate for BlockPostings {
     fn validate(&self, report: &mut Report) {
-        let subject = "BlockPostings";
-        let (built, full) = (self.built(), self.df.min(HOT_PREFIX));
-        report.check(built <= full, subject, "built-bounded", || {
-            format!(
-                "{built} postings pinned of a df-{} list (cap {HOT_PREFIX})",
-                self.df
-            )
-        });
-        report.check(
-            built == full || built % BLOCK_SIZE as u64 == 0,
-            subject,
-            "built-block-aligned",
-            || format!("pinned prefix {built} is not a whole number of blocks"),
-        );
+        let (built, full, df, runs) = (self.built(), self.df.min(HOT_PREFIX), self.df, &self.runs);
+        let mut check = |ok: bool, invariant: &'static str, at: usize| {
+            report.check(ok, "BlockPostings", invariant, || {
+                let pinned = format!("{built} postings pinned in {} runs", runs.len());
+                format!("at {at}: {pinned} of a df-{df} list (cap {HOT_PREFIX})")
+            });
+        };
+        check(built <= full, "built-bounded", 0);
+        let aligned = built == full || built % BLOCK_SIZE as u64 == 0;
+        check(aligned, "built-block-aligned", 0);
+        // The runs tile the doc ids: a scan's cursor walks them forward
+        // and indexes `docs` by their ends.
+        let covers = runs.first().is_none_or(|first| first.0 > 0)
+            && runs.windows(2).all(|w| w[0].0 < w[1].0)
+            && runs.last().map_or(0, |last| u64::from(last.0)) == built;
+        check(covers, "runs-cover", 0);
+        if !covers {
+            return;
+        }
+        let repeat = runs.windows(2).position(|w| w[0].1 == w[1].1);
+        check(repeat.is_none(), "runs-maximal", repeat.unwrap_or(0));
         // Block-max soundness: the scan bounds a block by its first tf,
         // which must dominate every tf in the block, or block-max
         // skipping would silently drop results.
-        for (b, block) in self.hot.chunks(BLOCK_SIZE).enumerate() {
-            let max = block.iter().map(|p| p.tf).max().unwrap_or(0);
-            report.check(block[0].tf == max, subject, "block-max-first", || {
-                format!("block {b}: first tf {} but block max {max}", block[0].tf)
-            });
+        let tfs: Vec<u32> = self.postings().map(|p| p.tf).collect();
+        for (b, block) in tfs.chunks(BLOCK_SIZE).enumerate() {
+            check(block.iter().all(|&tf| tf <= block[0]), "block-max-first", b);
         }
     }
 }
@@ -181,15 +208,11 @@ impl Validate for BlockPostings {
 pub struct BlockStoreStats {
     /// Terms with at least one block built.
     pub terms: usize,
-    /// Postings built across all lists. The store keeps nothing but the
-    /// pinned prefixes, so this always equals `hot_postings`.
+    /// Postings pinned across all lists (the store keeps nothing else).
     pub built_postings: u64,
-    /// Bytes the store holds: pinned postings × [`POSTING_BYTES`].
-    /// (Nothing is encoded any more; the name is what the benchmark of
-    /// record reads.)
+    /// Bytes the store holds: 4 per pinned doc id plus 8 per tf run,
+    /// summed over the lists.
     pub encoded_bytes: u64,
-    /// Postings pinned across all lists (the hot prefixes).
-    pub hot_postings: u64,
 }
 
 /// The per-engine cache of canonical blocked lists, keyed by term.
@@ -200,11 +223,6 @@ pub struct BlockStore {
 }
 
 impl BlockStore {
-    /// An empty store.
-    pub fn new() -> Self {
-        BlockStore::default()
-    }
-
     /// The (possibly still unbuilt) list for `term`, creating it with
     /// length `df` on first access.
     pub fn list_mut(&mut self, term: TermId, df: u64) -> &mut BlockPostings {
@@ -238,7 +256,6 @@ impl BlockStore {
             }
             s.built_postings += l.built();
             s.encoded_bytes += l.bytes();
-            s.hot_postings += l.built();
         }
         s
     }
@@ -268,7 +285,7 @@ mod tests {
             bp.ensure(&idx, term, df);
             assert_eq!(bp.built(), df.min(HOT_PREFIX));
             let want = idx.postings_range(term, 0, bp.built());
-            assert_eq!(bp.hot_prefix(), want, "term {term}");
+            assert_eq!(bp.postings().collect::<Vec<_>>(), want, "term {term}");
         }
     }
 
@@ -285,11 +302,14 @@ mod tests {
         assert_eq!(bp.built(), BLOCK_SIZE as u64);
         bp.ensure(&idx, term, BLOCK_SIZE as u64 + 1);
         assert_eq!(bp.built(), 2 * BLOCK_SIZE as u64);
-        assert_eq!(bp.bytes(), 2 * BLOCK_SIZE as u64 * POSTING_BYTES);
+        assert_eq!(bp.bytes(), 4 * bp.built() + 8 * bp.pinned().1.len() as u64);
         bp.ensure(&idx, term, u64::MAX);
         assert_eq!(bp.built(), HOT_PREFIX, "nothing is kept past the pin");
-        // The stitched prefix equals the straight generation.
-        assert_eq!(bp.hot_prefix(), idx.postings_range(term, 0, HOT_PREFIX));
+        // The stitched prefix equals the straight generation, runs merged
+        // across the stitches.
+        let want = idx.postings_range(term, 0, HOT_PREFIX);
+        assert_eq!(bp.postings().collect::<Vec<_>>(), want);
+        assert!(violated(&bp).is_empty());
     }
 
     #[test]
@@ -298,7 +318,8 @@ mod tests {
         let term = 0u32;
         let mut bp = BlockPostings::new(idx.doc_freq(term));
         bp.ensure(&idx, term, u64::MAX);
-        let blocks: Vec<&[Posting]> = bp.hot_prefix().chunks(BLOCK_SIZE).collect();
+        let pinned: Vec<Posting> = bp.postings().collect();
+        let blocks: Vec<&[Posting]> = pinned.chunks(BLOCK_SIZE).collect();
         assert_eq!(blocks.len() as u64, HOT_PREFIX / BLOCK_SIZE as u64);
         for (b, block) in blocks.iter().enumerate() {
             let max = block.iter().map(|p| p.tf).max().unwrap();
@@ -319,41 +340,71 @@ mod tests {
     #[test]
     fn validator_catches_each_seeded_corruption() {
         let idx = SyntheticIndex::new(CorpusSpec::tiny(3));
-        let pinned = |term: TermId, upto: u64| {
+        // What the validator says after `corrupt` hits a clean prefix.
+        let broken = |term: TermId, upto: u64, corrupt: &dyn Fn(&mut BlockPostings)| {
             let mut bp = BlockPostings::new(idx.doc_freq(term));
             bp.ensure(&idx, term, upto);
             assert!(violated(&bp).is_empty());
-            bp
+            corrupt(&mut bp);
+            violated(&bp)
         };
-        let filler = Posting { doc: 0, tf: 1 };
+        // Append `n` postings of the last run's tf, keeping the runs tiled.
+        let pad = |bp: &mut BlockPostings, n: usize| {
+            bp.docs.extend(std::iter::repeat_n(0, n));
+            bp.runs.last_mut().expect("built").0 = bp.docs.len() as u32;
+        };
+        let two_blocks = 2 * BLOCK_SIZE as u64;
 
         // More pinned than the list holds (a whole number of blocks, so
-        // only the bound trips) ...
-        let short = idx.doc_freq(1999);
-        assert!(short < BLOCK_SIZE as u64);
-        let mut bp = pinned(1999, short);
-        bp.hot.resize(BLOCK_SIZE, filler);
-        assert_eq!(violated(&bp), ["built-bounded"]);
-        // ... and more than the pin allows.
-        let mut bp = pinned(0, u64::MAX);
-        bp.hot.extend([filler; BLOCK_SIZE]);
-        assert_eq!(violated(&bp), ["built-bounded"]);
+        // only the bound trips), and more than the pin allows.
+        let short = idx.doc_freq(1999) as usize;
+        assert!(short < BLOCK_SIZE);
+        let over_df = broken(1999, u64::MAX, &|bp| pad(bp, BLOCK_SIZE - short));
+        assert_eq!(over_df, ["built-bounded"]);
+        let over_pin = broken(0, u64::MAX, &|bp| pad(bp, BLOCK_SIZE));
+        assert_eq!(over_pin, ["built-bounded"]);
 
         // A prefix that stops inside a block.
-        let mut bp = pinned(0, 2 * BLOCK_SIZE as u64);
-        bp.hot.pop();
-        assert_eq!(violated(&bp), ["built-block-aligned"]);
+        let ragged = broken(0, two_blocks, &|bp| {
+            let cut: Vec<Posting> = bp.postings().take(2 * BLOCK_SIZE - 1).collect();
+            (bp.docs, bp.runs) = (Vec::new(), Vec::new());
+            append_runs(&mut bp.docs, &mut bp.runs, &cut);
+        });
+        assert_eq!(ragged, ["built-block-aligned"]);
 
-        // A block whose first tf no longer dominates it.
-        let mut bp = pinned(0, 2 * BLOCK_SIZE as u64);
-        bp.hot[BLOCK_SIZE + 5].tf = bp.hot[BLOCK_SIZE].tf + 1;
-        assert_eq!(violated(&bp), ["block-max-first"]);
+        // Runs that stop short of the doc ids, run past them, or go back.
+        let corruptions: [&dyn Fn(&mut BlockPostings); 3] = [
+            &|bp| bp.runs.truncate(1),
+            &|bp| bp.runs.last_mut().expect("built").0 += 1,
+            &|bp| bp.runs[1].0 = bp.runs[0].0,
+        ];
+        for corrupt in corruptions {
+            assert_eq!(broken(0, two_blocks, corrupt), ["runs-cover"]);
+        }
+
+        // A run cut in two (the longest one, so there is room to).
+        let split = broken(0, two_blocks, &|bp| {
+            let longest = (1..bp.runs.len()).max_by_key(|&r| bp.runs[r].0 - bp.runs[r - 1].0);
+            let r = longest.expect("several runs");
+            assert!(bp.runs[r].0 - bp.runs[r - 1].0 >= 2);
+            bp.runs.insert(r, (bp.runs[r].0 - 1, bp.runs[r].1));
+        });
+        assert_eq!(split, ["runs-maximal"]);
+
+        // A block whose first tf no longer dominates it: the second
+        // block's last run, which starts inside it, raised above all.
+        let unsound = broken(0, two_blocks, &|bp| {
+            let n = bp.runs.len();
+            assert!(bp.runs[n - 2].0 as usize > BLOCK_SIZE);
+            bp.runs[n - 1].1 = u32::MAX;
+        });
+        assert_eq!(unsound, ["block-max-first"]);
     }
 
     #[test]
     fn store_stats_track_built_lists() {
         let idx = SyntheticIndex::new(CorpusSpec::tiny(3));
-        let mut store = BlockStore::new();
+        let mut store = BlockStore::default();
         assert_eq!(store.stats(), BlockStoreStats::default());
         let df = idx.doc_freq(5);
         assert!(df > HOT_PREFIX);
@@ -364,8 +415,9 @@ mod tests {
         let s = store.stats();
         assert_eq!(s.terms, 2);
         assert_eq!(s.built_postings, HOT_PREFIX + short);
-        assert_eq!(s.hot_postings, s.built_postings);
-        assert_eq!(s.encoded_bytes, s.built_postings * POSTING_BYTES);
+        let runs: u64 = store.lists.values().map(|l| l.runs.len() as u64).sum();
+        assert_eq!(s.encoded_bytes, 4 * s.built_postings + 8 * runs);
+        assert!(s.encoded_bytes < s.built_postings * crate::types::POSTING_BYTES);
     }
 
     #[test]

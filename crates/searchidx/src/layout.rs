@@ -188,7 +188,8 @@ mod tests {
     fn blocked_lists_fit_inside_their_extents() {
         // The pinned in-memory prefix must never outgrow the on-device
         // extent it mirrors, or memory accounting derived from the layout
-        // would underestimate the serving footprint.
+        // would underestimate the serving footprint (about 2x slack: the
+        // extent is 8 B a posting, the pin 4 B a doc id plus 8 B a tf run).
         let (idx, l) = layout();
         for t in [0u32, 10, 500, 1999] {
             let df = idx.doc_freq(t);

@@ -18,10 +18,10 @@
 //!   the paper's Formula 1 input);
 //! * [`layout`] — the on-device index image: one sector extent per
 //!   posting list, so partial traversals become partial extent reads;
-//! * [`blocks`] — the blocked in-memory representation behind the
-//!   runtime [`PostingsBackend`] toggle: pinned list prefixes scanned a
-//!   block at a time under a block-max bound, so skipped reads skip
-//!   their work too;
+//! * [`blocks`] — the in-memory representation queries scan
+//!   ([`PostingsBackend::Blocked`]): pinned list prefixes held as doc ids
+//!   plus equal-tf runs, scanned a run at a time behind a per-block
+//!   block-max bound, so skipped reads skip their work too;
 //! * [`segment`] — the mutable index: WAL, write segment, sealed
 //!   segments and tombstones layered over an immutable base reader.
 

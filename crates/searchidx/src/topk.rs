@@ -13,10 +13,10 @@ use std::collections::HashMap;
 
 use invariant::{audit, Report, Validate};
 
-use crate::blocks::{BlockStore, BlockStoreStats, PostingsBackend, SkipStats, BLOCK_SIZE};
-use crate::types::{
-    tf_weight as weight, DocId, IndexReader, Posting, ResultEntry, ScoredDoc, TermId,
+use crate::blocks::{
+    append_runs, BlockStore, BlockStoreStats, PostingsBackend, SkipStats, BLOCK_SIZE,
 };
+use crate::types::{tf_weight as weight, DocId, IndexReader, ResultEntry, ScoredDoc, TermId};
 
 /// Query-processing knobs.
 #[derive(Debug, Clone, Copy)]
@@ -99,56 +99,52 @@ impl QueryOutcome {
     }
 }
 
-/// Open-addressed score accumulator: a power-of-two table with linear
-/// probing and a multiplicative (fx-style) hash, pooled across queries
-/// (no per-query allocation, no SipHash, no per-entry boxing), that also
-/// keeps the current best `k` entries in an indexed binary heap.
+/// Open-addressed score accumulator: a power-of-two table of values with
+/// linear probing, a multiplicative (fx-style) hash and one occupancy bit
+/// per slot, pooled across queries (no per-query allocation, no SipHash),
+/// that also keeps copies of the current best `k` entries in a binary heap.
+///
+/// Nearly every posting a query scores is a doc the table has not seen,
+/// so the insert is what is cheap: a bit test and set in an L1-resident
+/// bitmap (all a reset has to clear), one 8-byte store into a table line
+/// that is never loaded, one compare against the heap root.
 ///
 /// The heap is ordered by the *final* comparator `(score desc, doc asc)`
 /// with the worst member at the root. Scores only grow (every
 /// contribution is positive), so an entry inside the heap can only move
 /// away from the root and an entry outside it can only displace the
-/// root: after every [`ScoreAccumulator::add`] the heap is exactly the
-/// top-`k` prefix of that total order. The pruning threshold is
+/// root: after every [`ScoreAccumulator::add_run`] the heap is exactly
+/// the top-`k` prefix of that total order. The pruning threshold is
 /// therefore the root's score and the result is the sorted heap — the
 /// same values [`TopKProcessor::process_reference`] re-derives with a
 /// selection over the whole `HashMap` at every refresh, ties included.
+/// The order is strict (doc ids are distinct), so membership needs no
+/// back-pointer either: see [`ScoreAccumulator::raise`].
 #[derive(Debug, Clone)]
 struct ScoreAccumulator {
-    /// Slot → index into `entries`, [`EMPTY_SLOT`] when free. 4-byte
-    /// slots keep the probe array dense; the payload lives once, in
-    /// insertion order, in `entries`.
-    slots: Vec<u32>,
-    mask: usize,
-    /// Occupied slot positions — sparse clearing.
-    touched: Vec<u32>,
-    entries: Vec<AccEntry>,
+    /// The table: a slot's value is meaningful only under a set `occ` bit.
+    slots: Vec<ScoredDoc>,
+    /// One occupancy bit per slot.
+    occ: Vec<u64>,
+    /// Occupied slots.
+    len: usize,
     /// How many entries the heap retains (the query's K).
     k: usize,
-    /// `entries` indices of the best `min(k, len)` entries; a binary
-    /// heap whose root is the worst of them.
-    heap: Vec<u32>,
+    /// Copies of the best `min(k, len)` entries: a heap, worst at the root.
+    heap: Vec<ScoredDoc>,
 }
 
-/// One accumulated document.
-#[derive(Debug, Clone, Copy)]
-struct AccEntry {
-    doc: DocId,
-    score: f32,
-    /// Position in `heap`, [`EMPTY_SLOT`] while outside it.
-    pos: u32,
+/// Whether `a` ranks after `b` in `(score desc, doc asc)`.
+#[inline]
+fn worse(a: ScoredDoc, b: ScoredDoc) -> bool {
+    a.score < b.score || (a.score == b.score && a.doc > b.doc)
 }
 
-impl AccEntry {
-    /// Whether `self` ranks after `other` in `(score desc, doc asc)`.
-    #[inline]
-    fn worse_than(&self, other: &AccEntry) -> bool {
-        self.score < other.score || (self.score == other.score && self.doc > other.doc)
-    }
+/// Fibonacci multiply; the high bits are the well-mixed ones.
+#[inline]
+fn hash(doc: DocId) -> usize {
+    ((doc as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize
 }
-
-/// Free-slot / not-in-heap sentinel (an index, so no doc id is reserved).
-const EMPTY_SLOT: u32 = u32::MAX;
 
 impl Default for ScoreAccumulator {
     fn default() -> Self {
@@ -160,39 +156,24 @@ impl ScoreAccumulator {
     fn with_capacity(capacity: usize) -> Self {
         let capacity = capacity.next_power_of_two();
         ScoreAccumulator {
-            slots: vec![EMPTY_SLOT; capacity],
-            mask: capacity - 1,
-            touched: Vec::new(),
-            entries: Vec::new(),
+            slots: vec![ScoredDoc { doc: 0, score: 0.0 }; capacity],
+            occ: vec![0; capacity.div_ceil(64)],
+            len: 0,
             k: 0,
             heap: Vec::new(),
         }
     }
 
-    #[inline]
-    fn hash(&self, doc: DocId) -> usize {
-        // Fibonacci multiply; the high bits are the well-mixed ones.
-        ((doc as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & self.mask
-    }
-
     /// Live entries.
     #[inline]
     fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
-    /// Reset for the next query (which keeps its best `k`), keeping the
-    /// allocations. Sparse occupancy clears only the touched slots.
+    /// Reset for the next query (which keeps its best `k`); allocations stay.
     fn reset(&mut self, k: usize) {
-        if self.touched.len() * 4 < self.slots.len() {
-            for &i in &self.touched {
-                self.slots[i as usize] = EMPTY_SLOT;
-            }
-        } else {
-            self.slots.fill(EMPTY_SLOT);
-        }
-        self.touched.clear();
-        self.entries.clear();
+        self.occ.fill(0);
+        self.len = 0;
         self.heap.clear();
         self.k = k;
     }
@@ -200,181 +181,188 @@ impl ScoreAccumulator {
     /// Accumulate `delta` (never negative) into `doc`'s score.
     #[inline]
     fn add(&mut self, doc: DocId, delta: f32) {
-        if self.entries.len() * 2 >= self.slots.len() {
+        self.add_run(std::slice::from_ref(&doc), delta);
+    }
+
+    /// Accumulate `delta` (never negative) into every doc of `docs`, in order.
+    #[inline]
+    fn add_run(&mut self, docs: &[DocId], delta: f32) {
+        // One capacity check per run: at worst every doc is new.
+        while (self.len + docs.len()) * 2 > self.slots.len() {
             self.grow();
         }
-        let mut i = self.hash(doc);
-        let idx = loop {
-            let idx = self.slots[i];
-            if idx == EMPTY_SLOT {
-                self.slots[i] = self.entries.len() as u32;
-                self.touched.push(i as u32);
-                self.entries.push(AccEntry {
-                    doc,
-                    score: delta,
-                    pos: EMPTY_SLOT,
-                });
-                break self.entries.len() - 1;
-            }
-            let e = &mut self.entries[idx as usize];
-            if e.doc == doc {
-                e.score += delta;
-                if e.pos != EMPTY_SLOT {
-                    // Already among the best: it got better, so it can
-                    // only sink away from the (worst-at-root) top.
-                    let pos = e.pos as usize;
-                    self.sift_down(pos);
-                    return;
+        let mask = self.slots.len() - 1;
+        for &doc in docs {
+            let mut i = hash(doc) & mask;
+            // The probe: stop at `doc`'s slot or at the first free one.
+            let old = loop {
+                let (word, bit) = (i / 64, 1u64 << (i % 64));
+                if self.occ[word] & bit == 0 {
+                    self.occ[word] |= bit;
+                    self.len += 1;
+                    break None;
                 }
-                break idx as usize;
-            }
-            i = (i + 1) & self.mask;
-        };
-        // `idx` is outside the heap: admit it while there is room, else
-        // only if it now beats the current K-th.
-        if self.heap.len() < self.k {
-            self.heap.push(idx as u32);
-            self.sift_up(self.heap.len() - 1);
-        } else if let Some(&root) = self.heap.first() {
-            if self.entries[root as usize].worse_than(&self.entries[idx]) {
-                self.entries[root as usize].pos = EMPTY_SLOT;
-                self.heap[0] = idx as u32;
-                self.sift_down(0);
+                if self.slots[i].doc == doc {
+                    break Some(self.slots[i]);
+                }
+                i = (i + 1) & mask;
+            };
+            let score = old.map_or(delta, |old| old.score + delta);
+            let new = ScoredDoc { doc, score };
+            self.slots[i] = new;
+            match old {
+                None => self.enter(new),
+                Some(old) => self.raise(old, new),
             }
         }
+    }
+
+    /// Admit `entry`, which is outside the heap: while there is room,
+    /// else only if it beats the current K-th (the root).
+    #[inline]
+    fn enter(&mut self, entry: ScoredDoc) {
+        if self.heap.len() < self.k {
+            self.heap.push(entry);
+            self.sift_up(self.heap.len() - 1);
+        } else if self.heap.first().is_some_and(|&root| worse(root, entry)) {
+            self.heap[0] = entry;
+            self.sift_down(0);
+        }
+    }
+
+    /// An accumulated doc went from `old` to `new`. It is a heap member
+    /// iff the heap is not full (then every doc is) or `old` does not rank
+    /// after the root: rare, so found by scanning the ≤ K copies, and
+    /// having got better it can only sink away from the worst-at-root top.
+    fn raise(&mut self, old: ScoredDoc, new: ScoredDoc) {
+        let member =
+            self.heap.len() < self.k || self.heap.first().is_some_and(|&root| !worse(old, root));
+        if !member {
+            return self.enter(new);
+        }
+        let at = self.heap.iter().position(|m| m.doc == new.doc);
+        let at = at.expect("a doc ranking with the heap is in it");
+        self.heap[at] = new;
+        self.sift_down(at);
     }
 
     /// Move the member at heap position `at` towards the root until its
-    /// parent is worse, recording positions.
+    /// parent is worse.
     fn sift_up(&mut self, mut at: usize) {
-        let idx = self.heap[at];
-        let moving = self.entries[idx as usize];
+        let moving = self.heap[at];
         while at > 0 {
             let parent = (at - 1) / 2;
-            let p = self.heap[parent];
-            if !moving.worse_than(&self.entries[p as usize]) {
+            if !worse(moving, self.heap[parent]) {
                 break;
             }
-            self.heap[at] = p;
-            self.entries[p as usize].pos = at as u32;
+            self.heap[at] = self.heap[parent];
             at = parent;
         }
-        self.heap[at] = idx;
-        self.entries[idx as usize].pos = at as u32;
+        self.heap[at] = moving;
     }
 
     /// Move the member at heap position `at` away from the root while a
-    /// child is worse than it, recording positions.
+    /// child is worse than it.
     fn sift_down(&mut self, mut at: usize) {
-        let idx = self.heap[at];
-        let moving = self.entries[idx as usize];
+        let moving = self.heap[at];
         loop {
             let mut child = 2 * at + 1;
             if child >= self.heap.len() {
                 break;
             }
-            let right = child + 1;
-            if right < self.heap.len()
-                && self.entries[self.heap[right] as usize]
-                    .worse_than(&self.entries[self.heap[child] as usize])
-            {
-                child = right;
+            if child + 1 < self.heap.len() && worse(self.heap[child + 1], self.heap[child]) {
+                child += 1;
             }
-            let c = self.heap[child];
-            if !self.entries[c as usize].worse_than(&moving) {
+            if !worse(self.heap[child], moving) {
                 break;
             }
-            self.heap[at] = c;
-            self.entries[c as usize].pos = at as u32;
+            self.heap[at] = self.heap[child];
             at = child;
         }
-        self.heap[at] = idx;
-        self.entries[idx as usize].pos = at as u32;
+        self.heap[at] = moving;
     }
 
-    /// Double the probe array and re-seat the (unchanged) entries.
+    /// Double the table and re-seat its entries. The heap holds values,
+    /// not slots, and needs no fix-up.
     fn grow(&mut self) {
-        let capacity = (self.slots.len() * 2).next_power_of_two();
-        self.slots.clear();
-        self.slots.resize(capacity, EMPTY_SLOT);
-        self.mask = capacity - 1;
-        self.touched.clear();
-        for idx in 0..self.entries.len() {
-            let mut i = self.hash(self.entries[idx].doc);
-            while self.slots[i] != EMPTY_SLOT {
-                i = (i + 1) & self.mask;
+        let grown = ScoreAccumulator::with_capacity(self.slots.len() * 2);
+        let slots = std::mem::replace(&mut self.slots, grown.slots);
+        let occ = std::mem::replace(&mut self.occ, grown.occ);
+        let mask = self.slots.len() - 1;
+        for (at, &entry) in slots.iter().enumerate() {
+            if (occ[at / 64] >> (at % 64)) & 1 == 1 {
+                let mut i = hash(entry.doc) & mask;
+                while self.occupied(i) {
+                    i = (i + 1) & mask;
+                }
+                self.occ[i / 64] |= 1 << (i % 64);
+                self.slots[i] = entry;
             }
-            self.slots[i] = idx as u32;
-            self.touched.push(i as u32);
         }
+    }
+
+    #[inline]
+    fn occupied(&self, slot: usize) -> bool {
+        (self.occ[slot / 64] >> (slot % 64)) & 1 == 1
     }
 
     /// The K-th largest score (0 when fewer than K docs): the heap root.
     #[inline]
     fn kth_largest(&self) -> f64 {
         match self.heap.first() {
-            Some(&root) if self.heap.len() == self.k => self.entries[root as usize].score as f64,
+            Some(root) if self.heap.len() == self.k => root.score as f64,
             _ => 0.0,
         }
     }
 
-    /// Extract the top K docs, best first, via a pooled sort buffer: the
-    /// heap members under the comparator that ordered the heap.
-    fn top_k(&self, docs: &mut Vec<ScoredDoc>) -> ResultEntry {
-        docs.clear();
-        docs.extend(self.heap.iter().map(|&idx| {
-            let e = &self.entries[idx as usize];
-            ScoredDoc {
-                doc: e.doc,
-                score: e.score,
-            }
-        }));
-        docs.sort_unstable_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .expect("scores are finite")
-                .then(a.doc.cmp(&b.doc))
-        });
-        ResultEntry { docs: docs.clone() }
+    /// The top K docs, best first: the heap members under `worse`'s order
+    /// (`total_cmp` is `<` on the finite, non-negative scores there are).
+    fn top_k(&self) -> ResultEntry {
+        let mut docs = self.heap.clone();
+        docs.sort_unstable_by(|a, b| b.score.total_cmp(&a.score).then(a.doc.cmp(&b.doc)));
+        ResultEntry { docs }
     }
 }
 
 impl Validate for ScoreAccumulator {
     fn validate(&self, report: &mut Report) {
-        let (k, len, members) = (self.k, self.entries.len(), self.heap.len());
+        let (k, len, members) = (self.k, self.len, self.heap.len());
         let mut check = |ok: bool, invariant: &'static str, at: usize| {
             report.check(ok, "ScoreAccumulator", invariant, || {
                 format!("at index {at} (k {k}, {len} entries, {members} in the heap)")
             });
         };
         check(members == k.min(len), "heap-len", members);
-        if self.heap.iter().any(|&idx| idx as usize >= len) {
-            return check(false, "heap-pos-agree", len);
-        }
-        for (at, &idx) in self.heap.iter().enumerate() {
-            let e = &self.entries[idx as usize];
-            check(e.pos as usize == at, "heap-pos-agree", at);
-            let parent = &self.entries[self.heap[at.saturating_sub(1) / 2] as usize];
-            check(at == 0 || parent.worse_than(e), "heap-order", at);
-        }
-        let root = self.heap.first().map(|&r| self.entries[r as usize]);
-        for (idx, e) in self.entries.iter().enumerate() {
-            if e.pos == EMPTY_SLOT {
-                let beaten = root.map_or(k == 0, |r| e.worse_than(&r));
-                check(beaten, "heap-is-top-k", idx);
-            } else {
-                let held = self.heap.get(e.pos as usize) == Some(&(idx as u32));
-                check(held, "pos-heap-agree", idx);
+        let occupied: usize = self.occ.iter().map(|w| w.count_ones() as usize).sum();
+        check(occupied == len, "occ-count", occupied);
+        let mask = self.slots.len() - 1;
+        // Where a lookup of `doc` ends: its slot, or the clear bit that
+        // says it is absent.
+        let probe = |doc: DocId| {
+            let mut i = hash(doc) & mask;
+            while self.occupied(i) && self.slots[i].doc != doc {
+                i = (i + 1) & mask;
             }
-            let mut i = self.hash(e.doc);
-            while self.slots[i] != EMPTY_SLOT && self.slots[i] != idx as u32 {
-                i = (i + 1) & self.mask;
-            }
-            check(self.slots[i] == idx as u32, "slot-entry-agree", idx);
+            i
+        };
+        for (at, &m) in self.heap.iter().enumerate() {
+            let parent = self.heap[at.saturating_sub(1) / 2];
+            check(at == 0 || worse(parent, m), "heap-order", at);
+            let slot = probe(m.doc);
+            let current = self.occupied(slot) && self.slots[slot] == m;
+            check(current, "heap-member-current", at);
         }
-        let occupied = self.slots.iter().filter(|&&s| s != EMPTY_SLOT).count();
-        let consistent = occupied == len && self.touched.len() == occupied;
-        check(consistent, "slot-accounting", occupied);
+        let root = self.heap.first().copied();
+        let mut member_docs: Vec<DocId> = self.heap.iter().map(|m| m.doc).collect();
+        member_docs.sort_unstable();
+        for slot in (0..self.slots.len()).filter(|&s| self.occupied(s)) {
+            let e = self.slots[slot];
+            check(probe(e.doc) == slot, "probe-reachable", slot);
+            if member_docs.binary_search(&e.doc).is_err() {
+                let beaten = root.map_or(k == 0, |r| worse(e, r));
+                check(beaten, "heap-is-top-k", slot);
+            }
+        }
     }
 }
 
@@ -382,12 +370,12 @@ impl Validate for ScoreAccumulator {
 #[derive(Debug, Clone, Default)]
 struct Scratch {
     acc: ScoreAccumulator,
-    /// Sort buffer of [`ScoreAccumulator::top_k`].
-    docs: Vec<ScoredDoc>,
-    /// The block a blocked scan regenerated last — scans past the pinned
-    /// prefix visit one block at a time, so one buffer suffices.
-    block_buf: Vec<Posting>,
-    /// Which `(term, block)` currently sits in `block_buf`. A list is
+    /// The block a blocked scan regenerated last, as `(docs, runs)` with
+    /// ends counted from the block's start — scans past the pinned prefix
+    /// visit one block at a time, so one buffer suffices.
+    block_docs: Vec<DocId>,
+    block_runs: Vec<(u32, u32)>,
+    /// Which `(term, block)` currently sits in the buffer. A list is
     /// immutable until its term is invalidated, so a matching key means
     /// the regeneration can be skipped outright (the batches of one scan
     /// revisit a block); invalidating a term must forget the key with it.
@@ -602,7 +590,7 @@ impl TopKProcessor {
         let order = Self::keyed_term_order(index, terms);
 
         let mut scratch = self.scratch.borrow_mut();
-        let Scratch { acc, docs, .. } = &mut *scratch;
+        let acc = &mut scratch.acc;
         acc.reset(self.config.k);
         let mut usage = Vec::with_capacity(order.len());
         let mut kth_score = 0.0f64;
@@ -621,7 +609,7 @@ impl TopKProcessor {
 
         audit!(&*acc, "TopKProcessor::process_scan");
         QueryOutcome {
-            result: acc.top_k(docs),
+            result: acc.top_k(),
             usage,
             skip_stats: SkipStats::default(),
         }
@@ -648,13 +636,15 @@ impl TopKProcessor {
     ///   Zipf tail never funds a build it cannot amortize;
     /// * only the head [`crate::blocks::HOT_PREFIX`] postings of a list
     ///   are pinned — the impact-ordered region every query re-reads is
-    ///   served as a plain slice, and the rare block past it is
-    ///   regenerated when (and only when) a scan gets there;
+    ///   served as doc ids plus equal-tf runs, and the rare block past it
+    ///   is regenerated (into the same form) when, and only when, a scan
+    ///   gets there;
     /// * per slice, a hoisted check on the *weakest* posting at the
     ///   *largest* possible accumulator proves the (monotone) quit
-    ///   predicate cannot fire, letting the per-posting checks drop out
-    ///   of the add loop (`tf_weight` itself is memoized bit-identically
-    ///   in a [`WeightTable`]).
+    ///   predicate cannot fire, letting the per-posting checks drop out:
+    ///   the slice is then accumulated a run at a time, one weight (the
+    ///   `tf_weight` memoized bit-identically in a [`WeightTable`], times
+    ///   the idf) and one [`ScoreAccumulator::add_run`] per run.
     fn process_blocked<R: IndexReader>(&self, index: &R, terms: &[TermId]) -> QueryOutcome {
         let order = Self::keyed_term_order(index, terms);
 
@@ -662,8 +652,8 @@ impl TopKProcessor {
         let mut scratch = self.scratch.borrow_mut();
         let Scratch {
             acc,
-            docs,
-            block_buf,
+            block_docs,
+            block_runs,
             cached_block,
         } = &mut *scratch;
         acc.reset(self.config.k);
@@ -677,26 +667,25 @@ impl TopKProcessor {
             let is_last = term_idx + 1 == num_terms;
             let df = index.doc_freq(term);
             if df == 0 || idf == 0.0 {
-                usage.push(TermUsage {
-                    term,
-                    scanned: 0,
-                    df,
-                });
+                let scanned = 0;
+                usage.push(TermUsage { term, scanned, df });
                 continue;
             }
             let list = store.list_mut(term, df);
             if !list.note_visit() {
                 // First sighting of this term: scan like the reference
-                // arm and pin nothing. Under a Zipf log the once-queried
-                // tail never repays a build; terms that come back pay it
-                // on their second visit and amortize it over every visit
-                // after that.
+                // arm and pin nothing; terms that come back pay the build
+                // on their second visit and amortize it from there.
                 let scanned =
                     self.scan_uncompressed(index, (idf, term), df, is_last, acc, &mut kth_score);
                 usage.push(TermUsage { term, scanned, df });
                 continue;
             }
             let mut scanned = 0u64;
+            // The run holding `scanned`, or an earlier one (within a list
+            // the cursor only moves forward), and the tf at the current
+            // block's first position (every block is entered at its start).
+            let (mut cursor, mut block_max_tf) = (0usize, 0u32);
             'scan: while scanned < df {
                 let chunk = base_chunk.max(acc.len() as u64 / 4);
                 let batch_end = (scanned + chunk).min(df);
@@ -710,60 +699,75 @@ impl TopKProcessor {
                     list.ensure(index, term, block_start + 1);
                     // Serve the block from the pinned prefix when it is
                     // covered; regenerate it (through the one-block
-                    // cache) otherwise.
+                    // cache) otherwise. Run ends count from `base`, the
+                    // list position of `docs[0]`.
                     let block_end = (block_start + BLOCK_SIZE as u64).min(df);
-                    let buf: &[Posting] = if block_end <= list.built() {
-                        &list.hot_prefix()[block_start as usize..block_end as usize]
+                    let (docs, runs, base) = if block_end <= list.built() {
+                        let (docs, runs) = list.pinned();
+                        (docs, runs, 0)
                     } else {
                         if *cached_block != Some((term, block)) {
-                            *block_buf = index.postings_range(term, block_start, block_end);
+                            block_docs.clear();
+                            block_runs.clear();
+                            let fresh = index.postings_range(term, block_start, block_end);
+                            append_runs(block_docs, block_runs, &fresh);
                             *cached_block = Some((term, block));
                         }
-                        block_buf
+                        cursor = 0;
+                        (&block_docs[..], &block_runs[..], block_start)
                     };
+                    let lo = (scanned - base) as usize;
+                    let hi = (batch_end.min(block_end) - base) as usize;
+                    while runs[cursor].0 as usize <= lo {
+                        cursor += 1;
+                    }
+                    if scanned == block_start {
+                        block_max_tf = runs[cursor].1;
+                    }
                     if self.config.epsilon > 0.0 && acc.len() >= self.config.k {
-                        // Block-max gate: canonical order is tf-descending,
-                        // so the block's first posting bounds every
-                        // contribution the block can make; apply the same
-                        // quit predicate the per-posting loop would.
+                        // Block-max gate: the block's first posting
+                        // bounds every contribution the block can make.
                         skip_stats.skip_probes += 1;
-                        let bound = self.weights.get(buf[0].tf) * idf;
+                        let bound = self.weights.get(block_max_tf) * idf;
                         if self.quits(bound, kth_score, acc.len(), is_last) {
                             skip_stats.skipped += df - scanned;
                             break 'scan;
                         }
                     }
-                    let lo = (scanned - block_start) as usize;
-                    let hi = ((batch_end - block_start) as usize).min(buf.len());
-                    let slice = &buf[lo..hi];
+                    // The slice is positions `lo..hi`: runs `cursor..=last`.
+                    let mut last = cursor;
+                    while (runs[last].0 as usize) < hi {
+                        last += 1;
+                    }
                     // Hoisted quit check: the slice's *last* posting at
                     // the *largest* accumulator the slice could produce
                     // is the easiest quit there is (`quits` is monotone
-                    // in both). If even that cannot fire, no posting in
-                    // the slice can, and the per-posting checks drop out
-                    // of the loop entirely.
-                    let check_free = !slice.last().is_some_and(|last| {
-                        let c_min = self.weights.get(last.tf) * idf;
-                        self.quits(c_min, kth_score, acc.len() + slice.len(), is_last)
-                    });
-                    if check_free {
-                        for p in slice {
-                            acc.add(p.doc, (self.weights.get(p.tf) * idf) as f32);
+                    // in both); if it cannot fire, nothing in the slice can.
+                    let c_min = self.weights.get(runs[last].1) * idf;
+                    let check_free = !self.quits(c_min, kth_score, acc.len() + hi - lo, is_last);
+                    let mut pos = lo;
+                    for &(end, tf) in &runs[cursor..=last] {
+                        let run = &docs[pos..hi.min(end as usize)];
+                        pos += run.len();
+                        // One weight per run, not per posting.
+                        let contribution = self.weights.get(tf) * idf;
+                        if check_free {
+                            acc.add_run(run, contribution as f32);
+                            scanned += run.len() as u64;
+                            skip_stats.visited += run.len() as u64;
+                            continue;
                         }
-                        scanned += slice.len() as u64;
-                        skip_stats.visited += slice.len() as u64;
-                    } else {
-                        for p in slice {
-                            let contribution = self.weights.get(p.tf) * idf;
+                        for &doc in run {
                             if self.quits(contribution, kth_score, acc.len(), is_last) {
                                 skip_stats.skipped += df - scanned;
                                 break 'scan;
                             }
-                            acc.add(p.doc, contribution as f32);
+                            acc.add(doc, contribution as f32);
                             scanned += 1;
                             skip_stats.visited += 1;
                         }
                     }
+                    cursor = last;
                 }
                 kth_score = acc.kth_largest();
             }
@@ -773,7 +777,7 @@ impl TopKProcessor {
 
         audit!(&*acc, "TopKProcessor::process_blocked");
         QueryOutcome {
-            result: acc.top_k(docs),
+            result: acc.top_k(),
             usage,
             skip_stats,
         }
@@ -874,7 +878,6 @@ fn top_k(acc: &HashMap<DocId, f32>, k: usize) -> ResultEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blocks::HOT_PREFIX;
     use crate::corpus::{CorpusSpec, SyntheticIndex};
     use crate::mem::MemIndex;
     use crate::types::IndexReader;
@@ -1072,48 +1075,6 @@ mod tests {
     }
 
     #[test]
-    fn scratch_accumulator_matches_hashmap_reference() {
-        // The pooled open-addressed path must be bit-identical to the
-        // seed's HashMap path — same docs, same f32 scores, same scan
-        // counts — in exact mode and under every pruning rule, across
-        // repeated reuse of the same (dirty) scratch table.
-        let idx = SyntheticIndex::new(CorpusSpec::tiny(5));
-        let configs = [
-            TopKConfig::default(),
-            TopKConfig {
-                k: 10,
-                epsilon: 0.0,
-                check_every: 16,
-                accumulator_limit: 400,
-            },
-            TopKConfig {
-                k: 10,
-                epsilon: 0.5,
-                check_every: 16,
-                accumulator_limit: 40,
-            },
-            TopKConfig {
-                k: 3,
-                epsilon: 0.3,
-                check_every: 0,
-                accumulator_limit: 8,
-            },
-        ];
-        for config in configs {
-            let proc = TopKProcessor::new(config);
-            for q in 0..40u32 {
-                let terms: Vec<TermId> = (0..(q % 4 + 1))
-                    .map(|i| (q * 37 + i * 211) % 2000)
-                    .collect();
-                let fast = proc.process(&idx, &terms);
-                let reference = proc.process_reference(&idx, &terms);
-                assert_eq!(fast.result, reference.result, "docs/scores for {terms:?}");
-                assert_eq!(fast.usage, reference.usage, "scan counts for {terms:?}");
-            }
-        }
-    }
-
-    #[test]
     fn scratch_accumulator_survives_growth() {
         // Force the table through several doublings in one query (exact
         // mode accumulates every matching doc), then reuse it small.
@@ -1135,10 +1096,11 @@ mod tests {
 
     #[test]
     fn blocked_backend_matches_scan_and_reference() {
-        // Same sweep as `scratch_accumulator_matches_hashmap_reference`,
-        // but pitting the blocked backend (with its dirty,
-        // reused store) against both reference paths, and checking the
-        // block-max accounting actually fires under pruning configs.
+        // The blocked backend (with its dirty, reused store and scratch
+        // table) must be bit-identical to both reference paths — same
+        // docs, same f32 scores, same scan counts — in exact mode and
+        // under every pruning rule, and the block-max accounting must
+        // actually fire under the pruning configs.
         let idx = SyntheticIndex::new(CorpusSpec::tiny(5));
         let configs = [
             TopKConfig::default(),
@@ -1191,7 +1153,9 @@ mod tests {
                 assert!(pruned_blocks > 0, "block-max gate must be exercised");
             }
             let stats = blocked.store_stats();
-            assert!(stats.terms > 0 && stats.encoded_bytes > 0);
+            // 4 B per doc id, and at least one 8 B run per built list.
+            let held = 4 * stats.built_postings + 8 * stats.terms as u64;
+            assert!(stats.terms > 0 && stats.encoded_bytes >= held);
             assert_eq!(scan.store_stats(), BlockStoreStats::default());
         }
     }
@@ -1207,14 +1171,13 @@ mod tests {
     ) -> Result<(), proptest::error::TestCaseError> {
         use proptest::prelude::*;
         let mut model: HashMap<DocId, f32> = HashMap::new();
-        let mut docs = Vec::new();
         acc.reset(k);
         for &(doc, delta) in ops {
             acc.add(doc, delta);
             *model.entry(doc).or_insert(0.0) += delta;
             prop_assert_eq!(acc.len(), model.len());
             prop_assert_eq!(acc.kth_largest(), kth_largest(&model, k));
-            prop_assert_eq!(acc.top_k(&mut docs), top_k(&model, k));
+            prop_assert_eq!(acc.top_k(), top_k(&model, k));
             let report = acc.validation_report();
             prop_assert!(report.is_clean(), "{}", report.summary());
         }
@@ -1232,7 +1195,13 @@ mod tests {
             sparse in proptest::prop::collection::vec((0u32..100_000, 0u32..5), 0..300),
             k_first in 0usize..5,
             k_second in 0usize..5,
+            // Runs over few docs: repeats across runs and inside one.
+            runs in proptest::prop::collection::vec(
+                (proptest::prop::collection::vec(0u32..600, 0..200), 0u32..5),
+                0..12,
+            ),
         ) {
+            use proptest::prelude::*;
             const KS: [usize; 5] = [0, 1, 3, 50, 10_000];
             let ops = |raw: &[(u32, u32)]| -> Vec<(DocId, f32)> {
                 raw.iter().map(|&(doc, q)| (doc, q as f32 * 0.25)).collect()
@@ -1242,6 +1211,23 @@ mod tests {
             // Reuse after a reset, grown and dirty, under another K.
             check_adds_against_definition(&mut acc, KS[k_second], &ops(&sparse))?;
             check_adds_against_definition(&mut acc, KS[k_first], &ops(&dense))?;
+
+            // `add_run(run, δ)` is `for d in run { add(d, δ) }` (which the
+            // above holds to the definition), though one capacity check per
+            // run may double the table earlier than one per add.
+            let mut by_doc = ScoreAccumulator::with_capacity(4);
+            acc.reset(KS[k_second]);
+            by_doc.reset(KS[k_second]);
+            for (run, q) in &runs {
+                let delta = *q as f32 * 0.25;
+                acc.add_run(run, delta);
+                run.iter().for_each(|&doc| by_doc.add(doc, delta));
+                prop_assert_eq!(acc.len(), by_doc.len());
+                prop_assert_eq!(acc.kth_largest(), by_doc.kth_largest());
+                prop_assert_eq!(acc.top_k(), by_doc.top_k());
+                let report = acc.validation_report();
+                prop_assert!(report.is_clean(), "{}", report.summary());
+            }
         }
     }
 
@@ -1254,7 +1240,7 @@ mod tests {
             acc.add(doc, 1.0 + doc as f32);
         }
         assert!(acc.validation_report().is_clean());
-        assert_eq!(acc.entries[acc.heap[0] as usize].doc, 7);
+        assert_eq!(acc.heap[0].doc, 7);
         acc
     }
 
@@ -1263,95 +1249,55 @@ mod tests {
         report.violations().iter().map(|v| v.invariant).collect()
     }
 
+    /// The slot `doc` sits in.
+    fn slot_of(acc: &ScoreAccumulator, doc: DocId) -> usize {
+        let at = (0..acc.slots.len()).find(|&s| acc.occupied(s) && acc.slots[s].doc == doc);
+        at.expect("accumulated")
+    }
+
     #[test]
     fn validator_catches_each_seeded_corruption() {
+        // Three members where the query's K keeps four.
         let mut acc = seeded_accumulator();
-        let dropped = acc.heap.pop().expect("three members");
-        acc.entries[dropped as usize].pos = EMPTY_SLOT;
-        assert!(violated(&acc).contains(&"heap-len"));
+        acc.k = 4;
+        assert_eq!(violated(&acc), ["heap-len"]);
 
+        // The root stops being the worst member (in the table too, so
+        // only the order trips).
         let mut acc = seeded_accumulator();
-        acc.heap.swap(1, 2);
-        assert!(violated(&acc).contains(&"heap-pos-agree"));
-
-        // The root stops being the worst member.
-        let mut acc = seeded_accumulator();
-        let root = acc.heap[0] as usize;
-        acc.entries[root].score = 1e9;
+        let slot = slot_of(&acc, 7);
+        acc.slots[slot].score = 1e9;
+        acc.heap[0].score = 1e9;
         assert_eq!(violated(&acc), ["heap-order", "heap-order"]);
+
+        // A member that missed an update of its doc.
+        let mut acc = seeded_accumulator();
+        let slot = slot_of(&acc, 9);
+        acc.slots[slot].score += 1.0;
+        assert_eq!(violated(&acc), ["heap-member-current"]);
 
         // An entry outside the heap outranks the K-th.
         let mut acc = seeded_accumulator();
-        acc.entries[2].score = 1e9;
+        let slot = slot_of(&acc, 2);
+        acc.slots[slot].score = 1e9;
         assert_eq!(violated(&acc), ["heap-is-top-k"]);
 
         // Tie direction: equal score, lower doc id ranks first.
         let mut acc = seeded_accumulator();
-        acc.entries[2].score = acc.entries[7].score;
+        acc.slots[slot].score = acc.heap[0].score;
         assert_eq!(violated(&acc), ["heap-is-top-k"]);
 
+        // A count that lost an insert.
         let mut acc = seeded_accumulator();
-        acc.entries[2].pos = 0;
-        assert_eq!(violated(&acc), ["pos-heap-agree"]);
+        acc.len -= 1;
+        assert_eq!(violated(&acc), ["occ-count"]);
 
+        // Two docs in each other's slots: a lookup of either starts at
+        // its own home and meets a clear bit before it meets the doc.
         let mut acc = seeded_accumulator();
-        let slot = acc.hash(4);
-        acc.slots[slot] = EMPTY_SLOT;
-        assert!(violated(&acc).contains(&"slot-entry-agree"));
-
-        let mut acc = seeded_accumulator();
-        acc.touched.pop();
-        assert_eq!(violated(&acc), ["slot-accounting"]);
-    }
-
-    #[test]
-    fn invalidation_forgets_the_decoded_block() {
-        // One df-4200 list: its last block, 32, is the first past the
-        // pinned HOT_PREFIX, so a full scan leaves it (regenerated) in the
-        // one-block cache. The second index keeps the df and changes only
-        // the tail docs (tf 1 everywhere, so canonical order is doc
-        // order); K covers the whole list so the tail reaches the result.
-        let list_of = |tail_from: u32| -> Vec<Vec<TermId>> {
-            (0..4300u32)
-                .map(|d| {
-                    let has = d < 4100 || (tail_from..tail_from + 100).contains(&d);
-                    vec![if has { 0 } else { 1 }]
-                })
-                .collect()
-        };
-        let before = MemIndex::from_docs(list_of(4100));
-        let after = MemIndex::from_docs(list_of(4200));
-        assert_eq!(before.doc_freq(0), 4200);
-        assert_eq!(after.doc_freq(0), 4200);
-        assert!(4200 > HOT_PREFIX && 4200 <= HOT_PREFIX + BLOCK_SIZE as u64);
-        let proc = TopKProcessor::new(TopKConfig {
-            k: 5000,
-            epsilon: 0.0,
-            check_every: 128,
-            accumulator_limit: 400,
-        });
-        for _ in 0..3 {
-            let out = proc.process(&before, &[0]);
-            assert_eq!(out.result, proc.process_reference(&before, &[0]).result);
-        }
-        assert!(proc.invalidate_term(0));
-        // Cold first visit, then the first blocked one re-reaches block 32.
-        for visit in 0..3 {
-            let out = proc.process(&after, &[0]);
-            let want = proc.process_reference(&after, &[0]);
-            assert_eq!(out.result, want.result, "visit {visit} after invalidation");
-            assert_eq!(out.usage, want.usage);
-        }
-        // Same through the drop-everything invalidator.
-        proc.invalidate_all_terms();
-        for visit in 0..3 {
-            let out = proc.process(&before, &[0]);
-            let want = proc.process_reference(&before, &[0]);
-            assert_eq!(
-                out.result, want.result,
-                "visit {visit} after invalidate_all"
-            );
-        }
+        let (a, b) = (slot_of(&acc, 0), slot_of(&acc, 1));
+        acc.slots.swap(a, b);
+        assert_eq!(violated(&acc), ["probe-reachable", "probe-reachable"]);
     }
 
     #[test]

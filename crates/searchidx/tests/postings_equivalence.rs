@@ -8,9 +8,10 @@
 use proptest::prelude::*;
 use searchidx::blocks::HOT_PREFIX;
 use searchidx::{
-    BlockPostings, CorpusSpec, IndexReader, MemIndex, PostingsBackend, SyntheticIndex, TermId,
-    TopKConfig, TopKProcessor, BLOCK_SIZE,
+    BlockPostings, CorpusSpec, IndexReader, LiveIndex, MemIndex, Posting, PostingsBackend,
+    SegmentPolicy, SyntheticIndex, TermId, TopKConfig, TopKProcessor, BLOCK_SIZE,
 };
+use simclock::SimTime;
 
 /// Random small corpora: documents as term-id sequences over a compact
 /// vocabulary (so lists overlap).
@@ -68,23 +69,42 @@ proptest! {
     }
 
     /// The pinned prefix is a faithful copy: after any `ensure` schedule
-    /// it equals `postings_range(0, built)`, and `built` is a whole
-    /// number of blocks or all of `min(df, HOT_PREFIX)`. The corpora's
-    /// lists fit one block; the synthetic lists straddle the pin (terms
-    /// 0..=20 are longer than it, the rest shorter).
+    /// its doc ids and tf runs re-materialise to `postings_range(0,
+    /// built)`, and `built` is a whole number of blocks or all of
+    /// `min(df, HOT_PREFIX)`. The corpora's lists fit one block; the
+    /// synthetic lists straddle the pin (terms 0..=20 are longer than it,
+    /// the rest shorter); the live index serves a merged view (base,
+    /// sealed and write segments, tombstones) of the same corpora after
+    /// adds, deletes and a seal.
     #[test]
     fn block_postings_roundtrip_any_schedule(
         docs in corpus(),
-        synthetic in any::<bool>(),
+        kind in 0u8..3,
         term in 0u32..30,
         steps in prop::collection::vec(prop_oneof![1u64..80, 1u64..2_000], 1..6),
+        added in prop::collection::vec(prop::collection::vec((0u32..30, 1u32..6), 1..6), 1..40),
     ) {
         invariant::force_enable();
-        if synthetic {
-            let idx = SyntheticIndex::new(CorpusSpec::tiny(3));
-            check_ensure_schedule(&idx, term, &steps)?;
-        } else {
-            check_ensure_schedule(&MemIndex::from_docs(docs), term, &steps)?;
+        match kind {
+            0 => check_ensure_schedule(&MemIndex::from_docs(docs), term, &steps)?,
+            1 => check_ensure_schedule(&SyntheticIndex::new(CorpusSpec::tiny(3)), term, &steps)?,
+            _ => {
+                let mut live = LiveIndex::new(MemIndex::from_docs(docs), SegmentPolicy::default());
+                for (i, doc) in added.iter().enumerate() {
+                    let mut terms = doc.clone();
+                    terms.sort_unstable();
+                    terms.dedup_by_key(|&mut (t, _)| t);
+                    let at = live.add_document(SimTime::ZERO, &terms).doc;
+                    if i % 3 == 0 {
+                        live.delete_document(SimTime::ZERO, at / 2);
+                    }
+                    if i == added.len() / 2 {
+                        live.seal(SimTime::ZERO);
+                    }
+                }
+                prop_assert!(!live.is_pristine());
+                check_ensure_schedule(&live, term, &steps)?;
+            }
         }
     }
 }
@@ -104,7 +124,11 @@ fn check_ensure_schedule<R: IndexReader>(
         prop_assert!(bp.built() >= upto.min(full));
         prop_assert!(bp.built() == full || bp.built() % BLOCK_SIZE as u64 == 0);
         prop_assert!(bp.built() <= full);
-        prop_assert_eq!(bp.hot_prefix(), idx.postings_range(term, 0, bp.built()));
+        let pinned: Vec<Posting> = bp.postings().collect();
+        prop_assert_eq!(pinned, idx.postings_range(term, 0, bp.built()));
+        let (docs, runs) = bp.pinned();
+        prop_assert_eq!(docs.len() as u64, bp.built());
+        prop_assert_eq!(bp.bytes(), 4 * bp.built() + 8 * runs.len() as u64);
     }
     let mut report = invariant::Report::new();
     invariant::Validate::validate(&bp, &mut report);
@@ -151,7 +175,7 @@ fn blocked_scan_across_the_pinned_prefix_matches_reference() {
         }
         // Nothing is kept past the pin, however deep the scans went.
         let cap = idx.doc_freq(0).min(HOT_PREFIX) + idx.doc_freq(1).min(HOT_PREFIX);
-        let pinned = blocked.store_stats().hot_postings;
+        let pinned = blocked.store_stats().built_postings;
         assert!(pinned <= cap && (pinned == cap || config.epsilon > 0.0));
         let report = blocked.validation_report();
         assert!(report.is_clean(), "{}", report.summary());
@@ -169,12 +193,95 @@ fn blocked_scan_across_the_pinned_prefix_matches_reference() {
         accumulator_limit: usize::MAX,
         ..exact
     };
+    // Batches of 100 and 77 end inside blocks and — the mem list's tf
+    // cycles with the doc id, so its canonical order is five long runs —
+    // inside runs; the accumulator-scaled chunk (|acc| / 4) takes over
+    // from there with whatever length it has.
+    let ragged = |check_every| TopKConfig {
+        check_every,
+        ..gated
+    };
     check(&mem, exact, true);
     check(&synthetic, exact, true);
     check(&mem, gated, true);
     check(&synthetic, gated, true);
+    check(&mem, ragged(100), true);
+    check(&synthetic, ragged(77), true);
     // The default config quits long before the pin ends.
     check(&synthetic, TopKConfig::default(), false);
+}
+
+/// `invalidate_term` / `invalidate_all_terms` must forget the one block a
+/// scan past the pin leaves regenerated in the processor's scratch, or the
+/// next index's list of the same term and length would be served from it.
+#[test]
+fn invalidation_forgets_the_decoded_block() {
+    // One df-4200 list: its last block, 32, is the first past the
+    // pinned HOT_PREFIX, so a full scan leaves it (regenerated, as doc
+    // ids plus runs) in the one-block cache. The second index keeps
+    // the df and swaps the hundred tail docs for others. Canonical
+    // order is tf 3 (docs < 4050), tf 2 (docs 4050..4100 and the odd
+    // tail docs), tf 1 (the even tail docs): block 32 is the end of
+    // the tf-2 run and all of the tf-1 run, tail docs in both. K
+    // covers the whole list so the tail reaches the result.
+    let list_of = |tail_from: u32| -> Vec<Vec<TermId>> {
+        (0..4300u32)
+            .map(|d| {
+                let tail = (tail_from..tail_from + 100).contains(&d);
+                let tf = if d < 4050 {
+                    3
+                } else if tail && d % 2 == 0 {
+                    1
+                } else {
+                    2
+                };
+                if d < 4100 || tail {
+                    vec![0; tf]
+                } else {
+                    vec![1]
+                }
+            })
+            .collect()
+    };
+    let before = MemIndex::from_docs(list_of(4100));
+    let after = MemIndex::from_docs(list_of(4200));
+    assert_eq!(before.doc_freq(0), 4200);
+    assert_eq!(after.doc_freq(0), 4200);
+    assert!(4200 > HOT_PREFIX && 4200 <= HOT_PREFIX + BLOCK_SIZE as u64);
+    let proc = TopKProcessor::new(TopKConfig {
+        k: 5000,
+        epsilon: 0.0,
+        check_every: 128,
+        accumulator_limit: 400,
+    });
+    for _ in 0..3 {
+        let out = proc.process(&before, &[0]);
+        assert_eq!(out.result, proc.process_reference(&before, &[0]).result);
+    }
+    let tail = before.postings_range(0, HOT_PREFIX, 4200);
+    assert_eq!(
+        (tail[53].tf, tail[54].tf),
+        (2, 1),
+        "two runs in the cached block"
+    );
+    assert!(proc.invalidate_term(0));
+    // Cold first visit, then the first blocked one re-reaches block 32.
+    for visit in 0..3 {
+        let out = proc.process(&after, &[0]);
+        let want = proc.process_reference(&after, &[0]);
+        assert_eq!(out.result, want.result, "visit {visit} after invalidation");
+        assert_eq!(out.usage, want.usage);
+    }
+    // Same through the drop-everything invalidator.
+    proc.invalidate_all_terms();
+    for visit in 0..3 {
+        let out = proc.process(&before, &[0]);
+        let want = proc.process_reference(&before, &[0]);
+        assert_eq!(
+            out.result, want.result,
+            "visit {visit} after invalidate_all"
+        );
+    }
 }
 
 /// Determinism across store lifetimes: replaying the same query mix
