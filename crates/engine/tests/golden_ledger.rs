@@ -9,14 +9,15 @@
 //! where two-arm lockstep suites let both arms drift together.
 
 use engine::{
-    CompactionMode, EngineConfig, IndexMutability, IndexPlacement, LiveConfig, SearchEngine,
+    CompactionMode, EngineConfig, IndexMutability, IndexPlacement, LiveConfig, OpenLoopConfig,
+    Outcome, RunReport, SearchCluster, SearchEngine, ServingMode, ServingOutcome, ServingSim,
     Situation,
 };
 use hybridcache::{HybridConfig, IntersectionConfig, PolicyKind};
 use searchidx::{GrowthPolicy, SegmentPolicy};
 use simclock::SimDuration;
 use storagecore::{BlockDevice, IoKind, IoStats, SchedulerPolicy};
-use workload::{IngestSpec, IngestStream, MutationOp};
+use workload::{ArrivalKind, ArrivalProcess, IngestSpec, IngestStream, MutationOp};
 
 const DOCS: u64 = 40_000;
 const SEED: u64 = 7;
@@ -51,8 +52,8 @@ impl Digest {
         ]);
     }
 
-    fn engine(&mut self, e: &SearchEngine) {
-        let r = e.report();
+    /// The simulated fields of one [`RunReport`].
+    fn report(&mut self, r: &RunReport) {
         self.put(&[
             r.mean_response.as_nanos(),
             r.p99_response.as_nanos(),
@@ -87,6 +88,10 @@ impl Digest {
             c.ssd_bytes_read,
             c.trims,
         ]);
+    }
+
+    fn engine(&mut self, e: &SearchEngine) {
+        self.report(&e.report());
         let (rs, ls) = e.cache().map(|m| m.store_stats()).unwrap_or_default();
         self.put(&[
             rs.rb_writes,
@@ -232,4 +237,121 @@ ledger! {
     deep_cblru_4ch: deep(with(cached(CBLRU), |c| c.ssd_channels = 4)), 1_000 => 0xdc35_ce71_6b8e_e665;
     deep_lru: deep(cached(PolicyKind::Lru)), 600 => 0xbeab_cfe8_fd6d_3c78;
     deep_live: deep(live(cached(CBLRU), COOPERATIVE)), 600 => 0x187b_1035_fb11_a1a0;
+}
+
+/// The cluster's only witness: with one way to visit the shards there is
+/// no second arm to hold it against. Every `execute_batch` response, then
+/// a `run_queries` report field by field, every shard's included.
+#[test]
+fn cluster_3shard_cblru() {
+    let mut c = SearchCluster::new(cached(CBLRU), 3);
+    let queries = c.stream(600);
+    let mut d = Digest(0xcbf2_9ce4_8422_2325);
+    for response in c.execute_batch(&queries[..400]) {
+        d.put(&[response.as_nanos()]);
+    }
+    let r = c.run_queries(&queries[400..]);
+    d.put(&[
+        r.queries,
+        r.mean_response.as_nanos(),
+        r.throughput_qps.to_bits(),
+        r.mean_fastest_shard.as_nanos(),
+        r.shards.len() as u64,
+    ]);
+    for shard in &r.shards {
+        d.put(&[
+            shard.queries,
+            shard.elapsed.as_nanos(),
+            shard.throughput_qps.to_bits(),
+        ]);
+        d.report(shard);
+    }
+    let audit = c.validation_report();
+    assert!(audit.is_clean(), "{}", audit.summary());
+    assert_eq!(
+        d.0, 0x2a3c_a788_5b99_9d84,
+        "the ledger moved: {:#018x}",
+        d.0
+    );
+}
+
+/// The open-loop front-end past saturation with batching, shedding and
+/// hedging all live: every arrival's record, then every report field.
+#[test]
+fn open_loop_batched() {
+    let cfg = with(cached(CBLRU), |c| c.docs = DOCS / 2);
+    let mut closed = SearchCluster::new(cfg.clone(), 2);
+    let mean = closed.run(300).mean_response;
+    let arrivals = ArrivalProcess::new(
+        closed.log().clone(),
+        ArrivalKind::Poisson {
+            rate_qps: 1.3 / mean.as_secs_f64(),
+        },
+    )
+    .generate(600);
+    let mut oc = OpenLoopConfig::batched(mean * 4, SimDuration::from_micros(200), 8);
+    oc.hedge_after = Some(mean);
+    let mut sim = ServingSim::new(cfg, 2, 2, ServingMode::OpenLoop(oc));
+    let r = match sim.run(&arrivals) {
+        ServingOutcome::Open(r) => r,
+        ServingOutcome::Closed(_) => unreachable!("mode is OpenLoop"),
+    };
+    assert!(r.shed > 0 && r.hedges_won > 0 && r.mean_batch > 1.0);
+
+    let mut d = Digest(0xcbf2_9ce4_8422_2325);
+    for rec in sim.records() {
+        d.put(&[
+            rec.seq,
+            rec.arrived.as_nanos(),
+            rec.deadline.map_or(u64::MAX, |t| t.as_nanos()),
+            rec.response().map_or(u64::MAX, |t| t.as_nanos()),
+        ]);
+        match rec.outcome {
+            Outcome::Shed => d.put(&[0]),
+            Outcome::Answered {
+                dispatched,
+                completed,
+                service,
+                hedged,
+                hedge_won,
+                degraded,
+            } => d.put(&[
+                1,
+                dispatched.as_nanos(),
+                completed.as_nanos(),
+                service.as_nanos(),
+                hedged as u64,
+                hedge_won as u64,
+                degraded as u64,
+            ]),
+        }
+    }
+    d.put(&[
+        r.arrivals,
+        r.answered,
+        r.shed,
+        r.degraded,
+        r.deadline_misses,
+        r.batches,
+        r.mean_batch.to_bits(),
+        r.hedges_issued,
+        r.hedges_won,
+        r.hedge_wasted.as_nanos(),
+        r.offered_qps.to_bits(),
+        r.goodput_qps.to_bits(),
+        r.mean_response.as_nanos(),
+        r.p50_response.as_nanos(),
+        r.p99_response.as_nanos(),
+        r.p999_response.as_nanos(),
+        r.max_response.as_nanos(),
+        r.mean_queue_wait.as_nanos(),
+        r.makespan.as_nanos(),
+    ]);
+    let audit = sim.validation_report();
+    assert!(audit.is_clean(), "{}", audit.summary());
+    assert_eq!(
+        d.0, 0x8776_9bcd_5dec_f910,
+        "the ledger moved: {:#018x}",
+        d.0
+    );
 }
