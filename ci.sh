@@ -9,7 +9,7 @@ cargo fmt --check
 echo "== non-test source size ratchet =="
 # The ROADMAP's measure. Deleting code lowers the ceiling; a change that
 # needs to raise it says why in its own PR.
-MAX_SRC_LINES=33877
+MAX_SRC_LINES=32867
 src_lines=$(find crates -path '*/src/*' -name '*.rs' -print0 | xargs -0 cat | wc -l)
 if [ "$src_lines" -gt "$MAX_SRC_LINES" ]; then
   echo "non-test source is $src_lines lines, above the ratchet of $MAX_SRC_LINES" >&2
@@ -25,9 +25,6 @@ cargo build --release -p bench --bins --benches
 
 echo "== tests =="
 cargo test -q --workspace
-
-echo "== cluster equivalence (explicit) =="
-cargo test --release -q -p engine --test cluster_equivalence
 
 echo "== postings equivalence (explicit) =="
 cargo test --release -q -p searchidx --test postings_equivalence
@@ -66,7 +63,7 @@ cargo run -q -p xtask -- analyze
 
 echo "== equivalence suites under INVARIANT_AUDIT (debug) =="
 INVARIANT_AUDIT=1 cargo test -q -p hybridcache --test victim_equivalence
-INVARIANT_AUDIT=1 cargo test -q -p engine --test cluster_equivalence --test io_path_equivalence
+INVARIANT_AUDIT=1 cargo test -q -p engine --test io_path_equivalence
 # Every ledger row under per-mutation audits, depth 1 and deep; the rows
 # run in parallel (~3.5 min on two cores: each FTL write re-validates the
 # page map).
@@ -76,33 +73,6 @@ INVARIANT_AUDIT=1 cargo test -q -p engine --test serving_equivalence --test serv
 INVARIANT_AUDIT=1 cargo test -q -p engine --test offload_equivalence --test offload_audit
 INVARIANT_AUDIT=1 cargo test -q -p engine --test mutation_equivalence --test mutation_audit
 INVARIANT_AUDIT=1 cargo test -q -p searchidx --test postings_equivalence
-
-echo "== loom models (bounded schedule exploration) =="
-RUSTFLAGS="--cfg loom" cargo test -q -p workload --lib loom_model
-RUSTFLAGS="--cfg loom" cargo test -q -p engine --lib loom_pool_model
-
-if cargo +nightly miri --version >/dev/null 2>&1; then
-  echo "== miri (workload unsafe core) =="
-  cargo +nightly miri test -p workload
-else
-  echo "== miri: nightly toolchain not available, skipping =="
-fi
-
-# ThreadSanitizer over the loom-covered concurrent code: loom explores
-# bounded schedules of the *model*; TSan watches the real threaded
-# runtime for data races. Needs nightly + the matching rust-src/target.
-if cargo +nightly --version >/dev/null 2>&1 \
-  && rustup component list --toolchain nightly 2>/dev/null | grep -q '^rust-src (installed)'; then
-  echo "== thread sanitizer (loom-covered concurrent tests, nightly) =="
-  TSAN_TARGET="$(rustc -vV | sed -n 's/^host: //p')"
-  RUSTFLAGS="-Zsanitizer=thread" cargo +nightly test -q \
-    -Zbuild-std -p workload --lib --target "$TSAN_TARGET" || {
-      echo "thread sanitizer stage FAILED" >&2
-      exit 1
-    }
-else
-  echo "== thread sanitizer: nightly toolchain with rust-src not available, skipping =="
-fi
 
 echo "== clippy =="
 cargo clippy --all-targets -- -D warnings

@@ -1,15 +1,11 @@
 //! Extension — cluster scale-out: the paper's Sec.-I deployment shape
 //! (document-partitioned index servers, scatter-gather queries), swept
-//! over shard counts with and without the hybrid cache.
-//!
-//! The sweep is parallel at both layers: `parallel_map` fans the
-//! (shards, cached) points out, and each cluster runs on its
-//! shard-worker pool (`ClusterExecution::Parallel`) — figures are
-//! bit-identical to the sequential arm either way (the equivalence tests
-//! prove it), so only wall-clock moves.
+//! over shard counts with and without the hybrid cache. `parallel_map`
+//! fans the (shards, cached) points out; each cluster visits its shards
+//! in turn.
 
 use bench::{cache_config, print_table, Scale};
-use engine::{ClusterExecution, EngineConfig, IndexPlacement, SearchCluster};
+use engine::{EngineConfig, IndexPlacement, SearchCluster};
 use hybridcache::PolicyKind;
 use workload::parallel_map;
 
@@ -24,20 +20,13 @@ fn main() {
         .into_iter()
         .flat_map(|n| [(n, false), (n, true)])
         .collect();
-    // Outer fan-out over sweep points; cap it so points × shard workers
-    // stays near the core count instead of oversubscribing.
-    let outer = std::thread::available_parallelism()
-        .map_or(1, |p| p.get())
-        .clamp(1, 4);
-    let results = parallel_map(points, outer, |(shards, cached)| {
+    let results = parallel_map(points, 0, |(shards, cached)| {
         let cfg = if cached {
             EngineConfig::cached(docs, cache_config(mem, ssd, PolicyKind::Cblru), 73)
         } else {
             EngineConfig::no_cache(docs, IndexPlacement::Hdd, 73)
         };
-        let mut c = SearchCluster::new(cfg, shards);
-        c.set_execution(ClusterExecution::Parallel { workers: 0 });
-        let r = c.run(queries);
+        let r = SearchCluster::new(cfg, shards).run(queries);
         (shards, cached, r)
     });
 

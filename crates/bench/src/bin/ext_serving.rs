@@ -9,10 +9,7 @@
 //! of the batched arm's win past the naive knee.
 
 use bench::{cache_config, print_table};
-use engine::{
-    detect_knee, EngineConfig, LoadPoint, OpenLoopConfig, SearchCluster, ServingMode,
-    ServingOutcome, ServingSim,
-};
+use engine::{detect_knee, EngineConfig, LoadPoint, OpenLoopConfig, SearchCluster, ServingSim};
 use hybridcache::PolicyKind;
 use simclock::SimDuration;
 use workload::{Arrival, ArrivalKind, ArrivalProcess, QueryLog};
@@ -103,10 +100,7 @@ fn main() {
             let mut curve = Vec::new();
             for factor in LOAD_FACTORS {
                 let arr = arrivals(scenario, factor * naive_capacity, &log);
-                let mut sim = ServingSim::new(cfg(), SHARDS, REPLICAS, ServingMode::OpenLoop(oc));
-                let ServingOutcome::Open(r) = sim.run(&arr) else {
-                    unreachable!("mode is OpenLoop")
-                };
+                let r = ServingSim::new(cfg(), SHARDS, REPLICAS, oc).run(&arr);
                 curve.push(LoadPoint {
                     offered_qps: r.offered_qps,
                     goodput_qps: r.goodput_qps,

@@ -1,22 +1,16 @@
 //! Access-frequency tracking.
 //!
 //! The efficiency value of the paper's Formula 2, `EV = Freq / SC`, needs
-//! per-key access counts. [`FreqCounter`] keeps exact counts with an
-//! optional periodic halving ("aging") so ancient popularity eventually
-//! fades — the paper's static analysis assumes a stable query log, but the
-//! dynamic scenario it defers to future work needs decay, and the ablation
-//! benches exercise it.
+//! per-key access counts. [`FreqCounter`] keeps exact counts.
 
 use fxmap::FxHashMap;
 use std::hash::Hash;
 
-/// Exact per-key access counter with optional aging.
+/// Exact per-key access counter.
 #[derive(Debug, Clone)]
 pub struct FreqCounter<K> {
     counts: FxHashMap<K, u64>,
     accesses: u64,
-    /// Halve all counts every `aging_period` accesses (0 = never).
-    aging_period: u64,
 }
 
 impl<K: Eq + Hash + Clone> Default for FreqCounter<K> {
@@ -26,30 +20,17 @@ impl<K: Eq + Hash + Clone> Default for FreqCounter<K> {
 }
 
 impl<K: Eq + Hash + Clone> FreqCounter<K> {
-    /// Counter without aging.
+    /// An empty counter.
     pub fn new() -> Self {
         FreqCounter {
             counts: FxHashMap::default(),
             accesses: 0,
-            aging_period: 0,
-        }
-    }
-
-    /// Counter that halves all counts every `period` recorded accesses.
-    pub fn with_aging(period: u64) -> Self {
-        FreqCounter {
-            counts: FxHashMap::default(),
-            accesses: 0,
-            aging_period: period,
         }
     }
 
     /// Record one access and return the new count.
     pub fn record(&mut self, key: &K) -> u64 {
         self.accesses += 1;
-        if self.aging_period > 0 && self.accesses % self.aging_period == 0 {
-            self.age();
-        }
         let c = self.counts.entry(key.clone()).or_insert(0);
         *c += 1;
         *c
@@ -60,7 +41,7 @@ impl<K: Eq + Hash + Clone> FreqCounter<K> {
         self.counts.get(key).copied().unwrap_or(0)
     }
 
-    /// Total recorded accesses (not affected by aging).
+    /// Total recorded accesses.
     pub fn total(&self) -> u64 {
         self.accesses
     }
@@ -68,14 +49,6 @@ impl<K: Eq + Hash + Clone> FreqCounter<K> {
     /// Number of distinct keys with a positive count.
     pub fn distinct(&self) -> usize {
         self.counts.len()
-    }
-
-    /// Halve all counts, dropping keys that reach zero.
-    pub fn age(&mut self) {
-        self.counts.retain(|_, c| {
-            *c /= 2;
-            *c > 0
-        });
     }
 
     /// The `k` most frequent keys, descending by count (ties: arbitrary
@@ -133,30 +106,6 @@ mod tests {
         let top = f.top_k(2);
         assert_eq!(top, vec![("x", 5), ("y", 3)]);
         assert_eq!(f.top_k(10).len(), 3, "k beyond distinct keys is fine");
-    }
-
-    #[test]
-    fn aging_halves_and_drops() {
-        let mut f = FreqCounter::new();
-        for _ in 0..8 {
-            f.record(&1);
-        }
-        f.record(&2);
-        f.age();
-        assert_eq!(f.get(&1), 4);
-        assert_eq!(f.get(&2), 0, "count 1 halves to 0 and is dropped");
-        assert_eq!(f.distinct(), 1);
-    }
-
-    #[test]
-    fn periodic_aging_fires() {
-        let mut f = FreqCounter::with_aging(10);
-        for _ in 0..9 {
-            f.record(&"hot");
-        }
-        assert_eq!(f.get(&"hot"), 9);
-        f.record(&"hot"); // 10th access: halves *before* counting
-        assert_eq!(f.get(&"hot"), 5);
     }
 
     #[test]

@@ -25,8 +25,6 @@
 //! audit the incremental bookkeeping (window partition, index agreement)
 //! against a from-scratch rescan at each mutation boundary.
 
-#![forbid(unsafe_code)]
-
 pub mod budget;
 pub mod freq;
 pub mod ghost;

@@ -172,14 +172,6 @@ impl<K: Eq + Hash + Clone> LruList<K> {
         (p != NIL).then(|| &self.nodes[p as usize].key)
     }
 
-    /// The neighbor of `key` one step towards the LRU end (`None` for the
-    /// LRU itself or an absent key). O(1).
-    pub fn next_toward_lru(&self, key: &K) -> Option<&K> {
-        let &i = self.index.get(key)?;
-        let n = self.nodes[i as usize].next;
-        (n != NIL).then(|| &self.nodes[n as usize].key)
-    }
-
     /// Iterate from LRU towards MRU.
     pub fn iter_lru(&self) -> IterLru<'_, K> {
         IterLru {

@@ -165,12 +165,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     pub fn iter_lru(&self) -> impl Iterator<Item = &K> {
         self.list.iter_lru()
     }
-
-    /// Reset hit/miss counters.
-    pub fn reset_hit_stats(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
-    }
 }
 
 impl<K: Eq + Hash + Clone + std::fmt::Debug, V> Validate for LruCache<K, V> {

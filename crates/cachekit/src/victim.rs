@@ -296,18 +296,6 @@ impl<K: Eq + Hash + Clone> SizeClassIndex<K> {
         }
     }
 
-    /// Move a member to a different size class; no-op if absent.
-    pub fn update_size(&mut self, key: &K, size: u64) {
-        let Some(&(old, stamp)) = self.by_key.get(key) else {
-            return;
-        };
-        if old == size {
-            return;
-        }
-        self.remove(key);
-        self.insert(key.clone(), stamp, size);
-    }
-
     /// The LRU-most member of exactly this size class.
     pub fn first_of(&self, size: u64) -> Option<&K> {
         self.buckets.get(&size)?.values().next()
@@ -424,7 +412,7 @@ mod tests {
     }
 
     #[test]
-    fn size_class_lookup_and_migration() {
+    fn size_class_lookup() {
         let mut idx: SizeClassIndex<u32> = SizeClassIndex::new();
         idx.insert(1, 10, 3);
         idx.insert(2, 11, 3);
@@ -432,11 +420,8 @@ mod tests {
         assert_eq!(idx.first_of(3), Some(&1), "LRU-most of the class");
         assert_eq!(idx.first_of(8), Some(&3));
         assert_eq!(idx.first_of(5), None);
-        idx.update_size(&1, 8);
-        assert_eq!(idx.first_of(3), Some(&2));
-        // 1 keeps its stamp (10) so it now precedes 3 (stamp 12).
-        assert_eq!(idx.first_of(8), Some(&1));
         idx.remove(&1);
+        assert_eq!(idx.first_of(3), Some(&2));
         idx.remove(&2);
         idx.remove(&3);
         assert!(idx.is_empty());

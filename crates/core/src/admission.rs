@@ -77,7 +77,6 @@ pub struct AdmissionStats {
 /// [`AdmissionPolicy::Sketch`].
 #[derive(Debug, Clone)]
 pub struct AdmissionTier {
-    policy: AdmissionPolicy,
     cfg: AdmissionConfig,
     sketch: FreqSketch,
     list_ghost: GhostCache<TermKey>,
@@ -110,7 +109,6 @@ impl AdmissionTier {
     /// controller starts from and stays anchored to.
     pub fn new(cfg: AdmissionConfig, base_tev: f64) -> Self {
         AdmissionTier {
-            policy: cfg.policy,
             sketch: FreqSketch::new(cfg.sketch_width, cfg.reset_window),
             list_ghost: GhostCache::new(cfg.ghost_capacity),
             result_ghost: GhostCache::new(cfg.ghost_capacity),
@@ -126,20 +124,9 @@ impl AdmissionTier {
         }
     }
 
-    /// The active gate.
-    pub fn policy(&self) -> AdmissionPolicy {
-        self.policy
-    }
-
-    /// Toggle the gate at runtime. Sketch state persists across a
-    /// Sketch → Static → Sketch round trip but only learns while active.
-    pub fn set_policy(&mut self, policy: AdmissionPolicy) {
-        self.policy = policy;
-    }
-
     /// Whether the sketch gate is consulted.
     pub fn is_sketch(&self) -> bool {
-        self.policy == AdmissionPolicy::Sketch
+        self.cfg.policy == AdmissionPolicy::Sketch
     }
 
     /// Tier counters.

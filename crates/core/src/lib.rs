@@ -32,8 +32,6 @@
 //! charging all SSD traffic to a [`storagecore::BlockDevice`] so the flash
 //! effects (erases, GC, access times) are measured, not assumed.
 
-#![forbid(unsafe_code)]
-
 pub mod admission;
 pub mod config;
 pub mod manager;

@@ -7,7 +7,7 @@ use storagecore::BlockDevice;
 use simclock::SimTime;
 
 use crate::admission::{AdmissionStats, AdmissionTier};
-use crate::config::{AdmissionPolicy, CachingScheme, HybridConfig};
+use crate::config::{CachingScheme, HybridConfig};
 use crate::mem::{ListMeta, MemListCache, MemResultCache};
 use crate::selection::{admit_list, sc_blocks};
 use crate::ssd::{ListStore, ResultStore, SlotRegion};
@@ -165,19 +165,6 @@ impl<V: Clone, D: BlockDevice> CacheManager<V, D> {
     /// Whether the three-level intersection family is active.
     pub fn intersections_enabled(&self) -> bool {
         self.mem_xc.is_some()
-    }
-
-    /// Switch the SSD admission gate at runtime. `Static` is the paper's
-    /// EV/TEV check verbatim; `Sketch` consults the frequency-sketch
-    /// admission tier instead. Sketch state persists across a round trip
-    /// but only learns while the sketch gate is active.
-    pub fn set_admission_policy(&mut self, policy: AdmissionPolicy) {
-        self.admission.set_policy(policy);
-    }
-
-    /// The active admission gate.
-    pub fn admission_policy(&self) -> AdmissionPolicy {
-        self.admission.policy()
     }
 
     /// Counters of the sketch admission tier (all zero in the `Static`

@@ -38,16 +38,6 @@ impl FamilyStats {
             (self.mem_hits + self.ssd_hits + self.partial_hits) as f64 / n as f64
         }
     }
-
-    /// Memory-only hit ratio.
-    pub fn mem_hit_ratio(&self) -> f64 {
-        let n = self.lookups();
-        if n == 0 {
-            0.0
-        } else {
-            self.mem_hits as f64 / n as f64
-        }
-    }
 }
 
 /// Statistics for the whole hybrid cache.
@@ -112,7 +102,6 @@ mod tests {
         };
         assert_eq!(f.lookups(), 100);
         assert!((f.hit_ratio() - 0.80).abs() < 1e-12);
-        assert!((f.mem_hit_ratio() - 0.50).abs() < 1e-12);
     }
 
     #[test]

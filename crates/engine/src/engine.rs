@@ -120,15 +120,6 @@ struct ListCharges {
     extents: Vec<Extent>,
 }
 
-// The cluster's worker pool moves whole engines into long-lived threads;
-// this keeps the `Send` obligation explicit so a future non-`Send` field
-// (an `Rc`, a raw pointer) fails here, at the definition, rather than in
-// a distant spawn.
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<SearchEngine>();
-};
-
 /// The end-to-end engine.
 #[derive(Debug)]
 pub struct SearchEngine {
@@ -492,26 +483,6 @@ impl SearchEngine {
         self.reference_mode = on;
     }
 
-    /// Switch the cache's SSD admission gate at runtime (a no-op when
-    /// uncached). `Static` is the paper's EV/TEV threshold verbatim — the
-    /// reference arm, bit-identical to the seed on every simulated
-    /// figure (`admission_equivalence` holds the two in lockstep);
-    /// `Sketch` consults the frequency-sketch admission tier.
-    pub fn set_admission_policy(&mut self, policy: hybridcache::AdmissionPolicy) {
-        if let Some(cache) = self.cache.as_mut() {
-            cache.set_admission_policy(policy);
-        }
-    }
-
-    /// The active admission gate (`Static` when uncached).
-    pub fn admission_policy(&self) -> hybridcache::AdmissionPolicy {
-        self.cache
-            .as_ref()
-            .map_or(hybridcache::AdmissionPolicy::Static, |c| {
-                c.admission_policy()
-            })
-    }
-
     /// Aggregated block-max skip accounting since the last measurement
     /// reset (all zeros unless the blocked backend ran): `skip_probes`
     /// block-max bounds consulted, `skipped` postings pruned unread,
@@ -599,8 +570,7 @@ impl SearchEngine {
     }
 
     /// Snapshot the cumulative report without executing anything — the
-    /// per-shard rows of a `ClusterReport`, and the accessor both
-    /// cluster execution arms share. The window fields (`queries`,
+    /// per-shard rows of a `ClusterReport`. The window fields (`queries`,
     /// `elapsed`, `throughput_qps`) are zero: a snapshot has no
     /// measurement window, only cumulative statistics (mean/p99
     /// response, cache and flash counters, situation table).

@@ -14,8 +14,6 @@
 //! counts and flash average access time, plus the measured Table-I
 //! situation breakdown.
 
-#![forbid(unsafe_code)]
-
 pub mod cluster;
 pub mod config;
 pub mod engine;
@@ -25,7 +23,7 @@ pub mod report;
 pub mod serving;
 pub mod situations;
 
-pub use cluster::{ClusterExecution, ClusterReport, SearchCluster};
+pub use cluster::{ClusterReport, SearchCluster};
 pub use config::{
     CompactionMode, CpuCostModel, EngineConfig, IndexMutability, IndexPlacement, LiveConfig,
 };
@@ -36,7 +34,7 @@ pub use report::{FlashReport, RunReport};
 pub use searchidx::PostingsBackend;
 pub use serving::{
     detect_knee, FrontQueue, LoadPoint, OpenLoopConfig, Outcome, OutcomeLedger, QueryRecord,
-    ServingMode, ServingOutcome, ServingReport, ServingSim, ShedPolicy,
+    ServingReport, ServingSim, ShedPolicy,
 };
 pub use situations::{Situation, SituationTable};
 pub use storagecore::{BusStats, OffloadDescriptor, OffloadMode};

@@ -17,14 +17,13 @@
 //! stamps, service times come from the simulated engines, and the whole
 //! schedule is a deterministic function of the seed.
 //!
-//! The closed-loop path is kept verbatim behind [`ServingMode`]:
-//! `ServingMode::ClosedLoop` delegates to `run_queries` untouched, and
-//! `ServingMode::OpenLoop` with [`OpenLoopConfig::reference`] (infinite
-//! deadline, batch size 1, no shedding, no hedging, zero dispatch
-//! overhead) drives the cluster through the exact same sequence of
-//! `execute_batch` calls as the closed loop, so the per-query service
-//! times and every cumulative shard statistic are bit-identical —
-//! `tests/serving_equivalence.rs` pins this contract per query.
+//! The closed loop stays what it was, [`SearchCluster::run_queries`].
+//! Under [`OpenLoopConfig::reference`] (infinite deadline, batch size 1,
+//! no shedding, no hedging, zero dispatch overhead) the open loop drives
+//! the cluster through the exact same sequence of `execute_batch` calls,
+//! so the per-query service times and every cumulative shard statistic
+//! are bit-identical — `tests/serving_equivalence.rs` pins this contract
+//! per query.
 
 use std::collections::VecDeque;
 
@@ -32,7 +31,7 @@ use invariant::{audit, Report, Validate};
 use simclock::{quantile_exact, SimDuration, SimTime};
 use workload::{Arrival, Query};
 
-use crate::cluster::{ClusterReport, SearchCluster};
+use crate::cluster::SearchCluster;
 use crate::config::EngineConfig;
 
 /// Marks a degraded (term-truncated) rewrite of a query so its result
@@ -47,18 +46,6 @@ const SERVICE_EWMA_ALPHA: f64 = 0.2;
 /// offered load before the first inefficient one (see [`detect_knee`]).
 pub const KNEE_EFFICIENCY: f64 = 0.97;
 
-/// How the serving harness drives the cluster.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ServingMode {
-    /// The reference arm: closed-loop replay through
-    /// [`SearchCluster::run_queries`], verbatim. Arrival timestamps are
-    /// ignored; the next query starts when the previous one completes.
-    ClosedLoop,
-    /// Open-loop serving: queries arrive on the workload's schedule and
-    /// flow through the front-end queue under this configuration.
-    OpenLoop(OpenLoopConfig),
-}
-
 /// What the admission gate does with a query predicted to miss its
 /// deadline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,7 +59,7 @@ pub enum ShedPolicy {
     Degrade,
 }
 
-/// Front-end configuration for [`ServingMode::OpenLoop`].
+/// Front-end configuration of a [`ServingSim`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpenLoopConfig {
     /// Relative deadline applied to every arrival; `None` = infinite
@@ -463,8 +450,7 @@ pub enum Outcome {
     },
 }
 
-/// Per-arrival record emitted by [`ServingSim::run_open_loop`], in
-/// arrival order.
+/// Per-arrival record emitted by [`ServingSim::run`], in arrival order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryRecord {
     /// Arrival sequence number.
@@ -542,16 +528,6 @@ pub struct ServingReport {
     pub makespan: SimDuration,
 }
 
-/// What [`ServingSim::run`] returns — the closed-loop arm keeps its
-/// native report type untouched.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ServingOutcome {
-    /// Closed-loop replay: the verbatim [`ClusterReport`].
-    Closed(ClusterReport),
-    /// Open-loop run: the front-end's [`ServingReport`].
-    Open(ServingReport),
-}
-
 /// One point on a latency-vs-offered-load curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadPoint {
@@ -588,29 +564,30 @@ pub fn detect_knee(points: &[LoadPoint]) -> f64 {
 #[derive(Debug)]
 pub struct ServingSim {
     replicas: Vec<SearchCluster>,
-    mode: ServingMode,
+    open_loop: OpenLoopConfig,
     records: Vec<QueryRecord>,
     ledger: OutcomeLedger,
 }
 
 impl ServingSim {
-    /// Build `replicas` identical `shards`-way clusters.
-    pub fn new(config: EngineConfig, shards: usize, replicas: usize, mode: ServingMode) -> Self {
+    /// Build `replicas` identical `shards`-way clusters behind a
+    /// front-end configured by `open_loop`.
+    pub fn new(
+        config: EngineConfig,
+        shards: usize,
+        replicas: usize,
+        open_loop: OpenLoopConfig,
+    ) -> Self {
         assert!(replicas >= 1, "a serving tier needs at least one replica");
         let replicas = (0..replicas)
             .map(|_| SearchCluster::new(config.clone(), shards))
             .collect();
         ServingSim {
             replicas,
-            mode,
+            open_loop,
             records: Vec::new(),
             ledger: OutcomeLedger::default(),
         }
-    }
-
-    /// The configured serving mode.
-    pub fn mode(&self) -> ServingMode {
-        self.mode
     }
 
     /// Replica count.
@@ -625,16 +602,9 @@ impl ServingSim {
     }
 
     /// Mutably borrow one replica (e.g. to snapshot its cumulative
-    /// [`ClusterReport`] via `run_queries(&[])`).
+    /// [`crate::ClusterReport`] via `run_queries(&[])`).
     pub fn replica_mut(&mut self, i: usize) -> &mut SearchCluster {
         &mut self.replicas[i]
-    }
-
-    /// Switch every replica's shard-execution arm.
-    pub fn set_execution(&mut self, exec: crate::cluster::ClusterExecution) {
-        for r in &mut self.replicas {
-            r.set_execution(exec);
-        }
     }
 
     /// Per-arrival records of the last open-loop run, in arrival order.
@@ -660,21 +630,11 @@ impl ServingSim {
         merged
     }
 
-    /// Drive the configured mode over an arrival stream.
-    pub fn run(&mut self, arrivals: &[Arrival]) -> ServingOutcome {
-        match self.mode {
-            ServingMode::ClosedLoop => {
-                let queries: Vec<Query> = arrivals.iter().map(|a| a.query.clone()).collect();
-                ServingOutcome::Closed(self.replicas[0].run_queries(&queries))
-            }
-            ServingMode::OpenLoop(cfg) => ServingOutcome::Open(self.run_open_loop(arrivals, cfg)),
-        }
-    }
-
     /// The open-loop event loop: alternate between the next arrival and
     /// the next dispatch opportunity, whichever comes first in virtual
     /// time, until the stream is exhausted and the queue drains.
-    fn run_open_loop(&mut self, arrivals: &[Arrival], cfg: OpenLoopConfig) -> ServingReport {
+    pub fn run(&mut self, arrivals: &[Arrival]) -> ServingReport {
+        let cfg = self.open_loop;
         assert!(cfg.batch_max >= 1, "batches hold at least one query");
         assert!(cfg.bulk_factor >= 1, "bulk factor stretches deadlines");
         let n = arrivals.len();
@@ -757,7 +717,7 @@ impl ServingSim {
             .into_iter()
             .map(|r| r.expect("every arrival reaches a terminal outcome"))
             .collect();
-        audit!(&ledger, "ServingSim::run_open_loop(done)");
+        audit!(&ledger, "ServingSim::run(done)");
         self.records = records;
         self.ledger = ledger;
         self.summarize(
@@ -1194,22 +1154,14 @@ mod tests {
 
     #[test]
     fn the_reference_open_loop_matches_the_closed_loop_bit_for_bit() {
-        let mut open = ServingSim::new(
-            tiny_config(),
-            2,
-            1,
-            ServingMode::OpenLoop(OpenLoopConfig::reference()),
-        );
+        let mut open = ServingSim::new(tiny_config(), 2, 1, OpenLoopConfig::reference());
         let mut closed = SearchCluster::new(tiny_config(), 2);
         let arrivals = ArrivalProcess::new(
             closed.log().clone(),
             ArrivalKind::Poisson { rate_qps: 50.0 },
         )
         .generate(200);
-        let report = match open.run(&arrivals) {
-            ServingOutcome::Open(r) => r,
-            ServingOutcome::Closed(_) => unreachable!("mode is OpenLoop"),
-        };
+        let report = open.run(&arrivals);
         // Per-query services are the closed loop's responses, in lockstep.
         for (i, (rec, a)) in open.records().iter().zip(&arrivals).enumerate() {
             let closed_response = closed.execute(&a.query);

@@ -102,15 +102,8 @@ fn static_arm_is_bit_identical_in_lockstep() {
 
 #[test]
 fn policy_toggle_round_trips_and_sketch_diverges() {
-    let mut e = SearchEngine::new(cfg_with(PolicyKind::Cblru, small_sketch()));
-    assert_eq!(e.admission_policy(), AdmissionPolicy::Sketch);
-    e.set_admission_policy(AdmissionPolicy::Static);
-    assert_eq!(e.admission_policy(), AdmissionPolicy::Static);
-    e.set_admission_policy(AdmissionPolicy::Sketch);
-    assert_eq!(e.admission_policy(), AdmissionPolicy::Sketch);
-
-    // Sanity that the toggle is live: Sketch must actually change SSD
-    // admission behavior somewhere in the run.
+    // Sanity that the configured gate is live: Sketch must actually
+    // change SSD admission behavior somewhere in the run.
     let sketch = run_with(PolicyKind::Cblru, small_sketch(), false);
     let stat = run_with(PolicyKind::Cblru, AdmissionConfig::static_default(), false);
     let (cs, cst) = (sketch.cache.unwrap(), stat.cache.unwrap());

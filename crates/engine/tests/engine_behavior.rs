@@ -1,8 +1,9 @@
 //! End-to-end behavioural tests of the simulated search engine: the
 //! qualitative claims of the paper must emerge from the model.
 
-use engine::{EngineConfig, IndexPlacement, SearchEngine};
+use engine::{EngineConfig, IndexPlacement, SearchCluster, SearchEngine};
 use hybridcache::{HybridConfig, PolicyKind};
+use proptest::prelude::*;
 
 const DOCS: u64 = 50_000;
 const SEED: u64 = 20120901;
@@ -327,5 +328,35 @@ fn captured_trace_carries_the_engine_clock() {
         }
         assert!(events > 0, "the run never touched the index device");
         assert_eq!(stamped, events, "events stamped inside their query");
+    }
+}
+
+#[test]
+fn repeated_cluster_runs_are_deterministic() {
+    let run = || {
+        let cfg = EngineConfig::cached(40_000, small_cache(PolicyKind::Cblru), 5);
+        SearchCluster::new(cfg, 2).run(300)
+    };
+    assert_eq!(run(), run(), "same configuration, same stream, same report");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Scatter-gather dominance: the cluster's mean response (max over
+    /// shards + merge cost) can never undercut any single shard's mean
+    /// response, whatever the shard count or seed.
+    #[test]
+    fn cluster_mean_response_dominates_every_shard(seed in 0u64..1_000, shards in 1usize..=4) {
+        let cfg = EngineConfig::cached(40_000, small_cache(PolicyKind::Cblru), seed);
+        let r = SearchCluster::new(cfg, shards).run(120);
+        for (i, shard) in r.shards.iter().enumerate() {
+            prop_assert!(
+                r.mean_response >= shard.mean_response,
+                "cluster mean {} undercuts shard {i} mean {}",
+                r.mean_response,
+                shard.mean_response
+            );
+        }
     }
 }

@@ -10,8 +10,7 @@
 
 use engine::{
     CompactionMode, EngineConfig, IndexMutability, IndexPlacement, LiveConfig, OpenLoopConfig,
-    Outcome, RunReport, SearchCluster, SearchEngine, ServingMode, ServingOutcome, ServingSim,
-    Situation,
+    Outcome, RunReport, SearchCluster, SearchEngine, ServingSim, Situation,
 };
 use hybridcache::{HybridConfig, IntersectionConfig, PolicyKind};
 use searchidx::{GrowthPolicy, SegmentPolicy};
@@ -27,6 +26,14 @@ const SEED: u64 = 7;
 struct Digest(u64);
 
 impl Digest {
+    fn new() -> Self {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn assert_is(&self, golden: u64) {
+        assert_eq!(self.0, golden, "the ledger moved: {:#018x}", self.0);
+    }
+
     fn put(&mut self, words: &[u64]) {
         for b in words.iter().flat_map(|w| w.to_le_bytes()) {
             self.0 = (self.0 ^ b as u64).wrapping_mul(0x0100_0000_01b3);
@@ -179,7 +186,7 @@ fn check(cfg: EngineConfig, queries: usize, golden: u64) {
     e.seed_static_from_log(2_000); // no-op unless the policy has a static share
     let ops = IngestStream::new(IngestSpec::small(4_000, SEED)).generate(queries);
     let mut alive: Vec<u32> = Vec::new();
-    let mut d = Digest(0xcbf2_9ce4_8422_2325);
+    let mut d = Digest::new();
     for (q, m) in e.log().clone().stream(queries).iter().zip(&ops) {
         match &m.op {
             _ if !e.is_live() => {}
@@ -198,7 +205,7 @@ fn check(cfg: EngineConfig, queries: usize, golden: u64) {
     assert!(!e.is_live() || e.mutation_stats().compactions >= 1);
     let three_level = e.cache().is_some_and(|c| c.intersections_enabled());
     assert!(!three_level || e.intersection_stats().0 >= 1);
-    assert_eq!(d.0, golden, "the ledger moved: {:#018x}", d.0);
+    d.assert_is(golden);
 }
 
 macro_rules! ledger {
@@ -246,7 +253,7 @@ ledger! {
 fn cluster_3shard_cblru() {
     let mut c = SearchCluster::new(cached(CBLRU), 3);
     let queries = c.stream(600);
-    let mut d = Digest(0xcbf2_9ce4_8422_2325);
+    let mut d = Digest::new();
     for response in c.execute_batch(&queries[..400]) {
         d.put(&[response.as_nanos()]);
     }
@@ -268,11 +275,7 @@ fn cluster_3shard_cblru() {
     }
     let audit = c.validation_report();
     assert!(audit.is_clean(), "{}", audit.summary());
-    assert_eq!(
-        d.0, 0x2a3c_a788_5b99_9d84,
-        "the ledger moved: {:#018x}",
-        d.0
-    );
+    d.assert_is(0x2a3c_a788_5b99_9d84);
 }
 
 /// The open-loop front-end past saturation with batching, shedding and
@@ -291,14 +294,11 @@ fn open_loop_batched() {
     .generate(600);
     let mut oc = OpenLoopConfig::batched(mean * 4, SimDuration::from_micros(200), 8);
     oc.hedge_after = Some(mean);
-    let mut sim = ServingSim::new(cfg, 2, 2, ServingMode::OpenLoop(oc));
-    let r = match sim.run(&arrivals) {
-        ServingOutcome::Open(r) => r,
-        ServingOutcome::Closed(_) => unreachable!("mode is OpenLoop"),
-    };
+    let mut sim = ServingSim::new(cfg, 2, 2, oc);
+    let r = sim.run(&arrivals);
     assert!(r.shed > 0 && r.hedges_won > 0 && r.mean_batch > 1.0);
 
-    let mut d = Digest(0xcbf2_9ce4_8422_2325);
+    let mut d = Digest::new();
     for rec in sim.records() {
         d.put(&[
             rec.seq,
@@ -349,9 +349,5 @@ fn open_loop_batched() {
     ]);
     let audit = sim.validation_report();
     assert!(audit.is_clean(), "{}", audit.summary());
-    assert_eq!(
-        d.0, 0x8776_9bcd_5dec_f910,
-        "the ledger moved: {:#018x}",
-        d.0
-    );
+    d.assert_is(0x8776_9bcd_5dec_f910);
 }

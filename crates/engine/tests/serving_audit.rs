@@ -13,10 +13,7 @@
 //! live in the `serving` module's unit tests, which can reach the
 //! private mutators.)
 
-use engine::{
-    EngineConfig, OpenLoopConfig, SearchCluster, ServingMode, ServingOutcome, ServingSim,
-    ShedPolicy,
-};
+use engine::{EngineConfig, OpenLoopConfig, SearchCluster, ServingSim, ShedPolicy};
 use hybridcache::{HybridConfig, PolicyKind};
 use simclock::SimDuration;
 use workload::{ArrivalKind, ArrivalProcess};
@@ -43,7 +40,7 @@ fn run_featured() -> ServingSim {
         hedge_after: Some(mean * 2),
         dispatch_overhead: SimDuration::from_micros(300),
     };
-    let mut sim = ServingSim::new(cfg(), 2, 2, ServingMode::OpenLoop(oc));
+    let mut sim = ServingSim::new(cfg(), 2, 2, oc);
     let arr = ArrivalProcess::new(
         sim.replica(0).log().clone(),
         ArrivalKind::Bursty {
@@ -53,10 +50,7 @@ fn run_featured() -> ServingSim {
         },
     )
     .generate(500);
-    let report = match sim.run(&arr) {
-        ServingOutcome::Open(r) => r,
-        ServingOutcome::Closed(_) => unreachable!("mode is OpenLoop"),
-    };
+    let report = sim.run(&arr);
     assert_eq!(report.answered + report.shed, report.arrivals);
     sim
 }

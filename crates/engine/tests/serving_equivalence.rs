@@ -1,20 +1,17 @@
 //! Contracts of the open-loop serving front-end.
 //!
-//! Three things must hold or the latency-vs-load curves are fiction:
+//! Two things must hold or the latency-vs-load curves are fiction:
 //! the whole serving schedule is a deterministic function of the seed
-//! (bit-reproducible across runs *and* across worker-pool sizes, which
-//! may only move wall-clock); the closed-loop path behind
-//! [`engine::ServingMode::ClosedLoop`] is the seed's harness verbatim;
-//! and the open loop at its reference configuration (infinite deadline,
-//! batch 1, no shed, no hedge, zero overhead) produces per-query
-//! service times bit-identical to the closed loop. On top of those,
+//! (bit-reproducible across runs), and the open loop at its reference
+//! configuration (infinite deadline, batch 1, no shed, no hedge, zero
+//! overhead) produces per-query service times bit-identical to the
+//! closed loop, [`SearchCluster::run_queries`]. On top of those,
 //! conservation properties: offered load bounds goodput, every arrival
 //! gets exactly one outcome, and below the saturation knee a generous
 //! deadline sheds nothing.
 
 use engine::{
-    ClusterExecution, EngineConfig, OpenLoopConfig, Outcome, SearchCluster, ServingMode,
-    ServingOutcome, ServingReport, ServingSim, ShedPolicy,
+    EngineConfig, OpenLoopConfig, Outcome, SearchCluster, ServingReport, ServingSim, ShedPolicy,
 };
 use hybridcache::{HybridConfig, PolicyKind};
 use proptest::prelude::*;
@@ -47,16 +44,11 @@ fn arrivals(seed: u64, rate_qps: f64, n: usize) -> Vec<Arrival> {
 fn run_open(
     seed: u64,
     replicas: usize,
-    exec: ClusterExecution,
     oc: OpenLoopConfig,
     arr: &[Arrival],
 ) -> (ServingReport, Vec<engine::QueryRecord>) {
-    let mut sim = ServingSim::new(cfg(seed), SHARDS, replicas, ServingMode::OpenLoop(oc));
-    sim.set_execution(exec);
-    let report = match sim.run(arr) {
-        ServingOutcome::Open(r) => r,
-        ServingOutcome::Closed(_) => unreachable!("mode is OpenLoop"),
-    };
+    let mut sim = ServingSim::new(cfg(seed), SHARDS, replicas, oc);
+    let report = sim.run(arr);
     assert!(
         sim.validation_report().is_clean(),
         "serving run left structural violations:\n{}",
@@ -86,57 +78,16 @@ fn seeded_serving_runs_are_bit_reproducible() {
     let rate = 1.2 / mean.as_secs_f64(); // 20% past naive capacity
     let arr = arrivals(11, rate, 600);
     let oc = full_featured(mean);
-    let (r1, rec1) = run_open(11, 2, ClusterExecution::Sequential, oc, &arr);
-    let (r2, rec2) = run_open(11, 2, ClusterExecution::Sequential, oc, &arr);
+    let (r1, rec1) = run_open(11, 2, oc, &arr);
+    let (r2, rec2) = run_open(11, 2, oc, &arr);
     assert_eq!(r1, r2, "same seed, same stream, same report");
     assert_eq!(rec1, rec2, "same seed, same stream, same records");
 }
 
 #[test]
-fn worker_pools_only_move_wall_clock_never_the_schedule() {
-    let mean = mean_service(13);
-    let rate = 1.1 / mean.as_secs_f64();
-    let arr = arrivals(13, rate, 500);
-    let oc = full_featured(mean);
-    let (seq_report, seq_records) = run_open(13, 2, ClusterExecution::Sequential, oc, &arr);
-    for workers in [1usize, 2, 0] {
-        let (par_report, par_records) =
-            run_open(13, 2, ClusterExecution::Parallel { workers }, oc, &arr);
-        assert_eq!(
-            seq_report, par_report,
-            "report diverged at workers={workers}"
-        );
-        assert_eq!(
-            seq_records, par_records,
-            "records diverged at workers={workers}"
-        );
-    }
-}
-
-#[test]
-fn closed_loop_mode_is_the_reference_harness_verbatim() {
-    let arr = arrivals(17, 40.0, 400);
-    let mut sim = ServingSim::new(cfg(17), SHARDS, 1, ServingMode::ClosedLoop);
-    let closed_via_serving = match sim.run(&arr) {
-        ServingOutcome::Closed(r) => r,
-        ServingOutcome::Open(_) => unreachable!("mode is ClosedLoop"),
-    };
-    let mut bare = SearchCluster::new(cfg(17), SHARDS);
-    let queries: Vec<_> = arr.iter().map(|a| a.query.clone()).collect();
-    let direct = bare.run_queries(&queries);
-    assert_eq!(closed_via_serving, direct);
-}
-
-#[test]
 fn reference_open_loop_services_match_closed_loop_responses() {
     let arr = arrivals(19, 60.0, 400);
-    let (_, records) = run_open(
-        19,
-        1,
-        ClusterExecution::Sequential,
-        OpenLoopConfig::reference(),
-        &arr,
-    );
+    let (_, records) = run_open(19, 1, OpenLoopConfig::reference(), &arr);
     let mut closed = SearchCluster::new(cfg(19), SHARDS);
     for (i, (rec, a)) in records.iter().zip(&arr).enumerate() {
         let response = closed.execute(&a.query);
@@ -162,14 +113,14 @@ fn shedding_is_deterministic_and_only_fires_under_overload() {
 
     // Well under capacity: nothing sheds, nothing misses.
     let calm = arrivals(23, 0.3 / mean.as_secs_f64(), 400);
-    let (calm_report, _) = run_open(23, 2, ClusterExecution::Sequential, oc, &calm);
+    let (calm_report, _) = run_open(23, 2, oc, &calm);
     assert_eq!(calm_report.shed, 0, "no shedding below the knee");
     assert_eq!(calm_report.answered, 400);
 
     // Far past capacity: the gate sheds, and identically on every run.
     let hot = arrivals(23, 3.0 / mean.as_secs_f64(), 600);
-    let (hot1, recs1) = run_open(23, 2, ClusterExecution::Sequential, oc, &hot);
-    let (hot2, recs2) = run_open(23, 2, ClusterExecution::Sequential, oc, &hot);
+    let (hot1, recs1) = run_open(23, 2, oc, &hot);
+    let (hot2, recs2) = run_open(23, 2, oc, &hot);
     assert!(hot1.shed > 0, "overload must shed (got {:?})", hot1.shed);
     assert_eq!(hot1, hot2);
     assert_eq!(recs1, recs2);
@@ -186,7 +137,7 @@ fn degrade_answers_everything_in_cheaper_form_instead_of_dropping() {
     let mut oc = OpenLoopConfig::batched(mean * 4, SimDuration::from_micros(200), 8);
     oc.shed = ShedPolicy::Degrade;
     let hot = arrivals(29, 3.0 / mean.as_secs_f64(), 500);
-    let (report, records) = run_open(29, 2, ClusterExecution::Sequential, oc, &hot);
+    let (report, records) = run_open(29, 2, oc, &hot);
     assert_eq!(report.shed, 0, "degrade never drops");
     assert_eq!(report.answered, 500);
     assert!(report.degraded > 0, "overload must degrade");
@@ -204,7 +155,7 @@ fn hedges_are_accounted_and_bounded() {
     oc.shed = ShedPolicy::Admit; // keep every query so hedges get chances
     oc.hedge_after = Some(mean); // aggressive hedging
     let arr = arrivals(31, 1.3 / mean.as_secs_f64(), 500);
-    let (report, records) = run_open(31, 2, ClusterExecution::Sequential, oc, &arr);
+    let (report, records) = run_open(31, 2, oc, &arr);
     assert!(
         report.hedges_issued > 0,
         "an overloaded 2-replica tier must hedge"
@@ -241,8 +192,8 @@ fn batching_beats_naive_fifo_past_the_naive_knee() {
     let arr = arrivals(37, 1.3 * naive_capacity, 600);
     let naive = OpenLoopConfig::naive_fifo(deadline, overhead);
     let batched = OpenLoopConfig::batched(deadline, overhead, 16);
-    let (naive_r, _) = run_open(37, 2, ClusterExecution::Sequential, naive, &arr);
-    let (batched_r, _) = run_open(37, 2, ClusterExecution::Sequential, batched, &arr);
+    let (naive_r, _) = run_open(37, 2, naive, &arr);
+    let (batched_r, _) = run_open(37, 2, batched, &arr);
     assert!(
         batched_r.p99_response < naive_r.p99_response,
         "batched p99 {} !< naive p99 {}",
@@ -268,7 +219,7 @@ proptest! {
         let mean = mean_service(seed);
         let oc = OpenLoopConfig::batched(mean * 20, SimDuration::from_micros(200), 8);
         let arr = arrivals(seed, load / mean.as_secs_f64(), 250);
-        let (report, _) = run_open(seed, 2, ClusterExecution::Sequential, oc, &arr);
+        let (report, _) = run_open(seed, 2, oc, &arr);
         prop_assert!(report.goodput_qps <= report.offered_qps * 1.000_001,
             "goodput {} > offered {}", report.goodput_qps, report.offered_qps);
         prop_assert_eq!(report.shed, 0);

@@ -117,11 +117,6 @@ impl PageMapFtl {
         self.map[lpn as usize] = ppn;
     }
 
-    /// Number of free blocks in the pool.
-    pub fn free_blocks(&self) -> usize {
-        self.free.len()
-    }
-
     /// Allocate a block for a write frontier, running GC first if the pool
     /// is at or below the watermark, then levelling wear if enabled.
     fn alloc_block(&mut self, latency: &mut SimDuration) -> Result<BlockId, FtlError> {

@@ -24,8 +24,6 @@
 //! that triggered it (foreground GC), which is what produces the paper's
 //! Fig. 19(b) effect of background operations hurting read latency.
 
-#![forbid(unsafe_code)]
-
 pub mod ftl;
 pub mod nand;
 pub mod params;

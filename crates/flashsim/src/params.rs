@@ -140,11 +140,6 @@ impl FlashParams {
         self.blocks * self.pages_per_block as u64
     }
 
-    /// Physical capacity in bytes.
-    pub fn physical_bytes(&self) -> u64 {
-        self.blocks * self.block_bytes()
-    }
-
     /// Logical (host-visible) blocks after the over-provisioning reserve.
     pub fn logical_blocks(&self) -> u64 {
         let reserved = ((self.blocks as f64 * self.overprovision).ceil() as u64)
@@ -236,7 +231,6 @@ mod tests {
         let p = FlashParams::tiny(8);
         assert_eq!(p.block_bytes(), 8192);
         assert_eq!(p.physical_pages(), 32);
-        assert_eq!(p.physical_bytes(), 64 * 1024);
         assert_eq!(p.sectors_per_page(), 4);
         // 25% OP on 8 blocks reserves 2; watermark floor is also satisfied.
         assert_eq!(p.logical_blocks(), 6);

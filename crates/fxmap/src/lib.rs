@@ -17,8 +17,6 @@
 //! only, never a simulated quantity — every committed figure reproduced
 //! after the swap, and `golden_ledger` pins them since.
 
-#![forbid(unsafe_code)]
-
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 

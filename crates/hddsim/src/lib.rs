@@ -18,8 +18,6 @@
 //! read is served at buffer speed with no mechanical cost. Sequential
 //! *appends* at the head position likewise skip the seek.
 
-#![forbid(unsafe_code)]
-
 pub mod model;
 pub mod params;
 

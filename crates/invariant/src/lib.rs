@@ -22,8 +22,6 @@
 //! Validators themselves are compiled unconditionally — corruption tests
 //! exercise them in release builds too; only the *call sites* are gated.
 
-#![forbid(unsafe_code)]
-
 use std::fmt;
 use std::sync::atomic::{AtomicU8, Ordering};
 

@@ -25,8 +25,6 @@
 //! * [`segment`] — the mutable index: WAL, write segment, sealed
 //!   segments and tombstones layered over an immutable base reader.
 
-#![forbid(unsafe_code)]
-
 pub mod blocks;
 pub mod corpus;
 pub mod docstore;

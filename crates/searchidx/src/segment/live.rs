@@ -349,11 +349,6 @@ impl<B: IndexReader> LiveIndex<B> {
         s
     }
 
-    /// Live (undropped) tombstone count.
-    pub fn tombstone_count(&self) -> u64 {
-        self.tombstones.len() as u64
-    }
-
     /// Whether `doc` exists and has not been deleted.
     pub fn doc_alive(&self, doc: DocId) -> bool {
         doc < self.next_doc && !self.dead.contains(&doc)

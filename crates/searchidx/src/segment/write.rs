@@ -181,11 +181,6 @@ impl WriteSegment {
         t
     }
 
-    /// Total postings held.
-    pub fn num_postings(&self) -> u64 {
-        self.postings.values().map(|p| p.len() as u64).sum()
-    }
-
     /// Corruption hook for audit tests: smuggle in a posting whose doc
     /// slot lies outside the segment's owned range.
     #[doc(hidden)]

@@ -142,12 +142,6 @@ impl LogNormal {
         LogNormal { mu, sigma }
     }
 
-    /// Construct from the desired *median* and the σ of the log.
-    pub fn with_median(median: f64, sigma: f64) -> Self {
-        assert!(median > 0.0);
-        Self::new(median.ln(), sigma)
-    }
-
     /// Draw a sample (always positive).
     pub fn sample(&self, rng: &mut Rng) -> f64 {
         (self.mu + self.sigma * standard_normal(rng)).exp()
@@ -338,7 +332,7 @@ mod tests {
 
     #[test]
     fn lognormal_median_is_respected() {
-        let d = LogNormal::with_median(100.0, 0.5);
+        let d = LogNormal::new(100f64.ln(), 0.5);
         let mut rng = Rng::new(5);
         let mut xs: Vec<f64> = (0..50_001).map(|_| d.sample(&mut rng)).collect();
         xs.sort_by(|a, b| a.partial_cmp(b).unwrap());

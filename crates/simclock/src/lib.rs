@@ -11,8 +11,6 @@
 //! [`dist::LogNormal`], …). We implement these ourselves rather than pulling
 //! in `rand_distr`, keeping the dependency set to the sanctioned crates.
 
-#![forbid(unsafe_code)]
-
 pub mod dist;
 pub mod rng;
 pub mod stats;

@@ -61,12 +61,6 @@ impl Rng {
         result
     }
 
-    /// Next 32-bit output (upper half of a 64-bit draw).
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform in `[0, 1)` with 53-bit resolution.
     #[inline]
     pub fn next_f64(&mut self) -> f64 {

@@ -73,11 +73,6 @@ impl RunningStats {
         }
     }
 
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest observation (`None` if empty).
     pub fn min(&self) -> Option<f64> {
         (self.n > 0).then_some(self.min)

@@ -11,8 +11,6 @@
 //! device time for touching it, which keeps memory bounded at search-engine
 //! scale.
 
-#![forbid(unsafe_code)]
-
 pub mod device;
 pub mod queue;
 pub mod ramdisk;

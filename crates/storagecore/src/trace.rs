@@ -59,11 +59,6 @@ impl VecSink {
     pub fn events(&self) -> &[IoEvent] {
         &self.events
     }
-
-    /// Take ownership of the recorded events.
-    pub fn into_events(self) -> Vec<IoEvent> {
-        self.events
-    }
 }
 
 impl TraceSink for VecSink {

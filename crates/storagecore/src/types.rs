@@ -60,11 +60,6 @@ impl Extent {
     pub fn contains(&self, other: &Extent) -> bool {
         other.lba >= self.lba && other.end() <= self.end()
     }
-
-    /// Iterate over the individual sector addresses.
-    pub fn iter_sectors(&self) -> impl Iterator<Item = Lba> + '_ {
-        self.lba..self.end()
-    }
 }
 
 impl fmt::Display for Extent {
@@ -161,12 +156,6 @@ mod tests {
         assert!(a.contains(&Extent::new(10, 10)));
         assert!(a.contains(&Extent::new(12, 3)));
         assert!(!a.contains(&Extent::new(12, 9)));
-    }
-
-    #[test]
-    fn extent_sector_iter() {
-        let e = Extent::new(3, 3);
-        assert_eq!(e.iter_sectors().collect::<Vec<_>>(), vec![3, 4, 5]);
     }
 
     #[test]

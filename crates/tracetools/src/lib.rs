@@ -16,8 +16,6 @@
 //! * [`replay()`](fn@replay) pushes a trace back through any [`storagecore::BlockDevice`]
 //!   to measure how a device model serves a recorded workload.
 
-#![forbid(unsafe_code)]
-
 pub mod analyze;
 pub mod format;
 pub mod replay;

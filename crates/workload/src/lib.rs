@@ -12,13 +12,6 @@
 //! [`sweep`] holds the embarrassingly-parallel parameter-sweep helper the
 //! figure harnesses use (one independent simulation per thread, following
 //! the data-parallel idiom of the hpc-parallel guides).
-//!
-//! This is the only crate in the workspace allowed to contain `unsafe`
-//! (the `SlotVec` handoff in [`sweep`], model-checked under loom and
-//! enforced by `cargo run -p xtask -- lint`); every block must carry a
-//! documented `# Safety` contract and name its obligations explicitly.
-
-#![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod arrival;
 pub mod ingest;

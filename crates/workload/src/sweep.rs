@@ -4,111 +4,16 @@
 //! counts, query counts, policies. Each point is an independent,
 //! deterministic simulation, so the sweep is embarrassingly parallel —
 //! [`parallel_map`] fans points out over `std::thread::scope` workers and
-//! returns results in input order. (Rayon would be the idiomatic choice
+//! returns results in input order, so a figure prints the same rows
+//! whatever the host's core count. (Rayon would be the idiomatic choice
 //! per the hpc-parallel guides; scoped threads keep us dependency-free
 //! while preserving the same data-parallel shape.)
 //!
-//! Work is handed out in **chunks** of contiguous indices rather than one
-//! item per cursor round-trip: a sweep of hundreds of cheap points would
-//! otherwise serialize on the shared cursor's cache line. Chunks shrink
-//! as the sweep drains (half the remaining work divided by the worker
-//! count, floored at 1) so stragglers still balance.
-//!
-//! The input/output handoff is **lock-free**: the cursor's atomic
-//! `fetch_add` gives each index to exactly one worker, which takes the
-//! input and writes the result for that index exactly once, and the
-//! caller only reads results after joining every worker. Each slot is
-//! therefore a plain [`UnsafeCell`] (see [`SlotVec`]) instead of the two
-//! `Vec<Mutex<Option<_>>>` allocations an earlier revision used — on
-//! cheap items the per-slot lock/unlock pair *was* the dispatch cost
-//! (measured by the `parallel_sweep` bench group).
+//! Every caller maps whole engine runs — a few to a few dozen points of
+//! hundreds of milliseconds each — so the handoff is one `Mutex` around
+//! the input iterator, released before the point runs.
 
-// Under `--cfg loom` the cells come from the loom model checker, which
-// validates every access against the happens-before relation (see the
-// `loom_model` module below and ci.sh's loom stage).
-#[cfg(loom)]
-use loom::cell::UnsafeCell;
-#[cfg(not(loom))]
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// One-shot slot array shared across the sweep workers.
-///
-/// Safety protocol: a slot is only touched by the worker holding that
-/// index's unique claim from the shared cursor (an atomic RMW), and by
-/// the caller after `thread::scope` has joined every worker. No slot is
-/// ever accessed concurrently, so no per-slot synchronization is needed.
-///
-/// Panic safety: every slot is an `Option`, so a worker panicking
-/// mid-sweep leaves claimed-but-unfilled result slots as `None` and
-/// unclaimed input slots as `Some`; both drop exactly once when the
-/// `SlotVec` itself drops during unwinding — values are never duplicated
-/// or leaked (`worker_panic_drops_every_input_exactly_once` pins this).
-struct SlotVec<T>(Box<[UnsafeCell<Option<T>>]>);
-
-// SAFETY: slots are never accessed concurrently (see the protocol
-// above); `T: Send` because values move across the worker threads.
-unsafe impl<T: Send> Sync for SlotVec<T> {}
-
-impl<T> SlotVec<T> {
-    fn filled(items: Vec<T>) -> Self {
-        SlotVec(
-            items
-                .into_iter()
-                .map(|t| UnsafeCell::new(Some(t)))
-                .collect(),
-        )
-    }
-
-    fn empty(n: usize) -> Self {
-        SlotVec((0..n).map(|_| UnsafeCell::new(None)).collect())
-    }
-
-    /// Move the value out of slot `i`.
-    ///
-    /// # Safety
-    ///
-    /// The caller must hold the unique claim on index `i`: no other
-    /// thread may access slot `i` between the cursor handing `i` out and
-    /// the sweep's scope joining every worker.
-    unsafe fn take(&self, i: usize) -> T {
-        #[cfg(loom)]
-        // SAFETY: the unique claim (contract above) makes this the only
-        // live pointer to the slot.
-        let v = self.0[i].with_mut(|p| unsafe { (*p).take() });
-        #[cfg(not(loom))]
-        // SAFETY: as above — the claim guarantees exclusive access.
-        let v = unsafe { (*self.0[i].get()).take() };
-        v.expect("each index is claimed once")
-    }
-
-    /// Fill slot `i`.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`SlotVec::take`]: the caller must hold the
-    /// unique claim on index `i`.
-    unsafe fn put(&self, i: usize, value: T) {
-        #[cfg(loom)]
-        // SAFETY: the unique claim (contract above) makes this the only
-        // live pointer to the slot.
-        self.0[i].with_mut(|p| unsafe { *p = Some(value) });
-        #[cfg(not(loom))]
-        // SAFETY: as above — the claim guarantees exclusive access.
-        unsafe {
-            *self.0[i].get() = Some(value)
-        };
-    }
-
-    /// Drain the slots in index order (single-threaded, after the scope
-    /// has joined all workers).
-    fn into_values(self) -> impl Iterator<Item = T> {
-        self.0
-            .into_vec()
-            .into_iter()
-            .map(|c| c.into_inner().expect("every index was processed"))
-    }
-}
+use std::sync::Mutex;
 
 /// Apply `f` to every element of `inputs` using up to `threads` worker
 /// threads (0 = one per available core). Results come back in input order.
@@ -133,64 +38,49 @@ where
         return inputs.into_iter().map(f).collect();
     }
 
-    // A shared cursor hands out *chunks* of indices; the claim makes
-    // each slot's take/fill exclusive, so the handoff is lock-free.
-    let items = SlotVec::filled(inputs);
-    let results: SlotVec<U> = SlotVec::empty(n);
-    let cursor = AtomicUsize::new(0);
-    let f = &f;
-    let items_ref = &items;
-    let results_ref = &results;
-    let cursor = &cursor;
-
-    let panicked = std::thread::scope(|scope| {
+    let queue = Mutex::new(inputs.into_iter().enumerate());
+    let (queue, f) = (&queue, &f);
+    let joined: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
-                scope.spawn(move || loop {
-                    let start = cursor.load(Ordering::Relaxed);
-                    if start >= n {
-                        break;
+                scope.spawn(move || {
+                    let mut done = Vec::new();
+                    loop {
+                        // The guard is a temporary of this statement: the
+                        // lock is released before `f` runs.
+                        let next = queue
+                            .lock()
+                            .expect("`f` runs outside the lock, so no holder panics")
+                            .next();
+                        let Some((i, input)) = next else { break };
+                        done.push((i, f(input)));
                     }
-                    // Claim up to half the remaining range split evenly
-                    // across workers; at least one item.
-                    let want = ((n - start) / (2 * threads)).max(1);
-                    let start = cursor.fetch_add(want, Ordering::Relaxed);
-                    if start >= n {
-                        break;
-                    }
-                    let end = (start + want).min(n);
-                    for i in start..end {
-                        // SAFETY: the `fetch_add` handed [start, end) to
-                        // this worker alone.
-                        let input = unsafe { items_ref.take(i) };
-                        let output = f(input);
-                        // SAFETY: same unique claim as the take above.
-                        unsafe { results_ref.put(i, output) };
-                    }
+                    done
                 })
             })
             .collect();
-        // Join everyone before touching the slots again, then re-raise
-        // the first worker's panic with its original payload. The slot
-        // arrays unwind safely: unclaimed inputs and claimed outputs are
-        // still `Some` and drop once; the panicking item was consumed by
-        // `f` on the worker.
-        let mut payload = None;
-        for h in handles {
-            if let Err(p) = h.join() {
-                payload.get_or_insert(p);
+        // Join everyone before re-raising anything.
+        handles.into_iter().map(|h| h.join()).collect()
+    });
+
+    let mut outputs = Vec::with_capacity(n);
+    let mut panicked = None;
+    for worker in joined {
+        match worker {
+            Ok(done) => outputs.extend(done),
+            Err(payload) => {
+                panicked.get_or_insert(payload);
             }
         }
-        payload
-    });
+    }
     if let Some(payload) = panicked {
         std::panic::resume_unwind(payload);
     }
-
-    results.into_values().collect()
+    outputs.sort_unstable_by_key(|&(i, _)| i);
+    outputs.into_iter().map(|(_, output)| output).collect()
 }
 
-#[cfg(all(test, not(loom)))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -266,6 +156,7 @@ mod tests {
     #[test]
     fn worker_panic_drops_every_input_exactly_once() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::Arc;
 
         // Every value counts its own drop: a leak would undercount, a
@@ -293,80 +184,5 @@ mod tests {
         // by the panicking call, stranded in an input slot, or parked in a
         // result slot when the unwind hit.
         assert_eq!(drops.load(Ordering::SeqCst), 64);
-    }
-}
-
-/// Model-checked versions of the sweep's handoff protocol, exercised by
-/// ci.sh's loom stage (`RUSTFLAGS="--cfg loom" cargo test -p workload`).
-/// See `shims/loom` for the checker: bounded-exhaustive scheduling with
-/// vector-clock race detection, so the `SlotVec` `Sync` claim is verified
-/// rather than merely asserted.
-#[cfg(all(test, loom))]
-mod loom_model {
-    use super::SlotVec;
-    use loom::sync::atomic::{AtomicUsize, Ordering};
-    use loom::sync::Arc;
-    use loom::thread;
-
-    /// The `parallel_map` core, miniaturized: two workers claim indices
-    /// from a shared cursor with a *Relaxed* RMW, take the input slot,
-    /// fill the result slot, and the parent reads everything after
-    /// joining. The only ordering edges are spawn, the RMW's uniqueness,
-    /// and join — exactly the protocol the `Sync` impl claims is enough.
-    #[test]
-    fn slot_handoff_is_race_free_on_every_schedule() {
-        loom::model(|| {
-            const N: usize = 2;
-            let items = Arc::new(SlotVec::filled(vec![10usize, 20]));
-            let results = Arc::new(SlotVec::<usize>::empty(N));
-            let cursor = Arc::new(AtomicUsize::new(0));
-            let handles: Vec<_> = (0..2)
-                .map(|_| {
-                    let items = items.clone();
-                    let results = results.clone();
-                    let cursor = cursor.clone();
-                    thread::spawn(move || loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= N {
-                            break;
-                        }
-                        // SAFETY: the fetch_add handed index `i` to this
-                        // worker alone.
-                        let v = unsafe { items.take(i) };
-                        // SAFETY: same unique claim.
-                        unsafe { results.put(i, v + 1) };
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().unwrap();
-            }
-            let results = Arc::try_unwrap(results)
-                .ok()
-                .expect("all workers joined, the parent is the sole owner");
-            let out: Vec<usize> = results.into_values().collect();
-            assert_eq!(out, vec![11, 21]);
-        });
-    }
-
-    /// The checker must actually see through the protocol: two workers
-    /// touching the *same* slot without a claim is a data race on some
-    /// schedule, and the model fails.
-    #[test]
-    #[should_panic(expected = "data race")]
-    fn unclaimed_slot_access_is_detected() {
-        loom::model(|| {
-            let items = Arc::new(SlotVec::filled(vec![1u64]));
-            let items2 = items.clone();
-            // SAFETY: deliberately violated claim contract — both threads
-            // access slot 0; the model checker reports it before any
-            // pointer is dereferenced concurrently (execution is
-            // serialized inside the model).
-            let h = thread::spawn(move || {
-                let _ = unsafe { items2.take(0) };
-            });
-            unsafe { items.put(0, 2) };
-            h.join().unwrap();
-        });
     }
 }

@@ -4,38 +4,36 @@
 //! The workspace's correctness story leans on a handful of *global*
 //! conventions no single crate can enforce about the others:
 //!
-//! 1. **`unsafe` stays quarantined.** Only the audited, loom-checked
-//!    sweep handoff (`crates/workload/src/sweep.rs`) and the loom shim
-//!    itself may contain `unsafe`; every other crate pins
-//!    `#![forbid(unsafe_code)]` in its `lib.rs`, and this lint verifies
-//!    both directions.
-//! 2. **No wall-clock time in simulation crates.** Every simulated
+//! 1. **No wall-clock time in simulation crates.** Every simulated
 //!    figure must be a pure function of the virtual clock
 //!    (`simclock::SimDuration`); a stray `std::time::Instant` or
 //!    `SystemTime` would leak host timing into "measured" numbers. Only
 //!    the criterion micro-benchmarks (`crates/bench/benches/`, the
 //!    criterion shim) and this crate may touch real time; the simulator's
 //!    own wall time has one owner, `benchmark/`, outside this walk.
-//! 3. **All device I/O goes through `BlockDevice::request`.** Consumer
+//! 2. **All device I/O goes through `BlockDevice::request`.** Consumer
 //!    crates must never reach past the queued I/O path into raw device
 //!    mutators (`Nand::program`/`erase`, `SsdDisk::ftl_mut`, ...): doing
 //!    so would skip the submission queue, the trace sink, and the
 //!    invariant audit hooks at the request boundary.
-//! 4. **Every `pub enum` carries a doc comment.** The runtime toggles
-//!    (ClusterExecution, PostingsBackend, OffloadMode, ...)
-//!    are enums; an undocumented one is an equivalence arm nobody can
-//!    review.
-//! 5. **SSD writes go through the admission gate.** The SSD stores'
+//! 3. **Every `pub enum` carries a doc comment.** The runtime toggles
+//!    (PostingsBackend, OffloadMode, ...) are enums; an undocumented one
+//!    is an equivalence arm nobody can review.
+//! 4. **SSD writes go through the admission gate.** The SSD stores'
 //!    raw entry points (`.offer(`, `.seed_static(`) admit data without
 //!    consulting the `AdmissionPolicy` tier; only the cache manager
 //!    that owns the gate (crates/core) and the store-level
 //!    microbenchmarks that deliberately measure below it may call them.
-//! 6. **In-flash compute runs only behind `BlockDevice::request`.** The
+//! 5. **In-flash compute runs only behind `BlockDevice::request`.** The
 //!    offload's direct entry point (`.offload_read(`) is the SSD's
 //!    implementation detail; a consumer crate calling it would evaluate
 //!    predicates without the submission queue, the Host/InFlash toggle,
 //!    or the bus-conservation audits seeing the request — the exact
 //!    bypass the offload equivalence suite exists to rule out.
+//!
+//! (`unsafe` needs no rule here: the workspace manifest forbids
+//! `unsafe_code` and every member inherits the lint, so the compiler
+//! holds it.)
 //!
 //! The scanner is deliberately std-only (the build environment has no
 //! registry access, so `syn` is unavailable). Since PR 10 the rules run
@@ -57,9 +55,6 @@ pub mod parser;
 pub mod taint;
 
 use lexer::{lex, Tok, TokKind};
-
-/// Files allowed to contain `unsafe` (workspace-relative, `/`-separated).
-pub const UNSAFE_ALLOWLIST: &[&str] = &["crates/workload/src/sweep.rs", "shims/loom/src/lib.rs"];
 
 /// Path prefixes allowed to use wall-clock time: the criterion
 /// micro-benchmarks and this crate. The figure binaries under
@@ -96,21 +91,6 @@ pub const SIM_RNG_ONLY_FILES: &[&str] = &[
 /// (`add_document`/`delete_document`/`seal`/`compact`), which is what
 /// keeps the WAL, the dirty-term set, and the audit counters coherent.
 pub const SEGMENT_ALLOW_PREFIX: &str = "crates/searchidx/";
-
-/// `lib.rs` files that must pin `#![forbid(unsafe_code)]`.
-pub const FORBID_UNSAFE_LIBS: &[&str] = &[
-    "crates/cachekit/src/lib.rs",
-    "crates/core/src/lib.rs",
-    "crates/engine/src/lib.rs",
-    "crates/flashsim/src/lib.rs",
-    "crates/fxmap/src/lib.rs",
-    "crates/hddsim/src/lib.rs",
-    "crates/invariant/src/lib.rs",
-    "crates/searchidx/src/lib.rs",
-    "crates/simclock/src/lib.rs",
-    "crates/storagecore/src/lib.rs",
-    "crates/tracetools/src/lib.rs",
-];
 
 /// One broken convention: which rule, where, and what matched.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -389,7 +369,6 @@ pub fn lint_tree(root: &Path) -> std::io::Result<Vec<Violation>> {
     let mut violations = Vec::new();
     for (file, raw) in &sources {
         let toks = lex(raw);
-        check_unsafe(file, &toks, &mut violations);
         check_wall_clock(file, &toks, &mut violations);
         check_device_bypass(file, &toks, &mut violations);
         check_nand_compute_bypass(file, &toks, &mut violations);
@@ -398,7 +377,6 @@ pub fn lint_tree(root: &Path) -> std::io::Result<Vec<Violation>> {
         check_sim_rng_only(file, &toks, &mut violations);
         check_pub_enum_docs(file, raw, &toks, &mut violations);
     }
-    check_forbid_unsafe(root, &mut violations);
     Ok(violations)
 }
 
@@ -439,23 +417,6 @@ fn taint_scope(file: &str) -> bool {
         return false;
     };
     krate != "xtask" && tail.starts_with("src/")
-}
-
-fn check_unsafe(file: &str, toks: &[Tok], out: &mut Vec<Violation>) {
-    if UNSAFE_ALLOWLIST.contains(&file) {
-        return;
-    }
-    if let Some(t) = first_ident(toks, "unsafe") {
-        out.push(Violation {
-            file: file.to_string(),
-            line: t.line as usize,
-            rule: "no-unsafe",
-            detail: "`unsafe` outside the audited allowlist (crates/workload/src/sweep.rs, \
-                     shims/loom) — extend the allowlist only with a loom model or Miri \
-                     coverage"
-                .to_string(),
-        });
-    }
 }
 
 fn check_wall_clock(file: &str, toks: &[Tok], out: &mut Vec<Violation>) {
@@ -623,26 +584,6 @@ fn check_pub_enum_docs(file: &str, raw: &str, toks: &[Tok], out: &mut Vec<Violat
     }
 }
 
-fn check_forbid_unsafe(root: &Path, out: &mut Vec<Violation>) {
-    for lib in FORBID_UNSAFE_LIBS {
-        let path = root.join(lib);
-        let Ok(raw) = std::fs::read_to_string(&path) else {
-            // Synthetic test trees only contain the files under test;
-            // the real tree's completeness is pinned by xtask's tests.
-            continue;
-        };
-        let attr = "#![forbid(unsafe_code)]";
-        if !raw.contains(attr) {
-            out.push(Violation {
-                file: (*lib).to_string(),
-                line: 0,
-                rule: "forbid-unsafe-missing",
-                detail: format!("crate root must pin `{attr}`"),
-            });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -713,6 +654,6 @@ mod tests {
         assert!(!taint_scope("crates/core/tests/equivalence.rs"));
         assert!(!taint_scope("crates/bench/benches/micro.rs"));
         assert!(!taint_scope("crates/xtask/src/lib.rs"));
-        assert!(!taint_scope("shims/loom/src/lib.rs"));
+        assert!(!taint_scope("shims/proptest/src/lib.rs"));
     }
 }

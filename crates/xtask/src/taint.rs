@@ -42,7 +42,7 @@ pub const SINK_TYPE_IDENTS: &[&str] = &[
     "MutationStats",
     "ComputeStats",
     "BusStats",
-    "ServingOutcome",
+    "ServingReport",
     "LoadPoint",
     "print_table",
 ];
