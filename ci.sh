@@ -9,7 +9,7 @@ cargo fmt --check
 echo "== non-test source size ratchet =="
 # The ROADMAP's measure. Deleting code lowers the ceiling; a change that
 # needs to raise it says why in its own PR.
-MAX_SRC_LINES=32867
+MAX_SRC_LINES=31686
 src_lines=$(find crates -path '*/src/*' -name '*.rs' -print0 | xargs -0 cat | wc -l)
 if [ "$src_lines" -gt "$MAX_SRC_LINES" ]; then
   echo "non-test source is $src_lines lines, above the ratchet of $MAX_SRC_LINES" >&2
@@ -61,8 +61,8 @@ cargo run -q -p xtask -- lint
 echo "== xtask determinism analyzer (taint + oracle freeze) =="
 cargo run -q -p xtask -- analyze
 
-echo "== equivalence suites under INVARIANT_AUDIT (debug) =="
-INVARIANT_AUDIT=1 cargo test -q -p hybridcache --test victim_equivalence
+echo "== victim selection + equivalence suites under INVARIANT_AUDIT (debug) =="
+INVARIANT_AUDIT=1 cargo test -q -p hybridcache --test victim_selection
 INVARIANT_AUDIT=1 cargo test -q -p engine --test io_path_equivalence
 # Every ledger row under per-mutation audits, depth 1 and deep; the rows
 # run in parallel (~3.5 min on two cores: each FTL write re-validates the

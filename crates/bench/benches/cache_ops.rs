@@ -70,11 +70,11 @@ fn bench_lru_cache(c: &mut Criterion) {
     g.finish();
 }
 
-/// Churn on the indexed victim cascades (Figs. 12 and 13).
+/// Churn on the victim cascades (Figs. 12 and 13).
 fn bench_victim_selection(c: &mut Criterion) {
     const BLOCK: u64 = 128 * 1024;
     let mut g = c.benchmark_group("victim_selection");
-    g.bench_function("list_store_churn_indexed", |b| {
+    g.bench_function("list_store_churn", |b| {
         b.iter_batched(
             || {
                 let s: ListStore<u32> =
@@ -96,7 +96,7 @@ fn bench_victim_selection(c: &mut Criterion) {
             BatchSize::SmallInput,
         );
     });
-    g.bench_function("mem_ev_churn_indexed", |b| {
+    g.bench_function("mem_ev_churn", |b| {
         b.iter_batched(
             || {
                 let m: MemListCache<u32> =

@@ -16,14 +16,12 @@
 //! * [`FreqSketch`] / [`GhostCache`] — the sketch-based admission tier's
 //!   building blocks: a 4-bit counting frequency sketch (TinyLFU-style
 //!   count-min with periodic halving) and a payload-free list of
-//!   recently dismissed keys;
-//! * [`victim`] — incremental priority indexes ([`MaxScoreIndex`],
-//!   [`OrderIndex`], [`SizeClassIndex`]) that answer the paper's victim
-//!   searches in O(log W) instead of scanning the window.
+//!   recently dismissed keys.
 //!
-//! Every structure implements [`invariant::Validate`], so debug builds can
-//! audit the incremental bookkeeping (window partition, index agreement)
-//! against a from-scratch rescan at each mutation boundary.
+//! Structures that keep redundant bookkeeping ([`LruCache`],
+//! [`GhostCache`], [`FreqSketch`]) implement [`invariant::Validate`], so
+//! debug builds can audit it against a from-scratch recount at each
+//! mutation boundary.
 
 pub mod budget;
 pub mod freq;
@@ -32,13 +30,11 @@ pub mod lru;
 pub mod lru_cache;
 pub mod segmented;
 pub mod sketch;
-pub mod victim;
 
 pub use budget::ByteBudget;
 pub use freq::FreqCounter;
 pub use ghost::GhostCache;
 pub use lru::LruList;
 pub use lru_cache::LruCache;
-pub use segmented::{SegmentedLru, WindowEvent};
+pub use segmented::SegmentedLru;
 pub use sketch::{FreqSketch, COUNTER_MAX};
-pub use victim::{MaxScoreIndex, OrdF64, OrderIndex, SizeClassIndex};

@@ -159,19 +159,6 @@ impl<K: Eq + Hash + Clone> LruList<K> {
         (self.tail != NIL).then(|| &self.nodes[self.tail as usize].key)
     }
 
-    /// The MRU key.
-    pub fn peek_mru(&self) -> Option<&K> {
-        (self.head != NIL).then(|| &self.nodes[self.head as usize].key)
-    }
-
-    /// The neighbor of `key` one step towards the MRU end (`None` for the
-    /// MRU itself or an absent key). O(1).
-    pub fn next_toward_mru(&self, key: &K) -> Option<&K> {
-        let &i = self.index.get(key)?;
-        let p = self.nodes[i as usize].prev;
-        (p != NIL).then(|| &self.nodes[p as usize].key)
-    }
-
     /// Iterate from LRU towards MRU.
     pub fn iter_lru(&self) -> IterLru<'_, K> {
         IterLru {
@@ -240,7 +227,6 @@ mod tests {
             l.insert_mru(k);
         }
         assert_eq!(order(&l), vec![3, 2, 1]);
-        assert_eq!(l.peek_mru(), Some(&3));
         assert_eq!(l.peek_lru(), Some(&1));
         assert_eq!(l.len(), 3);
     }

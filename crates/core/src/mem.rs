@@ -13,7 +13,7 @@ use core::fmt::Debug;
 use fxmap::FxHashMap;
 use std::hash::Hash;
 
-use cachekit::{ByteBudget, LruCache, MaxScoreIndex, OrdF64, SegmentedLru, WindowEvent};
+use cachekit::{ByteBudget, LruCache, SegmentedLru};
 use invariant::{audit, Report, Validate};
 
 use crate::config::PolicyKind;
@@ -141,64 +141,19 @@ pub struct MemListCache<K: Eq + Hash + Copy + Debug = TermKey> {
     /// Entries displaced by prefix growth inside [`MemListCache::touch`],
     /// awaiting collection by the manager's selection management.
     pending_evictions: Vec<(K, ListMeta)>,
-    /// Window members indexed by negated EV (cost-based policies):
-    /// `peek_best` answers "lowest EV in the replace-first region" without
-    /// recomputing every member's EV per eviction.
-    ev_index: MaxScoreIndex<K, OrdF64>,
-    /// Scratch buffer for draining window-membership events.
-    events: Vec<WindowEvent<K>>,
 }
 
 impl<K: Eq + Hash + Copy + Debug> MemListCache<K> {
     /// Capacity in bytes under `policy`, with replace-first window
     /// `window` and SSD block size `block_bytes` (for EV computation).
     pub fn new(capacity_bytes: u64, policy: PolicyKind, window: usize, block_bytes: u64) -> Self {
-        let mut lru = SegmentedLru::new(window);
-        if policy.is_cost_based() {
-            lru.enable_window_events();
-        }
         MemListCache {
-            lru,
+            lru: SegmentedLru::new(window),
             map: FxHashMap::default(),
             budget: ByteBudget::new(capacity_bytes),
             policy,
             block_bytes,
             pending_evictions: Vec::new(),
-            ev_index: MaxScoreIndex::new(),
-            events: Vec::new(),
-        }
-    }
-
-    /// The index score of a cached entry: negated EV, because the index
-    /// maximizes while Fig. 12 evicts the *lowest* EV.
-    fn score(&self, term: &K) -> OrdF64 {
-        OrdF64(-self.map[term].ev(self.block_bytes))
-    }
-
-    /// Mirror pending window-membership changes into the EV index.
-    fn sync_index(&mut self) {
-        if !self.policy.is_cost_based() {
-            return;
-        }
-        self.lru.take_window_events(&mut self.events);
-        let mut events = std::mem::take(&mut self.events);
-        for ev in events.drain(..) {
-            match ev {
-                WindowEvent::Entered { key, stamp } => {
-                    let score = self.score(&key);
-                    self.ev_index.insert(key, stamp, score);
-                }
-                WindowEvent::Left { key } => self.ev_index.remove(&key),
-            }
-        }
-        self.events = events;
-    }
-
-    /// Refresh a window member's score after its metadata changed.
-    fn rescore(&mut self, term: &K) {
-        if self.policy.is_cost_based() && self.lru.in_replace_first(term) {
-            let score = self.score(term);
-            self.ev_index.update_score(term, score);
         }
     }
 
@@ -241,7 +196,6 @@ impl<K: Eq + Hash + Copy + Debug> MemListCache<K> {
         if !self.lru.touch(&term) {
             return None;
         }
-        self.sync_index();
         // Growing the prefix may exceed the budget; make room first.
         let meta = self.map[&term];
         let grow = needed_bytes.saturating_sub(meta.si_bytes);
@@ -253,7 +207,6 @@ impl<K: Eq + Hash + Copy + Debug> MemListCache<K> {
                 m.freq += 1;
                 m.pu = running_pu(m.pu, m.freq, observed_pu);
                 let out = *m;
-                self.rescore(&term);
                 audit!(self, "MemListCache::touch(capped)");
                 return Some(out);
             }
@@ -270,7 +223,6 @@ impl<K: Eq + Hash + Copy + Debug> MemListCache<K> {
         m.freq += 1;
         m.pu = running_pu(m.pu, m.freq, observed_pu);
         let out = *m;
-        self.rescore(&term);
         audit!(self, "MemListCache::touch");
         Some(out)
     }
@@ -291,7 +243,6 @@ impl<K: Eq + Hash + Copy + Debug> MemListCache<K> {
         self.budget.charge(meta.si_bytes);
         self.map.insert(term, meta);
         self.lru.insert_mru(term);
-        self.sync_index();
         audit!(self, "MemListCache::insert");
         Ok(evicted)
     }
@@ -300,7 +251,6 @@ impl<K: Eq + Hash + Copy + Debug> MemListCache<K> {
     pub fn remove(&mut self, term: K) -> Option<ListMeta> {
         let meta = self.map.remove(&term)?;
         self.lru.remove(&term);
-        self.sync_index();
         self.budget.credit(meta.si_bytes);
         audit!(self, "MemListCache::remove");
         Some(meta)
@@ -315,42 +265,14 @@ impl<K: Eq + Hash + Copy + Debug> MemListCache<K> {
                 .expect("budget full but no evictable entry");
             let meta = self.map.remove(&victim).expect("victim is cached");
             self.lru.remove(&victim);
-            self.sync_index();
             self.budget.credit(meta.si_bytes);
             evicted.push((victim, meta));
         }
         evicted
     }
 
-    /// Victim selection per policy. Under audit every pick is checked
-    /// against `pick_victim_scan`, Fig. 12 written out literally.
+    /// Victim selection per policy.
     fn pick_victim(&self, keep: Option<K>) -> Option<K> {
-        let victim = if self.policy.is_cost_based() {
-            // Lowest EV inside the replace-first region (Fig. 12): the
-            // index keeps members ordered by negated EV, ties to LRU-most.
-            self.ev_index
-                .peek_best(keep.as_ref())
-                .copied()
-                // All-window-excluded corner: fall back to strict LRU.
-                .or_else(|| self.lru.lru_most_excluding(keep.as_ref()).copied())
-        } else {
-            self.lru.lru_most_excluding(keep.as_ref()).copied()
-        };
-        #[cfg(debug_assertions)]
-        if invariant::audit_enabled() {
-            let scan = self.pick_victim_scan(keep);
-            assert!(
-                victim == scan,
-                "MemListCache: indexed victim {victim:?} is not the scan victim {scan:?}"
-            );
-        }
-        victim
-    }
-
-    /// The seed's scan-based victim selection: the oracle `pick_victim`
-    /// is audited against.
-    #[cfg_attr(not(debug_assertions), allow(dead_code))]
-    fn pick_victim_scan(&self, keep: Option<K>) -> Option<K> {
         let excluded = |t: &K| Some(*t) == keep;
         if self.policy.is_cost_based() {
             // Lowest EV inside the replace-first region (Fig. 12). The
@@ -379,14 +301,10 @@ impl<K: Eq + Hash + Copy + Debug> MemListCache<K> {
 impl<K: Eq + Hash + Copy + Debug> Validate for MemListCache<K> {
     /// Re-derives the L1 list cache's bookkeeping (paper Fig. 6(b) and
     /// Fig. 12) and cross-checks it: the recency list and metadata table
-    /// hold the same terms, the byte budget equals the sum of cached
-    /// prefixes, and the EV victim index mirrors the replace-first window
-    /// with scores recomputed from first principles.
+    /// hold the same terms, and the byte budget equals the sum of cached
+    /// prefixes.
     fn validate(&self, report: &mut Report) {
         const S: &str = "MemListCache";
-        self.lru.validate(report);
-        self.ev_index.validate(report);
-
         report.check(self.lru.len() == self.map.len(), S, "lru-map-agree", || {
             format!(
                 "recency list tracks {} terms, metadata table {}",
@@ -418,43 +336,6 @@ impl<K: Eq + Hash + Copy + Debug> Validate for MemListCache<K> {
                 )
             },
         );
-
-        if self.policy.is_cost_based() {
-            let members: Vec<K> = self.lru.iter_replace_first().copied().collect();
-            report.check(
-                self.ev_index.len() == members.len(),
-                S,
-                "ev-index-window",
-                || {
-                    format!(
-                        "EV index holds {} members, the window {}",
-                        self.ev_index.len(),
-                        members.len()
-                    )
-                },
-            );
-            for term in members {
-                let stamp = self.lru.window_stamp(&term);
-                let expected = self
-                    .map
-                    .get(&term)
-                    .map(|m| OrdF64(-m.ev(self.block_bytes)))
-                    .zip(stamp);
-                let indexed = self.ev_index.entry(&term);
-                report.check(indexed == expected, S, "ev-index-window", || {
-                    format!(
-                        "window entry {term:?} EV-indexed as {indexed:?}, expected {expected:?}"
-                    )
-                });
-            }
-        } else {
-            report.check(self.ev_index.is_empty(), S, "ev-index-window", || {
-                format!(
-                    "EV index holds {} members while disabled",
-                    self.ev_index.len()
-                )
-            });
-        }
     }
 }
 
@@ -559,21 +440,14 @@ mod tests {
         );
     }
 
-    /// The audited cross-check fires: an EV index out of step with the
-    /// metadata it mirrors is caught at the next eviction.
-    #[cfg(debug_assertions)]
     #[test]
-    #[should_panic(
-        expected = "MemListCache: indexed victim Some(1) is not the scan victim Some(2)"
-    )]
-    fn cross_check_catches_a_stale_ev_index() {
-        invariant::force_enable();
-        let mut c = MemListCache::new(3 * SB, PolicyKind::Cblru, 2, SB);
-        c.insert(1, meta(SB, 1.0, 100)).unwrap(); // EV = 100
-        c.insert(2, meta(SB, 1.0, 5)).unwrap(); // EV = 5: Fig. 12's victim
-        c.insert(3, meta(SB, 1.0, 1)).unwrap(); // outside the window
-        c.ev_index.update_score(&1, OrdF64(0.0)); // indexed as EV 0, below 2's
-        let _ = c.insert(4, meta(SB, 1.0, 50));
+    fn equal_ev_in_window_evicts_the_lru_most() {
+        let mut c = MemListCache::new(3 * SB, PolicyKind::Cblru, 3, SB);
+        c.insert(1, meta(SB, 1.0, 100)).unwrap(); // LRU, but EV = 100
+        c.insert(2, meta(SB, 1.0, 5)).unwrap(); // EV = 5  <- victim
+        c.insert(3, meta(SB, 1.0, 5)).unwrap(); // EV = 5, more recent
+        let ev = c.insert(4, meta(SB, 1.0, 50)).unwrap();
+        assert_eq!(ev[0].0, 2, "2 and 3 tie on EV; list order breaks it");
     }
 
     #[test]

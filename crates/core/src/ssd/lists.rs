@@ -11,7 +11,7 @@
 
 use fxmap::FxHashMap;
 
-use cachekit::{OrderIndex, SegmentedLru, SizeClassIndex, WindowEvent};
+use cachekit::SegmentedLru;
 use invariant::{audit, Report, Validate};
 use simclock::SimDuration;
 use storagecore::BlockDevice;
@@ -66,12 +66,6 @@ pub struct ListStore<K: Eq + Hash + Copy + Debug = TermKey> {
     static_blocks: u32,
     static_used: u32,
     stats: ListStoreStats,
-    /// Replaceable window members, LRU-first (cascade step 1).
-    repl_idx: OrderIndex<K>,
-    /// All window members bucketed by block count (cascade step 2).
-    size_idx: SizeClassIndex<K>,
-    /// Scratch buffer for draining window-membership events.
-    events: Vec<WindowEvent<K>>,
 }
 
 impl<K: Eq + Hash + Copy + Debug> ListStore<K> {
@@ -84,52 +78,16 @@ impl<K: Eq + Hash + Copy + Debug> ListStore<K> {
         static_fraction: f64,
     ) -> Self {
         let static_blocks = (region.capacity() as f64 * static_fraction).floor() as u32;
-        let mut lru = SegmentedLru::new(window);
-        if cost_based {
-            lru.enable_window_events();
-        }
         ListStore {
             region,
             block_bytes,
             cost_based,
             entries: FxHashMap::default(),
-            lru,
+            lru: SegmentedLru::new(window),
             static_blocks,
             static_used: 0,
             stats: ListStoreStats::default(),
-            repl_idx: OrderIndex::new(),
-            size_idx: SizeClassIndex::new(),
-            events: Vec::new(),
         }
-    }
-
-    /// Mirror pending window-membership changes into the cascade indexes.
-    /// Entry state is read at application time, so callers must update an
-    /// entry's state *before* the LRU operation that re-stamps it.
-    fn sync_index(&mut self) {
-        if !self.cost_based {
-            return;
-        }
-        self.lru.take_window_events(&mut self.events);
-        let mut events = std::mem::take(&mut self.events);
-        for ev in events.drain(..) {
-            match ev {
-                WindowEvent::Entered { key, stamp } => {
-                    let e = &self.entries[&key];
-                    let size = e.blocks.len() as u64;
-                    let replaceable = e.state == EntryState::Replaceable;
-                    self.size_idx.insert(key, stamp, size);
-                    if replaceable {
-                        self.repl_idx.insert(key, stamp);
-                    }
-                }
-                WindowEvent::Left { key } => {
-                    self.size_idx.remove(&key);
-                    self.repl_idx.remove(&key);
-                }
-            }
-        }
-        self.events = events;
     }
 
     /// Store counters.
@@ -244,7 +202,6 @@ impl<K: Eq + Hash + Copy + Debug> ListStore<K> {
         entry.freq += 1;
         if !is_static {
             self.lru.touch(&term);
-            self.sync_index();
         }
         audit!(self, "ListStore::lookup");
         Some((served, latency))
@@ -274,7 +231,6 @@ impl<K: Eq + Hash + Copy + Debug> ListStore<K> {
                 self.stats.rewrites_avoided += 1;
                 if !entry.is_static {
                     self.lru.touch(&term);
-                    self.sync_index();
                 }
                 audit!(self, "ListStore::offer(dedup)");
                 return (false, SimDuration::ZERO);
@@ -316,52 +272,12 @@ impl<K: Eq + Hash + Copy + Debug> ListStore<K> {
             },
         );
         self.lru.insert_mru(term);
-        self.sync_index();
         audit!(self, "ListStore::offer(write)");
         (true, latency)
     }
 
-    /// Fig. 13's victim cascade, answered by the indexes. Under audit
-    /// every pick is checked against `pick_victim_scan`, the cascade
-    /// written out literally.
+    /// Fig. 13's victim cascade.
     fn pick_victim(&self, blocks_needed: u64) -> Option<K> {
-        let victim = self.pick_victim_indexed(blocks_needed);
-        #[cfg(debug_assertions)]
-        if invariant::audit_enabled() {
-            let scan = self.pick_victim_scan(blocks_needed);
-            assert!(
-                victim == scan,
-                "ListStore: indexed victim {victim:?} is not the scan victim {scan:?}"
-            );
-        }
-        victim
-    }
-
-    /// The cascade's four steps as index lookups.
-    fn pick_victim_indexed(&self, blocks_needed: u64) -> Option<K> {
-        if !self.cost_based {
-            return self.lru.peek_lru().copied();
-        }
-        // 1. LRU-most replaceable window entry.
-        if let Some(t) = self.repl_idx.first() {
-            return Some(*t);
-        }
-        // 2. LRU-most same-size window entry (no replaceable member
-        //    exists when this step runs, so "normal" needs no filter).
-        if let Some(t) = self.size_idx.first_of(blocks_needed) {
-            return Some(*t);
-        }
-        // 3+4. Assembly / whole-list fallback: both reduce to the strict
-        //      LRU entry — the window is the LRU tail, so its LRU-most
-        //      member *is* the list's LRU entry whenever the window is
-        //      non-empty, and the whole-list scan starts there anyway.
-        self.lru.peek_lru().copied()
-    }
-
-    /// The seed's scan-based victim cascade: the oracle `pick_victim` is
-    /// audited against.
-    #[cfg_attr(not(debug_assertions), allow(dead_code))]
-    fn pick_victim_scan(&self, blocks_needed: u64) -> Option<K> {
         if !self.cost_based {
             return self.lru.find_anywhere(|_| true).copied();
         }
@@ -408,7 +324,6 @@ impl<K: Eq + Hash + Copy + Debug> ListStore<K> {
             self.region.release(block);
         }
         self.lru.remove(&term);
-        self.sync_index();
         self.stats.evictions += 1;
     }
 
@@ -431,7 +346,6 @@ impl<K: Eq + Hash + Copy + Debug> ListStore<K> {
             self.static_used -= entry.cached_bytes.div_ceil(self.block_bytes) as u32;
         }
         self.lru.remove(&term);
-        self.sync_index();
         audit!(self, "ListStore::invalidate");
         latency
     }
@@ -498,15 +412,10 @@ impl<K: Eq + Hash + Copy + Debug> Validate for ListStore<K> {
     /// * entries cover whole 128 KB blocks — `cached_bytes` never exceeds
     ///   the blocks that were written for it;
     /// * static (pinned) entries never leave Normal and stay within the
-    ///   static block budget;
-    /// * the replaceable-order and size-class victim indexes mirror the
-    ///   replace-first window exactly.
+    ///   static block budget.
     fn validate(&self, report: &mut Report) {
         const S: &str = "ListStore";
         self.region.validate(report);
-        self.lru.validate(report);
-        self.repl_idx.validate(report);
-        self.size_idx.validate(report);
 
         let mut used_blocks = 0usize;
         let mut block_owners = FxHashMap::default();
@@ -614,79 +523,6 @@ impl<K: Eq + Hash + Copy + Debug> Validate for ListStore<K> {
                 )
             },
         );
-
-        // Victim indexes mirror the replace-first window exactly.
-        if self.cost_based {
-            let members: Vec<K> = self.lru.iter_replace_first().copied().collect();
-            report.check(
-                self.size_idx.len() == members.len(),
-                S,
-                "size-index-window",
-                || {
-                    format!(
-                        "size index holds {} members, the window {}",
-                        self.size_idx.len(),
-                        members.len()
-                    )
-                },
-            );
-            let replaceable = members
-                .iter()
-                .filter(|t| {
-                    self.entries
-                        .get(t)
-                        .is_some_and(|e| e.state == EntryState::Replaceable)
-                })
-                .count();
-            report.check(
-                self.repl_idx.len() == replaceable,
-                S,
-                "repl-index-window",
-                || {
-                    format!(
-                        "replaceable index holds {} members but the window has {replaceable}",
-                        self.repl_idx.len()
-                    )
-                },
-            );
-            for term in members {
-                let stamp = self.lru.window_stamp(&term);
-                let entry = self.entries.get(&term);
-                let expected = entry.map(|e| e.blocks.len() as u64).zip(stamp);
-                let indexed = self.size_idx.entry(&term);
-                report.check(indexed == expected, S, "size-index-window", || {
-                    format!(
-                        "window entry {term:?} size-indexed as {indexed:?}, expected {expected:?}"
-                    )
-                });
-                let is_repl = entry.is_some_and(|e| e.state == EntryState::Replaceable);
-                report.check(
-                    self.repl_idx.stamp_of(&term) == stamp.filter(|_| is_repl),
-                    S,
-                    "repl-index-window",
-                    || {
-                        format!(
-                            "window entry {term:?} (replaceable: {is_repl}) \
-                             repl-indexed as {:?}",
-                            self.repl_idx.stamp_of(&term)
-                        )
-                    },
-                );
-            }
-        } else {
-            report.check(
-                self.repl_idx.is_empty() && self.size_idx.is_empty(),
-                S,
-                "size-index-window",
-                || {
-                    format!(
-                        "indexes hold {} + {} members while disabled",
-                        self.repl_idx.len(),
-                        self.size_idx.len()
-                    )
-                },
-            );
-        }
     }
 }
 
@@ -796,6 +632,19 @@ mod tests {
         assert!(s.cached_bytes(1).is_some());
         assert!(s.cached_bytes(2).is_none(), "size match evicted");
         assert!(s.cached_bytes(4).is_some());
+    }
+
+    #[test]
+    fn same_size_tie_goes_to_the_lru_most() {
+        let mut s = ListStore::new(SlotRegion::new(0, BLOCK, 6), BLOCK, true, 3, 0.0);
+        let mut dev = device();
+        s.offer(1, 1, BLOCK, 5, &mut dev); // LRU, size 1
+        s.offer(2, 2, 2 * BLOCK, 5, &mut dev); // size 2  <- victim
+        s.offer(3, 2, 2 * BLOCK, 5, &mut dev); // size 2, more recent
+        s.offer(4, 2, 2 * BLOCK, 5, &mut dev);
+        assert!(s.cached_bytes(2).is_none(), "list order breaks the tie");
+        assert!(s.cached_bytes(1).is_some() && s.cached_bytes(3).is_some());
+        assert_eq!(s.stats().size_match_victims, 1);
     }
 
     #[test]

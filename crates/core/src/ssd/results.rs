@@ -11,7 +11,7 @@
 
 use fxmap::FxHashMap;
 
-use cachekit::{MaxScoreIndex, SegmentedLru, WindowEvent};
+use cachekit::SegmentedLru;
 use invariant::{audit, Report, Validate};
 use simclock::SimDuration;
 use storagecore::BlockDevice;
@@ -34,8 +34,8 @@ struct Stored<V> {
 struct Rb {
     entries: Vec<Option<QueryId>>,
     is_static: bool,
-    /// Incrementally-maintained IREN (invalid slots + replaceable
-    /// entries); always equals what a fresh scan of `entries` would count.
+    /// Fig. 11's IREN, maintained incrementally: invalid slots plus
+    /// replaceable entries, what a fresh scan of `entries` would count.
     invalid: usize,
 }
 
@@ -85,11 +85,8 @@ pub struct ResultStore<V> {
     write_buffer: Vec<(QueryId, V, u64)>,
     /// Slots reserved for (and consumed by) the CBSLRU static partition.
     static_slots: u32,
+    static_used: u32,
     stats: ResultStoreStats,
-    /// Replace-first RBs indexed by IREN (cost-based stores).
-    iren_index: MaxScoreIndex<SlotId, usize>,
-    /// Scratch buffer for draining window-membership events.
-    events: Vec<WindowEvent<SlotId>>,
 }
 
 impl<V: Clone> ResultStore<V> {
@@ -106,16 +103,12 @@ impl<V: Clone> ResultStore<V> {
     ) -> Self {
         assert!(entries_per_rb > 0);
         let static_slots = (region.capacity() as f64 * static_fraction).floor() as u32;
-        let mut rb_lru = SegmentedLru::new(window);
-        if cost_based {
-            rb_lru.enable_window_events();
-        }
         ResultStore {
             region,
             entries_per_rb,
             entry_bytes,
             cost_based,
-            rb_lru,
+            rb_lru: SegmentedLru::new(window),
             entry_lru: SegmentedLru::new(window),
             rbs: FxHashMap::default(),
             map: FxHashMap::default(),
@@ -123,38 +116,8 @@ impl<V: Clone> ResultStore<V> {
             free_entries: Vec::new(),
             write_buffer: Vec::new(),
             static_slots,
+            static_used: 0,
             stats: ResultStoreStats::default(),
-            iren_index: MaxScoreIndex::new(),
-            events: Vec::new(),
-        }
-    }
-
-    /// Mirror pending window-membership changes into the IREN index.
-    fn sync_index(&mut self) {
-        if !self.cost_based {
-            return;
-        }
-        self.rb_lru.take_window_events(&mut self.events);
-        let mut events = std::mem::take(&mut self.events);
-        for ev in events.drain(..) {
-            match ev {
-                WindowEvent::Entered { key, stamp } => {
-                    let score = self.rbs[&key].invalid;
-                    debug_assert_eq!(score, self.iren(key), "IREN counter drifted");
-                    self.iren_index.insert(key, stamp, score);
-                }
-                WindowEvent::Left { key } => self.iren_index.remove(&key),
-            }
-        }
-        self.events = events;
-    }
-
-    /// Refresh a window member's score after its IREN changed.
-    fn rescore(&mut self, slot: SlotId) {
-        if self.cost_based && self.rb_lru.in_replace_first(&slot) {
-            let score = self.rbs[&slot].invalid;
-            debug_assert_eq!(score, self.iren(slot), "IREN counter drifted");
-            self.iren_index.update_score(&slot, score);
         }
     }
 
@@ -176,19 +139,6 @@ impl<V: Clone> ResultStore<V> {
     /// Whether `id` is cached on the SSD.
     pub fn contains(&self, id: QueryId) -> bool {
         self.map.contains_key(&id)
-    }
-
-    /// Invalid-result-entry number of an RB: invalid slots plus
-    /// replaceable entries (Fig. 11's IREN).
-    fn iren(&self, slot: SlotId) -> usize {
-        let rb = &self.rbs[&slot];
-        rb.entries
-            .iter()
-            .filter(|e| match e {
-                None => true,
-                Some(q) => self.payload[q].state == EntryState::Replaceable,
-            })
-            .count()
     }
 
     /// Serve a hit: reads the entry's sub-extent from the SSD and, under
@@ -219,8 +169,6 @@ impl<V: Clone> ResultStore<V> {
         if !is_static {
             if self.cost_based {
                 self.rb_lru.touch(&slot);
-                self.sync_index();
-                self.rescore(slot);
             } else {
                 self.entry_lru.touch(&id);
             }
@@ -254,8 +202,6 @@ impl<V: Clone> ResultStore<V> {
             if !self.rbs[&slot].is_static {
                 if self.cost_based {
                     self.rb_lru.touch(&slot);
-                    self.sync_index();
-                    self.rescore(slot);
                 } else {
                     self.entry_lru.touch(&id);
                 }
@@ -317,7 +263,6 @@ impl<V: Clone> ResultStore<V> {
         }
         self.rbs.insert(slot, rb);
         self.rb_lru.insert_mru(slot);
-        self.sync_index();
         self.stats.rb_writes += 1;
         device
             .write(self.region.extent(slot))
@@ -332,29 +277,20 @@ impl<V: Clone> ResultStore<V> {
                 return Some(slot);
             }
         }
-        // Fig. 11's max-IREN victim, answered by the incremental index;
-        // under audit it is checked against the figure's literal scan.
-        let victim = self.iren_index.peek_best(None).copied();
-        #[cfg(debug_assertions)]
-        if invariant::audit_enabled() {
-            let scan = self
-                .rb_lru
-                .best_in_replace_first(|&s| self.iren(s))
-                .copied();
-            assert!(
-                victim == scan,
-                "ResultStore: indexed victim {victim:?} is not the scan victim {scan:?}"
-            );
-        }
-        let victim = victim?;
+        // Fig. 11: the replace-first RB with the largest IREN, ties to the
+        // LRU-most; with an empty window (`W` = 0), the strict LRU RB.
+        let victim = self
+            .rb_lru
+            .best_in_replace_first(|s| self.rbs[s].invalid)
+            .or_else(|| self.rb_lru.peek_lru())
+            .copied()?;
         self.destroy_rb(victim);
         Some(victim)
     }
 
     /// Slots the static partition may still claim.
     fn dynamic_reserved(&self) -> u32 {
-        self.static_slots
-            .saturating_sub(self.rbs.values().filter(|rb| rb.is_static).count() as u32)
+        self.static_slots.saturating_sub(self.static_used)
     }
 
     /// Drop an RB's remaining valid entries and unmap it (the slot is
@@ -369,7 +305,6 @@ impl<V: Clone> ResultStore<V> {
             }
         }
         self.rb_lru.remove(&slot);
-        self.sync_index();
     }
 
     /// LRU path: write one entry into an open position (a small random
@@ -442,7 +377,6 @@ impl<V: Clone> ResultStore<V> {
             if !is_static && self.rbs[&slot].entries.iter().all(Option::is_none) {
                 self.rbs.remove(&slot);
                 self.rb_lru.remove(&slot);
-                self.sync_index();
                 self.stats.trims += 1;
                 let t = device
                     .trim(self.region.extent(slot))
@@ -451,8 +385,6 @@ impl<V: Clone> ResultStore<V> {
                 audit!(self, "ResultStore::invalidate(trim)");
                 return t;
             }
-            // The RB stays but its IREN grew.
-            self.rescore(slot);
         } else {
             self.entry_lru.remove(&id);
             self.free_entries.push((slot, idx));
@@ -495,6 +427,7 @@ impl<V: Clone> ResultStore<V> {
                 );
             }
             self.rbs.insert(slot, rb);
+            self.static_used += 1;
             self.stats.rb_writes += 1;
             latency += device
                 .write(self.region.extent(slot))
@@ -531,10 +464,13 @@ impl<V: Clone> ResultStore<V> {
             EntryState::Normal => rb.invalid -= 1,
         }
         stored.state = state;
-        if self.cost_based && self.rb_lru.in_replace_first(&slot) {
-            let score = self.rbs[&slot].invalid;
-            self.iren_index.update_score(&slot, score);
-        }
+    }
+
+    /// Test hook: skew the static-RB counter away from the RBs actually
+    /// pinned, the drift the `static-budget` validator exists to catch.
+    #[doc(hidden)]
+    pub fn debug_corrupt_static_used(&mut self, delta: i32) {
+        self.static_used = self.static_used.wrapping_add_signed(delta);
     }
 
     /// Test hook: shrink or grow the per-entry footprint after the fact,
@@ -554,16 +490,13 @@ impl<V> Validate for ResultStore<V> {
     ///   form one consistent bijection;
     /// * each RB's incrementally maintained IREN equals a fresh bitmap
     ///   scan (invalid slots + replaceable entries);
-    /// * slot allocation, recency lists, the IREN victim index and the
+    /// * slot allocation, recency lists, the static-RB counter and the
     ///   write buffer agree with the mapping tables;
     /// * static (pinned) entries never leave the Normal state;
     /// * RB geometry keeps every write one whole aligned slot.
     fn validate(&self, report: &mut Report) {
         const S: &str = "ResultStore";
         self.region.validate(report);
-        self.rb_lru.validate(report);
-        self.entry_lru.validate(report);
-        self.iren_index.validate(report);
 
         let slot_bytes = self.region.slot_sectors() * storagecore::SECTOR_SIZE as u64;
         report.check(
@@ -707,6 +640,12 @@ impl<V> Validate for ResultStore<V> {
                 );
             }
         }
+        report.check(static_rbs == self.static_used, S, "static-budget", || {
+            format!(
+                "{static_rbs} static RBs exist but the store accounts {}",
+                self.static_used
+            )
+        });
         report.check(static_rbs <= self.static_slots, S, "static-budget", || {
             format!(
                 "{static_rbs} static RBs exceed the {}-slot budget",
@@ -820,41 +759,6 @@ impl<V> Validate for ResultStore<V> {
                 format!("query {id} is both staged and mapped")
             });
         }
-
-        // Victim index mirrors the replace-first window exactly.
-        if self.cost_based {
-            let members: Vec<SlotId> = self.rb_lru.iter_replace_first().copied().collect();
-            report.check(
-                self.iren_index.len() == members.len(),
-                S,
-                "iren-index-window",
-                || {
-                    format!(
-                        "index holds {} members, the window {}",
-                        self.iren_index.len(),
-                        members.len()
-                    )
-                },
-            );
-            for slot in members {
-                let stamp = self.rb_lru.window_stamp(&slot);
-                let iren = self.rbs.get(&slot).map(|rb| rb.invalid);
-                let expected = iren.zip(stamp);
-                let indexed = self.iren_index.entry(&slot);
-                report.check(indexed == expected, S, "iren-index-window", || {
-                    format!(
-                        "window RB {slot} indexed as {indexed:?}, expected IREN {iren:?} at stamp {stamp:?}"
-                    )
-                });
-            }
-        } else {
-            report.check(self.iren_index.is_empty(), S, "iren-index-window", || {
-                format!(
-                    "index holds {} members while disabled",
-                    self.iren_index.len()
-                )
-            });
-        }
     }
 }
 
@@ -931,7 +835,7 @@ mod tests {
         assert!(t > SimDuration::ZERO);
         // Entry 3 is now replaceable: the RB's IREN is 1.
         let (slot, _) = s.map[&3];
-        assert_eq!(s.iren(slot), 1);
+        assert_eq!(s.rbs[&slot].invalid, 1);
         // A second lookup still hits (replaceable data stays readable).
         assert!(s.lookup(3, &mut dev, true).is_some());
     }
@@ -956,7 +860,7 @@ mod tests {
         assert_eq!(s.stats().rewrites_avoided, 1);
         // Back to normal: IREN drops to 0.
         let (slot, _) = s.map[&2];
-        assert_eq!(s.iren(slot), 0);
+        assert_eq!(s.rbs[&slot].invalid, 0);
     }
 
     #[test]
@@ -978,6 +882,30 @@ mod tests {
             s.stats().collateral_evictions >= 4,
             "B had 4 normal entries"
         );
+    }
+
+    #[test]
+    fn equal_iren_tie_goes_to_the_lru_most() {
+        let mut s = ResultStore::new(SlotRegion::new(0, BLOCK, 3), 6, ENTRY, true, 3, 0.0);
+        let mut dev = device();
+        fill_rb(&mut s, &mut dev, 0..6); // RB A: LRU, IREN 0
+        fill_rb(&mut s, &mut dev, 6..12); // RB B: IREN 1  <- victim
+        fill_rb(&mut s, &mut dev, 12..18); // RB C: IREN 1, more recent
+        s.invalidate(6, &mut dev);
+        s.invalidate(12, &mut dev);
+        fill_rb(&mut s, &mut dev, 18..24);
+        assert!(!s.contains(7), "list order breaks the tie: B goes");
+        assert!(s.contains(0) && s.contains(13));
+    }
+
+    #[test]
+    fn zero_window_still_replaces() {
+        // W = 0 is "look up in all the LRU list": the strict LRU RB.
+        let mut s = ResultStore::new(SlotRegion::new(0, BLOCK, 2), 6, ENTRY, true, 0, 0.0);
+        let mut dev = device();
+        fill_rb(&mut s, &mut dev, 0..18);
+        assert_eq!(s.stats().rb_writes, 3);
+        assert!(!s.contains(0) && s.contains(6) && s.contains(12));
     }
 
     #[test]
@@ -1027,7 +955,7 @@ mod tests {
         // Lookups on static entries never turn them replaceable.
         s.lookup(100, &mut dev, true);
         let (slot, _) = s.map[&100];
-        assert_eq!(s.iren(slot), 0);
+        assert_eq!(s.rbs[&slot].invalid, 0);
         // Fill the dynamic remainder twice over: static entries survive.
         for batch in 0..4u64 {
             fill_rb(&mut s, &mut dev, batch * 6..batch * 6 + 6);

@@ -6,8 +6,9 @@
 //! `#[doc(hidden)]` corruption hook — IREN counter drift against the RB
 //! validity bitmap (Sec. VI-C), an out-of-order entry-state transition
 //! (free → normal → replaceable cycle, Sec. VI-B), an RB whose geometry
-//! breaks the 128 KB aligned-write rule (Sec. VI-A) — and asserts the
-//! matching machine-greppable invariant shows up in the report.
+//! breaks the 128 KB aligned-write rule (Sec. VI-A), a static-partition
+//! counter out of step with the RBs it pins (Sec. VI-C2) — and asserts
+//! the matching machine-greppable invariant shows up in the report.
 
 use hybridcache::ssd::{EntryState, ListStore, ResultStore, SlotRegion};
 use invariant::Validate;
@@ -84,6 +85,23 @@ fn unaligned_rb_geometry_trips_the_alignment_check() {
     assert!(
         hit.contains(&"rb-write-alignment"),
         "expected rb-write-alignment, got {hit:?}"
+    );
+}
+
+#[test]
+fn static_rb_counter_drift_trips_the_static_budget() {
+    let mut s = result_store(0.5); // 2 of 4 slots static
+    let mut dev = device();
+    let seeds: Vec<(u64, u32, u64)> = (100..112).map(|q| (q, q as u32, 9)).collect();
+    s.seed_static(seeds, &mut dev);
+    assert!(fired(&s).is_empty(), "healthy store must validate clean");
+    // One pinned RB forgotten: `dynamic_reserved` would hold back a slot
+    // the static partition has already consumed.
+    s.debug_corrupt_static_used(-1);
+    let hit = fired(&s);
+    assert!(
+        hit.contains(&"static-budget"),
+        "expected static-budget, got {hit:?}"
     );
 }
 

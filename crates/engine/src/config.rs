@@ -1,6 +1,5 @@
 //! Engine configuration and the CPU cost model.
 
-use flashsim::ComputeParams;
 use hybridcache::HybridConfig;
 use searchidx::{PostingsBackend, TopKConfig};
 use simclock::SimDuration;
@@ -142,12 +141,6 @@ pub struct EngineConfig {
     /// Flash channels on the cache SSD (1 = the paper's Table III
     /// device). More channels let queued page operations overlap.
     pub ssd_channels: u32,
-    /// Latency/energy model of the cache SSD's per-channel compute
-    /// units. The default [`ComputeParams::reference`] is all-zero, so
-    /// the `OffloadMode` toggle stays bit-identical on every simulated
-    /// figure; [`ComputeParams::active`] charges honest scan/emit costs
-    /// for the latency-realism sweeps.
-    pub ssd_compute: ComputeParams,
     /// Whether the index accepts run-time mutations. `Frozen` (the
     /// default) = mutations refused.
     pub mutability: IndexMutability,
@@ -182,7 +175,6 @@ impl EngineConfig {
             queue_depth: 1,
             io_scheduler: SchedulerPolicy::Fifo,
             ssd_channels: 1,
-            ssd_compute: ComputeParams::reference(),
             mutability: IndexMutability::default(),
         }
     }

@@ -221,13 +221,12 @@ impl SearchEngine {
         };
         let cache = config.cache.clone().map(|hc| {
             let footprint = (hc.ssd_base_lba + hc.ssd_sectors()) * storagecore::SECTOR_SIZE as u64;
-            // The paper's SSD widened to the configured channel count,
-            // with per-channel compute units behind the offload toggle
-            // (the reference compute model is timing-neutral, so this is
-            // `paper_channels` exactly unless `ssd_compute` is active).
+            // The paper's SSD widened to the configured channel count; its
+            // per-channel compute units keep `FlashParams::paper`'s
+            // timing-neutral `ComputeParams::reference`, so the offload
+            // toggle moves bus bytes and no simulated latency.
             let mut params = flashsim::FlashParams::paper(footprint.max(4 << 20));
             params.channels = config.ssd_channels.max(1);
-            params.compute = config.ssd_compute;
             let device = SsdDisk::with_ftl(PageMapFtl::new(params));
             let mut piped = PipelinedDevice::new(device, NullSink);
             piped.set_depth(config.queue_depth);

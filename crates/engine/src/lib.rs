@@ -28,7 +28,7 @@ pub use config::{
     CompactionMode, CpuCostModel, EngineConfig, IndexMutability, IndexPlacement, LiveConfig,
 };
 pub use engine::SearchEngine;
-pub use flashsim::{ComputeParams, ComputeStats};
+pub use flashsim::ComputeStats;
 pub use payload::CachedResult;
 pub use report::{FlashReport, RunReport};
 pub use searchidx::PostingsBackend;

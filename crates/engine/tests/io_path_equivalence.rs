@@ -29,10 +29,8 @@ fn depth_one_is_reference_under_every_scheduler() {
     );
     for cfg in [cached, EngineConfig::no_cache(DOCS, IndexPlacement::Hdd, 5)] {
         let fifo = engine_with(cfg.clone(), 1, SchedulerPolicy::Fifo).run(QUERIES);
-        for policy in [SchedulerPolicy::Elevator, SchedulerPolicy::Deadline] {
-            let r = engine_with(cfg.clone(), 1, policy).run(QUERIES);
-            assert_eq!(fifo, r, "depth-1 diverged under {policy:?}");
-        }
+        let elevator = engine_with(cfg.clone(), 1, SchedulerPolicy::Elevator).run(QUERIES);
+        assert_eq!(fifo, elevator, "depth-1 diverged under the elevator");
     }
 }
 

@@ -15,9 +15,6 @@
 //!   in debug builds unless the `INVARIANT_AUDIT` environment variable is
 //!   set (or a test opts in via [`force_enable`]), so the default developer
 //!   loop stays fast while CI can run every equivalence suite fully audited.
-//!   The same switch gates oracle cross-checks written at the call site:
-//!   `hybridcache`'s stores assert, at every eviction, that the indexed
-//!   victim is the one the paper's literal scan picks.
 //!
 //! Validators themselves are compiled unconditionally — corruption tests
 //! exercise them in release builds too; only the *call sites* are gated.

@@ -21,7 +21,7 @@ pub mod types;
 pub use device::{BlockDevice, IoError};
 pub use queue::{
     IoCompletion, IoRequest, OffloadDescriptor, OffloadMode, PipelinedDevice, SchedulerPolicy,
-    DEADLINE_WINDOW, OFFLOAD_DESCRIPTOR_BYTES,
+    OFFLOAD_DESCRIPTOR_BYTES,
 };
 pub use ramdisk::RamDisk;
 pub use stats::{BusStats, IoStats, QueueDepthStats};

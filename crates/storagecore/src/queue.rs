@@ -64,15 +64,7 @@ pub enum SchedulerPolicy {
     /// ties break on submission order. On multi-lane devices with no head
     /// this degenerates to an LBA-proximity order, which is harmless.
     Elevator,
-    /// Elevator with an aging guard: if the oldest pending request has
-    /// waited longer than [`DEADLINE_WINDOW`], it dispatches next
-    /// regardless of seek distance — bounding starvation under a stream
-    /// of near-head arrivals.
-    Deadline,
 }
-
-/// Starvation bound for [`SchedulerPolicy::Deadline`].
-pub const DEADLINE_WINDOW: SimDuration = SimDuration::from_millis(10);
 
 /// Where postings matching runs for cache-SSD reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -418,15 +410,6 @@ impl<D: BlockDevice, S: TraceSink> PipelinedDevice<D, S> {
         match self.policy {
             SchedulerPolicy::Fifo => 0,
             SchedulerPolicy::Elevator => self.nearest(),
-            SchedulerPolicy::Deadline => {
-                // `pending` is in submission order, so index 0 is oldest.
-                let oldest = &self.pending[0];
-                if self.now.since(oldest.submit_at) > DEADLINE_WINDOW {
-                    0
-                } else {
-                    self.nearest()
-                }
-            }
         }
     }
 
@@ -942,11 +925,7 @@ mod tests {
     #[test]
     fn validation_clean_across_paths_and_policies() {
         for depth in [1, 4] {
-            for policy in [
-                SchedulerPolicy::Fifo,
-                SchedulerPolicy::Elevator,
-                SchedulerPolicy::Deadline,
-            ] {
+            for policy in [SchedulerPolicy::Fifo, SchedulerPolicy::Elevator] {
                 let mut d = dev(depth);
                 d.set_policy(policy);
                 for i in 0..6u64 {

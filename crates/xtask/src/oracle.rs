@@ -75,24 +75,6 @@ pub fn default_registry() -> Vec<OracleSpec> {
             Some("SearchCluster"),
             "run_queries",
         ),
-        OracleSpec::new(
-            "scan-victim-mem",
-            "crates/core/src/mem.rs",
-            Some("MemListCache"),
-            "pick_victim_scan",
-        ),
-        OracleSpec::new(
-            "scan-victim-lists",
-            "crates/core/src/ssd/lists.rs",
-            Some("ListStore"),
-            "pick_victim_scan",
-        ),
-        OracleSpec::new(
-            "scan-victim-results",
-            "crates/core/src/ssd/results.rs",
-            Some("ResultStore"),
-            "take_rb_slot",
-        ),
     ]
 }
 
