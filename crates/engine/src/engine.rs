@@ -150,8 +150,8 @@ pub struct SearchEngine {
     /// go through submit/wait in windows of the queue depth (which this
     /// wrapper and the cache SSD's always share).
     index_dev: PipelinedDevice<IndexDevice, ToggleSink>,
-    /// Payloads are [`CachedResult`] — one shared buffer per entry, so
-    /// the manager's admit/flush clones are refcount bumps, not copies.
+    /// Payloads are [`CachedResult`] — a result's doc count and digest
+    /// term, `Copy`, so the manager's admit/flush clones are 16-byte moves.
     cache: Option<CacheManager<CachedResult, PipelinedDevice<SsdDisk<PageMapFtl>>>>,
     /// Where SSD-tier postings predicates are evaluated: `Host` is the
     /// seed path verbatim; `InFlash` attaches an [`OffloadDescriptor`]
@@ -608,7 +608,7 @@ impl SearchEngine {
                     _ => Situation::S3ResultSsd,
                 };
                 self.situations.record(situation, service);
-                self.digest_result(&result.decode());
+                self.digest_result(result);
                 return self.finish(start);
             }
         }
@@ -616,7 +616,8 @@ impl SearchEngine {
         // Compute from the index, charging list I/O per visited prefix.
         let outcome = self.topk(&query.terms);
         self.postings_scanned += outcome.postings_scanned();
-        self.digest_result(&outcome.result);
+        let computed = CachedResult::encode(&outcome.result);
+        self.digest_result(computed);
 
         // Three-level mode: the two heaviest lists may be replaced by a
         // cached intersection (Long & Suel's intermediate level).
@@ -726,7 +727,7 @@ impl SearchEngine {
 
         if let Some(cache) = self.cache.as_mut() {
             cache.device_mut().set_now(self.clock.now());
-            let t = cache.complete_result(query.id, CachedResult::encode(&outcome.result));
+            let t = cache.complete_result(query.id, computed);
             self.clock.advance(t);
         }
         self.situations
@@ -1218,15 +1219,10 @@ impl SearchEngine {
     }
 
     /// Fold one served result into the order-insensitive digest.
-    fn digest_result(&mut self, result: &searchidx::ResultEntry) {
-        let mut h: u64 = 0x9e37_79b9_7f4a_7c15;
-        for d in &result.docs {
-            h = (h ^ (d.doc as u64)).wrapping_mul(0x100_0000_01b3);
-            h = (h ^ (d.score.to_bits() as u64)).wrapping_mul(0x100_0000_01b3);
-        }
+    fn digest_result(&mut self, result: CachedResult) {
         // Commutative fold: arrival order must not matter when two runs
         // interleave ingest differently between the same queries.
-        self.result_digest = self.result_digest.wrapping_add(h | 1);
+        self.result_digest = self.result_digest.wrapping_add(result.digest());
     }
 
     /// Reset measurement windows (cache contents and device wear persist —

@@ -1,65 +1,56 @@
-//! Zero-copy cached result payloads.
+//! Cached result payloads: what the simulation reads of a result.
 //!
-//! The cache manager clones result payloads on every admit, demote and
-//! flush (memory → write buffer → result block). With a plain
-//! [`ResultEntry`] each clone copies the whole doc vector; wrapping the
-//! encoded entry in a [`bytes::Bytes`] buffer makes every clone a
-//! refcount bump — the payload is materialized once per query and shared
-//! by all cache levels. Simulated sizes are unchanged:
-//! [`CachedResult::bytes`] reports the same ~400 B/doc footprint as
-//! [`ResultEntry::bytes`], so hit ratios and response times stay
-//! bit-identical.
+//! No caller ever reads a cached document: a hit charges the entry's
+//! footprint and folds it into the order-insensitive result digest. So
+//! the cache holds exactly those two things, hashed once when the result
+//! is computed, in a `Copy` value — admit, demote and flush move 16 bytes.
 
-use bytes::Bytes;
-use searchidx::{ResultEntry, ScoredDoc, RESULT_DOC_BYTES};
+use searchidx::{ResultEntry, RESULT_DOC_BYTES};
 
-/// Encoded bytes per document: u32 doc id + f32 score, little-endian.
-const ENCODED_DOC_BYTES: usize = 8;
-
-/// A result entry encoded into one shared, immutable byte buffer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CachedResult(Bytes);
+/// A result entry as the cache holds it: its size and its digest term.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CachedResult {
+    docs: u32,
+    digest: u64,
+}
 
 impl CachedResult {
-    /// Encode the top-K documents into a shared buffer.
+    /// Record the entry's document count and digest term.
     pub fn encode(entry: &ResultEntry) -> Self {
-        let mut buf = Vec::with_capacity(entry.docs.len() * ENCODED_DOC_BYTES);
-        for d in &entry.docs {
-            buf.extend_from_slice(&d.doc.to_le_bytes());
-            buf.extend_from_slice(&d.score.to_le_bytes());
+        CachedResult {
+            docs: entry.docs.len() as u32,
+            digest: result_hash(entry),
         }
-        CachedResult(Bytes::from(buf))
     }
 
-    /// Decode back into the document list.
-    pub fn decode(&self) -> ResultEntry {
-        let docs = self
-            .0
-            .as_slice()
-            .chunks_exact(ENCODED_DOC_BYTES)
-            .map(|c| ScoredDoc {
-                doc: u32::from_le_bytes(c[..4].try_into().expect("4-byte chunk half")),
-                score: f32::from_le_bytes(c[4..].try_into().expect("4-byte chunk half")),
-            })
-            .collect();
-        ResultEntry { docs }
-    }
-
-    /// Documents in the entry.
-    pub fn doc_count(&self) -> usize {
-        self.0.len() / ENCODED_DOC_BYTES
+    /// The term this result adds to the engine's result digest.
+    pub(crate) fn digest(&self) -> u64 {
+        self.digest
     }
 
     /// Simulated cache footprint — the paper's ~400 B per document,
     /// identical to [`ResultEntry::bytes`] for the same doc count.
     pub fn bytes(&self) -> u64 {
-        self.doc_count() as u64 * RESULT_DOC_BYTES
+        self.docs as u64 * RESULT_DOC_BYTES
     }
+}
+
+/// One served result's term of the order-insensitive result digest: an
+/// FNV-style chain over (doc, score bits) in rank order, forced odd.
+fn result_hash(result: &ResultEntry) -> u64 {
+    let mut h: u64 = 0x9e37_79b9_7f4a_7c15;
+    for d in &result.docs {
+        h = (h ^ (d.doc as u64)).wrapping_mul(0x100_0000_01b3);
+        h = (h ^ (d.score.to_bits() as u64)).wrapping_mul(0x100_0000_01b3);
+    }
+    h | 1
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{EngineConfig, IndexPlacement, SearchEngine};
+    use searchidx::ScoredDoc;
 
     fn entry(n: u32) -> ResultEntry {
         ResultEntry {
@@ -73,14 +64,6 @@ mod tests {
     }
 
     #[test]
-    fn round_trips() {
-        for n in [0, 1, 7, 50] {
-            let e = entry(n);
-            assert_eq!(CachedResult::encode(&e).decode(), e);
-        }
-    }
-
-    #[test]
     fn simulated_footprint_matches_result_entry() {
         for n in [0, 1, 50] {
             let e = entry(n);
@@ -89,13 +72,33 @@ mod tests {
     }
 
     #[test]
-    fn clone_shares_the_buffer() {
-        let a = CachedResult::encode(&entry(50));
-        let b = a.clone();
-        assert!(std::ptr::eq(
-            a.0.as_slice().as_ptr(),
-            b.0.as_slice().as_ptr()
-        ));
-        assert_eq!(a, b);
+    fn digest_is_the_term_execute_folds_for_a_computed_result() {
+        // A cache-less engine computes every query.
+        let mut engine = SearchEngine::new(EngineConfig::no_cache(5_000, IndexPlacement::Hdd, 11));
+        let query = engine.log().stream(1).pop().expect("one query");
+        let entry = searchidx::TopKProcessor::new(EngineConfig::default_topk(5_000))
+            .process(engine.index(), &query.terms)
+            .result;
+        assert!(!entry.docs.is_empty());
+        let before = engine.result_digest();
+        engine.execute(&query);
+        let delta = engine.result_digest().wrapping_sub(before);
+        assert_eq!(CachedResult::encode(&entry).digest(), delta);
+    }
+
+    #[test]
+    fn digest_sees_rank_and_score_bits_and_covers_the_empty_result() {
+        let e = entry(50);
+        let digest = CachedResult::encode(&e).digest();
+        let mut swapped = e.clone();
+        swapped.docs.swap(3, 4);
+        assert_ne!(CachedResult::encode(&swapped).digest(), digest);
+        let mut flipped = e;
+        flipped.docs[7].score = f32::from_bits(flipped.docs[7].score.to_bits() ^ 1);
+        assert_ne!(CachedResult::encode(&flipped).digest(), digest);
+        assert_eq!(
+            CachedResult::encode(&entry(0)).digest(),
+            0x9e37_79b9_7f4a_7c15
+        );
     }
 }

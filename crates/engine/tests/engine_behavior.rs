@@ -89,6 +89,56 @@ fn repeated_query_hits_memory() {
 }
 
 #[test]
+fn computed_mem_hit_and_ssd_hit_fold_the_same_digest_term() {
+    // The cache keeps a result's digest term, not its documents: serving
+    // the query from DRAM (S1) or from the SSD (S3) must move the result
+    // digest exactly as computing it does, and as a cache-less engine does.
+    let query = |e: &SearchEngine, id| workload::Query {
+        id,
+        terms: e.log().terms_of(id),
+    };
+    let delta = |e: &mut SearchEngine, q: &workload::Query| {
+        let before = e.result_digest();
+        e.execute(q);
+        e.result_digest().wrapping_sub(before)
+    };
+    let mut plain = SearchEngine::new(EngineConfig::no_cache(DOCS, IndexPlacement::Hdd, SEED));
+    let q = query(&plain, 3);
+    // The term itself, from the documents: an FNV chain over (doc, score
+    // bits) in rank order, forced odd.
+    let docs = searchidx::TopKProcessor::new(EngineConfig::default_topk(DOCS))
+        .process(plain.index(), &q.terms)
+        .result
+        .docs;
+    assert!(!docs.is_empty());
+    let term = docs.iter().fold(0x9e37_79b9_7f4a_7c15_u64, |h, d| {
+        let h = (h ^ d.doc as u64).wrapping_mul(0x100_0000_01b3);
+        (h ^ d.score.to_bits() as u64).wrapping_mul(0x100_0000_01b3)
+    }) | 1;
+    let expected = delta(&mut plain, &q);
+    assert_eq!(expected, term, "cache-less engine");
+
+    let mut e = SearchEngine::new(EngineConfig::cached(
+        DOCS,
+        small_cache(PolicyKind::Lru),
+        SEED,
+    ));
+    let results = |e: &SearchEngine| e.cache().expect("cached config").stats().results;
+    assert_eq!(delta(&mut e, &q), expected, "computed");
+    assert_eq!(results(&e).misses, 1);
+    assert_eq!(delta(&mut e, &q), expected, "DRAM hit");
+    assert_eq!(results(&e).mem_hits, 1);
+    // ~10 results fit the 200 KB DRAM result region: 40 others demote it.
+    for id in 100..140 {
+        let other = query(&e, id);
+        e.execute(&other);
+    }
+    let ssd_hits = results(&e).ssd_hits;
+    assert_eq!(delta(&mut e, &q), expected, "SSD hit");
+    assert_eq!(results(&e).ssd_hits, ssd_hits + 1);
+}
+
+#[test]
 fn two_level_cache_beats_one_level_at_same_memory() {
     let one_level = {
         let mut cfg = small_cache(PolicyKind::Cblru);
