@@ -71,6 +71,10 @@ fn bench_lru_cache(c: &mut Criterion) {
 }
 
 /// Churn on the victim cascades (Figs. 12 and 13).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "measures the store's victim cascade below the admission gate on purpose"
+)]
 fn bench_victim_selection(c: &mut Criterion) {
     const BLOCK: u64 = 128 * 1024;
     let mut g = c.benchmark_group("victim_selection");

@@ -114,7 +114,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// fits. Returns the evicted `(key, value, bytes)` tuples, oldest
     /// first. An entry larger than the whole capacity is rejected and
     /// returned as `Err`.
-    #[allow(clippy::type_complexity)]
     pub fn insert(&mut self, key: K, value: V, bytes: u64) -> Result<Vec<(K, V, u64)>, V> {
         if !self.budget.admissible(bytes) {
             return Err(value);

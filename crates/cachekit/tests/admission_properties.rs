@@ -2,6 +2,11 @@
 //! sketch against an exact-count reference, and the ghost cache against
 //! a Vec-based recency model.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "each exact count is checked on its own, so map order never reaches a verdict"
+)]
+
 use cachekit::{FreqSketch, GhostCache, COUNTER_MAX};
 use invariant::Validate;
 use proptest::prelude::*;

@@ -64,11 +64,13 @@ pub struct AdmissionStats {
     pub result_fast_tracks: u64,
     /// Controller epochs completed.
     pub epochs: u64,
-    /// TEV raised (write pressure) / relaxed (write slack).
+    /// TEV raised (write pressure).
     pub tev_raises: u64,
+    /// TEV relaxed (write slack).
     pub tev_cuts: u64,
-    /// Reset window shrunk (phase change) / grown (stability).
+    /// Reset window shrunk (phase change).
     pub window_shrinks: u64,
+    /// Reset window grown (stability).
     pub window_grows: u64,
 }
 

@@ -254,6 +254,10 @@ impl<V: Clone, D: BlockDevice> CacheManager<V, D> {
 
     /// SM decision for an evicted intersection (EV/TEV, like lists —
     /// intersections are always fully utilized, so PU is 1).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the admission gate: the store is offered only what the checks above admitted"
+    )]
     fn flush_intersection(&mut self, pair: PairKey, meta: ListMeta) -> SimDuration {
         let Some(ssd) = self.ssd_xc.as_mut() else {
             return SimDuration::ZERO;
@@ -440,6 +444,10 @@ impl<V: Clone, D: BlockDevice> CacheManager<V, D> {
     }
 
     /// SM decision for one evicted result entry.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the admission gate: the store is offered only what the checks above admitted"
+    )]
     fn flush_result(&mut self, id: QueryId, value: V, freq: u64) -> SimDuration {
         if self.admission.is_sketch() {
             // The sketch gate replaces the static frequency floor.
@@ -651,6 +659,10 @@ impl<V: Clone, D: BlockDevice> CacheManager<V, D> {
     }
 
     /// SM decision for one evicted list (Formulas 1 & 2 + TEV).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the admission gate: the store is offered only what the checks above admitted"
+    )]
     fn flush_list(&mut self, term: TermKey, meta: ListMeta) -> SimDuration {
         let (blocks, cached_bytes) = if self.config.policy.is_cost_based() {
             let sc = sc_blocks(meta.si_bytes, meta.pu, self.config.block_bytes);
@@ -701,6 +713,10 @@ impl<V: Clone, D: BlockDevice> CacheManager<V, D> {
 
     /// Seed the static result partition (CBSLRU): the most frequent
     /// queries from log analysis, best first.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "CBSLRU's static partition is filled once from log analysis, whose ranking is its admission"
+    )]
     pub fn seed_static_results(&mut self, entries: Vec<(QueryId, V, u64)>) -> SimDuration {
         self.device.set_background(true);
         let t = self.ssd_rc.seed_static(entries, &mut self.device);
@@ -711,6 +727,10 @@ impl<V: Clone, D: BlockDevice> CacheManager<V, D> {
 
     /// Seed the static list partition (CBSLRU): `(term, si_bytes, pu,
     /// freq)` of the most efficient lists, best first.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "CBSLRU's static partition is filled once from log analysis, whose ranking is its admission"
+    )]
     pub fn seed_static_lists(&mut self, lists: Vec<(TermKey, u64, f64, u64)>) -> SimDuration {
         let prepared = lists
             .into_iter()

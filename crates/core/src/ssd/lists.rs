@@ -527,6 +527,10 @@ impl<K: Eq + Hash + Copy + Debug> Validate for ListStore<K> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the store's own unit tests drive it below the admission gate"
+)]
 mod tests {
     use super::*;
     use simclock::SimDuration;

@@ -9,7 +9,7 @@
 //! at its slot position — the small-random-write behaviour the paper
 //! charges against LRU — and the victim is the strict LRU entry.
 
-use fxmap::FxHashMap;
+use fxmap::{FxHashMap, FxHashSet};
 
 use cachekit::SegmentedLru;
 use invariant::{audit, Report, Validate};
@@ -704,7 +704,7 @@ impl<V> Validate for ResultStore<V> {
                     },
                 );
             }
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = FxHashSet::default();
             for &(slot, idx) in &self.free_entries {
                 report.check(seen.insert((slot, idx)), S, "free-entry-accounting", || {
                     format!("position RB {slot}[{idx}] is free-listed twice")
@@ -750,7 +750,7 @@ impl<V> Validate for ResultStore<V> {
                 )
             },
         );
-        let mut staged = std::collections::HashSet::new();
+        let mut staged = FxHashSet::default();
         for (id, _, _) in &self.write_buffer {
             report.check(staged.insert(*id), S, "write-buffer-unique", || {
                 format!("query {id} is staged twice")
@@ -763,6 +763,10 @@ impl<V> Validate for ResultStore<V> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the store's own unit tests drive it below the admission gate"
+)]
 mod tests {
     use super::*;
     use simclock::SimDuration;

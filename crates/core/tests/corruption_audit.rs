@@ -10,6 +10,11 @@
 //! counter out of step with the RBs it pins (Sec. VI-C2) — and asserts
 //! the matching machine-greppable invariant shows up in the report.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "these tests fill the stores below the admission gate to corrupt them"
+)]
+
 use hybridcache::ssd::{EntryState, ListStore, ResultStore, SlotRegion};
 use invariant::Validate;
 use simclock::SimDuration;

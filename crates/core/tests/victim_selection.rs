@@ -12,6 +12,11 @@
 //! release these tests still check the outputs and the final
 //! `validation_report()`.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "these tests drive the stores below the admission gate on purpose"
+)]
+
 use hybridcache::mem::{ListMeta, MemListCache};
 use hybridcache::ssd::{ListStore, ResultStore, SlotRegion};
 use hybridcache::{CacheManager, CachingScheme, HybridConfig, PolicyKind};

@@ -130,6 +130,10 @@ pub struct SearchEngine {
     layout: IndexLayout,
     docstore: DocStore,
     /// Per-sealed-segment on-device layouts (empty while pristine).
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed lookups only; the map is never iterated"
+    )]
     seg_layouts: std::collections::HashMap<searchidx::SegmentId, SegLayout>,
     /// Ring allocator for WAL appends and segment images in the free
     /// region past the doc store. `Some` iff `mutability` is
@@ -181,6 +185,10 @@ pub struct SearchEngine {
 
 impl SearchEngine {
     /// Build the whole testbed from a configuration. Construction is O(vocabulary).
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed lookups only; the map is never iterated"
+    )]
     pub fn new(config: EngineConfig) -> Self {
         let base = SyntheticIndex::new(CorpusSpec::enwiki_like(config.docs, config.seed));
         // Frozen refuses every mutation, so its policy and compaction

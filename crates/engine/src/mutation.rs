@@ -11,6 +11,10 @@
 //! seeks/programs for the background writes without ever growing the
 //! device.
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "keyed lookups only; the map is never iterated"
+)]
 use std::collections::HashMap;
 
 use searchidx::{IndexReader, SealedSegment, TermId, POSTING_BYTES};
@@ -27,12 +31,20 @@ pub struct SegLayout {
     sectors: u64,
     /// `term -> (first sector within the image, sectors, list bytes)`,
     /// extents laid out in ascending-term order.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed lookups only; the map is never iterated"
+    )]
     by_term: HashMap<TermId, (u64, u64, u64)>,
 }
 
 impl SegLayout {
     /// Lay the segment's lists out back to back and place the image in
     /// a run of `arena` sectors.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed lookups only; the map is never iterated"
+    )]
     pub fn build(seg: &SealedSegment, arena: &mut SegmentArena) -> Self {
         let mut by_term = HashMap::new();
         let mut sectors = 0;

@@ -745,7 +745,10 @@ impl ServingSim {
     /// Admission gate: classify the arrival, predict its finish from the
     /// queue state and the service estimate, and enqueue / shed /
     /// degrade accordingly.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "each argument is one piece of the run loop's local state, borrowed separately"
+    )]
     fn admit(
         &mut self,
         seq: u64,
@@ -822,7 +825,10 @@ impl ServingSim {
     /// past the hedge delay. Returns the batch size and the observed
     /// per-query cost (service + amortized overhead, ns) for the
     /// estimator.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "each argument is one piece of the run loop's local state, borrowed separately"
+    )]
     fn dispatch(
         &mut self,
         at: SimTime,

@@ -14,6 +14,10 @@
 //! exactly the DFTL trade-off). The data-path placement and GC behaviour
 //! are the inner page-mapped scheme's.
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "keyed lookups only; the map is never iterated"
+)]
 use std::collections::HashMap;
 
 use simclock::SimDuration;
@@ -42,6 +46,10 @@ const NIL: u32 = u32::MAX;
 #[derive(Debug, Clone)]
 struct Cmt {
     nodes: Vec<CmtNode>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed lookups only; the map is never iterated"
+    )]
     index: HashMap<Lpn, u32>,
     head: u32, // MRU
     tail: u32, // LRU
@@ -50,6 +58,10 @@ struct Cmt {
 }
 
 impl Cmt {
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed lookups only; the map is never iterated"
+    )]
     fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "CMT needs at least one entry");
         Cmt {

@@ -18,6 +18,10 @@
 //! the newest copy of its logical page — superseded copies are invalidated
 //! at write time, which keeps erase-safety checkable by the medium.
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "keyed lookups only; the map is never iterated"
+)]
 use std::collections::{HashMap, VecDeque};
 
 use simclock::SimDuration;
@@ -33,6 +37,10 @@ pub struct FastFtl {
     /// logical block → physical data block.
     data_map: Vec<Option<BlockId>>,
     /// Newest copy of a logical page living in the log pool.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed lookups only; the map is never iterated"
+    )]
     log_map: HashMap<Lpn, Ppn>,
     /// Log blocks, oldest first. The back one is the write frontier.
     log_blocks: VecDeque<BlockId>,
@@ -47,6 +55,10 @@ pub struct FastFtl {
 impl FastFtl {
     /// Fresh device. The log pool gets the over-provisioned blocks minus
     /// one merge-scratch block per the GC watermark.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed lookups only; the map is never iterated"
+    )]
     pub fn new(params: FlashParams) -> Self {
         let nand = Nand::new(params);
         let p = nand.params();

@@ -269,6 +269,10 @@ impl Ftl for PageMapFtl {
 }
 
 impl Validate for PageMapFtl {
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the sets only answer membership; they are never iterated"
+    )]
     fn validate(&self, report: &mut Report) {
         let subject = "PageMapFtl";
         self.nand.validate(report);

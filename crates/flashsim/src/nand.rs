@@ -150,7 +150,7 @@ impl Nand {
     /// Program the next free page of `block` with data for `lpn`.
     /// Returns the PPN programmed and the latency. Panics if the block is
     /// full — callers track frontiers via [`Nand::block_has_room`].
-    pub fn program(&mut self, block: BlockId, lpn: Lpn) -> (Ppn, SimDuration) {
+    pub(crate) fn program(&mut self, block: BlockId, lpn: Lpn) -> (Ppn, SimDuration) {
         let frontier = self.blocks[block as usize].next_page;
         self.program_at(block, frontier, lpn)
     }
@@ -159,7 +159,12 @@ impl Nand {
     /// frontier (NAND allows skipping forward, never back). Skipped pages
     /// are burned: they stay `Free` but become unprogrammable until the
     /// next erase, and are accounted as consumed.
-    pub fn program_at(&mut self, block: BlockId, offset: u32, lpn: Lpn) -> (Ppn, SimDuration) {
+    pub(crate) fn program_at(
+        &mut self,
+        block: BlockId,
+        offset: u32,
+        lpn: Lpn,
+    ) -> (Ppn, SimDuration) {
         let pages_per_block = self.params.pages_per_block;
         let b = &mut self.blocks[block as usize];
         assert!(
@@ -200,7 +205,7 @@ impl Nand {
     /// Erase a block. All its pages become free. Erasing a block that
     /// still holds valid pages is a driver bug (the FTL must migrate
     /// first).
-    pub fn erase(&mut self, block: BlockId) -> SimDuration {
+    pub(crate) fn erase(&mut self, block: BlockId) -> SimDuration {
         let pages_per_block = self.params.pages_per_block as u64;
         let b = &mut self.blocks[block as usize];
         assert_eq!(b.valid, 0, "erase of block {block} with valid pages");

@@ -86,11 +86,6 @@ impl<F: Ftl> SsdDisk<F> {
         &self.ftl
     }
 
-    /// Mutable FTL access.
-    pub fn ftl_mut(&mut self) -> &mut F {
-        &mut self.ftl
-    }
-
     /// In-flash compute-unit accounting.
     pub fn compute_stats(&self) -> &ComputeStats {
         &self.compute

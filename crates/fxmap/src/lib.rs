@@ -17,7 +17,6 @@
 //! only, never a simulated quantity — every committed figure reproduced
 //! after the swap, and `golden_ledger` pins them since.
 
-use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// rustc-fx's 64-bit mixing constant (a truncation of π's digits, chosen
@@ -100,10 +99,18 @@ impl Hasher for FxHasher {
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// A `HashMap` keyed with [`FxHasher`].
-pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
+#[expect(
+    clippy::disallowed_types,
+    reason = "with a keyless hasher, iteration order repeats from run to run"
+)]
+pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
 /// A `HashSet` keyed with [`FxHasher`].
-pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
+#[expect(
+    clippy::disallowed_types,
+    reason = "with a keyless hasher, iteration order repeats from run to run"
+)]
+pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
 /// Hash one value with the fixed Fx state — the sketch crates use this
 /// for row hashing where a full `BuildHasher` plumb-through is noise.
@@ -134,7 +141,7 @@ mod tests {
 
     #[test]
     fn distinct_keys_hash_apart() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = FxHashSet::default();
         for k in 0u64..10_000 {
             assert!(seen.insert(hash_one(&k)), "collision at {k}");
         }

@@ -653,22 +653,6 @@ impl<B: IndexReader> LiveIndex<B> {
         }
     }
 
-    /// Raw write-segment access — segment-module internal; the
-    /// `no-segment-bypass` lint forbids calls outside `searchidx`.
-    #[doc(hidden)]
-    pub fn write_segment_mut(&mut self) -> &mut WriteSegment {
-        self.mutated = true;
-        self.drop_merges();
-        &mut self.write
-    }
-
-    /// Raw WAL access — segment-module internal; the `no-segment-bypass`
-    /// lint forbids calls outside `searchidx`.
-    #[doc(hidden)]
-    pub fn wal_mut(&mut self) -> &mut WriteAheadLog {
-        &mut self.wal
-    }
-
     /// Corruption hook: break WAL monotonicity.
     #[doc(hidden)]
     pub fn debug_break_wal(&mut self) {

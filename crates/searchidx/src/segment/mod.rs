@@ -5,9 +5,8 @@
 //! segments and their merge ([`sealed`]), and the [`LiveIndex`] that
 //! composes them over a frozen base reader ([`live`]). Everything
 //! outside `searchidx` must go through [`LiveIndex`]'s public mutation
-//! API; the `no-segment-bypass` xtask lint enforces that the raw
-//! `write_segment_mut` / `wal_mut` accessors are never called from other
-//! crates.
+//! API: the write segment and the WAL are private fields of `LiveIndex`,
+//! so the compiler refuses any other path to them.
 
 pub mod live;
 pub mod sealed;

@@ -15,7 +15,12 @@ use crate::types::{Extent, Geometry, IoKind, Lba};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IoError {
     /// The extent exceeds the device geometry.
-    OutOfRange { extent: Extent, sectors: u64 },
+    OutOfRange {
+        /// The rejected request's extent.
+        extent: Extent,
+        /// The device's capacity in sectors.
+        sectors: u64,
+    },
     /// Zero-length request.
     EmptyRequest,
     /// The device does not support this operation (e.g. Trim on a plain

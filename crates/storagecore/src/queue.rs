@@ -620,6 +620,10 @@ impl<D: BlockDevice, S: TraceSink> BlockDevice for PipelinedDevice<D, S> {
 }
 
 impl<D: BlockDevice, S: TraceSink> Validate for PipelinedDevice<D, S> {
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the id set only answers membership; it is never iterated"
+    )]
     fn validate(&self, report: &mut Report) {
         let subject = "PipelinedDevice";
         report.check(

@@ -1,6 +1,10 @@
 //! Trace analysis: the paper's four I/O-pattern properties, quantified,
 //! plus measured queue depths from submit/complete pairs.
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "keyed lookups only; the map is never iterated"
+)]
 use std::collections::HashMap;
 
 use simclock::SimDuration;
@@ -37,6 +41,10 @@ pub const SKIP_WINDOW: u64 = 2048;
 
 impl TraceProfile {
     /// Analyze a trace.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed lookups only; the map is never iterated"
+    )]
     pub fn from_events(events: &[IoEvent]) -> Self {
         let requests = events.len() as u64;
         if requests == 0 {

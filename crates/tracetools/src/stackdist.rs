@@ -12,6 +12,10 @@
 //! distance of a re-access is the number of marked slots after its
 //! previous position.
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "keyed lookups only; the map is never iterated"
+)]
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -74,6 +78,10 @@ impl Fenwick {
 #[derive(Debug, Clone)]
 pub struct StackDistance<A> {
     fenwick: Fenwick,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed lookups only; the map is never iterated"
+    )]
     last_slot: HashMap<A, usize>,
     /// `counts[d]` = re-accesses at stack distance `d`.
     counts: Vec<u64>,
@@ -89,6 +97,10 @@ impl<A: Eq + Hash + Clone> Default for StackDistance<A> {
 
 impl<A: Eq + Hash + Clone> StackDistance<A> {
     /// Fresh analyzer.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed lookups only; the map is never iterated"
+    )]
     pub fn new() -> Self {
         StackDistance {
             fenwick: Fenwick::default(),

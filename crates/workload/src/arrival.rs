@@ -26,8 +26,9 @@
 //!   rather than raw capacity.
 //!
 //! Like the scenario logs, every process is a pure function of its seeds
-//! (simclock's seeded [`Rng`] and [`Exponential`] only — enforced by the
-//! `sim-rng-only` xtask lint): the same spec regenerates the same stream
+//! (simclock's seeded [`Rng`] and [`Exponential`] only — clippy's
+//! workspace rules refuse host time and host-seeded hashing, and no other
+//! RNG crate resolves): the same spec regenerates the same stream
 //! bit-for-bit, on any host, at any worker count.
 
 use simclock::dist::Exponential;
@@ -428,6 +429,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the window counts are read only through max and min"
+    )]
     fn bursty_rate_sits_between_its_regimes() {
         let p = ArrivalProcess::new(
             log(),

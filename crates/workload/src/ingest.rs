@@ -6,8 +6,9 @@
 //! queries keep flowing. Like every other generator in this crate the
 //! stream is a pure function of its seed — Poisson gaps from
 //! `simclock::dist::Exponential`, term content from `simclock::dist::Zipf`
-//! (enforced by the `sim-rng-only` xtask lint) — so the same spec
-//! regenerates the same mutation schedule bit-for-bit on any host.
+//! (clippy's workspace rules refuse host time and host-seeded hashing) —
+//! so the same spec regenerates the same mutation schedule bit-for-bit on
+//! any host.
 
 use simclock::dist::{Exponential, Zipf};
 use simclock::{Rng, SimTime};

@@ -216,6 +216,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the set only answers membership; it is never iterated"
+    )]
     fn repetition_rate_supports_result_caching() {
         // The fraction of stream entries that repeat an earlier query is
         // what result caching can ever hope to hit; for an AOL-like Zipf

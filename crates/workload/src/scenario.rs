@@ -168,6 +168,10 @@ impl ScanHeavyLog {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "the tests read their maps and sets only through lookups, counts, max and set intersection"
+)]
 mod tests {
     use super::*;
     use crate::querylog::QueryLogSpec;

@@ -12,6 +12,12 @@
 //! Output is one line per benchmark:
 //! `bench <group>/<name>  median <t>/iter  (mean <t>, <n> samples)`.
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "a micro-benchmark harness times host code; no simulated figure reads it"
+)]
+
 use std::time::{Duration, Instant};
 
 /// Per-sample batching hint. The shim sizes batches the same way for all
@@ -214,6 +220,7 @@ fn fmt_ns(ns: f64) -> String {
 #[macro_export]
 macro_rules! criterion_group {
     ($name:ident, $($target:path),+ $(,)?) => {
+        #[doc = concat!("Runs the `", stringify!($name), "` benchmark group.")]
         pub fn $name(c: &mut $crate::Criterion) {
             $( $target(c); )+
         }

@@ -151,7 +151,10 @@ macro_rules! __proptest_parse {
     ($cfg:expr, $id:expr, $body:block, [$(($n:ident))*] [$($s:expr;)*]) => {
         $crate::runner::run($cfg, $id, &($($s,)*), |($($n,)*)| {
             $body
-            #[allow(unreachable_code)]
+            #[allow(
+                unreachable_code,
+                reason = "a body that ends in `return` or a panic leaves this `Ok` unreachable"
+            )]
             ::core::result::Result::Ok(())
         });
     };

@@ -2,6 +2,11 @@
 //! a simple logical page store under arbitrary op sequences, while
 //! respecting the NAND invariants the medium enforces by panicking.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the model sets are compared by membership and length; never iterated"
+)]
+
 use flashsim::{BlockMapFtl, Dftl, FastFtl, FlashParams, Ftl, PageMapFtl};
 use proptest::prelude::*;
 use std::collections::HashSet;
