@@ -15,7 +15,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== non-test source size ratchet =="
 # The ROADMAP's measure. Deleting code lowers the ceiling; a change that
 # needs to raise it says why in its own PR.
-MAX_SRC_LINES=28430
+MAX_SRC_LINES=27353
 src_lines=$(find crates -path '*/src/*' -name '*.rs' -print0 | xargs -0 cat | wc -l)
 if [ "$src_lines" -gt "$MAX_SRC_LINES" ]; then
   echo "non-test source is $src_lines lines, above the ratchet of $MAX_SRC_LINES" >&2
@@ -47,9 +47,6 @@ cargo test --release -q -p engine --test admission_equivalence --test admission_
 echo "== serving equivalence (explicit) =="
 cargo test --release -q -p engine --test serving_equivalence
 
-echo "== offload equivalence (explicit) =="
-cargo test --release -q -p engine --test offload_equivalence --test offload_audit
-
 echo "== mutation equivalence (explicit) =="
 cargo test --release -q -p engine --test mutation_equivalence
 cargo test --release -q -p searchidx --test live_index
@@ -70,7 +67,6 @@ INVARIANT_AUDIT=1 cargo test -q -p engine --test io_path_equivalence
 INVARIANT_AUDIT=1 cargo test -q -p engine --test golden_ledger
 INVARIANT_AUDIT=1 cargo test -q -p engine --test admission_audit
 INVARIANT_AUDIT=1 cargo test -q -p engine --test serving_equivalence --test serving_audit
-INVARIANT_AUDIT=1 cargo test -q -p engine --test offload_equivalence --test offload_audit
 INVARIANT_AUDIT=1 cargo test -q -p engine --test mutation_equivalence --test mutation_audit
 INVARIANT_AUDIT=1 cargo test -q -p searchidx --test postings_equivalence
 

@@ -497,21 +497,6 @@ impl<V: Clone, D: BlockDevice> CacheManager<V, D> {
         full_bytes: u64,
         observed_pu: f64,
     ) -> ListServe {
-        self.lookup_list_offload(term, needed_bytes, full_bytes, observed_pu, None)
-    }
-
-    /// [`CacheManager::lookup_list`] with an optional in-flash predicate
-    /// template: SSD-tier block reads attach the descriptor when the
-    /// per-block cost rule says pushing the filter down pays, and stay
-    /// plain reads otherwise. `None` is exactly the host path.
-    pub fn lookup_list_offload(
-        &mut self,
-        term: TermKey,
-        needed_bytes: u64,
-        full_bytes: u64,
-        observed_pu: f64,
-        offload: Option<storagecore::OffloadDescriptor>,
-    ) -> ListServe {
         debug_assert!(needed_bytes > 0, "zero-byte list request");
         let expired = self.expire_list_if_stale(term);
         let _ = expired; // expiry already dropped both copies; fall through
@@ -541,7 +526,7 @@ impl<V: Clone, D: BlockDevice> CacheManager<V, D> {
                 let mark = self.config.scheme == CachingScheme::Hybrid;
                 if let Some((cached, latency)) =
                     self.ssd_ic
-                        .lookup_offload(term, needed_bytes, &mut self.device, mark, offload)
+                        .lookup(term, needed_bytes, &mut self.device, mark)
                 {
                     let extra = cached.saturating_sub(si).min(rest);
                     serve.from_ssd = extra;
@@ -571,7 +556,7 @@ impl<V: Clone, D: BlockDevice> CacheManager<V, D> {
         let mark = self.config.scheme == CachingScheme::Hybrid;
         if let Some((cached, latency)) =
             self.ssd_ic
-                .lookup_offload(term, needed_bytes, &mut self.device, mark, offload)
+                .lookup(term, needed_bytes, &mut self.device, mark)
         {
             serve.from_ssd = cached.min(needed_bytes);
             serve.ssd_latency += latency;

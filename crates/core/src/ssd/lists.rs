@@ -137,37 +137,6 @@ impl<K: Eq + Hash + Copy + Debug> ListStore<K> {
         device: &mut D,
         mark_replaceable: bool,
     ) -> Option<(u64, SimDuration)> {
-        self.lookup_offload(term, needed_bytes, device, mark_replaceable, None)
-    }
-
-    /// Whether pushing the predicate down pays for one block read: the
-    /// offload moves `take + descriptor` bytes across the bus where a
-    /// plain read moves `take` rounded up to whole device pages. A full
-    /// 128 KB block is page-aligned, so the descriptor can only lose
-    /// there; the win lives in each lookup's final partial block.
-    fn offload_pays<D: BlockDevice>(take: u64, device: &D) -> bool {
-        if !device.supports_offload() {
-            return false;
-        }
-        let page = device.offload_page_bytes().max(1);
-        let page_rounded = take.div_ceil(page) * page;
-        take + storagecore::OFFLOAD_DESCRIPTOR_BYTES < page_rounded
-    }
-
-    /// [`ListStore::lookup`] with an optional in-flash predicate
-    /// template. For each block read where the cost rule says the
-    /// descriptor pays, the template's scan/emit counts are filled in
-    /// (the compute unit streams whole pages; the served prefix is what
-    /// comes back) and the read goes down the queued request path with
-    /// the descriptor attached; other blocks stay plain reads.
-    pub fn lookup_offload<D: BlockDevice>(
-        &mut self,
-        term: K,
-        needed_bytes: u64,
-        device: &mut D,
-        mark_replaceable: bool,
-        offload: Option<storagecore::OffloadDescriptor>,
-    ) -> Option<(u64, SimDuration)> {
         let entry = self.entries.get_mut(&term)?;
         let served = needed_bytes.min(entry.cached_bytes);
         let mut latency = SimDuration::ZERO;
@@ -178,21 +147,7 @@ impl<K: Eq + Hash + Copy + Debug> ListStore<K> {
             }
             let take = remaining.min(self.block_bytes);
             let extent = self.region.sub_extent(block, 0, take);
-            latency += match offload {
-                Some(template) if Self::offload_pays(take, device) => {
-                    let entry_bytes = template.entry_bytes.max(1) as u64;
-                    let page = device.offload_page_bytes().max(1);
-                    let scanned_bytes = take.div_ceil(page) * page;
-                    let desc = template.with_counts(
-                        (scanned_bytes / entry_bytes) as u32,
-                        (take.div_ceil(entry_bytes)) as u32,
-                    );
-                    device
-                        .request(&storagecore::IoRequest::read(extent).with_offload(desc))
-                        .expect("list extent is in-region")
-                }
-                _ => device.read(extent).expect("list extent is in-region"),
-            };
+            latency += device.read(extent).expect("list extent is in-region");
             remaining -= take;
         }
         if mark_replaceable && !entry.is_static {
@@ -728,69 +683,5 @@ mod tests {
         );
         assert!(s.cached_bytes(100).is_none());
         assert_eq!(s.cached_bytes(101), Some(2 * BLOCK));
-    }
-
-    #[test]
-    fn offload_descriptor_attaches_only_on_partial_page_tails() {
-        let mut s = store(8, true);
-        let mut dev = flashsim::SsdDisk::paper(16 << 20);
-        s.offer(1, 2, 2 * BLOCK, 5, &mut dev);
-        dev.reset_stats();
-        let template = storagecore::OffloadDescriptor::new(0, 1_000_000, 0, 8);
-        let (served, _) = s
-            .lookup_offload(1, BLOCK + 1000, &mut dev, false, Some(template))
-            .expect("hit");
-        assert_eq!(served, BLOCK + 1000);
-        let bus = dev.stats().bus();
-        // The full 128 KB block is page-aligned — a descriptor only adds
-        // bytes there — so only the 1000-byte tail pushes the filter down.
-        assert_eq!(bus.offload_ops(), 1);
-        assert_eq!(bus.read_page_bytes(), BLOCK);
-        assert_eq!(bus.offload_scanned_bytes(), 2048);
-        assert_eq!(bus.offload_scanned_entries(), 2048 / 8);
-        assert_eq!(bus.offload_descriptor_bytes(), 24);
-        // 1000 bytes at 8 B/entry: 125 entries back across the bus.
-        assert_eq!(bus.offload_emitted_bytes(), 1000);
-        assert_eq!(bus.saved_bytes(), 2048 - 24 - 1000);
-    }
-
-    #[test]
-    fn offload_cost_rule_boundary_sits_at_page_minus_descriptor() {
-        let template = storagecore::OffloadDescriptor::new(0, 1_000_000, 0, 8);
-        // Page 2048, descriptor 24: a 2023-byte tail undercuts the
-        // page-rounded plain read; 2024 bytes ties and stays plain.
-        for (take, expect_offload) in [(2023u64, true), (2024, false), (2048, false)] {
-            let mut s = store(8, true);
-            let mut dev = flashsim::SsdDisk::paper(16 << 20);
-            s.offer(1, 1, BLOCK, 5, &mut dev);
-            dev.reset_stats();
-            s.lookup_offload(1, take, &mut dev, false, Some(template))
-                .expect("hit");
-            assert_eq!(
-                dev.stats().bus().offload_ops(),
-                u64::from(expect_offload),
-                "take = {take}"
-            );
-        }
-    }
-
-    #[test]
-    fn offload_is_inert_without_device_support() {
-        // RamDisk has no compute units: a descriptor-carrying lookup is
-        // bit-identical to the plain one.
-        let template = storagecore::OffloadDescriptor::new(0, 1_000_000, 0, 8);
-        let mut s = store(8, true);
-        let mut dev = device();
-        s.offer(1, 2, 2 * BLOCK, 5, &mut dev);
-        let offl = s
-            .lookup_offload(1, BLOCK + 1000, &mut dev, false, Some(template))
-            .expect("hit");
-        let mut s2 = store(8, true);
-        let mut dev2 = device();
-        s2.offer(1, 2, 2 * BLOCK, 5, &mut dev2);
-        let host = s2.lookup(1, BLOCK + 1000, &mut dev2, false).expect("hit");
-        assert_eq!(offl, host);
-        assert_eq!(dev.stats(), dev2.stats());
-        assert_eq!(dev.stats().bus().offload_ops(), 0);
     }
 }

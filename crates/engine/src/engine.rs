@@ -10,8 +10,8 @@ use searchidx::{
 };
 use simclock::{Clock, Histogram, RunningStats, SimDuration, SimTime};
 use storagecore::{
-    BlockDevice, BusStats, Extent, Geometry, IoError, IoEvent, IoRequest, IoStats, Lba, NullSink,
-    OffloadDescriptor, OffloadMode, PipelinedDevice, QueueDepthStats, SchedulerPolicy, TraceSink,
+    BlockDevice, Extent, Geometry, IoError, IoEvent, IoRequest, IoStats, Lba, NullSink,
+    PipelinedDevice, QueueDepthStats, SchedulerPolicy, TraceSink,
 };
 use workload::{Query, QueryLog, QueryLogSpec};
 
@@ -157,11 +157,6 @@ pub struct SearchEngine {
     /// Payloads are [`CachedResult`] — a result's doc count and digest
     /// term, `Copy`, so the manager's admit/flush clones are 16-byte moves.
     cache: Option<CacheManager<CachedResult, PipelinedDevice<SsdDisk<PageMapFtl>>>>,
-    /// Where SSD-tier postings predicates are evaluated: `Host` is the
-    /// seed path verbatim; `InFlash` attaches an [`OffloadDescriptor`]
-    /// to cache-SSD list reads whose per-block cost rule says pushing
-    /// the filter down pays.
-    offload_mode: OffloadMode,
     processor: TopKProcessor,
     /// Route top-K through `TopKProcessor::process_reference`.
     reference_mode: bool,
@@ -229,10 +224,7 @@ impl SearchEngine {
         };
         let cache = config.cache.clone().map(|hc| {
             let footprint = (hc.ssd_base_lba + hc.ssd_sectors()) * storagecore::SECTOR_SIZE as u64;
-            // The paper's SSD widened to the configured channel count; its
-            // per-channel compute units keep `FlashParams::paper`'s
-            // timing-neutral `ComputeParams::reference`, so the offload
-            // toggle moves bus bytes and no simulated latency.
+            // The paper's SSD widened to the configured channel count.
             let mut params = flashsim::FlashParams::paper(footprint.max(4 << 20));
             params.channels = config.ssd_channels.max(1);
             let device = SsdDisk::with_ftl(PageMapFtl::new(params));
@@ -274,7 +266,6 @@ impl SearchEngine {
                 piped
             },
             cache,
-            offload_mode: OffloadMode::Host,
             log,
             clock: Clock::new(),
             situations: SituationTable::new(),
@@ -353,9 +344,9 @@ impl SearchEngine {
         self.cache.as_ref()
     }
 
-    /// Mutable cache access for the corruption-seeding audit tests (the
-    /// offload suite plants inconsistencies in the device ledgers to
-    /// prove the validators fire). Not part of the public surface.
+    /// Mutable cache access for the corruption-seeding audit tests
+    /// (`mutation_audit` plants cache/segment inconsistencies to prove
+    /// the validators fire). Not part of the public surface.
     #[doc(hidden)]
     pub fn debug_cache_mut(
         &mut self,
@@ -435,39 +426,6 @@ impl SearchEngine {
         }
     }
 
-    /// Switch where SSD-tier postings predicates are evaluated. `Host`
-    /// is the seed path verbatim; `InFlash` serializes each traversed
-    /// term's predicate into an offload descriptor and attaches it to
-    /// the cache-SSD reads where the per-block cost rule says the
-    /// descriptor pays. Under the reference compute model the two arms
-    /// are bit-identical on every simulated figure (the
-    /// `offload_equivalence` suite proves it per query); only the bus-byte
-    /// ledger differs. Devices are idle between queries, so mid-run
-    /// toggles are always legal.
-    pub fn set_offload_mode(&mut self, mode: OffloadMode) {
-        self.offload_mode = mode;
-    }
-
-    /// Host-bus transfer ledger of the cache SSD (zeros when uncached):
-    /// page bytes moved by plain reads, descriptor/emitted bytes moved
-    /// by offload reads, and the net bytes the offloads saved.
-    pub fn cache_bus_stats(&self) -> BusStats {
-        self.cache
-            .as_ref()
-            .map(|c| *c.device().inner().stats().bus())
-            .unwrap_or_default()
-    }
-
-    /// Per-channel compute-unit accounting of the cache SSD (zeros when
-    /// uncached): offloads serviced, pages scanned, entries emitted, and
-    /// the energy the latency/energy model charged.
-    pub fn cache_compute_stats(&self) -> flashsim::ComputeStats {
-        self.cache
-            .as_ref()
-            .map(|c| *c.device().inner().compute_stats())
-            .unwrap_or_default()
-    }
-
     /// Queue-depth accounting of the index device.
     pub fn index_queue_stats(&self) -> QueueDepthStats {
         *self.index_dev.stats().queue()
@@ -501,37 +459,6 @@ impl SearchEngine {
     /// Footprint of the processor's block store (the pinned prefixes).
     pub fn postings_store_stats(&self) -> searchidx::BlockStoreStats {
         self.processor.store_stats()
-    }
-
-    /// Serialize one term's traversal into the wire predicate for the
-    /// in-flash path, or `None` when the Host arm is active (or there is
-    /// nothing to push down). The scanned prefix of a frequency-sorted
-    /// list is bounded below by the last-visited posting's tf, so the
-    /// template carries that tf bound plus the full doc-id range; the
-    /// storage layer fills the per-block scan/emit counts where its cost
-    /// rule fires.
-    fn offload_template(&self, u: &searchidx::TermUsage) -> Option<OffloadDescriptor> {
-        if self.offload_mode != OffloadMode::InFlash || self.cache.is_none() || u.scanned == 0 {
-            return None;
-        }
-        // Once the live index has mutated, a cached list is one segment's
-        // share of a term, not the frequency-sorted prefix the descriptor
-        // describes — the push-down predicate no longer applies.
-        if !self.index.is_pristine() {
-            return None;
-        }
-        let tf_bound = self
-            .index
-            .postings_range(u.term, u.scanned - 1, u.scanned)
-            .first()
-            .map_or(0, |p| p.tf);
-        let last_doc = self.index.num_docs().saturating_sub(1) as u32;
-        Some(OffloadDescriptor::new(
-            0,
-            last_doc,
-            tf_bound,
-            searchidx::types::POSTING_BYTES as u32,
-        ))
     }
 
     fn topk(&mut self, terms: &[u32]) -> QueryOutcome {
@@ -692,17 +619,16 @@ impl SearchEngine {
             }
             // Once the index has mutated, a scanned prefix splits into
             // per-layer shares. Pristine it is one part, the base layer's
-            // whole prefix — the only shape the offload predicate
-            // describes.
+            // whole prefix.
             match self.index.split_usage(u.term, u.scanned) {
-                Some(parts) => self.charge_parts(u.term, &parts, None, &mut lists),
+                Some(parts) => self.charge_parts(u.term, &parts, &mut lists),
                 None => {
                     let whole = searchidx::UsagePart {
                         segment: searchidx::BASE_SEGMENT,
                         scanned: u.scanned,
                         df: u.df,
                     };
-                    self.charge_parts(u.term, &[whole], self.offload_template(u), &mut lists);
+                    self.charge_parts(u.term, &[whole], &mut lists);
                 }
             }
         }
@@ -1162,15 +1088,7 @@ impl SearchEngine {
     /// is an independent cacheable unit keyed by `(segment, term)`; the
     /// write-segment share is RAM-resident and never cached. Cache serves
     /// happen inline; index-device tails are deferred into `out`.
-    /// `offload` is the push-down template of an unsplit base-layer scan
-    /// (`None` for split layers: see [`Self::offload_template`]).
-    fn charge_parts(
-        &mut self,
-        term: u32,
-        parts: &[searchidx::UsagePart],
-        offload: Option<OffloadDescriptor>,
-        out: &mut ListCharges,
-    ) {
+    fn charge_parts(&mut self, term: u32, parts: &[searchidx::UsagePart], out: &mut ListCharges) {
         let cost = self.config.cost;
         for p in parts {
             let needed = p.scanned * searchidx::POSTING_BYTES;
@@ -1190,7 +1108,7 @@ impl SearchEngine {
             let slot = out.records.len();
             let extent = if let Some(cache) = self.cache.as_mut() {
                 cache.device_mut().set_now(self.clock.now());
-                let serve = cache.lookup_list_offload(key, needed, full, pu, offload);
+                let serve = cache.lookup_list(key, needed, full, pu);
                 self.clock.advance(serve.ssd_latency);
                 self.clock.advance(cost.mem_read(serve.from_mem));
                 out.records.push((

@@ -28,7 +28,6 @@ pub use config::{
     CompactionMode, CpuCostModel, EngineConfig, IndexMutability, IndexPlacement, LiveConfig,
 };
 pub use engine::SearchEngine;
-pub use flashsim::ComputeStats;
 pub use payload::CachedResult;
 pub use report::{FlashReport, RunReport};
 pub use searchidx::PostingsBackend;
@@ -37,4 +36,3 @@ pub use serving::{
     ServingReport, ServingSim, ShedPolicy,
 };
 pub use situations::{Situation, SituationTable};
-pub use storagecore::{BusStats, OffloadDescriptor, OffloadMode};

@@ -31,5 +31,5 @@ pub mod ssd;
 
 pub use ftl::{BlockMapFtl, Dftl, FastFtl, Ftl, FtlError, PageMapFtl};
 pub use nand::{Nand, NandStats, PageContent};
-pub use params::{ComputeParams, FlashParams, PAPER_BLOCK_BYTES, PAPER_PAGE_BYTES};
-pub use ssd::{ComputeStats, SsdDisk};
+pub use params::{FlashParams, PAPER_BLOCK_BYTES, PAPER_PAGE_BYTES};
+pub use ssd::SsdDisk;

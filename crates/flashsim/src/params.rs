@@ -9,50 +9,6 @@ pub const PAPER_PAGE_BYTES: u32 = 2048;
 /// Block size used throughout the paper: 64 pages × 2 KB = 128 KB.
 pub const PAPER_BLOCK_BYTES: u32 = 128 * 1024;
 
-/// Per-channel in-flash compute-unit parameters: the latency/energy
-/// model for near-data postings matching ("Search-in-Memory" style).
-///
-/// Each flash channel owns one compute unit that can scan pages as they
-/// come off the NAND and emit only the matching entries to the host.
-/// Scanning parallelizes across channels exactly like page transfers
-/// (the scan cost joins the per-page pool divided by `min(channels,
-/// pages)`); emitting serializes at the controller, so the per-match
-/// cost is charged once per emitted entry.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ComputeParams {
-    /// Time the compute unit spends scanning one page.
-    pub per_page_scan: SimDuration,
-    /// Time to emit one matching entry through the controller.
-    pub per_entry_emit: SimDuration,
-    /// Energy to scan one page, in nanojoules.
-    pub page_scan_energy_nj: u64,
-    /// Energy to emit one matching entry, in nanojoules.
-    pub entry_emit_energy_nj: u64,
-}
-
-impl ComputeParams {
-    /// The reference preset: zero-cost compute. In-flash execution is
-    /// then timing-neutral, which is what the Host↔InFlash bit-identity
-    /// gate runs under — the arms differ only in bus accounting.
-    pub fn reference() -> Self {
-        ComputeParams::default()
-    }
-
-    /// A plausible active preset for the offload sweeps: a streaming
-    /// comparator keeps up with roughly a quarter of the NAND page-read
-    /// time per page, each emitted entry costs 50 ns at the controller,
-    /// and energy follows published in-storage-scan estimates (order of
-    /// 100 nJ per 2 KB page scanned, 1 nJ per entry emitted).
-    pub fn active() -> Self {
-        ComputeParams {
-            per_page_scan: SimDuration::from_micros(8),
-            per_entry_emit: SimDuration::from_nanos(50),
-            page_scan_energy_nj: 100,
-            entry_emit_energy_nj: 1,
-        }
-    }
-}
-
 /// NAND + controller parameters.
 #[derive(Debug, Clone)]
 pub struct FlashParams {
@@ -80,9 +36,6 @@ pub struct FlashParams {
     /// GC is triggered when free blocks drop to this count, and runs until
     /// it exceeds it.
     pub gc_low_watermark: u64,
-    /// Per-channel in-flash compute units. Defaults to
-    /// [`ComputeParams::reference`] (zero-cost, timing-neutral).
-    pub compute: ComputeParams,
 }
 
 impl FlashParams {
@@ -108,7 +61,6 @@ impl FlashParams {
             controller_overhead: SimDuration::ZERO,
             channels: 1,
             gc_low_watermark: 2,
-            compute: ComputeParams::reference(),
         }
     }
 
@@ -126,7 +78,6 @@ impl FlashParams {
             controller_overhead: SimDuration::ZERO,
             channels: 1,
             gc_low_watermark: 1,
-            compute: ComputeParams::reference(),
         }
     }
 

@@ -1,33 +1,10 @@
 //! Sector-level adapter: an FTL behind the [`BlockDevice`] interface.
 
 use simclock::SimDuration;
-use storagecore::{
-    BlockDevice, Extent, Geometry, IoError, IoKind, IoRequest, IoStats, OffloadDescriptor,
-    OFFLOAD_DESCRIPTOR_BYTES,
-};
+use storagecore::{BlockDevice, Extent, Geometry, IoError, IoKind, IoStats};
 
 use crate::ftl::{Ftl, FtlError, PageMapFtl};
 use crate::params::FlashParams;
-
-/// Cumulative in-flash compute-unit accounting for one [`SsdDisk`].
-///
-/// The device-side view of the offload path: how much work the
-/// per-channel compute units did and what it cost in energy under the
-/// configured [`crate::ComputeParams`]. The host-side bus view lives in
-/// [`IoStats::bus`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ComputeStats {
-    /// Offload-carrying reads serviced.
-    pub offload_ops: u64,
-    /// Pages streamed through the compute units.
-    pub pages_scanned: u64,
-    /// Matching entries emitted to the host.
-    pub entries_emitted: u64,
-    /// Energy spent scanning, in nanojoules.
-    pub scan_energy_nj: u64,
-    /// Energy spent emitting matches, in nanojoules.
-    pub emit_energy_nj: u64,
-}
 
 /// A complete SSD: an FTL exposed as a sector-addressed block device.
 ///
@@ -42,7 +19,6 @@ pub struct SsdDisk<F = PageMapFtl> {
     ftl: F,
     geometry: Geometry,
     stats: IoStats,
-    compute: ComputeStats,
     /// Whether the most recent request triggered a NAND erase (GC or
     /// host trim): such work serializes the package, so the I/O pipeline
     /// must treat the request as a barrier across all channels.
@@ -54,14 +30,6 @@ impl SsdDisk<PageMapFtl> {
     /// requested logical capacity.
     pub fn paper(logical_bytes: u64) -> Self {
         Self::with_ftl(PageMapFtl::new(FlashParams::paper(logical_bytes)))
-    }
-
-    /// The paper's SSD with a wider channel count — the knob the queued
-    /// I/O path uses to overlap independent page operations.
-    pub fn paper_channels(logical_bytes: u64, channels: u32) -> Self {
-        let mut params = FlashParams::paper(logical_bytes);
-        params.channels = channels;
-        Self::with_ftl(PageMapFtl::new(params))
     }
 }
 
@@ -76,7 +44,6 @@ impl<F: Ftl> SsdDisk<F> {
             },
             ftl,
             stats: IoStats::new(),
-            compute: ComputeStats::default(),
             last_barrier: false,
         }
     }
@@ -84,25 +51,6 @@ impl<F: Ftl> SsdDisk<F> {
     /// The FTL, for scheme-specific statistics.
     pub fn ftl(&self) -> &F {
         &self.ftl
-    }
-
-    /// In-flash compute-unit accounting.
-    pub fn compute_stats(&self) -> &ComputeStats {
-        &self.compute
-    }
-
-    /// Test-only corruption hook: inflate the emitted-entry counter past
-    /// what the compute units scanned, so the `emitted-within-scanned`
-    /// validator provably fires.
-    #[doc(hidden)]
-    pub fn debug_corrupt_emitted_entries(&mut self, extra: u64) {
-        self.compute.entries_emitted += extra;
-    }
-
-    /// Test-only mutable stats access, for seeding ledger corruption.
-    #[doc(hidden)]
-    pub fn debug_stats_mut(&mut self) -> &mut IoStats {
-        &mut self.stats
     }
 
     /// Logical pages spanned by a sector extent.
@@ -113,12 +61,10 @@ impl<F: Ftl> SsdDisk<F> {
         (first, last + 1)
     }
 
-    /// The per-page NAND op loop shared by every request shape: plain
-    /// reads/writes and offload reads drive the FTL through this one
-    /// path, so their NAND counters, GC triggers and barrier detection
-    /// are identical by construction. Returns the page count and the
-    /// summed per-page latency (pre channel division).
-    fn execute<OP>(&mut self, extent: Extent, mut op: OP) -> Result<(u64, SimDuration), IoError>
+    /// Drive the FTL once per touched page, detect GC erases for the
+    /// pipeline barrier, and divide the summed page latency over the
+    /// channels the request spans.
+    fn run<OP>(&mut self, kind: IoKind, extent: Extent, mut op: OP) -> Result<SimDuration, IoError>
     where
         OP: FnMut(&mut F, u64) -> Result<SimDuration, FtlError>,
     {
@@ -137,59 +83,9 @@ impl<F: Ftl> SsdDisk<F> {
             })?;
         }
         self.last_barrier = self.ftl.nand().stats().block_erases > erases_before;
-        Ok((pages, total))
-    }
-
-    fn run<OP>(&mut self, kind: IoKind, extent: Extent, op: OP) -> Result<SimDuration, IoError>
-    where
-        OP: FnMut(&mut F, u64) -> Result<SimDuration, FtlError>,
-    {
-        let (pages, total) = self.execute(extent, op)?;
-        if kind == IoKind::Read {
-            // A plain read moves every touched page across the bus.
-            self.stats
-                .record_bus_read(pages * self.ftl.params().page_bytes as u64);
-        }
         let lanes = (self.ftl.params().channels as u64).min(pages).max(1);
         let latency = total / lanes;
         self.stats.record(kind, extent.sectors, latency);
-        Ok(latency)
-    }
-
-    /// Service a read whose matching runs in the per-channel compute
-    /// units: the NAND work is exactly a plain read's (same FTL path,
-    /// same GC, same barrier detection), the scan cost joins the
-    /// channel-parallel pool, and only the descriptor plus the matching
-    /// entries cross the bus. Under [`crate::ComputeParams::reference`]
-    /// the charged latency is bit-identical to a plain read of the same
-    /// extent.
-    fn offload_read(
-        &mut self,
-        extent: Extent,
-        desc: &OffloadDescriptor,
-    ) -> Result<SimDuration, IoError> {
-        let (pages, total) = self.execute(extent, |ftl, lpn| ftl.read(lpn))?;
-        let params = self.ftl.params();
-        let compute = params.compute;
-        let page_bytes = params.page_bytes as u64;
-        let channels = params.channels as u64;
-        let lanes = channels.min(pages).max(1);
-        let scan = compute.per_page_scan * pages;
-        let emit = compute.per_entry_emit * desc.emit_entries as u64;
-        let latency = (total + scan) / lanes + emit;
-        self.compute.offload_ops += 1;
-        self.compute.pages_scanned += pages;
-        self.compute.entries_emitted += desc.emit_entries as u64;
-        self.compute.scan_energy_nj += compute.page_scan_energy_nj * pages;
-        self.compute.emit_energy_nj += compute.entry_emit_energy_nj * desc.emit_entries as u64;
-        self.stats.record_bus_offload(
-            desc.scan_entries as u64,
-            desc.emit_entries as u64,
-            pages * page_bytes,
-            OFFLOAD_DESCRIPTOR_BYTES,
-            desc.emitted_bytes(),
-        );
-        self.stats.record(IoKind::Read, extent.sectors, latency);
         Ok(latency)
     }
 }
@@ -230,27 +126,7 @@ impl<F: Ftl> BlockDevice for SsdDisk<F> {
 
     fn reset_stats(&mut self) {
         self.stats.reset();
-        self.compute = ComputeStats::default();
         self.ftl.reset_stats();
-    }
-
-    fn request(&mut self, req: &IoRequest) -> Result<SimDuration, IoError> {
-        match (req.kind, req.offload.as_ref()) {
-            (IoKind::Read, Some(desc)) => self.offload_read(req.extent, desc),
-            _ => match req.kind {
-                IoKind::Read => self.read(req.extent),
-                IoKind::Write => self.write(req.extent),
-                IoKind::Trim => self.trim(req.extent),
-            },
-        }
-    }
-
-    fn supports_offload(&self) -> bool {
-        true
-    }
-
-    fn offload_page_bytes(&self) -> u64 {
-        self.ftl.params().page_bytes as u64
     }
 
     fn lanes(&self) -> u32 {
@@ -290,60 +166,6 @@ impl<F: Ftl> BlockDevice for SsdDisk<F> {
 impl<F: Ftl + invariant::Validate> invariant::Validate for SsdDisk<F> {
     fn validate(&self, report: &mut invariant::Report) {
         self.ftl.validate(report);
-        let subject = "SsdDisk";
-        let bus = self.stats.bus();
-        // The compute units can only emit entries they scanned.
-        report.check(
-            bus.offload_emitted_entries() <= bus.offload_scanned_entries(),
-            subject,
-            "emitted-within-scanned",
-            || {
-                format!(
-                    "{} entries emitted from {} scanned",
-                    bus.offload_emitted_entries(),
-                    bus.offload_scanned_entries()
-                )
-            },
-        );
-        // Bus-byte conservation: what the offloads saved is exactly the
-        // on-device page bytes minus what still crossed (descriptors down,
-        // matches back). Both sides are linear sums, so the identity holds
-        // for the accumulators iff it held for every request.
-        let crossed = (bus.offload_descriptor_bytes() + bus.offload_emitted_bytes()) as i64;
-        report.check(
-            bus.saved_bytes() == bus.offload_scanned_bytes() as i64 - crossed,
-            subject,
-            "bus-conservation",
-            || {
-                format!(
-                    "saved {} != scanned {} - crossed {}",
-                    bus.saved_bytes(),
-                    bus.offload_scanned_bytes(),
-                    crossed
-                )
-            },
-        );
-        // The device-side compute view and the host-side bus view count
-        // the same offloads.
-        let page_bytes = self.ftl.params().page_bytes as u64;
-        report.check(
-            self.compute.offload_ops == bus.offload_ops()
-                && self.compute.entries_emitted == bus.offload_emitted_entries()
-                && self.compute.pages_scanned * page_bytes == bus.offload_scanned_bytes(),
-            subject,
-            "compute-bus-agree",
-            || {
-                format!(
-                    "compute {{ops {}, emitted {}, pages {}}} vs bus {{ops {}, emitted {}, scanned bytes {}}}",
-                    self.compute.offload_ops,
-                    self.compute.entries_emitted,
-                    self.compute.pages_scanned,
-                    bus.offload_ops(),
-                    bus.offload_emitted_entries(),
-                    bus.offload_scanned_bytes()
-                )
-            },
-        );
     }
 }
 
@@ -477,116 +299,6 @@ mod tests {
         let (cc, ce) = (d.wait(c).unwrap(), d.wait(e).unwrap());
         assert!(ce.start_at > cc.start_at, "same lane serializes");
         assert_eq!(ce.start_at, cc.finish_at);
-    }
-
-    #[test]
-    fn offload_read_is_timing_neutral_under_reference_compute() {
-        use invariant::Validate;
-        let mut host = ssd();
-        let mut offl = ssd();
-        for d in [&mut host, &mut offl] {
-            d.write(Extent::new(0, 8)).unwrap(); // pages 0-1
-        }
-        let desc = OffloadDescriptor::new(0, 1000, 0, 8).with_counts(512, 16);
-        let th = host.read(Extent::new(0, 8)).unwrap();
-        let to = offl
-            .request(&IoRequest::read(Extent::new(0, 8)).with_offload(desc))
-            .unwrap();
-        assert_eq!(th, to, "reference compute is timing-neutral");
-        assert_eq!(
-            host.ftl().nand().stats(),
-            offl.ftl().nand().stats(),
-            "identical NAND work"
-        );
-        assert_eq!(
-            host.stats().kind(IoKind::Read),
-            offl.stats().kind(IoKind::Read),
-            "identical kind accounting"
-        );
-        // Only the bus ledger differs: the host arm moved both pages,
-        // the offload arm moved a descriptor plus 16 x 8-byte matches.
-        assert_eq!(host.stats().bus().read_page_bytes(), 4096);
-        assert_eq!(host.stats().bus().offload_ops(), 0);
-        assert_eq!(offl.stats().bus().read_page_bytes(), 0);
-        assert_eq!(offl.stats().bus().offload_ops(), 1);
-        assert_eq!(offl.stats().bus().offload_scanned_bytes(), 4096);
-        assert_eq!(offl.stats().bus().offload_descriptor_bytes(), 24);
-        assert_eq!(offl.stats().bus().offload_emitted_bytes(), 128);
-        assert_eq!(offl.stats().bus().saved_bytes(), 4096 - 24 - 128);
-        assert_eq!(offl.compute_stats().offload_ops, 1);
-        assert_eq!(offl.compute_stats().pages_scanned, 2);
-        assert_eq!(offl.compute_stats().entries_emitted, 16);
-        let report = offl.validation_report();
-        assert!(report.is_clean(), "{}", report.summary());
-    }
-
-    #[test]
-    fn active_compute_charges_scan_and_emit() {
-        let mut params = FlashParams::tiny(8);
-        params.channels = 2;
-        params.compute = crate::params::ComputeParams {
-            per_page_scan: SimDuration::from_micros(8),
-            per_entry_emit: SimDuration::from_nanos(50),
-            page_scan_energy_nj: 100,
-            entry_emit_energy_nj: 1,
-        };
-        let mut d = SsdDisk::with_ftl(PageMapFtl::new(params));
-        d.write(Extent::new(0, 8)).unwrap(); // pages 0-1
-        let desc = OffloadDescriptor::new(0, 1000, 0, 8).with_counts(512, 10);
-        let t = d
-            .request(&IoRequest::read(Extent::new(0, 8)).with_offload(desc))
-            .unwrap();
-        // (2 x 25us read + 2 x 8us scan) / 2 lanes + 10 x 50ns emit.
-        assert_eq!(
-            t,
-            SimDuration::from_nanos((2 * 25_000 + 2 * 8_000) / 2 + 10 * 50)
-        );
-        assert_eq!(d.compute_stats().scan_energy_nj, 200);
-        assert_eq!(d.compute_stats().emit_energy_nj, 10);
-    }
-
-    #[test]
-    fn plain_request_ignores_no_descriptor_and_writes_never_offload() {
-        let mut d = ssd();
-        d.write(Extent::new(0, 4)).unwrap();
-        // A descriptor on a write is ignored: the default kind dispatch
-        // services it as a plain write.
-        let desc = OffloadDescriptor::new(0, 10, 0, 8);
-        d.request(&IoRequest::write(Extent::new(0, 4)).with_offload(desc))
-            .unwrap();
-        assert_eq!(d.stats().bus().offload_ops(), 0);
-        assert!(d.supports_offload());
-        assert_eq!(d.offload_page_bytes(), 2048);
-    }
-
-    #[test]
-    fn corrupted_emitted_counter_trips_the_validator() {
-        use invariant::Validate;
-        let mut d = ssd();
-        d.write(Extent::new(0, 4)).unwrap();
-        let desc = OffloadDescriptor::new(0, 100, 0, 8).with_counts(256, 4);
-        d.request(&IoRequest::read(Extent::new(0, 4)).with_offload(desc))
-            .unwrap();
-        assert!(d.validation_report().is_clean());
-        // Claim the compute units emitted more than the bus ledger saw.
-        d.debug_corrupt_emitted_entries(1_000_000);
-        let report = d.validation_report();
-        let hit: Vec<_> = report.violations().iter().map(|v| v.invariant).collect();
-        assert!(hit.contains(&"compute-bus-agree"), "{}", report.summary());
-    }
-
-    #[test]
-    fn corrupted_bus_ledger_trips_conservation() {
-        use invariant::Validate;
-        let mut d = ssd();
-        d.write(Extent::new(0, 4)).unwrap();
-        let desc = OffloadDescriptor::new(0, 100, 0, 8).with_counts(256, 4);
-        d.request(&IoRequest::read(Extent::new(0, 4)).with_offload(desc))
-            .unwrap();
-        d.debug_stats_mut().debug_corrupt_bus_saved(512);
-        let report = d.validation_report();
-        let hit: Vec<_> = report.violations().iter().map(|v| v.invariant).collect();
-        assert!(hit.contains(&"bus-conservation"), "{}", report.summary());
     }
 
     #[test]

@@ -108,24 +108,6 @@ pub trait BlockDevice {
         }
     }
 
-    // --- Near-data compute hooks (defaults model a plain device) ---
-
-    /// Whether the device evaluates [`IoRequest::offload`] predicates in
-    /// its per-channel compute units. Devices answering `false` (the
-    /// default) service an offload-carrying read as a plain page read;
-    /// callers should only attach descriptors when this answers `true`.
-    fn supports_offload(&self) -> bool {
-        false
-    }
-
-    /// Bus-transfer granularity of a plain read, in bytes: a host-side
-    /// read always moves whole multiples of this across the bus, which is
-    /// the quantity an in-flash scan saves. Devices without a page
-    /// structure report the sector size.
-    fn offload_page_bytes(&self) -> u64 {
-        crate::types::SECTOR_SIZE as u64
-    }
-
     // --- Pipeline topology hooks (defaults model a single-lane device) ---
 
     /// Number of independent service lanes (flash channels, …). The

@@ -19,11 +19,8 @@ pub mod trace;
 pub mod types;
 
 pub use device::{BlockDevice, IoError};
-pub use queue::{
-    IoCompletion, IoRequest, OffloadDescriptor, OffloadMode, PipelinedDevice, SchedulerPolicy,
-    OFFLOAD_DESCRIPTOR_BYTES,
-};
+pub use queue::{IoCompletion, IoRequest, PipelinedDevice, SchedulerPolicy};
 pub use ramdisk::RamDisk;
-pub use stats::{BusStats, IoStats, QueueDepthStats};
+pub use stats::{IoStats, QueueDepthStats};
 pub use trace::{IoEvent, NullSink, TraceSink, VecSink};
 pub use types::{Extent, Geometry, IoKind, Lba, SECTOR_SIZE};

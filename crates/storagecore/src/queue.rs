@@ -66,73 +66,6 @@ pub enum SchedulerPolicy {
     Elevator,
 }
 
-/// Where postings matching runs for cache-SSD reads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OffloadMode {
-    /// Host-side matching over full pages — the seed path, kept
-    /// verbatim as the oracle.
-    Host,
-    /// Near-data matching: the device's per-channel compute units scan
-    /// the addressed pages and only matching entries cross the bus.
-    InFlash,
-}
-
-/// Wire size of one serialized [`OffloadDescriptor`]: six little-endian
-/// `u32` words. This is what the descriptor costs to push across the bus
-/// alongside the read command.
-pub const OFFLOAD_DESCRIPTOR_BYTES: u64 = 24;
-
-/// The intersection/filter predicate a read carries down to the device's
-/// compute units, plus the entry accounting the host planned for it.
-///
-/// The descriptor is deliberately flat — six words — so the in-flash
-/// evaluator stays a linear scan: decode each entry in the addressed
-/// extent, keep it iff `first_doc <= doc <= last_doc` and
-/// `tf >= tf_bound`. The engine fills it from a query's scanned prefix
-/// (doc range + the boundary posting's tf); it is charged, never run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OffloadDescriptor {
-    /// Smallest document id the predicate admits.
-    pub first_doc: u32,
-    /// Largest document id the predicate admits.
-    pub last_doc: u32,
-    /// Minimum term frequency the predicate admits (block-max filter).
-    pub tf_bound: u32,
-    /// Entries the compute unit will scan in the addressed extent.
-    pub scan_entries: u32,
-    /// Entries the predicate matches (known to the host oracle; the
-    /// device charges per-match emit cost and bus bytes from this).
-    pub emit_entries: u32,
-    /// Encoded size of one emitted entry in bytes.
-    pub entry_bytes: u32,
-}
-
-impl OffloadDescriptor {
-    /// A predicate template with the entry accounting still blank.
-    pub fn new(first_doc: u32, last_doc: u32, tf_bound: u32, entry_bytes: u32) -> Self {
-        OffloadDescriptor {
-            first_doc,
-            last_doc,
-            tf_bound,
-            scan_entries: 0,
-            emit_entries: 0,
-            entry_bytes,
-        }
-    }
-
-    /// The template with per-request scan/emit counts filled in.
-    pub fn with_counts(mut self, scan_entries: u32, emit_entries: u32) -> Self {
-        self.scan_entries = scan_entries;
-        self.emit_entries = emit_entries;
-        self
-    }
-
-    /// Bytes the matching entries occupy on the bus.
-    pub fn emitted_bytes(&self) -> u64 {
-        self.emit_entries as u64 * self.entry_bytes as u64
-    }
-}
-
 /// One block-level request in the explicit pipeline. This is the single
 /// request-construction path: trace replay, the schedulers and the
 /// synchronous convenience methods all build one of these.
@@ -145,10 +78,6 @@ pub struct IoRequest {
     /// Off the critical path: dispatches immediately (in submission
     /// order) and the submitter does not wait for its completion.
     pub background: bool,
-    /// In-flash predicate for reads: the device scans the extent and
-    /// only matching entries cross the bus. Devices that do not
-    /// advertise [`BlockDevice::supports_offload`] ignore it.
-    pub offload: Option<OffloadDescriptor>,
 }
 
 impl IoRequest {
@@ -158,7 +87,6 @@ impl IoRequest {
             kind,
             extent,
             background: false,
-            offload: None,
         }
     }
 
@@ -180,12 +108,6 @@ impl IoRequest {
     /// Mark the request as background work.
     pub fn background(mut self) -> Self {
         self.background = true;
-        self
-    }
-
-    /// Attach an in-flash predicate to the request.
-    pub fn with_offload(mut self, descriptor: OffloadDescriptor) -> Self {
-        self.offload = Some(descriptor);
         self
     }
 }
@@ -243,7 +165,6 @@ pub struct PipelinedDevice<D, S = NullSink> {
     pending: Vec<Pending>,
     done: Vec<IoCompletion>,
     lane_busy: Vec<SimTime>,
-    compute_busy: Vec<SimTime>,
     now: SimTime,
     next_id: u64,
     seq: u64,
@@ -264,7 +185,6 @@ impl<D: BlockDevice, S: TraceSink> PipelinedDevice<D, S> {
             pending: Vec::new(),
             done: Vec::new(),
             lane_busy: vec![SimTime::ZERO; lanes],
-            compute_busy: vec![SimTime::ZERO; lanes],
             now: SimTime::ZERO,
             next_id: 0,
             seq: 0,
@@ -276,11 +196,6 @@ impl<D: BlockDevice, S: TraceSink> PipelinedDevice<D, S> {
     /// The wrapped device.
     pub fn inner(&self) -> &D {
         &self.inner
-    }
-
-    /// Mutable access to the wrapped device.
-    pub fn inner_mut(&mut self) -> &mut D {
-        &mut self.inner
     }
 
     /// The trace sink.
@@ -462,21 +377,6 @@ impl<D: BlockDevice, S: TraceSink> PipelinedDevice<D, S> {
             let slot = &mut self.lane_busy[idx];
             *slot = (*slot).max(finish);
         }
-        // Offload-carrying requests also occupy the channel's compute
-        // unit until the completion returns; the compute horizon follows
-        // the same lane/barrier merge rules, so it can never outrun the
-        // lane it is attached to.
-        if request.offload.is_some() {
-            if barrier {
-                for b in &mut self.compute_busy {
-                    *b = (*b).max(finish);
-                }
-            } else if let Some(l) = lane {
-                let idx = l as usize % self.compute_busy.len();
-                let slot = &mut self.compute_busy[idx];
-                *slot = (*slot).max(finish);
-            }
-        }
         self.stats
             .record(request.kind, request.extent.sectors, service);
         self.stats
@@ -511,21 +411,6 @@ impl<D: BlockDevice, S: TraceSink> PipelinedDevice<D, S> {
             .copied()
             .max()
             .unwrap_or(SimTime::ZERO)
-    }
-
-    /// Per-channel compute-unit busy horizons (one per lane). A channel's
-    /// compute horizon never exceeds its lane horizon: compute only runs
-    /// as part of a dispatched request on that lane.
-    pub fn compute_busy(&self) -> &[SimTime] {
-        &self.compute_busy
-    }
-
-    /// Test-only corruption hook: push one compute horizon past its lane
-    /// horizon so the `compute-lane-agree` validator provably fires.
-    #[doc(hidden)]
-    pub fn debug_corrupt_compute_horizon(&mut self, lane: usize, ahead: SimDuration) {
-        let idx = lane % self.compute_busy.len();
-        self.compute_busy[idx] = self.lane_busy[idx] + ahead;
     }
 
     /// Synchronous dispatch: the host-observed response of a foreground
@@ -590,14 +475,6 @@ impl<D: BlockDevice, S: TraceSink> BlockDevice for PipelinedDevice<D, S> {
         self.inner.lanes()
     }
 
-    fn supports_offload(&self) -> bool {
-        self.inner.supports_offload()
-    }
-
-    fn offload_page_bytes(&self) -> u64 {
-        self.inner.offload_page_bytes()
-    }
-
     fn lane_of(&self, extent: Extent) -> Option<u32> {
         self.inner.lane_of(extent)
     }
@@ -638,29 +515,6 @@ impl<D: BlockDevice, S: TraceSink> Validate for PipelinedDevice<D, S> {
                 )
             },
         );
-        report.check(
-            self.compute_busy.len() == self.lane_busy.len(),
-            subject,
-            "compute-lane-count",
-            || {
-                format!(
-                    "{} compute horizons for {} lanes",
-                    self.compute_busy.len(),
-                    self.lane_busy.len()
-                )
-            },
-        );
-        // Compute units only run as part of a dispatched request on their
-        // lane, so a channel's compute horizon can never outrun the lane
-        // horizon that carried the work.
-        for (i, (&c, &l)) in self.compute_busy.iter().zip(&self.lane_busy).enumerate() {
-            report.check(c <= l, subject, "compute-lane-agree", || {
-                format!(
-                    "lane {i}: compute horizon {:?} beyond lane busy horizon {:?}",
-                    c, l
-                )
-            });
-        }
         report.check(
             self.pending.len() <= self.depth,
             subject,

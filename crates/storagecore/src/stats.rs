@@ -120,110 +120,6 @@ impl QueueDepthStats {
     }
 }
 
-/// Host-bus transfer accounting for devices with near-data compute.
-///
-/// A plain read moves whole pages across the bus; an offload-carrying
-/// read pushes one descriptor down and returns only the matching
-/// entries, while the scanned pages stay inside the device. The section
-/// is maintained by the device that actually owns the NAND (the
-/// pipeline wrapper's stats mirror stays bus-free so it remains
-/// bit-comparable across [`crate::OffloadMode`] arms).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BusStats {
-    read_page_bytes: u64,
-    offload_ops: u64,
-    offload_scanned_entries: u64,
-    offload_emitted_entries: u64,
-    offload_scanned_bytes: u64,
-    offload_descriptor_bytes: u64,
-    offload_emitted_bytes: u64,
-    saved_bytes: i64,
-}
-
-impl BusStats {
-    /// Page-granular bytes plain reads moved across the bus.
-    pub fn read_page_bytes(&self) -> u64 {
-        self.read_page_bytes
-    }
-
-    /// Offload-carrying reads serviced.
-    pub fn offload_ops(&self) -> u64 {
-        self.offload_ops
-    }
-
-    /// Entries the compute units scanned inside the device.
-    pub fn offload_scanned_entries(&self) -> u64 {
-        self.offload_scanned_entries
-    }
-
-    /// Matching entries returned to the host.
-    pub fn offload_emitted_entries(&self) -> u64 {
-        self.offload_emitted_entries
-    }
-
-    /// Page-granular bytes the scanned extents span — what a host-side
-    /// evaluation of the same reads would have moved across the bus.
-    /// These bytes stayed inside the device.
-    pub fn offload_scanned_bytes(&self) -> u64 {
-        self.offload_scanned_bytes
-    }
-
-    /// Descriptor bytes pushed down alongside offload reads.
-    pub fn offload_descriptor_bytes(&self) -> u64 {
-        self.offload_descriptor_bytes
-    }
-
-    /// Matching-entry bytes returned across the bus.
-    pub fn offload_emitted_bytes(&self) -> u64 {
-        self.offload_emitted_bytes
-    }
-
-    /// Net bus bytes the offloads saved versus servicing the same reads
-    /// as plain page reads. Negative when the predicate was so dense
-    /// that emitted entries plus descriptors outweighed the pages.
-    pub fn saved_bytes(&self) -> i64 {
-        self.saved_bytes
-    }
-
-    /// Total bytes that actually crossed the bus: plain page reads plus
-    /// offload descriptors and emitted entries.
-    pub fn host_crossed_bytes(&self) -> u64 {
-        self.read_page_bytes + self.offload_descriptor_bytes + self.offload_emitted_bytes
-    }
-
-    fn record_read(&mut self, page_bytes: u64) {
-        self.read_page_bytes += page_bytes;
-    }
-
-    fn record_offload(
-        &mut self,
-        scanned_entries: u64,
-        emitted_entries: u64,
-        scanned_bytes: u64,
-        descriptor_bytes: u64,
-        emitted_bytes: u64,
-    ) {
-        self.offload_ops += 1;
-        self.offload_scanned_entries += scanned_entries;
-        self.offload_emitted_entries += emitted_entries;
-        self.offload_scanned_bytes += scanned_bytes;
-        self.offload_descriptor_bytes += descriptor_bytes;
-        self.offload_emitted_bytes += emitted_bytes;
-        self.saved_bytes += scanned_bytes as i64 - (descriptor_bytes + emitted_bytes) as i64;
-    }
-
-    fn merge(&mut self, other: &BusStats) {
-        self.read_page_bytes += other.read_page_bytes;
-        self.offload_ops += other.offload_ops;
-        self.offload_scanned_entries += other.offload_scanned_entries;
-        self.offload_emitted_entries += other.offload_emitted_entries;
-        self.offload_scanned_bytes += other.offload_scanned_bytes;
-        self.offload_descriptor_bytes += other.offload_descriptor_bytes;
-        self.offload_emitted_bytes += other.offload_emitted_bytes;
-        self.saved_bytes += other.saved_bytes;
-    }
-}
-
 /// Cumulative statistics a [`crate::BlockDevice`] maintains.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IoStats {
@@ -232,7 +128,6 @@ pub struct IoStats {
     trim: KindStats,
     latency_hist: Histogram,
     queue: QueueDepthStats,
-    bus: BusStats,
 }
 
 impl IoStats {
@@ -263,42 +158,6 @@ impl IoStats {
     /// synchronously without a pipeline wrapper).
     pub fn queue(&self) -> &QueueDepthStats {
         &self.queue
-    }
-
-    /// Record the page-granular bus transfer of one plain read.
-    pub fn record_bus_read(&mut self, page_bytes: u64) {
-        self.bus.record_read(page_bytes);
-    }
-
-    /// Record one offload-carrying read's bus accounting.
-    pub fn record_bus_offload(
-        &mut self,
-        scanned_entries: u64,
-        emitted_entries: u64,
-        scanned_bytes: u64,
-        descriptor_bytes: u64,
-        emitted_bytes: u64,
-    ) {
-        self.bus.record_offload(
-            scanned_entries,
-            emitted_entries,
-            scanned_bytes,
-            descriptor_bytes,
-            emitted_bytes,
-        );
-    }
-
-    /// Host-bus transfer accounting (zero on devices without near-data
-    /// compute, and on pipeline-wrapper stat mirrors).
-    pub fn bus(&self) -> &BusStats {
-        &self.bus
-    }
-
-    /// Test-only corruption hook: skew the bus-savings ledger so the
-    /// `bus-conservation` validator provably fires.
-    #[doc(hidden)]
-    pub fn debug_corrupt_bus_saved(&mut self, delta: i64) {
-        self.bus.saved_bytes += delta;
     }
 
     /// Stats for one kind.
@@ -366,7 +225,6 @@ impl IoStats {
         }
         self.latency_hist.merge(&other.latency_hist);
         self.queue.merge(&other.queue);
-        self.bus.merge(&other.bus);
     }
 
     /// Zero everything.
@@ -457,34 +315,6 @@ mod tests {
         assert_eq!(s.queue().max_occupancy(), 5);
         s.reset();
         assert_eq!(s.queue(), &QueueDepthStats::default());
-    }
-
-    #[test]
-    fn bus_section_accumulates_and_merges() {
-        let mut s = IoStats::new();
-        s.record_bus_read(4096);
-        s.record_bus_read(2048);
-        // One selective offload: 2048 scanned bytes stay on-device, a
-        // 24-byte descriptor goes down, 10 matches x 8 bytes come back.
-        s.record_bus_offload(256, 10, 2048, 24, 80);
-        assert_eq!(s.bus().read_page_bytes(), 6144);
-        assert_eq!(s.bus().offload_ops(), 1);
-        assert_eq!(s.bus().offload_scanned_entries(), 256);
-        assert_eq!(s.bus().offload_emitted_entries(), 10);
-        assert_eq!(s.bus().offload_scanned_bytes(), 2048);
-        assert_eq!(s.bus().offload_descriptor_bytes(), 24);
-        assert_eq!(s.bus().offload_emitted_bytes(), 80);
-        assert_eq!(s.bus().saved_bytes(), 2048 - 104);
-        assert_eq!(s.bus().host_crossed_bytes(), 6144 + 104);
-        // A dense offload loses: emitted + descriptor > scanned pages.
-        let mut t = IoStats::new();
-        t.record_bus_offload(256, 256, 2048, 24, 2048);
-        assert_eq!(t.bus().saved_bytes(), -24);
-        s.merge(&t);
-        assert_eq!(s.bus().offload_ops(), 2);
-        assert_eq!(s.bus().saved_bytes(), (2048 - 104) - 24);
-        s.reset();
-        assert_eq!(s.bus(), &BusStats::default());
     }
 
     #[test]
