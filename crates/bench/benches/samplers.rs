@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use simclock::{dist::Discrete, Rng, Zipf};
+use simclock::{Rng, Zipf};
 
 fn bench_samplers(c: &mut Criterion) {
     let mut g = c.benchmark_group("samplers");
@@ -16,12 +16,6 @@ fn bench_samplers(c: &mut Criterion) {
     g.bench_function("xoshiro_u64", |b| {
         let mut rng = Rng::new(2);
         b.iter(|| black_box(rng.next_u64()));
-    });
-    g.bench_function("alias_table_1k", |b| {
-        let weights: Vec<f64> = (1..=1000).map(|i| 1.0 / i as f64).collect();
-        let d = Discrete::new(&weights);
-        let mut rng = Rng::new(3);
-        b.iter(|| black_box(d.sample(&mut rng)));
     });
     g.finish();
 }

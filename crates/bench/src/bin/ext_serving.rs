@@ -1,5 +1,5 @@
-//! Extension — serving load sweep (DESIGN.md §13, the simulated record is
-//! `BENCH_6.json`): seeded open-loop arrival streams at six offered loads
+//! Extension — serving load sweep (DESIGN.md §13; `BENCH_6.json` records
+//! these rows plus a `degraded` column that is 0 in every row): seeded open-loop arrival streams at six offered loads
 //! (0.4–1.5× the naive tier capacity calibrated in-run) across three
 //! scenarios, each served by a 2-shard × 2-replica tier under two
 //! front-ends — naive FIFO (one query per dispatch, no shedding) and
@@ -114,7 +114,6 @@ fn main() {
                     r.answered.to_string(),
                     r.shed.to_string(),
                     r.deadline_misses.to_string(),
-                    r.degraded.to_string(),
                     ms(r.mean_response),
                     ms(r.p50_response),
                     ms(r.p99_response),
@@ -146,7 +145,6 @@ fn main() {
             "answered",
             "shed",
             "deadline_misses",
-            "degraded",
             "mean_ms",
             "p50_ms",
             "p99_ms",

@@ -156,10 +156,10 @@ impl SegmentArena {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use searchidx::{GrowthPolicy, WriteSegment};
+    use searchidx::WriteSegment;
 
     fn sealed() -> SealedSegment {
-        let mut ws = WriteSegment::new(100, GrowthPolicy::Contiguous);
+        let mut ws = WriteSegment::new(100);
         for d in 0..20u32 {
             ws.add_doc(&[(d % 5, 1 + d % 3), (7, 2)]);
         }

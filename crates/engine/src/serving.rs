@@ -9,9 +9,9 @@
 //! blow through their deadlines when the offered load exceeds capacity.
 //!
 //! [`ServingSim`] puts that front-end in front of a replicated
-//! [`SearchCluster`]: a deadline-classed FIFO queue ([`FrontQueue`]),
-//! queue-aware admission (shed or degrade queries that are predicted to
-//! miss), batching into [`SearchCluster::execute_batch`] dispatches, and
+//! [`SearchCluster`]: a FIFO queue ([`FrontQueue`]), queue-aware
+//! admission (shed queries that are predicted to miss their deadline),
+//! batching into [`SearchCluster::execute_batch`] dispatches, and
 //! hedged re-issues to a second replica for queries whose primary is
 //! slow. Everything runs on virtual time: arrivals carry [`SimTime`]
 //! stamps, service times come from the simulated engines, and the whole
@@ -34,10 +34,6 @@ use workload::{Arrival, Query};
 use crate::cluster::SearchCluster;
 use crate::config::EngineConfig;
 
-/// Marks a degraded (term-truncated) rewrite of a query so its result
-/// cache entry never aliases the full query's.
-const DEGRADED_ID_BIT: u64 = 1 << 62;
-
 /// Smoothing factor for the front-end's EWMA service-time estimate.
 const SERVICE_EWMA_ALPHA: f64 = 0.2;
 
@@ -54,9 +50,6 @@ pub enum ShedPolicy {
     Admit,
     /// Drop the query at arrival; it is never dispatched.
     Drop,
-    /// Rewrite the query to its first term (a cheaper approximation)
-    /// and enqueue the degraded form instead of dropping it.
-    Degrade,
 }
 
 /// Front-end configuration of a [`ServingSim`].
@@ -65,13 +58,6 @@ pub struct OpenLoopConfig {
     /// Relative deadline applied to every arrival; `None` = infinite
     /// (nothing sheds, nothing counts as a miss).
     pub deadline: Option<SimDuration>,
-    /// Every `bulk_period`-th arrival is a "bulk" query whose deadline
-    /// is stretched by [`OpenLoopConfig::bulk_factor`], exercising the
-    /// second deadline class in [`FrontQueue`]. `0` disables bulk
-    /// traffic.
-    pub bulk_period: u64,
-    /// Deadline multiplier for bulk queries.
-    pub bulk_factor: u32,
     /// Maximum queries drained into one [`SearchCluster::execute_batch`]
     /// dispatch; batching amortizes `dispatch_overhead`.
     pub batch_max: usize,
@@ -96,8 +82,6 @@ impl OpenLoopConfig {
     pub fn reference() -> Self {
         OpenLoopConfig {
             deadline: None,
-            bulk_period: 0,
-            bulk_factor: 1,
             batch_max: 1,
             shed: ShedPolicy::Admit,
             hedge_after: None,
@@ -141,31 +125,16 @@ struct Pending {
     arrived: SimTime,
     /// Absolute deadline; `None` = infinite.
     deadline: Option<SimTime>,
-    /// Relative deadline in nanoseconds (`u64::MAX` = infinite) — the
-    /// deadline class this query files under.
-    class_key: u64,
-    /// Whether the admission gate rewrote this query to its degraded
-    /// form.
-    degraded: bool,
     query: Query,
 }
 
-/// One deadline class: queries sharing a relative deadline, in FIFO
-/// order.
-#[derive(Debug)]
-struct ClassQueue {
-    key: u64,
-    items: VecDeque<Pending>,
-}
-
-/// The front-end queue: a small set of deadline classes (ascending by
-/// relative deadline), FIFO within each class, earliest absolute
-/// deadline first across classes. Carries redundant length and
-/// enqueue/dequeue counters precisely so the [`Validate`] impl can
-/// cross-check them against the ground truth.
+/// The front-end queue: one FIFO. Every arrival carries the same
+/// relative deadline, so FIFO order is also earliest-deadline-first.
+/// Carries redundant length and enqueue/dequeue counters precisely so
+/// the [`Validate`] impl can cross-check them against the ground truth.
 #[derive(Debug, Default)]
 pub struct FrontQueue {
-    classes: Vec<ClassQueue>,
+    items: VecDeque<Pending>,
     len: usize,
     enqueued: u64,
     dequeued: u64,
@@ -173,54 +142,16 @@ pub struct FrontQueue {
 
 impl FrontQueue {
     fn push(&mut self, p: Pending) {
-        match self.classes.binary_search_by_key(&p.class_key, |c| c.key) {
-            Ok(i) => self.classes[i].items.push_back(p),
-            Err(i) => {
-                let mut items = VecDeque::new();
-                let key = p.class_key;
-                items.push_back(p);
-                self.classes.insert(i, ClassQueue { key, items });
-            }
-        }
+        self.items.push_back(p);
         self.len += 1;
         self.enqueued += 1;
     }
 
-    /// Pop the query with the earliest absolute deadline (EDF across
-    /// classes; FIFO within a class already yields ascending absolute
-    /// deadlines). Ties break toward the tighter class, then FIFO.
     fn pop_front(&mut self) -> Option<Pending> {
-        let mut best: Option<(usize, u64, u64)> = None; // (class idx, abs deadline, seq)
-        for (i, class) in self.classes.iter().enumerate() {
-            if let Some(front) = class.items.front() {
-                let abs = front.deadline.map_or(u64::MAX, SimTime::as_nanos);
-                let cand = (i, abs, front.seq);
-                let better = match best {
-                    None => true,
-                    Some((_, b_abs, b_seq)) => (abs, front.seq) < (b_abs, b_seq),
-                };
-                if better {
-                    best = Some(cand);
-                }
-            }
-        }
-        let (i, _, _) = best?;
-        let p = self.classes[i].items.pop_front()?;
+        let p = self.items.pop_front()?;
         self.len -= 1;
         self.dequeued += 1;
         Some(p)
-    }
-
-    /// Queries that would be served no later than a new arrival of the
-    /// given class (every queued query in a class at least as tight,
-    /// plus FIFO order within the class itself) — the `queue_ahead` term
-    /// of the admission predicate.
-    fn work_ahead_of(&self, class_key: u64) -> usize {
-        self.classes
-            .iter()
-            .filter(|c| c.key <= class_key)
-            .map(|c| c.items.len())
-            .sum()
     }
 
     /// Queued queries.
@@ -233,80 +164,46 @@ impl FrontQueue {
         self.len == 0
     }
 
-    /// Corruption hook for the audit tests: swap the first two entries
-    /// of the first class holding at least two, breaking FIFO order.
+    /// Corruption hook for the audit tests: swap the first two entries,
+    /// breaking FIFO order.
     #[doc(hidden)]
     pub fn corrupt_swap_front(&mut self) {
-        for class in &mut self.classes {
-            if class.items.len() >= 2 {
-                class.items.swap(0, 1);
-                return;
-            }
+        if self.items.len() >= 2 {
+            self.items.swap(0, 1);
         }
     }
 
     /// Corruption hook for the audit tests: desynchronize the redundant
-    /// length counter from the class contents.
+    /// length counter from the queue contents.
     #[doc(hidden)]
     pub fn corrupt_len(&mut self) {
         self.len += 1;
         self.enqueued += 1;
     }
-
-    /// Corruption hook for the audit tests: misfile the first queued
-    /// query under a class whose key disagrees with the entry.
-    #[doc(hidden)]
-    pub fn corrupt_class_key(&mut self) {
-        for class in &mut self.classes {
-            if let Some(front) = class.items.front_mut() {
-                front.class_key ^= 1;
-                return;
-            }
-        }
-    }
 }
 
 impl Validate for FrontQueue {
     fn validate(&self, report: &mut Report) {
-        let mut prev_key: Option<u64> = None;
-        let mut total = 0usize;
-        for class in &self.classes {
-            if let Some(pk) = prev_key {
-                report.check(pk < class.key, "FrontQueue", "classes-ascending", || {
-                    format!("class key {} follows {}", class.key, pk)
+        let mut prev_seq: Option<u64> = None;
+        for item in &self.items {
+            if let Some(ps) = prev_seq {
+                report.check(ps < item.seq, "FrontQueue", "fifo-order", || {
+                    format!("seq {} queued behind seq {}", item.seq, ps)
                 });
             }
-            prev_key = Some(class.key);
-            total += class.items.len();
-            let mut prev_seq: Option<u64> = None;
-            for item in &class.items {
-                report.check(
-                    item.class_key == class.key,
-                    "FrontQueue",
-                    "class-key-agrees",
-                    || {
-                        format!(
-                            "seq {} filed under class {} but carries key {}",
-                            item.seq, class.key, item.class_key
-                        )
-                    },
-                );
-                if let Some(ps) = prev_seq {
-                    report.check(ps < item.seq, "FrontQueue", "fifo-within-class", || {
-                        format!(
-                            "seq {} queued behind seq {} in class {}",
-                            item.seq, ps, class.key
-                        )
-                    });
-                }
-                prev_seq = Some(item.seq);
-            }
+            prev_seq = Some(item.seq);
         }
         report.check(
-            self.len == total,
+            self.len == self.items.len(),
             "FrontQueue",
             "queue-length-agrees",
-            || format!("len counter {} but classes hold {}", self.len, total),
+            || {
+                format!(
+                    "len counter {} but the queue holds {}",
+                    self.len,
+                    self.items.len()
+                )
+            },
         );
         report.check(
             self.enqueued - self.dequeued == self.len as u64,
@@ -444,9 +341,6 @@ pub enum Outcome {
         hedged: bool,
         /// Whether the duplicate finished first.
         hedge_won: bool,
-        /// Whether the admission gate rewrote the query to its degraded
-        /// form before dispatch.
-        degraded: bool,
     },
 }
 
@@ -492,8 +386,6 @@ pub struct ServingReport {
     pub answered: u64,
     /// Queries dropped by the admission gate.
     pub shed: u64,
-    /// Queries answered in degraded (term-truncated) form.
-    pub degraded: u64,
     /// Answered queries that finished past their deadline.
     pub deadline_misses: u64,
     /// `execute_batch` dispatches issued.
@@ -636,7 +528,6 @@ impl ServingSim {
     pub fn run(&mut self, arrivals: &[Arrival]) -> ServingReport {
         let cfg = self.open_loop;
         assert!(cfg.batch_max >= 1, "batches hold at least one query");
-        assert!(cfg.bulk_factor >= 1, "bulk factor stretches deadlines");
         let n = arrivals.len();
         let mut queue = FrontQueue::default();
         let mut ledger = OutcomeLedger::default();
@@ -742,9 +633,8 @@ impl ServingSim {
         best
     }
 
-    /// Admission gate: classify the arrival, predict its finish from the
-    /// queue state and the service estimate, and enqueue / shed /
-    /// degrade accordingly.
+    /// Admission gate: predict the arrival's finish from the queue state
+    /// and the service estimate, and enqueue or shed it accordingly.
     #[expect(
         clippy::too_many_arguments,
         reason = "each argument is one piece of the run loop's local state, borrowed separately"
@@ -760,15 +650,10 @@ impl ServingSim {
         records: &mut [Option<QueryRecord>],
         free_at: &[SimTime],
         est_ns: f64,
-    ) -> bool {
-        let bulk = cfg.bulk_period > 0 && seq % cfg.bulk_period == cfg.bulk_period - 1;
-        let rel = cfg
-            .deadline
-            .map(|d| if bulk { d * cfg.bulk_factor as u64 } else { d });
-        let class_key = rel.map_or(u64::MAX, |d| d.as_nanos());
-        let deadline = rel.map(|d| now + d);
+    ) {
+        let deadline = cfg.deadline.map(|d| now + d);
 
-        let predicted_miss = match (cfg.shed, rel) {
+        let predicted_miss = match (cfg.shed, cfg.deadline) {
             (ShedPolicy::Admit, _) | (_, None) => false,
             (_, Some(rel)) => {
                 if est_ns == 0.0 {
@@ -778,46 +663,30 @@ impl ServingSim {
                 } else {
                     let min_free = free_at.iter().copied().min().expect(">=1 replica");
                     let backlog_ns = min_free.since(now).as_nanos() as f64;
-                    let ahead = queue.work_ahead_of(class_key) as f64;
+                    let ahead = queue.len() as f64;
                     let wait_ns = backlog_ns + ahead * est_ns / free_at.len() as f64;
                     wait_ns + est_ns > rel.as_nanos() as f64
                 }
             }
         };
 
-        let (query, degraded) = if predicted_miss {
-            match cfg.shed {
-                ShedPolicy::Drop => {
-                    ledger.shed(seq);
-                    records[seq as usize] = Some(QueryRecord {
-                        seq,
-                        arrived: now,
-                        deadline,
-                        outcome: Outcome::Shed,
-                    });
-                    return false;
-                }
-                ShedPolicy::Degrade => {
-                    let mut q = arrival.query.clone();
-                    q.terms.truncate(1);
-                    q.id |= DEGRADED_ID_BIT;
-                    (q, true)
-                }
-                ShedPolicy::Admit => unreachable!("Admit never predicts a miss"),
-            }
-        } else {
-            (arrival.query.clone(), false)
-        };
+        if predicted_miss {
+            ledger.shed(seq);
+            records[seq as usize] = Some(QueryRecord {
+                seq,
+                arrived: now,
+                deadline,
+                outcome: Outcome::Shed,
+            });
+            return;
+        }
 
         queue.push(Pending {
             seq,
             arrived: now,
             deadline,
-            class_key,
-            degraded,
-            query,
+            query: arrival.query.clone(),
         });
-        true
     }
 
     /// Drain up to `batch_max` queries into one `execute_batch` dispatch
@@ -903,7 +772,6 @@ impl ServingSim {
                     service,
                     hedged,
                     hedge_won,
-                    degraded: p.degraded,
                 },
             });
         }
@@ -940,7 +808,6 @@ impl ServingSim {
         let mut waits_ns = 0u128;
         let mut answered = 0u64;
         let mut shed = 0u64;
-        let mut degraded_n = 0u64;
         let mut misses = 0u64;
         let mut good = 0u64;
         let mut last_completion = SimTime::ZERO;
@@ -950,15 +817,11 @@ impl ServingSim {
                 Outcome::Answered {
                     dispatched,
                     completed,
-                    degraded,
                     ..
                 } => {
                     answered += 1;
                     responses.push(completed.since(r.arrived).as_nanos());
                     waits_ns += dispatched.since(r.arrived).as_nanos() as u128;
-                    if degraded {
-                        degraded_n += 1;
-                    }
                     if r.in_deadline() {
                         good += 1;
                     } else {
@@ -986,7 +849,6 @@ impl ServingSim {
             arrivals: self.records.len() as u64,
             answered,
             shed,
-            degraded: degraded_n,
             deadline_misses: misses,
             batches,
             mean_batch: if batches == 0 {
@@ -1024,9 +886,7 @@ mod tests {
         Pending {
             seq,
             arrived: SimTime::from_nanos(at_ns),
-            deadline: (rel_ns != u64::MAX).then(|| SimTime::from_nanos(at_ns + rel_ns)),
-            class_key: rel_ns,
-            degraded: false,
+            deadline: Some(SimTime::from_nanos(at_ns + rel_ns)),
             query: Query {
                 id: seq,
                 terms: vec![0],
@@ -1035,18 +895,19 @@ mod tests {
     }
 
     #[test]
-    fn the_front_queue_is_edf_across_classes_and_fifo_within() {
+    fn the_front_queue_is_fifo() {
         let mut q = FrontQueue::default();
-        q.push(pending(0, 0, 1_000)); // deadline 1000
-        q.push(pending(1, 10, 5_000)); // deadline 5010
-        q.push(pending(2, 20, 1_000)); // deadline 1020
-        q.push(pending(3, 30, 100)); // deadline 130
+        for seq in 0..4 {
+            q.push(pending(seq, seq * 10, 1_000));
+        }
         assert_eq!(q.len(), 4);
-        assert_eq!(q.work_ahead_of(1_000), 3); // classes 100 and 1000
+        assert_eq!(q.pop_front().map(|p| p.seq), Some(0));
+        q.push(pending(4, 40, 1_000));
+        assert!(q.validation_report().is_clean());
         let order: Vec<u64> = std::iter::from_fn(|| q.pop_front())
             .map(|p| p.seq)
             .collect();
-        assert_eq!(order, vec![3, 0, 2, 1]);
+        assert_eq!(order, vec![1, 2, 3, 4]);
         assert!(q.is_empty());
         assert!(q.validation_report().is_clean());
     }
@@ -1063,7 +924,7 @@ mod tests {
         assert!(report
             .violations()
             .iter()
-            .any(|v| v.invariant == "fifo-within-class"));
+            .any(|v| v.invariant == "fifo-order"));
 
         let mut q = FrontQueue::default();
         q.push(pending(0, 0, 1_000));
@@ -1073,15 +934,6 @@ mod tests {
             .violations()
             .iter()
             .any(|v| v.invariant == "queue-length-agrees"));
-
-        let mut q = FrontQueue::default();
-        q.push(pending(0, 0, 1_000));
-        q.corrupt_class_key();
-        let report = q.validation_report();
-        assert!(report
-            .violations()
-            .iter()
-            .any(|v| v.invariant == "class-key-agrees"));
     }
 
     #[test]

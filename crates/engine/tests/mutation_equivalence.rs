@@ -207,7 +207,7 @@ fn segmented_history_matches_unsegmented_history_on_match_sets() {
     let never = SegmentPolicy {
         seal_threshold_docs: u64::MAX,
         compact_fanin: usize::MAX,
-        growth: GrowthPolicy::Chained,
+        growth: GrowthPolicy::Contiguous,
     };
     let mut a = SearchEngine::new(live_with(
         base.clone(),

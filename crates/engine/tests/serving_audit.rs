@@ -9,9 +9,8 @@
 //! the owning validator on *real run state*; and a corrupted structure
 //! reaching an `audit!` site panics the process the way the in-run
 //! audits would. (Corruption cases that need queued entries — FIFO
-//! swaps, class-key misfiles, double outcomes on populated ledgers —
-//! live in the `serving` module's unit tests, which can reach the
-//! private mutators.)
+//! swaps, double outcomes on populated ledgers — live in the `serving`
+//! module's unit tests, which can reach the private mutators.)
 
 use engine::{EngineConfig, OpenLoopConfig, SearchCluster, ServingSim, ShedPolicy};
 use hybridcache::{HybridConfig, PolicyKind};
@@ -33,8 +32,6 @@ fn run_featured() -> ServingSim {
     };
     let oc = OpenLoopConfig {
         deadline: Some(mean * 5),
-        bulk_period: 5,
-        bulk_factor: 3,
         batch_max: 8,
         shed: ShedPolicy::Drop,
         hedge_after: Some(mean * 2),

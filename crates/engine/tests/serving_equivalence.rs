@@ -58,12 +58,10 @@ fn run_open(
 }
 
 /// A loaded configuration exercising every front-end feature at once:
-/// tight deadlines, a bulk class, batching, shedding and hedging.
+/// tight deadlines, batching, shedding and hedging.
 fn full_featured(mean: SimDuration) -> OpenLoopConfig {
     OpenLoopConfig {
         deadline: Some(mean * 6),
-        bulk_period: 7,
-        bulk_factor: 4,
         batch_max: 8,
         shed: ShedPolicy::Drop,
         hedge_after: Some(mean * 2),
@@ -93,13 +91,10 @@ fn reference_open_loop_services_match_closed_loop_responses() {
         let response = closed.execute(&a.query);
         match rec.outcome {
             Outcome::Answered {
-                service,
-                hedged,
-                degraded,
-                ..
+                service, hedged, ..
             } => {
                 assert_eq!(service, response, "service diverged at query {i}");
-                assert!(!hedged && !degraded, "reference config is plain FIFO");
+                assert!(!hedged, "reference config is plain FIFO");
             }
             Outcome::Shed => panic!("reference config never sheds (query {i})"),
         }
@@ -129,23 +124,6 @@ fn shedding_is_deterministic_and_only_fires_under_overload() {
         hot1.arrivals,
         "every arrival gets one outcome"
     );
-}
-
-#[test]
-fn degrade_answers_everything_in_cheaper_form_instead_of_dropping() {
-    let mean = mean_service(29);
-    let mut oc = OpenLoopConfig::batched(mean * 4, SimDuration::from_micros(200), 8);
-    oc.shed = ShedPolicy::Degrade;
-    let hot = arrivals(29, 3.0 / mean.as_secs_f64(), 500);
-    let (report, records) = run_open(29, 2, oc, &hot);
-    assert_eq!(report.shed, 0, "degrade never drops");
-    assert_eq!(report.answered, 500);
-    assert!(report.degraded > 0, "overload must degrade");
-    let flagged = records
-        .iter()
-        .filter(|r| matches!(r.outcome, Outcome::Answered { degraded: true, .. }))
-        .count() as u64;
-    assert_eq!(flagged, report.degraded);
 }
 
 #[test]

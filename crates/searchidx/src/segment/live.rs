@@ -52,7 +52,8 @@ pub struct SegmentPolicy {
     /// Compact once this many sealed segments accumulate (the oldest
     /// `compact_fanin` are merged).
     pub compact_fanin: usize,
-    /// How write-segment postings grow.
+    /// How write-segment postings grow (contiguous doubling is the
+    /// one policy).
     pub growth: GrowthPolicy,
 }
 
@@ -302,7 +303,7 @@ impl<B: IndexReader> LiveIndex<B> {
             policy,
             wal: WriteAheadLog::new(),
             sealed: Vec::new(),
-            write: WriteSegment::new(next_doc, policy.growth),
+            write: WriteSegment::new(next_doc),
             tombstones: FxHashSet::default(),
             dead: FxHashSet::default(),
             tombstones_cleared: 0,
@@ -344,7 +345,6 @@ impl<B: IndexReader> LiveIndex<B> {
             appended: self.growth_sealed.appended + self.write.growth_stats().appended,
             reallocs: self.growth_sealed.reallocs + self.write.growth_stats().reallocs,
             copied: self.growth_sealed.copied + self.write.growth_stats().copied,
-            chain_blocks: self.growth_sealed.chain_blocks + self.write.growth_stats().chain_blocks,
         };
         s
     }
@@ -480,11 +480,10 @@ impl<B: IndexReader> LiveIndex<B> {
         self.growth_sealed.appended += g.appended;
         self.growth_sealed.reallocs += g.reallocs;
         self.growth_sealed.copied += g.copied;
-        self.growth_sealed.chain_blocks += g.chain_blocks;
         let (lsn, wal_bytes) = self.wal.append(at, WalOp::Seal { segment: id, docs });
         self.wal.truncate_below(lsn);
         self.sealed.push(seg);
-        self.write = WriteSegment::new(self.next_doc, self.policy.growth);
+        self.write = WriteSegment::new(self.next_doc);
         self.stats.seals += 1;
         self.stats.seal_bytes += bytes;
         // Content of the merged view is unchanged (stable merge): the

@@ -30,4 +30,4 @@ pub use live::{
 };
 pub use sealed::{MergeStats, SealedSegment};
 pub use wal::{Lsn, WalOp, WalRecord, WriteAheadLog, WAL_HEADER_BYTES};
-pub use write::{GrowthPolicy, GrowthStats, WriteSegment, CHAIN_BLOCK};
+pub use write::{GrowthPolicy, GrowthStats, WriteSegment};

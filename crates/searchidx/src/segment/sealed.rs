@@ -273,10 +273,9 @@ impl Validate for SealedSegment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segment::write::GrowthPolicy;
 
     fn seg(id: SegmentId, base: DocId, docs: u32) -> SealedSegment {
-        let mut ws = WriteSegment::new(base, GrowthPolicy::Contiguous);
+        let mut ws = WriteSegment::new(base);
         for d in 0..docs {
             ws.add_doc(&[(d % 4, d % 3 + 1), (9, 1)]);
         }

@@ -1,23 +1,14 @@
 //! The in-memory write segment: where freshly ingested documents live
 //! until the segment seals.
 //!
-//! Per "Fast, Incremental Inverted Indexing in Main Memory for Web-Scale
-//! Collections", the interesting design axis is how per-term postings
-//! *grow* as documents stream in: contiguous arrays with doubling
-//! reallocation (fast scans, copy cost on growth) versus chained
-//! fixed-size blocks (no copies, pointer-chasing on scans). Both
-//! policies store **identical logical content** — the policy changes
-//! allocation/copy accounting (surfaced in [`GrowthStats`]) and
-//! wall-clock behaviour, never query results, which is what lets the
-//! mutation-equivalence suite compare them bit-for-bit.
+//! Each term's postings are one contiguous array whose capacity doubles
+//! on overflow; the copies that doubling costs are counted in
+//! [`GrowthStats`].
 
 use fxmap::FxHashMap;
 use invariant::{Report, Validate};
 
 use crate::types::{DocId, Posting, PostingList, TermId};
-
-/// Postings per chained block under [`GrowthPolicy::Chained`].
-pub const CHAIN_BLOCK: usize = 16;
 
 /// How a term's in-memory postings grow as documents arrive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -26,77 +17,40 @@ pub enum GrowthPolicy {
     /// (copying the existing postings).
     #[default]
     Contiguous,
-    /// A chain of fixed-size blocks; growth never copies, scans hop
-    /// between blocks.
-    Chained,
 }
 
-/// Allocation/copy ledger of a write segment — the measurable difference
-/// between the growth policies.
+/// Allocation/copy ledger of a write segment.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GrowthStats {
-    /// Postings appended (identical across policies).
+    /// Postings appended.
     pub appended: u64,
-    /// Contiguous: reallocations performed.
+    /// Reallocations performed.
     pub reallocs: u64,
-    /// Contiguous: postings copied by reallocations.
+    /// Postings copied by reallocations.
     pub copied: u64,
-    /// Chained: blocks allocated.
-    pub chain_blocks: u64,
-}
-
-/// A term's growing postings under one of the two policies. Logical
-/// content (insertion order) is policy-independent.
-#[derive(Debug, Clone)]
-enum TermPostings {
-    Contiguous(Vec<Posting>),
-    Chained(Vec<Vec<Posting>>),
-}
-
-impl TermPostings {
-    fn len(&self) -> usize {
-        match self {
-            TermPostings::Contiguous(v) => v.len(),
-            TermPostings::Chained(blocks) => blocks.iter().map(Vec::len).sum(),
-        }
-    }
-
-    fn collect(&self) -> Vec<Posting> {
-        match self {
-            TermPostings::Contiguous(v) => v.clone(),
-            TermPostings::Chained(blocks) => blocks.iter().flatten().copied().collect(),
-        }
-    }
 }
 
 /// The mutable head segment: accepts documents, serves canonical
 /// tf-descending lists for merge, and freezes into a sealed segment.
 #[derive(Debug, Clone)]
 pub struct WriteSegment {
-    policy: GrowthPolicy,
     /// First document slot owned by this segment.
     doc_base: DocId,
     /// Documents accepted so far.
     docs: u64,
-    postings: FxHashMap<TermId, TermPostings>,
+    postings: FxHashMap<TermId, Vec<Posting>>,
     stats: GrowthStats,
 }
 
 impl WriteSegment {
     /// An empty segment owning document slots from `doc_base`.
-    pub fn new(doc_base: DocId, policy: GrowthPolicy) -> Self {
+    pub fn new(doc_base: DocId) -> Self {
         WriteSegment {
-            policy,
             doc_base,
             docs: 0,
             postings: FxHashMap::default(),
             stats: GrowthStats::default(),
         }
-    }
-
-    /// The growth policy.
-    pub fn policy(&self) -> GrowthPolicy {
-        self.policy
     }
 
     /// Owned document slots `[base, base + docs)`.
@@ -125,34 +79,15 @@ impl WriteSegment {
         let doc = self.doc_base + self.docs as DocId;
         self.docs += 1;
         for &(term, tf) in terms {
-            let posting = Posting { doc, tf };
-            let slot = self
-                .postings
-                .entry(term)
-                .or_insert_with(|| match self.policy {
-                    GrowthPolicy::Contiguous => TermPostings::Contiguous(Vec::new()),
-                    GrowthPolicy::Chained => TermPostings::Chained(Vec::new()),
-                });
-            match slot {
-                TermPostings::Contiguous(v) => {
-                    if v.len() == v.capacity() {
-                        // Count the doubling copy explicitly (Vec would do
-                        // it implicitly; making it visible is the point).
-                        self.stats.reallocs += 1;
-                        self.stats.copied += v.len() as u64;
-                        v.reserve_exact((v.len()).max(1));
-                    }
-                    v.push(posting);
-                }
-                TermPostings::Chained(blocks) => {
-                    let need_block = blocks.last().is_none_or(|b| b.len() == CHAIN_BLOCK);
-                    if need_block {
-                        self.stats.chain_blocks += 1;
-                        blocks.push(Vec::with_capacity(CHAIN_BLOCK));
-                    }
-                    blocks.last_mut().expect("block just ensured").push(posting);
-                }
+            let v = self.postings.entry(term).or_default();
+            if v.len() == v.capacity() {
+                // Count the doubling copy explicitly (Vec would do it
+                // implicitly; making it visible is the point).
+                self.stats.reallocs += 1;
+                self.stats.copied += v.len() as u64;
+                v.reserve_exact((v.len()).max(1));
             }
+            v.push(Posting { doc, tf });
             self.stats.appended += 1;
         }
         doc
@@ -164,13 +99,9 @@ impl WriteSegment {
     }
 
     /// The segment's canonical (tf-descending, doc-ascending) list for
-    /// `term` — policy-independent by construction.
+    /// `term`.
     pub fn postings(&self, term: TermId) -> PostingList {
-        let raw = self
-            .postings
-            .get(&term)
-            .map(TermPostings::collect)
-            .unwrap_or_default();
+        let raw = self.postings.get(&term).cloned().unwrap_or_default();
         PostingList::new(term, raw)
     }
 
@@ -189,14 +120,7 @@ impl WriteSegment {
             doc: self.doc_base.wrapping_sub(1),
             tf: 1,
         };
-        match self
-            .postings
-            .entry(term)
-            .or_insert_with(|| TermPostings::Contiguous(Vec::new()))
-        {
-            TermPostings::Contiguous(v) => v.push(foreign),
-            TermPostings::Chained(blocks) => blocks.push(vec![foreign]),
-        }
+        self.postings.entry(term).or_default().push(foreign);
     }
 }
 
@@ -205,7 +129,7 @@ impl Validate for WriteSegment {
         let (lo, hi) = self.doc_range();
         let mut appended = 0u64;
         for (term, postings) in &self.postings {
-            for p in postings.collect() {
+            for p in postings {
                 appended += 1;
                 report.check(
                     p.doc >= lo && p.doc < hi,
@@ -241,8 +165,8 @@ impl Validate for WriteSegment {
 mod tests {
     use super::*;
 
-    fn fill(policy: GrowthPolicy) -> WriteSegment {
-        let mut ws = WriteSegment::new(100, policy);
+    fn fill() -> WriteSegment {
+        let mut ws = WriteSegment::new(100);
         for d in 0..40u32 {
             let terms: Vec<(TermId, u32)> = (0..=(d % 3)).map(|t| (t, d % 5 + 1)).collect();
             ws.add_doc(&terms);
@@ -251,25 +175,8 @@ mod tests {
     }
 
     #[test]
-    fn policies_store_identical_content() {
-        let a = fill(GrowthPolicy::Contiguous);
-        let b = fill(GrowthPolicy::Chained);
-        assert_eq!(a.doc_range(), b.doc_range());
-        assert_eq!(a.terms(), b.terms());
-        for t in a.terms() {
-            assert_eq!(a.postings(t), b.postings(t), "term {t}");
-        }
-        // But their allocation ledgers differ in kind.
-        assert!(a.growth_stats().reallocs > 0);
-        assert_eq!(a.growth_stats().chain_blocks, 0);
-        assert!(b.growth_stats().chain_blocks > 0);
-        assert_eq!(b.growth_stats().reallocs, 0);
-        assert_eq!(a.growth_stats().appended, b.growth_stats().appended);
-    }
-
-    #[test]
     fn doc_slots_are_sequential_from_base() {
-        let mut ws = WriteSegment::new(7, GrowthPolicy::Contiguous);
+        let mut ws = WriteSegment::new(7);
         assert_eq!(ws.add_doc(&[(0, 1)]), 7);
         assert_eq!(ws.add_doc(&[(0, 2)]), 8);
         assert_eq!(ws.doc_range(), (7, 9));
@@ -278,7 +185,7 @@ mod tests {
 
     #[test]
     fn foreign_doc_trips_the_validator() {
-        let mut ws = fill(GrowthPolicy::Chained);
+        let mut ws = fill();
         assert!(ws.validation_report().is_clean());
         ws.debug_plant_foreign_doc(0);
         let report = ws.validation_report();

@@ -35,11 +35,11 @@ fn base_docs() -> Vec<Vec<TermId>> {
         .collect()
 }
 
-fn policy(seal: u64, fanin: usize, growth: GrowthPolicy) -> SegmentPolicy {
+fn policy(seal: u64, fanin: usize) -> SegmentPolicy {
     SegmentPolicy {
         seal_threshold_docs: seal,
         compact_fanin: fanin,
-        growth,
+        growth: GrowthPolicy::Contiguous,
     }
 }
 
@@ -89,10 +89,7 @@ fn pristine_live_index_delegates_bit_identically() {
 
 #[test]
 fn ingested_docs_become_visible_and_deletes_hide() {
-    let mut live = LiveIndex::new(
-        MemIndex::from_docs(base_docs()),
-        policy(4, 3, GrowthPolicy::Contiguous),
-    );
+    let mut live = LiveIndex::new(MemIndex::from_docs(base_docs()), policy(4, 3));
     let t0 = SimTime::ZERO;
     let added = live.add_document(t0, &[(2, 5), (7, 1)]);
     assert!(!live.is_pristine());
@@ -135,7 +132,7 @@ fn ingested_docs_become_visible_and_deletes_hide() {
     assert!(live.validation_report().is_clean());
 }
 
-/// Deterministic mutation history used by the rebuild and growth tests.
+/// Deterministic mutation history used by the rebuild and split tests.
 fn scripted_history(live: &mut LiveIndex<MemIndex>, model: &mut Vec<Vec<TermId>>) {
     let t0 = SimTime::ZERO;
     let mut salt = 0x5EEDu32;
@@ -170,58 +167,31 @@ fn scripted_history(live: &mut LiveIndex<MemIndex>, model: &mut Vec<Vec<TermId>>
 
 #[test]
 fn ingest_then_query_matches_rebuild_from_scratch() {
-    for growth in [GrowthPolicy::Contiguous, GrowthPolicy::Chained] {
-        let mut live = LiveIndex::new(MemIndex::from_docs(base_docs()), policy(16, 3, growth));
-        let mut model = base_docs();
-        scripted_history(&mut live, &mut model);
-        assert!(live.validation_report().is_clean(), "{growth:?}");
+    let mut live = LiveIndex::new(MemIndex::from_docs(base_docs()), policy(16, 3));
+    let mut model = base_docs();
+    scripted_history(&mut live, &mut model);
+    assert!(live.validation_report().is_clean());
+    assert!(live.stats().growth.reallocs > 0, "doubling is counted");
 
-        let rebuilt = MemIndex::from_docs(model.clone());
-        for t in 0..25u32 {
-            // Match sets (docs and tfs) must agree exactly; order may
-            // differ (merge priority vs. rebuild order), so compare
-            // doc-sorted.
-            let mut a: Vec<Posting> = live.postings(t).postings().to_vec();
-            let mut b: Vec<Posting> = rebuilt.postings(t).postings().to_vec();
-            a.sort_unstable_by_key(|p| p.doc);
-            b.sort_unstable_by_key(|p| p.doc);
-            assert_eq!(a, b, "term {t} under {growth:?}");
-            assert_eq!(live.doc_freq(t), rebuilt.doc_freq(t));
-        }
-        // Document-slot model: deletes never shrink the collection.
-        assert_eq!(live.num_docs(), model.len() as u64);
-    }
-}
-
-#[test]
-fn growth_policies_produce_identical_views() {
-    let mut a = LiveIndex::new(
-        MemIndex::from_docs(base_docs()),
-        policy(16, 3, GrowthPolicy::Contiguous),
-    );
-    let mut b = LiveIndex::new(
-        MemIndex::from_docs(base_docs()),
-        policy(16, 3, GrowthPolicy::Chained),
-    );
-    let (mut ma, mut mb) = (base_docs(), base_docs());
-    scripted_history(&mut a, &mut ma);
-    scripted_history(&mut b, &mut mb);
+    let rebuilt = MemIndex::from_docs(model.clone());
     for t in 0..25u32 {
-        assert_eq!(a.postings(t), b.postings(t), "term {t}");
-        assert_eq!(a.split_usage(t, 10), b.split_usage(t, 10));
+        // Match sets (docs and tfs) must agree exactly; order may
+        // differ (merge priority vs. rebuild order), so compare
+        // doc-sorted.
+        let mut a: Vec<Posting> = live.postings(t).postings().to_vec();
+        let mut b: Vec<Posting> = rebuilt.postings(t).postings().to_vec();
+        a.sort_unstable_by_key(|p| p.doc);
+        b.sort_unstable_by_key(|p| p.doc);
+        assert_eq!(a, b, "term {t}");
+        assert_eq!(live.doc_freq(t), rebuilt.doc_freq(t));
     }
-    let (sa, sb) = (a.stats(), b.stats());
-    assert_eq!(sa.growth.appended, sb.growth.appended);
-    assert!(sa.growth.reallocs > 0 && sa.growth.chain_blocks == 0);
-    assert!(sb.growth.chain_blocks > 0 && sb.growth.reallocs == 0);
+    // Document-slot model: deletes never shrink the collection.
+    assert_eq!(live.num_docs(), model.len() as u64);
 }
 
 #[test]
 fn split_usage_accounts_every_scanned_posting() {
-    let mut live = LiveIndex::new(
-        MemIndex::from_docs(base_docs()),
-        policy(8, 3, GrowthPolicy::Contiguous),
-    );
+    let mut live = LiveIndex::new(MemIndex::from_docs(base_docs()), policy(8, 3));
     let mut model = base_docs();
     scripted_history(&mut live, &mut model);
     for t in 0..25u32 {
@@ -254,10 +224,7 @@ fn split_usage_accounts_every_scanned_posting() {
 
 #[test]
 fn wal_checkpoints_on_seal_but_keeps_lifetime_ledger() {
-    let mut live = LiveIndex::new(
-        MemIndex::from_docs(base_docs()),
-        policy(8, 100, GrowthPolicy::Contiguous),
-    );
+    let mut live = LiveIndex::new(MemIndex::from_docs(base_docs()), policy(8, 100));
     for i in 0..20u32 {
         live.add_document(SimTime::from_nanos(i as u64), &[(i % 5, 1)]);
         if live.seal_due() {
@@ -293,10 +260,7 @@ fn wal_corruption_is_detected() {
 
 #[test]
 fn segment_overlap_is_detected() {
-    let mut live = LiveIndex::new(
-        MemIndex::from_docs(base_docs()),
-        policy(4, 100, GrowthPolicy::Contiguous),
-    );
+    let mut live = LiveIndex::new(MemIndex::from_docs(base_docs()), policy(4, 100));
     for i in 0..8u32 {
         live.add_document(SimTime::ZERO, &[(i % 3, 1)]);
         if live.seal_due() {
@@ -376,7 +340,7 @@ proptest! {
             .collect();
         let mut live = LiveIndex::new(
             MemIndex::from_docs(base.clone()),
-            policy(seal_threshold, fanin, GrowthPolicy::Chained),
+            policy(seal_threshold, fanin),
         );
         // The model: every doc's surviving (term, tf) pairs.
         let mut alive: FxHashMap<u32, Vec<(TermId, u32)>> = FxHashMap::default();
@@ -573,12 +537,10 @@ proptest! {
         ),
         seal_threshold in 2u64..12,
         fanin in 2usize..5,
-        chained in any::<bool>(),
     ) {
-        let growth = if chained { GrowthPolicy::Chained } else { GrowthPolicy::Contiguous };
         let mut live = LiveIndex::new(
             MemIndex::from_docs(wide_base()),
-            policy(seal_threshold, fanin, growth),
+            policy(seal_threshold, fanin),
         );
         let mut added: Vec<(DocId, Vec<(TermId, u32)>)> = Vec::new();
         let t0 = SimTime::ZERO;

@@ -2,10 +2,10 @@
 //!
 //! The paper's workloads are governed by Zipf-like popularity (Sec. III:
 //! "the access frequency of terms follows Zipf-like distribution"), so the
-//! central piece here is a fast, exact [`Zipf`] sampler. Document and
-//! inverted-list sizes are modelled with [`LogNormal`]; [`Exponential`] is
-//! used for inter-arrival jitter; [`Discrete`] samples arbitrary weighted
-//! categories via the alias method (O(1) per draw).
+//! central piece here is a fast, exact [`Zipf`] sampler: it draws query
+//! and term popularity, ingested documents' terms and the synthetic
+//! trace's address bands. [`Exponential`] draws the gaps between
+//! open-loop query arrivals and between ingest operations.
 
 use crate::rng::Rng;
 
@@ -128,38 +128,6 @@ fn helper2(x: f64) -> f64 {
     }
 }
 
-/// Log-normal sampler: `exp(μ + σ·Z)` with `Z ~ N(0,1)` via Box–Muller.
-#[derive(Debug, Clone, Copy)]
-pub struct LogNormal {
-    mu: f64,
-    sigma: f64,
-}
-
-impl LogNormal {
-    /// Parameters are of the *underlying normal* (natural-log scale).
-    pub fn new(mu: f64, sigma: f64) -> Self {
-        assert!(sigma >= 0.0 && sigma.is_finite());
-        LogNormal { mu, sigma }
-    }
-
-    /// Draw a sample (always positive).
-    pub fn sample(&self, rng: &mut Rng) -> f64 {
-        (self.mu + self.sigma * standard_normal(rng)).exp()
-    }
-}
-
-/// One standard normal draw via the polar Box–Muller (Marsaglia) method.
-pub fn standard_normal(rng: &mut Rng) -> f64 {
-    loop {
-        let u = 2.0 * rng.next_f64() - 1.0;
-        let v = 2.0 * rng.next_f64() - 1.0;
-        let s = u * u + v * v;
-        if s > 0.0 && s < 1.0 {
-            return u * (-2.0 * s.ln() / s).sqrt();
-        }
-    }
-}
-
 /// Exponential(λ) sampler by inversion.
 #[derive(Debug, Clone, Copy)]
 pub struct Exponential {
@@ -177,79 +145,6 @@ impl Exponential {
     pub fn sample(&self, rng: &mut Rng) -> f64 {
         // 1 - U avoids ln(0).
         -(1.0 - rng.next_f64()).ln() / self.rate
-    }
-}
-
-/// Weighted discrete sampler using Vose's alias method: O(n) setup,
-/// O(1) per draw.
-#[derive(Debug, Clone)]
-pub struct Discrete {
-    prob: Vec<f64>,
-    alias: Vec<u32>,
-}
-
-impl Discrete {
-    /// Build from non-negative weights (at least one must be positive).
-    pub fn new(weights: &[f64]) -> Self {
-        assert!(!weights.is_empty(), "no categories");
-        assert!(
-            weights.len() <= u32::MAX as usize,
-            "too many categories for the alias table"
-        );
-        let total: f64 = weights.iter().sum();
-        assert!(
-            total > 0.0 && total.is_finite() && weights.iter().all(|&w| w >= 0.0),
-            "weights must be non-negative with a positive, finite sum"
-        );
-        let n = weights.len();
-        let mut prob = vec![0.0f64; n];
-        let mut alias = vec![0u32; n];
-        let mut scaled: Vec<f64> = weights.iter().map(|w| w * n as f64 / total).collect();
-        let mut small: Vec<u32> = Vec::new();
-        let mut large: Vec<u32> = Vec::new();
-        for (i, &p) in scaled.iter().enumerate() {
-            if p < 1.0 {
-                small.push(i as u32);
-            } else {
-                large.push(i as u32);
-            }
-        }
-        while !small.is_empty() && !large.is_empty() {
-            let s = small.pop().expect("checked non-empty");
-            let l = large.pop().expect("checked non-empty");
-            prob[s as usize] = scaled[s as usize];
-            alias[s as usize] = l;
-            scaled[l as usize] = (scaled[l as usize] + scaled[s as usize]) - 1.0;
-            if scaled[l as usize] < 1.0 {
-                small.push(l);
-            } else {
-                large.push(l);
-            }
-        }
-        for i in large.into_iter().chain(small) {
-            prob[i as usize] = 1.0;
-        }
-        Discrete { prob, alias }
-    }
-
-    /// Draw a category index.
-    pub fn sample(&self, rng: &mut Rng) -> usize {
-        let i = rng.next_index(self.prob.len());
-        if rng.next_f64() < self.prob[i] {
-            i
-        } else {
-            self.alias[i] as usize
-        }
-    }
-
-    /// Number of categories.
-    pub fn len(&self) -> usize {
-        self.prob.len()
-    }
-
-    /// Whether there are no categories (never true for a constructed table).
-    pub fn is_empty(&self) -> bool {
-        self.prob.is_empty()
     }
 }
 
@@ -331,70 +226,11 @@ mod tests {
     }
 
     #[test]
-    fn lognormal_median_is_respected() {
-        let d = LogNormal::new(100f64.ln(), 0.5);
-        let mut rng = Rng::new(5);
-        let mut xs: Vec<f64> = (0..50_001).map(|_| d.sample(&mut rng)).collect();
-        xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let median = xs[xs.len() / 2];
-        assert!((median / 100.0 - 1.0).abs() < 0.05, "median = {median}");
-    }
-
-    #[test]
-    fn lognormal_is_positive() {
-        let d = LogNormal::new(0.0, 2.0);
-        let mut rng = Rng::new(8);
-        assert!((0..10_000).all(|_| d.sample(&mut rng) > 0.0));
-    }
-
-    #[test]
     fn exponential_mean() {
         let d = Exponential::new(0.25); // mean 4
         let mut rng = Rng::new(10);
         let n = 100_000;
         let mean: f64 = (0..n).map(|_| d.sample(&mut rng)).sum::<f64>() / n as f64;
         assert!((mean - 4.0).abs() < 0.1, "mean = {mean}");
-    }
-
-    #[test]
-    fn discrete_matches_weights() {
-        let d = Discrete::new(&[1.0, 2.0, 3.0, 4.0]);
-        let mut rng = Rng::new(12);
-        let mut counts = [0u64; 4];
-        let n = 200_000;
-        for _ in 0..n {
-            counts[d.sample(&mut rng)] += 1;
-        }
-        for (i, &c) in counts.iter().enumerate() {
-            let expect = (i + 1) as f64 / 10.0;
-            let got = c as f64 / n as f64;
-            assert!((got - expect).abs() < 0.01, "cat {i}: {got} vs {expect}");
-        }
-    }
-
-    #[test]
-    fn discrete_zero_weight_category_never_sampled() {
-        let d = Discrete::new(&[1.0, 0.0, 1.0]);
-        let mut rng = Rng::new(14);
-        for _ in 0..10_000 {
-            assert_ne!(d.sample(&mut rng), 1);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn discrete_rejects_all_zero() {
-        Discrete::new(&[0.0, 0.0]);
-    }
-
-    #[test]
-    fn standard_normal_moments() {
-        let mut rng = Rng::new(33);
-        let n = 200_000;
-        let xs: Vec<f64> = (0..n).map(|_| standard_normal(&mut rng)).collect();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.01, "mean = {mean}");
-        assert!((var - 1.0).abs() < 0.02, "var = {var}");
     }
 }

@@ -7,9 +7,10 @@
 //!
 //! The crate also carries the deterministic RNG ([`rng::Rng`], a
 //! xoshiro256** generator seeded through SplitMix64) and the distribution
-//! samplers the workload generators need ([`dist::Zipf`],
-//! [`dist::LogNormal`], …). We implement these ourselves rather than pulling
-//! in `rand_distr`, keeping the dependency set to the sanctioned crates.
+//! samplers the workload generators need ([`dist::Zipf`] for popularity,
+//! [`dist::Exponential`] for arrival gaps). We implement these ourselves
+//! rather than pulling in `rand_distr`, keeping the dependency set to the
+//! sanctioned crates.
 
 pub mod dist;
 pub mod rng;

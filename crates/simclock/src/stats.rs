@@ -1,6 +1,6 @@
 //! Lightweight statistics accumulators shared by the simulators and the
 //! benchmark harness: running mean/variance, percentiles via a fixed-layout
-//! log-scale histogram, and a tiny moving average.
+//! log-scale histogram, and exact order statistics.
 
 use crate::time::SimDuration;
 
@@ -216,52 +216,6 @@ pub fn quantile_exact(samples: &mut [u64], q: f64) -> u64 {
     *samples.select_nth_unstable(rank).1
 }
 
-/// Fixed-window moving average over the last `window` observations.
-#[derive(Debug, Clone)]
-pub struct MovingAverage {
-    window: usize,
-    buf: Vec<f64>,
-    next: usize,
-    filled: bool,
-    sum: f64,
-}
-
-impl MovingAverage {
-    /// Create with a positive window length.
-    pub fn new(window: usize) -> Self {
-        assert!(window > 0);
-        MovingAverage {
-            window,
-            buf: vec![0.0; window],
-            next: 0,
-            filled: false,
-            sum: 0.0,
-        }
-    }
-
-    /// Push an observation and return the current average.
-    pub fn push(&mut self, x: f64) -> f64 {
-        self.sum += x - self.buf[self.next];
-        self.buf[self.next] = x;
-        self.next += 1;
-        if self.next == self.window {
-            self.next = 0;
-            self.filled = true;
-        }
-        self.value()
-    }
-
-    /// Current average over the observations seen so far (up to `window`).
-    pub fn value(&self) -> f64 {
-        let n = if self.filled { self.window } else { self.next };
-        if n == 0 {
-            0.0
-        } else {
-            self.sum / n as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -346,16 +300,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), 2);
         assert!((a.mean() - 252.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn moving_average_window() {
-        let mut m = MovingAverage::new(3);
-        assert_eq!(m.push(3.0), 3.0);
-        assert_eq!(m.push(6.0), 4.5);
-        assert_eq!(m.push(9.0), 6.0);
-        // Window slides: (6+9+12)/3
-        assert_eq!(m.push(12.0), 9.0);
     }
 
     #[test]

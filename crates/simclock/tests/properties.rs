@@ -1,7 +1,7 @@
 //! Property tests of the time, RNG and statistics primitives.
 
 use proptest::prelude::*;
-use simclock::{dist::Discrete, Histogram, Rng, RunningStats, SimDuration, Zipf};
+use simclock::{Histogram, Rng, RunningStats, SimDuration, Zipf};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -91,21 +91,6 @@ proptest! {
         prop_assert_eq!((da + db).as_nanos(), a + b);
         prop_assert_eq!((da - db).as_nanos(), a.saturating_sub(b));
         prop_assert_eq!(da.saturating_sub(db).as_nanos(), a.saturating_sub(b));
-    }
-
-    #[test]
-    fn discrete_never_picks_zero_weight(
-        weights in prop::collection::vec(0u32..100, 2..40),
-        seed: u64,
-    ) {
-        prop_assume!(weights.iter().any(|&w| w > 0));
-        let w: Vec<f64> = weights.iter().map(|&x| x as f64).collect();
-        let d = Discrete::new(&w);
-        let mut rng = Rng::new(seed);
-        for _ in 0..200 {
-            let i = d.sample(&mut rng);
-            prop_assert!(w[i] > 0.0, "picked zero-weight category {i}");
-        }
     }
 
     #[test]

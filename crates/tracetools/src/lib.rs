@@ -17,13 +17,11 @@
 //!   to measure how a device model serves a recorded workload.
 
 pub mod analyze;
-pub mod format;
 pub mod replay;
 pub mod stackdist;
 pub mod synth;
 
 pub use analyze::{QueueDepthProfile, TraceProfile};
-pub use format::{parse_trace, write_trace};
 pub use replay::replay;
 pub use stackdist::StackDistance;
 pub use synth::{umass_like, UmassSpec};

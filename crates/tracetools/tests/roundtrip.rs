@@ -1,11 +1,11 @@
 //! Trace round-trip: a submit/complete trace recorded by the event-driven
-//! pipeline, serialized to text, parsed back and replayed onto a fresh
-//! device must reproduce the original device's `IoStats` exactly.
+//! pipeline and replayed onto a fresh device must reproduce the original
+//! device's `IoStats` exactly.
 
 use hddsim::{HddDisk, HddParams};
 use simclock::{Rng, SimDuration, SimTime};
 use storagecore::{BlockDevice, Extent, IoRequest, PipelinedDevice, RamDisk, VecSink};
-use tracetools::{parse_trace, replay, write_trace, QueueDepthProfile};
+use tracetools::{replay, QueueDepthProfile};
 
 const RAM_LATENCY: SimDuration = SimDuration::from_micros(8);
 
@@ -47,12 +47,8 @@ fn record_queued_ram_trace() -> (PipelinedDevice<RamDisk, VecSink>, Vec<storagec
 fn queued_ram_trace_replays_to_identical_stats() {
     let (dev, events) = record_queued_ram_trace();
 
-    let text = write_trace(&events);
-    let parsed = parse_trace(&text).expect("own output parses");
-    assert_eq!(parsed, events, "serialization round-trips every field");
-
     let mut fresh = ram();
-    let report = replay(&mut fresh, &parsed);
+    let report = replay(&mut fresh, &events);
     assert_eq!(report.served, events.len() as u64);
     assert_eq!(report.rejected, 0);
     assert_eq!(
@@ -100,9 +96,8 @@ fn hdd_trace_replay_reproduces_seek_history() {
     assert_eq!(profile.max_outstanding, 1, "depth 1 never overlaps");
     assert_eq!(profile.total_wait, SimDuration::ZERO);
 
-    let parsed = parse_trace(&write_trace(&events)).expect("parses");
     let mut fresh = HddDisk::new(params);
-    let report = replay(&mut fresh, &parsed);
+    let report = replay(&mut fresh, &events);
     assert_eq!(report.served, 200);
     assert_eq!(fresh.stats(), rec.inner().stats());
     assert_eq!(fresh.head_position(), rec.inner().head_position());

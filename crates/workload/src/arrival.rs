@@ -8,22 +8,16 @@
 //! becomes tail latency **at an offered load**, not mean response per
 //! query. These generators produce that traffic: a deterministic stream
 //! of `(virtual timestamp, query)` pairs whose rate profile follows one
-//! of five canonical shapes:
+//! of three canonical shapes:
 //!
 //! * [`ArrivalKind::Poisson`] — homogeneous Poisson, the memoryless
 //!   baseline every queueing result assumes.
 //! * [`ArrivalKind::Bursty`] — a two-state Markov-modulated Poisson
 //!   process (MMPP-2): quiet and burst regimes with exponential dwell
 //!   times, the standard model for bursty web traffic.
-//! * [`ArrivalKind::Diurnal`] — a sinusoidal rate profile (day/night
-//!   cycle), generated exactly by Lewis–Shedler thinning.
 //! * [`ArrivalKind::FlashCrowd`] — a step spike: rate multiplies by a
-//!   factor inside one window (a breaking-news crowd), thinning again.
-//! * [`ArrivalKind::HotTermStorm`] — Poisson *timing*, skewed *content*:
-//!   inside periodic storm windows a configured share of queries collapse
-//!   onto the single hottest query, the everyone-searches-the-same-thing
-//!   event that stresses the result cache and the admission predicate
-//!   rather than raw capacity.
+//!   factor inside one window (a breaking-news crowd), generated exactly
+//!   by Lewis–Shedler thinning.
 //!
 //! Like the scenario logs, every process is a pure function of its seeds
 //! (simclock's seeded [`Rng`] and [`Exponential`] only — clippy's
@@ -65,16 +59,6 @@ pub enum ArrivalKind {
         /// Mean dwell time in each regime, in virtual seconds.
         mean_dwell_secs: f64,
     },
-    /// Sinusoidal rate `mean·(1 + amplitude·sin(2πt/period))` — the
-    /// day/night cycle, sampled exactly by thinning.
-    Diurnal {
-        /// Rate averaged over a full period.
-        mean_qps: f64,
-        /// Relative swing in `[0, 1)`; 0 degenerates to Poisson.
-        amplitude: f64,
-        /// Cycle length in virtual seconds.
-        period_secs: f64,
-    },
     /// Poisson at `base_qps` except inside `[spike_start, spike_start +
     /// spike_secs)`, where the rate steps to `base_qps · spike_factor`.
     FlashCrowd {
@@ -86,20 +70,6 @@ pub enum ArrivalKind {
         spike_start_secs: f64,
         /// Spike duration, in virtual seconds.
         spike_secs: f64,
-    },
-    /// Poisson timing at `rate_qps`; inside each periodic storm window
-    /// (`storm_secs` out of every `storm_period_secs`) a `storm_share`
-    /// fraction of queries are replaced by the single hottest query
-    /// (id 0).
-    HotTermStorm {
-        /// Arrival rate (timing is unaffected by the storm).
-        rate_qps: f64,
-        /// Storm recurrence period, in virtual seconds.
-        storm_period_secs: f64,
-        /// Storm length within each period, in virtual seconds.
-        storm_secs: f64,
-        /// Fraction of in-storm queries collapsed onto the hot query.
-        storm_share: f64,
     },
 }
 
@@ -114,17 +84,11 @@ impl ArrivalKind {
                 burst_qps,
                 ..
             } => base_qps.max(burst_qps),
-            ArrivalKind::Diurnal {
-                mean_qps,
-                amplitude,
-                ..
-            } => mean_qps * (1.0 + amplitude),
             ArrivalKind::FlashCrowd {
                 base_qps,
                 spike_factor,
                 ..
             } => base_qps * spike_factor,
-            ArrivalKind::HotTermStorm { rate_qps, .. } => rate_qps,
         }
     }
 
@@ -134,9 +98,7 @@ impl ArrivalKind {
         match self {
             ArrivalKind::Poisson { .. } => 0x0AEB_0001,
             ArrivalKind::Bursty { .. } => 0x0AEB_0002,
-            ArrivalKind::Diurnal { .. } => 0x0AEB_0003,
             ArrivalKind::FlashCrowd { .. } => 0x0AEB_0004,
-            ArrivalKind::HotTermStorm { .. } => 0x0AEB_0005,
         }
     }
 }
@@ -167,15 +129,6 @@ impl ArrivalProcess {
                 assert!(base_qps > 0.0 && burst_qps >= base_qps);
                 assert!(mean_dwell_secs > 0.0);
             }
-            ArrivalKind::Diurnal {
-                mean_qps,
-                amplitude,
-                period_secs,
-            } => {
-                assert!(mean_qps > 0.0);
-                assert!((0.0..1.0).contains(&amplitude), "amplitude in [0,1)");
-                assert!(period_secs > 0.0);
-            }
             ArrivalKind::FlashCrowd {
                 base_qps,
                 spike_factor,
@@ -185,29 +138,8 @@ impl ArrivalProcess {
                 assert!(base_qps > 0.0 && spike_factor >= 1.0);
                 assert!(spike_start_secs >= 0.0 && spike_secs > 0.0);
             }
-            ArrivalKind::HotTermStorm {
-                rate_qps,
-                storm_period_secs,
-                storm_secs,
-                storm_share,
-            } => {
-                assert!(rate_qps > 0.0);
-                assert!(storm_period_secs > 0.0 && storm_secs > 0.0);
-                assert!(storm_secs <= storm_period_secs, "storm fits its period");
-                assert!((0.0..=1.0).contains(&storm_share));
-            }
         }
         ArrivalProcess { log, kind }
-    }
-
-    /// The rate profile.
-    pub fn kind(&self) -> ArrivalKind {
-        self.kind
-    }
-
-    /// The query log content is drawn from.
-    pub fn log(&self) -> &QueryLog {
-        &self.log
     }
 
     /// Generate the first `n` arrivals. Timestamps are strictly
@@ -251,23 +183,6 @@ impl ArrivalProcess {
                     out.push(self.plain(&mut rng, t_ns));
                 }
             }
-            ArrivalKind::Diurnal {
-                mean_qps,
-                amplitude,
-                period_secs,
-            } => {
-                let peak = self.kind.peak_qps();
-                let exp = Exponential::new(peak);
-                while out.len() < n {
-                    t_ns += gap_ns(exp.sample(&mut rng));
-                    let phase = (t_ns as f64 / NS_PER_SEC) / period_secs;
-                    let rate =
-                        mean_qps * (1.0 + amplitude * (2.0 * std::f64::consts::PI * phase).sin());
-                    if rng.next_f64() < rate / peak {
-                        out.push(self.plain(&mut rng, t_ns));
-                    }
-                }
-            }
             ArrivalKind::FlashCrowd {
                 base_qps,
                 spike_factor,
@@ -288,35 +203,6 @@ impl ArrivalProcess {
                     if rng.next_f64() < rate / peak {
                         out.push(self.plain(&mut rng, t_ns));
                     }
-                }
-            }
-            ArrivalKind::HotTermStorm {
-                rate_qps,
-                storm_period_secs,
-                storm_secs,
-                storm_share,
-            } => {
-                let exp = Exponential::new(rate_qps);
-                let period_ns = (storm_period_secs * NS_PER_SEC) as u64;
-                let storm_ns = (storm_secs * NS_PER_SEC) as u64;
-                for _ in 0..n {
-                    t_ns += gap_ns(exp.sample(&mut rng));
-                    let in_storm = t_ns % period_ns < storm_ns;
-                    // Draw the storm coin before the content sample so
-                    // the RNG consumption schedule is fixed per arrival.
-                    let stormy = rng.next_f64() < storm_share;
-                    let query = if in_storm && stormy {
-                        Query {
-                            id: 0,
-                            terms: self.log.terms_of(0),
-                        }
-                    } else {
-                        self.log.sample(&mut rng)
-                    };
-                    out.push(Arrival {
-                        at: SimTime::from_nanos(t_ns),
-                        query,
-                    });
                 }
             }
         }
@@ -367,22 +253,11 @@ mod tests {
                 burst_qps: 1_000.0,
                 mean_dwell_secs: 0.5,
             },
-            ArrivalKind::Diurnal {
-                mean_qps: 400.0,
-                amplitude: 0.8,
-                period_secs: 2.0,
-            },
             ArrivalKind::FlashCrowd {
                 base_qps: 200.0,
                 spike_factor: 5.0,
                 spike_start_secs: 1.0,
                 spike_secs: 1.0,
-            },
-            ArrivalKind::HotTermStorm {
-                rate_qps: 500.0,
-                storm_period_secs: 2.0,
-                storm_secs: 0.5,
-                storm_share: 0.7,
             },
         ]
     }
@@ -404,17 +279,17 @@ mod tests {
     #[test]
     fn different_kinds_draw_decorrelated_streams() {
         let poisson = ArrivalProcess::new(log(), ArrivalKind::Poisson { rate_qps: 500.0 });
-        let storm = ArrivalProcess::new(
+        let flat = ArrivalProcess::new(
             log(),
-            ArrivalKind::HotTermStorm {
-                rate_qps: 500.0,
-                storm_period_secs: 10.0,
-                storm_secs: 0.001, // effectively never storms
-                storm_share: 0.0,
+            ArrivalKind::FlashCrowd {
+                base_qps: 500.0,
+                spike_factor: 1.0, // no spike: Poisson at the same rate
+                spike_start_secs: 0.0,
+                spike_secs: 1.0,
             },
         );
         let a: Vec<u64> = poisson.generate(200).iter().map(|x| x.query.id).collect();
-        let b: Vec<u64> = storm.generate(200).iter().map(|x| x.query.id).collect();
+        let b: Vec<u64> = flat.generate(200).iter().map(|x| x.query.id).collect();
         assert_ne!(a, b, "kind salt must decorrelate content draws");
     }
 
@@ -461,32 +336,6 @@ mod tests {
     }
 
     #[test]
-    fn diurnal_peak_half_outpaces_the_trough_half() {
-        let period = 2.0;
-        let p = ArrivalProcess::new(
-            log(),
-            ArrivalKind::Diurnal {
-                mean_qps: 400.0,
-                amplitude: 0.8,
-                period_secs: period,
-            },
-        );
-        let (mut peak, mut trough) = (0u64, 0u64);
-        for a in p.generate(6_000) {
-            let phase = (a.at.as_nanos() as f64 / NS_PER_SEC) % period / period;
-            if phase < 0.5 {
-                peak += 1; // sin > 0 half-period
-            } else {
-                trough += 1;
-            }
-        }
-        assert!(
-            peak as f64 > trough as f64 * 2.0,
-            "peak {peak} vs trough {trough}"
-        );
-    }
-
-    #[test]
     fn flash_crowd_spikes_inside_its_window() {
         let p = ArrivalProcess::new(
             log(),
@@ -511,44 +360,6 @@ mod tests {
             in_spike > base_second * 3,
             "spike {in_spike} vs base {base_second}"
         );
-    }
-
-    #[test]
-    fn hot_term_storm_concentrates_content_not_timing() {
-        let p = ArrivalProcess::new(
-            log(),
-            ArrivalKind::HotTermStorm {
-                rate_qps: 500.0,
-                storm_period_secs: 2.0,
-                storm_secs: 0.5,
-                storm_share: 0.7,
-            },
-        );
-        let arrivals = p.generate(8_000);
-        let (mut storm_hot, mut storm_n, mut calm_hot, mut calm_n) = (0u64, 0u64, 0u64, 0u64);
-        for a in &arrivals {
-            let in_storm = a.at.as_nanos() % 2_000_000_000 < 500_000_000;
-            let hot = a.query.id == 0;
-            if in_storm {
-                storm_n += 1;
-                storm_hot += hot as u64;
-            } else {
-                calm_n += 1;
-                calm_hot += hot as u64;
-            }
-        }
-        let storm_share = storm_hot as f64 / storm_n as f64;
-        let calm_share = calm_hot as f64 / calm_n as f64;
-        assert!(
-            storm_share > 0.5 && storm_share > calm_share * 3.0,
-            "storm {storm_share} vs calm {calm_share}"
-        );
-        // Hot queries keep the log's term mapping, so the engine sees a
-        // legitimate (cacheable) query, not a synthetic one.
-        let l = log();
-        for a in &arrivals {
-            assert_eq!(a.query.terms, l.terms_of(a.query.id));
-        }
     }
 
     #[test]
