@@ -76,13 +76,12 @@ fn bench_lru_cache(c: &mut Criterion) {
     reason = "measures the store's victim cascade below the admission gate on purpose"
 )]
 fn bench_victim_selection(c: &mut Criterion) {
-    const BLOCK: u64 = 128 * 1024;
+    const BLOCK: u64 = hybridcache::BLOCK_BYTES;
     let mut g = c.benchmark_group("victim_selection");
     g.bench_function("list_store_churn", |b| {
         b.iter_batched(
             || {
-                let s: ListStore<u32> =
-                    ListStore::new(SlotRegion::new(0, BLOCK, 256), BLOCK, true, 16, 0.0);
+                let s: ListStore<u32> = ListStore::new(SlotRegion::new(0, 256), true, 16, 0.0);
                 let dev = RamDisk::with_capacity_bytes(64 << 20, SimDuration::from_micros(10));
                 (s, dev, Rng::new(3))
             },
@@ -103,8 +102,7 @@ fn bench_victim_selection(c: &mut Criterion) {
     g.bench_function("mem_ev_churn", |b| {
         b.iter_batched(
             || {
-                let m: MemListCache<u32> =
-                    MemListCache::new(64 * 1024, PolicyKind::Cblru, 16, 1024);
+                let m: MemListCache<u32> = MemListCache::new(64 * 1024, PolicyKind::Cblru, 16);
                 (m, Rng::new(5))
             },
             |(mut m, mut rng)| {

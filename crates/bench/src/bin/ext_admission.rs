@@ -74,7 +74,7 @@ fn main() {
             let r = e.run_queries(&queries);
             let cache = r.cache.as_ref().expect("cached run");
             let m = e.cache().expect("cached config");
-            let s = m.admission_stats();
+            let s = m.admission().stats();
             rows.push(vec![
                 scenario.to_string(),
                 gate.to_string(),

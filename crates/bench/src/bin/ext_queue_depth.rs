@@ -12,7 +12,7 @@
 use bench::{cache_config, print_table};
 use engine::{EngineConfig, IndexPlacement, SearchEngine};
 use hybridcache::PolicyKind;
-use storagecore::SchedulerPolicy;
+use storagecore::{BlockDevice, SchedulerPolicy};
 
 const DOCS: u64 = 400_000;
 const QUERIES: usize = 30_000;
@@ -61,7 +61,11 @@ fn main() {
             if depth == 1 {
                 depth1_ns = mean_ns;
             }
-            let (index, cache) = (e.index_queue_stats(), e.cache_queue_stats());
+            let index = *e.index_io_stats().queue();
+            let cache = e
+                .cache()
+                .map(|c| *c.device().stats().queue())
+                .unwrap_or_default();
             rows.push(vec![
                 workload.to_string(),
                 depth.to_string(),

@@ -9,8 +9,6 @@ use hybridcache::{efficiency_value, sc_blocks};
 use searchidx::{CorpusSpec, IndexReader, SyntheticIndex, TopKConfig, TopKProcessor};
 use workload::{QueryLog, QueryLogSpec};
 
-const SB: u64 = 128 * 1024;
-
 fn main() {
     let scale = Scale::from_args();
     let index = SyntheticIndex::new(CorpusSpec::enwiki_like(scale.docs_5m(), 11));
@@ -36,7 +34,7 @@ fn main() {
         .values()
         .map(|&(freq, si, pu_sum)| {
             let pu = (pu_sum / freq as f64).min(1.0);
-            efficiency_value(freq, sc_blocks(si, pu, SB))
+            efficiency_value(freq, sc_blocks(si, pu))
         })
         .collect();
     evs.sort_by(|a, b| b.partial_cmp(a).expect("EVs are finite"));

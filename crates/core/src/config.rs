@@ -149,7 +149,26 @@ pub struct IntersectionConfig {
     pub pair_threshold: u64,
 }
 
-/// Full configuration.
+/// SSD block size `SB`: 128 KB in the paper, the unit of every cache
+/// write and the size of a result block (RB).
+pub const BLOCK_BYTES: u64 = 128 * 1024;
+
+/// Result-entry size: a top-50 result page is about 20 KB.
+pub const RESULT_ENTRY_BYTES: u64 = 20_000;
+
+// The paper's geometry, checked once by the compiler: blocks are whole
+// sectors, and an RB packs whole entries into one aligned block — the
+// rule that keeps every RB write one 128 KB request (Sec. VI-A). Entry
+// positions are stored as `u8`.
+const _: () = {
+    assert!(BLOCK_BYTES % storagecore::SECTOR_SIZE as u64 == 0);
+    assert!(HybridConfig::entries_per_rb() > 0);
+    assert!(HybridConfig::entries_per_rb() as u64 * RESULT_ENTRY_BYTES <= BLOCK_BYTES);
+    assert!(HybridConfig::entries_per_rb() <= u8::MAX as usize);
+};
+
+/// Full configuration. The cache file starts at LBA 0: the result region
+/// first, then the list region, then the optional intersection region.
 #[derive(Debug, Clone)]
 pub struct HybridConfig {
     /// Time-to-live of cached data (the dynamic scenario of Sec. IV-B).
@@ -163,10 +182,6 @@ pub struct HybridConfig {
     pub ssd_result_bytes: u64,
     /// L2 (SSD) inverted-list-cache capacity in bytes.
     pub ssd_list_bytes: u64,
-    /// SSD block size `SB` (128 KB in the paper; also the RB size).
-    pub block_bytes: u64,
-    /// Result-entry size (top-50 docs ≈ 20 KB).
-    pub result_entry_bytes: u64,
     /// Replace-first window `W` (entries).
     pub window: usize,
     /// Efficiency-value admission threshold `TEV` (lists). 0 admits all.
@@ -177,9 +192,6 @@ pub struct HybridConfig {
     pub policy: PolicyKind,
     /// Level-sharing scheme.
     pub scheme: CachingScheme,
-    /// First LBA of the SSD cache file (result region first, then lists,
-    /// then the optional intersection region).
-    pub ssd_base_lba: u64,
     /// Three-level mode: cache term-pair intersections as a third entry
     /// family. `None` is the paper's evaluated two-level configuration.
     pub intersections: Option<IntersectionConfig>,
@@ -199,60 +211,51 @@ impl HybridConfig {
             mem_list_bytes: mem_bytes - mem_bytes / 5,
             ssd_result_bytes: ssd_bytes / 5,
             ssd_list_bytes: ssd_bytes - ssd_bytes / 5,
-            block_bytes: 128 * 1024,
-            result_entry_bytes: 20_000,
             window: 8,
             tev: if policy.is_cost_based() { 0.5 } else { 0.0 },
             result_freq_threshold: if policy.is_cost_based() { 2 } else { 0 },
             policy,
             scheme: CachingScheme::Hybrid,
-            ssd_base_lba: 0,
             intersections: None,
             admission: AdmissionConfig::static_default(),
         }
     }
 
     /// Result entries per result block (`RB`).
-    pub fn entries_per_rb(&self) -> usize {
-        (self.block_bytes / self.result_entry_bytes) as usize
+    pub const fn entries_per_rb() -> usize {
+        (BLOCK_BYTES / RESULT_ENTRY_BYTES) as usize
     }
 
     /// Result-block slots in the SSD result region.
     pub fn result_slots(&self) -> usize {
-        (self.ssd_result_bytes / self.block_bytes) as usize
+        (self.ssd_result_bytes / BLOCK_BYTES) as usize
     }
 
     /// Blocks in the SSD list region.
     pub fn list_blocks(&self) -> usize {
-        (self.ssd_list_bytes / self.block_bytes) as usize
+        (self.ssd_list_bytes / BLOCK_BYTES) as usize
     }
 
     /// Sectors per SSD block.
-    pub fn sectors_per_block(&self) -> u64 {
-        self.block_bytes / storagecore::SECTOR_SIZE as u64
+    pub const fn sectors_per_block() -> u64 {
+        BLOCK_BYTES / storagecore::SECTOR_SIZE as u64
     }
 
     /// Blocks in the SSD intersection region (0 when disabled).
     pub fn intersection_blocks(&self) -> usize {
         self.intersections
-            .map_or(0, |x| (x.ssd_bytes / self.block_bytes) as usize)
+            .map_or(0, |x| (x.ssd_bytes / BLOCK_BYTES) as usize)
     }
 
     /// Total SSD footprint in sectors (result + list + intersection
     /// regions).
     pub fn ssd_sectors(&self) -> u64 {
         (self.result_slots() as u64 + self.list_blocks() as u64 + self.intersection_blocks() as u64)
-            * self.sectors_per_block()
+            * Self::sectors_per_block()
     }
 
     /// Validate invariants.
     pub fn validate(&self) -> Result<(), String> {
-        if self.block_bytes == 0 || self.block_bytes % storagecore::SECTOR_SIZE as u64 != 0 {
-            return Err("block size must be a positive multiple of the sector size".into());
-        }
-        if self.result_entry_bytes == 0 || self.result_entry_bytes > self.block_bytes {
-            return Err("a result entry must fit in one block".into());
-        }
         if self.ssd_result_bytes > 0 && self.result_slots() == 0 {
             return Err("SSD result region smaller than one block".into());
         }
@@ -280,9 +283,14 @@ mod tests {
         let c = HybridConfig::paper(100 << 20, 1 << 30, PolicyKind::Cblru);
         c.validate().unwrap();
         assert_eq!(c.mem_result_bytes * 4, c.mem_list_bytes);
-        assert_eq!(c.block_bytes, 128 * 1024);
-        assert_eq!(c.entries_per_rb(), 6, "six 20 KB entries fit a 128 KB RB");
-        assert_eq!(c.sectors_per_block(), 256);
+        assert_eq!(BLOCK_BYTES, 128 * 1024);
+        assert_eq!(RESULT_ENTRY_BYTES, 20_000);
+        assert_eq!(
+            HybridConfig::entries_per_rb(),
+            6,
+            "six 20 KB entries fit a 128 KB RB"
+        );
+        assert_eq!(HybridConfig::sectors_per_block(), 256);
     }
 
     #[test]
@@ -307,14 +315,6 @@ mod tests {
 
     #[test]
     fn validation_catches_errors() {
-        let mut c = HybridConfig::paper(1 << 20, 1 << 24, PolicyKind::Cblru);
-        c.result_entry_bytes = c.block_bytes + 1;
-        assert!(c.validate().is_err());
-
-        let mut c = HybridConfig::paper(1 << 20, 1 << 24, PolicyKind::Cblru);
-        c.block_bytes = 1000; // not sector-aligned
-        assert!(c.validate().is_err());
-
         let mut c = HybridConfig::paper(1 << 20, 1 << 24, PolicyKind::Cblru);
         c.policy = PolicyKind::Cbslru {
             static_fraction: 1.5,

@@ -44,6 +44,7 @@ pub mod ttl;
 pub use admission::{AdmissionStats, AdmissionTier};
 pub use config::{
     AdmissionConfig, AdmissionPolicy, CachingScheme, HybridConfig, IntersectionConfig, PolicyKind,
+    BLOCK_BYTES, RESULT_ENTRY_BYTES,
 };
 pub use manager::{CacheManager, ListServe, Tier};
 pub use selection::{efficiency_value, sc_blocks, sc_bytes};

@@ -6,8 +6,8 @@ use storagecore::BlockDevice;
 
 use simclock::SimTime;
 
-use crate::admission::{AdmissionStats, AdmissionTier};
-use crate::config::{CachingScheme, HybridConfig};
+use crate::admission::AdmissionTier;
+use crate::config::{CachingScheme, HybridConfig, BLOCK_BYTES, RESULT_ENTRY_BYTES};
 use crate::mem::{ListMeta, MemListCache, MemResultCache};
 use crate::selection::{admit_list, sc_blocks};
 use crate::ssd::{ListStore, ResultStore, SlotRegion};
@@ -82,79 +82,41 @@ pub struct CacheManager<V, D> {
 }
 
 impl<V: Clone, D: BlockDevice> CacheManager<V, D> {
-    /// Build a manager whose SSD cache file lives on `device` starting at
-    /// `config.ssd_base_lba` (result region first, then the list region).
+    /// Build a manager whose SSD cache file lives on `device` from LBA 0
+    /// (result region first, then the list region).
     pub fn new(config: HybridConfig, device: D) -> Self {
         config.validate().expect("invalid hybrid-cache config");
         assert!(
-            config.ssd_base_lba + config.ssd_sectors() <= device.geometry().sectors,
-            "SSD cache file exceeds the device: need {} sectors at LBA {}, device has {}",
+            config.ssd_sectors() <= device.geometry().sectors,
+            "SSD cache file exceeds the device: need {} sectors, device has {}",
             config.ssd_sectors(),
-            config.ssd_base_lba,
             device.geometry().sectors
         );
-        let spb = config.sectors_per_block();
-        let result_region = SlotRegion::new(
-            config.ssd_base_lba,
-            config.block_bytes,
-            config.result_slots() as u32,
-        );
-        let list_region = SlotRegion::new(
-            config.ssd_base_lba + config.result_slots() as u64 * spb,
-            config.block_bytes,
-            config.list_blocks() as u32,
-        );
+        let spb = HybridConfig::sectors_per_block();
+        let result_slots = config.result_slots() as u64;
+        let list_blocks = config.list_blocks() as u64;
+        let result_region = SlotRegion::new(0, result_slots as u32);
+        let list_region = SlotRegion::new(result_slots * spb, list_blocks as u32);
         let intersection_region = SlotRegion::new(
-            config.ssd_base_lba
-                + (config.result_slots() as u64 + config.list_blocks() as u64) * spb,
-            config.block_bytes,
+            (result_slots + list_blocks) * spb,
             config.intersection_blocks() as u32,
         );
         let cost_based = config.policy.is_cost_based();
         let sf = config.policy.static_fraction();
         CacheManager {
-            mem_rc: MemResultCache::new(config.mem_result_bytes, config.result_entry_bytes),
-            mem_ic: MemListCache::new(
-                config.mem_list_bytes,
-                config.policy,
-                config.window,
-                config.block_bytes,
-            ),
-            ssd_rc: ResultStore::new(
-                result_region,
-                config.entries_per_rb(),
-                config.result_entry_bytes,
-                cost_based,
-                config.window,
-                sf,
-            ),
-            ssd_ic: ListStore::new(
-                list_region,
-                config.block_bytes,
-                cost_based,
-                config.window,
-                sf,
-            ),
+            mem_rc: MemResultCache::new(config.mem_result_bytes),
+            mem_ic: MemListCache::new(config.mem_list_bytes, config.policy, config.window),
+            ssd_rc: ResultStore::new(result_region, cost_based, config.window, sf),
+            ssd_ic: ListStore::new(list_region, cost_based, config.window, sf),
             device,
             result_ttl: config.ttl.map(TtlTracker::new),
             list_ttl: config.ttl.map(TtlTracker::new),
-            mem_xc: config.intersections.map(|x| {
-                MemListCache::new(
-                    x.mem_bytes,
-                    config.policy,
-                    config.window,
-                    config.block_bytes,
-                )
-            }),
-            ssd_xc: config.intersections.map(|_| {
-                ListStore::new(
-                    intersection_region,
-                    config.block_bytes,
-                    cost_based,
-                    config.window,
-                    0.0,
-                )
-            }),
+            mem_xc: config
+                .intersections
+                .map(|x| MemListCache::new(x.mem_bytes, config.policy, config.window)),
+            ssd_xc: config
+                .intersections
+                .map(|_| ListStore::new(intersection_region, cost_based, config.window, 0.0)),
             admission: AdmissionTier::new(config.admission, config.tev),
             config,
             stats: CacheStats::new(),
@@ -167,14 +129,10 @@ impl<V: Clone, D: BlockDevice> CacheManager<V, D> {
         self.mem_xc.is_some()
     }
 
-    /// Counters of the sketch admission tier (all zero in the `Static`
-    /// arm; deliberately outside [`CacheStats`] so the bit-identity
-    /// contract over the seed's figures is untouched).
-    pub fn admission_stats(&self) -> AdmissionStats {
-        self.admission.stats()
-    }
-
-    /// The admission tier (controller TEV / reset window observability).
+    /// The admission tier: controller TEV / reset window observability,
+    /// and its counters (all zero in the `Static` arm; deliberately
+    /// outside [`CacheStats`] so the bit-identity contract over the
+    /// seed's figures is untouched).
     pub fn admission(&self) -> &AdmissionTier {
         &self.admission
     }
@@ -262,7 +220,7 @@ impl<V: Clone, D: BlockDevice> CacheManager<V, D> {
         let Some(ssd) = self.ssd_xc.as_mut() else {
             return SimDuration::ZERO;
         };
-        let blocks = sc_blocks(meta.si_bytes, 1.0, self.config.block_bytes);
+        let blocks = sc_blocks(meta.si_bytes, 1.0);
         if blocks == 0 {
             self.stats.intersections.ssd_rejections += 1;
             return SimDuration::ZERO;
@@ -272,15 +230,13 @@ impl<V: Clone, D: BlockDevice> CacheManager<V, D> {
             return SimDuration::ZERO;
         }
         let avoided_before = ssd.stats().rewrites_avoided;
-        self.device.set_background(true);
         let (written, latency) =
             ssd.offer(pair, blocks, meta.si_bytes, meta.freq, &mut self.device);
-        self.device.set_background(false);
         if ssd.stats().rewrites_avoided > avoided_before {
             self.stats.intersections.rewrites_avoided += 1;
         } else if written {
             self.stats.intersections.ssd_admissions += 1;
-            self.stats.ssd_bytes_written += blocks * self.config.block_bytes;
+            self.stats.ssd_bytes_written += blocks * BLOCK_BYTES;
         } else {
             self.stats.intersections.ssd_rejections += 1;
         }
@@ -313,28 +269,28 @@ impl<V: Clone, D: BlockDevice> CacheManager<V, D> {
         }
         ttl.forget(&id);
         self.mem_rc.remove(id);
-        self.device.set_background(true);
         let t = self.ssd_rc.invalidate(id, &mut self.device);
-        self.device.set_background(false);
         self.stats.ssd_time += t;
         true
     }
 
     /// TTL gate for an inverted list.
-    fn expire_list_if_stale(&mut self, term: TermKey) -> bool {
+    fn expire_list_if_stale(&mut self, term: TermKey) {
         let Some(ttl) = self.list_ttl.as_mut() else {
-            return false;
+            return;
         };
         if ttl.check(&term, self.now) {
-            return false;
+            return;
         }
         ttl.forget(&term);
         self.mem_ic.remove(term);
-        self.device.set_background(true);
-        let t = self.ssd_ic.invalidate(term, &mut self.device);
-        self.device.set_background(false);
+        self.trim_ssd_list(term);
+    }
+
+    /// Drop `key`'s SSD list copy; the trims are background work.
+    fn trim_ssd_list(&mut self, key: TermKey) {
+        let t = self.ssd_ic.invalidate(key, &mut self.device);
         self.stats.ssd_time += t;
-        true
     }
 
     /// The configuration.
@@ -400,12 +356,10 @@ impl<V: Clone, D: BlockDevice> CacheManager<V, D> {
             self.admission.record_result_access(id, true);
             self.stats.results.ssd_hits += 1;
             self.stats.ssd_time += read_latency;
-            self.stats.ssd_bytes_read += self.config.result_entry_bytes;
+            self.stats.ssd_bytes_read += RESULT_ENTRY_BYTES;
             let mut background = SimDuration::ZERO;
             if self.config.scheme == CachingScheme::Exclusive {
-                self.device.set_background(true);
                 background += self.ssd_rc.invalidate(id, &mut self.device);
-                self.device.set_background(false);
             }
             background += self.admit_result_to_mem(id, value.clone());
             self.stats.ssd_time += background;
@@ -463,18 +417,16 @@ impl<V: Clone, D: BlockDevice> CacheManager<V, D> {
             return SimDuration::ZERO;
         }
         let avoided_before = self.ssd_rc.stats().rewrites_avoided;
-        // RB flush: a queued background write that overlaps foreground
-        // reads instead of blocking the miss path.
-        self.device.set_background(true);
+        // RB flush: the store queues it as a background write that
+        // overlaps foreground reads instead of blocking the miss path.
         let latency = self.ssd_rc.offer(id, value, freq, &mut self.device);
-        self.device.set_background(false);
         if self.ssd_rc.stats().rewrites_avoided > avoided_before {
             self.stats.results.rewrites_avoided += 1;
         } else {
             self.stats.results.ssd_admissions += 1;
         }
         self.stats.ssd_bytes_written += if latency > SimDuration::ZERO {
-            self.config.block_bytes
+            BLOCK_BYTES
         } else {
             0
         };
@@ -498,104 +450,70 @@ impl<V: Clone, D: BlockDevice> CacheManager<V, D> {
         observed_pu: f64,
     ) -> ListServe {
         debug_assert!(needed_bytes > 0, "zero-byte list request");
-        let expired = self.expire_list_if_stale(term);
-        let _ = expired; // expiry already dropped both copies; fall through
+        // Expiry drops both copies; the lookup then runs as a miss.
+        self.expire_list_if_stale(term);
         let covered_mem = self.mem_ic.peek(term).map(|m| m.si_bytes);
         let mut serve = ListServe::default();
-
-        match covered_mem {
-            Some(si) if si >= needed_bytes => {
-                // Fully in memory: S2.
-                self.mem_ic.touch(term, needed_bytes, observed_pu);
-                self.flush_touch_evictions();
-                self.stats.lists.mem_hits += 1;
-                self.admission.record_list_access(term, true);
-                serve.from_mem = needed_bytes;
-                return serve;
-            }
-            Some(si) => {
-                // Partial memory coverage; look below for the rest.
-                serve.from_mem = si;
-                // The LRU baseline grows its copy to the full list.
-                let target = if self.config.policy.is_cost_based() {
-                    needed_bytes
-                } else {
-                    full_bytes.max(needed_bytes)
-                };
-                let rest = needed_bytes - si;
-                let mark = self.config.scheme == CachingScheme::Hybrid;
-                if let Some((cached, latency)) =
-                    self.ssd_ic
-                        .lookup(term, needed_bytes, &mut self.device, mark)
-                {
-                    let extra = cached.saturating_sub(si).min(rest);
-                    serve.from_ssd = extra;
-                    serve.ssd_latency += latency;
-                    self.stats.ssd_time += latency;
-                    self.stats.ssd_bytes_read += extra;
-                    if self.config.scheme == CachingScheme::Exclusive {
-                        // Deletion is background work.
-                        self.device.set_background(true);
-                        let t = self.ssd_ic.invalidate(term, &mut self.device);
-                        self.device.set_background(false);
-                        self.stats.ssd_time += t;
-                    }
-                }
-                serve.from_hdd = needed_bytes - serve.from_mem - serve.from_ssd;
-                serve.fill_from_hdd = target.saturating_sub(needed_bytes);
-                self.mem_ic.touch(term, target, observed_pu);
-                self.flush_touch_evictions();
-                self.classify_list_hit(&serve);
-                self.admission.record_list_access(term, serve.from_hdd == 0);
-                return serve;
-            }
-            None => {}
+        if covered_mem.is_some_and(|si| si >= needed_bytes) {
+            // Fully in memory: S2.
+            self.mem_ic.touch(term, needed_bytes, observed_pu);
+            self.flush_touch_evictions();
+            self.stats.lists.mem_hits += 1;
+            self.admission.record_list_access(term, true);
+            serve.from_mem = needed_bytes;
+            return serve;
         }
 
-        // Not in memory at all: try the SSD.
+        // Memory holds a prefix or nothing: the SSD serves what it caches
+        // beyond that prefix, the HDD the rest.
+        serve.from_mem = covered_mem.unwrap_or(0);
         let mark = self.config.scheme == CachingScheme::Hybrid;
         if let Some((cached, latency)) =
             self.ssd_ic
                 .lookup(term, needed_bytes, &mut self.device, mark)
         {
-            serve.from_ssd = cached.min(needed_bytes);
+            serve.from_ssd = cached
+                .saturating_sub(serve.from_mem)
+                .min(needed_bytes - serve.from_mem);
             serve.ssd_latency += latency;
             self.stats.ssd_time += latency;
             self.stats.ssd_bytes_read += serve.from_ssd;
             if self.config.scheme == CachingScheme::Exclusive {
-                // Deletion is background work.
-                self.device.set_background(true);
-                let t = self.ssd_ic.invalidate(term, &mut self.device);
-                self.device.set_background(false);
-                self.stats.ssd_time += t;
+                self.trim_ssd_list(term);
             }
         }
-        serve.from_hdd = needed_bytes - serve.from_ssd;
-        self.classify_list_hit(&serve);
-        self.admission.record_list_access(term, serve.from_hdd == 0);
-
-        // Admit to memory (QM: "cache the used data in memory" — the
-        // whole list under the traditional baseline). Flushes of the
-        // displaced entries run off the critical path; their time lands
-        // in stats.ssd_time, not in this lookup's latency.
+        serve.from_hdd = needed_bytes - serve.from_mem - serve.from_ssd;
+        // QM: "cache the used data in memory" — the whole list under the
+        // traditional baseline.
         let target = if self.config.policy.is_cost_based() {
             needed_bytes
         } else {
             full_bytes.max(needed_bytes)
         };
-        serve.fill_from_hdd = target.saturating_sub(needed_bytes.max(serve.from_ssd));
-        let meta = ListMeta {
-            si_bytes: target,
-            pu: observed_pu,
-            freq: 1,
-            full_bytes,
-        };
-        let now = self.now;
-        if let Some(ttl) = self.list_ttl.as_mut() {
-            ttl.installed(term, now);
+        serve.fill_from_hdd = target.saturating_sub(needed_bytes);
+        if covered_mem.is_some() {
+            // Grow the memory copy to the target.
+            self.mem_ic.touch(term, target, observed_pu);
+            self.flush_touch_evictions();
         }
-        let background = self.admit_list_to_mem(term, meta);
-        let _ = background; // recorded in stats by admit_list_to_mem
+        self.classify_list_hit(&serve);
+        self.admission.record_list_access(term, serve.from_hdd == 0);
+        if covered_mem.is_none() {
+            // Admit to memory. Flushes of the displaced entries run off
+            // the critical path; their time lands in stats.ssd_time, not
+            // in this lookup's latency.
+            let meta = ListMeta {
+                si_bytes: target,
+                pu: observed_pu,
+                freq: 1,
+                full_bytes,
+            };
+            let now = self.now;
+            if let Some(ttl) = self.list_ttl.as_mut() {
+                ttl.installed(term, now);
+            }
+            self.admit_list_to_mem(term, meta);
+        }
         serve
     }
 
@@ -650,12 +568,12 @@ impl<V: Clone, D: BlockDevice> CacheManager<V, D> {
     )]
     fn flush_list(&mut self, term: TermKey, meta: ListMeta) -> SimDuration {
         let (blocks, cached_bytes) = if self.config.policy.is_cost_based() {
-            let sc = sc_blocks(meta.si_bytes, meta.pu, self.config.block_bytes);
-            (sc, meta.si_bytes.min(sc * self.config.block_bytes))
+            let sc = sc_blocks(meta.si_bytes, meta.pu);
+            (sc, meta.si_bytes.min(sc * BLOCK_BYTES))
         } else {
             // The LRU baseline caches the full inverted list.
             let full = meta.full_bytes.max(meta.si_bytes);
-            (full.div_ceil(self.config.block_bytes), full)
+            (full.div_ceil(BLOCK_BYTES), full)
         };
         if blocks == 0 {
             self.stats.lists.ssd_rejections += 1;
@@ -674,18 +592,16 @@ impl<V: Clone, D: BlockDevice> CacheManager<V, D> {
             return SimDuration::ZERO;
         }
         let avoided_before = self.ssd_ic.stats().rewrites_avoided;
-        // RB flush: a queued background write that overlaps foreground
-        // reads instead of blocking the miss path.
-        self.device.set_background(true);
+        // The store queues its block writes as background work that
+        // overlaps foreground reads instead of blocking the miss path.
         let (written, latency) =
             self.ssd_ic
                 .offer(term, blocks, cached_bytes, meta.freq, &mut self.device);
-        self.device.set_background(false);
         if self.ssd_ic.stats().rewrites_avoided > avoided_before {
             self.stats.lists.rewrites_avoided += 1;
         } else if written {
             self.stats.lists.ssd_admissions += 1;
-            self.stats.ssd_bytes_written += blocks * self.config.block_bytes;
+            self.stats.ssd_bytes_written += blocks * BLOCK_BYTES;
         } else {
             self.stats.lists.ssd_rejections += 1;
         }
@@ -703,9 +619,7 @@ impl<V: Clone, D: BlockDevice> CacheManager<V, D> {
         reason = "CBSLRU's static partition is filled once from log analysis, whose ranking is its admission"
     )]
     pub fn seed_static_results(&mut self, entries: Vec<(QueryId, V, u64)>) -> SimDuration {
-        self.device.set_background(true);
         let t = self.ssd_rc.seed_static(entries, &mut self.device);
-        self.device.set_background(false);
         self.stats.ssd_time += t;
         t
     }
@@ -720,14 +634,12 @@ impl<V: Clone, D: BlockDevice> CacheManager<V, D> {
         let prepared = lists
             .into_iter()
             .map(|(term, si, pu, freq)| {
-                let blocks = sc_blocks(si, pu, self.config.block_bytes);
-                (term, blocks, si.min(blocks * self.config.block_bytes), freq)
+                let blocks = sc_blocks(si, pu);
+                (term, blocks, si.min(blocks * BLOCK_BYTES), freq)
             })
             .filter(|(_, blocks, _, _)| *blocks > 0)
             .collect();
-        self.device.set_background(true);
         let t = self.ssd_ic.seed_static(prepared, &mut self.device);
-        self.device.set_background(false);
         self.stats.ssd_time += t;
         t
     }
@@ -766,10 +678,7 @@ impl<V: Clone, D: BlockDevice> CacheManager<V, D> {
         let in_mem = self.mem_ic.remove(key).is_some();
         let in_ssd = self.ssd_ic.cached_bytes(key).is_some();
         if in_ssd {
-            self.device.set_background(true);
-            let t = self.ssd_ic.invalidate(key, &mut self.device);
-            self.device.set_background(false);
-            self.stats.ssd_time += t;
+            self.trim_ssd_list(key);
         }
         if let Some(ttl) = self.list_ttl.as_mut() {
             ttl.forget(&key);
@@ -844,7 +753,7 @@ mod tests {
     use simclock::SimDuration;
     use storagecore::{IoKind, RamDisk};
 
-    const SB: u64 = 128 * 1024;
+    const SB: u64 = BLOCK_BYTES;
 
     fn config(policy: PolicyKind) -> HybridConfig {
         // Small caches: 2 result entries + 2 blocks of lists in memory;
@@ -855,14 +764,11 @@ mod tests {
             mem_list_bytes: 2 * SB,
             ssd_result_bytes: 4 * SB,
             ssd_list_bytes: 8 * SB,
-            block_bytes: SB,
-            result_entry_bytes: 20_000,
             window: 2,
             tev: 0.0,
             result_freq_threshold: 0,
             policy,
             scheme: CachingScheme::Hybrid,
-            ssd_base_lba: 0,
             intersections: None,
             admission: crate::config::AdmissionConfig::static_default(),
         }

@@ -16,7 +16,7 @@ use std::hash::Hash;
 use cachekit::{ByteBudget, LruCache, SegmentedLru};
 use invariant::{audit, Report, Validate};
 
-use crate::config::PolicyKind;
+use crate::config::{PolicyKind, RESULT_ENTRY_BYTES};
 use crate::selection::{efficiency_value, sc_blocks};
 use crate::{QueryId, TermKey};
 
@@ -34,16 +34,13 @@ pub struct MemResult<V> {
 #[derive(Debug, Clone)]
 pub struct MemResultCache<V> {
     cache: LruCache<QueryId, MemResult<V>>,
-    entry_bytes: u64,
 }
 
 impl<V> MemResultCache<V> {
-    /// Capacity in bytes; every entry costs `entry_bytes`.
-    pub fn new(capacity_bytes: u64, entry_bytes: u64) -> Self {
-        assert!(entry_bytes > 0);
+    /// Capacity in bytes; every entry costs [`RESULT_ENTRY_BYTES`].
+    pub fn new(capacity_bytes: u64) -> Self {
         MemResultCache {
             cache: LruCache::new(capacity_bytes),
-            entry_bytes,
         }
     }
 
@@ -71,7 +68,7 @@ impl<V> MemResultCache<V> {
     pub fn insert(&mut self, id: QueryId, value: V) -> Vec<(QueryId, V, u64)> {
         match self
             .cache
-            .insert(id, MemResult { value, freq: 1 }, self.entry_bytes)
+            .insert(id, MemResult { value, freq: 1 }, RESULT_ENTRY_BYTES)
         {
             Ok(evicted) => evicted
                 .into_iter()
@@ -123,9 +120,9 @@ pub struct ListMeta {
 }
 
 impl ListMeta {
-    /// The entry's efficiency value with block size `sb`.
-    pub fn ev(&self, sb: u64) -> f64 {
-        efficiency_value(self.freq, sc_blocks(self.si_bytes, self.pu, sb))
+    /// The entry's efficiency value.
+    pub fn ev(&self) -> f64 {
+        efficiency_value(self.freq, sc_blocks(self.si_bytes, self.pu))
     }
 }
 
@@ -137,7 +134,6 @@ pub struct MemListCache<K: Eq + Hash + Copy + Debug = TermKey> {
     map: FxHashMap<K, ListMeta>,
     budget: ByteBudget,
     policy: PolicyKind,
-    block_bytes: u64,
     /// Entries displaced by prefix growth inside [`MemListCache::touch`],
     /// awaiting collection by the manager's selection management.
     pending_evictions: Vec<(K, ListMeta)>,
@@ -145,14 +141,13 @@ pub struct MemListCache<K: Eq + Hash + Copy + Debug = TermKey> {
 
 impl<K: Eq + Hash + Copy + Debug> MemListCache<K> {
     /// Capacity in bytes under `policy`, with replace-first window
-    /// `window` and SSD block size `block_bytes` (for EV computation).
-    pub fn new(capacity_bytes: u64, policy: PolicyKind, window: usize, block_bytes: u64) -> Self {
+    /// `window`.
+    pub fn new(capacity_bytes: u64, policy: PolicyKind, window: usize) -> Self {
         MemListCache {
             lru: SegmentedLru::new(window),
             map: FxHashMap::default(),
             budget: ByteBudget::new(capacity_bytes),
             policy,
-            block_bytes,
             pending_evictions: Vec::new(),
         }
     }
@@ -277,14 +272,13 @@ impl<K: Eq + Hash + Copy + Debug> MemListCache<K> {
         if self.policy.is_cost_based() {
             // Lowest EV inside the replace-first region (Fig. 12). The
             // score is negated EV because the primitive maximizes.
-            let block = self.block_bytes;
             let candidate = self
                 .lru
                 .best_in_replace_first(|t| {
                     if excluded(t) {
                         f64::NEG_INFINITY
                     } else {
-                        -self.map[t].ev(block)
+                        -self.map[t].ev()
                     }
                 })
                 .copied();
@@ -349,7 +343,7 @@ fn running_pu(old: f64, new_freq: u64, observed: f64) -> f64 {
 mod tests {
     use super::*;
 
-    const SB: u64 = 128 * 1024;
+    const SB: u64 = crate::BLOCK_BYTES;
 
     fn meta(si: u64, pu: f64, freq: u64) -> ListMeta {
         ListMeta {
@@ -365,7 +359,7 @@ mod tests {
 
         #[test]
         fn insert_and_evict_lru_order() {
-            let mut c: MemResultCache<&str> = MemResultCache::new(40_000, 20_000);
+            let mut c: MemResultCache<&str> = MemResultCache::new(40_000);
             assert!(c.insert(1, "a").is_empty());
             assert!(c.insert(2, "b").is_empty());
             let ev = c.insert(3, "c");
@@ -378,7 +372,7 @@ mod tests {
 
         #[test]
         fn get_bumps_frequency_and_recency() {
-            let mut c: MemResultCache<&str> = MemResultCache::new(40_000, 20_000);
+            let mut c: MemResultCache<&str> = MemResultCache::new(40_000);
             c.insert(1, "a");
             c.insert(2, "b");
             assert_eq!(c.get(1), Some(&"a")); // freq 2, now MRU
@@ -392,7 +386,7 @@ mod tests {
 
         #[test]
         fn contains_and_len() {
-            let mut c: MemResultCache<u8> = MemResultCache::new(100_000, 20_000);
+            let mut c: MemResultCache<u8> = MemResultCache::new(100_000);
             c.insert(7, 0);
             assert!(c.contains(7));
             assert!(!c.contains(8));
@@ -402,7 +396,7 @@ mod tests {
 
     #[test]
     fn list_insert_within_budget() {
-        let mut c = MemListCache::new(10 * SB, PolicyKind::Cblru, 2, SB);
+        let mut c = MemListCache::new(10 * SB, PolicyKind::Cblru, 2);
         assert!(c.insert(1, meta(3 * SB, 0.5, 1)).unwrap().is_empty());
         assert_eq!(c.used_bytes(), 3 * SB);
         assert_eq!(c.peek(1).unwrap().si_bytes, 3 * SB);
@@ -410,14 +404,14 @@ mod tests {
 
     #[test]
     fn oversized_list_refused() {
-        let mut c = MemListCache::new(SB, PolicyKind::Cblru, 2, SB);
+        let mut c = MemListCache::new(SB, PolicyKind::Cblru, 2);
         assert!(c.insert(1, meta(2 * SB, 0.5, 1)).is_err());
         assert!(c.is_empty());
     }
 
     #[test]
     fn lru_policy_evicts_strictly_by_recency() {
-        let mut c = MemListCache::new(3 * SB, PolicyKind::Lru, 2, SB);
+        let mut c = MemListCache::new(3 * SB, PolicyKind::Lru, 2);
         c.insert(1, meta(SB, 1.0, 100)).unwrap(); // hot but old
         c.insert(2, meta(SB, 1.0, 1)).unwrap();
         c.insert(3, meta(SB, 1.0, 1)).unwrap();
@@ -427,7 +421,7 @@ mod tests {
 
     #[test]
     fn cost_based_policy_evicts_lowest_ev_in_window() {
-        let mut c = MemListCache::new(3 * SB, PolicyKind::Cblru, 2, SB);
+        let mut c = MemListCache::new(3 * SB, PolicyKind::Cblru, 2);
         // LRU order will be: 1 (LRU), 2, 3 (MRU). Window = {1, 2}.
         c.insert(1, meta(SB, 1.0, 100)).unwrap(); // EV = 100
         c.insert(2, meta(SB, 1.0, 5)).unwrap(); // EV = 5  <- victim
@@ -442,7 +436,7 @@ mod tests {
 
     #[test]
     fn equal_ev_in_window_evicts_the_lru_most() {
-        let mut c = MemListCache::new(3 * SB, PolicyKind::Cblru, 3, SB);
+        let mut c = MemListCache::new(3 * SB, PolicyKind::Cblru, 3);
         c.insert(1, meta(SB, 1.0, 100)).unwrap(); // LRU, but EV = 100
         c.insert(2, meta(SB, 1.0, 5)).unwrap(); // EV = 5  <- victim
         c.insert(3, meta(SB, 1.0, 5)).unwrap(); // EV = 5, more recent
@@ -452,7 +446,7 @@ mod tests {
 
     #[test]
     fn ev_accounts_for_size() {
-        let mut c = MemListCache::new(9 * SB, PolicyKind::Cblru, 3, SB);
+        let mut c = MemListCache::new(9 * SB, PolicyKind::Cblru, 3);
         // Same freq: the bigger entry has lower EV.
         c.insert(1, meta(4 * SB, 1.0, 10)).unwrap(); // EV = 2.5
         c.insert(2, meta(SB, 1.0, 10)).unwrap(); // EV = 10
@@ -463,7 +457,7 @@ mod tests {
 
     #[test]
     fn touch_bumps_freq_and_moves_out_of_window() {
-        let mut c = MemListCache::new(3 * SB, PolicyKind::Cblru, 2, SB);
+        let mut c = MemListCache::new(3 * SB, PolicyKind::Cblru, 2);
         c.insert(1, meta(SB, 0.5, 1)).unwrap();
         c.insert(2, meta(SB, 0.5, 1)).unwrap();
         c.insert(3, meta(SB, 0.5, 1)).unwrap();
@@ -477,7 +471,7 @@ mod tests {
 
     #[test]
     fn touch_grows_prefix_and_budget() {
-        let mut c = MemListCache::new(4 * SB, PolicyKind::Cblru, 2, SB);
+        let mut c = MemListCache::new(4 * SB, PolicyKind::Cblru, 2);
         c.insert(1, meta(SB, 0.25, 1)).unwrap();
         let m = c.touch(1, 2 * SB, 0.5).expect("hit");
         assert_eq!(m.si_bytes, 2 * SB);
@@ -489,7 +483,7 @@ mod tests {
 
     #[test]
     fn touch_growth_evicts_others_not_self() {
-        let mut c = MemListCache::new(3 * SB, PolicyKind::Cblru, 3, SB);
+        let mut c = MemListCache::new(3 * SB, PolicyKind::Cblru, 3);
         c.insert(1, meta(SB, 1.0, 1)).unwrap();
         c.insert(2, meta(SB, 1.0, 1)).unwrap();
         c.insert(3, meta(SB, 1.0, 1)).unwrap();
@@ -503,13 +497,13 @@ mod tests {
 
     #[test]
     fn miss_returns_none() {
-        let mut c = MemListCache::new(SB, PolicyKind::Lru, 2, SB);
+        let mut c = MemListCache::new(SB, PolicyKind::Lru, 2);
         assert!(c.touch(9, 100, 0.5).is_none());
     }
 
     #[test]
     fn remove_credits_budget() {
-        let mut c = MemListCache::new(4 * SB, PolicyKind::Cblru, 2, SB);
+        let mut c = MemListCache::new(4 * SB, PolicyKind::Cblru, 2);
         c.insert(1, meta(2 * SB, 0.5, 3)).unwrap();
         let m = c.remove(1).expect("present");
         assert_eq!(m.freq, 3);
@@ -519,7 +513,7 @@ mod tests {
 
     #[test]
     fn evictions_carry_updated_meta() {
-        let mut c = MemListCache::new(2 * SB, PolicyKind::Cblru, 2, SB);
+        let mut c = MemListCache::new(2 * SB, PolicyKind::Cblru, 2);
         c.insert(1, meta(SB, 0.5, 1)).unwrap();
         c.touch(1, SB, 0.9);
         c.insert(2, meta(SB, 0.5, 1)).unwrap();

@@ -1,24 +1,25 @@
 //! Data selection: the paper's Formulas 1 and 2.
 
+use crate::config::BLOCK_BYTES;
+
 /// Formula 1 — the number of SSD blocks a flushed inverted list occupies:
 /// `SC = ceil(SI · PU / SB)` where `SI` is the used in-memory size, `PU`
-/// the utilization rate, `SB` the SSD block size.
+/// the utilization rate, `SB` the SSD block size ([`BLOCK_BYTES`]).
 ///
 /// The paper's worked example: `SI = 1000 KB, PU = 50 % → SC = 4`
 /// (512 KB with `SB = 128 KB`).
-pub fn sc_blocks(si_bytes: u64, pu: f64, sb_bytes: u64) -> u64 {
-    assert!(sb_bytes > 0, "block size must be positive");
+pub fn sc_blocks(si_bytes: u64, pu: f64) -> u64 {
     assert!((0.0..=1.0).contains(&pu), "PU must be a rate, got {pu}");
     let useful = (si_bytes as f64 * pu).ceil() as u64;
     useful
-        .div_ceil(sb_bytes)
+        .div_ceil(BLOCK_BYTES)
         .max(if si_bytes > 0 { 1 } else { 0 })
 }
 
 /// Formula 1, in bytes: the cached size is an integral number of blocks
 /// ("all the cached data are of integral blocks (128·N KB)").
-pub fn sc_bytes(si_bytes: u64, pu: f64, sb_bytes: u64) -> u64 {
-    sc_blocks(si_bytes, pu, sb_bytes) * sb_bytes
+pub fn sc_bytes(si_bytes: u64, pu: f64) -> u64 {
+    sc_blocks(si_bytes, pu) * BLOCK_BYTES
 }
 
 /// Formula 2 — the efficiency value of a cached inverted list:
@@ -43,35 +44,35 @@ pub fn admit_list(freq: u64, sc: u64, tev: f64) -> bool {
 mod tests {
     use super::*;
 
-    const SB: u64 = 128 * 1024;
+    const SB: u64 = BLOCK_BYTES;
 
     #[test]
     fn paper_worked_example() {
         // SI = 1000 KB, PU = 50% -> SC = 4 blocks = 512 KB.
-        assert_eq!(sc_blocks(1000 * 1024, 0.5, SB), 4);
-        assert_eq!(sc_bytes(1000 * 1024, 0.5, SB), 512 * 1024);
+        assert_eq!(sc_blocks(1000 * 1024, 0.5), 4);
+        assert_eq!(sc_bytes(1000 * 1024, 0.5), 512 * 1024);
     }
 
     #[test]
     fn sc_rounds_up() {
-        assert_eq!(sc_blocks(SB + 1, 1.0, SB), 2);
-        assert_eq!(sc_blocks(SB, 1.0, SB), 1);
-        assert_eq!(sc_blocks(1, 1.0, SB), 1, "any used data takes a block");
-        assert_eq!(sc_blocks(1, 0.001, SB), 1);
+        assert_eq!(sc_blocks(SB + 1, 1.0), 2);
+        assert_eq!(sc_blocks(SB, 1.0), 1);
+        assert_eq!(sc_blocks(1, 1.0), 1, "any used data takes a block");
+        assert_eq!(sc_blocks(1, 0.001), 1);
     }
 
     #[test]
     fn sc_of_empty_list_is_zero() {
-        assert_eq!(sc_blocks(0, 1.0, SB), 0);
-        assert_eq!(sc_bytes(0, 0.5, SB), 0);
+        assert_eq!(sc_blocks(0, 1.0), 0);
+        assert_eq!(sc_bytes(0, 0.5), 0);
     }
 
     #[test]
     fn sc_scales_with_utilization() {
         let si = 10 * SB;
-        assert_eq!(sc_blocks(si, 1.0, SB), 10);
-        assert_eq!(sc_blocks(si, 0.5, SB), 5);
-        assert_eq!(sc_blocks(si, 0.05, SB), 1);
+        assert_eq!(sc_blocks(si, 1.0), 10);
+        assert_eq!(sc_blocks(si, 0.5), 5);
+        assert_eq!(sc_blocks(si, 0.05), 1);
     }
 
     #[test]
@@ -102,6 +103,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "PU must be a rate")]
     fn pu_out_of_range_panics() {
-        sc_blocks(100, 1.5, SB);
+        sc_blocks(100, 1.5);
     }
 }

@@ -14,14 +14,14 @@ use fxmap::FxHashMap;
 use cachekit::SegmentedLru;
 use invariant::{audit, Report, Validate};
 use simclock::SimDuration;
-use storagecore::BlockDevice;
+use storagecore::{BlockDevice, IoRequest};
 
 use core::fmt::Debug;
 use std::hash::Hash;
 
 use crate::ssd::slots::{SlotId, SlotRegion};
 use crate::ssd::EntryState;
-use crate::TermKey;
+use crate::{TermKey, BLOCK_BYTES};
 
 /// A cached list entry: Fig. 7(c)'s `<ptr, freq, size>` value (the ptr is
 /// the block set).
@@ -58,7 +58,6 @@ pub struct ListStoreStats {
 #[derive(Debug, Clone)]
 pub struct ListStore<K: Eq + Hash + Copy + Debug = TermKey> {
     region: SlotRegion,
-    block_bytes: u64,
     cost_based: bool,
     entries: FxHashMap<K, ListEntry>,
     lru: SegmentedLru<K>,
@@ -69,18 +68,11 @@ pub struct ListStore<K: Eq + Hash + Copy + Debug = TermKey> {
 }
 
 impl<K: Eq + Hash + Copy + Debug> ListStore<K> {
-    /// Create over `region` (one slot = one `block_bytes` block).
-    pub fn new(
-        region: SlotRegion,
-        block_bytes: u64,
-        cost_based: bool,
-        window: usize,
-        static_fraction: f64,
-    ) -> Self {
+    /// Create over `region` (one slot = one block).
+    pub fn new(region: SlotRegion, cost_based: bool, window: usize, static_fraction: f64) -> Self {
         let static_blocks = (region.capacity() as f64 * static_fraction).floor() as u32;
         ListStore {
             region,
-            block_bytes,
             cost_based,
             entries: FxHashMap::default(),
             lru: SegmentedLru::new(window),
@@ -145,7 +137,7 @@ impl<K: Eq + Hash + Copy + Debug> ListStore<K> {
             if remaining == 0 {
                 break;
             }
-            let take = remaining.min(self.block_bytes);
+            let take = remaining.min(BLOCK_BYTES);
             let extent = self.region.sub_extent(block, 0, take);
             latency += device.read(extent).expect("list extent is in-region");
             remaining -= take;
@@ -175,7 +167,7 @@ impl<K: Eq + Hash + Copy + Debug> ListStore<K> {
         device: &mut D,
     ) -> (bool, SimDuration) {
         debug_assert!(blocks_needed > 0);
-        debug_assert!(cached_bytes <= blocks_needed * self.block_bytes);
+        debug_assert!(cached_bytes <= blocks_needed * BLOCK_BYTES);
         // Dedup: the same term's replaceable copy still covers this data —
         // flip it back to normal, no write.
         if let Some(entry) = self.entries.get_mut(&term) {
@@ -211,7 +203,7 @@ impl<K: Eq + Hash + Copy + Debug> ListStore<K> {
         for _ in 0..blocks_needed {
             let slot = self.region.alloc().expect("room was made");
             latency += device
-                .write(self.region.extent(slot))
+                .request(&IoRequest::write(self.region.extent(slot)).background())
                 .expect("block extent is in-region");
             self.stats.block_writes += 1;
             blocks.push(slot);
@@ -292,13 +284,13 @@ impl<K: Eq + Hash + Copy + Debug> ListStore<K> {
         let mut latency = SimDuration::ZERO;
         for block in entry.blocks {
             latency += device
-                .trim(self.region.extent(block))
+                .request(&IoRequest::trim(self.region.extent(block)).background())
                 .expect("block extent is in-region");
             self.stats.trims += 1;
             self.region.release(block);
         }
         if entry.is_static {
-            self.static_used -= entry.cached_bytes.div_ceil(self.block_bytes) as u32;
+            self.static_used -= entry.cached_bytes.div_ceil(BLOCK_BYTES) as u32;
         }
         self.lru.remove(&term);
         audit!(self, "ListStore::invalidate");
@@ -325,7 +317,7 @@ impl<K: Eq + Hash + Copy + Debug> ListStore<K> {
             for _ in 0..blocks_needed {
                 let slot = self.region.alloc().expect("static budget fits the region");
                 latency += device
-                    .write(self.region.extent(slot))
+                    .request(&IoRequest::write(self.region.extent(slot)).background())
                     .expect("block extent is in-region");
                 self.stats.block_writes += 1;
                 blocks.push(slot);
@@ -380,7 +372,7 @@ impl<K: Eq + Hash + Copy + Debug> Validate for ListStore<K> {
                 format!("entry {term:?} is cached with zero blocks")
             });
             report.check(
-                entry.cached_bytes <= entry.blocks.len() as u64 * self.block_bytes,
+                entry.cached_bytes <= entry.blocks.len() as u64 * BLOCK_BYTES,
                 S,
                 "block-alignment",
                 || {
@@ -491,14 +483,14 @@ mod tests {
     use simclock::SimDuration;
     use storagecore::{IoKind, RamDisk};
 
-    const BLOCK: u64 = 128 * 1024;
+    const BLOCK: u64 = BLOCK_BYTES;
 
     fn device() -> RamDisk {
         RamDisk::with_capacity_bytes(64 << 20, SimDuration::from_micros(10))
     }
 
     fn store(blocks: u32, cost_based: bool) -> ListStore {
-        ListStore::new(SlotRegion::new(0, BLOCK, blocks), BLOCK, cost_based, 2, 0.0)
+        ListStore::new(SlotRegion::new(0, blocks), cost_based, 2, 0.0)
     }
 
     #[test]
@@ -580,7 +572,7 @@ mod tests {
 
     #[test]
     fn size_match_beats_plain_lru_order() {
-        let mut s = ListStore::new(SlotRegion::new(0, BLOCK, 6), BLOCK, true, 3, 0.0);
+        let mut s = ListStore::new(SlotRegion::new(0, 6), true, 3, 0.0);
         let mut dev = device();
         s.offer(1, 1, BLOCK, 5, &mut dev); // LRU, size 1
         s.offer(2, 4, 4 * BLOCK, 5, &mut dev); // size 4
@@ -595,7 +587,7 @@ mod tests {
 
     #[test]
     fn same_size_tie_goes_to_the_lru_most() {
-        let mut s = ListStore::new(SlotRegion::new(0, BLOCK, 6), BLOCK, true, 3, 0.0);
+        let mut s = ListStore::new(SlotRegion::new(0, 6), true, 3, 0.0);
         let mut dev = device();
         s.offer(1, 1, BLOCK, 5, &mut dev); // LRU, size 1
         s.offer(2, 2, 2 * BLOCK, 5, &mut dev); // size 2  <- victim
@@ -608,7 +600,7 @@ mod tests {
 
     #[test]
     fn assembly_evicts_several_small_entries() {
-        let mut s = ListStore::new(SlotRegion::new(0, BLOCK, 4), BLOCK, true, 4, 0.0);
+        let mut s = ListStore::new(SlotRegion::new(0, 4), true, 4, 0.0);
         let mut dev = device();
         for t in 1..=4 {
             s.offer(t, 1, BLOCK, 5, &mut dev);
@@ -657,7 +649,7 @@ mod tests {
 
     #[test]
     fn static_partition_survives_pressure() {
-        let mut s = ListStore::new(SlotRegion::new(0, BLOCK, 6), BLOCK, true, 2, 0.5);
+        let mut s = ListStore::new(SlotRegion::new(0, 6), true, 2, 0.5);
         let mut dev = device();
         s.seed_static(vec![(100, 2, 2 * BLOCK, 50), (101, 1, BLOCK, 40)], &mut dev);
         assert_eq!(s.cached_bytes(100), Some(2 * BLOCK));
@@ -674,7 +666,7 @@ mod tests {
 
     #[test]
     fn static_budget_is_respected() {
-        let mut s = ListStore::new(SlotRegion::new(0, BLOCK, 4), BLOCK, true, 2, 0.5);
+        let mut s = ListStore::new(SlotRegion::new(0, 4), true, 2, 0.5);
         let mut dev = device();
         // Budget = 2 blocks; the 3-block list cannot be seeded.
         s.seed_static(

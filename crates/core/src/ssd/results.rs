@@ -14,15 +14,22 @@ use fxmap::{FxHashMap, FxHashSet};
 use cachekit::SegmentedLru;
 use invariant::{audit, Report, Validate};
 use simclock::SimDuration;
-use storagecore::BlockDevice;
+use storagecore::{BlockDevice, Extent, IoRequest};
 
+use crate::config::{HybridConfig, RESULT_ENTRY_BYTES};
 use crate::ssd::slots::{SlotId, SlotRegion};
 use crate::ssd::EntryState;
 use crate::QueryId;
 
-/// A stored result entry.
+/// Result entries per result block.
+const ENTRIES_PER_RB: usize = HybridConfig::entries_per_rb();
+
+/// A cached result entry: Fig. 7(a)'s query → (RB, index) mapping and the
+/// payload it points at.
 #[derive(Debug, Clone)]
 struct Stored<V> {
+    slot: SlotId,
+    idx: u8,
     value: V,
     freq: u64,
     state: EntryState,
@@ -32,21 +39,22 @@ struct Stored<V> {
 /// slot, the flag bitmap is `entries` (Some = valid bit set).
 #[derive(Debug, Clone)]
 struct Rb {
-    entries: Vec<Option<QueryId>>,
+    entries: [Option<QueryId>; ENTRIES_PER_RB],
     is_static: bool,
-    /// Fig. 11's IREN, maintained incrementally: invalid slots plus
-    /// replaceable entries, what a fresh scan of `entries` would count.
-    invalid: usize,
 }
 
 impl Rb {
-    fn new(capacity: usize, is_static: bool) -> Self {
+    fn new(is_static: bool) -> Self {
         Rb {
-            entries: vec![None; capacity],
+            entries: [None; ENTRIES_PER_RB],
             is_static,
-            invalid: capacity,
         }
     }
+}
+
+/// The extent of entry position `idx` inside RB `slot`.
+fn entry_extent(region: &SlotRegion, slot: SlotId, idx: u8) -> Extent {
+    region.sub_extent(slot, idx as u64 * RESULT_ENTRY_BYTES, RESULT_ENTRY_BYTES)
 }
 
 /// Store-level counters.
@@ -68,17 +76,14 @@ pub struct ResultStoreStats {
 #[derive(Debug, Clone)]
 pub struct ResultStore<V> {
     region: SlotRegion,
-    entries_per_rb: usize,
-    entry_bytes: u64,
     cost_based: bool,
     /// RB recency list (cost-based victim domain; static RBs excluded).
     rb_lru: SegmentedLru<SlotId>,
     /// Entry recency list (LRU-baseline victim domain).
     entry_lru: SegmentedLru<QueryId>,
     rbs: FxHashMap<SlotId, Rb>,
-    /// Fig. 7(a): query → (RB, index).
-    map: FxHashMap<QueryId, (SlotId, u8)>,
-    payload: FxHashMap<QueryId, Stored<V>>,
+    /// The result mapping table: query → its RB position and payload.
+    map: FxHashMap<QueryId, Stored<V>>,
     /// LRU mode: open entry positions available for small writes.
     free_entries: Vec<(SlotId, u8)>,
     /// CB mode: staged evictions awaiting assembly.
@@ -90,29 +95,17 @@ pub struct ResultStore<V> {
 }
 
 impl<V: Clone> ResultStore<V> {
-    /// Create over `region`, holding `entries_per_rb` entries of
-    /// `entry_bytes` per result block. `window` is the replace-first
-    /// window over RBs (cost-based) or entries (LRU).
-    pub fn new(
-        region: SlotRegion,
-        entries_per_rb: usize,
-        entry_bytes: u64,
-        cost_based: bool,
-        window: usize,
-        static_fraction: f64,
-    ) -> Self {
-        assert!(entries_per_rb > 0);
+    /// Create over `region`, one RB per slot. `window` is the
+    /// replace-first window over RBs (cost-based) or entries (LRU).
+    pub fn new(region: SlotRegion, cost_based: bool, window: usize, static_fraction: f64) -> Self {
         let static_slots = (region.capacity() as f64 * static_fraction).floor() as u32;
         ResultStore {
             region,
-            entries_per_rb,
-            entry_bytes,
             cost_based,
             rb_lru: SegmentedLru::new(window),
             entry_lru: SegmentedLru::new(window),
             rbs: FxHashMap::default(),
             map: FxHashMap::default(),
-            payload: FxHashMap::default(),
             free_entries: Vec::new(),
             write_buffer: Vec::new(),
             static_slots,
@@ -150,22 +143,16 @@ impl<V: Clone> ResultStore<V> {
         device: &mut D,
         mark_replaceable: bool,
     ) -> Option<(V, u64, SimDuration)> {
-        let &(slot, idx) = self.map.get(&id)?;
-        let extent = self
-            .region
-            .sub_extent(slot, idx as u64 * self.entry_bytes, self.entry_bytes);
-        let latency = device.read(extent).expect("result extent is in-region");
+        let stored = self.map.get_mut(&id)?;
+        let slot = stored.slot;
+        let latency = device
+            .read(entry_extent(&self.region, slot, stored.idx))
+            .expect("result extent is in-region");
         let is_static = self.rbs[&slot].is_static;
-        let stored = self.payload.get_mut(&id).expect("map/payload agree");
-        let turned_replaceable =
-            mark_replaceable && !is_static && stored.state == EntryState::Normal;
         if mark_replaceable && !is_static {
             stored.state = EntryState::Replaceable;
         }
         let out = (stored.value.clone(), stored.freq, latency);
-        if turned_replaceable {
-            self.rbs.get_mut(&slot).expect("rb exists").invalid += 1;
-        }
         if !is_static {
             if self.cost_based {
                 self.rb_lru.touch(&slot);
@@ -190,15 +177,11 @@ impl<V: Clone> ResultStore<V> {
     ) -> SimDuration {
         // Dedup: a replaceable copy of the same query is still on the SSD
         // — flip it back to normal instead of rewriting (Sec. VI-C1).
-        if let Some(stored) = self.payload.get_mut(&id) {
-            let was_replaceable = stored.state == EntryState::Replaceable;
+        if let Some(stored) = self.map.get_mut(&id) {
             stored.state = EntryState::Normal;
             stored.freq = stored.freq.max(freq);
             self.stats.rewrites_avoided += 1;
-            let (slot, _) = self.map[&id];
-            if was_replaceable {
-                self.rbs.get_mut(&slot).expect("rb exists").invalid -= 1;
-            }
+            let slot = stored.slot;
             if !self.rbs[&slot].is_static {
                 if self.cost_based {
                     self.rb_lru.touch(&slot);
@@ -219,7 +202,7 @@ impl<V: Clone> ResultStore<V> {
                 return SimDuration::ZERO;
             }
             self.write_buffer.push((id, value, freq));
-            let latency = if self.write_buffer.len() >= self.entries_per_rb {
+            let latency = if self.write_buffer.len() >= ENTRIES_PER_RB {
                 self.flush_buffer(device)
             } else {
                 SimDuration::ZERO
@@ -246,15 +229,14 @@ impl<V: Clone> ResultStore<V> {
             self.write_buffer.clear();
             return SimDuration::ZERO;
         };
-        let staged: Vec<(QueryId, V, u64)> = self.write_buffer.drain(..).collect();
-        let mut rb = Rb::new(self.entries_per_rb, false);
-        for (i, (id, value, freq)) in staged.into_iter().enumerate() {
+        let mut rb = Rb::new(false);
+        for (i, (id, value, freq)) in self.write_buffer.drain(..).enumerate() {
             rb.entries[i] = Some(id);
-            rb.invalid -= 1;
-            self.map.insert(id, (slot, i as u8));
-            self.payload.insert(
+            self.map.insert(
                 id,
                 Stored {
+                    slot,
+                    idx: i as u8,
                     value,
                     freq,
                     state: EntryState::Normal,
@@ -265,8 +247,18 @@ impl<V: Clone> ResultStore<V> {
         self.rb_lru.insert_mru(slot);
         self.stats.rb_writes += 1;
         device
-            .write(self.region.extent(slot))
+            .request(&IoRequest::write(self.region.extent(slot)).background())
             .expect("RB extent is in-region")
+    }
+
+    /// Fig. 11's IREN of RB `slot`: its free positions plus its
+    /// replaceable entries, counted off the validity bitmap.
+    fn iren(&self, slot: SlotId) -> usize {
+        self.rbs[&slot]
+            .entries
+            .iter()
+            .filter(|e| e.is_none_or(|q| self.map[&q].state == EntryState::Replaceable))
+            .count()
     }
 
     /// A slot for a fresh RB: free pool first, then the CBLRU victim —
@@ -281,7 +273,7 @@ impl<V: Clone> ResultStore<V> {
         // LRU-most; with an empty window (`W` = 0), the strict LRU RB.
         let victim = self
             .rb_lru
-            .best_in_replace_first(|s| self.rbs[s].invalid)
+            .best_in_replace_first(|&s| self.iren(s))
             .or_else(|| self.rb_lru.peek_lru())
             .copied()?;
         self.destroy_rb(victim);
@@ -298,8 +290,7 @@ impl<V: Clone> ResultStore<V> {
     fn destroy_rb(&mut self, slot: SlotId) {
         let rb = self.rbs.remove(&slot).expect("victim exists");
         for id in rb.entries.into_iter().flatten() {
-            self.map.remove(&id);
-            let stored = self.payload.remove(&id).expect("map/payload agree");
+            let stored = self.map.remove(&id).expect("bitmap entries are mapped");
             if stored.state == EntryState::Normal {
                 self.stats.collateral_evictions += 1;
             }
@@ -318,32 +309,26 @@ impl<V: Clone> ResultStore<V> {
     ) -> SimDuration {
         let position = self.free_entries.pop().or_else(|| {
             if let Some(slot) = self.region.alloc() {
-                self.rbs.insert(slot, Rb::new(self.entries_per_rb, false));
+                self.rbs.insert(slot, Rb::new(false));
                 self.free_entries
-                    .extend((1..self.entries_per_rb as u8).map(|i| (slot, i)));
+                    .extend((1..ENTRIES_PER_RB as u8).map(|i| (slot, i)));
                 return Some((slot, 0));
             }
             let victim = self.entry_lru.pop_lru()?;
-            let (slot, idx) = self.map.remove(&victim).expect("victim mapped");
-            let stored = self.payload.remove(&victim).expect("victim stored");
-            let rb = self.rbs.get_mut(&slot).expect("rb exists");
-            rb.entries[idx as usize] = None;
-            if stored.state == EntryState::Normal {
-                rb.invalid += 1;
-            }
+            let stored = self.map.remove(&victim).expect("victim mapped");
+            self.rbs.get_mut(&stored.slot).expect("rb exists").entries[stored.idx as usize] = None;
             self.stats.collateral_evictions += 1;
-            Some((slot, idx))
+            Some((stored.slot, stored.idx))
         });
         let Some((slot, idx)) = position else {
             return SimDuration::ZERO; // zero-capacity region
         };
-        let rb = self.rbs.get_mut(&slot).expect("rb exists");
-        rb.entries[idx as usize] = Some(id);
-        rb.invalid -= 1;
-        self.map.insert(id, (slot, idx));
-        self.payload.insert(
+        self.rbs.get_mut(&slot).expect("rb exists").entries[idx as usize] = Some(id);
+        self.map.insert(
             id,
             Stored {
+                slot,
+                idx,
                 value,
                 freq,
                 state: EntryState::Normal,
@@ -352,10 +337,7 @@ impl<V: Clone> ResultStore<V> {
         self.entry_lru.insert_mru(id);
         self.stats.entry_writes += 1;
         device
-            .write(
-                self.region
-                    .sub_extent(slot, idx as u64 * self.entry_bytes, self.entry_bytes),
-            )
+            .request(&IoRequest::write(entry_extent(&self.region, slot, idx)).background())
             .expect("entry extent is in-region")
     }
 
@@ -363,23 +345,18 @@ impl<V: Clone> ResultStore<V> {
     /// the RB ends up fully invalid under the cost-based policy, the whole
     /// block is trimmed and returned to the free pool.
     pub fn invalidate<D: BlockDevice>(&mut self, id: QueryId, device: &mut D) -> SimDuration {
-        let Some((slot, idx)) = self.map.remove(&id) else {
+        let Some(Stored { slot, idx, .. }) = self.map.remove(&id) else {
             return SimDuration::ZERO;
         };
-        let stored = self.payload.remove(&id).expect("map/payload agree");
         let rb = self.rbs.get_mut(&slot).expect("rb exists");
         rb.entries[idx as usize] = None;
-        if stored.state == EntryState::Normal {
-            rb.invalid += 1;
-        }
-        let is_static = rb.is_static;
         if self.cost_based {
-            if !is_static && self.rbs[&slot].entries.iter().all(Option::is_none) {
+            if !rb.is_static && rb.entries.iter().all(Option::is_none) {
                 self.rbs.remove(&slot);
                 self.rb_lru.remove(&slot);
                 self.stats.trims += 1;
                 let t = device
-                    .trim(self.region.extent(slot))
+                    .request(&IoRequest::trim(self.region.extent(slot)).background())
                     .expect("RB extent is in-region");
                 self.region.release(slot);
                 audit!(self, "ResultStore::invalidate(trim)");
@@ -402,24 +379,24 @@ impl<V: Clone> ResultStore<V> {
         device: &mut D,
     ) -> SimDuration {
         let mut latency = SimDuration::ZERO;
-        let capacity = self.static_slots as usize * self.entries_per_rb;
+        let capacity = self.static_slots as usize * ENTRIES_PER_RB;
         for chunk in entries
             .into_iter()
             .take(capacity)
             .collect::<Vec<_>>()
-            .chunks(self.entries_per_rb)
+            .chunks(ENTRIES_PER_RB)
         {
             let Some(slot) = self.region.alloc() else {
                 break;
             };
-            let mut rb = Rb::new(self.entries_per_rb, true);
+            let mut rb = Rb::new(true);
             for (i, (id, value, freq)) in chunk.iter().enumerate() {
                 rb.entries[i] = Some(*id);
-                rb.invalid -= 1;
-                self.map.insert(*id, (slot, i as u8));
-                self.payload.insert(
+                self.map.insert(
                     *id,
                     Stored {
+                        slot,
+                        idx: i as u8,
                         value: value.clone(),
                         freq: *freq,
                         state: EntryState::Normal,
@@ -430,40 +407,21 @@ impl<V: Clone> ResultStore<V> {
             self.static_used += 1;
             self.stats.rb_writes += 1;
             latency += device
-                .write(self.region.extent(slot))
+                .request(&IoRequest::write(self.region.extent(slot)).background())
                 .expect("RB extent is in-region");
         }
         audit!(self, "ResultStore::seed_static");
         latency
     }
 
-    /// Test hook: skew the incremental IREN counter of `id`'s RB without
-    /// touching the bitmap, simulating the counter drift the
-    /// `iren-bitmap-agree` validator exists to catch.
-    #[doc(hidden)]
-    pub fn debug_corrupt_iren(&mut self, id: QueryId, delta: isize) {
-        let (slot, _) = self.map[&id];
-        let rb = self.rbs.get_mut(&slot).expect("rb exists");
-        rb.invalid = rb.invalid.wrapping_add_signed(delta);
-    }
-
-    /// Test hook: force `id`'s entry state while keeping the IREN counter
-    /// consistent with the bitmap, so only state-machine invariants can
-    /// fire — used to prove the pinned-static check catches an
-    /// out-of-order free → normal → replaceable transition on its own.
+    /// Test hook: force `id`'s entry state, bypassing the hit-path
+    /// guards — forcing a *static* entry replaceable reproduces the
+    /// out-of-order free → normal → replaceable transition the
+    /// `state-machine` validator exists to catch (pinned entries never
+    /// leave Normal).
     #[doc(hidden)]
     pub fn debug_force_state(&mut self, id: QueryId, state: EntryState) {
-        let (slot, _) = self.map[&id];
-        let stored = self.payload.get_mut(&id).expect("map/payload agree");
-        if stored.state == state {
-            return;
-        }
-        let rb = self.rbs.get_mut(&slot).expect("rb exists");
-        match state {
-            EntryState::Replaceable => rb.invalid += 1,
-            EntryState::Normal => rb.invalid -= 1,
-        }
-        stored.state = state;
+        self.map.get_mut(&id).expect("entry cached").state = state;
     }
 
     /// Test hook: skew the static-RB counter away from the RBs actually
@@ -472,65 +430,27 @@ impl<V: Clone> ResultStore<V> {
     pub fn debug_corrupt_static_used(&mut self, delta: i32) {
         self.static_used = self.static_used.wrapping_add_signed(delta);
     }
-
-    /// Test hook: shrink or grow the per-entry footprint after the fact,
-    /// breaking the "an RB packs into exactly one aligned 128 KB slot"
-    /// geometry the `rb-write-alignment` validator checks.
-    #[doc(hidden)]
-    pub fn debug_corrupt_entry_bytes(&mut self, entry_bytes: u64) {
-        self.entry_bytes = entry_bytes;
-    }
 }
 
 impl<V> Validate for ResultStore<V> {
     /// Re-derives the result store's redundant bookkeeping from scratch
-    /// (paper Sec. VI-B/C, Figs. 7(a)/(b) and 11) and cross-checks it:
+    /// (paper Sec. VI-B/C, Figs. 7(a)/(b)) and cross-checks it:
     ///
-    /// * the query→slot map, the payload table and the RB bitmaps must
-    ///   form one consistent bijection;
-    /// * each RB's incrementally maintained IREN equals a fresh bitmap
-    ///   scan (invalid slots + replaceable entries);
+    /// * the mapping table and the RB bitmaps form one consistent
+    ///   bijection;
     /// * slot allocation, recency lists, the static-RB counter and the
-    ///   write buffer agree with the mapping tables;
-    /// * static (pinned) entries never leave the Normal state;
-    /// * RB geometry keeps every write one whole aligned slot.
+    ///   write buffer agree with the mapping table;
+    /// * static (pinned) entries never leave the Normal state.
+    ///
+    /// IREN has no copy to drift: victim selection counts it off the
+    /// bitmap. The RB geometry is checked by the compiler.
     fn validate(&self, report: &mut Report) {
         const S: &str = "ResultStore";
         self.region.validate(report);
 
-        let slot_bytes = self.region.slot_sectors() * storagecore::SECTOR_SIZE as u64;
-        report.check(
-            self.entries_per_rb as u64 * self.entry_bytes <= slot_bytes,
-            S,
-            "rb-write-alignment",
-            || {
-                format!(
-                    "{} entries of {} bytes do not pack into a {} byte slot",
-                    self.entries_per_rb, self.entry_bytes, slot_bytes
-                )
-            },
-        );
-
-        // Mapping tables: map ↔ payload ↔ RB bitmaps form a bijection.
-        report.check(
-            self.map.len() == self.payload.len(),
-            S,
-            "map-payload-agree",
-            || {
-                format!(
-                    "map holds {} queries, payload table {}",
-                    self.map.len(),
-                    self.payload.len()
-                )
-            },
-        );
-        for (&id, &(slot, idx)) in &self.map {
-            report.check(
-                self.payload.contains_key(&id),
-                S,
-                "map-payload-agree",
-                || format!("query {id} is mapped but has no payload"),
-            );
+        // Mapping table ↔ RB bitmaps form a bijection.
+        for (&id, stored) in &self.map {
+            let (slot, idx) = (stored.slot, stored.idx);
             let Some(rb) = self.rbs.get(&slot) else {
                 report.violation(
                     S,
@@ -539,11 +459,8 @@ impl<V> Validate for ResultStore<V> {
                 );
                 continue;
             };
-            if !report.check((idx as usize) < rb.entries.len(), S, "map-rb-agree", || {
-                format!(
-                    "query {id} maps to position {idx} of a {}-entry RB",
-                    rb.entries.len()
-                )
+            if !report.check((idx as usize) < ENTRIES_PER_RB, S, "map-rb-agree", || {
+                format!("query {id} maps to position {idx} of a {ENTRIES_PER_RB}-entry RB")
             }) {
                 continue;
             }
@@ -571,7 +488,7 @@ impl<V> Validate for ResultStore<V> {
             )
         });
 
-        // Per-RB checks: slot allocation, IREN agreement, static pinning.
+        // Per-RB checks: slot allocation, static pinning.
         let mut static_rbs = 0u32;
         for (&slot, rb) in &self.rbs {
             report.check(
@@ -580,39 +497,10 @@ impl<V> Validate for ResultStore<V> {
                 "slot-allocated",
                 || format!("RB slot {slot} is not an allocated region slot"),
             );
-            report.check(
-                rb.entries.len() == self.entries_per_rb,
-                S,
-                "rb-capacity",
-                || {
-                    format!(
-                        "RB {slot} has {} positions, the store packs {}",
-                        rb.entries.len(),
-                        self.entries_per_rb
-                    )
-                },
-            );
-            let scan = rb
-                .entries
-                .iter()
-                .filter(|e| match e {
-                    None => true,
-                    Some(q) => self
-                        .payload
-                        .get(q)
-                        .is_none_or(|s| s.state == EntryState::Replaceable),
-                })
-                .count();
-            report.check(rb.invalid == scan, S, "iren-bitmap-agree", || {
-                format!(
-                    "RB {slot} carries IREN {} but a bitmap scan counts {scan}",
-                    rb.invalid
-                )
-            });
             if rb.is_static {
                 static_rbs += 1;
                 for id in rb.entries.iter().flatten() {
-                    let state = self.payload.get(id).map(|s| s.state);
+                    let state = self.map.get(id).map(|s| s.state);
                     report.check(
                         EntryState::may_become(None, state)
                             && state != Some(EntryState::Replaceable),
@@ -691,8 +579,8 @@ impl<V> Validate for ResultStore<V> {
                     self.rb_lru.len()
                 )
             });
-            for (&id, &(slot, _)) in &self.map {
-                let is_static = self.rbs.get(&slot).is_some_and(|rb| rb.is_static);
+            for (&id, stored) in &self.map {
+                let is_static = self.rbs.get(&stored.slot).is_some_and(|rb| rb.is_static);
                 report.check(
                     self.entry_lru.contains(&id) != is_static,
                     S,
@@ -739,14 +627,13 @@ impl<V> Validate for ResultStore<V> {
 
         // Write buffer: staged entries are not yet mapped, each id once.
         report.check(
-            self.entries_per_rb == 0 || self.write_buffer.len() < self.entries_per_rb,
+            self.write_buffer.len() < ENTRIES_PER_RB,
             S,
             "write-buffer-bounded",
             || {
                 format!(
-                    "{} staged entries never flushed into a {}-entry RB",
-                    self.write_buffer.len(),
-                    self.entries_per_rb
+                    "{} staged entries never flushed into a {ENTRIES_PER_RB}-entry RB",
+                    self.write_buffer.len()
                 )
             },
         );
@@ -772,22 +659,14 @@ mod tests {
     use simclock::SimDuration;
     use storagecore::{IoKind, RamDisk};
 
-    const ENTRY: u64 = 20_000;
-    const BLOCK: u64 = 128 * 1024;
+    const BLOCK: u64 = crate::BLOCK_BYTES;
 
     fn device() -> RamDisk {
         RamDisk::with_capacity_bytes(64 << 20, SimDuration::from_micros(10))
     }
 
     fn store(slots: u32, cost_based: bool) -> ResultStore<u32> {
-        ResultStore::new(
-            SlotRegion::new(0, BLOCK, slots),
-            6,
-            ENTRY,
-            cost_based,
-            2,
-            0.0,
-        )
+        ResultStore::new(SlotRegion::new(0, slots), cost_based, 2, 0.0)
     }
 
     fn fill_rb(s: &mut ResultStore<u32>, dev: &mut RamDisk, ids: std::ops::Range<u64>) {
@@ -838,8 +717,7 @@ mod tests {
         assert_eq!(freq, 1);
         assert!(t > SimDuration::ZERO);
         // Entry 3 is now replaceable: the RB's IREN is 1.
-        let (slot, _) = s.map[&3];
-        assert_eq!(s.rbs[&slot].invalid, 1);
+        assert_eq!(s.iren(s.map[&3].slot), 1);
         // A second lookup still hits (replaceable data stays readable).
         assert!(s.lookup(3, &mut dev, true).is_some());
     }
@@ -863,8 +741,7 @@ mod tests {
         assert_eq!(dev.stats().ops(IoKind::Write), writes_before);
         assert_eq!(s.stats().rewrites_avoided, 1);
         // Back to normal: IREN drops to 0.
-        let (slot, _) = s.map[&2];
-        assert_eq!(s.rbs[&slot].invalid, 0);
+        assert_eq!(s.iren(s.map[&2].slot), 0);
     }
 
     #[test]
@@ -890,7 +767,7 @@ mod tests {
 
     #[test]
     fn equal_iren_tie_goes_to_the_lru_most() {
-        let mut s = ResultStore::new(SlotRegion::new(0, BLOCK, 3), 6, ENTRY, true, 3, 0.0);
+        let mut s = ResultStore::new(SlotRegion::new(0, 3), true, 3, 0.0);
         let mut dev = device();
         fill_rb(&mut s, &mut dev, 0..6); // RB A: LRU, IREN 0
         fill_rb(&mut s, &mut dev, 6..12); // RB B: IREN 1  <- victim
@@ -905,7 +782,7 @@ mod tests {
     #[test]
     fn zero_window_still_replaces() {
         // W = 0 is "look up in all the LRU list": the strict LRU RB.
-        let mut s = ResultStore::new(SlotRegion::new(0, BLOCK, 2), 6, ENTRY, true, 0, 0.0);
+        let mut s = ResultStore::new(SlotRegion::new(0, 2), true, 0, 0.0);
         let mut dev = device();
         fill_rb(&mut s, &mut dev, 0..18);
         assert_eq!(s.stats().rb_writes, 3);
@@ -945,9 +822,7 @@ mod tests {
     #[test]
     fn static_partition_is_pinned() {
         let mut s: ResultStore<u32> = ResultStore::new(
-            SlotRegion::new(0, BLOCK, 4),
-            6,
-            ENTRY,
+            SlotRegion::new(0, 4),
             true,
             2,
             0.5, // 2 of 4 slots static
@@ -958,8 +833,7 @@ mod tests {
         assert!(s.contains(100) && s.contains(111));
         // Lookups on static entries never turn them replaceable.
         s.lookup(100, &mut dev, true);
-        let (slot, _) = s.map[&100];
-        assert_eq!(s.rbs[&slot].invalid, 0);
+        assert_eq!(s.iren(s.map[&100].slot), 0);
         // Fill the dynamic remainder twice over: static entries survive.
         for batch in 0..4u64 {
             fill_rb(&mut s, &mut dev, batch * 6..batch * 6 + 6);

@@ -3,31 +3,29 @@
 use invariant::{Report, Validate};
 use storagecore::{Extent, Lba};
 
+use crate::config::HybridConfig;
+
 /// Index of a 128 KB slot within a region.
 pub type SlotId = u32;
 
-/// A contiguous LBA region divided into fixed-size slots.
+/// Sectors per slot: one [`crate::BLOCK_BYTES`] block.
+const SLOT_SECTORS: u64 = HybridConfig::sectors_per_block();
+
+/// A contiguous LBA region divided into 128 KB slots.
 #[derive(Debug, Clone)]
 pub struct SlotRegion {
     base: Lba,
-    slot_sectors: u64,
     nslots: u32,
     free: Vec<SlotId>,
 }
 
 impl SlotRegion {
-    /// Region of `nslots` slots of `slot_bytes` each, starting at `base`.
-    pub fn new(base: Lba, slot_bytes: u64, nslots: u32) -> Self {
-        assert!(slot_bytes > 0 && slot_bytes % storagecore::SECTOR_SIZE as u64 == 0);
+    /// Region of `nslots` slots starting at `base`.
+    pub fn new(base: Lba, nslots: u32) -> Self {
         // Free list popped from the back: hand slots out in LBA order so
         // the initial fill is one long sequential write.
         let free = (0..nslots).rev().collect();
-        SlotRegion {
-            base,
-            slot_sectors: slot_bytes / storagecore::SECTOR_SIZE as u64,
-            nslots,
-            free,
-        }
+        SlotRegion { base, nslots, free }
     }
 
     /// Total slots.
@@ -52,12 +50,7 @@ impl SlotRegion {
 
     /// One past the region's last sector.
     pub fn end(&self) -> Lba {
-        self.base + self.slot_sectors * self.nslots as u64
-    }
-
-    /// Sectors per slot.
-    pub fn slot_sectors(&self) -> u64 {
-        self.slot_sectors
+        self.base + SLOT_SECTORS * self.nslots as u64
     }
 
     /// Allocate a slot.
@@ -75,10 +68,7 @@ impl SlotRegion {
     /// The full extent of a slot.
     pub fn extent(&self, slot: SlotId) -> Extent {
         assert!(slot < self.nslots, "slot {slot} out of range");
-        Extent::new(
-            self.base + slot as u64 * self.slot_sectors,
-            self.slot_sectors,
-        )
+        Extent::new(self.base + slot as u64 * SLOT_SECTORS, SLOT_SECTORS)
     }
 
     /// The extent of a byte range `[offset, offset + bytes)` inside a slot.
@@ -127,14 +117,14 @@ mod tests {
     use super::*;
 
     fn region() -> SlotRegion {
-        SlotRegion::new(1000, 128 * 1024, 4)
+        SlotRegion::new(1000, 4)
     }
 
     #[test]
     fn geometry() {
         let r = region();
         assert_eq!(r.capacity(), 4);
-        assert_eq!(r.slot_sectors(), 256);
+        assert_eq!(r.extent(0).sectors, 256);
         assert_eq!(r.base(), 1000);
         assert_eq!(r.end(), 1000 + 4 * 256);
     }

@@ -25,7 +25,7 @@ use proptest::prelude::*;
 use simclock::{SimDuration, SimTime};
 use storagecore::RamDisk;
 
-const BLOCK: u64 = 128 * 1024;
+const BLOCK: u64 = hybridcache::BLOCK_BYTES;
 
 fn policies() -> impl Strategy<Value = PolicyKind> {
     prop_oneof![
@@ -82,7 +82,7 @@ proptest! {
         // builds, inside insert/touch/remove).
         invariant::force_enable();
         let capacity = 6 * 1024; // a handful of entries at 256-byte units
-        let mut cache = MemListCache::new(capacity, policy, window, 1024);
+        let mut cache = MemListCache::new(capacity, policy, window);
 
         for op in ops {
             match op {
@@ -141,9 +141,9 @@ enum RcOp {
 fn rc_ops() -> impl Strategy<Value = Vec<RcOp>> {
     prop::collection::vec(
         prop_oneof![
-            (0u64..16, 1u64..6).prop_map(|(id, f)| RcOp::Offer(id, f)),
-            (0u64..16, any::<bool>()).prop_map(|(id, m)| RcOp::Lookup(id, m)),
-            (0u64..16).prop_map(RcOp::Invalidate),
+            (0u64..32, 1u64..6).prop_map(|(id, f)| RcOp::Offer(id, f)),
+            (0u64..32, any::<bool>()).prop_map(|(id, m)| RcOp::Lookup(id, m)),
+            (0u64..32).prop_map(RcOp::Invalidate),
         ],
         1..150,
     )
@@ -156,20 +156,12 @@ proptest! {
     fn result_store_random_ops_hold_accounting(
         ops in rc_ops(),
         slots in 2u32..6,
-        entries_per_rb in 2usize..4,
         window in 0usize..4,
         cost_based in any::<bool>(),
     ) {
         invariant::force_enable();
-        let entry_bytes = 40_000u64; // 2–3 entries fit a 128 KB RB
-        let mut store = ResultStore::<u64>::new(
-            SlotRegion::new(0, BLOCK, slots),
-            entries_per_rb,
-            entry_bytes,
-            cost_based,
-            window,
-            0.0,
-        );
+        let entries_per_rb = HybridConfig::entries_per_rb();
+        let mut store = ResultStore::<u64>::new(SlotRegion::new(0, slots), cost_based, window, 0.0);
         let mut dev = device();
 
         for op in ops {
@@ -188,14 +180,14 @@ proptest! {
                     prop_assert!(!store.contains(id));
                 }
             }
-            let resident = (0u64..16).filter(|&id| store.contains(id)).count();
+            let resident = (0u64..32).filter(|&id| store.contains(id)).count();
             prop_assert_eq!(store.len(), resident);
             prop_assert!(resident <= slots as usize * entries_per_rb);
         }
         // Admissions continue after fill at every window, `W` = 0
         // included: more fresh entries than the region holds all get
         // written, each one replacing a victim once no slot is free.
-        let staged = (0u64..16).filter(|&id| store.buffered(id)).count();
+        let staged = (0u64..32).filter(|&id| store.buffered(id)).count();
         let fresh = (slots as usize + 1) * entries_per_rb;
         let before = store.stats();
         for id in 100..100 + fresh as u64 {
@@ -250,7 +242,7 @@ proptest! {
     ) {
         invariant::force_enable();
         let mut store =
-            ListStore::<u32>::new(SlotRegion::new(0, BLOCK, blocks), BLOCK, cost_based, window, 0.0);
+            ListStore::<u32>::new(SlotRegion::new(0, blocks), cost_based, window, 0.0);
         let mut dev = device();
 
         for op in ops {
@@ -321,14 +313,11 @@ proptest! {
             mem_list_bytes: 2 * BLOCK,
             ssd_result_bytes: 4 * BLOCK,
             ssd_list_bytes: 8 * BLOCK,
-            block_bytes: BLOCK,
-            result_entry_bytes: 20_000,
             window,
             tev: if policy.is_cost_based() { 0.5 } else { 0.0 },
             result_freq_threshold: if policy.is_cost_based() { 2 } else { 0 },
             policy,
             scheme: CachingScheme::Hybrid,
-            ssd_base_lba: 0,
             intersections: None,
             admission: hybridcache::AdmissionConfig::static_default(),
         };

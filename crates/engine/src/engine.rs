@@ -11,7 +11,7 @@ use searchidx::{
 use simclock::{Clock, Histogram, RunningStats, SimDuration, SimTime};
 use storagecore::{
     BlockDevice, Extent, Geometry, IoError, IoEvent, IoRequest, IoStats, Lba, NullSink,
-    PipelinedDevice, QueueDepthStats, SchedulerPolicy, TraceSink,
+    PipelinedDevice, SchedulerPolicy, TraceSink,
 };
 use workload::{Query, QueryLog, QueryLogSpec};
 
@@ -143,7 +143,7 @@ pub struct SearchEngine {
     compaction_mode: CompactionMode,
     /// Virtual time spent in background mutation I/O (WAL appends, seal
     /// images, merge traffic). Not added to query response times — the
-    /// background flag on the device is what models the overlap — but
+    /// background flag on each request is what models the overlap — but
     /// reported so ingest cost stays visible.
     mutation_io_time: SimDuration,
     /// Order-insensitive digest over every served result (computed or
@@ -223,7 +223,7 @@ impl SearchEngine {
             events: config.capture_trace.then(Vec::new),
         };
         let cache = config.cache.clone().map(|hc| {
-            let footprint = (hc.ssd_base_lba + hc.ssd_sectors()) * storagecore::SECTOR_SIZE as u64;
+            let footprint = hc.ssd_sectors() * storagecore::SECTOR_SIZE as u64;
             // The paper's SSD widened to the configured channel count.
             let mut params = flashsim::FlashParams::paper(footprint.max(4 << 20));
             params.channels = config.ssd_channels.max(1);
@@ -424,19 +424,6 @@ impl SearchEngine {
         if let Some(cache) = self.cache.as_mut() {
             cache.device_mut().set_policy(policy);
         }
-    }
-
-    /// Queue-depth accounting of the index device.
-    pub fn index_queue_stats(&self) -> QueueDepthStats {
-        *self.index_dev.stats().queue()
-    }
-
-    /// Queue-depth accounting of the cache SSD (zeros when uncached).
-    pub fn cache_queue_stats(&self) -> QueueDepthStats {
-        self.cache
-            .as_ref()
-            .map(|c| *c.device().stats().queue())
-            .unwrap_or_default()
     }
 
     /// Route top-K through `TopKProcessor::process_reference` — the seed's
@@ -723,7 +710,6 @@ impl SearchEngine {
         if cache.config().policy.static_fraction() == 0.0 {
             return;
         }
-        let sb = cache.config().block_bytes;
 
         let mut query_freq: BTreeMap<u64, u64> = BTreeMap::new();
         for q in self.log.stream_iter(analysis_len) {
@@ -762,7 +748,7 @@ impl SearchEngine {
         // the seeded set is reproducible independent of map order.
         list_seeds.sort_by(|a, b| {
             let ev = |x: &(u64, u64, f64, u64)| {
-                hybridcache::efficiency_value(x.3, hybridcache::sc_blocks(x.1, x.2, sb))
+                hybridcache::efficiency_value(x.3, hybridcache::sc_blocks(x.1, x.2))
             };
             ev(b)
                 .partial_cmp(&ev(a))
@@ -884,19 +870,17 @@ impl SearchEngine {
     /// `mutation_io_time`, never to a query's response.
     fn background_io(&mut self, reads: &[Extent], write: Extent) {
         self.index_dev.set_now(self.clock.now());
-        self.index_dev.set_background(true);
         let mut t = SimDuration::ZERO;
         for &extent in reads {
             t += self
                 .index_dev
-                .read(extent)
+                .request(&IoRequest::read(extent).background())
                 .expect("segment arena is on-device");
         }
         t += self
             .index_dev
-            .write(write)
+            .request(&IoRequest::write(write).background())
             .expect("WAL ring and segment arena are on-device");
-        self.index_dev.set_background(false);
         self.mutation_io_time += t;
     }
 

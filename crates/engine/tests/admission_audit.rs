@@ -37,7 +37,7 @@ fn sketch_run_audits_clean_and_reports_controller_activity() {
         .collect();
     e.run_queries(&stream);
     assert!(e.validation_report().is_clean());
-    let stats = e.cache().unwrap().admission_stats();
+    let stats = e.cache().unwrap().admission().stats();
     assert!(stats.epochs > 0, "controller never completed an epoch");
     assert!(
         stats.list_filtered + stats.result_filtered > 0,

@@ -56,7 +56,7 @@ fn deep_queue_measures_real_occupancy() {
         assert!(r.queries > 0);
         let audit = e.validation_report();
         assert!(audit.is_clean(), "depth {depth}: {}", audit.summary());
-        let q = e.index_queue_stats();
+        let q = e.index_io_stats().queue();
         assert!(
             q.max_occupancy() > 1,
             "depth-{depth} run never filled the queue (max occupancy {})",

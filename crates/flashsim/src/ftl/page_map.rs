@@ -27,12 +27,6 @@ pub struct PageMapFtl {
     active_host: Option<BlockId>,
     active_gc: Option<BlockId>,
     stats: FtlStats,
-    /// Static wear-leveling threshold: when the erase-count spread
-    /// (max − min) exceeds this, cold data is migrated off the
-    /// least-worn block so it rejoins the rotation. 0 disables.
-    wear_threshold: u64,
-    /// Static wear-leveling migrations performed.
-    wl_migrations: u64,
 }
 
 impl PageMapFtl {
@@ -48,60 +42,7 @@ impl PageMapFtl {
             active_host: None,
             active_gc: None,
             stats: FtlStats::default(),
-            wear_threshold: 0,
-            wl_migrations: 0,
         }
-    }
-
-    /// Enable static wear leveling: when the erase-count spread exceeds
-    /// `threshold`, the least-worn block's (cold) data is migrated so the
-    /// block rejoins the write rotation. Pass 0 to disable.
-    pub fn with_wear_leveling(params: FlashParams, threshold: u64) -> Self {
-        let mut ftl = Self::new(params);
-        ftl.wear_threshold = threshold;
-        ftl
-    }
-
-    /// Static wear-leveling migrations performed.
-    pub fn wear_migrations(&self) -> u64 {
-        self.wl_migrations
-    }
-
-    /// Static wear leveling (invoked after GC): if wear spread exceeds
-    /// the threshold, evacuate the least-worn non-free block — its pages
-    /// are cold (the block hasn't been erased while others cycled), and
-    /// moving them frees the young block for hot writes.
-    fn level_wear(&mut self) -> Result<SimDuration, FtlError> {
-        if self.wear_threshold == 0 {
-            return Ok(SimDuration::ZERO);
-        }
-        let (min, max, _) = self.nand.wear();
-        if max - min <= self.wear_threshold {
-            return Ok(SimDuration::ZERO);
-        }
-        // The least-worn block holding data (skip frontiers and free
-        // blocks: a block in the pool will naturally rotate).
-        let mut coldest: Option<(BlockId, u64)> = None;
-        for b in 0..self.nand.params().blocks {
-            if Some(b) == self.active_host || Some(b) == self.active_gc {
-                continue;
-            }
-            if self.nand.block_valid(b) == 0 {
-                continue;
-            }
-            let wear = self.nand.block_erase_count(b);
-            if coldest.is_none_or(|(_, w)| wear < w) {
-                coldest = Some((b, wear));
-            }
-        }
-        let Some((victim, wear)) = coldest else {
-            return Ok(SimDuration::ZERO);
-        };
-        if max - wear <= self.wear_threshold {
-            return Ok(SimDuration::ZERO);
-        }
-        self.wl_migrations += 1;
-        self.reclaim(victim)
     }
 
     /// Whether `lpn` currently has a flash copy.
@@ -118,11 +59,10 @@ impl PageMapFtl {
     }
 
     /// Allocate a block for a write frontier, running GC first if the pool
-    /// is at or below the watermark, then levelling wear if enabled.
+    /// is at or below the watermark.
     fn alloc_block(&mut self, latency: &mut SimDuration) -> Result<BlockId, FtlError> {
         if (self.free.len() as u64) <= self.nand.params().gc_low_watermark {
             *latency += self.collect_garbage()?;
-            *latency += self.level_wear()?;
         }
         self.free.pop().ok_or(FtlError::DeviceFull)
     }
@@ -518,69 +458,8 @@ mod tests {
     }
 
     #[test]
-    fn wear_leveling_tightens_the_spread() {
-        // A pathological workload: a block-aligned cold region that is
-        // written once, plus a hot region overwritten constantly. Without
-        // static WL the cold blocks never cycle.
-        let run = |threshold: u64| {
-            let mut f = PageMapFtl::with_wear_leveling(FlashParams::tiny(16), threshold);
-            let logical = f.logical_pages();
-            let ppb = f.params().pages_per_block as u64;
-            for lpn in 0..logical {
-                f.write(lpn).unwrap();
-            }
-            // Hot set: the last block's worth of pages only.
-            let hot_start = logical - ppb;
-            for _ in 0..600 {
-                for lpn in hot_start..logical {
-                    f.write(lpn).unwrap();
-                }
-            }
-            let (min, max, mean) = f.nand().wear();
-            (
-                min,
-                (max - min) as f64 / mean.max(1e-9),
-                f.wear_migrations(),
-            )
-        };
-        let (min_off, imbalance_off, mig_off) = run(0);
-        let (min_on, imbalance_on, mig_on) = run(8);
-        assert_eq!(mig_off, 0);
-        assert!(mig_on > 0, "WL must have migrated cold blocks");
-        assert_eq!(min_off, 0, "without WL the cold blocks never cycle");
-        assert!(min_on > 0, "WL must bring cold blocks into rotation");
-        // Migration churn adds erases, so compare *normalized* imbalance
-        // (spread over mean), which is what bounds device lifetime.
-        assert!(
-            imbalance_on < imbalance_off * 0.6,
-            "WL must tighten normalized wear ({imbalance_on:.2} vs {imbalance_off:.2})"
-        );
-    }
-
-    #[test]
-    fn wear_leveling_preserves_data() {
-        let mut f = PageMapFtl::with_wear_leveling(FlashParams::tiny(12), 4);
-        let logical = f.logical_pages();
-        let mut rng = simclock::Rng::new(5);
-        let zipf = simclock::Zipf::new(logical, 1.2);
-        for _ in 0..logical * 40 {
-            f.write(zipf.sample(&mut rng) - 1).unwrap();
-        }
-        // Everything ever written is still readable.
-        for lpn in 0..logical {
-            if f.is_mapped(lpn) {
-                assert!(f.read(lpn).unwrap() >= f.params().page_read);
-            }
-        }
-        assert_eq!(
-            f.nand().valid_pages(),
-            (0..logical).filter(|&l| f.is_mapped(l)).count() as u64
-        );
-    }
-
-    #[test]
     fn validation_clean_through_gc_and_wear_leveling() {
-        let mut f = PageMapFtl::with_wear_leveling(FlashParams::tiny(12), 4);
+        let mut f = PageMapFtl::new(FlashParams::tiny(12));
         let logical = f.logical_pages();
         let mut rng = simclock::Rng::new(11);
         for i in 0..logical * 25 {

@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 pub struct Violation {
     /// Which structure reported it, e.g. `"ResultStore"`.
     pub subject: &'static str,
-    /// Short machine-greppable invariant name, e.g. `"iren-bitmap-agree"`.
+    /// Short machine-greppable invariant name, e.g. `"map-rb-agree"`.
     pub invariant: &'static str,
     /// Human-readable detail: what was expected vs. what was found.
     pub detail: String,

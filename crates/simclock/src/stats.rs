@@ -87,25 +87,6 @@ impl RunningStats {
     pub fn sum(&self) -> f64 {
         self.mean() * self.n as f64
     }
-
-    /// Merge another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n = self.n + other.n;
-        let d = other.mean - self.mean;
-        let mean = self.mean + d * other.n as f64 / n as f64;
-        self.m2 += other.m2 + d * d * self.n as f64 * other.n as f64 / n as f64;
-        self.mean = mean;
-        self.n = n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// Log₂-bucketed histogram of non-negative integer observations (typically
@@ -187,15 +168,6 @@ impl Histogram {
         }
         u64::MAX
     }
-
-    /// Merge another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-    }
 }
 
 /// Exact quantile of a sample set by partial selection: the element at
@@ -245,21 +217,6 @@ mod tests {
     }
 
     #[test]
-    fn running_stats_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = RunningStats::new();
-        xs.iter().for_each(|&x| whole.push(x));
-        let mut left = RunningStats::new();
-        let mut right = RunningStats::new();
-        xs[..37].iter().for_each(|&x| left.push(x));
-        xs[37..].iter().for_each(|&x| right.push(x));
-        left.merge(&right);
-        assert_eq!(left.count(), whole.count());
-        assert!((left.mean() - whole.mean()).abs() < 1e-9);
-        assert!((left.variance() - whole.variance()).abs() < 1e-9);
-    }
-
-    #[test]
     fn histogram_mean_is_exact() {
         let mut h = Histogram::new();
         for x in [10u64, 20, 30, 40] {
@@ -289,17 +246,6 @@ mod tests {
         h.record(u64::MAX);
         assert_eq!(h.count(), 2);
         assert_eq!(h.quantile(0.25), 0);
-    }
-
-    #[test]
-    fn histogram_merge() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record(5);
-        b.record(500);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert!((a.mean() - 252.5).abs() < 1e-12);
     }
 
     #[test]

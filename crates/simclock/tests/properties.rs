@@ -1,7 +1,7 @@
 //! Property tests of the time, RNG and statistics primitives.
 
 use proptest::prelude::*;
-use simclock::{Histogram, Rng, RunningStats, SimDuration, Zipf};
+use simclock::{Histogram, Rng, SimDuration, Zipf};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -42,26 +42,6 @@ proptest! {
         let mut sorted = xs.clone();
         sorted.sort_unstable();
         prop_assert_eq!(sorted, (0..len).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn running_stats_merge_is_equivalent_to_sequential(
-        xs in prop::collection::vec(-1e6f64..1e6, 1..200),
-        split in 0usize..200,
-    ) {
-        let split = split.min(xs.len());
-        let mut whole = RunningStats::new();
-        xs.iter().for_each(|&x| whole.push(x));
-        let mut a = RunningStats::new();
-        let mut b = RunningStats::new();
-        xs[..split].iter().for_each(|&x| a.push(x));
-        xs[split..].iter().for_each(|&x| b.push(x));
-        a.merge(&b);
-        prop_assert_eq!(a.count(), whole.count());
-        prop_assert!((a.mean() - whole.mean()).abs() <= 1e-6 * (1.0 + whole.mean().abs()));
-        prop_assert!((a.variance() - whole.variance()).abs() <= 1e-4 * (1.0 + whole.variance()));
-        prop_assert_eq!(a.min(), whole.min());
-        prop_assert_eq!(a.max(), whole.max());
     }
 
     #[test]

@@ -136,14 +136,6 @@ pub trait BlockDevice {
         false
     }
 
-    /// Hint that subsequent requests are background work (write-buffer
-    /// flushes, dead-entry trims). Plain devices ignore it;
-    /// [`crate::PipelinedDevice`] dispatches background requests off the
-    /// foreground queue.
-    fn set_background(&mut self, on: bool) {
-        let _ = on;
-    }
-
     /// Sync the device-side submission clock to the driver's. Monotone:
     /// implementations must never move their clock backwards. Plain
     /// devices ignore it.

@@ -168,7 +168,6 @@ pub struct PipelinedDevice<D, S = NullSink> {
     now: SimTime,
     next_id: u64,
     seq: u64,
-    background: bool,
     stats: IoStats,
 }
 
@@ -188,7 +187,6 @@ impl<D: BlockDevice, S: TraceSink> PipelinedDevice<D, S> {
             now: SimTime::ZERO,
             next_id: 0,
             seq: 0,
-            background: false,
             stats: IoStats::new(),
         }
     }
@@ -457,9 +455,7 @@ impl<D: BlockDevice, S: TraceSink> BlockDevice for PipelinedDevice<D, S> {
     }
 
     fn request(&mut self, req: &IoRequest) -> Result<SimDuration, IoError> {
-        let mut req = *req;
-        req.background |= self.background;
-        self.sync_request(req)
+        self.sync_request(*req)
     }
 
     fn stats(&self) -> &IoStats {
@@ -485,10 +481,6 @@ impl<D: BlockDevice, S: TraceSink> BlockDevice for PipelinedDevice<D, S> {
 
     fn last_op_barrier(&self) -> bool {
         self.inner.last_op_barrier()
-    }
-
-    fn set_background(&mut self, on: bool) {
-        self.background = on;
     }
 
     fn set_now(&mut self, now: SimTime) {

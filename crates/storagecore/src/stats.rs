@@ -109,15 +109,6 @@ impl QueueDepthStats {
         self.max_wait = self.max_wait.max(wait);
         self.busy += service;
     }
-
-    fn merge(&mut self, other: &QueueDepthStats) {
-        self.dispatches += other.dispatches;
-        self.occupancy_sum += other.occupancy_sum;
-        self.max_occupancy = self.max_occupancy.max(other.max_occupancy);
-        self.wait += other.wait;
-        self.max_wait = self.max_wait.max(other.max_wait);
-        self.busy += other.busy;
-    }
 }
 
 /// Cumulative statistics a [`crate::BlockDevice`] maintains.
@@ -199,34 +190,6 @@ impl IoStats {
         SimDuration::from_nanos(self.latency_hist.quantile(q))
     }
 
-    /// Fraction of requests that are reads (0 if idle). The paper's Sec. III
-    /// observes search engines are >99 % reads; the engine asserts this on
-    /// its own traces.
-    pub fn read_fraction(&self) -> f64 {
-        let n = self.total_ops();
-        if n == 0 {
-            0.0
-        } else {
-            self.read.ops as f64 / n as f64
-        }
-    }
-
-    /// Merge another accumulator (for parallel sharding).
-    pub fn merge(&mut self, other: &IoStats) {
-        for kind in [IoKind::Read, IoKind::Write, IoKind::Trim] {
-            let (dst, src) = match kind {
-                IoKind::Read => (&mut self.read, &other.read),
-                IoKind::Write => (&mut self.write, &other.write),
-                IoKind::Trim => (&mut self.trim, &other.trim),
-            };
-            dst.ops += src.ops;
-            dst.sectors += src.sectors;
-            dst.busy += src.busy;
-        }
-        self.latency_hist.merge(&other.latency_hist);
-        self.queue.merge(&other.queue);
-    }
-
     /// Zero everything.
     pub fn reset(&mut self) {
         *self = IoStats::default();
@@ -257,33 +220,6 @@ mod tests {
     }
 
     #[test]
-    fn read_fraction() {
-        let mut s = IoStats::new();
-        assert_eq!(s.read_fraction(), 0.0);
-        for _ in 0..99 {
-            s.record(IoKind::Read, 1, SimDuration::ZERO);
-        }
-        s.record(IoKind::Write, 1, SimDuration::ZERO);
-        assert!((s.read_fraction() - 0.99).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_adds_counters() {
-        let mut a = IoStats::new();
-        let mut b = IoStats::new();
-        a.record(IoKind::Read, 4, SimDuration::from_micros(5));
-        b.record(IoKind::Read, 4, SimDuration::from_micros(15));
-        b.record(IoKind::Trim, 1, SimDuration::ZERO);
-        a.merge(&b);
-        assert_eq!(a.ops(IoKind::Read), 2);
-        assert_eq!(a.ops(IoKind::Trim), 1);
-        assert_eq!(
-            a.kind(IoKind::Read).mean_latency(),
-            SimDuration::from_micros(10)
-        );
-    }
-
-    #[test]
     fn reset_zeroes() {
         let mut s = IoStats::new();
         s.record(IoKind::Write, 4, SimDuration::from_micros(5));
@@ -308,11 +244,6 @@ mod tests {
         assert_eq!(s.queue().max_wait(), SimDuration::from_micros(20));
         assert_eq!(s.queue().mean_wait(), SimDuration::from_micros(10));
         assert_eq!(s.queue().busy(), SimDuration::from_micros(20));
-        let mut t = IoStats::new();
-        t.record_queued(5, SimDuration::from_micros(4), SimDuration::from_micros(1));
-        s.merge(&t);
-        assert_eq!(s.queue().dispatches(), 3);
-        assert_eq!(s.queue().max_occupancy(), 5);
         s.reset();
         assert_eq!(s.queue(), &QueueDepthStats::default());
     }

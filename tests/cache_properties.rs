@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use simclock::SimDuration;
 use storagecore::RamDisk;
 
-const SB: u64 = 128 * 1024;
+const SB: u64 = hybridcache::BLOCK_BYTES;
 
 fn manager(policy: PolicyKind, scheme: CachingScheme) -> CacheManager<u64, RamDisk> {
     let mut cfg = HybridConfig {
@@ -16,14 +16,11 @@ fn manager(policy: PolicyKind, scheme: CachingScheme) -> CacheManager<u64, RamDi
         mem_list_bytes: 3 * SB,
         ssd_result_bytes: 4 * SB,
         ssd_list_bytes: 8 * SB,
-        block_bytes: SB,
-        result_entry_bytes: 20_000,
         window: 2,
         tev: 0.5,
         result_freq_threshold: 0,
         policy,
         scheme,
-        ssd_base_lba: 0,
         intersections: None,
         admission: hybridcache::AdmissionConfig::static_default(),
     };
