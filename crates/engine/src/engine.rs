@@ -27,7 +27,7 @@ pub enum IndexDevice {
     /// Mechanical disk (the paper's WD3200AAJS).
     Hdd(Box<HddDisk>),
     /// Flash SSD with the paper's page-mapped FTL.
-    Ssd(Box<SsdDisk<PageMapFtl>>),
+    Ssd(Box<SsdDisk>),
 }
 
 impl BlockDevice for IndexDevice {
@@ -156,7 +156,7 @@ pub struct SearchEngine {
     index_dev: PipelinedDevice<IndexDevice, ToggleSink>,
     /// Payloads are [`CachedResult`] — a result's doc count and digest
     /// term, `Copy`, so the manager's admit/flush clones are 16-byte moves.
-    cache: Option<CacheManager<CachedResult, PipelinedDevice<SsdDisk<PageMapFtl>>>>,
+    cache: Option<CacheManager<CachedResult, PipelinedDevice<SsdDisk>>>,
     processor: TopKProcessor,
     /// Route top-K through `TopKProcessor::process_reference`.
     reference_mode: bool,
@@ -338,9 +338,7 @@ impl SearchEngine {
     }
 
     /// The cache manager, when configured.
-    pub fn cache(
-        &self,
-    ) -> Option<&CacheManager<CachedResult, PipelinedDevice<SsdDisk<PageMapFtl>>>> {
+    pub fn cache(&self) -> Option<&CacheManager<CachedResult, PipelinedDevice<SsdDisk>>> {
         self.cache.as_ref()
     }
 
@@ -350,7 +348,7 @@ impl SearchEngine {
     #[doc(hidden)]
     pub fn debug_cache_mut(
         &mut self,
-    ) -> Option<&mut CacheManager<CachedResult, PipelinedDevice<SsdDisk<PageMapFtl>>>> {
+    ) -> Option<&mut CacheManager<CachedResult, PipelinedDevice<SsdDisk>>> {
         self.cache.as_mut()
     }
 

@@ -1,29 +1,10 @@
-//! Flash translation layers.
-//!
-//! Four schemes, spanning the design space the paper's related-work section
-//! surveys:
-//!
-//! * [`PageMapFtl`] — the ideal page-level mapping the paper adopts as its
-//!   baseline ("we take the ideal page-based FTL as the base line").
-//! * [`BlockMapFtl`] — block-level mapping with copy-merge on in-place
-//!   updates; cheap RAM, terrible random writes.
-//! * [`FastFtl`] — a FAST-style hybrid: block-mapped data blocks plus a
-//!   pool of fully-associative page-mapped log blocks, reclaimed by
-//!   switch/full merges.
-//! * [`Dftl`] — page-level mapping with a cached mapping table; misses and
-//!   dirty evictions pay translation-page traffic through the same NAND.
-//!
-//! All schemes run **foreground GC**: reclamation work is charged to the
-//! host request that triggered it.
+//! The flash translation layer: [`PageMapFtl`], the ideal page-level
+//! mapping the paper adopts as its baseline ("we take the ideal page-based
+//! FTL as the base line"). It runs **foreground GC**: reclamation work is
+//! charged to the host request that triggered it.
 
-mod block_map;
-mod dftl;
-mod fast;
 mod page_map;
 
-pub use block_map::BlockMapFtl;
-pub use dftl::Dftl;
-pub use fast::FastFtl;
 pub use page_map::PageMapFtl;
 
 use core::fmt;
@@ -65,10 +46,8 @@ pub struct FtlStats {
     pub host_trims: u64,
     /// Garbage-collection invocations.
     pub gc_runs: u64,
-    /// Valid pages migrated by GC / merges.
+    /// Valid pages migrated by GC.
     pub pages_moved: u64,
-    /// Merge operations (block-map copy-merges, FAST full/switch merges).
-    pub merges: u64,
 }
 
 impl FtlStats {
@@ -84,7 +63,8 @@ impl FtlStats {
     }
 }
 
-/// The logical-page interface every translation scheme implements.
+/// The logical-page interface of the translation layer. [`PageMapFtl`] is
+/// its one implementor; callers name the trait to reach its methods.
 pub trait Ftl {
     /// Device parameters.
     fn params(&self) -> &FlashParams;
@@ -97,8 +77,8 @@ pub trait Ftl {
         self.params().logical_pages()
     }
 
-    /// Read one logical page. Unmapped pages cost controller overhead only
-    /// (the drive returns zeros without touching the medium).
+    /// Read one logical page. Unmapped pages cost nothing (the drive
+    /// returns zeros without touching the medium).
     fn read(&mut self, lpn: Lpn) -> Result<SimDuration, FtlError>;
 
     /// Write one logical page.
@@ -120,39 +100,5 @@ pub trait Ftl {
         } else {
             Err(FtlError::OutOfRange(lpn))
         }
-    }
-}
-
-/// Free-block pool shared by the schemes: a FIFO of erased blocks.
-///
-/// Keeping allocation order FIFO (rather than LIFO) spreads wear across
-/// the pool — a crude but effective dynamic wear-leveling.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct FreePool {
-    blocks: std::collections::VecDeque<u64>,
-}
-
-impl FreePool {
-    pub fn new<I: IntoIterator<Item = u64>>(blocks: I) -> Self {
-        FreePool {
-            blocks: blocks.into_iter().collect(),
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        self.blocks.len()
-    }
-
-    pub fn pop(&mut self) -> Option<u64> {
-        self.blocks.pop_front()
-    }
-
-    pub fn push(&mut self, block: u64) {
-        self.blocks.push_back(block);
-    }
-
-    /// The pooled blocks in allocation order (for validators).
-    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        self.blocks.iter().copied()
     }
 }

@@ -1,10 +1,12 @@
 //! The ideal page-mapped FTL — the paper's baseline (Intel's 1998
 //! page-mapped scheme with the full map held in controller RAM).
 
+use std::collections::VecDeque;
+
 use invariant::{audit, Report, Validate};
 use simclock::SimDuration;
 
-use crate::ftl::{FreePool, Ftl, FtlError, FtlStats};
+use crate::ftl::{Ftl, FtlError, FtlStats};
 use crate::nand::{BlockId, Lpn, Nand, PageContent, Ppn};
 use crate::params::FlashParams;
 
@@ -23,7 +25,9 @@ pub struct PageMapFtl {
     nand: Nand,
     /// lpn → ppn, `None` when unmapped.
     map: Vec<Option<Ppn>>,
-    free: FreePool,
+    /// Erased blocks, allocated FIFO: reusing the longest-erased block
+    /// first (rather than LIFO) spreads wear across the pool.
+    free: VecDeque<BlockId>,
     active_host: Option<BlockId>,
     active_gc: Option<BlockId>,
     stats: FtlStats,
@@ -38,7 +42,7 @@ impl PageMapFtl {
         PageMapFtl {
             nand,
             map: vec![None; logical as usize],
-            free: FreePool::new(0..blocks),
+            free: (0..blocks).collect(),
             active_host: None,
             active_gc: None,
             stats: FtlStats::default(),
@@ -64,7 +68,7 @@ impl PageMapFtl {
         if (self.free.len() as u64) <= self.nand.params().gc_low_watermark {
             *latency += self.collect_garbage()?;
         }
-        self.free.pop().ok_or(FtlError::DeviceFull)
+        self.free.pop_front().ok_or(FtlError::DeviceFull)
     }
 
     /// Greedy GC: reclaim until the pool exceeds the watermark. Returns the
@@ -84,7 +88,7 @@ impl PageMapFtl {
         if ran {
             self.stats.gc_runs += 1;
         }
-        if self.free.len() == 0 {
+        if self.free.is_empty() {
             return Err(FtlError::DeviceFull);
         }
         Ok(spent)
@@ -127,7 +131,7 @@ impl PageMapFtl {
             let gc_block = match self.active_gc {
                 Some(b) if self.nand.block_has_room(b) => b,
                 _ => {
-                    let b = self.free.pop().ok_or(FtlError::DeviceFull)?;
+                    let b = self.free.pop_front().ok_or(FtlError::DeviceFull)?;
                     self.active_gc = Some(b);
                     b
                 }
@@ -139,7 +143,7 @@ impl PageMapFtl {
             self.stats.pages_moved += 1;
         }
         spent += self.nand.erase(victim);
-        self.free.push(victim);
+        self.free.push_back(victim);
         Ok(spent)
     }
 }
@@ -156,10 +160,10 @@ impl Ftl for PageMapFtl {
     fn read(&mut self, lpn: Lpn) -> Result<SimDuration, FtlError> {
         self.check_lpn(lpn)?;
         self.stats.host_reads += 1;
-        let mut t = self.params().controller_overhead;
-        if let Some(ppn) = self.map[lpn as usize] {
-            t += self.nand.read(ppn);
-        }
+        let t = match self.map[lpn as usize] {
+            Some(ppn) => self.nand.read(ppn),
+            None => SimDuration::ZERO,
+        };
         audit!(self, "PageMapFtl::read");
         Ok(t)
     }
@@ -167,7 +171,7 @@ impl Ftl for PageMapFtl {
     fn write(&mut self, lpn: Lpn) -> Result<SimDuration, FtlError> {
         self.check_lpn(lpn)?;
         self.stats.host_writes += 1;
-        let mut t = self.params().controller_overhead;
+        let mut t = SimDuration::ZERO;
         // Invalidate the stale copy first so the old page is reclaimable
         // by the GC this very write may trigger.
         if let Some(old) = self.map[lpn as usize].take() {
@@ -195,7 +199,7 @@ impl Ftl for PageMapFtl {
             self.nand.invalidate(ppn);
         }
         audit!(self, "PageMapFtl::trim");
-        Ok(self.params().controller_overhead)
+        Ok(SimDuration::ZERO)
     }
 
     fn stats(&self) -> FtlStats {
@@ -254,7 +258,7 @@ impl Validate for PageMapFtl {
         );
         // The free pool holds fully-erased, unique, non-frontier blocks.
         let mut pooled = std::collections::HashSet::new();
-        for b in self.free.iter() {
+        for &b in &self.free {
             report.check(pooled.insert(b), subject, "free-pool-unique", || {
                 format!("block {b} pooled twice")
             });

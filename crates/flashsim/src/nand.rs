@@ -151,37 +151,14 @@ impl Nand {
     /// Returns the PPN programmed and the latency. Panics if the block is
     /// full — callers track frontiers via [`Nand::block_has_room`].
     pub(crate) fn program(&mut self, block: BlockId, lpn: Lpn) -> (Ppn, SimDuration) {
-        let frontier = self.blocks[block as usize].next_page;
-        self.program_at(block, frontier, lpn)
-    }
-
-    /// Program `block` at `offset`, which must be at or past the program
-    /// frontier (NAND allows skipping forward, never back). Skipped pages
-    /// are burned: they stay `Free` but become unprogrammable until the
-    /// next erase, and are accounted as consumed.
-    pub(crate) fn program_at(
-        &mut self,
-        block: BlockId,
-        offset: u32,
-        lpn: Lpn,
-    ) -> (Ppn, SimDuration) {
-        let pages_per_block = self.params.pages_per_block;
         let b = &mut self.blocks[block as usize];
-        assert!(
-            offset < pages_per_block,
-            "program offset {offset} beyond block of {pages_per_block} pages"
-        );
-        assert!(
-            offset >= b.next_page,
-            "program into full block {block} or behind its frontier ({offset} < {})",
-            b.next_page
-        );
+        assert!(!b.is_full(), "program beyond block {block}'s last page");
+        let offset = b.next_page;
         debug_assert_eq!(b.pages[offset as usize], PageContent::Free);
         b.pages[offset as usize] = PageContent::Valid(lpn);
-        let consumed = (offset - b.next_page + 1) as u64;
-        b.next_page = offset + 1;
+        b.next_page += 1;
         b.valid += 1;
-        self.free_pages -= consumed;
+        self.free_pages -= 1;
         self.valid_pages += 1;
         self.stats.page_programs += 1;
         (self.ppn(block, offset), self.params.page_write)
@@ -206,7 +183,6 @@ impl Nand {
     /// still holds valid pages is a driver bug (the FTL must migrate
     /// first).
     pub(crate) fn erase(&mut self, block: BlockId) -> SimDuration {
-        let pages_per_block = self.params.pages_per_block as u64;
         let b = &mut self.blocks[block as usize];
         assert_eq!(b.valid, 0, "erase of block {block} with valid pages");
         let reclaimed = b.next_page as u64;
@@ -215,7 +191,6 @@ impl Nand {
         b.erase_count += 1;
         self.free_pages += reclaimed;
         debug_assert!(self.free_pages <= self.params.physical_pages());
-        let _ = pages_per_block;
         self.stats.block_erases += 1;
         self.params.block_erase
     }
@@ -481,29 +456,6 @@ mod tests {
         assert_eq!(min, 0);
         assert_eq!(max, 2);
         assert!((mean - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn program_at_skips_forward_and_burns_pages() {
-        let mut n = nand();
-        let (ppn, _) = n.program_at(0, 2, 9);
-        assert_eq!(ppn, 2);
-        assert_eq!(n.block_frontier(0), 3);
-        // Offsets 0 and 1 were skipped: consumed but still Free.
-        assert_eq!(n.free_pages(), 16 - 3);
-        assert_eq!(n.page(0), PageContent::Free);
-        // Erase restores the full block.
-        n.invalidate(ppn);
-        n.erase(0);
-        assert_eq!(n.free_pages(), 16);
-    }
-
-    #[test]
-    #[should_panic(expected = "behind its frontier")]
-    fn program_at_rejects_backwards() {
-        let mut n = nand();
-        n.program_at(0, 2, 1);
-        n.program_at(0, 1, 2);
     }
 
     #[test]

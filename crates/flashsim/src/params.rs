@@ -28,8 +28,6 @@ pub struct FlashParams {
     pub page_write: SimDuration,
     /// Block erase latency.
     pub block_erase: SimDuration,
-    /// Fixed controller overhead added to every host request.
-    pub controller_overhead: SimDuration,
     /// Independent flash channels; multi-page host requests are spread
     /// across channels (latency divided by `min(channels, pages)`).
     pub channels: u32,
@@ -58,7 +56,6 @@ impl FlashParams {
             page_read: SimDuration::from_micros_f64(32.725),
             page_write: SimDuration::from_micros_f64(101.475),
             block_erase: SimDuration::from_micros(1500),
-            controller_overhead: SimDuration::ZERO,
             channels: 1,
             gc_low_watermark: 2,
         }
@@ -75,7 +72,6 @@ impl FlashParams {
             page_read: SimDuration::from_micros(25),
             page_write: SimDuration::from_micros(200),
             block_erase: SimDuration::from_micros(1500),
-            controller_overhead: SimDuration::ZERO,
             channels: 1,
             gc_low_watermark: 1,
         }

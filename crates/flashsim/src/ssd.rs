@@ -1,4 +1,4 @@
-//! Sector-level adapter: an FTL behind the [`BlockDevice`] interface.
+//! Sector-level adapter: the FTL behind the [`BlockDevice`] interface.
 
 use simclock::SimDuration;
 use storagecore::{BlockDevice, Extent, Geometry, IoError, IoKind, IoStats};
@@ -6,7 +6,8 @@ use storagecore::{BlockDevice, Extent, Geometry, IoError, IoKind, IoStats};
 use crate::ftl::{Ftl, FtlError, PageMapFtl};
 use crate::params::FlashParams;
 
-/// A complete SSD: an FTL exposed as a sector-addressed block device.
+/// A complete SSD: the page-mapped FTL exposed as a sector-addressed block
+/// device.
 ///
 /// Sector extents are widened to whole flash pages (a partial-page read
 /// touches the whole page, as on real hardware). Multi-page requests are
@@ -15,8 +16,8 @@ use crate::params::FlashParams;
 /// per-page costs by the FTL) is preserved — a deliberate, documented
 /// approximation.
 #[derive(Debug, Clone)]
-pub struct SsdDisk<F = PageMapFtl> {
-    ftl: F,
+pub struct SsdDisk {
+    ftl: PageMapFtl,
     geometry: Geometry,
     stats: IoStats,
     /// Whether the most recent request triggered a NAND erase (GC or
@@ -25,17 +26,15 @@ pub struct SsdDisk<F = PageMapFtl> {
     last_barrier: bool,
 }
 
-impl SsdDisk<PageMapFtl> {
+impl SsdDisk {
     /// The paper's SSD: page-mapped FTL with Table III timing and the
     /// requested logical capacity.
     pub fn paper(logical_bytes: u64) -> Self {
         Self::with_ftl(PageMapFtl::new(FlashParams::paper(logical_bytes)))
     }
-}
 
-impl<F: Ftl> SsdDisk<F> {
     /// Wrap an FTL.
-    pub fn with_ftl(ftl: F) -> Self {
+    pub fn with_ftl(ftl: PageMapFtl) -> Self {
         let sectors = ftl.logical_pages() * ftl.params().sectors_per_page();
         SsdDisk {
             geometry: Geometry {
@@ -48,8 +47,8 @@ impl<F: Ftl> SsdDisk<F> {
         }
     }
 
-    /// The FTL, for scheme-specific statistics.
-    pub fn ftl(&self) -> &F {
+    /// The FTL, for its statistics and the medium's wear.
+    pub fn ftl(&self) -> &PageMapFtl {
         &self.ftl
     }
 
@@ -66,7 +65,7 @@ impl<F: Ftl> SsdDisk<F> {
     /// channels the request spans.
     fn run<OP>(&mut self, kind: IoKind, extent: Extent, mut op: OP) -> Result<SimDuration, IoError>
     where
-        OP: FnMut(&mut F, u64) -> Result<SimDuration, FtlError>,
+        OP: FnMut(&mut PageMapFtl, u64) -> Result<SimDuration, FtlError>,
     {
         self.check(extent)?;
         let (first, end) = self.page_range(extent);
@@ -74,13 +73,7 @@ impl<F: Ftl> SsdDisk<F> {
         let erases_before = self.ftl.nand().stats().block_erases;
         let mut total = SimDuration::ZERO;
         for lpn in first..end {
-            total += op(&mut self.ftl, lpn).map_err(|e| match e {
-                FtlError::OutOfRange(_) => IoError::OutOfRange {
-                    extent,
-                    sectors: self.geometry.sectors,
-                },
-                FtlError::DeviceFull => IoError::DeviceFull,
-            })?;
+            total += op(&mut self.ftl, lpn).map_err(|e| self.io_error(e, extent))?;
         }
         self.last_barrier = self.ftl.nand().stats().block_erases > erases_before;
         let lanes = (self.ftl.params().channels as u64).min(pages).max(1);
@@ -88,9 +81,21 @@ impl<F: Ftl> SsdDisk<F> {
         self.stats.record(kind, extent.sectors, latency);
         Ok(latency)
     }
+
+    /// The I/O error a host request on `extent` reports for an FTL error;
+    /// reads, writes and trims all map through here.
+    fn io_error(&self, e: FtlError, extent: Extent) -> IoError {
+        match e {
+            FtlError::OutOfRange(_) => IoError::OutOfRange {
+                extent,
+                sectors: self.geometry.sectors,
+            },
+            FtlError::DeviceFull => IoError::DeviceFull,
+        }
+    }
 }
 
-impl<F: Ftl> BlockDevice for SsdDisk<F> {
+impl BlockDevice for SsdDisk {
     fn geometry(&self) -> Geometry {
         self.geometry
     }
@@ -113,7 +118,7 @@ impl<F: Ftl> BlockDevice for SsdDisk<F> {
         let erases_before = self.ftl.nand().stats().block_erases;
         let mut total = SimDuration::ZERO;
         for lpn in first..end {
-            total += self.ftl.trim(lpn).map_err(|_| IoError::DeviceFull)?;
+            total += self.ftl.trim(lpn).map_err(|e| self.io_error(e, extent))?;
         }
         self.last_barrier = self.ftl.nand().stats().block_erases > erases_before;
         self.stats.record(IoKind::Trim, extent.sectors, total);
@@ -163,7 +168,7 @@ impl<F: Ftl> BlockDevice for SsdDisk<F> {
     }
 }
 
-impl<F: Ftl + invariant::Validate> invariant::Validate for SsdDisk<F> {
+impl invariant::Validate for SsdDisk {
     fn validate(&self, report: &mut invariant::Report) {
         self.ftl.validate(report);
     }
@@ -172,7 +177,6 @@ impl<F: Ftl + invariant::Validate> invariant::Validate for SsdDisk<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ftl::{BlockMapFtl, Dftl, FastFtl};
 
     fn ssd() -> SsdDisk {
         SsdDisk::with_ftl(PageMapFtl::new(FlashParams::tiny(8)))
@@ -338,21 +342,6 @@ mod tests {
             d.read(Extent::new(sectors, 1)),
             Err(IoError::OutOfRange { .. })
         ));
-    }
-
-    #[test]
-    fn works_with_every_ftl_scheme() {
-        fn exercise<F: Ftl>(mut d: SsdDisk<F>) {
-            let sectors = d.geometry().sectors;
-            d.write(Extent::new(0, 8)).unwrap();
-            d.read(Extent::new(0, 8)).unwrap();
-            d.write(Extent::new(sectors - 8, 8)).unwrap();
-            assert_eq!(d.stats().ops(IoKind::Write), 2);
-        }
-        exercise(SsdDisk::with_ftl(PageMapFtl::new(FlashParams::tiny(8))));
-        exercise(SsdDisk::with_ftl(BlockMapFtl::new(FlashParams::tiny(8))));
-        exercise(SsdDisk::with_ftl(FastFtl::new(FlashParams::tiny(12))));
-        exercise(SsdDisk::with_ftl(Dftl::new(FlashParams::tiny(16), 64)));
     }
 
     #[test]

@@ -1,16 +1,16 @@
-//! Long-horizon endurance tests of the FTL schemes: sustained workloads
-//! far past device turnover must preserve correctness and reasonable
-//! wear behaviour.
+//! Long-horizon endurance tests of the page-mapped FTL: sustained
+//! workloads far past device turnover must preserve correctness and
+//! reasonable wear behaviour.
 
-use flashsim::{BlockMapFtl, Dftl, FastFtl, FlashParams, Ftl, PageMapFtl};
+use flashsim::{FlashParams, Ftl, PageMapFtl};
 use simclock::{Rng, Zipf};
 
-fn turnover_writes<F: Ftl>(ftl: &F) -> u64 {
+fn turnover_writes(ftl: &PageMapFtl) -> u64 {
     // Enough host writes to rewrite the logical space ~25 times.
     ftl.logical_pages() * 25
 }
 
-fn drive_zipf<F: Ftl>(mut ftl: F, seed: u64) -> F {
+fn drive_zipf(mut ftl: PageMapFtl, seed: u64) -> PageMapFtl {
     let logical = ftl.logical_pages();
     let zipf = Zipf::new(logical, 1.0);
     let mut rng = Rng::new(seed);
@@ -22,7 +22,7 @@ fn drive_zipf<F: Ftl>(mut ftl: F, seed: u64) -> F {
     ftl
 }
 
-fn check_all_readable<F: Ftl>(ftl: &mut F, written: impl Iterator<Item = u64>) {
+fn check_all_readable(ftl: &mut PageMapFtl, written: impl Iterator<Item = u64>) {
     let floor = ftl.params().page_read;
     for lpn in written {
         let t = ftl.read(lpn).expect("in range");
@@ -44,28 +44,6 @@ fn page_map_survives_25x_turnover() {
         (max - min) as f64 <= mean * 4.0 + 4.0,
         "wear spread too wide: {min}..{max} (mean {mean:.1})"
     );
-}
-
-#[test]
-fn fast_survives_25x_turnover() {
-    let mut ftl = drive_zipf(FastFtl::new(FlashParams::tiny(16)), 2);
-    check_all_readable(&mut ftl, 0..8);
-    assert!(ftl.stats().merges > 0, "merges must have happened");
-}
-
-#[test]
-fn block_map_survives_25x_turnover() {
-    let mut ftl = drive_zipf(BlockMapFtl::new(FlashParams::tiny(16)), 3);
-    check_all_readable(&mut ftl, 0..8);
-    assert!(ftl.stats().merges > 0);
-}
-
-#[test]
-fn dftl_survives_25x_turnover() {
-    let mut ftl = drive_zipf(Dftl::new(FlashParams::tiny(24), 32), 4);
-    check_all_readable(&mut ftl, 0..8);
-    let (hits, misses, _) = ftl.cmt_stats();
-    assert!(hits + misses > 0);
 }
 
 #[test]

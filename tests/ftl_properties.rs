@@ -1,5 +1,5 @@
-//! Property-based tests of the FTL schemes: every scheme must behave like
-//! a simple logical page store under arbitrary op sequences, while
+//! Property-based tests of the page-mapped FTL: it must behave like a
+//! simple logical page store under arbitrary op sequences, while
 //! respecting the NAND invariants the medium enforces by panicking.
 
 #![expect(
@@ -7,7 +7,7 @@
     reason = "the model sets are compared by membership and length; never iterated"
 )]
 
-use flashsim::{BlockMapFtl, Dftl, FastFtl, FlashParams, Ftl, PageMapFtl};
+use flashsim::{FlashParams, Ftl, PageMapFtl};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -18,6 +18,12 @@ enum Op {
     Trim(u64),
     Read(u64),
 }
+
+/// Requested capacity of the paper-geometry device in the model check. At
+/// this size the reserve floors at watermark + 1 blocks, so the die has
+/// four 64-page blocks and exports one: GC starts after 128 page writes,
+/// inside the longer op sequences.
+const PAPER_MODEL_BYTES: u64 = 256 << 10;
 
 fn ops(max_lpn: u64) -> impl Strategy<Value = Vec<Op>> {
     prop::collection::vec(
@@ -30,8 +36,8 @@ fn ops(max_lpn: u64) -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
-/// Drive an FTL against a HashSet model of "which pages hold data".
-fn check_model<F: Ftl>(mut ftl: F, ops: &[Op]) -> Result<(), TestCaseError> {
+/// Drive the FTL against a HashSet model of "which pages hold data".
+fn check_model(mut ftl: PageMapFtl, ops: &[Op]) -> Result<(), TestCaseError> {
     let logical = ftl.logical_pages();
     let mut model: HashSet<u64> = HashSet::new();
     for &op in ops {
@@ -74,50 +80,12 @@ proptest! {
 
     #[test]
     fn page_map_matches_model(ops in ops(1 << 10)) {
+        // The tiny geometry: 4-page blocks, 25 % over-provisioning, GC
+        // watermark 1.
         check_model(PageMapFtl::new(FlashParams::tiny(10)), &ops)?;
-    }
-
-    #[test]
-    fn block_map_matches_model(ops in ops(1 << 10)) {
-        check_model(BlockMapFtl::new(FlashParams::tiny(10)), &ops)?;
-    }
-
-    #[test]
-    fn fast_matches_model(ops in ops(1 << 10)) {
-        check_model(FastFtl::new(FlashParams::tiny(12)), &ops)?;
-    }
-
-    #[test]
-    fn dftl_matches_model(ops in ops(1 << 10)) {
-        // DFTL's translation traffic writes extra pages, so the global
-        // valid-page equality doesn't hold; check only the host-visible
-        // mapping behaviour.
-        let mut ftl = Dftl::new(FlashParams::tiny(16), 8);
-        let logical = ftl.logical_pages();
-        let mut model: HashSet<u64> = HashSet::new();
-        for &op in &ops {
-            match op {
-                Op::Write(lpn) => {
-                    let lpn = lpn % logical;
-                    ftl.write(lpn).expect("in range");
-                    model.insert(lpn);
-                }
-                Op::Trim(lpn) => {
-                    let lpn = lpn % logical;
-                    ftl.trim(lpn).expect("in range");
-                    model.remove(&lpn);
-                }
-                Op::Read(lpn) => {
-                    let lpn = lpn % logical;
-                    // CMT traffic may add latency; presence is still
-                    // observable through the data-page read floor.
-                    let t = ftl.read(lpn).expect("in range");
-                    if model.contains(&lpn) {
-                        prop_assert!(t >= ftl.params().page_read);
-                    }
-                }
-            }
-        }
+        // The paper's, which every engine runs: 64-page blocks, 7 %
+        // over-provisioning, watermark 2.
+        check_model(PageMapFtl::new(FlashParams::paper(PAPER_MODEL_BYTES)), &ops)?;
     }
 
     #[test]
