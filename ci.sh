@@ -15,7 +15,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== non-test source size ratchet =="
 # The ROADMAP's measure. Deleting code lowers the ceiling; a change that
 # needs to raise it says why in its own PR.
-MAX_SRC_LINES=24633
+MAX_SRC_LINES=23994
 src_lines=$(find crates -path '*/src/*' -name '*.rs' -print0 | xargs -0 cat | wc -l)
 if [ "$src_lines" -gt "$MAX_SRC_LINES" ]; then
   echo "non-test source is $src_lines lines, above the ratchet of $MAX_SRC_LINES" >&2
@@ -28,6 +28,19 @@ cargo build --release --workspace
 
 echo "== build bench binaries + micro-benchmarks =="
 cargo build --release -p bench --bins --benches
+
+echo "== committed figures: every figure, ablation and extension bin against results/ =="
+# These bins print simulated quantities only, so their stdout is a pure
+# function of the code. A change that moves any figure fails here; one
+# that means to move it regenerates the file in the same change:
+#   cargo run --release -q -p bench --bin <bin> > results/scale-0.1/<bin>.txt
+for expected in results/scale-0.1/*.txt; do
+  bin=$(basename "$expected" .txt)
+  if ! cargo run --release -q -p bench --bin "$bin" | diff -u "$expected" -; then
+    echo "$bin no longer prints $expected" >&2
+    exit 1
+  fi
+done
 
 echo "== tests =="
 cargo test -q --workspace

@@ -81,13 +81,13 @@ fn bench_victim_selection(c: &mut Criterion) {
     g.bench_function("list_store_churn", |b| {
         b.iter_batched(
             || {
-                let s: ListStore<u32> = ListStore::new(SlotRegion::new(0, 256), true, 16, 0.0);
+                let s = ListStore::new(SlotRegion::new(0, 256), true, 16, 0.0);
                 let dev = RamDisk::with_capacity_bytes(64 << 20, SimDuration::from_micros(10));
                 (s, dev, Rng::new(3))
             },
             |(mut s, mut dev, mut rng)| {
                 for i in 0..512u64 {
-                    let term = rng.next_below(192) as u32;
+                    let term = rng.next_below(192);
                     let blocks = 1 + rng.next_below(4);
                     s.offer(term, blocks, blocks * BLOCK, 1 + i % 7, &mut dev);
                     if i % 3 == 0 {
@@ -102,12 +102,12 @@ fn bench_victim_selection(c: &mut Criterion) {
     g.bench_function("mem_ev_churn", |b| {
         b.iter_batched(
             || {
-                let m: MemListCache<u32> = MemListCache::new(64 * 1024, PolicyKind::Cblru, 16);
+                let m = MemListCache::new(64 * 1024, PolicyKind::Cblru, 16);
                 (m, Rng::new(5))
             },
             |(mut m, mut rng)| {
                 for _ in 0..512 {
-                    let term = rng.next_below(256) as u32;
+                    let term = rng.next_below(256);
                     let si_bytes = 1024 * (1 + rng.next_below(4));
                     if m.touch(term, si_bytes, 0.5).is_none() {
                         let _ = m.insert(

@@ -26,7 +26,7 @@ fn main() {
         (
             "SSD simulator",
             "FlashSim/DiskSim 3.0 (PSU)",
-            "flashsim (page/block/FAST/DFTL FTLs)",
+            "flashsim (the ideal page-mapped FTL)",
         ),
         (
             "SSD",

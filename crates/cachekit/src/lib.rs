@@ -9,8 +9,6 @@
 //! * [`SegmentedLru`] — an [`LruList`] split into the paper's **Working
 //!   Region** and **Replace-First Region** of window `W` (Figs. 11 & 13);
 //! * [`ByteBudget`] — capacity accounting for variable-sized entries;
-//! * [`FreqCounter`] — access-frequency tracking used by the efficiency
-//!   value `EV = Freq / SC`;
 //! * [`LruCache`] — the classic byte-budgeted LRU cache, the baseline
 //!   every experiment compares against;
 //! * [`FreqSketch`] / [`GhostCache`] — the sketch-based admission tier's
@@ -24,7 +22,6 @@
 //! mutation boundary.
 
 pub mod budget;
-pub mod freq;
 pub mod ghost;
 pub mod lru;
 pub mod lru_cache;
@@ -32,7 +29,6 @@ pub mod segmented;
 pub mod sketch;
 
 pub use budget::ByteBudget;
-pub use freq::FreqCounter;
 pub use ghost::GhostCache;
 pub use lru::LruList;
 pub use lru_cache::LruCache;

@@ -1,6 +1,6 @@
 //! Property tests: the cache primitives against reference models.
 
-use cachekit::{ByteBudget, FreqCounter, LruCache, LruList, SegmentedLru};
+use cachekit::{ByteBudget, LruCache, LruList, SegmentedLru};
 use proptest::prelude::*;
 
 /// Operations over a small key universe so collisions are common.
@@ -142,20 +142,6 @@ proptest! {
             prop_assert!(b.used() <= capacity);
             prop_assert_eq!(b.free(), capacity - b.used());
         }
-    }
-
-    #[test]
-    fn freq_counter_totals(accesses in prop::collection::vec(0u8..20, 1..200)) {
-        let mut f = FreqCounter::new();
-        for k in &accesses {
-            f.record(k);
-        }
-        prop_assert_eq!(f.total(), accesses.len() as u64);
-        let sum: u64 = (0u8..20).map(|k| f.get(&k)).sum();
-        prop_assert_eq!(sum, accesses.len() as u64);
-        // top_k(1) really is the max.
-        let top = f.top_k(1)[0].1;
-        prop_assert!((0u8..20).all(|k| f.get(&k) <= top));
     }
 
     #[test]

@@ -134,21 +134,6 @@ pub enum CachingScheme {
     Hybrid,
 }
 
-/// Configuration of the optional third cache family: cached term-pair
-/// intersections (the three-level scheme of Long & Suel that the paper's
-/// conclusion names as future work).
-#[derive(Debug, Clone, Copy)]
-pub struct IntersectionConfig {
-    /// Memory budget for intersection entries.
-    pub mem_bytes: u64,
-    /// SSD budget for intersection entries (its own region after the
-    /// list region).
-    pub ssd_bytes: u64,
-    /// A term pair must co-occur in this many queries before its
-    /// intersection is materialized.
-    pub pair_threshold: u64,
-}
-
 /// SSD block size `SB`: 128 KB in the paper, the unit of every cache
 /// write and the size of a result block (RB).
 pub const BLOCK_BYTES: u64 = 128 * 1024;
@@ -168,7 +153,7 @@ const _: () = {
 };
 
 /// Full configuration. The cache file starts at LBA 0: the result region
-/// first, then the list region, then the optional intersection region.
+/// first, then the list region.
 #[derive(Debug, Clone)]
 pub struct HybridConfig {
     /// Time-to-live of cached data (the dynamic scenario of Sec. IV-B).
@@ -192,9 +177,6 @@ pub struct HybridConfig {
     pub policy: PolicyKind,
     /// Level-sharing scheme.
     pub scheme: CachingScheme,
-    /// Three-level mode: cache term-pair intersections as a third entry
-    /// family. `None` is the paper's evaluated two-level configuration.
-    pub intersections: Option<IntersectionConfig>,
     /// The SSD admission gate. [`AdmissionConfig::static_default`] is the
     /// paper's behavior; the sketch tier is the opt-in modernization.
     pub admission: AdmissionConfig,
@@ -216,7 +198,6 @@ impl HybridConfig {
             result_freq_threshold: if policy.is_cost_based() { 2 } else { 0 },
             policy,
             scheme: CachingScheme::Hybrid,
-            intersections: None,
             admission: AdmissionConfig::static_default(),
         }
     }
@@ -241,17 +222,9 @@ impl HybridConfig {
         BLOCK_BYTES / storagecore::SECTOR_SIZE as u64
     }
 
-    /// Blocks in the SSD intersection region (0 when disabled).
-    pub fn intersection_blocks(&self) -> usize {
-        self.intersections
-            .map_or(0, |x| (x.ssd_bytes / BLOCK_BYTES) as usize)
-    }
-
-    /// Total SSD footprint in sectors (result + list + intersection
-    /// regions).
+    /// Total SSD footprint in sectors (result + list regions).
     pub fn ssd_sectors(&self) -> u64 {
-        (self.result_slots() as u64 + self.list_blocks() as u64 + self.intersection_blocks() as u64)
-            * Self::sectors_per_block()
+        (self.result_slots() as u64 + self.list_blocks() as u64) * Self::sectors_per_block()
     }
 
     /// Validate invariants.
@@ -291,6 +264,11 @@ mod tests {
             "six 20 KB entries fit a 128 KB RB"
         );
         assert_eq!(HybridConfig::sectors_per_block(), 256);
+        assert_eq!(
+            c.ssd_sectors(),
+            (c.result_slots() + c.list_blocks()) as u64 * 256,
+            "the cache file is the result region then the list region"
+        );
     }
 
     #[test]

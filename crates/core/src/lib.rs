@@ -43,8 +43,8 @@ pub mod ttl;
 
 pub use admission::{AdmissionStats, AdmissionTier};
 pub use config::{
-    AdmissionConfig, AdmissionPolicy, CachingScheme, HybridConfig, IntersectionConfig, PolicyKind,
-    BLOCK_BYTES, RESULT_ENTRY_BYTES,
+    AdmissionConfig, AdmissionPolicy, CachingScheme, HybridConfig, PolicyKind, BLOCK_BYTES,
+    RESULT_ENTRY_BYTES,
 };
 pub use manager::{CacheManager, ListServe, Tier};
 pub use selection::{efficiency_value, sc_blocks, sc_bytes};
@@ -82,7 +82,3 @@ pub const fn key_segment(key: TermKey) -> u32 {
 pub const fn key_term(key: TermKey) -> u32 {
     key as u32
 }
-
-/// A normalized term pair `(lo, hi)` — the intersection-cache key of the
-/// three-level extension.
-pub type PairKey = (TermKey, TermKey);

@@ -13,7 +13,7 @@ use crate::selection::{admit_list, sc_blocks};
 use crate::ssd::{ListStore, ResultStore, SlotRegion};
 use crate::stats::CacheStats;
 use crate::ttl::TtlTracker;
-use crate::{PairKey, QueryId, TermKey};
+use crate::{QueryId, TermKey};
 
 /// Where a result lookup was served from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,9 +71,6 @@ pub struct CacheManager<V, D> {
     now: SimTime,
     result_ttl: Option<TtlTracker<QueryId>>,
     list_ttl: Option<TtlTracker<TermKey>>,
-    /// Three-level mode: the intersection family (memory + SSD).
-    mem_xc: Option<MemListCache<PairKey>>,
-    ssd_xc: Option<ListStore<PairKey>>,
     /// The SSD admission gate. Inert under [`AdmissionPolicy::Static`]
     /// (the paper's EV/TEV check runs verbatim); under
     /// [`AdmissionPolicy::Sketch`] it replaces the static threshold with
@@ -97,10 +94,6 @@ impl<V: Clone, D: BlockDevice> CacheManager<V, D> {
         let list_blocks = config.list_blocks() as u64;
         let result_region = SlotRegion::new(0, result_slots as u32);
         let list_region = SlotRegion::new(result_slots * spb, list_blocks as u32);
-        let intersection_region = SlotRegion::new(
-            (result_slots + list_blocks) * spb,
-            config.intersection_blocks() as u32,
-        );
         let cost_based = config.policy.is_cost_based();
         let sf = config.policy.static_fraction();
         CacheManager {
@@ -111,22 +104,11 @@ impl<V: Clone, D: BlockDevice> CacheManager<V, D> {
             device,
             result_ttl: config.ttl.map(TtlTracker::new),
             list_ttl: config.ttl.map(TtlTracker::new),
-            mem_xc: config
-                .intersections
-                .map(|x| MemListCache::new(x.mem_bytes, config.policy, config.window)),
-            ssd_xc: config
-                .intersections
-                .map(|_| ListStore::new(intersection_region, cost_based, config.window, 0.0)),
             admission: AdmissionTier::new(config.admission, config.tev),
             config,
             stats: CacheStats::new(),
             now: SimTime::ZERO,
         }
-    }
-
-    /// Whether the three-level intersection family is active.
-    pub fn intersections_enabled(&self) -> bool {
-        self.mem_xc.is_some()
     }
 
     /// The admission tier: controller TEV / reset window observability,
@@ -135,112 +117,6 @@ impl<V: Clone, D: BlockDevice> CacheManager<V, D> {
     /// seed's figures is untouched).
     pub fn admission(&self) -> &AdmissionTier {
         &self.admission
-    }
-
-    // ------------------------------------------------------------------
-    // Query management: intersections (three-level mode)
-    // ------------------------------------------------------------------
-
-    /// Probe the intersection cache for a term pair's materialized
-    /// intersection of `bytes`. Returns `None` when the family is
-    /// disabled or the pair is not cached; otherwise the tier split
-    /// (intersections are atomic — fully served by whichever level holds
-    /// them).
-    pub fn lookup_intersection(&mut self, pair: PairKey, bytes: u64) -> Option<ListServe> {
-        debug_assert!(pair.0 <= pair.1, "pair keys are normalized (lo, hi)");
-        let mem = self.mem_xc.as_mut()?;
-        let mut serve = ListServe::default();
-        if mem.touch(pair, bytes, 1.0).is_some() {
-            // Drain growth evictions into the SSD level.
-            let displaced = mem.drain_evicted();
-            let mut t = SimDuration::ZERO;
-            for (p, m) in displaced {
-                t += self.flush_intersection(p, m);
-            }
-            self.stats.ssd_time += t;
-            self.stats.intersections.mem_hits += 1;
-            serve.from_mem = bytes;
-            return Some(serve);
-        }
-        let mark = self.config.scheme == CachingScheme::Hybrid;
-        let ssd = self.ssd_xc.as_mut().expect("mem_xc implies ssd_xc");
-        if let Some((cached, latency)) = ssd.lookup(pair, bytes, &mut self.device, mark) {
-            if cached >= bytes {
-                self.stats.intersections.ssd_hits += 1;
-                self.stats.ssd_time += latency;
-                self.stats.ssd_bytes_read += bytes;
-                serve.from_ssd = bytes;
-                serve.ssd_latency = latency;
-                // Promote into memory (hybrid scheme).
-                self.install_intersection(pair, bytes);
-                return Some(serve);
-            }
-        }
-        self.stats.intersections.misses += 1;
-        None
-    }
-
-    /// Install a freshly materialized intersection into the memory level
-    /// (evictions cascade to the SSD level per the usual SM rules).
-    pub fn install_intersection(&mut self, pair: PairKey, bytes: u64) {
-        let Some(mem) = self.mem_xc.as_mut() else {
-            return;
-        };
-        if mem.peek(pair).is_some() {
-            mem.touch(pair, bytes, 1.0);
-            return;
-        }
-        let meta = ListMeta {
-            si_bytes: bytes,
-            pu: 1.0,
-            freq: 1,
-            full_bytes: bytes,
-        };
-        let mut t = SimDuration::ZERO;
-        match mem.insert(pair, meta) {
-            Ok(evicted) => {
-                for (p, m) in evicted {
-                    t += self.flush_intersection(p, m);
-                }
-            }
-            Err(rejected) => {
-                t += self.flush_intersection(pair, rejected);
-            }
-        }
-        self.stats.ssd_time += t;
-    }
-
-    /// SM decision for an evicted intersection (EV/TEV, like lists —
-    /// intersections are always fully utilized, so PU is 1).
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the admission gate: the store is offered only what the checks above admitted"
-    )]
-    fn flush_intersection(&mut self, pair: PairKey, meta: ListMeta) -> SimDuration {
-        let Some(ssd) = self.ssd_xc.as_mut() else {
-            return SimDuration::ZERO;
-        };
-        let blocks = sc_blocks(meta.si_bytes, 1.0);
-        if blocks == 0 {
-            self.stats.intersections.ssd_rejections += 1;
-            return SimDuration::ZERO;
-        }
-        if self.config.policy.is_cost_based() && !admit_list(meta.freq, blocks, self.config.tev) {
-            self.stats.intersections.ssd_rejections += 1;
-            return SimDuration::ZERO;
-        }
-        let avoided_before = ssd.stats().rewrites_avoided;
-        let (written, latency) =
-            ssd.offer(pair, blocks, meta.si_bytes, meta.freq, &mut self.device);
-        if ssd.stats().rewrites_avoided > avoided_before {
-            self.stats.intersections.rewrites_avoided += 1;
-        } else if written {
-            self.stats.intersections.ssd_admissions += 1;
-            self.stats.ssd_bytes_written += blocks * BLOCK_BYTES;
-        } else {
-            self.stats.intersections.ssd_rejections += 1;
-        }
-        latency
     }
 
     /// Advance the manager's notion of "now" (drives TTL expiry in the
@@ -725,9 +601,8 @@ impl<V: Clone, D: BlockDevice> CacheManager<V, D> {
 }
 
 impl<V, D> invariant::Validate for CacheManager<V, D> {
-    /// Cascades over every cache tier: the L1 result/list caches, the L2
-    /// SSD stores, and (when the three-level intersection family is
-    /// enabled) the intersection caches. Each store checks its own
+    /// Cascades over every cache tier: the L1 result/list caches and the
+    /// L2 SSD stores. Each store checks its own
     /// mapping-table, state-machine and accounting invariants; the
     /// equivalence suites call this after every step when
     /// `INVARIANT_AUDIT` is set.
@@ -736,12 +611,6 @@ impl<V, D> invariant::Validate for CacheManager<V, D> {
         self.mem_ic.validate(report);
         self.ssd_rc.validate(report);
         self.ssd_ic.validate(report);
-        if let Some(xc) = &self.mem_xc {
-            xc.validate(report);
-        }
-        if let Some(xc) = &self.ssd_xc {
-            xc.validate(report);
-        }
         self.admission.validate(report);
     }
 }
@@ -769,7 +638,6 @@ mod tests {
             result_freq_threshold: 0,
             policy,
             scheme: CachingScheme::Hybrid,
-            intersections: None,
             admission: crate::config::AdmissionConfig::static_default(),
         }
     }
@@ -1091,65 +959,6 @@ mod tests {
         let (_, (fresh, expired)) = m.ttl_stats();
         assert!(fresh >= 1);
         assert_eq!(expired, 1);
-    }
-
-    #[test]
-    fn intersections_disabled_by_default() {
-        let mut m = manager(PolicyKind::Cblru);
-        assert!(!m.intersections_enabled());
-        assert!(m.lookup_intersection((1, 2), 1000).is_none());
-        m.install_intersection((1, 2), 1000); // silently ignored
-        assert_eq!(m.stats().intersections.lookups(), 0);
-    }
-
-    #[test]
-    fn intersection_flow_mem_then_ssd() {
-        use crate::config::IntersectionConfig;
-        let mut cfg = config(PolicyKind::Cblru);
-        cfg.intersections = Some(IntersectionConfig {
-            mem_bytes: 2 * SB,
-            ssd_bytes: 8 * SB,
-            pair_threshold: 2,
-        });
-        let mut m = CacheManager::<u64, _>::new(
-            cfg,
-            RamDisk::with_capacity_bytes(64 << 20, SimDuration::from_micros(10)),
-        );
-        assert!(m.intersections_enabled());
-        // Miss, then install, then memory hit.
-        assert!(m.lookup_intersection((3, 9), SB).is_none());
-        m.install_intersection((3, 9), SB);
-        let s = m.lookup_intersection((3, 9), SB).expect("cached");
-        assert_eq!(s.from_mem, SB);
-        assert_eq!(m.stats().intersections.mem_hits, 1);
-        // Push it out of memory: fill with hotter pairs (touched twice so
-        // their EV beats the victim's inside the replace-first window).
-        for pair in [(1u64, 2u64), (4, 5), (6, 7)] {
-            m.install_intersection(pair, SB);
-            m.lookup_intersection(pair, SB);
-            m.lookup_intersection(pair, SB);
-        }
-        assert!(m.mem_xc.as_ref().expect("enabled").peek((3, 9)).is_none());
-        let s = m.lookup_intersection((3, 9), SB).expect("on SSD");
-        assert_eq!(s.from_ssd, SB);
-        assert!(s.ssd_latency > SimDuration::ZERO);
-        assert_eq!(m.stats().intersections.ssd_hits, 1);
-        // Promoted back to memory by the hit.
-        let s = m.lookup_intersection((3, 9), SB).expect("promoted");
-        assert_eq!(s.from_mem, SB);
-    }
-
-    #[test]
-    fn intersection_region_extends_ssd_footprint() {
-        use crate::config::IntersectionConfig;
-        let mut cfg = config(PolicyKind::Cblru);
-        let base = cfg.ssd_sectors();
-        cfg.intersections = Some(IntersectionConfig {
-            mem_bytes: SB,
-            ssd_bytes: 4 * SB,
-            pair_threshold: 1,
-        });
-        assert_eq!(cfg.ssd_sectors(), base + 4 * 256);
     }
 
     #[test]

@@ -9,9 +9,7 @@
 //!   region** (Fig. 12) — recency bounds the candidates, efficiency picks
 //!   among them.
 
-use core::fmt::Debug;
 use fxmap::FxHashMap;
-use std::hash::Hash;
 
 use cachekit::{ByteBudget, LruCache, SegmentedLru};
 use invariant::{audit, Report, Validate};
@@ -126,20 +124,19 @@ impl ListMeta {
     }
 }
 
-/// The L1 inverted-list cache, generic over the entry key (terms, or
-/// term pairs for the intersection family).
+/// The L1 inverted-list cache, keyed by [`TermKey`].
 #[derive(Debug, Clone)]
-pub struct MemListCache<K: Eq + Hash + Copy + Debug = TermKey> {
-    lru: SegmentedLru<K>,
-    map: FxHashMap<K, ListMeta>,
+pub struct MemListCache {
+    lru: SegmentedLru<TermKey>,
+    map: FxHashMap<TermKey, ListMeta>,
     budget: ByteBudget,
     policy: PolicyKind,
     /// Entries displaced by prefix growth inside [`MemListCache::touch`],
     /// awaiting collection by the manager's selection management.
-    pending_evictions: Vec<(K, ListMeta)>,
+    pending_evictions: Vec<(TermKey, ListMeta)>,
 }
 
-impl<K: Eq + Hash + Copy + Debug> MemListCache<K> {
+impl MemListCache {
     /// Capacity in bytes under `policy`, with replace-first window
     /// `window`.
     pub fn new(capacity_bytes: u64, policy: PolicyKind, window: usize) -> Self {
@@ -155,7 +152,7 @@ impl<K: Eq + Hash + Copy + Debug> MemListCache<K> {
     /// Take the entries displaced by prefix growth during recent
     /// [`MemListCache::touch`] calls; the caller owes them a selection
     /// decision exactly like insert-time evictions.
-    pub fn drain_evicted(&mut self) -> Vec<(K, ListMeta)> {
+    pub fn drain_evicted(&mut self) -> Vec<(TermKey, ListMeta)> {
         std::mem::take(&mut self.pending_evictions)
     }
 
@@ -175,19 +172,24 @@ impl<K: Eq + Hash + Copy + Debug> MemListCache<K> {
     }
 
     /// Metadata of a cached term (no recency effect).
-    pub fn keys(&self) -> Vec<K> {
+    pub fn keys(&self) -> Vec<TermKey> {
         self.map.keys().copied().collect()
     }
 
     /// The cached metadata of `term` without touching recency.
-    pub fn peek(&self, term: K) -> Option<&ListMeta> {
+    pub fn peek(&self, term: TermKey) -> Option<&ListMeta> {
         self.map.get(&term)
     }
 
     /// Hit path: bump recency + frequency, and grow the cached prefix /
     /// refresh PU if this access needed more of the list. Returns the
     /// (updated) metadata on hit.
-    pub fn touch(&mut self, term: K, needed_bytes: u64, observed_pu: f64) -> Option<ListMeta> {
+    pub fn touch(
+        &mut self,
+        term: TermKey,
+        needed_bytes: u64,
+        observed_pu: f64,
+    ) -> Option<ListMeta> {
         if !self.lru.touch(&term) {
             return None;
         }
@@ -226,7 +228,11 @@ impl<K: Eq + Hash + Copy + Debug> MemListCache<K> {
     /// selection-order first. Entries larger than the whole cache are
     /// refused: the rejected metadata comes back as `Err` so the caller
     /// can flush it onward.
-    pub fn insert(&mut self, term: K, meta: ListMeta) -> Result<Vec<(K, ListMeta)>, ListMeta> {
+    pub fn insert(
+        &mut self,
+        term: TermKey,
+        meta: ListMeta,
+    ) -> Result<Vec<(TermKey, ListMeta)>, ListMeta> {
         assert!(
             !self.map.contains_key(&term),
             "insert of cached key {term:?}"
@@ -243,7 +249,7 @@ impl<K: Eq + Hash + Copy + Debug> MemListCache<K> {
     }
 
     /// Remove an entry outright (e.g. invalidation).
-    pub fn remove(&mut self, term: K) -> Option<ListMeta> {
+    pub fn remove(&mut self, term: TermKey) -> Option<ListMeta> {
         let meta = self.map.remove(&term)?;
         self.lru.remove(&term);
         self.budget.credit(meta.si_bytes);
@@ -252,7 +258,7 @@ impl<K: Eq + Hash + Copy + Debug> MemListCache<K> {
     }
 
     /// Evict until `bytes` fit, excluding `keep` from victim selection.
-    fn make_room(&mut self, bytes: u64, keep: Option<K>) -> Vec<(K, ListMeta)> {
+    fn make_room(&mut self, bytes: u64, keep: Option<TermKey>) -> Vec<(TermKey, ListMeta)> {
         let mut evicted = Vec::new();
         while !self.budget.fits(bytes) {
             let victim = self
@@ -267,8 +273,8 @@ impl<K: Eq + Hash + Copy + Debug> MemListCache<K> {
     }
 
     /// Victim selection per policy.
-    fn pick_victim(&self, keep: Option<K>) -> Option<K> {
-        let excluded = |t: &K| Some(*t) == keep;
+    fn pick_victim(&self, keep: Option<TermKey>) -> Option<TermKey> {
+        let excluded = |t: &TermKey| Some(*t) == keep;
         if self.policy.is_cost_based() {
             // Lowest EV inside the replace-first region (Fig. 12). The
             // score is negated EV because the primitive maximizes.
@@ -292,7 +298,7 @@ impl<K: Eq + Hash + Copy + Debug> MemListCache<K> {
     }
 }
 
-impl<K: Eq + Hash + Copy + Debug> Validate for MemListCache<K> {
+impl Validate for MemListCache {
     /// Re-derives the L1 list cache's bookkeeping (paper Fig. 6(b) and
     /// Fig. 12) and cross-checks it: the recency list and metadata table
     /// hold the same terms, and the byte budget equals the sum of cached

@@ -16,9 +16,6 @@ use invariant::{audit, Report, Validate};
 use simclock::SimDuration;
 use storagecore::{BlockDevice, IoRequest};
 
-use core::fmt::Debug;
-use std::hash::Hash;
-
 use crate::ssd::slots::{SlotId, SlotRegion};
 use crate::ssd::EntryState;
 use crate::{TermKey, BLOCK_BYTES};
@@ -53,21 +50,20 @@ pub struct ListStoreStats {
     pub trims: u64,
 }
 
-/// The SSD inverted-list store, generic over the entry key: `TermKey`
-/// for inverted lists, a term pair for the three-level intersection cache.
+/// The SSD inverted-list store, keyed by [`TermKey`].
 #[derive(Debug, Clone)]
-pub struct ListStore<K: Eq + Hash + Copy + Debug = TermKey> {
+pub struct ListStore {
     region: SlotRegion,
     cost_based: bool,
-    entries: FxHashMap<K, ListEntry>,
-    lru: SegmentedLru<K>,
+    entries: FxHashMap<TermKey, ListEntry>,
+    lru: SegmentedLru<TermKey>,
     /// Blocks reserved for the static partition (consumed as seeded).
     static_blocks: u32,
     static_used: u32,
     stats: ListStoreStats,
 }
 
-impl<K: Eq + Hash + Copy + Debug> ListStore<K> {
+impl ListStore {
     /// Create over `region` (one slot = one block).
     pub fn new(region: SlotRegion, cost_based: bool, window: usize, static_fraction: f64) -> Self {
         let static_blocks = (region.capacity() as f64 * static_fraction).floor() as u32;
@@ -98,17 +94,17 @@ impl<K: Eq + Hash + Copy + Debug> ListStore<K> {
     }
 
     /// Whether `term` is cached, and how many bytes of it.
-    pub fn cached_bytes(&self, term: K) -> Option<u64> {
+    pub fn cached_bytes(&self, term: TermKey) -> Option<u64> {
         self.entries.get(&term).map(|e| e.cached_bytes)
     }
 
     /// Every cached key, in no particular order.
-    pub fn keys(&self) -> Vec<K> {
+    pub fn keys(&self) -> Vec<TermKey> {
         self.entries.keys().copied().collect()
     }
 
     /// The `(cached_bytes, freq)` profile of a cached entry.
-    pub fn entry_profile(&self, term: K) -> Option<(u64, u64)> {
+    pub fn entry_profile(&self, term: TermKey) -> Option<(u64, u64)> {
         self.entries.get(&term).map(|e| (e.cached_bytes, e.freq))
     }
 
@@ -124,7 +120,7 @@ impl<K: Eq + Hash + Copy + Debug> ListStore<K> {
     /// now also lives in memory). Returns (bytes served, latency).
     pub fn lookup<D: BlockDevice>(
         &mut self,
-        term: K,
+        term: TermKey,
         needed_bytes: u64,
         device: &mut D,
         mark_replaceable: bool,
@@ -160,7 +156,7 @@ impl<K: Eq + Hash + Copy + Debug> ListStore<K> {
     /// entry cannot fit the region.
     pub fn offer<D: BlockDevice>(
         &mut self,
-        term: K,
+        term: TermKey,
         blocks_needed: u64,
         cached_bytes: u64,
         freq: u64,
@@ -224,7 +220,7 @@ impl<K: Eq + Hash + Copy + Debug> ListStore<K> {
     }
 
     /// Fig. 13's victim cascade.
-    fn pick_victim(&self, blocks_needed: u64) -> Option<K> {
+    fn pick_victim(&self, blocks_needed: u64) -> Option<TermKey> {
         if !self.cost_based {
             return self.lru.find_anywhere(|_| true).copied();
         }
@@ -253,7 +249,7 @@ impl<K: Eq + Hash + Copy + Debug> ListStore<K> {
 
     /// Evict one entry, releasing its blocks (no trim: the blocks are
     /// about to be overwritten).
-    fn evict(&mut self, term: K) {
+    fn evict(&mut self, term: TermKey) {
         let entry = self.entries.remove(&term).expect("victim exists");
         debug_assert!(!entry.is_static, "static entries are never evicted");
         match entry.state {
@@ -277,7 +273,7 @@ impl<K: Eq + Hash + Copy + Debug> ListStore<K> {
     /// Remove an entry outright, trimming its blocks ("it's better to
     /// delete the cold data at a proper time … some types of SSD support
     /// Trim").
-    pub fn invalidate<D: BlockDevice>(&mut self, term: K, device: &mut D) -> SimDuration {
+    pub fn invalidate<D: BlockDevice>(&mut self, term: TermKey, device: &mut D) -> SimDuration {
         let Some(entry) = self.entries.remove(&term) else {
             return SimDuration::ZERO;
         };
@@ -302,7 +298,7 @@ impl<K: Eq + Hash + Copy + Debug> ListStore<K> {
     /// static budget is exhausted. Returns the write latency.
     pub fn seed_static<D: BlockDevice>(
         &mut self,
-        lists: Vec<(K, u64, u64, u64)>,
+        lists: Vec<(TermKey, u64, u64, u64)>,
         device: &mut D,
     ) -> SimDuration {
         let mut latency = SimDuration::ZERO;
@@ -344,12 +340,12 @@ impl<K: Eq + Hash + Copy + Debug> ListStore<K> {
     /// `state-machine` validator exists to catch (pinned entries never
     /// leave Normal).
     #[doc(hidden)]
-    pub fn debug_force_state(&mut self, term: K, state: EntryState) {
+    pub fn debug_force_state(&mut self, term: TermKey, state: EntryState) {
         self.entries.get_mut(&term).expect("entry cached").state = state;
     }
 }
 
-impl<K: Eq + Hash + Copy + Debug> Validate for ListStore<K> {
+impl Validate for ListStore {
     /// Re-derives the list store's redundant bookkeeping (paper Sec.
     /// VI-B/C, Figs. 7(c) and 13) and cross-checks it:
     ///

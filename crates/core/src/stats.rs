@@ -47,8 +47,6 @@ pub struct CacheStats {
     pub results: FamilyStats,
     /// Inverted-list family.
     pub lists: FamilyStats,
-    /// Intersection family (three-level mode; all zero otherwise).
-    pub intersections: FamilyStats,
     /// Simulated time spent in SSD I/O issued by the cache.
     pub ssd_time: SimDuration,
     /// Bytes written to the SSD cache file.

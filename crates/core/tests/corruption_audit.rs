@@ -73,7 +73,7 @@ fn static_rb_counter_drift_trips_the_static_budget() {
 
 #[test]
 fn list_store_pinned_entry_transition_fires_too() {
-    let mut s: ListStore<u64> = ListStore::new(SlotRegion::new(0, 8), true, 2, 0.5);
+    let mut s = ListStore::new(SlotRegion::new(0, 8), true, 2, 0.5);
     let mut dev = device();
     s.seed_static(vec![(7u64, 2, 2 * BLOCK - 64, 11)], &mut dev);
     assert!(fired(&s).is_empty(), "healthy store must validate clean");

@@ -48,18 +48,18 @@ fn device() -> RamDisk {
 #[derive(Debug, Clone, Copy)]
 enum MemOp {
     /// (term, size units, pu percent)
-    Insert(u32, u64, u8),
+    Insert(u64, u64, u8),
     /// (term, needed units, pu percent)
-    Touch(u32, u64, u8),
-    Remove(u32),
+    Touch(u64, u64, u8),
+    Remove(u64),
 }
 
 fn mem_ops() -> impl Strategy<Value = Vec<MemOp>> {
     prop::collection::vec(
         prop_oneof![
-            (0u32..12, 1u64..9, any::<u8>()).prop_map(|(t, s, p)| MemOp::Insert(t, s, p)),
-            (0u32..12, 0u64..9, any::<u8>()).prop_map(|(t, s, p)| MemOp::Touch(t, s, p)),
-            (0u32..12).prop_map(MemOp::Remove),
+            (0u64..12, 1u64..9, any::<u8>()).prop_map(|(t, s, p)| MemOp::Insert(t, s, p)),
+            (0u64..12, 0u64..9, any::<u8>()).prop_map(|(t, s, p)| MemOp::Touch(t, s, p)),
+            (0u64..12).prop_map(MemOp::Remove),
         ],
         1..150,
     )
@@ -118,7 +118,7 @@ proptest! {
                     prop_assert!(cache.peek(t).is_none());
                 }
             }
-            let cached: u64 = (0u32..12).filter_map(|t| cache.peek(t)).map(|m| m.si_bytes).sum();
+            let cached: u64 = (0u64..12).filter_map(|t| cache.peek(t)).map(|m| m.si_bytes).sum();
             prop_assert_eq!(cache.used_bytes(), cached);
             prop_assert!(cache.used_bytes() <= capacity);
         }
@@ -212,19 +212,19 @@ proptest! {
 #[derive(Debug, Clone, Copy)]
 enum IcOp {
     /// (term, blocks, bytes short of full blocks, freq)
-    Offer(u32, u64, u64, u64),
+    Offer(u64, u64, u64, u64),
     /// (term, needed units, mark replaceable)
-    Lookup(u32, u64, bool),
-    Invalidate(u32),
+    Lookup(u64, u64, bool),
+    Invalidate(u64),
 }
 
 fn ic_ops() -> impl Strategy<Value = Vec<IcOp>> {
     prop::collection::vec(
         prop_oneof![
-            (0u32..10, 1u64..4, 0u64..BLOCK, 1u64..6)
+            (0u64..10, 1u64..4, 0u64..BLOCK, 1u64..6)
                 .prop_map(|(t, n, d, f)| IcOp::Offer(t, n, d, f)),
-            (0u32..10, 1u64..6, any::<bool>()).prop_map(|(t, n, m)| IcOp::Lookup(t, n, m)),
-            (0u32..10).prop_map(IcOp::Invalidate),
+            (0u64..10, 1u64..6, any::<bool>()).prop_map(|(t, n, m)| IcOp::Lookup(t, n, m)),
+            (0u64..10).prop_map(IcOp::Invalidate),
         ],
         1..150,
     )
@@ -242,7 +242,7 @@ proptest! {
     ) {
         invariant::force_enable();
         let mut store =
-            ListStore::<u32>::new(SlotRegion::new(0, blocks), cost_based, window, 0.0);
+            ListStore::new(SlotRegion::new(0, blocks), cost_based, window, 0.0);
         let mut dev = device();
 
         for op in ops {
@@ -264,7 +264,7 @@ proptest! {
                     prop_assert!(store.cached_bytes(t).is_none());
                 }
             }
-            let resident = (0u32..10).filter(|&t| store.cached_bytes(t).is_some()).count();
+            let resident = (0u64..10).filter(|&t| store.cached_bytes(t).is_some()).count();
             prop_assert_eq!(store.len(), resident);
         }
         let report = store.validation_report();
@@ -318,8 +318,7 @@ proptest! {
             result_freq_threshold: if policy.is_cost_based() { 2 } else { 0 },
             policy,
             scheme: CachingScheme::Hybrid,
-            intersections: None,
-            admission: hybridcache::AdmissionConfig::static_default(),
+                admission: hybridcache::AdmissionConfig::static_default(),
         };
         let mut mgr: CacheManager<u64, RamDisk> = CacheManager::new(cfg, device());
 

@@ -124,12 +124,6 @@ pub struct EngineConfig {
     pub cost: CpuCostModel,
     /// Capture the index-device I/O trace (Fig. 1(b)).
     pub capture_trace: bool,
-    /// Stored-field (snippet) records to read from the doc store when a
-    /// result is *computed* (S8). 0 disables — the default, matching the
-    /// calibration in EXPERIMENTS.md; 10 models a classic first-page
-    /// fetch. Result-cache hits skip these reads entirely, which is part
-    /// of why result caching pays.
-    pub snippet_fetches: usize,
     /// Outstanding foreground requests each device's submission queue
     /// admits. 1 (the default; 0 is taken as 1) is the synchronous model
     /// every figure is calibrated on: one request in flight, its
@@ -171,7 +165,6 @@ impl EngineConfig {
             postings: PostingsBackend::default(),
             cost: CpuCostModel::default(),
             capture_trace: false,
-            snippet_fetches: 0,
             queue_depth: 1,
             io_scheduler: SchedulerPolicy::Fifo,
             ssd_channels: 1,

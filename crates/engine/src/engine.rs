@@ -1,17 +1,16 @@
 //! The simulated search engine.
 
-use cachekit::FreqCounter;
 use flashsim::{PageMapFtl, SsdDisk};
 use hddsim::{HddDisk, HddParams};
 use hybridcache::{CacheManager, Tier};
 use searchidx::{
-    CorpusSpec, DocStore, IndexLayout, IndexReader, LiveIndex, QueryOutcome, SyntheticIndex,
-    TopKProcessor,
+    CorpusSpec, IndexLayout, IndexReader, LiveIndex, QueryOutcome, SyntheticIndex, TopKProcessor,
+    RESULT_DOC_BYTES,
 };
 use simclock::{Clock, Histogram, RunningStats, SimDuration, SimTime};
 use storagecore::{
     BlockDevice, Extent, Geometry, IoError, IoEvent, IoRequest, IoStats, Lba, NullSink,
-    PipelinedDevice, SchedulerPolicy, TraceSink,
+    PipelinedDevice, SchedulerPolicy, TraceSink, SECTOR_SIZE,
 };
 use workload::{Query, QueryLog, QueryLogSpec};
 
@@ -128,7 +127,6 @@ pub struct SearchEngine {
     /// the base corpus; `arena` decides whether a mutation is accepted.
     index: LiveIndex<SyntheticIndex>,
     layout: IndexLayout,
-    docstore: DocStore,
     /// Per-sealed-segment on-device layouts (empty while pristine).
     #[expect(
         clippy::disallowed_types,
@@ -136,7 +134,7 @@ pub struct SearchEngine {
     )]
     seg_layouts: std::collections::HashMap<searchidx::SegmentId, SegLayout>,
     /// Ring allocator for WAL appends and segment images in the free
-    /// region past the doc store. `Some` iff `mutability` is
+    /// region past the stored fields. `Some` iff `mutability` is
     /// [`IndexMutability::Live`] — the single gate on mutation.
     arena: Option<SegmentArena>,
     /// Cache-coherence strategy for compaction merges.
@@ -171,11 +169,6 @@ pub struct SearchEngine {
     /// (all zeros on the reference backends). Diagnostic only — kept out
     /// of [`RunReport`], which must stay bit-identical across backends.
     block_skips: searchidx::SkipStats,
-    /// Three-level mode: co-occurrence counts of (heaviest) term pairs.
-    pair_freq: FreqCounter<(u32, u32)>,
-    /// Intersection serves (hits) and installs, for reporting.
-    intersection_hits: u64,
-    intersection_installs: u64,
 }
 
 impl SearchEngine {
@@ -190,33 +183,21 @@ impl SearchEngine {
         // mode are never consulted.
         let (segments, compaction_mode) = match &config.mutability {
             IndexMutability::Frozen => Default::default(),
-            IndexMutability::Live(live) => {
-                // The three-level intersection family has no segment
-                // story (pair keys carry no segment identity), so it
-                // cannot be kept coherent across merges.
-                assert!(
-                    config
-                        .cache
-                        .as_ref()
-                        .is_none_or(|c| c.intersections.is_none()),
-                    "intersection caching is incompatible with IndexMutability::Live"
-                );
-                (live.segments, live.compaction)
-            }
+            IndexMutability::Live(live) => (live.segments, live.compaction),
         };
         let index = LiveIndex::new(base, segments);
         let layout = IndexLayout::build(index.base(), 0);
-        // Stored fields live right after the posting lists.
-        let docstore = DocStore::new(layout.end(), config.docs);
+        // Stored fields are reserved right after the posting lists.
+        let doc_sectors = (config.docs * RESULT_DOC_BYTES).div_ceil(SECTOR_SIZE as u64);
         let index_dev = match config.index_placement {
             IndexPlacement::Hdd => {
                 // The index occupies the low LBAs of a realistically-sized
                 // disk, so seek distances within the index stay honest.
-                let capacity = ((layout.bytes() + docstore.sectors() * 512) * 4).max(4 << 30);
+                let capacity = ((layout.bytes() + doc_sectors * 512) * 4).max(4 << 30);
                 IndexDevice::Hdd(Box::new(HddDisk::new(HddParams::small_test_disk(capacity))))
             }
             IndexPlacement::Ssd => IndexDevice::Ssd(Box::new(SsdDisk::paper(
-                layout.bytes() + docstore.sectors() * 512 + (64 << 20),
+                layout.bytes() + doc_sectors * 512 + (64 << 20),
             ))),
         };
         let sink = ToggleSink {
@@ -240,11 +221,11 @@ impl SearchEngine {
         let mut processor = TopKProcessor::new(config.topk);
         processor.set_backend(config.postings);
         // A live engine rings its WAL and segment images through the free
-        // region past the doc store; the device capacity formulas above
+        // region past the stored fields; the device capacity formulas above
         // do not depend on mutability, so geometry (and thus seek timing)
         // is the same either way.
         let arena = config.mutability.is_live().then(|| {
-            let used = docstore.end();
+            let used = layout.end() + doc_sectors;
             let capacity = index_dev.geometry().sectors;
             SegmentArena::new(used, capacity.saturating_sub(used))
         });
@@ -253,7 +234,6 @@ impl SearchEngine {
             reference_mode: false,
             index,
             layout,
-            docstore,
             seg_layouts: std::collections::HashMap::new(),
             arena,
             compaction_mode,
@@ -274,26 +254,8 @@ impl SearchEngine {
             queries_run: 0,
             postings_scanned: 0,
             block_skips: searchidx::SkipStats::default(),
-            pair_freq: FreqCounter::new(),
-            intersection_hits: 0,
-            intersection_installs: 0,
             config,
         }
-    }
-
-    /// `(hits, installs)` of the intersection family (three-level mode).
-    pub fn intersection_stats(&self) -> (u64, u64) {
-        (self.intersection_hits, self.intersection_installs)
-    }
-
-    /// Expected size in bytes of the materialized intersection of two
-    /// terms, under the independence approximation
-    /// `|A∩B| ≈ df(A)·df(B)/N` (12 B per entry: doc + two tfs).
-    fn expected_intersection_bytes(&self, a: u32, b: u32) -> u64 {
-        let docs = self.index.num_docs().max(1);
-        let expect =
-            (self.index.doc_freq(a) as u128 * self.index.doc_freq(b) as u128 / docs as u128) as u64;
-        (expect * 12).max(64)
     }
 
     /// The base synthetic index; ingested segments layer on top without
@@ -539,56 +501,6 @@ impl SearchEngine {
         let computed = CachedResult::encode(&outcome.result);
         self.digest_result(computed);
 
-        // Three-level mode: the two heaviest lists may be replaced by a
-        // cached intersection (Long & Suel's intermediate level).
-        let mut paired: Option<(u32, u32)> = None;
-        if self
-            .cache
-            .as_ref()
-            .is_some_and(|c| c.intersections_enabled())
-        {
-            let mut heavy: Vec<(u64, u32)> = outcome
-                .usage
-                .iter()
-                .filter(|u| u.scanned > 0)
-                .map(|u| (u.bytes_scanned(), u.term))
-                .collect();
-            if heavy.len() >= 2 {
-                heavy.sort_unstable_by_key(|&(bytes, _)| std::cmp::Reverse(bytes));
-                let pair = (heavy[0].1.min(heavy[1].1), heavy[0].1.max(heavy[1].1));
-                let est = self.expected_intersection_bytes(pair.0, pair.1);
-                let threshold = self
-                    .cache
-                    .as_ref()
-                    .and_then(|c| c.config().intersections)
-                    .map_or(u64::MAX, |x| x.pair_threshold);
-                let now = self.clock.now();
-                let cache = self.cache.as_mut().expect("checked above");
-                cache.device_mut().set_now(now);
-                if let Some(serve) = cache.lookup_intersection((pair.0 as u64, pair.1 as u64), est)
-                {
-                    // Served: the two lists' storage I/O is replaced by
-                    // reading the (much smaller) intersection.
-                    self.intersection_hits += 1;
-                    self.clock.advance(serve.ssd_latency);
-                    self.clock.advance(cost.mem_read(serve.from_mem));
-                    let situation = if serve.from_ssd > 0 {
-                        Situation::S4ListSsd
-                    } else {
-                        Situation::S2ListMem
-                    };
-                    self.situations
-                        .record(situation, serve.ssd_latency + cost.mem_read(serve.from_mem));
-                    paired = Some(pair);
-                } else if self.pair_freq.record(&pair) >= threshold {
-                    // Materialize it for next time (built from postings
-                    // already in hand this query — no extra storage I/O).
-                    cache.install_intersection((pair.0 as u64, pair.1 as u64), est);
-                    self.intersection_installs += 1;
-                }
-            }
-        }
-
         // Phase 1: cache lookups in term order. Index reads are deferred
         // as (record slot, extent) pairs and the situation records are
         // buffered, to be completed by phase 2 and flushed in term order:
@@ -598,9 +510,6 @@ impl SearchEngine {
             if u.scanned == 0 {
                 // "…or are not traversed at all" — no storage touched.
                 continue;
-            }
-            if paired.is_some_and(|(a, b)| u.term == a || u.term == b) {
-                continue; // served by the cached intersection
             }
             // Once the index has mutated, a scanned prefix splits into
             // per-layer shares. Pristine it is one part, the base layer's
@@ -627,16 +536,6 @@ impl SearchEngine {
         for (situation, duration) in lists.records {
             self.situations.record(situation, duration);
         }
-
-        // Stored-field (snippet) fetches for the assembled page — small
-        // random reads the result cache exists to avoid — through the
-        // same queue.
-        let fetches = self.config.snippet_fetches.min(outcome.result.docs.len());
-        let extents: Vec<Extent> = outcome.result.docs[..fetches]
-            .iter()
-            .map(|d| self.docstore.extent(self.doc_slot(d.doc)))
-            .collect();
-        self.read_in_windows(&extents);
 
         // Scoring + result-page assembly CPU.
         self.clock
@@ -671,7 +570,7 @@ impl SearchEngine {
                 .map(|&extent| {
                     self.index_dev
                         .submit(IoRequest::read(extent))
-                        .expect("index and doc-store extents are on-device")
+                        .expect("index extents are on-device")
                 })
                 .collect();
             let mut batch_end = base;
@@ -679,7 +578,7 @@ impl SearchEngine {
                 let c = self
                     .index_dev
                     .wait(id)
-                    .expect("index and doc-store extents are on-device");
+                    .expect("index extents are on-device");
                 responses.push(c.response());
                 batch_end = batch_end.max(c.finish_at);
             }
@@ -1116,14 +1015,6 @@ impl SearchEngine {
                 out.extents.push(extent);
             }
         }
-    }
-
-    /// The document slot whose stored-fields record backs `doc`.
-    /// Identity for the frozen corpus; ingested documents ring over the
-    /// fixed doc-store region (slot reuse is fine — the simulation
-    /// charges the read, it never stores data).
-    fn doc_slot(&self, doc: u32) -> u32 {
-        (doc as u64 % self.docstore.docs().max(1)) as u32
     }
 
     /// Fold one served result into the order-insensitive digest.

@@ -6,7 +6,7 @@
 //! untouched by mutation — document slots are never renumbered, so the
 //! frozen extents stay valid for the base layer forever. Everything
 //! mutation adds (WAL records, sealed-segment images, merge outputs)
-//! lives in the free region between the end of the doc store and the
+//! lives in the free region between the end of the stored fields and the
 //! device's capacity, allocated ring-wise: the simulation charges honest
 //! seeks/programs for the background writes without ever growing the
 //! device.
@@ -94,7 +94,7 @@ impl SegLayout {
     }
 }
 
-/// Ring allocator over the free device region past the doc store: a
+/// Ring allocator over the free device region past the stored fields: a
 /// small WAL ring up front, segment images behind it. Purely an
 /// accounting structure — retired segments' extents are simply reused
 /// once the cursor laps, which is safe because the simulation never

@@ -265,26 +265,6 @@ fn situations_cover_the_table() {
 }
 
 #[test]
-fn three_level_mode_serves_intersections() {
-    let mut cfg = small_cache(PolicyKind::Cblru);
-    cfg.intersections = Some(hybridcache::IntersectionConfig {
-        mem_bytes: 256 << 10,
-        ssd_bytes: 2 << 20,
-        pair_threshold: 2,
-    });
-    let mut e = SearchEngine::new(EngineConfig::cached(DOCS, cfg, SEED));
-    let r = e.run(4_000);
-    let (hits, installs) = e.intersection_stats();
-    assert!(installs > 0, "recurring pairs must be materialized");
-    assert!(hits > 0, "materialized intersections must serve hits");
-    let stats = r.cache.expect("cached");
-    assert_eq!(
-        stats.intersections.mem_hits + stats.intersections.ssd_hits,
-        hits
-    );
-}
-
-#[test]
 fn ttl_degrades_hit_ratio_gracefully() {
     let run = |ttl: Option<simclock::SimDuration>| {
         let mut cfg = small_cache(PolicyKind::Cblru);
@@ -302,38 +282,6 @@ fn ttl_degrades_hit_ratio_gracefully() {
     assert!(
         harsh < static_hit * 0.7,
         "1 ms TTL must hurt ({harsh} vs {static_hit})"
-    );
-}
-
-#[test]
-fn snippet_fetches_cost_io_and_result_caching_avoids_them() {
-    let run = |snippets: usize| {
-        let mut cfg = EngineConfig::cached(DOCS, small_cache(PolicyKind::Cblru), SEED);
-        cfg.snippet_fetches = snippets;
-        let mut e = SearchEngine::new(cfg);
-        let r = e.run(800);
-        (r.mean_response, r.index_ops)
-    };
-    let (resp_off, ops_off) = run(0);
-    let (resp_on, ops_on) = run(10);
-    assert!(ops_on > ops_off, "snippet fetches must add index reads");
-    assert!(resp_on > resp_off, "and cost response time");
-    // Result-cache hits skip the fetches: a second identical window on a
-    // warm cache does fewer doc-store reads per query.
-    let mut cfg = EngineConfig::cached(DOCS, small_cache(PolicyKind::Cblru), SEED);
-    cfg.snippet_fetches = 10;
-    let mut e = SearchEngine::new(cfg);
-    e.run(800);
-    let cold_ops = {
-        let r = e.run(0);
-        r.index_ops
-    };
-    e.reset_measurements();
-    e.run(800);
-    let warm_ops = e.run(0).index_ops;
-    assert!(
-        warm_ops < cold_ops,
-        "warm result cache must cut doc-store traffic ({warm_ops} vs {cold_ops})"
     );
 }
 

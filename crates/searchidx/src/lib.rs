@@ -27,7 +27,6 @@
 
 pub mod blocks;
 pub mod corpus;
-pub mod docstore;
 pub mod layout;
 pub mod mem;
 pub mod segment;
@@ -38,7 +37,6 @@ pub use blocks::{
     BlockPostings, BlockStore, BlockStoreStats, PostingsBackend, SkipStats, BLOCK_SIZE,
 };
 pub use corpus::{CorpusSpec, SyntheticIndex};
-pub use docstore::DocStore;
 pub use layout::IndexLayout;
 pub use mem::MemIndex;
 pub use segment::{

@@ -21,7 +21,6 @@ fn manager(policy: PolicyKind, scheme: CachingScheme) -> CacheManager<u64, RamDi
         result_freq_threshold: 0,
         policy,
         scheme,
-        intersections: None,
         admission: hybridcache::AdmissionConfig::static_default(),
     };
     if !policy.is_cost_based() {
