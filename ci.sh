@@ -15,7 +15,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== non-test source size ratchet =="
 # The ROADMAP's measure. Deleting code lowers the ceiling; a change that
 # needs to raise it says why in its own PR.
-MAX_SRC_LINES=23994
+MAX_SRC_LINES=24121
 src_lines=$(find crates -path '*/src/*' -name '*.rs' -print0 | xargs -0 cat | wc -l)
 if [ "$src_lines" -gt "$MAX_SRC_LINES" ]; then
   echo "non-test source is $src_lines lines, above the ratchet of $MAX_SRC_LINES" >&2

@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks of top-K query processing over the
 //! synthetic index, with and without early termination.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
 use searchidx::{CorpusSpec, SyntheticIndex, TopKConfig, TopKProcessor};
@@ -24,6 +24,26 @@ fn bench_topk(c: &mut Criterion) {
             let q = log.sample(&mut rng);
             black_box(proc.process(&index, &q.terms).postings_scanned())
         });
+    });
+
+    // The same query stream with every term a first visit: a fresh
+    // processor per iteration has pinned nothing, so each list is
+    // scanned off blocks regenerated one at a time into its scratch
+    // buffer — the path a once-queried tail term takes. Building the
+    // processor and drawing the query are setup and not timed; the
+    // accumulator's growth from its initial size and the drop are.
+    g.bench_function("first_visit_log_query", |b| {
+        let mut rng = Rng::new(1);
+        b.iter_batched(
+            || {
+                (
+                    TopKProcessor::new(TopKConfig::default()),
+                    log.sample(&mut rng),
+                )
+            },
+            |(proc, q)| proc.process(&index, &q.terms).postings_scanned(),
+            BatchSize::SmallInput,
+        );
     });
 
     g.bench_function("head_term_query", |b| {

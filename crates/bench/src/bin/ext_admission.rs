@@ -1,12 +1,13 @@
-//! Extension — admission sweep (DESIGN.md §12, the simulated record is
-//! `BENCH_5.json`): a scenario × gate matrix — the stationary log plus the
-//! three adversarial streams (drifting-Zipf, topic-churn, scan-heavy)
-//! against the static paper gate (CBLRU and seeded CBSLRU) and the
-//! sketch-based admission tier (CBLRU + TinyLFU filter, ghost cache,
-//! online TEV/window controller). Here the figures are *supposed* to move:
-//! the sketch gate writes fewer SSD bytes and erases fewer flash blocks at
-//! an equal-or-better hit ratio (`admission_equivalence` pins small-scale
-//! witnesses of the same inequalities and the `Static` arm's inertness).
+//! Extension — admission sweep (DESIGN.md §12; its stdout is committed as
+//! `results/scale-0.1/ext_admission.txt`): a scenario × gate matrix — the
+//! stationary log plus the three adversarial streams (drifting-Zipf,
+//! topic-churn, scan-heavy) against the static paper gate (CBLRU and seeded
+//! CBSLRU) and the sketch-based admission tier (CBLRU + TinyLFU filter,
+//! ghost cache, online TEV/window controller). Here the figures are
+//! *supposed* to move: the sketch gate writes fewer SSD bytes and erases
+//! fewer flash blocks at an equal-or-better hit ratio
+//! (`admission_equivalence` pins small-scale witnesses of the same
+//! inequalities and the `Static` arm's inertness).
 
 use bench::{cache_config, print_table};
 use engine::{EngineConfig, SearchEngine};

@@ -1,12 +1,12 @@
-//! Extension — concurrent-ingest sweep (DESIGN.md §15, the simulated
-//! record is `BENCH_8.json`): the live-index write path priced against the
-//! hybrid cache. A frozen engine and a zero-ingest `Live` one come first
-//! (bit-identical — `mutation_equivalence` proves it per query). Then,
-//! across ingest mixes of 5, 25 and 100 mutation ops per 100 queries under
-//! an eager seal/compact lifecycle, `Cooperative` compaction
-//! reconciliation runs against naive `InvalidateAll`: the two serve the
-//! same results (equal digests — `mutation_equivalence` again) and differ
-//! in what the cache keeps.
+//! Extension — concurrent-ingest sweep (DESIGN.md §15; its stdout is
+//! committed as `results/scale-0.1/ext_ingest.txt`): the live-index write
+//! path priced against the hybrid cache. A frozen engine and a zero-ingest
+//! `Live` one come first (bit-identical — `mutation_equivalence` proves it
+//! per query). Then, across ingest mixes of 5, 25 and 100 mutation ops per
+//! 100 queries under an eager seal/compact lifecycle, `Cooperative`
+//! compaction reconciliation runs against naive `InvalidateAll`: the two
+//! serve the same results (equal digests — `mutation_equivalence` again)
+//! and differ in what the cache keeps.
 
 use bench::{cache_config, print_table};
 use engine::{CompactionMode, EngineConfig, IndexMutability, LiveConfig, SearchEngine};

@@ -1,13 +1,12 @@
-//! Extension — queue-depth sweep (DESIGN.md §10, the simulated record is
-//! `BENCH_4.json`): the pinned workload at queue depth 1 + FIFO (the
-//! synchronous model every paper figure runs on) and at depths 2–16 under
-//! elevator scheduling, where NCQ-style reordering of the batched index
-//! reads is *allowed* to move the simulated response times. Two workloads:
-//! the uncached seek-bound one, where every query batches HDD index reads
-//! and the elevator shortens the seek path, and the hybrid CBSLRU one,
-//! where the cache SSD absorbs most reads and the dominant queueing effect
-//! is the RB flush contending for flash lanes. `BENCH_4.json` is the
-//! depth-4 row of each workload.
+//! Extension — queue-depth sweep (DESIGN.md §10; its stdout is committed as
+//! `results/scale-0.1/ext_queue_depth.txt`): the pinned workload at queue
+//! depth 1 + FIFO (the synchronous model every paper figure runs on) and at
+//! depths 2–16 under elevator scheduling, where NCQ-style reordering of the
+//! batched index reads is *allowed* to move the simulated response times.
+//! Two workloads: the uncached seek-bound one, where every query batches
+//! HDD index reads and the elevator shortens the seek path, and the hybrid
+//! CBSLRU one, where the cache SSD absorbs most reads and the dominant
+//! queueing effect is the RB flush contending for flash lanes.
 
 use bench::{cache_config, print_table};
 use engine::{EngineConfig, IndexPlacement, SearchEngine};

@@ -1,12 +1,13 @@
-//! Extension — serving load sweep (DESIGN.md §13; `BENCH_6.json` records
-//! these rows plus a `degraded` column that is 0 in every row): seeded open-loop arrival streams at six offered loads
-//! (0.4–1.5× the naive tier capacity calibrated in-run) across three
-//! scenarios, each served by a 2-shard × 2-replica tier under two
-//! front-ends — naive FIFO (one query per dispatch, no shedding) and
-//! batching + deadline shedding + hedging. Percentiles are exact order
-//! statistics on simulated times. `serving_equivalence` pins the
-//! closed-loop / open-loop-reference identities and a small-scale witness
-//! of the batched arm's win past the naive knee.
+//! Extension — serving load sweep (DESIGN.md §13; its stdout is committed
+//! as `results/scale-0.1/ext_serving.txt`): seeded open-loop arrival
+//! streams at six offered loads (0.4–1.5× the naive tier capacity
+//! calibrated in-run) across three scenarios, each served by a 2-shard ×
+//! 2-replica tier under two front-ends — naive FIFO (one query per
+//! dispatch, no shedding) and batching + deadline shedding + hedging.
+//! Percentiles are exact order statistics on simulated times.
+//! `serving_equivalence` pins the closed-loop / open-loop-reference
+//! identities and a small-scale witness of the batched arm's win past the
+//! naive knee.
 
 use bench::{cache_config, print_table};
 use engine::{detect_knee, EngineConfig, LoadPoint, OpenLoopConfig, SearchCluster, ServingSim};

@@ -8,10 +8,10 @@
 //! may never move a paper number; only flipping the policy to `Sketch`
 //! may.
 //!
-//! **Efficiency** (the perf half, small-scale witnesses of the
-//! `BENCH_5.json` claim): on scan-heavy and topic-churn streams the
-//! sketch gate must spend fewer SSD bytes than the static paper gate
-//! without giving up hit ratio.
+//! **Efficiency** (the perf half, small-scale witnesses of the claim
+//! `results/scale-0.1/ext_admission.txt` records): on scan-heavy and
+//! topic-churn streams the sketch gate must spend fewer SSD bytes than the
+//! static paper gate without giving up hit ratio.
 
 use engine::{EngineConfig, RunReport, SearchEngine};
 use hybridcache::{AdmissionConfig, AdmissionPolicy, HybridConfig, PolicyKind};

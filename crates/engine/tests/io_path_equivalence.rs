@@ -38,9 +38,10 @@ fn depth_one_is_reference_under_every_scheduler() {
 
 #[test]
 fn deep_queue_measures_real_occupancy() {
-    // Sanity for the BENCH_4 arm: at depth 4 the uncached-HDD engine
-    // batches its index reads, so the device queue must actually fill.
-    // The cached engine at depth 8 on an 8-channel SSD under the
+    // Sanity for the depth-4 `uncached_hdd` row of
+    // `results/scale-0.1/ext_queue_depth.txt`: at depth 4 the uncached-HDD
+    // engine batches its index reads, so the device queue must actually
+    // fill. The cached engine at depth 8 on an 8-channel SSD under the
     // elevator is the deepest configuration any suite audits.
     invariant::force_enable();
     let mut cached = EngineConfig::cached(

@@ -17,8 +17,8 @@
 //! * **Coherence-mode correctness** — `Cooperative` and `InvalidateAll`
 //!   compaction handling must agree on every result (equal digests,
 //!   equal postings scanned); they may only differ on cache hit ratios
-//!   and I/O, which is the `ext_ingest` sweep's business (BENCH_8), not
-//!   correctness.
+//!   and I/O, which is the `ext_ingest` sweep's business
+//!   (`results/scale-0.1/ext_ingest.txt`), not correctness.
 
 use engine::{
     CompactionMode, EngineConfig, IndexMutability, IndexPlacement, LiveConfig, SearchEngine,

@@ -13,9 +13,10 @@
 //! `Posting`s take 8 B each — and a scan weighs a run once, not once per
 //! posting. A block's first posting carries its largest `tf`, so the
 //! block-max bound that lets a scan skip the block unread (after the
-//! block-max indexes of the WAND family) needs no stored metadata. The
-//! rare scan that runs past the pinned prefix regenerates the block it is
-//! in through `postings_range`; nothing is kept for it.
+//! block-max indexes of the WAND family) needs no stored metadata. A
+//! term's first visit, and the rare scan that runs past the pinned
+//! prefix, regenerate the block they are in, in the same form, through
+//! `IndexReader::runs_range`; nothing is kept for them.
 
 use fxmap::FxHashMap;
 
@@ -45,7 +46,13 @@ pub enum PostingsBackend {
     Blocked,
 }
 
-/// Block-max accounting of a blocked top-K scan.
+/// Block-max accounting of a blocked top-K scan — of scans of pinned
+/// lists only. A term's first visit runs the same gated loop but pins
+/// nothing and counts nothing here. These counts feed the engine's
+/// statistics, the benchmark's `sim_fingerprint` and the pinned probe
+/// counts of `postings_lockstep`, and they stay comparable across
+/// changes to where a first visit's blocks come from only if first
+/// visits stay out of them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SkipStats {
     /// Postings read and scored.
@@ -74,10 +81,17 @@ pub const HOT_PREFIX: u64 = 32 * BLOCK_SIZE as u64;
 pub(crate) fn append_runs(docs: &mut Vec<DocId>, runs: &mut Vec<(u32, u32)>, postings: &[Posting]) {
     for run in postings.chunk_by(|a, b| a.tf == b.tf) {
         docs.extend(run.iter().map(|p| p.doc));
-        match runs.last_mut() {
-            Some(last) if last.1 == run[0].tf => last.0 = docs.len() as u32,
-            _ => runs.push((docs.len() as u32, run[0].tf)),
-        }
+        close_run(runs, docs.len(), run[0].tf);
+    }
+}
+
+/// Record that `docs` now ends at `end` with a run of `tf`: extend the
+/// last run if it carries the same tf, open a new one otherwise.
+#[inline]
+pub(crate) fn close_run(runs: &mut Vec<(u32, u32)>, end: usize, tf: u32) {
+    match runs.last_mut() {
+        Some(last) if last.1 == tf => last.0 = end as u32,
+        _ => runs.push((end as u32, tf)),
     }
 }
 
@@ -125,18 +139,17 @@ impl BlockPostings {
 
     /// Extend the pinned prefix to cover at least `upto` postings
     /// (rounded up to a whole block, clamped to `df` and to
-    /// [`HOT_PREFIX`]). Generation goes through `index.postings_range`,
-    /// so the content is exactly the canonical sequence the reference
-    /// backend scans.
+    /// [`HOT_PREFIX`]). Generation goes through `index.runs_range`, so
+    /// the content is exactly the canonical sequence the reference
+    /// backend scans through `postings_range`.
     pub fn ensure<R: IndexReader>(&mut self, index: &R, term: TermId, upto: u64) {
         let want = upto.min(self.df).min(HOT_PREFIX);
         if self.built() >= want {
             return;
         }
         let target = (want.div_ceil(BLOCK_SIZE as u64) * BLOCK_SIZE as u64).min(self.df);
-        let fresh = index.postings_range(term, self.built(), target);
-        debug_assert_eq!(fresh.len() as u64, target - self.built());
-        append_runs(&mut self.docs, &mut self.runs, &fresh);
+        index.runs_range(term, self.built(), target, &mut self.docs, &mut self.runs);
+        debug_assert_eq!(self.built(), target);
         audit!(self, "BlockPostings::ensure");
     }
 

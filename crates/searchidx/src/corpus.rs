@@ -15,6 +15,7 @@
 
 use simclock::Rng;
 
+use crate::blocks::close_run;
 use crate::types::{DocId, IndexReader, Posting, PostingList, TermId, POSTING_BYTES};
 
 /// Parameters of the synthetic collection.
@@ -129,35 +130,10 @@ impl SyntheticIndex {
         }
         (doc_start, stride)
     }
-}
 
-impl IndexReader for SyntheticIndex {
-    fn num_docs(&self) -> u64 {
-        self.spec.docs
-    }
-
-    fn num_terms(&self) -> u64 {
-        self.spec.vocab
-    }
-
-    fn doc_freq(&self, term: TermId) -> u64 {
-        self.df.get(term as usize).copied().unwrap_or(0)
-    }
-
-    fn list_bytes(&self, term: TermId) -> u64 {
-        self.doc_freq(term) * POSTING_BYTES
-    }
-
-    /// Generate the term's full posting list. Equivalent to
-    /// `postings_range(term, 0, df)` — O(df).
-    fn postings(&self, term: TermId) -> PostingList {
-        let df = self.doc_freq(term);
-        PostingList::from_sorted(term, self.postings_range(term, 0, df))
-    }
-
-    /// O(end − start) lazy generation — the property that lets the cache
-    /// experiments run against multi-million-document indexes: a query
-    /// that early-terminates after `n` postings only ever pays for `n`.
+    /// Walk positions `[start, end)` of `term`'s canonical list (indices
+    /// clamp to the list), handing `run` each maximal run of equal tf
+    /// with its doc ids, in list order.
     ///
     /// The list is a pure function of `(seed, term)`:
     /// * `tf` at position `i` is the Geometric(p) quantile at the
@@ -167,19 +143,22 @@ impl IndexReader for SyntheticIndex {
     ///   `gcd(stride, docs) = 1`, guaranteeing distinctness without
     ///   materializing a permutation.
     ///
-    /// Generated **by runs**: tf is non-increasing in `i`, so the quantile
+    /// Walked **by runs**: tf is non-increasing in `i`, so the quantile
     /// (an `ln`) is evaluated only where a run of equal tf can end — the
     /// previous run's length ahead, then galloping, then bisecting — and
-    /// never again once tf reaches 1; each run is filled by stepping the
+    /// never again once tf reaches 1; each run's doc ids come off the
     /// walk with an add and a conditional subtract. Near a list's head
     /// runs are one posting long and this is one `ln` per position; a few
     /// hundred positions in it is a handful per run.
-    fn postings_range(&self, term: TermId, start: u64, end: u64) -> Vec<Posting> {
+    fn walk_runs<F>(&self, term: TermId, start: u64, end: u64, mut run: F)
+    where
+        F: FnMut(u32, std::iter::Take<&mut DocWalk>),
+    {
         let df = self.doc_freq(term);
         let start = start.min(df);
         let end = end.min(df);
         if start >= end {
-            return Vec::new();
+            return;
         }
         let docs = self.spec.docs;
         let (doc_start, stride) = self.doc_walk(term);
@@ -196,8 +175,11 @@ impl IndexReader for SyntheticIndex {
             (u.ln() / ln_q).ceil().clamp(1.0, u32::MAX as f64) as u32
         };
 
-        let mut out = Vec::with_capacity((end - start) as usize);
-        let mut doc = ((doc_start as u128 + start as u128 * stride as u128) % docs as u128) as u64;
+        let mut walk = DocWalk {
+            doc: ((doc_start as u128 + start as u128 * stride as u128) % docs as u128) as u64,
+            stride,
+            docs,
+        };
         let mut at = start;
         let mut tf = tf_at(at);
         let mut prev_run = 1;
@@ -227,20 +209,87 @@ impl IndexReader for SyntheticIndex {
                     }
                 }
             }
-            for _ in at..run_end {
-                out.push(Posting {
-                    doc: doc as DocId,
-                    tf,
-                });
-                doc += stride;
-                if doc >= docs {
-                    doc -= docs;
-                }
-            }
+            run(tf, walk.by_ref().take((run_end - at) as usize));
             prev_run = run_end - at;
             (at, tf) = (run_end, next_tf);
         }
+    }
+}
+
+/// A cursor on a term's doc-id walk: each step adds the stride and wraps
+/// at the collection size. Endless; [`SyntheticIndex::walk_runs`] takes
+/// one run's worth at a time.
+struct DocWalk {
+    doc: u64,
+    stride: u64,
+    docs: u64,
+}
+
+impl Iterator for DocWalk {
+    type Item = DocId;
+
+    #[inline]
+    fn next(&mut self) -> Option<DocId> {
+        let doc = self.doc as DocId;
+        self.doc += self.stride;
+        if self.doc >= self.docs {
+            self.doc -= self.docs;
+        }
+        Some(doc)
+    }
+}
+
+impl IndexReader for SyntheticIndex {
+    fn num_docs(&self) -> u64 {
+        self.spec.docs
+    }
+
+    fn num_terms(&self) -> u64 {
+        self.spec.vocab
+    }
+
+    fn doc_freq(&self, term: TermId) -> u64 {
+        self.df.get(term as usize).copied().unwrap_or(0)
+    }
+
+    fn list_bytes(&self, term: TermId) -> u64 {
+        self.doc_freq(term) * POSTING_BYTES
+    }
+
+    /// Generate the term's full posting list. Equivalent to
+    /// `postings_range(term, 0, df)` — O(df).
+    fn postings(&self, term: TermId) -> PostingList {
+        let df = self.doc_freq(term);
+        PostingList::from_sorted(term, self.postings_range(term, 0, df))
+    }
+
+    /// O(end − start) lazy generation — the property that lets the cache
+    /// experiments run against multi-million-document indexes: a query
+    /// that early-terminates after `n` postings only ever pays for `n`.
+    /// See [`SyntheticIndex::walk_runs`] for how the list is defined.
+    fn postings_range(&self, term: TermId, start: u64, end: u64) -> Vec<Posting> {
+        let mut out =
+            Vec::with_capacity(end.min(self.doc_freq(term)).saturating_sub(start) as usize);
+        self.walk_runs(term, start, end, |tf, docs| {
+            out.extend(docs.map(|doc| Posting { doc, tf }));
+        });
         out
+    }
+
+    /// The run walker's output as it comes: doc ids appended, each run's
+    /// tf recorded once.
+    fn runs_range(
+        &self,
+        term: TermId,
+        start: u64,
+        end: u64,
+        docs: &mut Vec<DocId>,
+        runs: &mut Vec<(u32, u32)>,
+    ) {
+        self.walk_runs(term, start, end, |tf, walk| {
+            docs.extend(walk);
+            close_run(runs, docs.len(), tf);
+        });
     }
 
     /// O(1) in the list length: the walk `(doc_start + i·stride) mod docs`
@@ -282,6 +331,7 @@ fn gcd(mut a: u64, mut b: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blocks::append_runs;
 
     fn idx() -> SyntheticIndex {
         SyntheticIndex::new(CorpusSpec::tiny(42))
@@ -516,6 +566,32 @@ mod tests {
             let got = idx.postings_range(term, start, end);
             prop_assert_eq!(got.len() as u64, end.min(df).saturating_sub(start));
             prop_assert_eq!(got, per_position(idx, term, start, end));
+        }
+
+        #[test]
+        fn runs_range_appends_what_postings_range_returns(
+            which in 0usize..5,
+            term in proptest::prelude::any::<u32>(),
+            at in proptest::prelude::any::<u64>(),
+            len in 0u64..3_000,
+            // The buffer's last run carries the range's first tf (so the
+            // two must merge into one run), one more, or one less.
+            lead_tf in 0u32..3,
+        ) {
+            use proptest::prelude::*;
+            let idx = &oracle_indexes()[which];
+            let term = term % idx.num_terms() as u32;
+            let df = idx.doc_freq(term);
+            let (start, end) = (at % df, at % df + len);
+            let first_tf = idx.postings_range(term, start, start + 1)[0].tf;
+            let lead = Posting { doc: 3, tf: (first_tf + lead_tf).saturating_sub(1).max(1) };
+            let (mut docs, mut runs) = (Vec::new(), Vec::new());
+            append_runs(&mut docs, &mut runs, &[lead, lead]);
+            let (mut want_docs, mut want_runs) = (docs.clone(), runs.clone());
+            append_runs(&mut want_docs, &mut want_runs, &idx.postings_range(term, start, end));
+            idx.runs_range(term, start, end, &mut docs, &mut runs);
+            prop_assert_eq!(docs, want_docs);
+            prop_assert_eq!(runs, want_runs);
         }
     }
 

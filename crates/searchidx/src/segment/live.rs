@@ -37,6 +37,7 @@ use fxmap::{FxHashMap, FxHashSet};
 use invariant::{Report, Validate};
 use simclock::SimTime;
 
+use crate::blocks::append_runs;
 use crate::types::{DocId, IndexReader, Posting, PostingList, TermId, POSTING_BYTES};
 
 use super::sealed::SealedSegment;
@@ -607,6 +608,14 @@ impl<B: IndexReader> LiveIndex<B> {
         })
     }
 
+    /// Positions `[start, end)` of `term`'s merged list (clamped to it).
+    fn merged_range(&self, term: TermId, start: u64, end: u64) -> RefMut<'_, [Posting]> {
+        RefMut::map(self.merged_prefix(term, end), |merged| {
+            let len = merged.postings.len() as u64;
+            &mut merged.postings[start.min(len) as usize..end.min(len) as usize]
+        })
+    }
+
     /// A fresh merged list for `term`: the delta layers merged, no
     /// prefix generated yet.
     fn merge_delta(&self, term: TermId, base_live: u64) -> LazyMerge {
@@ -712,11 +721,22 @@ impl<B: IndexReader> IndexReader for LiveIndex<B> {
         if self.is_pristine() {
             self.base.postings_range(term, start, end)
         } else {
-            let merged = self.merged_prefix(term, end);
-            let len = merged.postings.len() as u64;
-            let s = start.min(len) as usize;
-            let e = end.min(len) as usize;
-            merged.postings[s..e].to_vec()
+            self.merged_range(term, start, end).to_vec()
+        }
+    }
+
+    fn runs_range(
+        &self,
+        term: TermId,
+        start: u64,
+        end: u64,
+        docs: &mut Vec<DocId>,
+        runs: &mut Vec<(u32, u32)>,
+    ) {
+        if self.is_pristine() {
+            self.base.runs_range(term, start, end, docs, runs);
+        } else {
+            append_runs(docs, runs, &self.merged_range(term, start, end));
         }
     }
 

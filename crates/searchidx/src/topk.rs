@@ -17,9 +17,7 @@ use std::collections::HashMap;
 
 use invariant::{audit, Report, Validate};
 
-use crate::blocks::{
-    append_runs, BlockStore, BlockStoreStats, PostingsBackend, SkipStats, BLOCK_SIZE,
-};
+use crate::blocks::{BlockStore, BlockStoreStats, PostingsBackend, SkipStats, BLOCK_SIZE};
 use crate::types::{tf_weight as weight, DocId, IndexReader, ResultEntry, ScoredDoc, TermId};
 
 /// Query-processing knobs.
@@ -375,8 +373,8 @@ impl Validate for ScoreAccumulator {
 struct Scratch {
     acc: ScoreAccumulator,
     /// The block a blocked scan regenerated last, as `(docs, runs)` with
-    /// ends counted from the block's start — scans past the pinned prefix
-    /// visit one block at a time, so one buffer suffices.
+    /// ends counted from the block's start — first visits and scans past
+    /// the pinned prefix visit one block at a time, so one buffer suffices.
     block_docs: Vec<DocId>,
     block_runs: Vec<(u32, u32)>,
     /// Which `(term, block)` currently sits in the buffer. A list is
@@ -635,9 +633,11 @@ impl TopKProcessor {
     /// *and* generation work disappear.
     ///
     /// Three more mechanisms, none of which can move the figures:
-    /// * terms are pinned on their *second* visit (first visits scan
-    ///   through `postings_range`, reference-style) — the once-queried
-    ///   Zipf tail never funds a build it cannot amortize;
+    /// * terms are pinned on their *second* visit — a first visit runs
+    ///   the same loop over blocks regenerated one at a time into the
+    ///   scratch buffer, so the once-queried Zipf tail never funds a
+    ///   build it cannot amortize. Only scans of pinned lists are counted
+    ///   in [`SkipStats`] (see there for why);
     /// * only the head [`crate::blocks::HOT_PREFIX`] postings of a list
     ///   are pinned — the impact-ordered region every query re-reads is
     ///   served as doc ids plus equal-tf runs, and the rare block past it
@@ -676,15 +676,12 @@ impl TopKProcessor {
                 continue;
             }
             let list = store.list_mut(term, df);
-            if !list.note_visit() {
-                // First sighting of this term: scan like the reference
-                // arm and pin nothing; terms that come back pay the build
-                // on their second visit and amortize it from there.
-                let scanned =
-                    self.scan_uncompressed(index, (idf, term), df, is_last, acc, &mut kth_score);
-                usage.push(TermUsage { term, scanned, df });
-                continue;
-            }
+            // A first sighting pins nothing (nothing is built, so every
+            // block comes through the scratch buffer) and counts nothing;
+            // terms that come back pay the build on their second visit
+            // and amortize it from there.
+            let pinned = list.note_visit();
+            let mut term_skips = SkipStats::default();
             let mut scanned = 0u64;
             // The run holding `scanned`, or an earlier one (within a list
             // the cursor only moves forward), and the tf at the current
@@ -700,7 +697,9 @@ impl TopKProcessor {
                     // the rest of the batch is never generated — the
                     // reference arm pays `postings_range` for the full
                     // chunk it is about to abandon.
-                    list.ensure(index, term, block_start + 1);
+                    if pinned {
+                        list.ensure(index, term, block_start + 1);
+                    }
                     // Serve the block from the pinned prefix when it is
                     // covered; regenerate it (through the one-block
                     // cache) otherwise. Run ends count from `base`, the
@@ -713,8 +712,7 @@ impl TopKProcessor {
                         if *cached_block != Some((term, block)) {
                             block_docs.clear();
                             block_runs.clear();
-                            let fresh = index.postings_range(term, block_start, block_end);
-                            append_runs(block_docs, block_runs, &fresh);
+                            index.runs_range(term, block_start, block_end, block_docs, block_runs);
                             *cached_block = Some((term, block));
                         }
                         cursor = 0;
@@ -731,10 +729,10 @@ impl TopKProcessor {
                     if self.config.epsilon > 0.0 && acc.len() >= self.config.k {
                         // Block-max gate: the block's first posting
                         // bounds every contribution the block can make.
-                        skip_stats.skip_probes += 1;
+                        term_skips.skip_probes += 1;
                         let bound = self.weights.get(block_max_tf) * idf;
                         if self.quits(bound, kth_score, acc.len(), is_last) {
-                            skip_stats.skipped += df - scanned;
+                            term_skips.skipped += df - scanned;
                             break 'scan;
                         }
                     }
@@ -758,17 +756,17 @@ impl TopKProcessor {
                         if check_free {
                             acc.add_run(run, contribution as f32);
                             scanned += run.len() as u64;
-                            skip_stats.visited += run.len() as u64;
+                            term_skips.visited += run.len() as u64;
                             continue;
                         }
                         for &doc in run {
                             if self.quits(contribution, kth_score, acc.len(), is_last) {
-                                skip_stats.skipped += df - scanned;
+                                term_skips.skipped += df - scanned;
                                 break 'scan;
                             }
                             acc.add(doc, contribution as f32);
                             scanned += 1;
-                            skip_stats.visited += 1;
+                            term_skips.visited += 1;
                         }
                     }
                     cursor = last;
@@ -776,6 +774,9 @@ impl TopKProcessor {
                 kth_score = acc.kth_largest();
             }
             kth_score = acc.kth_largest();
+            if pinned {
+                skip_stats.absorb(term_skips);
+            }
             usage.push(TermUsage { term, scanned, df });
         }
 

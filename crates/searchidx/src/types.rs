@@ -140,6 +140,22 @@ pub trait IndexReader {
         list.postings()[start..end].to_vec()
     }
 
+    /// [`IndexReader::postings_range`] appended to a `(docs, runs)` pair,
+    /// the form the blocked scan reads: the doc ids go onto `docs` and
+    /// the tfs onto `runs` as `(end, tf)` runs, ends counted from
+    /// `docs[0]`, the last run extended while the tf repeats. Readers
+    /// that can fill the pair without a `Posting` vector override this.
+    fn runs_range(
+        &self,
+        term: TermId,
+        start: u64,
+        end: u64,
+        docs: &mut Vec<DocId>,
+        runs: &mut Vec<(u32, u32)>,
+    ) {
+        crate::blocks::append_runs(docs, runs, &self.postings_range(term, start, end));
+    }
+
     /// The position of `doc` in `term`'s canonical order, `None` when the
     /// list does not hold it. The default scans the full list; readers
     /// that can answer without generating it override this.

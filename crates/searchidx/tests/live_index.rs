@@ -594,6 +594,54 @@ proptest! {
     }
 }
 
+/// The trait's default `runs_range`, spelled per posting: `postings`
+/// appended to `(docs, runs)`, the last run extended while the tf repeats.
+fn append_runs_model(docs: &mut Vec<DocId>, runs: &mut Vec<(u32, u32)>, postings: &[Posting]) {
+    for p in postings {
+        docs.push(p.doc);
+        match runs.last_mut() {
+            Some(last) if last.1 == p.tf => last.0 = docs.len() as u32,
+            _ => runs.push((docs.len() as u32, p.tf)),
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn runs_range_appends_what_postings_range_returns(
+        term in 0u32..26,
+        a in 0u64..80,
+        b in 0u64..80,
+        // Base and ingested tfs are 1 to 3: the buffer's last run often
+        // carries the range's first tf, and must then absorb it.
+        lead_tf in 1u32..4,
+        pristine in any::<bool>(),
+    ) {
+        let mut live = LiveIndex::new(MemIndex::from_docs(base_docs()), policy(16, 3));
+        if !pristine {
+            scripted_history(&mut live, &mut base_docs());
+            let stats = live.stats();
+            prop_assert!(stats.docs_deleted > 0 && stats.seals > 0 && stats.compactions > 0);
+        }
+        let (start, end) = (a.min(b), a.max(b));
+        // The live index (merged view, or pristine delegation) and its
+        // `MemIndex` base, which keeps the trait's default.
+        fn check<R: IndexReader>(index: &R, term: TermId, start: u64, end: u64, lead_tf: u32)
+            -> Result<(), TestCaseError> {
+            let (mut docs, mut runs) = (vec![7], vec![(1, lead_tf)]);
+            let (mut want_docs, mut want_runs) = (docs.clone(), runs.clone());
+            let postings = index.postings_range(term, start, end);
+            append_runs_model(&mut want_docs, &mut want_runs, &postings);
+            index.runs_range(term, start, end, &mut docs, &mut runs);
+            prop_assert_eq!(docs, want_docs);
+            prop_assert_eq!(runs, want_runs);
+            Ok(())
+        }
+        check(&live, term, start, end, lead_tf)?;
+        check(live.base(), term, start, end, lead_tf)?;
+    }
+}
+
 #[test]
 fn position_of_matches_a_linear_scan() {
     fn check<R: IndexReader>(index: &R, what: &str) {

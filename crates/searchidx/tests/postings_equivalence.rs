@@ -8,8 +8,9 @@
 use proptest::prelude::*;
 use searchidx::blocks::HOT_PREFIX;
 use searchidx::{
-    BlockPostings, CorpusSpec, IndexReader, LiveIndex, MemIndex, Posting, PostingsBackend,
-    SegmentPolicy, SyntheticIndex, TermId, TopKConfig, TopKProcessor, BLOCK_SIZE,
+    BlockPostings, BlockStoreStats, CorpusSpec, IndexReader, LiveIndex, MemIndex, Posting,
+    PostingsBackend, SegmentPolicy, SkipStats, SyntheticIndex, TermId, TopKConfig, TopKProcessor,
+    BLOCK_SIZE,
 };
 use simclock::SimTime;
 
@@ -282,6 +283,32 @@ fn invalidation_forgets_the_decoded_block() {
             "visit {visit} after invalidate_all"
         );
     }
+}
+
+/// A term's first visit runs the gated loop over regenerated blocks and
+/// pins nothing; it must return what the pinned visit after it returns
+/// (and what the reference does), and leave the block-max counts and the
+/// store untouched — the counts hash into the engine's figures.
+#[test]
+fn first_visit_matches_the_pinned_visit_and_counts_nothing() {
+    // Head terms whose scans the gate cuts short, one longer than the
+    // pin, and a rare one that sets the bar.
+    let idx = SyntheticIndex::new(CorpusSpec::tiny(5));
+    let terms = [0u32, 1, 2, 300];
+    assert!(idx.doc_freq(0) > HOT_PREFIX);
+    let proc = TopKProcessor::new(TopKConfig::default());
+    let first = proc.process(&idx, &terms);
+    assert_eq!(first.skip_stats, SkipStats::default());
+    assert_eq!(proc.store_stats(), BlockStoreStats::default());
+    let pinned = proc.process(&idx, &terms);
+    assert_eq!(first.result, pinned.result);
+    assert_eq!(first.usage, pinned.usage);
+    assert!(first.usage.iter().any(|u| u.scanned < u.df), "a scan quits");
+    assert!(pinned.skip_stats.skip_probes > 0 && pinned.skip_stats.skipped > 0);
+    assert!(proc.store_stats().terms > 0);
+    let reference = proc.process_reference(&idx, &terms);
+    assert_eq!(first.result, reference.result);
+    assert_eq!(first.usage, reference.usage);
 }
 
 /// Determinism across store lifetimes: replaying the same query mix
