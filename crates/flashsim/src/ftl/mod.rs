@@ -72,10 +72,10 @@ pub trait Ftl {
     /// The underlying medium (for wear / erase statistics).
     fn nand(&self) -> &Nand;
 
-    /// Host-visible pages.
-    fn logical_pages(&self) -> u64 {
-        self.params().logical_pages()
-    }
+    /// Host-visible pages: the capacity fact [`Ftl::check_lpn`] bounds
+    /// every request by, held once by the implementor rather than
+    /// recomputed from [`FlashParams::logical_pages`] on each page.
+    fn logical_pages(&self) -> u64;
 
     /// Read one logical page. Unmapped pages cost nothing (the drive
     /// returns zeros without touching the medium).
@@ -94,6 +94,7 @@ pub trait Ftl {
     fn reset_stats(&mut self);
 
     /// Bounds check helper.
+    #[inline]
     fn check_lpn(&self, lpn: Lpn) -> Result<(), FtlError> {
         if lpn < self.logical_pages() {
             Ok(())

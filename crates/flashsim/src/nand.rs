@@ -12,6 +12,11 @@
 //!
 //! Violations are driver bugs, so they panic rather than return errors —
 //! an FTL that breaks the medium's rules must fail tests loudly.
+//!
+//! The state is one 4-byte word per physical page, flat over the die: the
+//! logical page a valid page holds, or the `FREE` / `INVALID` sentinel at
+//! the top of the `u32` range. Per block only the program frontier, the
+//! valid count and the erase count are kept.
 
 use invariant::{Report, Validate};
 use simclock::SimDuration;
@@ -27,7 +32,18 @@ pub type Ppn = u64;
 /// Physical block index.
 pub type BlockId = u64;
 
-/// What a physical page currently holds.
+/// Page-state word of an erased, programmable page.
+const FREE: u32 = u32::MAX;
+
+/// Page-state word of a page holding stale data awaiting erase. Every
+/// physical page number, and so every logical one, stays below it
+/// ([`FlashParams::validate`] refuses larger geometries), so the
+/// [`PageMapFtl`](crate::PageMapFtl) map can hold its page numbers in the
+/// same four bytes.
+pub(crate) const INVALID: u32 = u32::MAX - 1;
+
+/// What a physical page currently holds: the decoded view of one
+/// page-state word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PageContent {
     /// Erased, programmable.
@@ -38,29 +54,23 @@ pub enum PageContent {
     Invalid,
 }
 
-/// Per-block state.
-#[derive(Debug, Clone)]
+impl PageContent {
+    fn decode(word: u32) -> Self {
+        match word {
+            FREE => PageContent::Free,
+            INVALID => PageContent::Invalid,
+            lpn => PageContent::Valid(lpn as Lpn),
+        }
+    }
+}
+
+/// Per-block counters; the block's pages live in [`Nand`]'s flat array.
+#[derive(Debug, Clone, Default)]
 struct Block {
-    pages: Vec<PageContent>,
     /// Program frontier: next page offset that may be programmed.
     next_page: u32,
     valid: u32,
     erase_count: u64,
-}
-
-impl Block {
-    fn new(pages_per_block: u32) -> Self {
-        Block {
-            pages: vec![PageContent::Free; pages_per_block as usize],
-            next_page: 0,
-            valid: 0,
-            erase_count: 0,
-        }
-    }
-
-    fn is_full(&self) -> bool {
-        self.next_page as usize == self.pages.len()
-    }
 }
 
 /// Medium-level counters.
@@ -74,10 +84,13 @@ pub struct NandStats {
     pub block_erases: u64,
 }
 
-/// The NAND array.
+/// The NAND array. Its page words are indexed by [`Ppn`], so a page read
+/// or invalidate is a load from one cache line; [`Nand::page`] decodes a
+/// word into [`PageContent`].
 #[derive(Debug, Clone)]
 pub struct Nand {
     params: FlashParams,
+    pages: Vec<u32>,
     blocks: Vec<Block>,
     stats: NandStats,
     free_pages: u64,
@@ -88,13 +101,11 @@ impl Nand {
     /// A freshly erased die.
     pub fn new(params: FlashParams) -> Self {
         params.validate().expect("invalid flash parameters");
-        let blocks = (0..params.blocks)
-            .map(|_| Block::new(params.pages_per_block))
-            .collect();
         let free_pages = params.physical_pages();
         Nand {
+            pages: vec![FREE; free_pages as usize],
+            blocks: vec![Block::default(); params.blocks as usize],
             params,
-            blocks,
             stats: NandStats::default(),
             free_pages,
             valid_pages: 0,
@@ -116,11 +127,6 @@ impl Nand {
         self.stats = NandStats::default();
     }
 
-    #[inline]
-    fn ppn(&self, block: BlockId, offset: u32) -> Ppn {
-        block * self.params.pages_per_block as u64 + offset as u64
-    }
-
     /// Split a PPN into (block, offset).
     #[inline]
     pub fn locate(&self, ppn: Ppn) -> (BlockId, u32) {
@@ -130,18 +136,26 @@ impl Nand {
         )
     }
 
+    /// The page-state words of `block`.
+    fn block_pages(&self, block: BlockId) -> &[u32] {
+        let ppb = self.params.pages_per_block as usize;
+        let first = block as usize * ppb;
+        &self.pages[first..first + ppb]
+    }
+
     /// Content of a physical page.
     pub fn page(&self, ppn: Ppn) -> PageContent {
-        let (b, o) = self.locate(ppn);
-        self.blocks[b as usize].pages[o as usize]
+        PageContent::decode(self.pages[ppn as usize])
     }
 
     /// Read a page. Reading free or invalid pages is a driver bug.
+    #[inline]
     pub fn read(&mut self, ppn: Ppn) -> SimDuration {
-        let content = self.page(ppn);
+        let word = self.pages[ppn as usize];
         assert!(
-            matches!(content, PageContent::Valid(_)),
-            "read of non-valid page {ppn}: {content:?}"
+            word < INVALID,
+            "read of non-valid page {ppn}: {:?}",
+            PageContent::decode(word)
         );
         self.stats.page_reads += 1;
         self.params.page_read
@@ -151,44 +165,52 @@ impl Nand {
     /// Returns the PPN programmed and the latency. Panics if the block is
     /// full — callers track frontiers via [`Nand::block_has_room`].
     pub(crate) fn program(&mut self, block: BlockId, lpn: Lpn) -> (Ppn, SimDuration) {
+        let ppb = self.params.pages_per_block;
         let b = &mut self.blocks[block as usize];
-        assert!(!b.is_full(), "program beyond block {block}'s last page");
-        let offset = b.next_page;
-        debug_assert_eq!(b.pages[offset as usize], PageContent::Free);
-        b.pages[offset as usize] = PageContent::Valid(lpn);
+        assert!(
+            b.next_page < ppb,
+            "program beyond block {block}'s last page"
+        );
+        let ppn = block * ppb as u64 + b.next_page as u64;
+        debug_assert_eq!(self.pages[ppn as usize], FREE);
+        assert!(lpn < INVALID as Lpn, "lpn {lpn} beyond the page-word range");
+        self.pages[ppn as usize] = lpn as u32;
         b.next_page += 1;
         b.valid += 1;
         self.free_pages -= 1;
         self.valid_pages += 1;
         self.stats.page_programs += 1;
-        (self.ppn(block, offset), self.params.page_write)
+        (ppn, self.params.page_write)
     }
 
     /// Mark a previously valid page invalid (its logical page was
-    /// overwritten or trimmed).
-    pub fn invalidate(&mut self, ppn: Ppn) {
-        let (block, offset) = self.locate(ppn);
-        let b = &mut self.blocks[block as usize];
-        let p = &mut b.pages[offset as usize];
+    /// overwritten or trimmed). Returns the page's block.
+    pub fn invalidate(&mut self, ppn: Ppn) -> BlockId {
+        let p = &mut self.pages[ppn as usize];
         assert!(
-            matches!(p, PageContent::Valid(_)),
-            "invalidate of non-valid page {ppn}: {p:?}"
+            *p < INVALID,
+            "invalidate of non-valid page {ppn}: {:?}",
+            PageContent::decode(*p)
         );
-        *p = PageContent::Invalid;
-        b.valid -= 1;
+        *p = INVALID;
+        let block = ppn / self.params.pages_per_block as u64;
+        self.blocks[block as usize].valid -= 1;
         self.valid_pages -= 1;
+        block
     }
 
     /// Erase a block. All its pages become free. Erasing a block that
     /// still holds valid pages is a driver bug (the FTL must migrate
     /// first).
     pub(crate) fn erase(&mut self, block: BlockId) -> SimDuration {
+        let ppb = self.params.pages_per_block as usize;
         let b = &mut self.blocks[block as usize];
         assert_eq!(b.valid, 0, "erase of block {block} with valid pages");
         let reclaimed = b.next_page as u64;
-        b.pages.fill(PageContent::Free);
         b.next_page = 0;
         b.erase_count += 1;
+        let first = block as usize * ppb;
+        self.pages[first..first + ppb].fill(FREE);
         self.free_pages += reclaimed;
         debug_assert!(self.free_pages <= self.params.physical_pages());
         self.stats.block_erases += 1;
@@ -196,8 +218,9 @@ impl Nand {
     }
 
     /// Whether `block` still has unprogrammed pages.
+    #[inline]
     pub fn block_has_room(&self, block: BlockId) -> bool {
-        !self.blocks[block as usize].is_full()
+        self.blocks[block as usize].next_page < self.params.pages_per_block
     }
 
     /// Next programmable offset of `block` (== pages_per_block when full).
@@ -211,26 +234,25 @@ impl Nand {
     }
 
     /// Invalid (reclaimable) pages in `block`: programmed minus valid.
+    #[inline]
     pub fn block_invalid(&self, block: BlockId) -> u32 {
         let b = &self.blocks[block as usize];
         b.next_page - b.valid
     }
 
     /// Erase count of `block`.
+    #[inline]
     pub fn block_erase_count(&self, block: BlockId) -> u64 {
         self.blocks[block as usize].erase_count
     }
 
     /// The LPNs of the valid pages in `block`, with their offsets.
     pub fn block_valid_pages(&self, block: BlockId) -> Vec<(u32, Lpn)> {
-        self.blocks[block as usize]
-            .pages
+        self.block_pages(block)
             .iter()
             .enumerate()
-            .filter_map(|(i, p)| match p {
-                PageContent::Valid(lpn) => Some((i as u32, *lpn)),
-                _ => None,
-            })
+            .filter(|&(_, &w)| w < INVALID)
+            .map(|(i, &w)| (i as u32, w as Lpn))
             .collect()
     }
 
@@ -261,41 +283,36 @@ impl Nand {
 impl Validate for Nand {
     fn validate(&self, report: &mut Report) {
         let subject = "Nand";
+        let ppb = self.params.pages_per_block;
         let mut free_scan = 0u64;
         let mut valid_scan = 0u64;
         let mut erase_scan = 0u64;
         for (id, b) in self.blocks.iter().enumerate() {
+            let pages = self.block_pages(id as BlockId);
             // The per-block valid counter is maintained incrementally by
             // program/invalidate/erase; the page array is ground truth.
-            let valid = b
-                .pages
-                .iter()
-                .filter(|p| matches!(p, PageContent::Valid(_)))
-                .count() as u32;
+            let valid = pages.iter().filter(|&&w| w < INVALID).count() as u32;
             report.check(b.valid == valid, subject, "block-valid-agree", || {
                 format!(
                     "block {id}: valid counter {} but {} Valid pages on the medium",
                     b.valid, valid
                 )
             });
+            report.check(b.next_page <= ppb, subject, "frontier-range", || {
+                format!("block {id}: frontier {} beyond block", b.next_page)
+            });
             // Pages at or past the program frontier are untouched since the
             // last erase — in-order programming never leaves data there.
-            let frontier_clean = b.pages[b.next_page as usize..]
-                .iter()
-                .all(|p| matches!(p, PageContent::Free));
+            let frontier_clean = pages
+                .get(b.next_page as usize..)
+                .is_none_or(|rest| rest.iter().all(|&w| w == FREE));
             report.check(frontier_clean, subject, "frontier-free", || {
                 format!(
                     "block {id}: programmed page at or past frontier {}",
                     b.next_page
                 )
             });
-            report.check(
-                b.next_page as usize <= b.pages.len(),
-                subject,
-                "frontier-range",
-                || format!("block {id}: frontier {} beyond block", b.next_page),
-            );
-            free_scan += (b.pages.len() - b.next_page as usize) as u64;
+            free_scan += ppb.saturating_sub(b.next_page) as u64;
             valid_scan += b.valid as u64;
             erase_scan += b.erase_count;
         }

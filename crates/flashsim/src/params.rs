@@ -120,6 +120,18 @@ impl FlashParams {
         if self.blocks < 2 {
             return Err("need at least 2 physical blocks".into());
         }
+        // Page numbers are held in 4 bytes, below the medium's sentinels.
+        let max_pages = crate::nand::INVALID as u64;
+        if self
+            .blocks
+            .checked_mul(self.pages_per_block as u64)
+            .is_none_or(|pages| pages > max_pages)
+        {
+            return Err(format!(
+                "{} blocks of {} pages exceed the {max_pages} page numbers a 4-byte page state holds",
+                self.blocks, self.pages_per_block
+            ));
+        }
         if !(0.0..1.0).contains(&self.overprovision) {
             return Err("overprovision must be in [0, 1)".into());
         }
@@ -204,5 +216,25 @@ mod tests {
         let mut p = FlashParams::tiny(1);
         p.blocks = 1;
         assert!(p.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_page_numbers_beyond_four_bytes() {
+        // 4-page blocks: the last geometry whose page numbers all sit
+        // below the sentinels passes, one more block does not.
+        let limit = crate::nand::INVALID as u64 / 4;
+        let mut p = FlashParams::tiny(limit);
+        assert!(p.validate().is_ok());
+        p.blocks = limit + 1;
+        let err = p.validate().unwrap_err();
+        assert!(err.contains("4-byte"), "{err}");
+        // The paper preset at 8 TiB needs 2^32 pages.
+        assert!(FlashParams::paper(8 << 40).validate().is_err());
+        let mut p = FlashParams::tiny(8);
+        p.blocks = u64::MAX;
+        assert!(
+            p.validate().is_err(),
+            "an overflowing page count is refused"
+        );
     }
 }
