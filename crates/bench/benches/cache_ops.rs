@@ -4,8 +4,8 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
-use cachekit::{LruCache, LruList, SegmentedLru};
-use hybridcache::mem::{ListMeta, MemListCache};
+use cachekit::{LruList, SegmentedLru};
+use hybridcache::mem::{ListMeta, MemListCache, MemResultCache};
 use hybridcache::ssd::{ListStore, SlotRegion};
 use hybridcache::PolicyKind;
 use simclock::{Rng, SimDuration};
@@ -50,16 +50,20 @@ fn bench_segmented(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_lru_cache(c: &mut Criterion) {
-    let mut g = c.benchmark_group("lru_cache");
+/// The L1 result cache's hit and miss paths: 200 ids over 64 entries.
+fn bench_mem_result_cache(c: &mut Criterion) {
+    let mut g = c.benchmark_group("mem_result_cache");
     g.bench_function("mixed_get_insert", |b| {
         b.iter_batched(
-            || (LruCache::<u32, u64>::new(64_000), Rng::new(7)),
+            || {
+                let cache = MemResultCache::<u64>::new(64 * hybridcache::RESULT_ENTRY_BYTES);
+                (cache, Rng::new(7))
+            },
             |(mut cache, mut rng)| {
                 for _ in 0..1_000 {
-                    let k = rng.next_below(200) as u32;
-                    if cache.get(&k).is_none() {
-                        let _ = cache.insert(k, k as u64, 1_000);
+                    let id = rng.next_below(200);
+                    if cache.get(id).is_none() {
+                        black_box(cache.insert(id, id));
                     }
                 }
                 black_box(cache.len())
@@ -134,7 +138,7 @@ criterion_group!(
     benches,
     bench_lru_list,
     bench_segmented,
-    bench_lru_cache,
+    bench_mem_result_cache,
     bench_victim_selection
 );
 criterion_main!(benches);

@@ -1,0 +1,250 @@
+//! EXPERIMENTS.md's extension tables against the committed sweeps.
+//!
+//! The admission, serving and ingest tables each quote the `csv:` rows of
+//! `results/scale-0.1/ext_{admission,serving,ingest}.txt`. Every number in
+//! a cell must be the csv value printed at the precision the cell uses.
+//! `ci.sh` already diffs those files against fresh runs, so the tables
+//! cannot drift from the code either.
+
+use std::path::Path;
+
+fn read(relative: &str) -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(relative);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// The body rows (cells trimmed, `**` dropped) of the first table under
+/// the EXPERIMENTS.md heading that names `bin`.
+fn table_rows(experiments: &str, bin: &str) -> Vec<Vec<String>> {
+    let heading = format!("(`--bin {bin}`");
+    let section = experiments
+        .split("\n### ")
+        .find(|s| s.lines().next().is_some_and(|h| h.contains(&heading)))
+        .unwrap_or_else(|| panic!("EXPERIMENTS.md has no section for {bin}"));
+    section
+        .lines()
+        .skip_while(|l| !l.starts_with('|'))
+        .take_while(|l| l.starts_with('|'))
+        .skip(2) // header and separator
+        .map(|l| {
+            let cells = l.trim_matches('|').split('|');
+            cells
+                .map(|c| c.replace("**", "").trim().to_owned())
+                .collect()
+        })
+        .collect()
+}
+
+/// The numbers in `text`, as printed: digit groups joined by single
+/// spaces (`17 189`) are one number, `×`, `%` and units are dropped.
+fn numbers(text: &str) -> Vec<String> {
+    let chars: Vec<char> = text.chars().collect();
+    let mut out = Vec::new();
+    let mut at = 0;
+    while at < chars.len() {
+        if !chars[at].is_ascii_digit() {
+            at += 1;
+            continue;
+        }
+        let mut number = String::new();
+        loop {
+            while at < chars.len() && (chars[at].is_ascii_digit() || chars[at] == '.') {
+                number.push(chars[at]);
+                at += 1;
+            }
+            // A thousands group: a space, then exactly three digits.
+            let group = chars.get(at + 1..at + 4);
+            let next = chars.get(at + 4);
+            if chars.get(at) == Some(&' ')
+                && group.is_some_and(|g| g.iter().all(char::is_ascii_digit))
+                && !next.is_some_and(char::is_ascii_digit)
+            {
+                at += 1;
+                continue;
+            }
+            break;
+        }
+        out.push(number);
+    }
+    out
+}
+
+/// Whether `printed` is `value` at `printed`'s number of decimals.
+fn prints_as(printed: &str, value: f64) -> bool {
+    let decimals = printed.split_once('.').map_or(0, |(_, f)| f.len());
+    format!("{value:.decimals$}") == printed
+}
+
+/// Assert the numbers of `cell` are `want`, each at the cell's precision.
+fn check_cell(context: &str, cell: &str, want: &[f64]) {
+    let got = numbers(cell);
+    assert_eq!(got.len(), want.len(), "{context}: {cell:?} holds {got:?}");
+    for (printed, &value) in got.iter().zip(want) {
+        assert!(
+            prints_as(printed, value),
+            "{context}: the cell {cell:?} prints {printed}, the csv gives {value}"
+        );
+    }
+}
+
+/// One `csv:` block of a sweep's output: a header line and its rows.
+struct Csv {
+    header: Vec<String>,
+    rows: Vec<Vec<String>>,
+}
+
+impl Csv {
+    /// The block of `results/scale-0.1/<bin>.txt` whose header starts
+    /// with `first_columns`.
+    fn load(bin: &str, first_columns: &str) -> Csv {
+        let text = read(&format!("results/scale-0.1/{bin}.txt"));
+        let lines: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("csv:"))
+            .collect();
+        let at = lines
+            .iter()
+            .position(|l| l.starts_with(first_columns))
+            .unwrap_or_else(|| panic!("{bin}.txt has no csv header {first_columns:?}"));
+        let split = |l: &str| l.split(',').map(str::to_owned).collect::<Vec<_>>();
+        let header = split(lines[at]);
+        // The block ends where the next header (same first column) starts.
+        let next_header = format!("{},", header[0]);
+        let rows = lines[at + 1..]
+            .iter()
+            .take_while(|l| !l.starts_with(&next_header))
+            .map(|l| split(l))
+            .collect();
+        Csv { header, rows }
+    }
+
+    /// The one row whose `key` columns hold these values.
+    fn row(&self, key: &[(&str, &str)]) -> Row<'_> {
+        let col = |name: &str| self.column(name);
+        let mut hits = self
+            .rows
+            .iter()
+            .filter(|r| key.iter().all(|&(name, v)| r[col(name)] == v));
+        let row = hits.next().unwrap_or_else(|| panic!("no csv row {key:?}"));
+        assert!(hits.next().is_none(), "more than one csv row {key:?}");
+        Row { csv: self, row }
+    }
+
+    fn column(&self, name: &str) -> usize {
+        let at = self.header.iter().position(|h| h == name);
+        at.unwrap_or_else(|| panic!("no csv column {name:?}"))
+    }
+}
+
+struct Row<'a> {
+    csv: &'a Csv,
+    row: &'a [String],
+}
+
+impl Row<'_> {
+    fn get(&self, name: &str) -> f64 {
+        let text = &self.row[self.csv.column(name)];
+        text.parse()
+            .unwrap_or_else(|e| panic!("csv {name} = {text:?}: {e}"))
+    }
+}
+
+/// A table label (`drifting-Zipf`, `flash-crowd`) as its csv key.
+fn csv_key(label: &str) -> String {
+    label.to_lowercase().replace('-', "_")
+}
+
+#[test]
+fn admission_table_matches_ext_admission() {
+    let csv = Csv::load("ext_admission", "scenario,gate,");
+    let rows = table_rows(&read("EXPERIMENTS.md"), "ext_admission");
+    assert_eq!(rows.len(), 8, "four scenarios under two gates");
+    for cells in &rows {
+        let [scenario, gate, hit, written, erases] = &cells[..] else {
+            panic!("admission row {cells:?} does not have five cells");
+        };
+        let (scenario, gate) = (csv_key(scenario), csv_key(&gate.replace(' ', "_")));
+        let row = csv.row(&[("scenario", &scenario), ("gate", &gate)]);
+        let context = format!("admission {scenario} / {gate}");
+        check_cell(&context, hit, &[100.0 * row.get("hit_ratio")]);
+        check_cell(&context, written, &[row.get("ssd_bytes_written") / 1e9]);
+        check_cell(&context, erases, &[row.get("block_erases")]);
+    }
+}
+
+#[test]
+fn serving_table_matches_ext_serving() {
+    let csv = Csv::load("ext_serving", "scenario,arm,load_factor,");
+    let rows = table_rows(&read("EXPERIMENTS.md"), "ext_serving");
+    assert_eq!(rows.len(), 6, "three load points under two arms");
+    for cells in &rows {
+        let [point, arm, goodput, p99, shed, miss] = &cells[..] else {
+            panic!("serving row {cells:?} does not have six cells");
+        };
+        let (scenario, load) = point.split_once(' ').expect("\"scenario load×\"");
+        let load = numbers(load).pop().expect("a load factor");
+        let load = format!("{:.2}", load.parse::<f64>().unwrap());
+        let arm = match arm.as_str() {
+            "naive" => "naive_fifo",
+            "batched" => "batched_shed_hedge",
+            other => panic!("unknown serving arm {other:?}"),
+        };
+        let scenario = csv_key(scenario);
+        let row = csv.row(&[
+            ("scenario", &scenario),
+            ("arm", arm),
+            ("load_factor", &load),
+        ]);
+        let context = format!("serving {scenario} {load} / {arm}");
+        check_cell(&context, goodput, &[row.get("goodput_qps")]);
+        check_cell(&context, p99, &[row.get("p99_ms")]);
+        // Every point offers 2 000 arrivals.
+        check_cell(&context, shed, &[row.get("shed") * 100.0 / 2000.0]);
+        let misses = row.get("deadline_misses") * 100.0 / row.get("answered");
+        check_cell(&context, miss, &[misses]);
+    }
+}
+
+#[test]
+fn ingest_table_matches_ext_ingest() {
+    let csv = Csv::load("ext_ingest", "arm,ops_per_100_queries,");
+    let rows = table_rows(&read("EXPERIMENTS.md"), "ext_ingest");
+    assert_eq!(rows.len(), 3, "three mutation mixes");
+    for cells in &rows {
+        let [mix, compactions, list_hit, hit, written] = &cells[..] else {
+            panic!("ingest row {cells:?} does not have five cells");
+        };
+        let coop = csv.row(&[("arm", "cooperative"), ("ops_per_100_queries", mix)]);
+        let naive = csv.row(&[("arm", "invalidate_all"), ("ops_per_100_queries", mix)]);
+        let context = format!("ingest mix {mix}");
+        assert_eq!(coop.get("compactions"), naive.get("compactions"));
+        check_cell(&context, compactions, &[coop.get("compactions")]);
+        let lists = |r: &Row| 100.0 * r.get("list_ssd_hit_ratio");
+        let mut want = vec![lists(&coop), lists(&naive)];
+        // A gated row also prints the relative gain in parentheses.
+        if list_hit.contains("(+") {
+            want.push(100.0 * (lists(&coop) / lists(&naive) - 1.0));
+        }
+        check_cell(&context, list_hit, &want);
+        let overall = |r: &Row| 100.0 * r.get("hit_ratio");
+        check_cell(&context, hit, &[overall(&coop), overall(&naive)]);
+        let mb = |r: &Row| r.get("ssd_bytes_written") / 1e6;
+        check_cell(&context, written, &[mb(&coop), mb(&naive)]);
+    }
+}
+
+#[test]
+fn numbers_reads_printed_figures() {
+    assert_eq!(numbers("17 189"), ["17189"]);
+    assert_eq!(numbers("5.24 % → 5.32 % (noise)"), ["5.24", "5.32"]);
+    assert_eq!(
+        numbers("**5.08 % → 4.09 % (+24 %)**"),
+        ["5.08", "4.09", "24"]
+    );
+    assert_eq!(numbers("flash-crowd 1.2×"), ["1.2"]);
+    assert_eq!(numbers("3 568"), ["3568"]);
+    assert!(prints_as("36.1", 0.361_458_364_863_637_75 * 100.0));
+    assert!(!prints_as("36.2", 0.361_458_364_863_637_75 * 100.0));
+}

@@ -9,28 +9,26 @@
 //! * [`SegmentedLru`] — an [`LruList`] split into the paper's **Working
 //!   Region** and **Replace-First Region** of window `W` (Figs. 11 & 13);
 //! * [`ByteBudget`] — capacity accounting for variable-sized entries;
-//! * [`LruCache`] — the classic byte-budgeted LRU cache, the baseline
-//!   every experiment compares against;
 //! * [`FreqSketch`] / [`GhostCache`] — the sketch-based admission tier's
 //!   building blocks: a 4-bit counting frequency sketch (TinyLFU-style
 //!   count-min with periodic halving) and a payload-free list of
 //!   recently dismissed keys.
 //!
-//! Structures that keep redundant bookkeeping ([`LruCache`],
-//! [`GhostCache`], [`FreqSketch`]) implement [`invariant::Validate`], so
-//! debug builds can audit it against a from-scratch recount at each
-//! mutation boundary.
+//! The caches themselves — the L1 result and list caches and the SSD
+//! stores — live in `hybridcache`, each an [`LruList`] or a
+//! [`SegmentedLru`] beside its own entry map. Structures here that keep
+//! redundant bookkeeping ([`GhostCache`], [`FreqSketch`]) implement
+//! [`invariant::Validate`], so debug builds can audit it against a
+//! from-scratch recount at each mutation boundary.
 
 pub mod budget;
 pub mod ghost;
 pub mod lru;
-pub mod lru_cache;
 pub mod segmented;
 pub mod sketch;
 
 pub use budget::ByteBudget;
 pub use ghost::GhostCache;
 pub use lru::LruList;
-pub use lru_cache::LruCache;
 pub use segmented::SegmentedLru;
 pub use sketch::{FreqSketch, COUNTER_MAX};

@@ -166,14 +166,6 @@ impl<K: Eq + Hash + Clone> LruList<K> {
             cur: self.tail,
         }
     }
-
-    /// Iterate from MRU towards LRU.
-    pub fn iter_mru(&self) -> IterMru<'_, K> {
-        IterMru {
-            list: self,
-            cur: self.head,
-        }
-    }
 }
 
 /// LRU→MRU iterator.
@@ -194,30 +186,15 @@ impl<'a, K> Iterator for IterLru<'a, K> {
     }
 }
 
-/// MRU→LRU iterator.
-pub struct IterMru<'a, K> {
-    list: &'a LruList<K>,
-    cur: u32,
-}
-
-impl<'a, K> Iterator for IterMru<'a, K> {
-    type Item = &'a K;
-    fn next(&mut self) -> Option<&'a K> {
-        if self.cur == NIL {
-            return None;
-        }
-        let n = &self.list.nodes[self.cur as usize];
-        self.cur = n.next;
-        Some(&n.key)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// MRU first.
     fn order(list: &LruList<u32>) -> Vec<u32> {
-        list.iter_mru().copied().collect()
+        let mut keys: Vec<u32> = list.iter_lru().copied().collect();
+        keys.reverse();
+        keys
     }
 
     #[test]
@@ -302,9 +279,10 @@ mod tests {
         for k in [7, 8, 9, 10] {
             l.insert_mru(k);
         }
-        let mut fwd: Vec<u32> = l.iter_lru().copied().collect();
-        fwd.reverse();
-        assert_eq!(fwd, order(&l));
+        let fwd: Vec<u32> = l.iter_lru().copied().collect();
+        assert_eq!(fwd, vec![7, 8, 9, 10], "oldest insertion first");
+        l.touch(&8);
+        assert_eq!(order(&l), vec![8, 10, 9, 7]);
     }
 
     #[test]
@@ -344,8 +322,7 @@ mod tests {
             }
             assert_eq!(l.len(), model.len());
         }
-        let got: Vec<u32> = l.iter_mru().copied().collect();
-        assert_eq!(got, model);
+        assert_eq!(order(&l), model);
     }
 
     /// Minimal xorshift for the stress test (keeps this crate dep-free).

@@ -11,7 +11,7 @@
 
 use fxmap::FxHashMap;
 
-use cachekit::{ByteBudget, LruCache, SegmentedLru};
+use cachekit::{ByteBudget, LruList, SegmentedLru};
 use invariant::{audit, Report, Validate};
 
 use crate::config::{PolicyKind, RESULT_ENTRY_BYTES};
@@ -28,76 +28,118 @@ pub struct MemResult<V> {
     pub freq: u64,
 }
 
-/// The L1 result cache.
+/// The L1 result cache: an LRU over entries that all cost
+/// [`RESULT_ENTRY_BYTES`], so its byte capacity is an entry count.
 #[derive(Debug, Clone)]
 pub struct MemResultCache<V> {
-    cache: LruCache<QueryId, MemResult<V>>,
+    lru: LruList<QueryId>,
+    map: FxHashMap<QueryId, MemResult<V>>,
+    /// Entries that fit: `⌊capacity_bytes / RESULT_ENTRY_BYTES⌋`.
+    capacity: usize,
 }
 
 impl<V> MemResultCache<V> {
     /// Capacity in bytes; every entry costs [`RESULT_ENTRY_BYTES`].
     pub fn new(capacity_bytes: u64) -> Self {
         MemResultCache {
-            cache: LruCache::new(capacity_bytes),
+            lru: LruList::new(),
+            map: FxHashMap::default(),
+            capacity: (capacity_bytes / RESULT_ENTRY_BYTES) as usize,
         }
     }
 
     /// Entries currently cached.
     pub fn len(&self) -> usize {
-        self.cache.len()
+        self.map.len()
     }
 
     /// Whether empty.
     pub fn is_empty(&self) -> bool {
-        self.cache.is_empty()
+        self.map.is_empty()
     }
 
     /// Look up a result; a hit bumps recency and frequency.
     pub fn get(&mut self, id: QueryId) -> Option<&V> {
-        let entry = self.cache.get_mut(&id)?;
+        let entry = self.map.get_mut(&id)?;
+        self.lru.touch(&id);
         entry.freq += 1;
         Some(&entry.value)
     }
 
-    /// Insert a fresh result with frequency 1; returns evicted entries
-    /// (id, payload, freq), oldest first. A cache smaller than one entry
-    /// "evicts" the insertion immediately — degenerate but legal in
-    /// capacity sweeps that zero out L1.
+    /// Insert a fresh result with frequency 1 (replacing any cached entry
+    /// for `id`); returns evicted entries (id, payload, freq), oldest
+    /// first. A cache smaller than one entry "evicts" the insertion
+    /// immediately — degenerate but legal in capacity sweeps that zero
+    /// out L1.
     pub fn insert(&mut self, id: QueryId, value: V) -> Vec<(QueryId, V, u64)> {
-        match self
-            .cache
-            .insert(id, MemResult { value, freq: 1 }, RESULT_ENTRY_BYTES)
-        {
-            Ok(evicted) => evicted
-                .into_iter()
-                .map(|(k, r, _)| (k, r.value, r.freq))
-                .collect(),
-            Err(rejected) => vec![(id, rejected.value, rejected.freq)],
+        if self.capacity == 0 {
+            return vec![(id, value, 1)];
         }
+        if self.map.remove(&id).is_some() {
+            self.lru.remove(&id);
+        }
+        let mut evicted = Vec::new();
+        while self.map.len() >= self.capacity {
+            let victim = self.lru.pop_lru().expect("a full cache has an LRU entry");
+            let entry = self.map.remove(&victim).expect("list/map agree");
+            evicted.push((victim, entry.value, entry.freq));
+        }
+        self.lru.insert_mru(id);
+        self.map.insert(id, MemResult { value, freq: 1 });
+        evicted
     }
 
     /// Whether `id` is cached (no recency effect).
     pub fn contains(&self, id: QueryId) -> bool {
-        self.cache.contains(&id)
+        self.map.contains_key(&id)
     }
 
     /// Remove an entry outright (TTL expiry / invalidation), returning
     /// its payload.
     pub fn remove(&mut self, id: QueryId) -> Option<V> {
-        self.cache.remove(&id).map(|r| r.value)
-    }
-
-    /// Hit statistics of the underlying cache.
-    pub fn hit_stats(&self) -> (u64, u64) {
-        self.cache.hit_stats()
+        let entry = self.map.remove(&id)?;
+        self.lru.remove(&id);
+        Some(entry.value)
     }
 }
 
 impl<V> Validate for MemResultCache<V> {
-    /// The L1 result cache is a plain byte-budgeted LRU; its list/map/
-    /// budget agreement is the underlying cache's invariant.
+    /// The recency list and the entry map describe the same population,
+    /// and it fits the entry capacity.
     fn validate(&self, report: &mut Report) {
-        self.cache.validate(report);
+        const S: &str = "MemResultCache";
+        report.check(
+            self.lru.len() == self.map.len(),
+            S,
+            "list-map-agree",
+            || {
+                format!(
+                    "list tracks {} ids, map holds {}",
+                    self.lru.len(),
+                    self.map.len()
+                )
+            },
+        );
+        let mut listed = 0usize;
+        for id in self.lru.iter_lru() {
+            listed += 1;
+            report.check(self.map.contains_key(id), S, "list-map-agree", || {
+                format!("{id:?} is on the recency list but has no entry")
+            });
+        }
+        report.check(listed == self.lru.len(), S, "list-link-count", || {
+            format!(
+                "walking the list visits {listed} nodes but len() says {}",
+                self.lru.len()
+            )
+        });
+        report.check(self.map.len() <= self.capacity, S, "entry-capacity", || {
+            format!(
+                "{} entries cached against a capacity of {}",
+                self.map.len(),
+                self.capacity
+            )
+        });
     }
 }
 

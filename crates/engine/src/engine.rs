@@ -4,8 +4,8 @@ use flashsim::{PageMapFtl, SsdDisk};
 use hddsim::{HddDisk, HddParams};
 use hybridcache::{CacheManager, Tier};
 use searchidx::{
-    CorpusSpec, IndexLayout, IndexReader, LiveIndex, QueryOutcome, SyntheticIndex, TopKProcessor,
-    RESULT_DOC_BYTES,
+    CorpusSpec, IndexLayout, IndexReader, LiveIndex, PostingsBackend, QueryOutcome, SyntheticIndex,
+    TopKProcessor, RESULT_DOC_BYTES,
 };
 use simclock::{Clock, Histogram, RunningStats, SimDuration, SimTime};
 use storagecore::{
@@ -156,8 +156,6 @@ pub struct SearchEngine {
     /// term, `Copy`, so the manager's admit/flush clones are 16-byte moves.
     cache: Option<CacheManager<CachedResult, PipelinedDevice<SsdDisk>>>,
     processor: TopKProcessor,
-    /// Route top-K through `TopKProcessor::process_reference`.
-    reference_mode: bool,
     log: QueryLog,
     clock: Clock,
     situations: SituationTable,
@@ -166,7 +164,7 @@ pub struct SearchEngine {
     queries_run: u64,
     postings_scanned: u64,
     /// Aggregated block-max accounting from the blocked postings backend
-    /// (all zeros on the reference backends). Diagnostic only — kept out
+    /// (all zeros on the reference backend). Diagnostic only — kept out
     /// of [`RunReport`], which must stay bit-identical across backends.
     block_skips: searchidx::SkipStats,
 }
@@ -231,7 +229,6 @@ impl SearchEngine {
         });
         SearchEngine {
             processor,
-            reference_mode: false,
             index,
             layout,
             seg_layouts: std::collections::HashMap::new(),
@@ -386,13 +383,19 @@ impl SearchEngine {
         }
     }
 
-    /// Route top-K through `TopKProcessor::process_reference` — the seed's
-    /// `HashMap` accumulator over uncompressed postings, whatever the
-    /// postings backend ([`EngineConfig::postings`]) — and nothing else.
-    /// Simulated figures are identical either way; the benchmark's oracle
-    /// engine runs with this on.
+    /// Route top-K through [`PostingsBackend::Reference`] — the seed's
+    /// `HashMap` accumulator over uncompressed postings — when `on`, and
+    /// back to the configured [`EngineConfig::postings`] when not. The
+    /// processor's backend is the one switch state. Simulated figures are
+    /// identical either way; the benchmark's oracle engine runs with this
+    /// on.
     pub fn set_reference_mode(&mut self, on: bool) {
-        self.reference_mode = on;
+        let backend = if on {
+            PostingsBackend::Reference
+        } else {
+            self.config.postings
+        };
+        self.processor.set_backend(backend);
     }
 
     /// Aggregated block-max skip accounting since the last measurement
@@ -409,11 +412,7 @@ impl SearchEngine {
     }
 
     fn topk(&mut self, terms: &[u32]) -> QueryOutcome {
-        let outcome = if self.reference_mode {
-            self.processor.process_reference(&self.index, terms)
-        } else {
-            self.processor.process(&self.index, terms)
-        };
+        let outcome = self.processor.process(&self.index, terms);
         self.block_skips.absorb(outcome.skip_stats);
         outcome
     }
@@ -828,9 +827,6 @@ impl SearchEngine {
         let image = self.place_segment(out.output);
         self.background_io(&inputs, image);
         self.reconcile_cache(out);
-        if out.content_changed {
-            self.processor.invalidate_all_terms();
-        }
         self.sync_processor();
         self.audit_mutation("SearchEngine::on_compact");
     }

@@ -301,6 +301,52 @@ fn measurement_reset_preserves_cache_warmth() {
 }
 
 #[test]
+fn reference_mode_is_the_processors_backend() {
+    // One switch: reference mode routes top-K through the `Reference`
+    // backend, which pins and counts nothing and answers exactly as the
+    // blocked twin does; switching it off restores the configured backend.
+    let engine = || {
+        SearchEngine::new(EngineConfig::cached(
+            DOCS,
+            small_cache(PolicyKind::Cblru),
+            SEED,
+        ))
+    };
+    let (mut reference, mut blocked) = (engine(), engine());
+    reference.set_reference_mode(true);
+    let queries = reference.log().stream(400);
+    let (first, rest) = queries.split_at(300);
+    for (i, q) in first.iter().enumerate() {
+        let (tr, tb) = (reference.execute(q), blocked.execute(q));
+        assert_eq!(tr, tb, "response diverged at query {i}");
+    }
+    assert_eq!(reference.result_digest(), blocked.result_digest());
+    assert_eq!(reference.postings_skip_stats(), Default::default());
+    assert_eq!(reference.postings_store_stats(), Default::default());
+    assert!(blocked.postings_store_stats().terms > 0);
+
+    reference.set_reference_mode(false);
+    for (i, q) in rest.iter().enumerate() {
+        let (tr, tb) = (reference.execute(q), blocked.execute(q));
+        assert_eq!(
+            tr,
+            tb,
+            "response diverged at query {} after the switch",
+            300 + i
+        );
+    }
+    assert_eq!(reference.result_digest(), blocked.result_digest());
+    assert!(
+        reference.postings_store_stats().terms > 0,
+        "pins lists again"
+    );
+    assert!(
+        reference.postings_skip_stats().skip_probes > 0,
+        "counts again"
+    );
+}
+
+#[test]
 fn captured_trace_carries_the_engine_clock() {
     // Every index-device event is stamped on the engine's clock, inside its
     // query's window: a trace's inter-arrival times and depth profile mean it.

@@ -284,22 +284,22 @@ mod tests {
 
     #[test]
     fn queued_reads_overlap_on_distinct_channels() {
-        use storagecore::{NullSink, PipelinedDevice};
+        use storagecore::{IoRequest, NullSink, PipelinedDevice};
         let mut params = FlashParams::tiny(8);
         params.channels = 2;
         let mut d = PipelinedDevice::new(SsdDisk::with_ftl(PageMapFtl::new(params)), NullSink);
         d.write(Extent::new(0, 16)).unwrap(); // prime pages 0..4
         d.set_depth(2);
-        let a = d.submit_read(Extent::new(0, 4)).unwrap(); // page 0 → lane 0
-        let b = d.submit_read(Extent::new(4, 4)).unwrap(); // page 1 → lane 1
+        let a = d.submit(IoRequest::read(Extent::new(0, 4))).unwrap(); // page 0 → lane 0
+        let b = d.submit(IoRequest::read(Extent::new(4, 4))).unwrap(); // page 1 → lane 1
         let ca = d.wait(a).unwrap();
         let cb = d.wait(b).unwrap();
         assert_eq!(ca.wait(), SimDuration::ZERO);
         assert_eq!(cb.wait(), SimDuration::ZERO, "distinct channels overlap");
         // Pages 0 and 2 share lane 0: the second read queues behind the
         // first (and behind lane 0's earlier completion).
-        let c = d.submit_read(Extent::new(0, 4)).unwrap();
-        let e = d.submit_read(Extent::new(8, 4)).unwrap();
+        let c = d.submit(IoRequest::read(Extent::new(0, 4))).unwrap();
+        let e = d.submit(IoRequest::read(Extent::new(8, 4))).unwrap();
         let (cc, ce) = (d.wait(c).unwrap(), d.wait(e).unwrap());
         assert!(ce.start_at > cc.start_at, "same lane serializes");
         assert_eq!(ce.start_at, cc.finish_at);

@@ -37,8 +37,9 @@ pub const BLOCK_SIZE: usize = 128;
 /// test holds the two in per-query lockstep at production scale).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum PostingsBackend {
-    /// Traversal straight off `IndexReader::postings_range` (the seed's
-    /// behavior).
+    /// The seed's `HashMap` top-K straight off
+    /// `IndexReader::postings_range`
+    /// ([`crate::TopKProcessor::process_reference`]), the one reference.
     Reference,
     /// Pinned run-length list prefixes (the [`BlockStore`]), scanned a
     /// run at a time behind a per-block block-max gate.

@@ -98,16 +98,6 @@ impl IndexLayout {
             .clamp(first + 1, full.sectors);
         Extent::new(full.lba + first, last - first)
     }
-
-    /// The term whose extent contains `lba`, if any (binary search; used
-    /// by trace analysis to attribute I/O back to terms).
-    pub fn term_at(&self, lba: Lba) -> Option<TermId> {
-        if lba < self.base || lba >= self.end() {
-            return None;
-        }
-        let i = self.starts.partition_point(|&s| s <= lba) - 1;
-        Some(i as TermId)
-    }
 }
 
 #[cfg(test)]
@@ -170,18 +160,6 @@ mod tests {
         let e = l.range_extent(0, 0, u64::MAX);
         assert_eq!(e, full);
         assert!(full.contains(&l.range_extent(0, full.bytes() - 1, full.bytes() * 3)));
-    }
-
-    #[test]
-    fn term_at_inverts_extents() {
-        let (_, l) = layout();
-        for t in [0u32, 3, 77, 1999] {
-            let e = l.extent(t);
-            assert_eq!(l.term_at(e.lba), Some(t));
-            assert_eq!(l.term_at(e.end() - 1), Some(t));
-        }
-        assert_eq!(l.term_at(999), None);
-        assert_eq!(l.term_at(l.end()), None);
     }
 
     #[test]

@@ -142,10 +142,6 @@ pub struct CompactOutcome {
     pub bytes_written: u64,
     /// Tombstones physically resolved (their docs dropped for good).
     pub tombstones_cleared: u64,
-    /// Whether any query-visible list content changed (only true when
-    /// tombstoned postings were dropped; a pure concatenation merge is
-    /// invisible to queries).
-    pub content_changed: bool,
     /// WAL bytes for the compact record.
     pub wal_bytes: u64,
 }
@@ -526,7 +522,6 @@ impl<B: IndexReader> LiveIndex<B> {
         }
         let cleared = mstats.docs_dropped.len() as u64;
         self.tombstones_cleared += cleared;
-        let content_changed = cleared > 0;
         let (lsn, wal_bytes) = self.wal.append(
             at,
             WalOp::Compact {
@@ -542,7 +537,9 @@ impl<B: IndexReader> LiveIndex<B> {
         self.stats.merge_bytes_written += bytes_written;
         self.mutated = true;
         self.drop_merges();
-        if content_changed {
+        // Only dropped tombstoned postings change what queries see; a
+        // pure concatenation merge is invisible to them.
+        if cleared > 0 {
             self.dirty.all = true;
             self.dirty.terms.clear();
         }
@@ -552,7 +549,6 @@ impl<B: IndexReader> LiveIndex<B> {
             bytes_read,
             bytes_written,
             tombstones_cleared: cleared,
-            content_changed,
             wal_bytes,
         })
     }

@@ -86,7 +86,7 @@ pub struct QueryOutcome {
     pub result: ResultEntry,
     /// Traversal accounting, in processing order (descending idf).
     pub usage: Vec<TermUsage>,
-    /// Block-max accounting (zero on the reference backends):
+    /// Block-max accounting (zero on the reference backend):
     /// `skip_probes` counts block-max bounds consulted, `skipped` counts
     /// postings pruned without reading their block. Diagnostic only — it
     /// deliberately lives outside `usage`, whose `scanned` counts are
@@ -500,15 +500,6 @@ impl TopKProcessor {
         keyed.into_iter().map(|(_, t)| t).collect()
     }
 
-    /// Postings per threshold refresh before the accumulator outgrows it.
-    fn base_chunk(&self) -> u64 {
-        if self.config.check_every > 0 {
-            self.config.check_every as u64
-        } else {
-            1024
-        }
-    }
-
     /// Whether a scan stops at a posting contributing `contribution`.
     /// Lists are tf-descending, so the contribution is non-increasing:
     /// once it cannot move the K-th score, the rest of the list can't
@@ -531,96 +522,25 @@ impl TopKProcessor {
                 || (acc_len >= self.config.accumulator_limit && contribution <= kth_score))
     }
 
-    /// Scan `term`'s list off the index, fetching postings lazily via
-    /// `postings_range` so an early-terminated list only pays for the
-    /// prefix it visits; returns the postings scanned. `kth_score` is
-    /// refreshed after every batch of `base_chunk.max(|acc|/4)` postings
-    /// and once more at the end — [`TopKProcessor::process_reference`]'s
-    /// cadence, kept because the quit rules read the threshold stale
-    /// between refreshes, which makes the refresh points part of the
-    /// figures.
-    fn scan_uncompressed<R: IndexReader>(
-        &self,
-        index: &R,
-        (idf, term): (f64, TermId),
-        df: u64,
-        is_last: bool,
-        acc: &mut ScoreAccumulator,
-        kth_score: &mut f64,
-    ) -> u64 {
-        let base_chunk = self.base_chunk();
-        let mut scanned = 0u64;
-        'scan: while scanned < df {
-            let chunk = base_chunk.max(acc.len() as u64 / 4);
-            let batch = index.postings_range(term, scanned, scanned + chunk);
-            if batch.is_empty() {
-                break;
-            }
-            for p in &batch {
-                let contribution = self.weights.get(p.tf) * idf;
-                if self.quits(contribution, *kth_score, acc.len(), is_last) {
-                    break 'scan;
-                }
-                acc.add(p.doc, contribution as f32);
-                scanned += 1;
-            }
-            *kth_score = acc.kth_largest();
-        }
-        *kth_score = acc.kth_largest();
-        scanned
-    }
-
     /// Evaluate a disjunctive (OR) query. Terms are processed in
     /// descending-idf order; duplicate terms are collapsed.
     ///
-    /// Dispatches on the configured [`PostingsBackend`]; both arms are
-    /// bit-identical at the `ResultEntry`/`TermUsage` level (see the
-    /// `postings_equivalence` suite and the engine's `postings_lockstep`
-    /// test).
+    /// Dispatches on the configured [`PostingsBackend`]: `Blocked` to the
+    /// hot path, `Reference` to [`TopKProcessor::process_reference`]. Both
+    /// arms are bit-identical at the `ResultEntry`/`TermUsage` level (see
+    /// the `postings_equivalence` suite and the engine's
+    /// `postings_lockstep` test).
     pub fn process<R: IndexReader>(&self, index: &R, terms: &[TermId]) -> QueryOutcome {
         match self.backend {
-            PostingsBackend::Reference => self.process_scan(index, terms),
+            PostingsBackend::Reference => self.process_reference(index, terms),
             PostingsBackend::Blocked => self.process_blocked(index, terms),
-        }
-    }
-
-    /// The unblocked hot path (PR 1): every list through
-    /// [`TopKProcessor::scan_uncompressed`] into the pooled scratch
-    /// accumulator. Bit-identical to
-    /// [`TopKProcessor::process_reference`] — see the equivalence tests.
-    fn process_scan<R: IndexReader>(&self, index: &R, terms: &[TermId]) -> QueryOutcome {
-        let order = Self::keyed_term_order(index, terms);
-
-        let mut scratch = self.scratch.borrow_mut();
-        let acc = &mut scratch.acc;
-        acc.reset(self.config.k);
-        let mut usage = Vec::with_capacity(order.len());
-        let mut kth_score = 0.0f64;
-
-        let num_terms = order.len();
-        for (term_idx, (idf, term)) in order.into_iter().enumerate() {
-            let is_last = term_idx + 1 == num_terms;
-            let df = index.doc_freq(term);
-            let scanned = if df == 0 || idf == 0.0 {
-                0
-            } else {
-                self.scan_uncompressed(index, (idf, term), df, is_last, acc, &mut kth_score)
-            };
-            usage.push(TermUsage { term, scanned, df });
-        }
-
-        audit!(&*acc, "TopKProcessor::process_scan");
-        QueryOutcome {
-            result: acc.top_k(),
-            usage,
-            skip_stats: SkipStats::default(),
         }
     }
 
     /// The blocked hot path: scans the pinned prefixes of the block store
     /// instead of regenerating postings through `postings_range` on every
-    /// traversal. Structurally a mirror of
-    /// [`TopKProcessor::scan_uncompressed`] — same chunking
+    /// traversal. Structurally a mirror of the list scan in
+    /// [`TopKProcessor::process_reference`] — same chunking
     /// (`base_chunk.max(|acc|/4)`), same per-batch threshold refresh,
     /// same [`TopKProcessor::quits`] — plus one addition: before a block
     /// is scanned, its block-max bound `weight(first tf) · idf` is tested
@@ -664,7 +584,12 @@ impl TopKProcessor {
         let mut usage = Vec::with_capacity(order.len());
         let mut skip_stats = SkipStats::default();
         let mut kth_score = 0.0f64;
-        let base_chunk = self.base_chunk();
+        // Postings per threshold refresh before the accumulator outgrows it.
+        let base_chunk = if self.config.check_every > 0 {
+            self.config.check_every as u64
+        } else {
+            1024
+        };
 
         let num_terms = order.len();
         for (term_idx, (idf, term)) in order.into_iter().enumerate() {
@@ -789,9 +714,9 @@ impl TopKProcessor {
     }
 
     /// The seed's `HashMap`-accumulator evaluation, kept verbatim as the
-    /// reference implementation. [`TopKProcessor::process`] must return
-    /// bit-identical outcomes; the equivalence tests and the old-vs-new
-    /// Criterion benches run both.
+    /// one reference implementation (what [`PostingsBackend::Reference`]
+    /// runs). The blocked path must return bit-identical outcomes; the
+    /// equivalence tests and the old-vs-new Criterion benches run both.
     #[expect(
         clippy::disallowed_types,
         reason = "seed's Reference oracle arm, kept verbatim; its map is read only by kth_largest and top_k, \
@@ -1119,12 +1044,12 @@ mod tests {
     }
 
     #[test]
-    fn blocked_backend_matches_scan_and_reference() {
+    fn blocked_backend_matches_reference() {
         // The blocked backend (with its dirty, reused store and scratch
-        // table) must be bit-identical to both reference paths — same
-        // docs, same f32 scores, same scan counts — in exact mode and
-        // under every pruning rule, and the block-max accounting must
-        // actually fire under the pruning configs.
+        // table) must be bit-identical to the reference — same docs, same
+        // f32 scores, same scan counts — in exact mode and under every
+        // pruning rule, and the block-max accounting must actually fire
+        // under the pruning configs.
         let idx = SyntheticIndex::new(CorpusSpec::tiny(5));
         let configs = [
             TopKConfig::default(),
@@ -1150,26 +1075,23 @@ mod tests {
         for config in configs {
             let mut blocked = TopKProcessor::new(config);
             blocked.set_backend(PostingsBackend::Blocked);
-            let mut scan = TopKProcessor::new(config);
-            scan.set_backend(PostingsBackend::Reference);
+            let mut reference = TopKProcessor::new(config);
+            reference.set_backend(PostingsBackend::Reference);
             let mut pruned_blocks = 0u64;
             // Two passes: the first sees every term cold (scanned off
             // the index, nothing pinned), the second sees them warm
             // (store-backed, block-max gated). Outcomes must match the
-            // references in both states.
+            // reference in both states.
             for pass in 0..2 {
                 for q in 0..40u32 {
                     let terms: Vec<TermId> = (0..(q % 4 + 1))
                         .map(|i| (q * 37 + i * 211) % 2000)
                         .collect();
                     let b = blocked.process(&idx, &terms);
-                    let s = scan.process(&idx, &terms);
-                    let r = scan.process_reference(&idx, &terms);
-                    assert_eq!(b.result, s.result, "docs/scores for {terms:?} pass {pass}");
-                    assert_eq!(b.usage, s.usage, "scan counts for {terms:?} pass {pass}");
-                    assert_eq!(b.result, r.result);
-                    assert_eq!(b.usage, r.usage);
-                    assert_eq!(s.skip_stats, SkipStats::default(), "reference reports none");
+                    let r = reference.process(&idx, &terms);
+                    assert_eq!(b.result, r.result, "docs/scores for {terms:?} pass {pass}");
+                    assert_eq!(b.usage, r.usage, "scan counts for {terms:?} pass {pass}");
+                    assert_eq!(r.skip_stats, SkipStats::default(), "reference reports none");
                     pruned_blocks += b.skip_stats.skip_probes;
                 }
             }
@@ -1180,7 +1102,7 @@ mod tests {
             // 4 B per doc id, and at least one 8 B run per built list.
             let held = 4 * stats.built_postings + 8 * stats.terms as u64;
             assert!(stats.terms > 0 && stats.encoded_bytes >= held);
-            assert_eq!(scan.store_stats(), BlockStoreStats::default());
+            assert_eq!(reference.store_stats(), BlockStoreStats::default());
         }
     }
 

@@ -245,13 +245,6 @@ impl Clock {
         self.now += d;
         self.now
     }
-
-    /// Jump forward to `t`. Panics if `t` is in the past — the simulated
-    /// timeline is monotonic.
-    pub fn advance_to(&mut self, t: SimTime) {
-        assert!(t >= self.now, "clock must not move backwards");
-        self.now = t;
-    }
 }
 
 #[cfg(test)]
@@ -293,16 +286,6 @@ mod tests {
         assert_eq!(c.now(), SimTime::ZERO);
         c.advance(SimDuration::from_micros(7));
         assert_eq!(c.now().as_nanos(), 7_000);
-        c.advance_to(SimTime::from_nanos(10_000));
-        assert_eq!(c.now().as_nanos(), 10_000);
-    }
-
-    #[test]
-    #[should_panic(expected = "backwards")]
-    fn clock_rejects_time_travel() {
-        let mut c = Clock::new();
-        c.advance(SimDuration::from_secs(1));
-        c.advance_to(SimTime::from_nanos(5));
     }
 
     #[test]

@@ -265,11 +265,6 @@ impl<D: BlockDevice, S: TraceSink> PipelinedDevice<D, S> {
         Ok(id)
     }
 
-    /// Convenience: submit a foreground read.
-    pub fn submit_read(&mut self, extent: Extent) -> Result<u64, IoError> {
-        self.submit(IoRequest::read(extent))
-    }
-
     /// Dispatch until the completion for `id` exists, then return it.
     pub fn wait(&mut self, id: u64) -> Result<IoCompletion, IoError> {
         loop {
@@ -689,7 +684,7 @@ mod tests {
         // later ones' responses include queue wait.
         let mut d = dev(4);
         let ids: Vec<u64> = (0..3)
-            .map(|i| d.submit_read(Extent::new(i * 16, 8)).unwrap())
+            .map(|i| d.submit(IoRequest::read(Extent::new(i * 16, 8))).unwrap())
             .collect();
         let completions = d.wait_all().unwrap();
         assert_eq!(completions.len(), 3);
@@ -709,10 +704,10 @@ mod tests {
     #[test]
     fn submission_past_depth_forces_dispatch() {
         let mut d = dev(2);
-        d.submit_read(Extent::new(0, 1)).unwrap();
-        d.submit_read(Extent::new(8, 1)).unwrap();
+        d.submit(IoRequest::read(Extent::new(0, 1))).unwrap();
+        d.submit(IoRequest::read(Extent::new(8, 1))).unwrap();
         assert_eq!(d.queued(), 2);
-        d.submit_read(Extent::new(16, 1)).unwrap();
+        d.submit(IoRequest::read(Extent::new(16, 1))).unwrap();
         assert_eq!(d.queued(), 2, "overflow dispatches the scheduler's pick");
         d.wait_all().unwrap();
         assert_eq!(d.queued(), 0);
@@ -734,8 +729,8 @@ mod tests {
     #[test]
     fn events_carry_submit_start_finish() {
         let mut d = dev(4);
-        d.submit_read(Extent::new(0, 4)).unwrap();
-        d.submit_read(Extent::new(100, 4)).unwrap();
+        d.submit(IoRequest::read(Extent::new(0, 4))).unwrap();
+        d.submit(IoRequest::read(Extent::new(100, 4))).unwrap();
         d.wait_all().unwrap();
         let ev = d.sink().events();
         assert_eq!(ev.len(), 2);
@@ -759,7 +754,7 @@ mod tests {
     #[should_panic(expected = "in flight")]
     fn path_switch_requires_idle_queue() {
         let mut d = dev(4);
-        d.submit_read(Extent::new(0, 1)).unwrap();
+        d.submit(IoRequest::read(Extent::new(0, 1))).unwrap();
         d.set_depth(1);
     }
 
@@ -801,7 +796,7 @@ mod tests {
     fn protocol_errors_surface_at_submit() {
         let mut d = dev(2);
         assert_eq!(
-            d.submit_read(Extent::new(0, 0)).unwrap_err(),
+            d.submit(IoRequest::read(Extent::new(0, 0))).unwrap_err(),
             IoError::EmptyRequest
         );
         assert!(matches!(
