@@ -15,7 +15,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== non-test source size ratchet =="
 # The ROADMAP's measure. Deleting code lowers the ceiling; a change that
 # needs to raise it says why in its own PR.
-MAX_SRC_LINES=24006
+MAX_SRC_LINES=23591
 src_lines=$(find crates -path '*/src/*' -name '*.rs' -print0 | xargs -0 cat | wc -l)
 if [ "$src_lines" -gt "$MAX_SRC_LINES" ]; then
   echo "non-test source is $src_lines lines, above the ratchet of $MAX_SRC_LINES" >&2
@@ -51,7 +51,7 @@ cargo test --release -q -p searchidx --test postings_equivalence
 # 400k-doc x 30k-query workload, block-max probe/prune counts pinned.
 cargo test --release -q -p engine --test postings_lockstep
 
-echo "== the one I/O path: depth-1 scheduler invariance, deep-queue occupancy, golden ledger (explicit) =="
+echo "== the one I/O path: deep-queue occupancy, golden ledger (explicit) =="
 cargo test --release -q -p engine --test io_path_equivalence --test golden_ledger
 
 echo "== admission equivalence (explicit) =="

@@ -1,17 +1,19 @@
 //! Extension — queue-depth sweep (DESIGN.md §10; its stdout is committed as
 //! `results/scale-0.1/ext_queue_depth.txt`): the pinned workload at queue
-//! depth 1 + FIFO (the synchronous model every paper figure runs on) and at
-//! depths 2–16 under elevator scheduling, where NCQ-style reordering of the
-//! batched index reads is *allowed* to move the simulated response times.
+//! depth 1 (the synchronous model every paper figure runs on, where the
+//! one request in flight dispatches in submission order — `fifo`) and at
+//! depths 2–16, where the queue's nearest-first order (`elevator`) reorders
+//! the batched index reads and is *allowed* to move the simulated response
+//! times.
 //! Two workloads: the uncached seek-bound one, where every query batches
 //! HDD index reads and the elevator shortens the seek path, and the hybrid
 //! CBSLRU one, where the cache SSD absorbs most reads and the dominant
-//! queueing effect is the RB flush contending for flash lanes.
+//! queueing effect is foreground reads waiting behind the RB flush.
 
 use bench::{cache_config, print_table};
 use engine::{EngineConfig, IndexPlacement, SearchEngine};
 use hybridcache::PolicyKind;
-use storagecore::{BlockDevice, SchedulerPolicy};
+use storagecore::BlockDevice;
 
 const DOCS: u64 = 400_000;
 const QUERIES: usize = 30_000;
@@ -48,13 +50,8 @@ fn main() {
             // Seeded at depth 1, then switched: the static partition's
             // writes are not part of the sweep (a no-op when uncached).
             e.seed_static_from_log(QUERIES);
-            let (scheduler, sched_policy) = if depth == 1 {
-                ("fifo", SchedulerPolicy::Fifo)
-            } else {
-                ("elevator", SchedulerPolicy::Elevator)
-            };
+            let scheduler = if depth == 1 { "fifo" } else { "elevator" };
             e.set_queue_depth(depth);
-            e.set_io_scheduler(sched_policy);
             let r = e.run(queries);
             let mean_ns = r.mean_response.as_nanos();
             if depth == 1 {

@@ -1,8 +1,10 @@
 //! EXPERIMENTS.md's extension tables against the committed sweeps.
 //!
 //! The admission, serving and ingest tables each quote the `csv:` rows of
-//! `results/scale-0.1/ext_{admission,serving,ingest}.txt`. Every number in
-//! a cell must be the csv value printed at the precision the cell uses.
+//! `results/scale-0.1/ext_{admission,serving,ingest}.txt`, and the
+//! queue-depth prose quotes the depth-4 rows of `ext_queue_depth.txt`.
+//! Every number in a cell must be the csv value printed at the precision
+//! the cell uses.
 //! `ci.sh` already diffs those files against fresh runs, so the tables
 //! cannot drift from the code either.
 
@@ -15,15 +17,19 @@ fn read(relative: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
+/// The EXPERIMENTS.md section whose heading names `bin`.
+fn section<'a>(experiments: &'a str, bin: &str) -> &'a str {
+    let heading = format!("(`--bin {bin}`");
+    experiments
+        .split("\n### ")
+        .find(|s| s.lines().next().is_some_and(|h| h.contains(&heading)))
+        .unwrap_or_else(|| panic!("EXPERIMENTS.md has no section for {bin}"))
+}
+
 /// The body rows (cells trimmed, `**` dropped) of the first table under
 /// the EXPERIMENTS.md heading that names `bin`.
 fn table_rows(experiments: &str, bin: &str) -> Vec<Vec<String>> {
-    let heading = format!("(`--bin {bin}`");
-    let section = experiments
-        .split("\n### ")
-        .find(|s| s.lines().next().is_some_and(|h| h.contains(&heading)))
-        .unwrap_or_else(|| panic!("EXPERIMENTS.md has no section for {bin}"));
-    section
+    section(experiments, bin)
         .lines()
         .skip_while(|l| !l.starts_with('|'))
         .take_while(|l| l.starts_with('|'))
@@ -233,6 +239,66 @@ fn ingest_table_matches_ext_ingest() {
         let mb = |r: &Row| r.get("ssd_bytes_written") / 1e6;
         check_cell(&context, written, &[mb(&coop), mb(&naive)]);
     }
+}
+
+/// The first number printed after `marker` in `text`.
+fn figure_after(text: &str, marker: &str) -> String {
+    let (_, rest) = text
+        .split_once(marker)
+        .unwrap_or_else(|| panic!("no {marker:?} in {text:?}"));
+    numbers(rest).swap_remove(0)
+}
+
+#[test]
+fn queue_depth_prose_matches_ext_queue_depth() {
+    let csv = Csv::load("ext_queue_depth", "workload,depth,");
+    let experiments = read("EXPERIMENTS.md");
+    let prose = section(&experiments, "ext_queue_depth");
+    let words = prose.split_whitespace().collect::<Vec<_>>().join(" ");
+    assert!(words.contains("depths 8 and 16 repeat the depth-4 row exactly"));
+    let depth_column = csv.column("depth");
+    for workload in ["uncached_hdd", "hybrid_cbslru"] {
+        let at = |depth: &str| {
+            let mut row = csv
+                .row(&[("workload", workload), ("depth", depth)])
+                .row
+                .to_vec();
+            row.remove(depth_column);
+            row
+        };
+        for deeper in ["8", "16"] {
+            assert_eq!(
+                at(deeper),
+                at("4"),
+                "{workload}: depth {deeper} differs from 4"
+            );
+        }
+    }
+    let bullet = |name: &str| {
+        let start = prose
+            .find(&format!("* **{name}"))
+            .unwrap_or_else(|| panic!("no {name:?} bullet"));
+        let text = &prose[start + 1..];
+        &text[..text.find("\n* ").unwrap_or(text.len())]
+    };
+    let uncached = csv.row(&[("workload", "uncached_hdd"), ("depth", "4")]);
+    let text = bullet("Seek-bound workload");
+    let ratio = uncached.get("response_ratio_vs_depth1");
+    check_cell("uncached ratio", &figure_after(text, "≈ "), &[ratio]);
+    let gain = figure_after(text, "improves ~");
+    check_cell("uncached gain", &gain, &[100.0 * (ratio - 1.0)]);
+    let hybrid = csv.row(&[("workload", "hybrid_cbslru"), ("depth", "4")]);
+    let text = bullet("Hybrid cached workload");
+    let ratio = hybrid.get("response_ratio_vs_depth1");
+    check_cell("hybrid ratio", &figure_after(text, "≈ "), &[ratio]);
+    let cost = figure_after(text, "costs ~");
+    check_cell("hybrid cost", &cost, &[100.0 * (1.0 - ratio)]);
+    let occupancy = figure_after(text, "mean occupancy ~");
+    check_cell(
+        "hybrid occupancy",
+        &occupancy,
+        &[hybrid.get("index_mean_occupancy")],
+    );
 }
 
 #[test]

@@ -1,10 +1,10 @@
 //! The SSD stores mark their own writes and trims as background work.
 //!
 //! A background request on a `PipelinedDevice` dispatches at once and
-//! returns its service latency; a foreground one behind a busy lane is
-//! also charged the lane wait. So at depth 4, with nothing but the stores
+//! returns its service latency; a foreground one behind a busy device is
+//! also charged the queue wait. So at depth 4, with nothing but the stores
 //! flagging requests, every store write and trim must cost exactly one
-//! service time, however many precede it on the lane.
+//! service time, however many precede it on the device.
 
 #![expect(
     clippy::disallowed_methods,
@@ -39,6 +39,6 @@ fn store_writes_and_trims_dispatch_as_background() {
         .sum();
     assert_eq!(
         flush, service,
-        "one RB write behind four on the lane, no wait"
+        "one RB write behind four on the device, no wait"
     );
 }

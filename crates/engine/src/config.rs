@@ -3,7 +3,6 @@
 use hybridcache::HybridConfig;
 use searchidx::{PostingsBackend, TopKConfig};
 use simclock::SimDuration;
-use storagecore::SchedulerPolicy;
 
 /// Where the index files live (the paper's "HDD" vs "SSD" index storage
 /// variants of Figs. 15, 16(a) and 18(a)).
@@ -127,14 +126,9 @@ pub struct EngineConfig {
     /// Outstanding foreground requests each device's submission queue
     /// admits. 1 (the default; 0 is taken as 1) is the synchronous model
     /// every figure is calibrated on: one request in flight, its
-    /// completion awaited. Larger depths overlap independent requests.
+    /// completion awaited. Larger depths queue requests and dispatch the
+    /// one nearest the device head first.
     pub queue_depth: usize,
-    /// Dispatch-order policy of the submission queues (every policy
-    /// picks the same, only, candidate at depth 1).
-    pub io_scheduler: SchedulerPolicy,
-    /// Flash channels on the cache SSD (1 = the paper's Table III
-    /// device). More channels let queued page operations overlap.
-    pub ssd_channels: u32,
     /// Whether the index accepts run-time mutations. `Frozen` (the
     /// default) = mutations refused.
     pub mutability: IndexMutability,
@@ -166,8 +160,6 @@ impl EngineConfig {
             cost: CpuCostModel::default(),
             capture_trace: false,
             queue_depth: 1,
-            io_scheduler: SchedulerPolicy::Fifo,
-            ssd_channels: 1,
             mutability: IndexMutability::default(),
         }
     }

@@ -1,6 +1,6 @@
 //! The simulated search engine.
 
-use flashsim::{PageMapFtl, SsdDisk};
+use flashsim::SsdDisk;
 use hddsim::{HddDisk, HddParams};
 use hybridcache::{CacheManager, Tier};
 use searchidx::{
@@ -10,7 +10,7 @@ use searchidx::{
 use simclock::{Clock, Histogram, RunningStats, SimDuration, SimTime};
 use storagecore::{
     BlockDevice, Extent, Geometry, IoError, IoEvent, IoRequest, IoStats, Lba, NullSink,
-    PipelinedDevice, SchedulerPolicy, TraceSink, SECTOR_SIZE,
+    PipelinedDevice, TraceSink, SECTOR_SIZE,
 };
 use workload::{Query, QueryLog, QueryLogSpec};
 
@@ -65,31 +65,10 @@ impl BlockDevice for IndexDevice {
         }
     }
 
-    fn lanes(&self) -> u32 {
-        match self {
-            IndexDevice::Hdd(d) => d.lanes(),
-            IndexDevice::Ssd(d) => d.lanes(),
-        }
-    }
-
-    fn lane_of(&self, extent: Extent) -> Option<u32> {
-        match self {
-            IndexDevice::Hdd(d) => d.lane_of(extent),
-            IndexDevice::Ssd(d) => d.lane_of(extent),
-        }
-    }
-
     fn head_position(&self) -> Lba {
         match self {
             IndexDevice::Hdd(d) => d.head_position(),
             IndexDevice::Ssd(d) => d.head_position(),
-        }
-    }
-
-    fn last_op_barrier(&self) -> bool {
-        match self {
-            IndexDevice::Hdd(d) => d.last_op_barrier(),
-            IndexDevice::Ssd(d) => d.last_op_barrier(),
         }
     }
 }
@@ -203,13 +182,8 @@ impl SearchEngine {
         };
         let cache = config.cache.clone().map(|hc| {
             let footprint = hc.ssd_sectors() * storagecore::SECTOR_SIZE as u64;
-            // The paper's SSD widened to the configured channel count.
-            let mut params = flashsim::FlashParams::paper(footprint.max(4 << 20));
-            params.channels = config.ssd_channels.max(1);
-            let device = SsdDisk::with_ftl(PageMapFtl::new(params));
-            let mut piped = PipelinedDevice::new(device, NullSink);
+            let mut piped = PipelinedDevice::new(SsdDisk::paper(footprint.max(4 << 20)), NullSink);
             piped.set_depth(config.queue_depth);
-            piped.set_policy(config.io_scheduler);
             CacheManager::new(hc, piped)
         });
         let log = QueryLog::new(QueryLogSpec::aol_like(
@@ -239,7 +213,6 @@ impl SearchEngine {
             index_dev: {
                 let mut piped = PipelinedDevice::new(index_dev, sink);
                 piped.set_depth(config.queue_depth);
-                piped.set_policy(config.io_scheduler);
                 piped
             },
             cache,
@@ -374,15 +347,6 @@ impl SearchEngine {
         }
     }
 
-    /// Switch the submission-queue scheduler (FIFO reference, NCQ-style
-    /// elevator, or deadline-bounded elevator).
-    pub fn set_io_scheduler(&mut self, policy: SchedulerPolicy) {
-        self.index_dev.set_policy(policy);
-        if let Some(cache) = self.cache.as_mut() {
-            cache.device_mut().set_policy(policy);
-        }
-    }
-
     /// Route top-K through [`PostingsBackend::Reference`] — the seed's
     /// `HashMap` accumulator over uncompressed postings — when `on`, and
     /// back to the configured [`EngineConfig::postings`] when not. The
@@ -465,9 +429,9 @@ impl SearchEngine {
     /// timestamps (`finish − submit`), not from summed call latencies.
     /// At depth 1 a window is one request whose completion the host
     /// awaits — the synchronous model every figure is calibrated on (the
-    /// `golden_ledger` suite pins it); at larger depths a window finishes
-    /// when its last completion lands, so independent requests on
-    /// different lanes overlap.
+    /// `golden_ledger` suite pins it); at larger depths a window's reads
+    /// dispatch nearest-first and the window finishes when its last
+    /// completion lands.
     pub fn execute(&mut self, query: &Query) -> SimDuration {
         let start = self.clock.now();
         let cost = self.config.cost;

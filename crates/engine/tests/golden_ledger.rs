@@ -4,9 +4,13 @@
 //! synchronous `Direct` query path: the constants were recorded on the
 //! last commit that had it (depth-1 rows under `Direct`, and unchanged
 //! under `Queued { depth: 1 }` + FIFO; deep rows under `Queued { depth:
-//! 4 }` + elevator) and must not move without an issue that says which
-//! figure changed and why. The deep rows pin depth ≥ 2 on their own,
-//! where two-arm lockstep suites let both arms drift together.
+//! 4 }` + elevator, the nearest-first order the queue now always uses)
+//! and must not move unless the change says which figure moved and
+//! why. The deep rows pin depth ≥ 2 on their own, where two-arm lockstep
+//! suites let both arms drift together. `deep_cblru` replaced a row on a
+//! 4-channel cache SSD when the channel model was deleted: it is a new
+//! row for the one-channel device, its constant recorded on the commit
+//! before the deletion, not the old row re-derived.
 
 use engine::{
     CompactionMode, EngineConfig, IndexMutability, IndexPlacement, LiveConfig, OpenLoopConfig,
@@ -15,7 +19,7 @@ use engine::{
 use hybridcache::{HybridConfig, PolicyKind};
 use searchidx::{GrowthPolicy, SegmentPolicy};
 use simclock::SimDuration;
-use storagecore::{BlockDevice, IoKind, IoStats, SchedulerPolicy};
+use storagecore::{BlockDevice, IoKind, IoStats};
 use workload::{ArrivalKind, ArrivalProcess, IngestSpec, IngestStream, MutationOp};
 
 const DOCS: u64 = 40_000;
@@ -175,12 +179,9 @@ fn live(cfg: EngineConfig, compaction: CompactionMode) -> EngineConfig {
     })
 }
 
-/// Depth 4 under the elevator: the deep rows.
+/// Depth 4, nearest-first dispatch: the deep rows.
 fn deep(cfg: EngineConfig) -> EngineConfig {
-    with(cfg, |c| {
-        c.queue_depth = 4;
-        c.io_scheduler = SchedulerPolicy::Elevator;
-    })
+    with(cfg, |c| c.queue_depth = 4)
 }
 
 /// Run `queries` queries one at a time — on a live configuration each
@@ -237,7 +238,7 @@ ledger! {
     live_invalidate_all: live(cached(CBLRU), CompactionMode::InvalidateAll), 600 => 0xff44_670c_f0ca_a460;
     live_uncached: live(hdd(), COOPERATIVE), 600 => 0x04ed_13c6_a37a_b38e;
     deep_uncached_hdd: deep(hdd()), 600 => 0xe885_a0b4_5264_59c0;
-    deep_cblru_4ch: deep(with(cached(CBLRU), |c| c.ssd_channels = 4)), 1_000 => 0xdc35_ce71_6b8e_e665;
+    deep_cblru: deep(cached(CBLRU)), 1_000 => 0xf615_846c_d13f_093c;
     deep_lru: deep(cached(PolicyKind::Lru)), 600 => 0xbeab_cfe8_fd6d_3c78;
     deep_live: deep(live(cached(CBLRU), COOPERATIVE)), 600 => 0x187b_1035_fb11_a1a0;
 }

@@ -26,7 +26,7 @@ use engine::{
 use hybridcache::{HybridConfig, PolicyKind};
 use proptest::prelude::*;
 use searchidx::{GrowthPolicy, IndexReader, SegmentPolicy};
-use storagecore::{BlockDevice, SchedulerPolicy};
+use storagecore::BlockDevice;
 use workload::{IngestSpec, IngestStream, MutationOp, Query};
 
 const DOCS: u64 = 40_000;
@@ -146,12 +146,11 @@ fn zero_ingest_live_is_bit_identical_to_frozen() {
 
 #[test]
 fn zero_ingest_lockstep_responses_match_on_both_io_paths() {
-    for (depth, policy) in [(1, SchedulerPolicy::Fifo), (4, SchedulerPolicy::Elevator)] {
+    for depth in [1, 4] {
         let mut frozen = SearchEngine::new(cached_cfg(7));
         let mut arm = SearchEngine::new(live(cached_cfg(7)));
         for e in [&mut frozen, &mut arm] {
             e.set_queue_depth(depth);
-            e.set_io_scheduler(policy);
         }
         let stream: Vec<Query> = frozen.log().clone().stream(120);
         for (i, q) in stream.iter().enumerate() {

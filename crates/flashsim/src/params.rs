@@ -28,9 +28,6 @@ pub struct FlashParams {
     pub page_write: SimDuration,
     /// Block erase latency.
     pub block_erase: SimDuration,
-    /// Independent flash channels; multi-page host requests are spread
-    /// across channels (latency divided by `min(channels, pages)`).
-    pub channels: u32,
     /// GC is triggered when free blocks drop to this count, and runs until
     /// it exceeds it.
     pub gc_low_watermark: u64,
@@ -56,7 +53,6 @@ impl FlashParams {
             page_read: SimDuration::from_micros_f64(32.725),
             page_write: SimDuration::from_micros_f64(101.475),
             block_erase: SimDuration::from_micros(1500),
-            channels: 1,
             gc_low_watermark: 2,
         }
     }
@@ -72,7 +68,6 @@ impl FlashParams {
             page_read: SimDuration::from_micros(25),
             page_write: SimDuration::from_micros(200),
             block_erase: SimDuration::from_micros(1500),
-            channels: 1,
             gc_low_watermark: 1,
         }
     }
@@ -137,9 +132,6 @@ impl FlashParams {
         }
         if self.logical_blocks() == 0 {
             return Err("no logical capacity left after over-provisioning".into());
-        }
-        if self.channels == 0 {
-            return Err("need at least one channel".into());
         }
         if self.gc_low_watermark == 0 {
             return Err("gc_low_watermark must be >= 1".into());
@@ -207,10 +199,6 @@ mod tests {
         p.overprovision = 0.0;
         assert!(p.validate().is_ok());
         p.overprovision = 1.0;
-        assert!(p.validate().is_err());
-
-        let mut p = FlashParams::tiny(8);
-        p.channels = 0;
         assert!(p.validate().is_err());
 
         let mut p = FlashParams::tiny(1);

@@ -267,26 +267,27 @@ mod tests {
 
     #[test]
     fn elevator_ncq_shortens_seek_travel() {
-        use storagecore::{IoRequest, NullSink, PipelinedDevice, SchedulerPolicy};
+        use storagecore::{IoRequest, NullSink, PipelinedDevice};
         // Submission order alternates between a low and a high band — the
-        // worst case for FIFO, which seeks across the stroke every
-        // request. The elevator sweeps each band in turn.
+        // worst case for reading in submission order, which seeks across
+        // the stroke every request. The queue's nearest-first order sweeps
+        // each band in turn.
         let lbas = [
             0u64, 1_500_000, 60_000, 1_560_000, 120_000, 1_620_000, 180_000, 1_680_000,
         ];
-        let run = |policy| {
-            let mut d = PipelinedDevice::new(disk(), NullSink);
-            d.set_depth(8);
-            d.set_policy(policy);
-            for &lba in &lbas {
-                d.submit(IoRequest::read(Extent::new(lba, 8))).unwrap();
-            }
-            d.wait_all().unwrap();
-            assert_eq!(d.stats().queue().max_occupancy(), 8);
-            d.stats().total_busy()
-        };
-        let fifo = run(SchedulerPolicy::Fifo);
-        let elevator = run(SchedulerPolicy::Elevator);
+        let mut fifo = disk();
+        for &lba in &lbas {
+            fifo.read(Extent::new(lba, 8)).unwrap();
+        }
+        let mut d = PipelinedDevice::new(disk(), NullSink);
+        d.set_depth(8);
+        for &lba in &lbas {
+            d.submit(IoRequest::read(Extent::new(lba, 8))).unwrap();
+        }
+        d.wait_all().unwrap();
+        assert_eq!(d.stats().queue().max_occupancy(), 8);
+        let elevator = d.stats().total_busy();
+        let fifo = fifo.stats().total_busy();
         assert!(
             elevator * 2 < fifo,
             "NCQ reorder should at least halve seek travel: {elevator} vs {fifo}"

@@ -108,32 +108,10 @@ pub trait BlockDevice {
         }
     }
 
-    // --- Pipeline topology hooks (defaults model a single-lane device) ---
-
-    /// Number of independent service lanes (flash channels, …). The
-    /// pipeline overlaps requests dispatched to *different* lanes.
-    fn lanes(&self) -> u32 {
-        1
-    }
-
-    /// Which lane services `extent`; `None` means the request occupies
-    /// every lane (e.g. a multi-channel flash stripe).
-    fn lane_of(&self, extent: Extent) -> Option<u32> {
-        let _ = extent;
-        Some(0)
-    }
-
-    /// Current mechanical head position, for seek-aware scheduling.
-    /// Non-mechanical devices report 0.
+    /// Current mechanical head position, for the queue's nearest-first
+    /// dispatch. Non-mechanical devices report 0.
     fn head_position(&self) -> Lba {
         0
-    }
-
-    /// Whether the most recent request triggered work that serializes the
-    /// whole device (e.g. an FTL garbage-collection erase). The pipeline
-    /// treats such a request as a barrier across all lanes.
-    fn last_op_barrier(&self) -> bool {
-        false
     }
 
     /// Sync the device-side submission clock to the driver's. Monotone:

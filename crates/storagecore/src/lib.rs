@@ -19,7 +19,7 @@ pub mod trace;
 pub mod types;
 
 pub use device::{BlockDevice, IoError};
-pub use queue::{IoCompletion, IoRequest, PipelinedDevice, SchedulerPolicy};
+pub use queue::{IoCompletion, IoRequest, PipelinedDevice};
 pub use ramdisk::RamDisk;
 pub use stats::{IoStats, QueueDepthStats};
 pub use trace::{IoEvent, NullSink, TraceSink, VecSink};

@@ -1,26 +1,26 @@
 //! The event-driven I/O pipeline: explicit submit/complete request path
-//! with per-device queueing and pluggable scheduling.
+//! with per-device queueing.
 //!
 //! The synchronous [`BlockDevice`] contract models a host that issues one
 //! command and waits: nothing ever overlaps. [`PipelinedDevice`] wraps any
 //! device behind an explicit request/completion pipeline: requests become
 //! [`IoRequest`]s in a submission queue of at most `depth` outstanding
-//! commands. A [`SchedulerPolicy`] picks the dispatch order; dispatch
-//! consults the device's lane topology ([`BlockDevice::lanes`] /
-//! [`BlockDevice::lane_of`]) so independent operations on different
-//! lanes overlap in simulated time. Completions carry submit, start and
-//! finish timestamps; a request's *response* is `finish - submit`,
-//! which includes queue wait — the quantity a latency-honest driver
-//! reports.
+//! commands. The device is one lane with one dispatch order: the pending
+//! request whose first LBA is nearest [`BlockDevice::head_position`]
+//! goes first, ties to the lower submission id (NCQ-style
+//! shortest-seek-first; on a headless device, lowest LBA first).
+//! Completions carry submit, start and finish timestamps; a request's
+//! *response* is `finish - submit`, which includes queue wait — the
+//! quantity a latency-honest host reports.
 //!
 //! **Depth 1 is the synchronous model.** With one command in flight, its
 //! completion delivered before the host proceeds, the device is never
 //! observably busy when a request arrives. Dispatch therefore uses
-//! `start = submit` at depth 1 (the lane-busy horizon is only consulted
-//! at depth ≥ 2): no wait accrues, response equals service, and every
-//! scheduler picks the same (only) candidate — so every latency,
-//! statistic and device-state transition is what calling the wrapped
-//! device directly would produce.
+//! `start = submit` at depth 1 (the busy horizon is only consulted at
+//! depth ≥ 2): no wait accrues, response equals service, and the only
+//! pending request is the one dispatched — so every latency, statistic
+//! and device-state transition is what calling the wrapped device
+//! directly would produce.
 //!
 //! **The host clock.** Submissions are stamped with the wrapper's clock,
 //! which the driver syncs through [`BlockDevice::set_now`] (monotone).
@@ -40,11 +40,10 @@
 //! (cache write-buffer flushes, trims of dead entries) dispatch
 //! immediately in submission order — preserving the wrapped device's
 //! state evolution (FTL wear, head position) at every depth — but their
-//! completions still extend the lane-busy horizon, so at depth ≥ 2
-//! foreground reads arriving behind a flush either wait for the lane or
-//! overlap on another channel. The call returns the *service* latency
-//! (what the device charged), matching the synchronous contract that
-//! background accounting was built on.
+//! completions still extend the busy horizon, so at depth ≥ 2 foreground
+//! reads arriving behind a flush wait for the device. The call returns
+//! the *service* latency (what the device charged), matching the
+//! synchronous contract that background accounting was built on.
 
 use invariant::{audit, Report, Validate};
 use simclock::{SimDuration, SimTime};
@@ -54,20 +53,8 @@ use crate::stats::IoStats;
 use crate::trace::{IoEvent, NullSink, TraceSink};
 use crate::types::{Extent, Geometry, IoKind, Lba};
 
-/// Dispatch-order policy for the submission queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedulerPolicy {
-    /// Strict submission order — the reference policy.
-    Fifo,
-    /// NCQ-style shortest-seek-first: dispatch the pending request whose
-    /// first LBA is nearest the device head ([`BlockDevice::head_position`]);
-    /// ties break on submission order. On multi-lane devices with no head
-    /// this degenerates to an LBA-proximity order, which is harmless.
-    Elevator,
-}
-
 /// One block-level request in the explicit pipeline. This is the single
-/// request-construction path: trace replay, the schedulers and the
+/// request-construction path: trace replay, the queue and the
 /// synchronous convenience methods all build one of these.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IoRequest {
@@ -152,7 +139,7 @@ struct Pending {
 ///
 /// The wrapper keeps a host-side clock (synced by the driver through
 /// [`BlockDevice::set_now`]; self-advancing at depth 1 — see the module
-/// docs), a per-lane busy horizon, its own [`IoStats`] mirror (kind
+/// docs), the device's busy horizon, its own [`IoStats`] mirror (kind
 /// counters identical to the inner device's, plus the queue-depth
 /// section), and a [`TraceSink`] that receives one
 /// submit/start/finish-stamped [`IoEvent`] per completion.
@@ -161,10 +148,10 @@ pub struct PipelinedDevice<D, S = NullSink> {
     inner: D,
     sink: S,
     depth: usize,
-    policy: SchedulerPolicy,
     pending: Vec<Pending>,
     done: Vec<IoCompletion>,
-    lane_busy: Vec<SimTime>,
+    /// When the device finishes everything dispatched so far.
+    busy: SimTime,
     now: SimTime,
     next_id: u64,
     seq: u64,
@@ -173,17 +160,15 @@ pub struct PipelinedDevice<D, S = NullSink> {
 
 impl<D: BlockDevice, S: TraceSink> PipelinedDevice<D, S> {
     /// Wrap `inner`, sending completion events to `sink`. Starts at
-    /// queue depth 1 under [`SchedulerPolicy::Fifo`].
+    /// queue depth 1.
     pub fn new(inner: D, sink: S) -> Self {
-        let lanes = inner.lanes().max(1) as usize;
         PipelinedDevice {
             inner,
             sink,
             depth: 1,
-            policy: SchedulerPolicy::Fifo,
             pending: Vec::new(),
             done: Vec::new(),
-            lane_busy: vec![SimTime::ZERO; lanes],
+            busy: SimTime::ZERO,
             now: SimTime::ZERO,
             next_id: 0,
             seq: 0,
@@ -222,16 +207,6 @@ impl<D: BlockDevice, S: TraceSink> PipelinedDevice<D, S> {
         self.depth = depth.max(1);
     }
 
-    /// The active scheduler policy.
-    pub fn policy(&self) -> SchedulerPolicy {
-        self.policy
-    }
-
-    /// Switch the scheduler policy at runtime.
-    pub fn set_policy(&mut self, policy: SchedulerPolicy) {
-        self.policy = policy;
-    }
-
     /// The host clock as the wrapper knows it.
     pub fn now(&self) -> SimTime {
         self.now
@@ -240,7 +215,7 @@ impl<D: BlockDevice, S: TraceSink> PipelinedDevice<D, S> {
     /// Submit a request into the queue, returning its id. A background
     /// request dispatches immediately; its completion is still retained
     /// for a later [`PipelinedDevice::wait`]. If the submission overflows
-    /// the queue depth, the scheduler dispatches pending requests to make
+    /// the queue depth, the nearest pending requests dispatch to make
     /// room.
     pub fn submit(&mut self, request: IoRequest) -> Result<u64, IoError> {
         self.inner.check(request.extent)?;
@@ -298,10 +273,10 @@ impl<D: BlockDevice, S: TraceSink> PipelinedDevice<D, S> {
         self.pending.len()
     }
 
-    /// Pick the next request per the scheduler policy and dispatch it.
+    /// Dispatch the pending request nearest the head.
     fn dispatch_one(&mut self) -> Result<(), IoError> {
         debug_assert!(!self.pending.is_empty());
-        let idx = self.select();
+        let idx = self.nearest();
         let Pending {
             id,
             request,
@@ -313,14 +288,6 @@ impl<D: BlockDevice, S: TraceSink> PipelinedDevice<D, S> {
         Ok(())
     }
 
-    /// Index into `pending` of the next request to dispatch.
-    fn select(&self) -> usize {
-        match self.policy {
-            SchedulerPolicy::Fifo => 0,
-            SchedulerPolicy::Elevator => self.nearest(),
-        }
-    }
-
     /// Pending index nearest the device head; ties break on submission
     /// order for determinism.
     fn nearest(&self) -> usize {
@@ -330,7 +297,7 @@ impl<D: BlockDevice, S: TraceSink> PipelinedDevice<D, S> {
             .enumerate()
             .min_by_key(|(_, p)| (p.request.extent.lba.abs_diff(head), p.id))
             .map(|(i, _)| i)
-            .expect("select on empty queue")
+            .expect("dispatch from an empty queue")
     }
 
     /// Run one request on the inner device and book its timeline. This is
@@ -347,29 +314,13 @@ impl<D: BlockDevice, S: TraceSink> PipelinedDevice<D, S> {
         // Depth 1 degenerates to the synchronous call-tree: the device is
         // never observably busy when a request arrives, so `start` pins to
         // the submission instant and no queue wait can accrue.
-        let lane = self.inner.lane_of(request.extent);
         let start = if self.depth == 1 {
             submit_at
         } else {
-            let horizon = match lane {
-                Some(l) => self.lane_busy[l as usize % self.lane_busy.len()],
-                None => self.busy_horizon(),
-            };
-            submit_at.max(horizon)
+            submit_at.max(self.busy)
         };
         let finish = start + service;
-        // GC/erase work detected by the device serializes the whole
-        // package: the barrier retroactively occupies every lane.
-        let barrier = self.inner.last_op_barrier() || lane.is_none();
-        if barrier {
-            for b in &mut self.lane_busy {
-                *b = (*b).max(finish);
-            }
-        } else if let Some(l) = lane {
-            let idx = l as usize % self.lane_busy.len();
-            let slot = &mut self.lane_busy[idx];
-            *slot = (*slot).max(finish);
-        }
+        self.busy = self.busy.max(finish);
         self.stats
             .record(request.kind, request.extent.sectors, service);
         self.stats
@@ -395,15 +346,6 @@ impl<D: BlockDevice, S: TraceSink> PipelinedDevice<D, S> {
             finish_at: finish,
             service,
         })
-    }
-
-    /// Latest busy time across all lanes.
-    fn busy_horizon(&self) -> SimTime {
-        self.lane_busy
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(SimTime::ZERO)
     }
 
     /// Synchronous dispatch: the host-observed response of a foreground
@@ -462,20 +404,8 @@ impl<D: BlockDevice, S: TraceSink> BlockDevice for PipelinedDevice<D, S> {
         self.inner.reset_stats();
     }
 
-    fn lanes(&self) -> u32 {
-        self.inner.lanes()
-    }
-
-    fn lane_of(&self, extent: Extent) -> Option<u32> {
-        self.inner.lane_of(extent)
-    }
-
     fn head_position(&self) -> Lba {
         self.inner.head_position()
-    }
-
-    fn last_op_barrier(&self) -> bool {
-        self.inner.last_op_barrier()
     }
 
     fn set_now(&mut self, now: SimTime) {
@@ -490,18 +420,6 @@ impl<D: BlockDevice, S: TraceSink> Validate for PipelinedDevice<D, S> {
     )]
     fn validate(&self, report: &mut Report) {
         let subject = "PipelinedDevice";
-        report.check(
-            self.lane_busy.len() == self.inner.lanes().max(1) as usize,
-            subject,
-            "lane-count",
-            || {
-                format!(
-                    "{} busy horizons for a {}-lane device",
-                    self.lane_busy.len(),
-                    self.inner.lanes()
-                )
-            },
-        );
         report.check(
             self.pending.len() <= self.depth,
             subject,
@@ -540,7 +458,7 @@ impl<D: BlockDevice, S: TraceSink> Validate for PipelinedDevice<D, S> {
                 format!("pending id {} submitted in the future", p.id)
             });
         }
-        // Retained completions: coherent timelines, booked lane horizons.
+        // Retained completions: coherent timelines, booked busy horizon.
         for c in &self.done {
             report.check(c.id < self.next_id, subject, "id-allocated", || {
                 format!(
@@ -568,18 +486,13 @@ impl<D: BlockDevice, S: TraceSink> Validate for PipelinedDevice<D, S> {
                 "service-agree",
                 || format!("id {}: service {:?} != finish - start", c.id, c.service),
             );
-            // Lane horizons only advance, and every dispatch raises its
-            // lane (or all lanes, for barriers) to at least its finish
-            // time — so each retained completion is covered by the
-            // current horizon of its lane.
-            let covered = match self.inner.lane_of(c.request.extent) {
-                Some(l) => self.lane_busy[l as usize % self.lane_busy.len()] >= c.finish_at,
-                None => self.busy_horizon() >= c.finish_at,
-            };
-            report.check(covered, subject, "lane-horizon", || {
+            // The busy horizon only advances, and every dispatch raises
+            // it to at least its finish time — so it covers each retained
+            // completion.
+            report.check(c.finish_at <= self.busy, subject, "busy-horizon", || {
                 format!(
-                    "id {} finished at {:?} beyond its lane's busy horizon",
-                    c.id, c.finish_at
+                    "id {} finished at {:?} beyond the busy horizon {:?}",
+                    c.id, c.finish_at, self.busy
                 )
             });
         }
@@ -680,8 +593,8 @@ mod tests {
 
     #[test]
     fn batch_waits_queue_on_single_lane() {
-        // RamDisk has one lane: three queued reads serialize, and the
-        // later ones' responses include queue wait.
+        // The device is one lane: three queued reads serialize, and the later
+        // ones' responses include queue wait.
         let mut d = dev(4);
         let ids: Vec<u64> = (0..3)
             .map(|i| d.submit(IoRequest::read(Extent::new(i * 16, 8))).unwrap())
@@ -708,7 +621,7 @@ mod tests {
         d.submit(IoRequest::read(Extent::new(8, 1))).unwrap();
         assert_eq!(d.queued(), 2);
         d.submit(IoRequest::read(Extent::new(16, 1))).unwrap();
-        assert_eq!(d.queued(), 2, "overflow dispatches the scheduler's pick");
+        assert_eq!(d.queued(), 2, "overflow dispatches the nearest request");
         d.wait_all().unwrap();
         assert_eq!(d.queued(), 0);
     }
@@ -720,7 +633,7 @@ mod tests {
             .request(&IoRequest::write(Extent::new(0, 8)).background())
             .unwrap();
         assert_eq!(t, SimDuration::from_micros(10), "service, not response");
-        // The flush occupies the lane: a foreground read right behind it
+        // The flush occupies the device: a foreground read right behind it
         // waits (submit clock has not advanced).
         let tr = d.read(Extent::new(64, 8)).unwrap();
         assert_eq!(tr, SimDuration::from_micros(20), "wait + service");
@@ -769,27 +682,40 @@ mod tests {
 
     #[test]
     fn validation_clean_across_paths_and_policies() {
+        // Both paths (depth 1 and a deep queue) under the one dispatch
+        // order leave every structure coherent.
         for depth in [1, 4] {
-            for policy in [SchedulerPolicy::Fifo, SchedulerPolicy::Elevator] {
-                let mut d = dev(depth);
-                d.set_policy(policy);
-                for i in 0..6u64 {
-                    d.submit(IoRequest::read(Extent::new((i * 37) % 512, 8)))
-                        .unwrap();
-                }
-                let mid = d.validation_report();
-                assert!(mid.is_clean(), "mid-flight: {}", mid.summary());
-                d.request(&IoRequest::write(Extent::new(0, 8)).background())
+            let mut d = dev(depth);
+            for i in 0..6u64 {
+                d.submit(IoRequest::read(Extent::new((i * 37) % 512, 8)))
                     .unwrap();
-                d.wait_all().unwrap();
-                let report = d.validation_report();
-                assert!(
-                    report.is_clean(),
-                    "depth {depth}/{policy:?}: {}",
-                    report.summary()
-                );
             }
+            let mid = d.validation_report();
+            assert!(mid.is_clean(), "mid-flight: {}", mid.summary());
+            d.request(&IoRequest::write(Extent::new(0, 8)).background())
+                .unwrap();
+            d.wait_all().unwrap();
+            let report = d.validation_report();
+            assert!(report.is_clean(), "depth {depth}: {}", report.summary());
         }
+    }
+
+    #[test]
+    fn headless_device_dispatches_lowest_lba_first() {
+        // A RamDisk's head sits at 0, so the nearest pending request is
+        // the lowest LBA, whatever the submission order.
+        let mut d = dev(4);
+        for lba in [300, 100, 200] {
+            d.submit(IoRequest::read(Extent::new(lba, 8))).unwrap();
+        }
+        let done = d.wait_all().unwrap();
+        assert_eq!(
+            done.iter().map(|c| c.id).collect::<Vec<_>>(),
+            [0, 1, 2],
+            "completions come back in submission order"
+        );
+        let order: Vec<u64> = d.sink().events().iter().map(|e| e.extent.lba).collect();
+        assert_eq!(order, [100, 200, 300], "dispatch runs nearest-first");
     }
 
     #[test]

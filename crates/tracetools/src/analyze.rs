@@ -1,5 +1,4 @@
-//! Trace analysis: the paper's four I/O-pattern properties, quantified,
-//! plus measured queue depths from submit/complete pairs.
+//! Trace analysis: the paper's four I/O-pattern properties, quantified.
 
 #[expect(
     clippy::disallowed_types,
@@ -7,7 +6,6 @@
 )]
 use std::collections::HashMap;
 
-use simclock::SimDuration;
 use storagecore::{IoEvent, IoKind, Lba};
 
 /// Summary statistics of a block trace.
@@ -111,15 +109,6 @@ impl TraceProfile {
         }
     }
 
-    /// Measured queue-depth profile from the submit/complete pairs the
-    /// event-driven I/O pipeline records (`at` = submission, `start` =
-    /// dispatch, `finish` = completion). A synchronous driver — every
-    /// request completing before the next submits — profiles as a flat
-    /// depth of 1 with zero wait.
-    pub fn queue_depth(events: &[IoEvent]) -> QueueDepthProfile {
-        QueueDepthProfile::from_events(events)
-    }
-
     /// The Fig.-1 scatter series: `(read sequence number, first LBA)` for
     /// read requests, optionally downsampled to at most `max_points`.
     pub fn scatter_series(events: &[IoEvent], max_points: usize) -> Vec<(u64, Lba)> {
@@ -139,66 +128,10 @@ impl TraceProfile {
     }
 }
 
-/// Device-queue occupancy measured from a recorded trace: how many
-/// requests were outstanding (submitted, not yet completed) over time.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct QueueDepthProfile {
-    /// Requests in the trace.
-    pub requests: u64,
-    /// Largest number of simultaneously outstanding requests.
-    pub max_outstanding: u64,
-    /// Time-weighted mean outstanding over `[first submit, last finish]`
-    /// (idle gaps included, so a bursty queued trace can average below 1).
-    pub mean_outstanding: f64,
-    /// Total queue wait: Σ (`start` − `at`) over all requests.
-    pub total_wait: SimDuration,
-}
-
-impl QueueDepthProfile {
-    /// Sweep the `[at, finish)` intervals of a trace.
-    pub fn from_events(events: &[IoEvent]) -> Self {
-        if events.is_empty() {
-            return Self::default();
-        }
-        let mut points: Vec<(u64, i64)> = Vec::with_capacity(events.len() * 2);
-        let mut total_wait = SimDuration::ZERO;
-        for e in events {
-            points.push((e.at.as_nanos(), 1));
-            points.push((e.finish.as_nanos(), -1));
-            total_wait += e.start.since(e.at);
-        }
-        // At equal instants completions (-1) drain before submissions
-        // (+1), so a back-to-back synchronous trace profiles as depth 1.
-        points.sort_unstable_by_key(|&(t, d)| (t, d));
-        let first = points[0].0;
-        let mut outstanding = 0i64;
-        let mut max_outstanding = 0i64;
-        let mut weighted: u128 = 0;
-        let mut prev_t = first;
-        for (t, d) in points {
-            weighted += outstanding.max(0) as u128 * (t - prev_t) as u128;
-            prev_t = t;
-            outstanding += d;
-            max_outstanding = max_outstanding.max(outstanding);
-        }
-        let span = prev_t - first;
-        QueueDepthProfile {
-            requests: events.len() as u64,
-            max_outstanding: max_outstanding.max(0) as u64,
-            mean_outstanding: if span == 0 {
-                0.0
-            } else {
-                weighted as f64 / span as f64
-            },
-            total_wait,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simclock::SimTime;
+    use simclock::{SimDuration, SimTime};
     use storagecore::Extent;
 
     fn ev(kind: IoKind, lba: Lba, sectors: u64) -> IoEvent {
@@ -211,48 +144,6 @@ mod tests {
             start: SimTime::ZERO,
             finish: SimTime::ZERO,
         }
-    }
-
-    fn timed(at: u64, start: u64, finish: u64) -> IoEvent {
-        IoEvent {
-            seq: 0,
-            at: SimTime::from_nanos(at),
-            kind: IoKind::Read,
-            extent: Extent::new(0, 8),
-            latency: SimDuration::from_nanos(finish - start),
-            start: SimTime::from_nanos(start),
-            finish: SimTime::from_nanos(finish),
-        }
-    }
-
-    #[test]
-    fn queue_depth_of_synchronous_trace_is_one() {
-        // Back-to-back: each finishes exactly when the next submits.
-        let events = vec![timed(0, 0, 10), timed(10, 10, 20), timed(20, 20, 30)];
-        let p = QueueDepthProfile::from_events(&events);
-        assert_eq!(p.requests, 3);
-        assert_eq!(p.max_outstanding, 1);
-        assert!((p.mean_outstanding - 1.0).abs() < 1e-12);
-        assert_eq!(p.total_wait, SimDuration::ZERO);
-    }
-
-    #[test]
-    fn queue_depth_counts_overlap_and_wait() {
-        // Two submitted at t=0; the second waits for the device.
-        let events = vec![timed(0, 0, 10), timed(0, 10, 20)];
-        let p = QueueDepthProfile::from_events(&events);
-        assert_eq!(p.max_outstanding, 2);
-        // Outstanding is 2 over [0,10) and 1 over [10,20).
-        assert!((p.mean_outstanding - 1.5).abs() < 1e-12);
-        assert_eq!(p.total_wait, SimDuration::from_nanos(10));
-    }
-
-    #[test]
-    fn queue_depth_of_empty_trace_is_zero() {
-        let p = QueueDepthProfile::from_events(&[]);
-        assert_eq!(p.requests, 0);
-        assert_eq!(p.max_outstanding, 0);
-        assert_eq!(p.mean_outstanding, 0.0);
     }
 
     #[test]

@@ -21,7 +21,7 @@ pub mod replay;
 pub mod stackdist;
 pub mod synth;
 
-pub use analyze::{QueueDepthProfile, TraceProfile};
+pub use analyze::TraceProfile;
 pub use replay::replay;
 pub use stackdist::StackDistance;
 pub use synth::{umass_like, UmassSpec};

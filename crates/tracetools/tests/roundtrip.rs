@@ -5,7 +5,7 @@
 use hddsim::{HddDisk, HddParams};
 use simclock::{Rng, SimDuration, SimTime};
 use storagecore::{BlockDevice, Extent, IoRequest, PipelinedDevice, RamDisk, VecSink};
-use tracetools::{replay, QueueDepthProfile};
+use tracetools::replay;
 
 const RAM_LATENCY: SimDuration = SimDuration::from_micros(8);
 
@@ -61,20 +61,18 @@ fn queued_ram_trace_replays_to_identical_stats() {
 #[test]
 fn queued_ram_trace_carries_measured_queue_depth() {
     let (dev, events) = record_queued_ram_trace();
-    let profile = QueueDepthProfile::from_events(&events);
-    assert_eq!(profile.requests, events.len() as u64);
+    let queue = dev.stats().queue();
+    assert_eq!(queue.dispatches(), events.len() as u64);
     assert!(
-        profile.max_outstanding > 1,
+        queue.max_occupancy() > 1,
         "four-deep submission must overlap ({} outstanding)",
-        profile.max_outstanding
+        queue.max_occupancy()
     );
-    assert!(
-        profile.total_wait > SimDuration::ZERO,
-        "later batch members queue"
-    );
-    // The analyzer's wait (start - at summed over events) is the same
-    // quantity the device-side queue accounting books.
-    assert_eq!(profile.total_wait, dev.stats().queue().total_wait());
+    // The trace carries the wait: start - at summed over its events is
+    // the quantity the device-side queue accounting books.
+    let trace_wait: SimDuration = events.iter().map(|e| e.start.since(e.at)).sum();
+    assert!(trace_wait > SimDuration::ZERO, "later batch members queue");
+    assert_eq!(trace_wait, queue.total_wait());
 }
 
 #[test]
@@ -92,9 +90,9 @@ fn hdd_trace_replay_reproduces_seek_history() {
     }
     let events = rec.sink().events().to_vec();
 
-    let profile = QueueDepthProfile::from_events(&events);
-    assert_eq!(profile.max_outstanding, 1, "depth 1 never overlaps");
-    assert_eq!(profile.total_wait, SimDuration::ZERO);
+    let queue = rec.stats().queue();
+    assert_eq!(queue.max_occupancy(), 1, "depth 1 never overlaps");
+    assert_eq!(queue.total_wait(), SimDuration::ZERO);
 
     let mut fresh = HddDisk::new(params);
     let report = replay(&mut fresh, &events);
