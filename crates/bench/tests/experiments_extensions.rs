@@ -1,8 +1,9 @@
 //! EXPERIMENTS.md's extension tables against the committed sweeps.
 //!
 //! The admission, serving and ingest tables each quote the `csv:` rows of
-//! `results/scale-0.1/ext_{admission,serving,ingest}.txt`, and the
-//! queue-depth prose quotes the depth-4 rows of `ext_queue_depth.txt`.
+//! `results/scale-0.1/ext_{admission,serving,ingest}.txt`, the ingest
+//! prose its hit-ratio and response figures, and the queue-depth prose
+//! the depth-4 rows of `ext_queue_depth.txt`.
 //! Every number in a cell must be the csv value printed at the precision
 //! the cell uses.
 //! `ci.sh` already diffs those files against fresh runs, so the tables
@@ -239,6 +240,40 @@ fn ingest_table_matches_ext_ingest() {
         let mb = |r: &Row| r.get("ssd_bytes_written") / 1e6;
         check_cell(&context, written, &[mb(&coop), mb(&naive)]);
     }
+}
+
+#[test]
+fn ingest_prose_matches_ext_ingest() {
+    let csv = Csv::load("ext_ingest", "arm,ops_per_100_queries,");
+    let experiments = read("EXPERIMENTS.md");
+    let prose = section(&experiments, "ext_ingest");
+    let words = prose.split_whitespace().collect::<Vec<_>>().join(" ");
+    // `marker` up to the parenthesis that closes the figures it quotes.
+    let clause = |marker: &str| {
+        let at = words
+            .find(marker)
+            .unwrap_or_else(|| panic!("no {marker:?}"));
+        let rest = &words[at..];
+        rest[..rest.find(')').expect("a closing parenthesis")].to_owned()
+    };
+    let row = |arm, mix| csv.row(&[("arm", arm), ("ops_per_100_queries", mix)]);
+    let hit = |arm, mix| 100.0 * row(arm, mix).get("hit_ratio");
+    let ms = |arm, mix| row(arm, mix).get("mean_response_ns") / 1e6;
+    let (coop, naive) = ("cooperative", "invalidate_all");
+    // The sweep starts at the zero-ingest row, which both arms share.
+    let start = hit("zero_ingest_live", "0");
+    let want = [start, hit(naive, "100"), start, hit(coop, "100")];
+    check_cell("ingest hit ratio", &clause("overall hit ratio"), &want);
+    // Ends with the two mixes the figures are read at.
+    let want = [
+        ms(coop, "5"),
+        ms(coop, "100"),
+        ms(naive, "5"),
+        ms(naive, "100"),
+        5.0,
+        100.0,
+    ];
+    check_cell("ingest response", &clause("Mean response grows"), &want);
 }
 
 /// The first number printed after `marker` in `text`.

@@ -86,6 +86,19 @@ pub(crate) fn append_runs(docs: &mut Vec<DocId>, runs: &mut Vec<(u32, u32)>, pos
     }
 }
 
+/// A `(docs, runs)` pair re-materialised as `Posting`s.
+pub(crate) fn run_postings<'a>(
+    docs: &'a [DocId],
+    runs: &'a [(u32, u32)],
+) -> impl Iterator<Item = Posting> + 'a {
+    let mut start = 0;
+    runs.iter().flat_map(move |&(end, tf)| {
+        let run = &docs[start..end as usize];
+        start = end as usize;
+        run.iter().map(move |&doc| Posting { doc, tf })
+    })
+}
+
 /// Record that `docs` now ends at `end` with a run of `tf`: extend the
 /// last run if it carries the same tf, open a new one otherwise.
 #[inline]
@@ -149,6 +162,14 @@ impl BlockPostings {
             return;
         }
         let target = (want.div_ceil(BLOCK_SIZE as u64) * BLOCK_SIZE as u64).min(self.df);
+        // Double as `Vec` would, but never past the longest the prefix
+        // can get: most lists stop growing at that bound, where plain
+        // doubling would leave about a fifth of the store's slots unused.
+        let cap = self.docs.capacity() as u64;
+        if cap < target {
+            let grown = (2 * cap).max(target).min(self.df.min(HOT_PREFIX));
+            self.docs.reserve_exact((grown - self.built()) as usize);
+        }
         index.runs_range(term, self.built(), target, &mut self.docs, &mut self.runs);
         debug_assert_eq!(self.built(), target);
         audit!(self, "BlockPostings::ensure");
@@ -163,12 +184,7 @@ impl BlockPostings {
 
     /// The pinned prefix re-materialised as `Posting`s.
     pub fn postings(&self) -> impl Iterator<Item = Posting> + '_ {
-        let mut start = 0;
-        self.runs.iter().flat_map(move |&(end, tf)| {
-            let run = &self.docs[start..end as usize];
-            start = end as usize;
-            run.iter().map(move |&doc| Posting { doc, tf })
-        })
+        run_postings(&self.docs, &self.runs)
     }
 
     /// Record a traversal of this list, returning whether it had been
@@ -319,6 +335,18 @@ mod tests {
         assert_eq!(bp.bytes(), 4 * bp.built() + 8 * bp.pinned().1.len() as u64);
         bp.ensure(&idx, term, u64::MAX);
         assert_eq!(bp.built(), HOT_PREFIX, "nothing is kept past the pin");
+        assert_eq!(bp.docs.capacity() as u64, HOT_PREFIX, "nor reserved");
+        // A list shorter than the pin, built block by block, reserves
+        // its df and no more.
+        let df = |t: &TermId| idx.doc_freq(*t);
+        let short =
+            (0..2_000).find(|t| (700..HOT_PREFIX).contains(&df(t)) && !df(t).is_power_of_two());
+        let short = short.expect("a list between 700 postings and the pin");
+        let mut sp = BlockPostings::new(df(&short));
+        for upto in (1..=df(&short)).step_by(BLOCK_SIZE) {
+            sp.ensure(&idx, short, upto);
+        }
+        assert_eq!(sp.docs.capacity() as u64, df(&short));
         // The stitched prefix equals the straight generation, runs merged
         // across the stitches.
         let want = idx.postings_range(term, 0, HOT_PREFIX);

@@ -16,7 +16,7 @@
 use simclock::Rng;
 
 use crate::blocks::close_run;
-use crate::types::{DocId, IndexReader, Posting, PostingList, TermId, POSTING_BYTES};
+use crate::types::{rank_by, DocId, IndexReader, Posting, PostingList, TermId, POSTING_BYTES};
 
 /// Parameters of the synthetic collection.
 #[derive(Debug, Clone)]
@@ -131,14 +131,31 @@ impl SyntheticIndex {
         (doc_start, stride)
     }
 
+    /// The tf at each position `i` of `term`'s list: the Geometric(p)
+    /// quantile at the descending plotting position `1 − (i + 0.5)/df`,
+    /// non-increasing in `i`.
+    fn tf_curve(&self, term: TermId) -> impl Fn(u64) -> u32 {
+        let df = self.doc_freq(term);
+        let p = (1.0 / self.mean_tf(term)).clamp(1e-6, 1.0);
+        let ln_q = if p >= 1.0 { 0.0 } else { (1.0 - p).ln() };
+        move |i| {
+            if ln_q == 0.0 {
+                return 1;
+            }
+            // Quantile of Geometric(p) at q = 1 - (i+0.5)/df:
+            // x = ceil(ln(1 - q) / ln(1 - p)).
+            let u = (i as f64 + 0.5) / df as f64;
+            (u.ln() / ln_q).ceil().clamp(1.0, u32::MAX as f64) as u32
+        }
+    }
+
     /// Walk positions `[start, end)` of `term`'s canonical list (indices
     /// clamp to the list), handing `run` each maximal run of equal tf
     /// with its doc ids, in list order.
     ///
     /// The list is a pure function of `(seed, term)`:
-    /// * `tf` at position `i` is the Geometric(p) quantile at the
-    ///   descending plotting position `1 − (i + 0.5)/df`, so the sequence
-    ///   is sorted tf-descending *by construction*;
+    /// * `tf` at position `i` is [`SyntheticIndex::tf_curve`]'s, so the
+    ///   sequence is sorted tf-descending *by construction*;
     /// * doc ids follow a stride walk `(start + i·stride) mod docs` with
     ///   `gcd(stride, docs) = 1`, guaranteeing distinctness without
     ///   materializing a permutation.
@@ -162,18 +179,7 @@ impl SyntheticIndex {
         }
         let docs = self.spec.docs;
         let (doc_start, stride) = self.doc_walk(term);
-        let mean_tf = self.mean_tf(term);
-        let p = (1.0 / mean_tf).clamp(1e-6, 1.0);
-        let ln_q = if p >= 1.0 { 0.0 } else { (1.0 - p).ln() };
-        let tf_at = |i: u64| -> u32 {
-            if ln_q == 0.0 {
-                return 1;
-            }
-            // Quantile of Geometric(p) at q = 1 - (i+0.5)/df:
-            // x = ceil(ln(1 - q) / ln(1 - p)).
-            let u = (i as f64 + 0.5) / df as f64;
-            (u.ln() / ln_q).ceil().clamp(1.0, u32::MAX as f64) as u32
-        };
+        let tf_at = self.tf_curve(term);
 
         let mut walk = DocWalk {
             doc: ((doc_start as u128 + start as u128 * stride as u128) % docs as u128) as u64,
@@ -290,6 +296,11 @@ impl IndexReader for SyntheticIndex {
             docs.extend(walk);
             close_run(runs, docs.len(), tf);
         });
+    }
+
+    /// O(log df) quantile evaluations: a bisection over the tf curve.
+    fn tf_rank(&self, term: TermId, tf: u32) -> u64 {
+        rank_by(self.doc_freq(term), tf, self.tf_curve(term))
     }
 
     /// O(1) in the list length: the walk `(doc_start + i·stride) mod docs`
@@ -537,7 +548,52 @@ mod tests {
         assert_eq!(head, per_position(dense, 0, 0, 500));
     }
 
+    /// The trait's default `tf_rank` over a [`SyntheticIndex`]: every
+    /// other method forwards.
+    struct ViaDefault<'a>(&'a SyntheticIndex);
+
+    impl IndexReader for ViaDefault<'_> {
+        fn num_docs(&self) -> u64 {
+            self.0.num_docs()
+        }
+        fn num_terms(&self) -> u64 {
+            self.0.num_terms()
+        }
+        fn doc_freq(&self, term: TermId) -> u64 {
+            self.0.doc_freq(term)
+        }
+        fn postings(&self, term: TermId) -> PostingList {
+            self.0.postings(term)
+        }
+        fn postings_range(&self, term: TermId, start: u64, end: u64) -> Vec<Posting> {
+            self.0.postings_range(term, start, end)
+        }
+    }
+
     proptest::proptest! {
+        #[test]
+        fn tf_rank_is_the_lists_partition_point(
+            which in 0usize..5,
+            head_term in proptest::prelude::any::<bool>(),
+            term in proptest::prelude::any::<u32>(),
+        ) {
+            use proptest::prelude::*;
+            let idx = &oracle_indexes()[which];
+            let vocab = idx.num_terms() as u32;
+            let term = term % if head_term { vocab.min(200) } else { vocab };
+            let list = idx.postings(term);
+            let list = list.postings();
+            // The rank only steps between a tf the list holds and the
+            // next value up, so 0, each such tf and its successor cover
+            // every x from 0 to the head tf + 1.
+            let steps = list.chunk_by(|a, b| a.tf == b.tf).flat_map(|r| [r[0].tf, r[0].tf + 1]);
+            for x in std::iter::once(0).chain(steps) {
+                let want = list.partition_point(|p| p.tf >= x) as u64;
+                prop_assert_eq!(idx.tf_rank(term, x), want, "term {} x {}", term, x);
+                prop_assert_eq!(ViaDefault(idx).tf_rank(term, x), want, "term {} x {}", term, x);
+            }
+        }
+
         #[test]
         fn runs_match_the_per_position_definition(
             which in 0usize..5,

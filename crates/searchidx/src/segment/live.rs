@@ -18,13 +18,15 @@
 //! which is what lets the engine charge per-segment partial reads
 //! exactly.
 //!
-//! The view is **lazy**: per term only the small merge of the delta
-//! layers (sealed + write; ingested documents only) is built eagerly.
-//! The merged list itself is generated as a prefix, extended on demand
-//! by a two-way merge that pulls the base through `postings_range` in
-//! chunks — a query after a mutation pays for the postings it scans,
-//! the term's delta postings and the tombstones it has not seen yet,
-//! never for the whole list.
+//! The view is a **splice**, not a copy: per term only the small merge
+//! of the delta layers (sealed + write; ingested documents only) is
+//! kept, with each delta posting's slot in the merged list, found from
+//! the base's [`IndexReader::tf_rank`] (base postings win tf ties). A
+//! read walks the base's own run generator over the live stretches
+//! between those slots and the term's tombstoned base positions, and
+//! drops each delta posting in at its slot — a query after a mutation
+//! pays for the postings it scans, the term's delta postings and the
+//! tombstones it has not seen yet; no merged posting is stored.
 //!
 //! **Pristine fast path:** until the first mutation, every reader method
 //! delegates straight to the base, so an index that is never mutated —
@@ -37,7 +39,7 @@ use fxmap::{FxHashMap, FxHashSet};
 use invariant::{Report, Validate};
 use simclock::SimTime;
 
-use crate::blocks::append_runs;
+use crate::blocks::{close_run, run_postings};
 use crate::types::{DocId, IndexReader, Posting, PostingList, TermId, POSTING_BYTES};
 
 use super::sealed::SealedSegment;
@@ -172,9 +174,6 @@ pub struct UsagePart {
 /// Views kept at most; reaching it drops them all (they rebuild lazily).
 const VIEW_CAP: usize = 4096;
 
-/// Fewest base postings one pull asks the base for.
-const BASE_CHUNK: u64 = 64;
-
 /// What the index remembers about one queried term.
 #[derive(Debug, Default)]
 struct TermView {
@@ -182,77 +181,29 @@ struct TermView {
     /// probed for.
     tombstones_seen: usize,
     /// Base positions of this term's tombstoned base docs, ascending.
-    /// Base tombstones are never cleared, so these outlive every merge.
+    /// Base tombstones are never cleared, so these outlive every splice.
     base_dead: Vec<u64>,
-    /// The lazily merged list; `None` once a mutation made it stale.
-    merge: Option<LazyMerge>,
+    /// Where the delta goes into the base; `None` once a mutation made
+    /// it stale.
+    splice: Option<Splice>,
 }
 
-/// A term's merged list, generated as a prefix on demand.
+/// A term's merged list as the live base list with the delta spliced in.
 #[derive(Debug)]
-struct LazyMerge {
+struct Splice {
     /// `(segment, live df)` per contributing layer, in merge-priority
     /// order; the base is always first.
     parts: Vec<(SegmentId, u64)>,
     /// Tombstone-filtered stable merge of the delta layers, each posting
     /// with its index into `parts`.
     delta: Vec<(Posting, u32)>,
-    /// Delta postings already merged into the prefix.
-    delta_taken: usize,
-    /// Raw base positions already pulled.
-    base_pulled: u64,
-    /// Live base postings pulled but not merged yet, and how many of
-    /// them the prefix has taken.
-    pending: Vec<Posting>,
-    pending_taken: usize,
-    /// The merged prefix generated so far, and each posting's index into
-    /// `parts`.
-    postings: Vec<Posting>,
-    origin: Vec<u32>,
+    /// Each delta posting's position in the merged list, ascending.
+    at: Vec<u64>,
 }
 
-impl LazyMerge {
+impl Splice {
     fn df(&self) -> u64 {
         self.parts.iter().map(|&(_, df)| df).sum()
-    }
-
-    /// Grow the prefix to `min(len, df)` postings: a stable two-way merge
-    /// of the live base stream and the delta, the base winning ties.
-    /// `base_dead` holds the base positions to skip.
-    fn extend_to<B: IndexReader>(&mut self, base: &B, term: TermId, base_dead: &[u64], len: u64) {
-        let len = len.min(self.df()) as usize;
-        let base_df = base.doc_freq(term);
-        while self.postings.len() < len {
-            if self.pending_taken == self.pending.len() && self.base_pulled < base_df {
-                let from = self.base_pulled;
-                let want = ((len - self.postings.len()) as u64).max(BASE_CHUNK);
-                let to = (from + want).min(base_df);
-                self.pending = base.postings_range(term, from, to);
-                let dead = base_dead.partition_point(|&p| p < from)
-                    ..base_dead.partition_point(|&p| p < to);
-                for &p in base_dead[dead].iter().rev() {
-                    self.pending.remove((p - from) as usize);
-                }
-                self.pending_taken = 0;
-                self.base_pulled = to;
-                continue;
-            }
-            let base_head = self.pending.get(self.pending_taken);
-            let delta_head = self.delta.get(self.delta_taken);
-            match (base_head, delta_head) {
-                (Some(b), d) if d.is_none_or(|(d, _)| b.tf >= d.tf) => {
-                    self.postings.push(*b);
-                    self.origin.push(0);
-                    self.pending_taken += 1;
-                }
-                (_, Some(&(d, part))) => {
-                    self.postings.push(d);
-                    self.origin.push(part);
-                    self.delta_taken += 1;
-                }
-                (_, None) => unreachable!("df counts only postings a layer holds"),
-            }
-        }
     }
 }
 
@@ -377,11 +328,11 @@ impl<B: IndexReader> LiveIndex<B> {
         std::mem::take(&mut self.dirty)
     }
 
-    /// Drop every term's merged list: the delta layers changed shape
-    /// (seal, compaction) or lost a document whose terms are unknown.
-    fn drop_merges(&mut self) {
+    /// Drop every term's splice: the delta layers changed shape (seal,
+    /// compaction) or lost a document whose terms are unknown.
+    fn drop_splices(&mut self) {
         for view in self.views.get_mut().values_mut() {
-            view.merge = None;
+            view.splice = None;
         }
     }
 
@@ -411,7 +362,7 @@ impl<B: IndexReader> LiveIndex<B> {
         let views = self.views.get_mut();
         for (t, _) in terms {
             if let Some(view) = views.get_mut(t) {
-                view.merge = None;
+                view.splice = None;
             }
         }
         if !self.dirty.all {
@@ -446,7 +397,7 @@ impl<B: IndexReader> LiveIndex<B> {
             // Each view probes the base for it when next read.
             self.base_tombstones.push(doc);
         } else {
-            self.drop_merges();
+            self.drop_splices();
         }
         self.dirty.all = true;
         self.dirty.terms.clear();
@@ -487,7 +438,7 @@ impl<B: IndexReader> LiveIndex<B> {
         // sealed lists equal the write-segment lists they froze. Only
         // origin attribution moves, so no terms go dirty.
         self.mutated = true;
-        self.drop_merges();
+        self.drop_splices();
         Some(SealOutcome {
             segment: id,
             docs,
@@ -536,7 +487,7 @@ impl<B: IndexReader> LiveIndex<B> {
         self.stats.merge_bytes_read += bytes_read;
         self.stats.merge_bytes_written += bytes_written;
         self.mutated = true;
-        self.drop_merges();
+        self.drop_splices();
         // Only dropped tombstoned postings change what queries see; a
         // pure concatenation merge is invisible to them.
         if cleared > 0 {
@@ -559,13 +510,14 @@ impl<B: IndexReader> LiveIndex<B> {
         if self.is_pristine() {
             return None;
         }
-        let merged = self.merged_prefix(term, scanned);
-        let take = (scanned as usize).min(merged.origin.len());
-        let mut counts = vec![0u64; merged.parts.len()];
-        for &o in &merged.origin[..take] {
-            counts[o as usize] += 1;
+        let (_, splice) = self.view(term);
+        let delta_taken = splice.at.partition_point(|&a| a < scanned);
+        let mut counts = vec![0u64; splice.parts.len()];
+        counts[0] = scanned.min(splice.df()) - delta_taken as u64;
+        for &(_, part) in &splice.delta[..delta_taken] {
+            counts[part as usize] += 1;
         }
-        let parts = merged.parts.iter().zip(&counts);
+        let parts = splice.parts.iter().zip(&counts);
         Some(
             parts
                 .filter(|&(_, &c)| c > 0)
@@ -578,49 +530,41 @@ impl<B: IndexReader> LiveIndex<B> {
         )
     }
 
-    /// `term`'s merged list with at least `min(len, df)` postings of its
-    /// prefix generated.
-    fn merged_prefix(&self, term: TermId, len: u64) -> RefMut<'_, LazyMerge> {
+    /// `term`'s tombstoned base positions, probed for every base
+    /// tombstone, and its splice, built if a mutation dropped it.
+    fn view(&self, term: TermId) -> (RefMut<'_, Vec<u64>>, RefMut<'_, Splice>) {
         let mut views = self.views.borrow_mut();
         if views.len() >= VIEW_CAP && !views.contains_key(&term) {
             views.clear();
         }
-        RefMut::map(views, |views| {
+        RefMut::map_split(views, |views| {
             let view = views.entry(term).or_default();
             for &doc in &self.base_tombstones[view.tombstones_seen..] {
                 if let Some(pos) = self.base.position_of(term, doc) {
                     let at = view.base_dead.partition_point(|&p| p < pos);
                     view.base_dead.insert(at, pos);
-                    view.merge = None;
+                    view.splice = None;
                 }
             }
             view.tombstones_seen = self.base_tombstones.len();
-            let base_live = self.base.doc_freq(term) - view.base_dead.len() as u64;
-            let merge = view
-                .merge
-                .get_or_insert_with(|| self.merge_delta(term, base_live));
-            merge.extend_to(&self.base, term, &view.base_dead, len);
-            merge
+            let TermView {
+                base_dead, splice, ..
+            } = view;
+            let splice = splice.get_or_insert_with(|| self.splice(term, base_dead));
+            (base_dead, splice)
         })
     }
 
-    /// Positions `[start, end)` of `term`'s merged list (clamped to it).
-    fn merged_range(&self, term: TermId, start: u64, end: u64) -> RefMut<'_, [Posting]> {
-        RefMut::map(self.merged_prefix(term, end), |merged| {
-            let len = merged.postings.len() as u64;
-            &mut merged.postings[start.min(len) as usize..end.min(len) as usize]
-        })
-    }
-
-    /// A fresh merged list for `term`: the delta layers merged, no
-    /// prefix generated yet.
-    fn merge_delta(&self, term: TermId, base_live: u64) -> LazyMerge {
+    /// A fresh splice for `term`: the delta layers merged, and each
+    /// delta posting's merged slot.
+    fn splice(&self, term: TermId, base_dead: &[u64]) -> Splice {
         // Layers in priority order: base, then sealed segments in
         // doc-range order (`self.sealed` is maintained doc-ascending:
         // seals append, compaction outputs re-enter at the front), then
         // the write segment. Doc order — not id order — is what keeps
         // the merge stable across compactions: a merged segment slots in
         // exactly where its inputs were.
+        let base_live = self.base.doc_freq(term) - base_dead.len() as u64;
         let mut parts = vec![(BASE_SEGMENT, base_live)];
         let mut delta = Vec::new();
         let write = self.write.postings(term);
@@ -645,16 +589,16 @@ impl<B: IndexReader> LiveIndex<B> {
         // concatenation is their k-way merge with ties to the earlier
         // layer, each layer's internal order kept.
         delta.sort_by_key(|&(p, _)| std::cmp::Reverse(p.tf));
-        LazyMerge {
-            parts,
-            delta,
-            delta_taken: 0,
-            base_pulled: 0,
-            pending: Vec::new(),
-            pending_taken: 0,
-            postings: Vec::new(),
-            origin: Vec::new(),
+        // A delta posting follows every live base posting of its tf or
+        // more (the base wins ties) and every delta posting before it.
+        let mut at = Vec::with_capacity(delta.len());
+        for run in delta.chunk_by(|a, b| a.0.tf == b.0.tf) {
+            let rank = self.base.tf_rank(term, run[0].0.tf);
+            let live = rank - base_dead.partition_point(|&p| p < rank) as u64;
+            let first = live + at.len() as u64;
+            at.extend(first..first + run.len() as u64);
         }
+        Splice { parts, delta, at }
     }
 
     /// Corruption hook: break WAL monotonicity.
@@ -699,7 +643,7 @@ impl<B: IndexReader> IndexReader for LiveIndex<B> {
         if self.is_pristine() {
             self.base.doc_freq(term)
         } else {
-            self.merged_prefix(term, 0).df()
+            self.view(term).1.df()
         }
     }
 
@@ -707,8 +651,7 @@ impl<B: IndexReader> IndexReader for LiveIndex<B> {
         if self.is_pristine() {
             self.base.postings(term)
         } else {
-            let merged = self.merged_prefix(term, u64::MAX);
-            PostingList::from_sorted(term, merged.postings.clone())
+            PostingList::from_sorted(term, self.postings_range(term, 0, u64::MAX))
         }
     }
 
@@ -717,7 +660,9 @@ impl<B: IndexReader> IndexReader for LiveIndex<B> {
         if self.is_pristine() {
             self.base.postings_range(term, start, end)
         } else {
-            self.merged_range(term, start, end).to_vec()
+            let (mut docs, mut runs) = (Vec::new(), Vec::new());
+            self.runs_range(term, start, end, &mut docs, &mut runs);
+            run_postings(&docs, &runs).collect()
         }
     }
 
@@ -730,9 +675,35 @@ impl<B: IndexReader> IndexReader for LiveIndex<B> {
         runs: &mut Vec<(u32, u32)>,
     ) {
         if self.is_pristine() {
-            self.base.runs_range(term, start, end, docs, runs);
-        } else {
-            append_runs(docs, runs, &self.merged_range(term, start, end));
+            return self.base.runs_range(term, start, end, docs, runs);
+        }
+        // The base's live stretches as its run walker yields them, split
+        // around `base_dead`, each delta posting pushed at its slot.
+        let (base_dead, splice) = self.view(term);
+        let end = end.min(splice.df());
+        let mut m = start.min(end);
+        let mut d = splice.at.partition_point(|&a| a < m);
+        // The base position of the `m − d`th live base posting, and the
+        // first dead position past it.
+        let (mut p, mut j) = (m - d as u64, 0);
+        while base_dead.get(j).is_some_and(|&dead| dead <= p) {
+            (p, j) = (p + 1, j + 1);
+        }
+        while m < end {
+            let next_slot = splice.at.get(d).copied().unwrap_or(u64::MAX);
+            let next_dead = base_dead.get(j).copied().unwrap_or(u64::MAX);
+            if next_slot == m {
+                let (posting, _) = splice.delta[d];
+                docs.push(posting.doc);
+                close_run(runs, docs.len(), posting.tf);
+                (m, d) = (m + 1, d + 1);
+            } else if next_dead == p {
+                (p, j) = (p + 1, j + 1);
+            } else {
+                let n = (next_slot.min(end) - m).min(next_dead - p);
+                self.base.runs_range(term, p, p + n, docs, runs);
+                (m, p) = (m + n, p + n);
+            }
         }
     }
 
@@ -860,9 +831,9 @@ mod tests {
         LiveIndex::new(SyntheticIndex::new(spec), SegmentPolicy::default())
     }
 
-    fn merges_held(live: &LiveIndex<SyntheticIndex>) -> usize {
+    fn splices_held(live: &LiveIndex<SyntheticIndex>) -> usize {
         let views = live.views.borrow();
-        views.values().filter(|v| v.merge.is_some()).count()
+        views.values().filter(|v| v.splice.is_some()).count()
     }
 
     #[test]
@@ -889,19 +860,19 @@ mod tests {
         for t in [0, 1, 7] {
             live.postings_range(t, 0, 10);
         }
-        assert_eq!(merges_held(&live), 3);
-        // An add drops the merges of the terms it mentions, no others.
+        assert_eq!(splices_held(&live), 3);
+        // An add drops the splices of the terms it mentions, no others.
         live.add_document(SimTime::ZERO, &[(7, 3)]);
-        assert_eq!(merges_held(&live), 2);
+        assert_eq!(splices_held(&live), 2);
         // A base-doc delete drops nothing until a term is found to hold it.
         live.delete_document(SimTime::ZERO, 11);
-        assert_eq!(merges_held(&live), 2);
+        assert_eq!(splices_held(&live), 2);
         // A seal moves every delta posting to another layer.
         live.seal(SimTime::ZERO);
-        assert_eq!(merges_held(&live), 0);
+        assert_eq!(splices_held(&live), 0);
         live.postings_range(0, 0, 10);
         // So does losing an ingested doc, whose terms are not recorded.
         live.delete_document(SimTime::ZERO, live.base_docs as DocId);
-        assert_eq!(merges_held(&live), 0);
+        assert_eq!(splices_held(&live), 0);
     }
 }

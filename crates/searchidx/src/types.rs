@@ -167,6 +167,16 @@ pub trait IndexReader {
             .map(|i| i as u64)
     }
 
+    /// How many postings of `term` have tf ≥ `tf`: the position, in
+    /// canonical order, just past every posting a new one of tf `tf`
+    /// would tie with. The default bisects over one-posting reads;
+    /// readers that know their tf curve override it.
+    fn tf_rank(&self, term: TermId, tf: u32) -> u64 {
+        rank_by(self.doc_freq(term), tf, |i| {
+            self.postings_range(term, i, i + 1)[0].tf
+        })
+    }
+
     /// On-disk size of a term's list in bytes.
     fn list_bytes(&self, term: TermId) -> u64 {
         self.doc_freq(term) * POSTING_BYTES
@@ -181,6 +191,21 @@ pub trait IndexReader {
             (1.0 + self.num_docs() as f64 / df as f64).ln()
         }
     }
+}
+
+/// The first position in `[0, df)` whose tf, by the non-increasing
+/// `tf_at`, is below `tf` (`df` when there is none), by bisection.
+pub(crate) fn rank_by(df: u64, tf: u32, tf_at: impl Fn(u64) -> u32) -> u64 {
+    let (mut lo, mut hi) = (0, df);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if tf_at(mid) >= tf {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 #[cfg(test)]

@@ -11,11 +11,14 @@
 //!   lose a live document or resurrect a deleted one, and that the
 //!   `segment-doc-range` / `tombstone-conservation` / `wal-monotonic`
 //!   validators catch planted corruption of each kind.
-//! * **Lazy-view equivalence** — the lazily generated merged view equals
-//!   the whole-list merge it replaced (kept here as [`materialize`]) on
-//!   every reader method, after every step of a random history.
+//! * **Spliced-view equivalence** — the merged view, the base with the
+//!   delta spliced in at tf-ranked slots, equals the whole-list merge it
+//!   replaced (kept here as [`materialize`]) on every reader method,
+//!   after every step of a random history, over an exact and a
+//!   statistical base.
 //! * **Work proportionality** — counted, not timed: a query after a
-//!   mutation asks the base for the postings it scans, not for the list.
+//!   mutation asks the base for the postings it scans, not for the list,
+//!   and re-ranks the delta only when a mutation touched the term.
 
 use std::cell::Cell;
 
@@ -410,7 +413,7 @@ proptest! {
     }
 }
 
-// --- the lazy merged view against the whole-list merge ----------------
+// --- the spliced merged view against the whole-list merge -------------
 
 /// A fully merged list: postings, each posting's index into `parts`, and
 /// `(segment, live df)` per contributing layer.
@@ -425,8 +428,8 @@ struct Materialized {
 /// API: every layer regenerated, tombstone-filtered and k-way merged.
 /// `added` is every document ingested so far (slot, terms); the write
 /// segment's docs are those past the last sealed range.
-fn materialize(
-    live: &LiveIndex<MemIndex>,
+fn materialize<B: IndexReader>(
+    live: &LiveIndex<B>,
     added: &[(DocId, Vec<(TermId, u32)>)],
     term: TermId,
 ) -> Materialized {
@@ -526,71 +529,121 @@ fn wide_base() -> Vec<Vec<TermId>> {
         .collect()
 }
 
+/// One mutation per step, then reads of the step's term checked against
+/// [`materialize`]; at the end, every term in full.
+fn spliced_view_equals_whole_list_merge_over<B: IndexReader>(
+    base: B,
+    steps: Vec<(Op, TermId, u64, u64, u64)>,
+    seal_threshold: u64,
+    fanin: usize,
+) -> Result<(), TestCaseError> {
+    let mut live = LiveIndex::new(base, policy(seal_threshold, fanin));
+    let mut added: Vec<(DocId, Vec<(TermId, u32)>)> = Vec::new();
+    let t0 = SimTime::ZERO;
+    for (op, term, a, b, c) in steps {
+        match op {
+            Op::Add(terms) => {
+                let out = live.add_document(t0, &terms);
+                added.push((out.doc, terms));
+            }
+            // `Delete` picks up to 400: mostly base docs, and the
+            // ingested ones once the history has grown.
+            Op::Delete(pick) => {
+                let doc = (pick as u64 * 7 % live.num_docs()) as DocId;
+                live.delete_document(t0, doc);
+            }
+            Op::Seal => {
+                live.seal(t0);
+            }
+            Op::Compact => {
+                live.compact(t0);
+            }
+        }
+        if live.is_pristine() {
+            prop_assert_eq!(live.split_usage(term, a), None);
+            continue;
+        }
+        // One term per step, so other terms' views live through
+        // several mutations before they are read again. Reads come
+        // in no particular order: a range somewhere in the list
+        // first, then usage splits on either side of it.
+        let want = materialize(&live, &added, term);
+        let df = want.postings.len() as u64;
+        let (start, end) = (a.min(b), a.max(b));
+        prop_assert_eq!(
+            live.postings_range(term, start, end),
+            want.range(start, end)
+        );
+        prop_assert_eq!(live.split_usage(term, c), Some(want.split_usage(c)));
+        prop_assert_eq!(live.doc_freq(term), df);
+        let idf = if df == 0 {
+            0.0
+        } else {
+            (1.0 + live.num_docs() as f64 / df as f64).ln()
+        };
+        prop_assert_eq!(live.idf(term).to_bits(), idf.to_bits());
+        prop_assert_eq!(live.postings_range(term, b, b + c), want.range(b, b + c));
+    }
+    for term in 0..20u32 {
+        let want = materialize(&live, &added, term);
+        let df = want.postings.len() as u64;
+        prop_assert_eq!(live.doc_freq(term), df);
+        for scanned in (0..=df + 1).rev() {
+            let split = live.split_usage(term, scanned);
+            if live.is_pristine() {
+                prop_assert_eq!(split, None);
+            } else {
+                prop_assert_eq!(split, Some(want.split_usage(scanned)), "term {}", term);
+            }
+        }
+        prop_assert_eq!(
+            live.postings(term),
+            PostingList::from_sorted(term, want.postings)
+        );
+    }
+    Ok(())
+}
+
+/// A statistical base of 20 terms whose head tfs run to about ten, so
+/// ingested postings (tf 1–3) land between base runs, and whose lists
+/// hold the deleted base docs.
+fn synthetic_base() -> SyntheticIndex {
+    SyntheticIndex::new(CorpusSpec {
+        docs: 600,
+        vocab: 20,
+        alpha: 1.0,
+        avg_doc_len: 8,
+        seed: 5,
+    })
+}
+
+fn step_strategy() -> impl Strategy<Value = Vec<(Op, TermId, u64, u64, u64)>> {
+    prop::collection::vec(
+        (op_strategy(), 0u32..20, 0u64..140, 0u64..140, 0u64..140),
+        1..60,
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn lazy_view_equals_whole_list_merge(
-        steps in prop::collection::vec(
-            (op_strategy(), 0u32..20, 0u64..140, 0u64..140, 0u64..140),
-            1..60,
-        ),
+    fn spliced_view_equals_whole_list_merge(
+        steps in step_strategy(),
         seal_threshold in 2u64..12,
         fanin in 2usize..5,
     ) {
-        let mut live = LiveIndex::new(
-            MemIndex::from_docs(wide_base()),
-            policy(seal_threshold, fanin),
-        );
-        let mut added: Vec<(DocId, Vec<(TermId, u32)>)> = Vec::new();
-        let t0 = SimTime::ZERO;
-        for (op, term, a, b, c) in steps {
-            match op {
-                Op::Add(terms) => {
-                    let out = live.add_document(t0, &terms);
-                    added.push((out.doc, terms));
-                }
-                // `Delete` picks up to 400: mostly base docs, and the
-                // ingested ones once the history has grown.
-                Op::Delete(pick) => {
-                    let doc = (pick as u64 * 7 % live.num_docs()) as DocId;
-                    live.delete_document(t0, doc);
-                }
-                Op::Seal => { live.seal(t0); }
-                Op::Compact => { live.compact(t0); }
-            }
-            if live.is_pristine() {
-                prop_assert_eq!(live.split_usage(term, a), None);
-                continue;
-            }
-            // One term per step, so other terms' views live through
-            // several mutations before they are read again. Reads come
-            // in no particular order: a range somewhere in the list
-            // first, then usage splits on either side of it.
-            let want = materialize(&live, &added, term);
-            let df = want.postings.len() as u64;
-            let (start, end) = (a.min(b), a.max(b));
-            prop_assert_eq!(live.postings_range(term, start, end), want.range(start, end));
-            prop_assert_eq!(live.split_usage(term, c), Some(want.split_usage(c)));
-            prop_assert_eq!(live.doc_freq(term), df);
-            let idf = if df == 0 { 0.0 } else { (1.0 + live.num_docs() as f64 / df as f64).ln() };
-            prop_assert_eq!(live.idf(term).to_bits(), idf.to_bits());
-            prop_assert_eq!(live.postings_range(term, b, b + c), want.range(b, b + c));
-        }
-        for term in 0..20u32 {
-            let want = materialize(&live, &added, term);
-            let df = want.postings.len() as u64;
-            prop_assert_eq!(live.doc_freq(term), df);
-            for scanned in (0..=df + 1).rev() {
-                let split = live.split_usage(term, scanned);
-                if live.is_pristine() {
-                    prop_assert_eq!(split, None);
-                } else {
-                    prop_assert_eq!(split, Some(want.split_usage(scanned)), "term {}", term);
-                }
-            }
-            prop_assert_eq!(live.postings(term), PostingList::from_sorted(term, want.postings));
-        }
+        let base = MemIndex::from_docs(wide_base());
+        spliced_view_equals_whole_list_merge_over(base, steps, seal_threshold, fanin)?;
+    }
+
+    #[test]
+    fn spliced_view_over_a_synthetic_base_equals_whole_list_merge(
+        steps in step_strategy(),
+        seal_threshold in 2u64..12,
+        fanin in 2usize..5,
+    ) {
+        spliced_view_equals_whole_list_merge_over(synthetic_base(), steps, seal_threshold, fanin)?;
     }
 }
 
@@ -666,10 +719,12 @@ fn position_of_matches_a_linear_scan() {
 
 // --- work proportionality: counts, no wall clock -----------------------
 
-/// A base that counts the postings it is asked to produce.
+/// A base that counts the postings it is asked to produce and the
+/// `tf_rank`s it is asked for.
 struct Counting<B> {
     inner: B,
     asked: Cell<u64>,
+    ranks: Cell<u64>,
 }
 
 impl<B: IndexReader> IndexReader for Counting<B> {
@@ -695,6 +750,10 @@ impl<B: IndexReader> IndexReader for Counting<B> {
     fn position_of(&self, term: TermId, doc: DocId) -> Option<u64> {
         self.inner.position_of(term, doc)
     }
+    fn tf_rank(&self, term: TermId, tf: u32) -> u64 {
+        self.ranks.set(self.ranks.get() + 1);
+        self.inner.tf_rank(term, tf)
+    }
 }
 
 #[test]
@@ -702,41 +761,49 @@ fn a_query_after_a_mutation_pays_for_what_it_scans() {
     let base = Counting {
         inner: SyntheticIndex::new(CorpusSpec::enwiki_like(100_000, 11)),
         asked: Cell::new(0),
+        ranks: Cell::new(0),
     };
     let mut live = LiveIndex::new(base, SegmentPolicy::default());
     let config = TopKConfig::default();
     let processor = TopKProcessor::new(config);
     // What the processor asks for beyond what it scans is at most one
-    // batch; the view rounds its own pulls up by less than that.
+    // batch; the view asks the base for exactly the positions it reads.
     let chunk = config.check_every as u64;
-    let (touched, untouched) = (0u32, 1u32);
+    let (touched, spared) = (0u32, 1u32);
+    // (postings scanned, postings asked of the base, `tf_rank` calls)
     let asked_by = |live: &LiveIndex<Counting<SyntheticIndex>>, term: TermId| {
-        let before = live.base().asked.get();
+        let (asked, ranks) = (live.base().asked.get(), live.base().ranks.get());
         let out = processor.process(live, &[term]);
-        (out.usage[0].scanned, live.base().asked.get() - before)
+        let base = live.base();
+        let ranks = base.ranks.get() - ranks;
+        (out.usage[0].scanned, base.asked.get() - asked, ranks)
     };
 
-    live.add_document(SimTime::ZERO, &[(touched, 3)]);
+    // Both terms get a delta posting, so both splices rank one.
+    live.add_document(SimTime::ZERO, &[(touched, 3), (spared, 2)]);
     live.delete_document(SimTime::ZERO, 17);
-    let (n, asked) = asked_by(&live, touched);
-    assert!(n > 0 && live.base().doc_freq(touched) >= 50 * n, "n = {n}");
-    assert!(
-        asked <= n + 2 * chunk,
-        "scanned {n}, asked the base for {asked}"
-    );
-
-    let (n, asked) = asked_by(&live, untouched);
-    assert!(
-        n > 0 && live.base().doc_freq(untouched) >= 50 * n,
-        "n = {n}"
-    );
-    assert!(
-        asked <= n + 2 * chunk,
-        "scanned {n}, asked the base for {asked}"
-    );
-    // An add that does not mention the term leaves its view alone.
+    let mut scanned = [0; 2];
+    for (i, term) in [touched, spared].into_iter().enumerate() {
+        let (n, asked, ranks) = asked_by(&live, term);
+        assert!(n > 0 && live.base().doc_freq(term) >= 50 * n, "n = {n}");
+        assert!(
+            asked <= n + 2 * chunk,
+            "scanned {n}, asked the base for {asked}"
+        );
+        assert_eq!(ranks, 1, "one delta posting, one rank");
+        scanned[i] = n;
+    }
+    // No merged posting is stored, so a re-query after an add that does
+    // not mention the term asks the base for what it scans again — but
+    // the term's splice outlives the add: nothing is re-ranked.
     live.add_document(SimTime::ZERO, &[(touched, 1), (9, 2)]);
-    let (again, asked) = asked_by(&live, untouched);
-    assert_eq!(again, n);
-    assert_eq!(asked, 0, "an unrelated add must not regenerate the prefix");
+    let (again, asked, ranks) = asked_by(&live, spared);
+    assert_eq!(again, scanned[1]);
+    assert!(
+        asked <= again + 2 * chunk,
+        "scanned {again}, asked the base for {asked}"
+    );
+    assert_eq!(ranks, 0, "an unrelated add must not rebuild the splice");
+    // The term the add mentions is re-ranked: two delta tfs now.
+    assert_eq!(asked_by(&live, touched).2, 2);
 }
