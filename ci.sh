@@ -14,11 +14,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== non-test source size ratchet =="
 # The ROADMAP's measure. Deleting code lowers the ceiling; a change that
-# needs to raise it says why in its own PR. Last raised by 80: the
-# spliced live-index view with `IndexReader::tf_rank` and the capped
-# growth of pinned prefixes (+23 non-test lines), and their unit tests in
-# corpus.rs and blocks.rs (+57), which need private items.
-MAX_SRC_LINES=23671
+# needs to raise it says why in its own PR. Last raised by 188: the
+# accumulator's shut-run path and packed rank, and the doc walk's
+# prime-factor test (+71 non-test lines), and their unit tests in topk.rs
+# and corpus.rs (+117), which need private items (the accumulator, the
+# rank, `doc_walk` and its `gcd` oracle).
+MAX_SRC_LINES=23859
 src_lines=$(find crates -path '*/src/*' -name '*.rs' -print0 | xargs -0 cat | wc -l)
 if [ "$src_lines" -gt "$MAX_SRC_LINES" ]; then
   echo "non-test source is $src_lines lines, above the ratchet of $MAX_SRC_LINES" >&2

@@ -1,7 +1,8 @@
 //! EXPERIMENTS.md's extension tables against the committed sweeps.
 //!
 //! The admission, serving and ingest tables each quote the `csv:` rows of
-//! `results/scale-0.1/ext_{admission,serving,ingest}.txt`, the ingest
+//! `results/scale-0.1/ext_{admission,serving,ingest}.txt`, the admission
+//! prose its drifting-Zipf cuts and its "roughly halves" claim, the ingest
 //! prose its hit-ratio and response figures, and the queue-depth prose
 //! the depth-4 rows of `ext_queue_depth.txt`.
 //! Every number in a cell must be the csv value printed at the precision
@@ -274,6 +275,66 @@ fn ingest_prose_matches_ext_ingest() {
         100.0,
     ];
     check_cell("ingest response", &clause("Mean response grows"), &want);
+}
+
+#[test]
+fn admission_prose_matches_ext_admission() {
+    let csv = Csv::load("ext_admission", "scenario,gate,");
+    let experiments = read("EXPERIMENTS.md");
+    let prose = section(&experiments, "ext_admission");
+    let words = prose.split_whitespace().collect::<Vec<_>>().join(" ");
+    let words = words.replace("**", "");
+    let row = |scenario, gate| csv.row(&[("scenario", scenario), ("gate", gate)]);
+    // The sketch gate's cut in `column` against static CBLRU, in percent,
+    // and its hit-ratio gain in points.
+    let cut = |scenario, column| {
+        let sketch = row(scenario, "sketch_cblru").get(column);
+        100.0 * (1.0 - sketch / row(scenario, "static_cblru").get(column))
+    };
+    let gain = |scenario| {
+        let hit = |gate| row(scenario, gate).get("hit_ratio");
+        100.0 * (hit("sketch_cblru") - hit("static_cblru"))
+    };
+
+    let marker = "largest on drifting-Zipf (";
+    let at = words
+        .find(marker)
+        .unwrap_or_else(|| panic!("no {marker:?}"));
+    let clause = &words[at + marker.len()..];
+    let clause = &clause[..clause.find(')').expect("a closing parenthesis")];
+    let shape = clause.replace(|c: char| c.is_ascii_digit() || c == '.', "");
+    assert_eq!(shape, "− % bytes, − % erases, + pt hit ratio", "{clause:?}");
+    let d = "drifting_zipf";
+    let want = [cut(d, "ssd_bytes_written"), cut(d, "block_erases"), gain(d)];
+    check_cell("admission drifting-Zipf", clause, &want);
+
+    let claim = "roughly halves SSD bytes written and block erasures on every \
+                 scenario at an equal-or-better hit ratio";
+    assert!(words.contains(claim), "no {claim:?}");
+    let scenario_column = csv.column("scenario");
+    let gate_column = csv.column("gate");
+    let sketched: Vec<&str> = csv
+        .rows
+        .iter()
+        .filter(|r| r[gate_column] == "sketch_cblru")
+        .map(|r| r[scenario_column].as_str())
+        .collect();
+    assert_eq!(sketched.len(), 4, "four scenarios");
+    for scenario in sketched {
+        for column in ["ssd_bytes_written", "block_erases"] {
+            let cut = cut(scenario, column);
+            let halved = (40.0..=70.0).contains(&cut);
+            assert!(
+                halved,
+                "{scenario}: the sketch gate cuts {column} by {cut:.1} %"
+            );
+        }
+        let gain = gain(scenario);
+        assert!(
+            gain >= 0.0,
+            "{scenario}: the sketch gate's hit ratio moves {gain:.2} pt"
+        );
+    }
 }
 
 /// The first number printed after `marker` in `text`.

@@ -72,6 +72,9 @@ pub struct SyntheticIndex {
     zipf_norm: f64,
     /// Cached per-term document frequencies (computed once, 8 B per term).
     df: Vec<u64>,
+    /// The distinct prime factors of `spec.docs`: a stride is coprime to
+    /// `docs` iff none of them divides it.
+    docs_primes: Vec<u64>,
 }
 
 impl SyntheticIndex {
@@ -93,6 +96,7 @@ impl SyntheticIndex {
             })
             .collect();
         SyntheticIndex {
+            docs_primes: prime_factors(spec.docs),
             spec,
             zipf_norm,
             df,
@@ -116,13 +120,14 @@ impl SyntheticIndex {
     }
 
     /// `(doc_start, stride)` of `term`'s doc-id walk: position `i` holds
-    /// doc `(doc_start + i·stride) mod docs`, with `gcd(stride, docs) = 1`.
+    /// doc `(doc_start + i·stride) mod docs`, with `gcd(stride, docs) = 1`
+    /// tested as "no prime factor of `docs` divides `stride`".
     fn doc_walk(&self, term: TermId) -> (u64, u64) {
         let mut rng = Rng::new(self.spec.seed ^ (term as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let docs = self.spec.docs;
         let doc_start = rng.next_below(docs);
         let mut stride = rng.next_range(1, docs.max(2) - 1) | 1;
-        while gcd(stride, docs) != 1 {
+        while self.docs_primes.iter().any(|&p| stride % p == 0) {
             stride = (stride + 2) % docs;
             if stride < 2 {
                 stride = 1;
@@ -332,17 +337,37 @@ fn mod_inverse(a: u64, m: u64) -> u64 {
     t0.rem_euclid(m as i128) as u64
 }
 
-fn gcd(mut a: u64, mut b: u64) -> u64 {
-    while b != 0 {
-        (a, b) = (b, a % b);
+/// The distinct prime factors of `n`, ascending (none for 1), by trial
+/// division.
+fn prime_factors(mut n: u64) -> Vec<u64> {
+    let mut primes = Vec::new();
+    let mut p = 2;
+    while p <= n / p {
+        if n % p == 0 {
+            primes.push(p);
+            while n % p == 0 {
+                n /= p;
+            }
+        }
+        p += 1;
     }
-    a
+    if n > 1 {
+        primes.push(n);
+    }
+    primes
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::blocks::append_runs;
+
+    fn gcd(mut a: u64, mut b: u64) -> u64 {
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        a
+    }
 
     fn idx() -> SyntheticIndex {
         SyntheticIndex::new(CorpusSpec::tiny(42))
@@ -662,6 +687,51 @@ mod tests {
             (mean / expected - 1.0).abs() < 0.35,
             "mean tf {mean} vs expected {expected}"
         );
+    }
+
+    /// `doc_walk`'s stride search as Euclid on every candidate: the
+    /// definition the prime-factor test must reproduce.
+    fn doc_walk_by_gcd(idx: &SyntheticIndex, term: TermId) -> (u64, u64) {
+        let mut rng = Rng::new(idx.spec.seed ^ (term as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let docs = idx.spec.docs;
+        let doc_start = rng.next_below(docs);
+        let mut stride = rng.next_range(1, docs.max(2) - 1) | 1;
+        while gcd(stride, docs) != 1 {
+            stride = (stride + 2) % docs;
+            if stride < 2 {
+                stride = 1;
+            }
+        }
+        (doc_start, stride)
+    }
+
+    #[test]
+    fn doc_walk_matches_the_gcd_search() {
+        // Edge sizes, a prime, powers of two and of ten, then the
+        // benchmark workloads' corpora (400 k and 40 k docs, seeds 42, 7).
+        let sizes = [1, 2, 3, 97, 1 << 16, 40_000, 400_000, 999_983, 1_000_000];
+        let sized = sizes.map(|docs| CorpusSpec {
+            docs,
+            vocab: 20_000,
+            ..CorpusSpec::tiny(3)
+        });
+        let workloads =
+            [42, 7].map(|seed| [400_000, 40_000].map(|d| CorpusSpec::enwiki_like(d, seed)));
+        for spec in sized.into_iter().chain(workloads.into_iter().flatten()) {
+            let idx = SyntheticIndex::new(spec);
+            for term in 0..idx.spec.vocab as TermId {
+                let want = doc_walk_by_gcd(&idx, term);
+                assert_eq!(
+                    idx.doc_walk(term),
+                    want,
+                    "{} docs, term {term}",
+                    idx.spec.docs
+                );
+            }
+        }
+        assert_eq!(prime_factors(1), [0u64; 0]);
+        assert_eq!(prime_factors(1_000_000), [2, 5]);
+        assert_eq!(prime_factors(999_983), [999_983]);
     }
 
     #[test]

@@ -109,19 +109,22 @@ impl QueryOutcome {
 /// Nearly every posting a query scores is a doc the table has not seen,
 /// so the insert is what is cheap: a bit test and set in an L1-resident
 /// bitmap (all a reset has to clear), one 8-byte store into a table line
-/// that is never loaded, one compare against the heap root.
+/// that is never loaded. The heap is asked once per run, not per insert:
+/// a new doc scores exactly the run's `delta`, so a run below a full
+/// heap's root is *shut* and its inserts never touch the heap (see
+/// [`ScoreAccumulator::add_shut_run`]).
 ///
-/// The heap is ordered by the *final* comparator `(score desc, doc asc)`
-/// with the worst member at the root. Scores only grow (every
-/// contribution is positive), so an entry inside the heap can only move
-/// away from the root and an entry outside it can only displace the
-/// root: after every [`ScoreAccumulator::add_run`] the heap is exactly
-/// the top-`k` prefix of that total order. The pruning threshold is
-/// therefore the root's score and the result is the sorted heap — the
-/// same values [`TopKProcessor::process_reference`] re-derives with a
-/// selection over the whole `HashMap` at every refresh, ties included.
-/// The order is strict (doc ids are distinct), so membership needs no
-/// back-pointer either: see [`ScoreAccumulator::raise`].
+/// The heap is ordered by the *final* comparator `(score desc, doc asc)`,
+/// one `u64` compare on the packed [`rank`], with the worst member at the
+/// root. Scores only grow (every contribution is positive), so an entry
+/// inside the heap can only move away from the root and an entry outside
+/// it can only displace the root: after every [`ScoreAccumulator::add_run`]
+/// the heap is exactly the top-`k` prefix of that total order. The
+/// pruning threshold is therefore the root's score and the result is the
+/// sorted heap — the same values [`TopKProcessor::process_reference`]
+/// re-derives with a selection over the whole `HashMap` at every refresh,
+/// ties included. The order is strict (doc ids are distinct), so
+/// membership needs no back-pointer ([`ScoreAccumulator::raise`]).
 #[derive(Debug, Clone)]
 struct ScoreAccumulator {
     /// The table: a slot's value is meaningful only under a set `occ` bit.
@@ -134,12 +137,22 @@ struct ScoreAccumulator {
     k: usize,
     /// Copies of the best `min(k, len)` entries: a heap, worst at the root.
     heap: Vec<ScoredDoc>,
+    /// A shut run's raises as `(old, new)`, applied after its inserts.
+    raised: Vec<(ScoredDoc, ScoredDoc)>,
+}
+
+/// `e`'s place in `(score desc, doc asc)` as one integer, larger first:
+/// the bits of a finite, sign-positive `f32` order as its value does, and
+/// `!doc` puts the lower id first among equal scores.
+#[inline]
+fn rank(e: ScoredDoc) -> u64 {
+    (u64::from(e.score.to_bits()) << 32) | u64::from(!e.doc)
 }
 
 /// Whether `a` ranks after `b` in `(score desc, doc asc)`.
 #[inline]
 fn worse(a: ScoredDoc, b: ScoredDoc) -> bool {
-    a.score < b.score || (a.score == b.score && a.doc > b.doc)
+    rank(a) < rank(b)
 }
 
 /// Fibonacci multiply; the high bits are the well-mixed ones.
@@ -163,6 +176,7 @@ impl ScoreAccumulator {
             len: 0,
             k: 0,
             heap: Vec::new(),
+            raised: Vec::new(),
         }
     }
 
@@ -186,14 +200,20 @@ impl ScoreAccumulator {
         self.add_run(std::slice::from_ref(&doc), delta);
     }
 
-    /// Accumulate `delta` (never negative) into every doc of `docs`, in order.
+    /// Accumulate `delta` (finite and sign-positive: it must have a
+    /// [`rank`]) into every doc of `docs`, in order.
     #[inline]
     fn add_run(&mut self, docs: &[DocId], delta: f32) {
+        debug_assert!(delta.is_finite() && delta.is_sign_positive());
         // One capacity check per run: at worst every doc is new.
         while (self.len + docs.len()) * 2 > self.slots.len() {
             self.grow();
         }
         let mask = self.slots.len() - 1;
+        // A full heap's root only improves, so a run below it stays shut.
+        if self.heap.len() == self.k && self.heap.first().is_some_and(|root| delta < root.score) {
+            return self.add_shut_run(docs, delta, mask);
+        }
         for &doc in docs {
             let mut i = hash(doc) & mask;
             // The probe: stop at `doc`'s slot or at the first free one.
@@ -217,6 +237,40 @@ impl ScoreAccumulator {
                 Some(old) => self.raise(old, new),
             }
         }
+    }
+
+    /// [`ScoreAccumulator::add_run`] of a run that no new doc can leave
+    /// the table from. Its inserts touch only the table; the rare raises of
+    /// docs already there reach the heap after the run, in order, and
+    /// meet the roots they would have met inline (nothing else moves the
+    /// heap meanwhile).
+    fn add_shut_run(&mut self, docs: &[DocId], delta: f32, mask: usize) {
+        // Sliced to the mask, so no index below needs a bounds check.
+        let (slots, occ) = (&mut self.slots[..=mask], &mut self.occ[..=mask / 64]);
+        let mut fresh = 0;
+        for &doc in docs {
+            let mut i = hash(doc) & mask;
+            loop {
+                let (word, bit) = (i / 64, 1u64 << (i % 64));
+                if occ[word] & bit == 0 {
+                    occ[word] |= bit;
+                    slots[i] = ScoredDoc { doc, score: delta };
+                    fresh += 1;
+                    break;
+                }
+                if slots[i].doc == doc {
+                    let old = slots[i];
+                    slots[i].score += delta;
+                    self.raised.push((old, slots[i]));
+                    break;
+                }
+                i = (i + 1) & mask;
+            }
+        }
+        self.len += fresh;
+        let mut raised = std::mem::take(&mut self.raised);
+        raised.drain(..).for_each(|(old, new)| self.raise(old, new));
+        self.raised = raised;
     }
 
     /// Admit `entry`, which is outside the heap: while there is room,
@@ -317,11 +371,10 @@ impl ScoreAccumulator {
         }
     }
 
-    /// The top K docs, best first: the heap members under `worse`'s order
-    /// (`total_cmp` is `<` on the finite, non-negative scores there are).
+    /// The top K docs, best first: the heap members by descending rank.
     fn top_k(&self) -> ResultEntry {
         let mut docs = self.heap.clone();
-        docs.sort_unstable_by(|a, b| b.score.total_cmp(&a.score).then(a.doc.cmp(&b.doc)));
+        docs.sort_unstable_by_key(|&d| std::cmp::Reverse(rank(d)));
         ResultEntry { docs }
     }
 }
@@ -1106,10 +1159,29 @@ mod tests {
         }
     }
 
+    /// `acc` against the definition: the free `kth_largest` / `top_k` (a
+    /// `select_nth` over the whole score multiset, a full `(score desc,
+    /// doc asc)` sort truncated to K) over a `HashMap` model, plus the
+    /// audit.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the model map is read only through kth_largest and top_k"
+    )]
+    fn check_against_definition(
+        acc: &ScoreAccumulator,
+        model: &HashMap<DocId, f32>,
+    ) -> Result<(), proptest::error::TestCaseError> {
+        use proptest::prelude::*;
+        prop_assert_eq!(acc.len(), model.len());
+        prop_assert_eq!(acc.kth_largest(), kth_largest(model, acc.k));
+        prop_assert_eq!(acc.top_k(), top_k(model, acc.k));
+        let report = acc.validation_report();
+        prop_assert!(report.is_clean(), "{}", report.summary());
+        Ok(())
+    }
+
     /// Every `add` of `ops` (doc, delta) into `acc`, checked against the
-    /// definition: the free `kth_largest` / `top_k` (a `select_nth` over
-    /// the whole score multiset, a full `(score desc, doc asc)` sort
-    /// truncated to K) over a `HashMap` model, plus the audit.
+    /// definition.
     #[expect(
         clippy::disallowed_types,
         reason = "the model map is read only through kth_largest and top_k"
@@ -1119,20 +1191,20 @@ mod tests {
         k: usize,
         ops: &[(DocId, f32)],
     ) -> Result<(), proptest::error::TestCaseError> {
-        use proptest::prelude::*;
         let mut model: HashMap<DocId, f32> = HashMap::new();
         acc.reset(k);
         for &(doc, delta) in ops {
             acc.add(doc, delta);
             *model.entry(doc).or_insert(0.0) += delta;
-            prop_assert_eq!(acc.len(), model.len());
-            prop_assert_eq!(acc.kth_largest(), kth_largest(&model, k));
-            prop_assert_eq!(acc.top_k(), top_k(&model, k));
-            let report = acc.validation_report();
-            prop_assert!(report.is_clean(), "{}", report.summary());
+            check_against_definition(acc, &model)?;
         }
         Ok(())
     }
+
+    /// How a generated run's delta is picked against the root it meets
+    /// (the drawn quarter step when the heap is not full).
+    const SHUT: u32 = 0;
+    const TIED: u32 = 1;
 
     proptest::proptest! {
         #[test]
@@ -1145,13 +1217,15 @@ mod tests {
             sparse in proptest::prop::collection::vec((0u32..100_000, 0u32..5), 0..300),
             k_first in 0usize..5,
             k_second in 0usize..5,
-            // Runs over few docs: repeats across runs and inside one.
+            // Runs over few docs: repeats across runs and inside one, so
+            // shut runs raise members and non-members alike. `kind` picks
+            // the delta: SHUT below the root, TIED equal to it (with docs
+            // either side of the root's id), else open.
             runs in proptest::prop::collection::vec(
-                (proptest::prop::collection::vec(0u32..600, 0..200), 0u32..5),
+                (proptest::prop::collection::vec(0u32..600, 0..200), 0u32..3, 0u32..5),
                 0..12,
             ),
         ) {
-            use proptest::prelude::*;
             const KS: [usize; 5] = [0, 1, 3, 50, 10_000];
             let ops = |raw: &[(u32, u32)]| -> Vec<(DocId, f32)> {
                 raw.iter().map(|&(doc, q)| (doc, q as f32 * 0.25)).collect()
@@ -1162,22 +1236,66 @@ mod tests {
             check_adds_against_definition(&mut acc, KS[k_second], &ops(&sparse))?;
             check_adds_against_definition(&mut acc, KS[k_first], &ops(&dense))?;
 
-            // `add_run(run, δ)` is `for d in run { add(d, δ) }` (which the
-            // above holds to the definition), though one capacity check per
-            // run may double the table earlier than one per add.
-            let mut by_doc = ScoreAccumulator::with_capacity(4);
+            // `add_run`, held to the definition after every run.
+            #[expect(clippy::disallowed_types, reason = "read only through the check")]
+            let mut model: HashMap<DocId, f32> = HashMap::new();
             acc.reset(KS[k_second]);
-            by_doc.reset(KS[k_second]);
-            for (run, q) in &runs {
-                let delta = *q as f32 * 0.25;
-                acc.add_run(run, delta);
-                run.iter().for_each(|&doc| by_doc.add(doc, delta));
-                prop_assert_eq!(acc.len(), by_doc.len());
-                prop_assert_eq!(acc.kth_largest(), by_doc.kth_largest());
-                prop_assert_eq!(acc.top_k(), by_doc.top_k());
-                let report = acc.validation_report();
-                prop_assert!(report.is_clean(), "{}", report.summary());
+            for (run, kind, q) in &runs {
+                let mut run = run.clone();
+                let full = acc.heap.len() == acc.k;
+                let delta = match acc.heap.first().filter(|_| full) {
+                    Some(root) if *kind == SHUT => (root.score - 0.25 * (q + 1) as f32).max(0.0),
+                    Some(root) if *kind == TIED => {
+                        run.extend([root.doc.saturating_sub(1), root.doc.saturating_add(1)]);
+                        root.score
+                    }
+                    _ => *q as f32 * 0.25,
+                };
+                acc.add_run(&run, delta);
+                for &doc in &run {
+                    *model.entry(doc).or_insert(0.0) += delta;
+                }
+                check_against_definition(&acc, &model)?;
             }
+        }
+    }
+
+    /// The two-clause comparator the packed rank stands for.
+    fn worse_by_fields(a: ScoredDoc, b: ScoredDoc) -> bool {
+        a.score < b.score || (a.score == b.score && a.doc > b.doc)
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn rank_orders_as_score_then_doc(
+            // Every non-negative finite bit pattern (`+0.0` is 0,
+            // subnormals lie below `0x80_0000`), the edges drawn often.
+            a_bits in proptest::prop_oneof![
+                0u32..0x7F80_0000,
+                0u32..0x80_0000,
+                proptest::prelude::Just(0u32),
+                proptest::prelude::Just(0x7F7F_FFFFu32),
+            ],
+            b_bits in 0u32..0x7F80_0000,
+            equal_scores: bool,
+            a_doc in proptest::prop_oneof![
+                proptest::prelude::Just(0u32),
+                proptest::prelude::Just(u32::MAX),
+                proptest::prelude::any::<u32>(),
+            ],
+            b_doc in proptest::prop_oneof![
+                proptest::prelude::Just(0u32),
+                proptest::prelude::Just(u32::MAX),
+                0u32..4,
+                proptest::prelude::any::<u32>(),
+            ],
+        ) {
+            use proptest::prelude::*;
+            let a = ScoredDoc { doc: a_doc, score: f32::from_bits(a_bits) };
+            let b_score = if equal_scores { a.score } else { f32::from_bits(b_bits) };
+            let b = ScoredDoc { doc: b_doc, score: b_score };
+            prop_assert_eq!(worse(a, b), worse_by_fields(a, b), "{:?} vs {:?}", a, b);
+            prop_assert_eq!(worse(b, a), worse_by_fields(b, a), "{:?} vs {:?}", b, a);
         }
     }
 
