@@ -18,8 +18,10 @@ echo "== non-test source size ratchet =="
 # accumulator's shut-run path and packed rank, and the doc walk's
 # prime-factor test (+71 non-test lines), and their unit tests in topk.rs
 # and corpus.rs (+117), which need private items (the accumulator, the
-# rank, `doc_walk` and its `gcd` oracle).
-MAX_SRC_LINES=23859
+# rank, `doc_walk` and its `gcd` oracle). Last lowered by 123: the serving
+# front-end's duplicate re-issues, which no committed load point fired,
+# and `complete_result`'s always-zero return.
+MAX_SRC_LINES=23736
 src_lines=$(find crates -path '*/src/*' -name '*.rs' -print0 | xargs -0 cat | wc -l)
 if [ "$src_lines" -gt "$MAX_SRC_LINES" ]; then
   echo "non-test source is $src_lines lines, above the ratchet of $MAX_SRC_LINES" >&2

@@ -3,7 +3,7 @@
 //! streams at six offered loads (0.4–1.5× the naive tier capacity
 //! calibrated in-run) across three scenarios, each served by a 2-shard ×
 //! 2-replica tier under two front-ends — naive FIFO (one query per
-//! dispatch, no shedding) and batching + deadline shedding + hedging.
+//! dispatch, no shedding) and batching + deadline shedding.
 //! Percentiles are exact order statistics on simulated times.
 //! `serving_equivalence` pins the closed-loop / open-loop-reference
 //! identities and a small-scale witness of the batched arm's win past the
@@ -81,17 +81,12 @@ fn main() {
         ms(deadline)
     );
 
-    let mut batched = OpenLoopConfig::batched(deadline, OVERHEAD, BATCH_MAX);
-    // Deliberately conservative: on a deterministic tier a slow query is
-    // intrinsically expensive, not noisy, so duplicating it can only win
-    // via the other replica's cache. Measured at 1.5x the mean the
-    // trigger fires on ~70% of answered queries with zero wins and drags
-    // the poisson knee from 106.6 to 60.9 qps; at 3x it stays dormant on
-    // this workload and acts as a straggler guardrail.
-    batched.hedge_after = Some(mean_service * 3);
     let arms = [
         ("naive_fifo", OpenLoopConfig::naive_fifo(deadline, OVERHEAD)),
-        ("batched_shed_hedge", batched),
+        (
+            "batched_shed",
+            OpenLoopConfig::batched(deadline, OVERHEAD, BATCH_MAX),
+        ),
     ];
 
     let mut rows = Vec::new();
@@ -123,9 +118,6 @@ fn main() {
                     ms(r.mean_queue_wait),
                     format!("{:.2}", r.mean_batch),
                     r.batches.to_string(),
-                    r.hedges_issued.to_string(),
-                    r.hedges_won.to_string(),
-                    ms(r.hedge_wasted),
                 ]);
             }
             knees.push(vec![
@@ -154,9 +146,6 @@ fn main() {
             "mean_queue_wait_ms",
             "mean_batch",
             "batches",
-            "hedges_issued",
-            "hedges_won",
-            "hedge_wasted_ms",
         ],
         &rows,
     );

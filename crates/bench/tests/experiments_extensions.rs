@@ -2,7 +2,8 @@
 //!
 //! The admission, serving and ingest tables each quote the `csv:` rows of
 //! `results/scale-0.1/ext_{admission,serving,ingest}.txt`, the admission
-//! prose its drifting-Zipf cuts and its "roughly halves" claim, the ingest
+//! prose its drifting-Zipf cuts and its "roughly halves" claim, the
+//! serving prose its calibration, knee, batch and tail figures, the ingest
 //! prose its hit-ratio and response figures, and the queue-depth prose
 //! the depth-4 rows of `ext_queue_depth.txt`.
 //! Every number in a cell must be the csv value printed at the precision
@@ -97,6 +98,38 @@ fn check_cell(context: &str, cell: &str, want: &[f64]) {
     }
 }
 
+/// `csv`, a decimal as a sweep prints it, rounded half-up to `decimals`
+/// places. Formatting the parsed `f64` would round `106.55` (stored as
+/// 106.549…) down to `106.5`.
+fn half_up(csv: &str, decimals: usize) -> String {
+    let (int, frac) = csv.split_once('.').unwrap_or((csv, ""));
+    let digits: u64 = format!("{int}{frac}")
+        .parse()
+        .unwrap_or_else(|e| panic!("csv {csv:?}: {e}"));
+    let kept = match frac.len().checked_sub(decimals) {
+        Some(cut) => {
+            let unit = 10u64.pow(cut as u32);
+            (digits + unit / 2) / unit
+        }
+        None => digits * 10u64.pow((decimals - frac.len()) as u32),
+    };
+    if decimals == 0 {
+        return kept.to_string();
+    }
+    let scale = 10u64.pow(decimals as u32);
+    format!("{}.{:0decimals$}", kept / scale, kept % scale)
+}
+
+/// Assert `printed` is the csv decimal `csv` at `printed`'s precision.
+fn check_printed(context: &str, printed: &str, csv: &str) {
+    let decimals = printed.split_once('.').map_or(0, |(_, f)| f.len());
+    assert_eq!(
+        printed,
+        half_up(csv, decimals),
+        "{context}: the prose prints {printed}, the csv gives {csv}"
+    );
+}
+
 /// One `csv:` block of a sweep's output: a header line and its rows.
 struct Csv {
     header: Vec<String>,
@@ -151,11 +184,15 @@ struct Row<'a> {
     row: &'a [String],
 }
 
-impl Row<'_> {
+impl<'a> Row<'a> {
     fn get(&self, name: &str) -> f64 {
-        let text = &self.row[self.csv.column(name)];
+        let text = self.text(name);
         text.parse()
             .unwrap_or_else(|e| panic!("csv {name} = {text:?}: {e}"))
+    }
+
+    fn text(&self, name: &str) -> &'a str {
+        &self.row[self.csv.column(name)]
     }
 }
 
@@ -196,7 +233,7 @@ fn serving_table_matches_ext_serving() {
         let load = format!("{:.2}", load.parse::<f64>().unwrap());
         let arm = match arm.as_str() {
             "naive" => "naive_fifo",
-            "batched" => "batched_shed_hedge",
+            "batched" => "batched_shed",
             other => panic!("unknown serving arm {other:?}"),
         };
         let scenario = csv_key(scenario);
@@ -208,10 +245,128 @@ fn serving_table_matches_ext_serving() {
         let context = format!("serving {scenario} {load} / {arm}");
         check_cell(&context, goodput, &[row.get("goodput_qps")]);
         check_cell(&context, p99, &[row.get("p99_ms")]);
-        // Every point offers 2 000 arrivals.
-        check_cell(&context, shed, &[row.get("shed") * 100.0 / 2000.0]);
+        let arrivals = row.get("answered") + row.get("shed");
+        check_cell(&context, shed, &[row.get("shed") * 100.0 / arrivals]);
         let misses = row.get("deadline_misses") * 100.0 / row.get("answered");
         check_cell(&context, miss, &[misses]);
+    }
+}
+
+#[test]
+fn serving_prose_matches_ext_serving() {
+    let sweep = Csv::load("ext_serving", "scenario,arm,load_factor,");
+    let knees = Csv::load("ext_serving", "scenario,arm,knee_qps");
+    let experiments = read("EXPERIMENTS.md");
+    let prose = section(&experiments, "ext_serving");
+    let words = prose.split_whitespace().collect::<Vec<_>>().join(" ");
+    let words = words.replace("**", "");
+    // The numbers of the clause from `marker` to the next `)`.
+    let clause = |marker: &str| {
+        let at = words
+            .find(marker)
+            .unwrap_or_else(|| panic!("no {marker:?}"));
+        let rest = &words[at + marker.len()..];
+        numbers(&rest[..rest.find(')').expect("a closing parenthesis")])
+    };
+    let column = |name: &str| sweep.column(name);
+    let value = |text: &str| -> f64 { text.parse().unwrap() };
+    let batched: Vec<&Vec<String>> = sweep
+        .rows
+        .iter()
+        .filter(|r| r[column("arm")] == "batched_shed")
+        .collect();
+
+    // The load grid and the arrivals behind every point.
+    let mut factors: Vec<&str> = sweep
+        .rows
+        .iter()
+        .map(|r| r[column("load_factor")].as_str())
+        .collect();
+    factors.sort_by(|a, b| value(a).total_cmp(&value(b)));
+    factors.dedup();
+    assert_eq!(factors.len(), 6, "{factors:?}");
+    let grid = clause("at six offered loads (");
+    check_printed("load grid", &grid[0], factors[0]);
+    check_printed("load grid", &grid[1], factors[5]);
+    let per_point = clause("CBLRU, ");
+    for r in &sweep.rows {
+        let arrivals = value(&r[column("answered")]) + value(&r[column("shed")]);
+        check_cell("arrivals per point", &per_point[0], &[arrivals]);
+    }
+
+    // The calibration line: service, tier capacity, and the deadline as
+    // a multiple of one replica's per-query cost (2 replicas / capacity).
+    let text = read("results/scale-0.1/ext_serving.txt");
+    let line = text
+        .lines()
+        .find_map(|l| l.strip_prefix("calibration: "))
+        .expect("a calibration line");
+    let fields: Vec<&str> = line.split(' ').collect();
+    let calibration = |name: &str| {
+        let at = fields.iter().position(|f| *f == name);
+        fields[at.unwrap_or_else(|| panic!("no calibration {name}")) + 1]
+    };
+    let service = calibration("mean_service_ms");
+    let capacity = calibration("naive_capacity_qps");
+    let deadline = calibration("deadline_ms");
+    let quoted = clause("What its committed output shows (calibrated mean service ");
+    assert_eq!(quoted.len(), 4, "{quoted:?}");
+    check_printed("calibrated service", &quoted[0], service);
+    check_printed("naive capacity", &quoted[1], capacity);
+    let multiple = value(deadline) * value(capacity) / 2e3;
+    check_cell("deadline multiple", &quoted[2], &[multiple]);
+    check_printed("deadline", &quoted[3], deadline);
+
+    // The poisson knee, shared by both arms.
+    let knee = |arm| knees.row(&[("scenario", "poisson"), ("arm", arm)]);
+    let knee_text = knee("naive_fifo").text("knee_qps");
+    assert_eq!(knee_text, knee("batched_shed").text("knee_qps"));
+    let quoted = clause("Both arms share the knee up to the 0.97-efficiency definition (");
+    check_printed("poisson knee", &quoted[0], knee_text);
+
+    // The batched arm's batch size from its lightest to its heaviest point.
+    let mut batches: Vec<&str> = batched
+        .iter()
+        .map(|r| r[column("mean_batch")].as_str())
+        .collect();
+    batches.sort_by(|a, b| value(a).total_cmp(&value(b)));
+    let quoted = clause("(mean batch ");
+    assert_eq!(quoted.len(), 2, "{quoted:?}");
+    check_printed("smallest mean batch", &quoted[0], batches[0]);
+    check_printed("largest mean batch", &quoted[1], batches[batches.len() - 1]);
+
+    // The batched arm's worst p99, in ms and as a multiple of the deadline.
+    let worst = batched
+        .iter()
+        .map(|r| r[column("p99_ms")].as_str())
+        .max_by(|a, b| value(a).total_cmp(&value(b)))
+        .expect("batched rows");
+    let quoted = clause("its p99 stays under ");
+    assert_eq!(quoted.len(), 2, "{quoted:?}");
+    assert!(value(worst) < value(&quoted[0]), "p99 {worst} ms");
+    check_printed("worst p99", &quoted[0], worst);
+    let ratio = value(worst) / value(deadline);
+    check_cell("worst p99 / deadline", &quoted[1], &[ratio]);
+
+    // From 1.0x on, the batched arm out-serves the naive one everywhere.
+    let claim = "and from 1.0× on its goodput beats the naive arm's at every point";
+    assert!(words.contains(claim), "no {claim:?}");
+    for r in &batched {
+        let load = &r[column("load_factor")];
+        if value(load) < 1.0 {
+            continue;
+        }
+        let scenario = &r[column("scenario")];
+        let naive = sweep.row(&[
+            ("scenario", scenario),
+            ("arm", "naive_fifo"),
+            ("load_factor", load),
+        ]);
+        let goodput = value(&r[column("goodput_qps")]);
+        assert!(
+            goodput > naive.get("goodput_qps"),
+            "{scenario} {load}: batched {goodput} qps"
+        );
     }
 }
 
@@ -409,4 +564,10 @@ fn numbers_reads_printed_figures() {
     assert_eq!(numbers("3 568"), ["3568"]);
     assert!(prints_as("36.1", 0.361_458_364_863_637_75 * 100.0));
     assert!(!prints_as("36.2", 0.361_458_364_863_637_75 * 100.0));
+    assert_eq!(half_up("106.55", 1), "106.6");
+    assert_eq!(half_up("6.48", 1), "6.5");
+    assert_eq!(half_up("1.04", 1), "1.0");
+    assert_eq!(half_up("167.829", 0), "168");
+    assert_eq!(half_up("2000", 0), "2000");
+    assert_eq!(half_up("0.4", 2), "0.40");
 }

@@ -247,17 +247,15 @@ impl<V: Clone, D: BlockDevice> CacheManager<V, D> {
     }
 
     /// Install a freshly computed result (after a miss). Flushes of
-    /// whatever the insertion evicted run in the background; the returned
-    /// duration is the (zero) foreground cost, kept in the signature so
-    /// callers charge a future synchronous-admission variant uniformly.
-    pub fn complete_result(&mut self, id: QueryId, value: V) -> SimDuration {
+    /// whatever the insertion evicted run in the background, so the
+    /// caller is charged no foreground time.
+    pub fn complete_result(&mut self, id: QueryId, value: V) {
         let now = self.now;
         if let Some(ttl) = self.result_ttl.as_mut() {
             ttl.installed(id, now);
         }
         let t = self.admit_result_to_mem(id, value);
         self.stats.ssd_time += t;
-        SimDuration::ZERO
     }
 
     /// L1 insert + selection management over its evictions.

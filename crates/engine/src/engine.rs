@@ -508,8 +508,7 @@ impl SearchEngine {
 
         if let Some(cache) = self.cache.as_mut() {
             cache.device_mut().set_now(self.clock.now());
-            let t = cache.complete_result(query.id, computed);
-            self.clock.advance(t);
+            cache.complete_result(query.id, computed);
         }
         self.situations
             .record(Situation::S8ResultHdd, self.clock.now() - start);

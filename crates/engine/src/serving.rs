@@ -10,17 +10,16 @@
 //!
 //! [`ServingSim`] puts that front-end in front of a replicated
 //! [`SearchCluster`]: a FIFO queue ([`FrontQueue`]), queue-aware
-//! admission (shed queries that are predicted to miss their deadline),
-//! batching into [`SearchCluster::execute_batch`] dispatches, and
-//! hedged re-issues to a second replica for queries whose primary is
-//! slow. Everything runs on virtual time: arrivals carry [`SimTime`]
-//! stamps, service times come from the simulated engines, and the whole
-//! schedule is a deterministic function of the seed.
+//! admission (shed queries that are predicted to miss their deadline)
+//! and batching into [`SearchCluster::execute_batch`] dispatches on the
+//! least-loaded replica. Everything runs on virtual time: arrivals carry
+//! [`SimTime`] stamps, service times come from the simulated engines,
+//! and the whole schedule is a deterministic function of the seed.
 //!
 //! The closed loop stays what it was, [`SearchCluster::run_queries`].
 //! Under [`OpenLoopConfig::reference`] (infinite deadline, batch size 1,
-//! no shedding, no hedging, zero dispatch overhead) the open loop drives
-//! the cluster through the exact same sequence of `execute_batch` calls,
+//! no shedding, zero dispatch overhead) the open loop drives the
+//! cluster through the exact same sequence of `execute_batch` calls,
 //! so the per-query service times and every cumulative shard statistic
 //! are bit-identical — `tests/serving_equivalence.rs` pins this contract
 //! per query.
@@ -63,11 +62,6 @@ pub struct OpenLoopConfig {
     pub batch_max: usize,
     /// Admission policy for queries predicted to miss their deadline.
     pub shed: ShedPolicy,
-    /// Issue a duplicate to a second replica once a query has been
-    /// executing for this long without completing (the classic
-    /// tail-tolerant hedge: the trigger is the query's own slowness,
-    /// not queueing delay ahead of it); `None` disables hedging.
-    pub hedge_after: Option<SimDuration>,
     /// Fixed per-dispatch cost (RPC fan-out, batch assembly) paid once
     /// per batch — the quantity batching amortizes.
     pub dispatch_overhead: SimDuration,
@@ -75,7 +69,7 @@ pub struct OpenLoopConfig {
 
 impl OpenLoopConfig {
     /// The equivalence anchor: infinite deadline, batch size 1, no
-    /// shedding, no hedging, zero overhead. Under this configuration the
+    /// shedding, zero overhead. Under this configuration the
     /// open loop issues the same `execute_batch` calls, in the same
     /// order, as the closed loop, and the per-query service times are
     /// bit-identical to [`SearchCluster::run_queries`].
@@ -84,13 +78,12 @@ impl OpenLoopConfig {
             deadline: None,
             batch_max: 1,
             shed: ShedPolicy::Admit,
-            hedge_after: None,
             dispatch_overhead: SimDuration::ZERO,
         }
     }
 
     /// The naive baseline the paper-style load sweep compares against:
-    /// FIFO, one query per dispatch, no shedding, no hedging.
+    /// FIFO, one query per dispatch, no shedding.
     pub fn naive_fifo(deadline: SimDuration, dispatch_overhead: SimDuration) -> Self {
         OpenLoopConfig {
             deadline: Some(deadline),
@@ -99,8 +92,7 @@ impl OpenLoopConfig {
         }
     }
 
-    /// The optimized arm: batching plus queue-aware shedding (hedging is
-    /// opted into separately via [`OpenLoopConfig::hedge_after`]).
+    /// The optimized arm: batching plus queue-aware shedding.
     pub fn batched(
         deadline: SimDuration,
         dispatch_overhead: SimDuration,
@@ -108,10 +100,9 @@ impl OpenLoopConfig {
     ) -> Self {
         OpenLoopConfig {
             deadline: Some(deadline),
-            dispatch_overhead,
             batch_max,
             shed: ShedPolicy::Drop,
-            ..OpenLoopConfig::reference()
+            dispatch_overhead,
         }
     }
 }
@@ -333,14 +324,10 @@ pub enum Outcome {
     Answered {
         /// When its batch was dispatched to a replica.
         dispatched: SimTime,
-        /// When its response completed (hedge winner if hedged).
+        /// When its response completed.
         completed: SimTime,
-        /// The primary replica's service time for this query.
+        /// The replica's service time for this query.
         service: SimDuration,
-        /// Whether a duplicate was issued to a second replica.
-        hedged: bool,
-        /// Whether the duplicate finished first.
-        hedge_won: bool,
     },
 }
 
@@ -392,13 +379,6 @@ pub struct ServingReport {
     pub batches: u64,
     /// Mean queries per dispatch.
     pub mean_batch: f64,
-    /// Duplicates issued to a second replica.
-    pub hedges_issued: u64,
-    /// Duplicates that finished before their primary.
-    pub hedges_won: u64,
-    /// Replica busy time spent on duplicates that lost (the price of
-    /// hedging; winners' time is useful work).
-    pub hedge_wasted: SimDuration,
     /// Offered load: arrivals over the arrival horizon.
     pub offered_qps: f64,
     /// Goodput: queries answered within deadline over the makespan.
@@ -451,8 +431,8 @@ pub fn detect_knee(points: &[LoadPoint]) -> f64 {
 ///
 /// All replicas are built from the same [`EngineConfig`] and shard
 /// count, so their corpora, logs and initial cache states are
-/// bit-identical; under hedging their caches legitimately diverge
-/// (duplicates warm whichever replica served them).
+/// bit-identical; each query runs on exactly one replica, so their
+/// caches diverge only by which queries each one served.
 #[derive(Debug)]
 pub struct ServingSim {
     replicas: Vec<SearchCluster>,
@@ -539,9 +519,6 @@ impl ServingSim {
         // completion — a deliberate simplification that keeps the
         // estimator deterministic and replica-order independent.
         let mut est_ns = 0.0f64;
-        let mut hedges_issued = 0u64;
-        let mut hedges_won = 0u64;
-        let mut hedge_wasted = SimDuration::ZERO;
         let mut batches = 0u64;
         let mut batched_queries = 0u64;
 
@@ -580,18 +557,9 @@ impl ServingSim {
             } else {
                 now = dispatch_at;
                 let replica = Self::least_loaded(&free_at);
-                let (size, batch_est) = self.dispatch(
-                    now,
-                    replica,
-                    &cfg,
-                    &mut queue,
-                    &mut ledger,
-                    &mut records,
-                    &mut free_at,
-                    &mut hedges_issued,
-                    &mut hedges_won,
-                    &mut hedge_wasted,
-                );
+                let (size, batch_est, finish) =
+                    self.dispatch(now, replica, &cfg, &mut queue, &mut ledger, &mut records);
+                free_at[replica] = finish;
                 batches += 1;
                 batched_queries += size as u64;
                 est_ns = if est_ns == 0.0 {
@@ -611,14 +579,7 @@ impl ServingSim {
         audit!(&ledger, "ServingSim::run(done)");
         self.records = records;
         self.ledger = ledger;
-        self.summarize(
-            arrivals,
-            batches,
-            batched_queries,
-            hedges_issued,
-            hedges_won,
-            hedge_wasted,
-        )
+        self.summarize(arrivals, batches, batched_queries)
     }
 
     /// Index of the replica that frees up first (ties toward the lowest
@@ -690,14 +651,9 @@ impl ServingSim {
     }
 
     /// Drain up to `batch_max` queries into one `execute_batch` dispatch
-    /// on `replica`, then hedge any query whose primary completion lands
-    /// past the hedge delay. Returns the batch size and the observed
-    /// per-query cost (service + amortized overhead, ns) for the
-    /// estimator.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "each argument is one piece of the run loop's local state, borrowed separately"
-    )]
+    /// on `replica`. Returns the batch size, the observed per-query cost
+    /// (service + amortized overhead, ns) for the estimator, and the
+    /// time the replica finishes the batch.
     fn dispatch(
         &mut self,
         at: SimTime,
@@ -706,11 +662,7 @@ impl ServingSim {
         queue: &mut FrontQueue,
         ledger: &mut OutcomeLedger,
         records: &mut [Option<QueryRecord>],
-        free_at: &mut [SimTime],
-        hedges_issued: &mut u64,
-        hedges_won: &mut u64,
-        hedge_wasted: &mut SimDuration,
-    ) -> (usize, f64) {
+    ) -> (usize, f64, SimTime) {
         let mut batch = Vec::with_capacity(cfg.batch_max);
         while batch.len() < cfg.batch_max {
             match queue.pop_front() {
@@ -728,39 +680,7 @@ impl ServingSim {
         let span_ns =
             cfg.dispatch_overhead.as_nanos() + services.iter().map(|s| s.as_nanos()).sum::<u64>();
         for (p, &service) in batch.iter().zip(&services) {
-            let started = t;
             t += service;
-            let c_primary = t;
-            let mut completed = c_primary;
-            let mut hedged = false;
-            let mut hedge_won = false;
-            if let Some(h) = cfg.hedge_after {
-                if self.replicas.len() >= 2 && service > h {
-                    let r2 = Self::hedge_target(free_at, replica);
-                    let s_h = (started + h).max(free_at[r2]);
-                    let c_h_floor = s_h + cfg.dispatch_overhead;
-                    if c_primary > c_h_floor {
-                        let service_h =
-                            self.replicas[r2].execute_batch(std::slice::from_ref(&p.query))[0];
-                        let c_h = c_h_floor + service_h;
-                        hedged = true;
-                        *hedges_issued += 1;
-                        if c_h < c_primary {
-                            completed = c_h;
-                            hedge_won = true;
-                            *hedges_won += 1;
-                        } else {
-                            // The duplicate lost; it is cancelled the
-                            // moment the primary answers, and the time
-                            // it burned until then was pure waste.
-                            *hedge_wasted += c_primary.min(c_h).since(s_h);
-                        }
-                        // First response wins; the loser is cancelled at
-                        // the winner's completion, freeing its replica.
-                        free_at[r2] = c_h.min(c_primary);
-                    }
-                }
-            }
             ledger.answer(p.seq);
             records[p.seq as usize] = Some(QueryRecord {
                 seq: p.seq,
@@ -768,42 +688,16 @@ impl ServingSim {
                 deadline: p.deadline,
                 outcome: Outcome::Answered {
                     dispatched: at,
-                    completed,
+                    completed: t,
                     service,
-                    hedged,
-                    hedge_won,
                 },
             });
         }
-        free_at[replica] = t;
-        (batch.len(), span_ns as f64 / batch.len() as f64)
-    }
-
-    /// The replica a hedge duplicates onto: the least-loaded replica
-    /// other than the primary (ties toward the lowest index).
-    fn hedge_target(free_at: &[SimTime], primary: usize) -> usize {
-        let mut best = usize::MAX;
-        for (i, &t) in free_at.iter().enumerate() {
-            if i == primary {
-                continue;
-            }
-            if best == usize::MAX || t < free_at[best] {
-                best = i;
-            }
-        }
-        best
+        (batch.len(), span_ns as f64 / batch.len() as f64, t)
     }
 
     /// Fold the per-arrival records into a [`ServingReport`].
-    fn summarize(
-        &self,
-        arrivals: &[Arrival],
-        batches: u64,
-        batched_queries: u64,
-        hedges_issued: u64,
-        hedges_won: u64,
-        hedge_wasted: SimDuration,
-    ) -> ServingReport {
+    fn summarize(&self, arrivals: &[Arrival], batches: u64, batched_queries: u64) -> ServingReport {
         let mut responses: Vec<u64> = Vec::new();
         let mut waits_ns = 0u128;
         let mut answered = 0u64;
@@ -856,9 +750,6 @@ impl ServingSim {
             } else {
                 batched_queries as f64 / batches as f64
             },
-            hedges_issued,
-            hedges_won,
-            hedge_wasted,
             offered_qps: workload::offered_qps(arrivals),
             goodput_qps: if makespan_secs == 0.0 {
                 0.0

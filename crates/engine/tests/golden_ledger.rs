@@ -275,8 +275,9 @@ fn cluster_3shard_cblru() {
     d.assert_is(0x2a3c_a788_5b99_9d84);
 }
 
-/// The open-loop front-end past saturation with batching, shedding and
-/// hedging all live: every arrival's record, then every report field.
+/// The open-loop front-end past saturation with batching and shedding
+/// both live: every arrival's record, then every report field. The
+/// constant was recorded on 97f6e93 running this row as written.
 #[test]
 fn open_loop_batched() {
     let cfg = with(cached(CBLRU), |c| c.docs = DOCS / 2);
@@ -289,11 +290,10 @@ fn open_loop_batched() {
         },
     )
     .generate(600);
-    let mut oc = OpenLoopConfig::batched(mean * 4, SimDuration::from_micros(200), 8);
-    oc.hedge_after = Some(mean);
+    let oc = OpenLoopConfig::batched(mean * 4, SimDuration::from_micros(200), 8);
     let mut sim = ServingSim::new(cfg, 2, 2, oc);
     let r = sim.run(&arrivals);
-    assert!(r.shed > 0 && r.hedges_won > 0 && r.mean_batch > 1.0);
+    assert!(r.shed > 0 && r.mean_batch > 1.0);
 
     let mut d = Digest::new();
     for rec in sim.records() {
@@ -309,17 +309,11 @@ fn open_loop_batched() {
                 dispatched,
                 completed,
                 service,
-                hedged,
-                hedge_won,
             } => d.put(&[
                 1,
                 dispatched.as_nanos(),
                 completed.as_nanos(),
                 service.as_nanos(),
-                hedged as u64,
-                hedge_won as u64,
-                // Retired degraded-outcome word, 0 for every record; kept so the constant holds.
-                0,
             ]),
         }
     }
@@ -327,14 +321,9 @@ fn open_loop_batched() {
         r.arrivals,
         r.answered,
         r.shed,
-        // Retired degraded-count word, always 0; kept so the constant holds.
-        0,
         r.deadline_misses,
         r.batches,
         r.mean_batch.to_bits(),
-        r.hedges_issued,
-        r.hedges_won,
-        r.hedge_wasted.as_nanos(),
         r.offered_qps.to_bits(),
         r.goodput_qps.to_bits(),
         r.mean_response.as_nanos(),
@@ -347,5 +336,5 @@ fn open_loop_batched() {
     ]);
     let audit = sim.validation_report();
     assert!(audit.is_clean(), "{}", audit.summary());
-    d.assert_is(0x8776_9bcd_5dec_f910);
+    d.assert_is(0xddb4_d7fe_01d3_a76d);
 }

@@ -34,7 +34,6 @@ fn run_featured() -> ServingSim {
         deadline: Some(mean * 5),
         batch_max: 8,
         shed: ShedPolicy::Drop,
-        hedge_after: Some(mean * 2),
         dispatch_overhead: SimDuration::from_micros(300),
     };
     let mut sim = ServingSim::new(cfg(), 2, 2, oc);

@@ -3,9 +3,9 @@
 //! Two things must hold or the latency-vs-load curves are fiction:
 //! the whole serving schedule is a deterministic function of the seed
 //! (bit-reproducible across runs), and the open loop at its reference
-//! configuration (infinite deadline, batch 1, no shed, no hedge, zero
-//! overhead) produces per-query service times bit-identical to the
-//! closed loop, [`SearchCluster::run_queries`]. On top of those,
+//! configuration (infinite deadline, batch 1, no shed, zero overhead)
+//! produces per-query service times bit-identical to the closed loop,
+//! [`SearchCluster::run_queries`]. On top of those,
 //! conservation properties: offered load bounds goodput, every arrival
 //! gets exactly one outcome, and below the saturation knee a generous
 //! deadline sheds nothing.
@@ -58,13 +58,12 @@ fn run_open(
 }
 
 /// A loaded configuration exercising every front-end feature at once:
-/// tight deadlines, batching, shedding and hedging.
+/// tight deadlines, batching and shedding.
 fn full_featured(mean: SimDuration) -> OpenLoopConfig {
     OpenLoopConfig {
         deadline: Some(mean * 6),
         batch_max: 8,
         shed: ShedPolicy::Drop,
-        hedge_after: Some(mean * 2),
         dispatch_overhead: SimDuration::from_micros(200),
     }
 }
@@ -90,11 +89,8 @@ fn reference_open_loop_services_match_closed_loop_responses() {
     for (i, (rec, a)) in records.iter().zip(&arr).enumerate() {
         let response = closed.execute(&a.query);
         match rec.outcome {
-            Outcome::Answered {
-                service, hedged, ..
-            } => {
+            Outcome::Answered { service, .. } => {
                 assert_eq!(service, response, "service diverged at query {i}");
-                assert!(!hedged, "reference config is plain FIFO");
             }
             Outcome::Shed => panic!("reference config never sheds (query {i})"),
         }
@@ -124,38 +120,6 @@ fn shedding_is_deterministic_and_only_fires_under_overload() {
         hot1.arrivals,
         "every arrival gets one outcome"
     );
-}
-
-#[test]
-fn hedges_are_accounted_and_bounded() {
-    let mean = mean_service(31);
-    let mut oc = full_featured(mean);
-    oc.shed = ShedPolicy::Admit; // keep every query so hedges get chances
-    oc.hedge_after = Some(mean); // aggressive hedging
-    let arr = arrivals(31, 1.3 / mean.as_secs_f64(), 500);
-    let (report, records) = run_open(31, 2, oc, &arr);
-    assert!(
-        report.hedges_issued > 0,
-        "an overloaded 2-replica tier must hedge"
-    );
-    assert!(report.hedges_won <= report.hedges_issued);
-    assert!(report.hedges_issued <= report.answered);
-    let (issued, won) = records
-        .iter()
-        .fold((0u64, 0u64), |(i, w), r| match r.outcome {
-            Outcome::Answered {
-                hedged, hedge_won, ..
-            } => (i + hedged as u64, w + hedge_won as u64),
-            Outcome::Shed => (i, w),
-        });
-    assert_eq!(issued, report.hedges_issued);
-    assert_eq!(won, report.hedges_won);
-    if report.hedges_won < report.hedges_issued {
-        assert!(
-            report.hedge_wasted > SimDuration::ZERO,
-            "losing duplicates burn replica time"
-        );
-    }
 }
 
 #[test]
