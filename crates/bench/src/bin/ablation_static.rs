@@ -39,7 +39,7 @@ fn main() {
     );
     println!(
         "reading: pinning the log-analysis head cuts write traffic (the\n\
-         static set never churns) and erases fall with it; overshooting\n\
-         the fraction leaves too little dynamic room and hit ratio sags."
+         static set never churns) and erases fall with it; on this stable\n\
+         log the hit ratio keeps rising up to a 90 % static share."
     );
 }

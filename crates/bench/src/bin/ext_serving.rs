@@ -159,6 +159,6 @@ fn main() {
          not the front-end — but past it the naive queue grows without bound\n\
          (p99 climbs into seconds, goodput collapses as every answer arrives\n\
          dead) while batching amortizes dispatch overhead exactly when the\n\
-         queue pressures it and shedding keeps p99 bounded near the deadline."
+         queue pressures it and shedding holds p99 to about twice the deadline."
     );
 }

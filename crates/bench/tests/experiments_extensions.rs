@@ -4,8 +4,9 @@
 //! `results/scale-0.1/ext_{admission,serving,ingest}.txt`, the admission
 //! prose its drifting-Zipf cuts and its "roughly halves" claim, the
 //! serving prose its calibration, knee, batch and tail figures, the ingest
-//! prose its hit-ratio and response figures, and the queue-depth prose
-//! the depth-4 rows of `ext_queue_depth.txt`.
+//! prose its hit-ratio and response figures, the queue-depth prose
+//! the depth-4 rows of `ext_queue_depth.txt`, and the ablation table and
+//! TTL bullet the `ablation_*.txt` and `ext_dynamic.txt` rows.
 //! Every number in a cell must be the csv value printed at the precision
 //! the cell uses.
 //! `ci.sh` already diffs those files against fresh runs, so the tables
@@ -550,6 +551,134 @@ fn queue_depth_prose_matches_ext_queue_depth() {
         &occupancy,
         &[hybrid.get("index_mean_occupancy")],
     );
+}
+
+/// The finding cell of EXPERIMENTS.md's ablation-table row for `bin`.
+fn ablation_finding<'a>(experiments: &'a str, bin: &str) -> &'a str {
+    let marker = format!("| `{bin}` | ");
+    let row = experiments
+        .lines()
+        .find_map(|l| l.strip_prefix(&marker))
+        .unwrap_or_else(|| panic!("no ablation row for {bin}"));
+    row.trim_end_matches('|').trim()
+}
+
+/// The column `name` of every row of `csv`, in the order the sweep prints.
+fn column_values(csv: &Csv, name: &str) -> Vec<f64> {
+    let at = csv.column(name);
+    csv.rows.iter().map(|r| r[at].parse().unwrap()).collect()
+}
+
+#[test]
+fn ablations_table_matches_ablation_bins() {
+    let experiments = read("EXPERIMENTS.md");
+    let finding = |bin| ablation_finding(&experiments, bin);
+    let rises = |xs: &[f64]| xs.windows(2).all(|w| w[0] < w[1]);
+    let falls = |xs: &[f64]| xs.windows(2).all(|w| w[0] > w[1]);
+
+    // RB assembly against per-entry writes: the two ratios and both WAs.
+    let csv = Csv::load("ablation_writebuf", "placement,");
+    let entry = csv.row(&[("placement", "per-entry (LRU)")]);
+    let rb = csv.row(&[("placement", "RB-assembled (CBLRU)")]);
+    let text = finding("ablation_writebuf");
+    let (figures, _) = text.split_once(" — ").expect("a finding before the dash");
+    let ratio = |column| entry.get(column) / rb.get(column);
+    let want = [
+        ratio("host_page_writes"),
+        ratio("erases"),
+        entry.get("WA"),
+        rb.get("WA"),
+    ];
+    check_cell("ablation_writebuf", figures, &want);
+
+    // The window: hit ratio climbs over the whole sweep, erases bottom out
+    // at one W and rise again at the last.
+    let csv = Csv::load("ablation_window", "W,");
+    let hits = column_values(&csv, "hit_%");
+    let erases = column_values(&csv, "erases");
+    let windows = column_values(&csv, "W");
+    assert!(rises(&hits), "hit ratio by W: {hits:?}");
+    let lowest = (0..erases.len())
+        .min_by(|&a, &b| erases[a].total_cmp(&erases[b]))
+        .expect("window rows");
+    let last = erases.len() - 1;
+    assert!(falls(&erases[..=lowest]), "erases by W: {erases:?}");
+    assert!(erases[last] > erases[lowest], "erases by W: {erases:?}");
+    let want = [
+        hits[0],
+        hits[last],
+        windows[lowest],
+        erases[0],
+        erases[lowest],
+        windows[last],
+        erases[last],
+    ];
+    check_cell("ablation_window", finding("ablation_window"), &want);
+
+    // TEV 2 against admitting everything, and the thresholds past it.
+    let csv = Csv::load("ablation_tev", "TEV,");
+    let all = csv.row(&[("TEV", "0.00")]);
+    let two = csv.row(&[("TEV", "2.00")]);
+    let cut = 100.0 * (1.0 - two.get("ssd_writes") / all.get("ssd_writes"));
+    let want = [
+        two.get("TEV"),
+        cut,
+        all.get("ssd_writes"),
+        two.get("ssd_writes"),
+        all.get("erases"),
+        two.get("erases"),
+        all.get("hit_%"),
+        two.get("hit_%"),
+    ];
+    let text = finding("ablation_tev");
+    let (figures, _) = text
+        .split_once("; overshooting")
+        .expect("an overshoot clause");
+    check_cell("ablation_tev", figures, &want);
+    let (tevs, hits) = (column_values(&csv, "TEV"), column_values(&csv, "hit_%"));
+    assert!(
+        two.get("hit_%") > all.get("hit_%"),
+        "TEV 2 does not raise hit ratio"
+    );
+    for (tev, hit) in tevs.iter().zip(&hits) {
+        if *tev > 2.0 {
+            assert!(*hit < all.get("hit_%"), "TEV {tev} does not starve L2");
+        }
+    }
+
+    // The static share: monotone in all three columns up to the last row.
+    let csv = Csv::load("ablation_static", "static,");
+    assert!(rises(&column_values(&csv, "hit_%")), "static hit ratio");
+    assert!(falls(&column_values(&csv, "ssd_writes")), "static writes");
+    assert!(falls(&column_values(&csv, "erases")), "static erases");
+    let top = &csv.rows.last().expect("static rows")[csv.column("static")];
+    let top: f64 = top.trim_end_matches('%').parse().unwrap();
+    let text = finding("ablation_static");
+    let claim = "monotonically cuts writes/erases and raises hit ratio up to ";
+    check_cell("ablation_static", &figure_after(text, claim), &[top]);
+
+    // Inclusive against hybrid: twice the writes and twice the erases, to
+    // a tenth.
+    let csv = Csv::load("ablation_scheme", "scheme,");
+    let inclusive = csv.row(&[("scheme", "Inclusive")]);
+    let hybrid = csv.row(&[("scheme", "Hybrid")]);
+    let text = finding("ablation_scheme");
+    assert!(text.starts_with("Inclusive doubles SSD writes and erases;"));
+    for column in ["ssd_writes", "erases"] {
+        let times = inclusive.get(column) / hybrid.get(column);
+        check_cell("ablation_scheme", "2.0", &[times]);
+    }
+
+    // The TTL bullet: the hit ratio without expiry and at a 1 s TTL.
+    let csv = Csv::load("ext_dynamic", "TTL,");
+    let words = experiments.split_whitespace().collect::<Vec<_>>().join(" ");
+    let marker = "at 1 s the hit ratio collapses ";
+    let (_, rest) = words.split_once(marker).expect("the TTL bullet");
+    let want = [
+        csv.row(&[("TTL", "static")]).get("hit_%"),
+        csv.row(&[("TTL", "1s")]).get("hit_%"),
+    ];
+    check_cell("ext_dynamic", &rest[..rest.find('%').unwrap()], &want);
 }
 
 #[test]

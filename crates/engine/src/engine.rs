@@ -7,7 +7,7 @@ use searchidx::{
     CorpusSpec, IndexLayout, IndexReader, LiveIndex, PostingsBackend, QueryOutcome, SyntheticIndex,
     TopKProcessor, RESULT_DOC_BYTES,
 };
-use simclock::{Clock, Histogram, RunningStats, SimDuration, SimTime};
+use simclock::{Clock, RunningStats, SimDuration, SimTime};
 use storagecore::{
     BlockDevice, Extent, Geometry, IoError, IoEvent, IoRequest, IoStats, Lba, NullSink,
     PipelinedDevice, TraceSink, SECTOR_SIZE,
@@ -139,7 +139,6 @@ pub struct SearchEngine {
     clock: Clock,
     situations: SituationTable,
     response: RunningStats,
-    response_hist: Histogram,
     queries_run: u64,
     postings_scanned: u64,
     /// Aggregated block-max accounting from the blocked postings backend
@@ -220,7 +219,6 @@ impl SearchEngine {
             clock: Clock::new(),
             situations: SituationTable::new(),
             response: RunningStats::new(),
-            response_hist: Histogram::new(),
             queries_run: 0,
             postings_scanned: 0,
             block_skips: searchidx::SkipStats::default(),
@@ -552,7 +550,6 @@ impl SearchEngine {
     fn finish(&mut self, start: SimTime) -> SimDuration {
         let response = self.clock.now() - start;
         self.response.push_duration(response);
-        self.response_hist.record_duration(response);
         self.queries_run += 1;
         response
     }
@@ -653,7 +650,6 @@ impl SearchEngine {
             queries,
             elapsed,
             mean_response: self.response.mean_duration(),
-            p99_response: SimDuration::from_nanos(self.response_hist.quantile(0.99)),
             throughput_qps: if elapsed == SimDuration::ZERO {
                 0.0
             } else {
@@ -910,20 +906,6 @@ impl SearchEngine {
         }
     }
 
-    /// The extent of the first `bytes` of one segment's share of a term.
-    fn live_prefix_extent(
-        &self,
-        segment: searchidx::SegmentId,
-        term: u32,
-        bytes: u64,
-    ) -> Option<Extent> {
-        if segment == searchidx::BASE_SEGMENT {
-            Some(self.layout.prefix_extent(term, bytes))
-        } else {
-            self.seg_layouts.get(&segment)?.prefix_extent(term, bytes)
-        }
-    }
-
     /// Charge one term's traversal, layer by layer. Each non-empty part
     /// is an independent cacheable unit keyed by `(segment, term)`; the
     /// write-segment share is RAM-resident and never cached. Cache serves
@@ -967,7 +949,7 @@ impl SearchEngine {
                 }
             } else {
                 out.records.push((Situation::S9ListHdd, SimDuration::ZERO));
-                self.live_prefix_extent(p.segment, term, needed)
+                self.live_range_extent(p.segment, term, 0, needed)
             };
             if let Some(extent) = extent {
                 out.slots.push(slot);
@@ -988,7 +970,6 @@ impl SearchEngine {
     pub fn reset_measurements(&mut self) {
         self.situations = SituationTable::new();
         self.response = RunningStats::new();
-        self.response_hist = Histogram::new();
         self.postings_scanned = 0;
         self.block_skips = searchidx::SkipStats::default();
         self.index_dev.reset_stats();

@@ -73,14 +73,6 @@ impl SegLayout {
             .map(|&(first, sectors, _)| Extent::new(self.base + first, sectors))
     }
 
-    /// The extent covering the first `bytes` of a term's list (whole
-    /// sectors, clamped, at least one).
-    pub fn prefix_extent(&self, term: TermId, bytes: u64) -> Option<Extent> {
-        let full = self.extent(term)?;
-        let sectors = bytes.div_ceil(SECTOR_SIZE as u64).clamp(1, full.sectors);
-        Some(Extent::new(full.lba, sectors))
-    }
-
     /// The extent covering bytes `[from, to)` of a term's list, rounded
     /// outward to whole sectors and clamped.
     pub fn range_extent(&self, term: TermId, from: u64, to: u64) -> Option<Extent> {
@@ -184,9 +176,9 @@ mod tests {
         }
         assert_eq!(l.image_extent(), Extent::new(5_000, cursor - 5_000));
         assert_eq!(l.extent(999), None, "absent term has no extent");
-        // Prefix/range clamp like the base layout.
+        // Ranges clamp like the base layout.
         let t = terms[0];
-        assert_eq!(l.prefix_extent(t, 1).unwrap().sectors, 1);
+        assert_eq!(l.range_extent(t, 0, 1).unwrap().sectors, 1);
         let full = l.extent(t).unwrap();
         assert!(full.contains(&l.range_extent(t, 0, u64::MAX).unwrap()));
     }

@@ -41,8 +41,6 @@ pub struct RunReport {
     pub elapsed: SimDuration,
     /// Mean per-query response time.
     pub mean_response: SimDuration,
-    /// 99th-percentile response time (log₂-bucket upper bound).
-    pub p99_response: SimDuration,
     /// Sustained throughput, queries per second of virtual time.
     pub throughput_qps: f64,
     /// Postings scored (CPU work proxy).
@@ -91,7 +89,6 @@ mod tests {
             queries: 10,
             elapsed: SimDuration::from_secs(1),
             mean_response: SimDuration::from_millis(100),
-            p99_response: SimDuration::from_millis(200),
             throughput_qps: 10.0,
             postings_scanned: 1234,
             cache: None,

@@ -1,16 +1,13 @@
 //! The golden ledger: one committed 64-bit digest per pinned engine
 //! configuration, over every per-query response and every simulated
-//! statistic the engine reports. It is the witness that outlived the
-//! synchronous `Direct` query path: the constants were recorded on the
-//! last commit that had it (depth-1 rows under `Direct`, and unchanged
-//! under `Queued { depth: 1 }` + FIFO; deep rows under `Queued { depth:
-//! 4 }` + elevator, the nearest-first order the queue now always uses)
-//! and must not move unless the change says which figure moved and
-//! why. The deep rows pin depth ≥ 2 on their own, where two-arm lockstep
-//! suites let both arms drift together. `deep_cblru` replaced a row on a
-//! 4-channel cache SSD when the channel model was deleted: it is a new
-//! row for the one-channel device, its constant recorded on the commit
-//! before the deletion, not the old row re-derived.
+//! statistic the engine reports. A constant must not move unless the
+//! change says which figure moved and why. The deep rows pin depth ≥ 2
+//! on their own, where two-arm lockstep suites let both arms drift
+//! together. Every constant but `open_loop_batched`'s was recorded on
+//! 2c2cd54 running this file as written, the commit before the log₂
+//! latency histogram was deleted. That commit also passed the earlier
+//! digest, which hashed the histogram's quantiles and eleven retired
+//! zero words besides these, so no word still hashed moved with it.
 
 use engine::{
     CompactionMode, EngineConfig, IndexMutability, IndexPlacement, LiveConfig, OpenLoopConfig,
@@ -56,11 +53,6 @@ impl Digest {
             q.mean_occupancy().to_bits(),
             q.total_wait().as_nanos(),
             q.max_wait().as_nanos(),
-            // Retired bus-ledger words, 0 in every row; kept so no constant moves.
-            0,
-            0,
-            s.latency_quantile(0.5).as_nanos(),
-            s.latency_quantile(0.99).as_nanos(),
         ]);
     }
 
@@ -68,7 +60,6 @@ impl Digest {
     fn report(&mut self, r: &RunReport) {
         self.put(&[
             r.mean_response.as_nanos(),
-            r.p99_response.as_nanos(),
             r.postings_scanned,
             r.index_ops,
             r.index_mean_latency.as_nanos(),
@@ -94,9 +85,6 @@ impl Digest {
             self.put(&[f.mem_hits, f.ssd_hits, f.partial_hits, f.misses]);
             self.put(&[f.ssd_admissions, f.ssd_rejections, f.rewrites_avoided]);
         }
-        // Retired intersection-family words, 0 in every row; kept so no
-        // constant moves.
-        self.put(&[0; 7]);
         self.put(&[
             c.ssd_time.as_nanos(),
             c.ssd_bytes_written,
@@ -141,9 +129,6 @@ impl Digest {
             m.growth.copied,
             e.mutation_io_time().as_nanos(),
             e.result_digest(),
-            // Retired intersection hit and install words, 0 in every row.
-            0,
-            0,
         ]);
     }
 }
@@ -228,19 +213,19 @@ const CBSLRU: PolicyKind = PolicyKind::Cbslru {
 const COOPERATIVE: CompactionMode = CompactionMode::Cooperative;
 
 ledger! {
-    cblru: cached(CBLRU), 1_000 => 0xa96a_2f18_a803_e950;
-    cbslru_seeded: cached(CBSLRU), 1_000 => 0xaf1e_69ac_4335_a59f;
-    lru: cached(PolicyKind::Lru), 600 => 0xb262_fe15_beae_bc70;
-    cblru_ttl: with(cached(CBLRU), |c| c.cache.as_mut().unwrap().ttl = Some(SimDuration::from_secs(2))), 600 => 0x510a_fc8a_08c5_aa99;
-    uncached_ssd: EngineConfig::no_cache(DOCS, IndexPlacement::Ssd, SEED), 600 => 0xafbd_e524_d450_1b6c;
-    uncached_hdd: hdd(), 600 => 0x56c3_f9f7_fc26_a356;
-    live_cooperative: live(cached(CBLRU), COOPERATIVE), 600 => 0xf899_0d5d_b0b8_bd9e;
-    live_invalidate_all: live(cached(CBLRU), CompactionMode::InvalidateAll), 600 => 0xff44_670c_f0ca_a460;
-    live_uncached: live(hdd(), COOPERATIVE), 600 => 0x04ed_13c6_a37a_b38e;
-    deep_uncached_hdd: deep(hdd()), 600 => 0xe885_a0b4_5264_59c0;
-    deep_cblru: deep(cached(CBLRU)), 1_000 => 0xf615_846c_d13f_093c;
-    deep_lru: deep(cached(PolicyKind::Lru)), 600 => 0xbeab_cfe8_fd6d_3c78;
-    deep_live: deep(live(cached(CBLRU), COOPERATIVE)), 600 => 0x187b_1035_fb11_a1a0;
+    cblru: cached(CBLRU), 1_000 => 0xadd6_8363_54d9_2d36;
+    cbslru_seeded: cached(CBSLRU), 1_000 => 0x9fe6_ea16_7b66_f52d;
+    lru: cached(PolicyKind::Lru), 600 => 0x545a_a943_dbba_b60b;
+    cblru_ttl: with(cached(CBLRU), |c| c.cache.as_mut().unwrap().ttl = Some(SimDuration::from_secs(2))), 600 => 0x3764_ffcb_af94_f393;
+    uncached_ssd: EngineConfig::no_cache(DOCS, IndexPlacement::Ssd, SEED), 600 => 0x53c7_820b_4964_5b2e;
+    uncached_hdd: hdd(), 600 => 0x1fbd_cd23_b971_7e18;
+    live_cooperative: live(cached(CBLRU), COOPERATIVE), 600 => 0xfeeb_7044_126a_02c7;
+    live_invalidate_all: live(cached(CBLRU), CompactionMode::InvalidateAll), 600 => 0xf78d_4727_fd00_ab59;
+    live_uncached: live(hdd(), COOPERATIVE), 600 => 0xbe46_2800_c8ef_aaa1;
+    deep_uncached_hdd: deep(hdd()), 600 => 0xa46e_0125_ffbd_feba;
+    deep_cblru: deep(cached(CBLRU)), 1_000 => 0x8c2c_cb71_4def_b5d6;
+    deep_lru: deep(cached(PolicyKind::Lru)), 600 => 0x50a3_a3fb_6acc_191f;
+    deep_live: deep(live(cached(CBLRU), COOPERATIVE)), 600 => 0x2877_0ff9_af74_193f;
 }
 
 /// The cluster's only witness: with one way to visit the shards there is
@@ -272,7 +257,7 @@ fn cluster_3shard_cblru() {
     }
     let audit = c.validation_report();
     assert!(audit.is_clean(), "{}", audit.summary());
-    d.assert_is(0x2a3c_a788_5b99_9d84);
+    d.assert_is(0x1eb3_5477_5034_3662);
 }
 
 /// The open-loop front-end past saturation with batching and shedding

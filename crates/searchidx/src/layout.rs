@@ -77,18 +77,10 @@ impl IndexLayout {
         Extent::new(self.starts[t], self.starts[t + 1] - self.starts[t])
     }
 
-    /// The extent covering the first `bytes` of a term's list (rounded up
-    /// to whole sectors, clamped to the list's own extent, and at least
-    /// one sector — touching a list always costs a sector).
-    pub fn prefix_extent(&self, term: TermId, bytes: u64) -> Extent {
-        let full = self.extent(term);
-        let sectors = bytes.div_ceil(SECTOR_SIZE as u64).clamp(1, full.sectors);
-        Extent::new(full.lba, sectors)
-    }
-
     /// The extent covering bytes `[from, to)` of a term's list — the tail
-    /// read a cache issues when its prefix already covers `[0, from)`.
-    /// Rounds outward to whole sectors and clamps to the list's extent.
+    /// read a cache issues when its prefix already covers `[0, from)`, or
+    /// the whole scanned prefix when `from` is 0. Rounds outward to whole
+    /// sectors and clamps to the list's extent.
     pub fn range_extent(&self, term: TermId, from: u64, to: u64) -> Extent {
         assert!(from < to, "empty range [{from}, {to})");
         let full = self.extent(term);
@@ -136,14 +128,14 @@ mod tests {
     }
 
     #[test]
-    fn prefix_extents_clamp() {
+    fn leading_range_extents_clamp() {
         let (idx, l) = layout();
         let full = l.extent(0);
-        assert_eq!(l.prefix_extent(0, 0).sectors, 1, "floor of one sector");
-        assert_eq!(l.prefix_extent(0, 512).sectors, 1);
-        assert_eq!(l.prefix_extent(0, 513).sectors, 2);
+        assert_eq!(l.range_extent(0, 0, 1).sectors, 1, "one byte, one sector");
+        assert_eq!(l.range_extent(0, 0, 512).sectors, 1);
+        assert_eq!(l.range_extent(0, 0, 513).sectors, 2);
         let big = idx.list_bytes(0) * 10;
-        assert_eq!(l.prefix_extent(0, big), full, "clamped to the full list");
+        assert_eq!(l.range_extent(0, 0, big), full, "clamped to the full list");
     }
 
     #[test]

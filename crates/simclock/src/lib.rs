@@ -19,5 +19,5 @@ pub mod time;
 
 pub use dist::Zipf;
 pub use rng::Rng;
-pub use stats::{quantile_exact, Histogram, RunningStats};
+pub use stats::{quantile_exact, RunningStats};
 pub use time::{Clock, SimDuration, SimTime};

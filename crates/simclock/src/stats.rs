@@ -1,6 +1,5 @@
-//! Lightweight statistics accumulators shared by the simulators and the
-//! benchmark harness: running mean/variance, percentiles via a fixed-layout
-//! log-scale histogram, and exact order statistics.
+//! Lightweight statistics shared by the simulators and the benchmark
+//! harness: running mean/variance and exact order statistics.
 
 use crate::time::SimDuration;
 
@@ -89,95 +88,12 @@ impl RunningStats {
     }
 }
 
-/// Log₂-bucketed histogram of non-negative integer observations (typically
-/// nanoseconds). 64 buckets cover the entire `u64` range; relative error of
-/// a reported percentile is bounded by one octave, which is plenty for
-/// latency *shapes*.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    buckets: [u64; 65],
-    count: u64,
-    sum: u128,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Histogram {
-    /// Empty histogram.
-    pub fn new() -> Self {
-        Histogram {
-            buckets: [0; 65],
-            count: 0,
-            sum: 0,
-        }
-    }
-
-    #[inline]
-    fn bucket_of(x: u64) -> usize {
-        if x == 0 {
-            0
-        } else {
-            (64 - x.leading_zeros()) as usize
-        }
-    }
-
-    /// Record an observation.
-    pub fn record(&mut self, x: u64) {
-        self.buckets[Self::bucket_of(x)] += 1;
-        self.count += 1;
-        self.sum += x as u128;
-    }
-
-    /// Record a duration in nanoseconds.
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_nanos());
-    }
-
-    /// Observation count.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Exact mean of recorded values (histogram keeps the true sum).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Approximate value at quantile `q` in `[0,1]` — returns the upper
-    /// bound of the bucket containing the q-th observation.
-    pub fn quantile(&self, q: f64) -> u64 {
-        assert!((0.0..=1.0).contains(&q));
-        if self.count == 0 {
-            return 0;
-        }
-        let target = ((self.count as f64) * q).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return if i == 0 { 0 } else { 1u64 << i.min(63) };
-            }
-        }
-        u64::MAX
-    }
-}
-
 /// Exact quantile of a sample set by partial selection: the element at
 /// rank `ceil(q·n) - 1` (the classic "nearest-rank" definition, so
-/// `q = 0.99` over 100 samples is the 99th smallest). The log-scale
-/// [`Histogram`] answers the same question with one-octave error, which
-/// is fine for latency *shapes* but too coarse to compare two serving
-/// arms whose p99s differ by less than 2x — the open-loop latency-vs-load
-/// curves need the exact order statistic. `O(n)` via `select_nth_unstable`;
-/// reorders `samples` in place. Returns 0 on an empty slice.
+/// `q = 0.99` over 100 samples is the 99th smallest). Every percentile
+/// the simulator reports is this order statistic. `O(n)` via
+/// `select_nth_unstable`; reorders `samples` in place. Returns 0 on an
+/// empty slice.
 pub fn quantile_exact(samples: &mut [u64], q: f64) -> u64 {
     assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
     if samples.is_empty() {
@@ -217,38 +133,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_mean_is_exact() {
-        let mut h = Histogram::new();
-        for x in [10u64, 20, 30, 40] {
-            h.record(x);
-        }
-        assert!((h.mean() - 25.0).abs() < 1e-12);
-        assert_eq!(h.count(), 4);
-    }
-
-    #[test]
-    fn histogram_quantiles_are_octave_bounded() {
-        let mut h = Histogram::new();
-        for x in 1..=1000u64 {
-            h.record(x);
-        }
-        let p50 = h.quantile(0.5);
-        // True median 500; bucket upper bound must be within one octave.
-        assert!((256..=1024).contains(&p50), "p50 = {p50}");
-        let p100 = h.quantile(1.0);
-        assert!(p100 >= 1000, "p100 = {p100}");
-    }
-
-    #[test]
-    fn histogram_zero_and_max() {
-        let mut h = Histogram::new();
-        h.record(0);
-        h.record(u64::MAX);
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.quantile(0.25), 0);
-    }
-
-    #[test]
     fn quantile_exact_is_the_nearest_rank_order_statistic() {
         let mut xs: Vec<u64> = (1..=1000).rev().collect();
         assert_eq!(quantile_exact(&mut xs, 0.5), 500);
@@ -261,29 +145,10 @@ mod tests {
     }
 
     #[test]
-    fn quantile_exact_refines_the_histogram_bound() {
-        // Same data, same question: the histogram may only answer to the
-        // enclosing octave; the exact quantile must land inside it.
-        let mut h = Histogram::new();
-        let mut xs = Vec::new();
-        for x in 1..=1000u64 {
-            h.record(x);
-            xs.push(x);
-        }
-        let exact = quantile_exact(&mut xs, 0.99);
-        assert_eq!(exact, 990);
-        assert!(h.quantile(0.99) >= exact);
-        assert!(h.quantile(0.99) <= exact * 2);
-    }
-
-    #[test]
     fn duration_helpers() {
         let mut s = RunningStats::new();
         s.push_duration(SimDuration::from_micros(10));
         s.push_duration(SimDuration::from_micros(20));
         assert_eq!(s.mean_duration(), SimDuration::from_micros(15));
-        let mut h = Histogram::new();
-        h.record_duration(SimDuration::from_micros(10));
-        assert_eq!(h.count(), 1);
     }
 }

@@ -1,6 +1,6 @@
 //! Per-device I/O accounting.
 
-use simclock::{Histogram, SimDuration};
+use simclock::SimDuration;
 
 use crate::types::IoKind;
 
@@ -117,7 +117,6 @@ pub struct IoStats {
     read: KindStats,
     write: KindStats,
     trim: KindStats,
-    latency_hist: Histogram,
     queue: QueueDepthStats,
 }
 
@@ -137,7 +136,6 @@ impl IoStats {
         k.ops += 1;
         k.sectors += sectors;
         k.busy += latency;
-        self.latency_hist.record_duration(latency);
     }
 
     /// Record one dispatch through the submission queue.
@@ -183,11 +181,6 @@ impl IoStats {
         } else {
             self.total_busy() / n
         }
-    }
-
-    /// Approximate latency quantile over all requests (log₂ buckets).
-    pub fn latency_quantile(&self, q: f64) -> SimDuration {
-        SimDuration::from_nanos(self.latency_hist.quantile(q))
     }
 
     /// Zero everything.
@@ -246,18 +239,5 @@ mod tests {
         assert_eq!(s.queue().busy(), SimDuration::from_micros(20));
         s.reset();
         assert_eq!(s.queue(), &QueueDepthStats::default());
-    }
-
-    #[test]
-    fn quantile_reflects_distribution() {
-        let mut s = IoStats::new();
-        for _ in 0..90 {
-            s.record(IoKind::Read, 1, SimDuration::from_micros(10));
-        }
-        for _ in 0..10 {
-            s.record(IoKind::Read, 1, SimDuration::from_millis(2));
-        }
-        assert!(s.latency_quantile(0.5) < SimDuration::from_micros(33));
-        assert!(s.latency_quantile(0.99) >= SimDuration::from_millis(1));
     }
 }

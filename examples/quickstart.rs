@@ -27,7 +27,6 @@ fn main() {
     println!("{}", report.summary());
     println!();
     println!("mean response time : {}", report.mean_response);
-    println!("p99 response time  : {}", report.p99_response);
     println!(
         "throughput         : {:.1} queries/s",
         report.throughput_qps

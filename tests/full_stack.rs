@@ -20,7 +20,6 @@ fn report_internal_consistency_for_every_policy() {
 
         assert_eq!(r.queries, 1_200, "{label}");
         assert!(r.throughput_qps > 0.0, "{label}");
-        assert!(r.mean_response <= r.p99_response, "{label}");
 
         // Cache stats must account for every query exactly once at the
         // result level.
