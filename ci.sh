@@ -18,11 +18,13 @@ echo "== non-test source size ratchet =="
 # accumulator's shut-run path and packed rank, and the doc walk's
 # prime-factor test (+71 non-test lines), and their unit tests in topk.rs
 # and corpus.rs (+117), which need private items (the accumulator, the
-# rank, `doc_walk` and its `gcd` oracle). Last lowered by 193: the log₂
-# latency histogram, `RunReport::p99_response` and
-# `IoStats::latency_quantile`, which no bin, figure or benchmark metric
-# read, and the two `prefix_extent`s, which `range_extent(t, 0, b)` covers.
-MAX_SRC_LINES=23543
+# rank, `doc_walk` and its `gcd` oracle). Last lowered by 26: the cache
+# tiers' side maps (`MemResultCache::map`, `MemListCache::map`, the
+# dynamic half of `ListStore::entries`) and their `list-map-agree`,
+# `list-link-count` and `lru-map-agree` validators went when the recency
+# list took ownership of its entries (-37 non-test lines, +11 in the
+# `lru`/`segmented` unit tests, which now check the values they carry).
+MAX_SRC_LINES=23517
 src_lines=$(find crates -path '*/src/*' -name '*.rs' -print0 | xargs -0 cat | wc -l)
 if [ "$src_lines" -gt "$MAX_SRC_LINES" ]; then
   echo "non-test source is $src_lines lines, above the ratchet of $MAX_SRC_LINES" >&2

@@ -16,7 +16,7 @@ fn bench_lru_list(c: &mut Criterion) {
     g.bench_function("touch_hot_1k", |b| {
         let mut l = LruList::new();
         for k in 0..1_000u32 {
-            l.insert_mru(k);
+            l.insert_mru(k, ());
         }
         let mut rng = Rng::new(1);
         b.iter(|| {
@@ -28,7 +28,7 @@ fn bench_lru_list(c: &mut Criterion) {
         let mut l = LruList::new();
         let mut next = 0u32;
         b.iter(|| {
-            l.insert_mru(next);
+            l.insert_mru(next, ());
             next = next.wrapping_add(1);
             if l.len() > 1_000 {
                 black_box(l.pop_lru());
@@ -43,9 +43,9 @@ fn bench_segmented(c: &mut Criterion) {
     g.bench_function("best_in_window_w8", |b| {
         let mut s = SegmentedLru::new(8);
         for k in 0..1_000u32 {
-            s.insert_mru(k);
+            s.insert_mru(k, ());
         }
-        b.iter(|| black_box(s.best_in_replace_first(|&k| k)));
+        b.iter(|| black_box(s.best_in_replace_first(|&k, _| k)));
     });
     g.finish();
 }
@@ -124,7 +124,7 @@ fn bench_victim_selection(c: &mut Criterion) {
                             },
                         );
                     }
-                    m.drain_evicted();
+                    while m.pop_evicted().is_some() {}
                 }
                 black_box(m.len())
             },

@@ -44,7 +44,8 @@ fn main() {
     );
     println!(
         "reading: a moderate TEV sheds the low-value tail (most rejected\n\
-         lists would never be re-hit) and cuts erases with little hit-ratio\n\
-         cost; an aggressive TEV starts starving the L2."
+         lists would never be re-hit): erases fall to zero and the hit\n\
+         ratio rises; an aggressive TEV (4 and up) starves the L2 and the\n\
+         hit ratio falls below admitting everything."
     );
 }

@@ -661,6 +661,7 @@ fn ablations_table_matches_ablation_bins() {
     // a tenth.
     let csv = Csv::load("ablation_scheme", "scheme,");
     let inclusive = csv.row(&[("scheme", "Inclusive")]);
+    let exclusive = csv.row(&[("scheme", "Exclusive")]);
     let hybrid = csv.row(&[("scheme", "Hybrid")]);
     let text = finding("ablation_scheme");
     assert!(text.starts_with("Inclusive doubles SSD writes and erases;"));
@@ -668,6 +669,28 @@ fn ablations_table_matches_ablation_bins() {
         let times = inclusive.get(column) / hybrid.get(column);
         check_cell("ablation_scheme", "2.0", &[times]);
     }
+    // Exclusive against hybrid: pages written and blocks erased, each with
+    // its excess in percent, and the two hit ratios, the exclusive lower.
+    let (_, clause) = text
+        .split_once("; exclusive ")
+        .expect("an exclusive clause");
+    let (clause, _) = clause.split_once("; hybrid ").expect("a hybrid clause");
+    let excess = |column| 100.0 * (exclusive.get(column) / hybrid.get(column) - 1.0);
+    let want = [
+        exclusive.get("ssd_writes"),
+        hybrid.get("ssd_writes"),
+        excess("ssd_writes"),
+        exclusive.get("erases"),
+        hybrid.get("erases"),
+        excess("erases"),
+        exclusive.get("hit_%"),
+        hybrid.get("hit_%"),
+    ];
+    check_cell("ablation_scheme exclusive", clause, &want);
+    assert!(
+        clause.contains("at a lower hit ratio") && exclusive.get("hit_%") < hybrid.get("hit_%"),
+        "exclusive's hit ratio against hybrid's: {clause:?}"
+    );
 
     // The TTL bullet: the hit ratio without expiry and at a 1 s TTL.
     let csv = Csv::load("ext_dynamic", "TTL,");

@@ -19,7 +19,7 @@ use crate::lru::LruList;
 /// A bounded, payload-free LRU of recently dismissed keys.
 #[derive(Debug, Clone)]
 pub struct GhostCache<K> {
-    list: LruList<K>,
+    list: LruList<K, ()>,
     capacity: usize,
     /// Incrementally maintained member count, cross-checked by
     /// [`Validate`] against the list's own bookkeeping.
@@ -74,7 +74,7 @@ impl<K: Eq + Hash + Clone + Debug> GhostCache<K> {
         if self.capacity == 0 {
             return;
         }
-        if self.list.touch(&key) {
+        if self.list.touch(&key).is_some() {
             audit!(self, "GhostCache::record(refresh)");
             return;
         }
@@ -83,7 +83,7 @@ impl<K: Eq + Hash + Clone + Debug> GhostCache<K> {
             self.members -= 1;
             self.evictions += 1;
         }
-        self.list.insert_mru(key);
+        self.list.insert_mru(key, ());
         self.members += 1;
         audit!(self, "GhostCache::record");
     }
@@ -93,7 +93,7 @@ impl<K: Eq + Hash + Clone + Debug> GhostCache<K> {
     /// single-shot — evidence spent is evidence gone, so a scan cannot
     /// ride one stale ghost forever.
     pub fn take(&mut self, key: &K) -> bool {
-        if self.list.remove(key) {
+        if self.list.remove(key).is_some() {
             self.members -= 1;
             self.hits += 1;
             audit!(self, "GhostCache::take");

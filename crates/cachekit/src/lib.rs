@@ -4,8 +4,9 @@
 //! set of primitives, kept here so the baseline LRU and the proposed
 //! CBLRU/CBSLRU share identical bookkeeping and differ *only* in policy:
 //!
-//! * [`LruList`] — an order-maintaining list with O(1) touch / insert /
-//!   remove, backed by a slab and a hash index;
+//! * [`LruList`] — an order-maintaining map with O(1) touch / insert /
+//!   remove, backed by a slab whose nodes own their values and one hash
+//!   index;
 //! * [`SegmentedLru`] — an [`LruList`] split into the paper's **Working
 //!   Region** and **Replace-First Region** of window `W` (Figs. 11 & 13);
 //! * [`ByteBudget`] — capacity accounting for variable-sized entries;
@@ -16,10 +17,12 @@
 //!
 //! The caches themselves — the L1 result and list caches and the SSD
 //! stores — live in `hybridcache`, each an [`LruList`] or a
-//! [`SegmentedLru`] beside its own entry map. Structures here that keep
-//! redundant bookkeeping ([`GhostCache`], [`FreqSketch`]) implement
-//! [`invariant::Validate`], so debug builds can audit it against a
-//! from-scratch recount at each mutation boundary.
+//! [`SegmentedLru`] that holds its entries; a store keeps a map beside
+//! its list only for what the list does not hold (pinned entries, and
+//! the result store's query table, whose list is over result blocks).
+//! Structures here that keep redundant bookkeeping ([`GhostCache`],
+//! [`FreqSketch`]) implement [`invariant::Validate`], so debug builds can
+//! audit it against a from-scratch recount at each mutation boundary.
 
 pub mod budget;
 pub mod ghost;

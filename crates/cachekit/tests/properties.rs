@@ -14,15 +14,14 @@ proptest! {
         let mut seg = SegmentedLru::new(window);
         let mut order: Vec<u16> = Vec::new(); // LRU first
         for k in keys {
-            if seg.contains(&k) {
-                seg.touch(&k);
+            if seg.touch(&k).is_some() {
                 order.retain(|&x| x != k);
                 order.push(k);
             } else {
-                seg.insert_mru(k);
+                seg.insert_mru(k, ());
                 order.push(k);
             }
-            let region: Vec<u16> = seg.iter_replace_first().copied().collect();
+            let region: Vec<u16> = seg.iter_replace_first().map(|(&k, _)| k).collect();
             let expect: Vec<u16> = order.iter().take(window).copied().collect();
             prop_assert_eq!(region, expect);
         }
@@ -52,10 +51,10 @@ proptest! {
     ) {
         let mut l = LruList::new();
         for k in 0..n {
-            l.insert_mru(k);
+            l.insert_mru(k, k + 1);
         }
         for k in 0..n {
-            prop_assert_eq!(l.pop_lru(), Some(k));
+            prop_assert_eq!(l.pop_lru(), Some((k, k + 1)));
         }
         prop_assert!(l.is_empty());
     }

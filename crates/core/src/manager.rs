@@ -265,7 +265,7 @@ impl<V: Clone, D: BlockDevice> CacheManager<V, D> {
             // Inclusive: the SSD gets a copy up front.
             latency += self.flush_result(id, value.clone(), 1);
         }
-        for (qid, v, freq) in self.mem_rc.insert(id, value) {
+        if let Some((qid, v, freq)) = self.mem_rc.insert(id, value) {
             latency += self.flush_result(qid, v, freq);
         }
         latency
@@ -331,7 +331,7 @@ impl<V: Clone, D: BlockDevice> CacheManager<V, D> {
         if covered_mem.is_some_and(|si| si >= needed_bytes) {
             // Fully in memory: S2.
             self.mem_ic.touch(term, needed_bytes, observed_pu);
-            self.flush_touch_evictions();
+            self.flush_mem_list_evictions();
             self.stats.lists.mem_hits += 1;
             self.admission.record_list_access(term, true);
             serve.from_mem = needed_bytes;
@@ -368,7 +368,7 @@ impl<V: Clone, D: BlockDevice> CacheManager<V, D> {
         if covered_mem.is_some() {
             // Grow the memory copy to the target.
             self.mem_ic.touch(term, target, observed_pu);
-            self.flush_touch_evictions();
+            self.flush_mem_list_evictions();
         }
         self.classify_list_hit(&serve);
         self.admission.record_list_access(term, serve.from_hdd == 0);
@@ -391,15 +391,13 @@ impl<V: Clone, D: BlockDevice> CacheManager<V, D> {
         serve
     }
 
-    /// Flush (in the background) the entries a prefix-growth touch
-    /// displaced from the memory list cache.
-    fn flush_touch_evictions(&mut self) {
-        let displaced = self.mem_ic.drain_evicted();
-        let mut t = SimDuration::ZERO;
-        for (term, meta) in displaced {
-            t += self.flush_list(term, meta);
+    /// Flush (in the background) the entries the memory list cache
+    /// displaced — SM decisions in selection order.
+    fn flush_mem_list_evictions(&mut self) {
+        while let Some((term, meta)) = self.mem_ic.pop_evicted() {
+            let t = self.flush_list(term, meta);
+            self.stats.ssd_time += t;
         }
-        self.stats.ssd_time += t;
     }
 
     fn classify_list_hit(&mut self, serve: &ListServe) {
@@ -414,25 +412,18 @@ impl<V: Clone, D: BlockDevice> CacheManager<V, D> {
     }
 
     /// L1 list insert + selection management over its evictions.
-    fn admit_list_to_mem(&mut self, term: TermKey, meta: ListMeta) -> SimDuration {
+    fn admit_list_to_mem(&mut self, term: TermKey, meta: ListMeta) {
         let mut latency = SimDuration::ZERO;
         if self.config.scheme == CachingScheme::Inclusive {
             latency += self.flush_list(term, meta);
         }
-        match self.mem_ic.insert(term, meta) {
-            Ok(evicted) => {
-                for (t, m) in evicted {
-                    latency += self.flush_list(t, m);
-                }
-            }
-            Err(rejected) => {
-                // Larger than the whole memory cache: treat as an eviction
-                // of itself — flush straight to SSD.
-                latency += self.flush_list(term, rejected);
-            }
+        if let Err(rejected) = self.mem_ic.insert(term, meta) {
+            // Larger than the whole memory cache: treat as an eviction of
+            // itself — flush straight to SSD.
+            latency += self.flush_list(term, rejected);
         }
         self.stats.ssd_time += latency;
-        latency
+        self.flush_mem_list_evictions();
     }
 
     /// SM decision for one evicted list (Formulas 1 & 2 + TEV).

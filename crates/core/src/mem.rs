@@ -9,7 +9,7 @@
 //!   region** (Fig. 12) — recency bounds the candidates, efficiency picks
 //!   among them.
 
-use fxmap::FxHashMap;
+use std::collections::VecDeque;
 
 use cachekit::{ByteBudget, LruList, SegmentedLru};
 use invariant::{audit, Report, Validate};
@@ -32,8 +32,7 @@ pub struct MemResult<V> {
 /// [`RESULT_ENTRY_BYTES`], so its byte capacity is an entry count.
 #[derive(Debug, Clone)]
 pub struct MemResultCache<V> {
-    lru: LruList<QueryId>,
-    map: FxHashMap<QueryId, MemResult<V>>,
+    lru: LruList<QueryId, MemResult<V>>,
     /// Entries that fit: `⌊capacity_bytes / RESULT_ENTRY_BYTES⌋`.
     capacity: usize,
 }
@@ -43,103 +42,73 @@ impl<V> MemResultCache<V> {
     pub fn new(capacity_bytes: u64) -> Self {
         MemResultCache {
             lru: LruList::new(),
-            map: FxHashMap::default(),
             capacity: (capacity_bytes / RESULT_ENTRY_BYTES) as usize,
         }
     }
 
     /// Entries currently cached.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.lru.len()
     }
 
     /// Whether empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.lru.is_empty()
     }
 
     /// Look up a result; a hit bumps recency and frequency.
     pub fn get(&mut self, id: QueryId) -> Option<&V> {
-        let entry = self.map.get_mut(&id)?;
-        self.lru.touch(&id);
+        let entry = self.lru.touch(&id)?;
         entry.freq += 1;
         Some(&entry.value)
     }
 
-    /// Insert a fresh result with frequency 1 (replacing any cached entry
-    /// for `id`); returns evicted entries (id, payload, freq), oldest
-    /// first. A cache smaller than one entry "evicts" the insertion
-    /// immediately — degenerate but legal in capacity sweeps that zero
-    /// out L1.
-    pub fn insert(&mut self, id: QueryId, value: V) -> Vec<(QueryId, V, u64)> {
+    /// Insert a fresh result with frequency 1, replacing any cached entry
+    /// for `id`; returns the evicted entry (id, payload, freq), if any.
+    /// Entries are equal-size, so one insertion evicts at most one. A
+    /// cache smaller than one entry "evicts" the insertion immediately —
+    /// degenerate but legal in capacity sweeps that zero out L1.
+    pub fn insert(&mut self, id: QueryId, value: V) -> Option<(QueryId, V, u64)> {
         if self.capacity == 0 {
-            return vec![(id, value, 1)];
+            return Some((id, value, 1));
         }
-        if self.map.remove(&id).is_some() {
-            self.lru.remove(&id);
-        }
-        let mut evicted = Vec::new();
-        while self.map.len() >= self.capacity {
-            let victim = self.lru.pop_lru().expect("a full cache has an LRU entry");
-            let entry = self.map.remove(&victim).expect("list/map agree");
-            evicted.push((victim, entry.value, entry.freq));
-        }
-        self.lru.insert_mru(id);
-        self.map.insert(id, MemResult { value, freq: 1 });
+        let evicted = if self.lru.remove(&id).is_none() && self.lru.len() >= self.capacity {
+            let (victim, entry) = self.lru.pop_lru().expect("a full cache has an LRU entry");
+            Some((victim, entry.value, entry.freq))
+        } else {
+            None
+        };
+        self.lru.insert_mru(id, MemResult { value, freq: 1 });
         evicted
     }
 
     /// Whether `id` is cached (no recency effect).
     pub fn contains(&self, id: QueryId) -> bool {
-        self.map.contains_key(&id)
+        self.lru.contains(&id)
     }
 
     /// Remove an entry outright (TTL expiry / invalidation), returning
     /// its payload.
     pub fn remove(&mut self, id: QueryId) -> Option<V> {
-        let entry = self.map.remove(&id)?;
-        self.lru.remove(&id);
-        Some(entry.value)
+        self.lru.remove(&id).map(|entry| entry.value)
     }
 }
 
 impl<V> Validate for MemResultCache<V> {
-    /// The recency list and the entry map describe the same population,
-    /// and it fits the entry capacity.
+    /// The cached population fits the entry capacity.
     fn validate(&self, report: &mut Report) {
-        const S: &str = "MemResultCache";
         report.check(
-            self.lru.len() == self.map.len(),
-            S,
-            "list-map-agree",
+            self.lru.len() <= self.capacity,
+            "MemResultCache",
+            "entry-capacity",
             || {
                 format!(
-                    "list tracks {} ids, map holds {}",
+                    "{} entries cached against a capacity of {}",
                     self.lru.len(),
-                    self.map.len()
+                    self.capacity
                 )
             },
         );
-        let mut listed = 0usize;
-        for id in self.lru.iter_lru() {
-            listed += 1;
-            report.check(self.map.contains_key(id), S, "list-map-agree", || {
-                format!("{id:?} is on the recency list but has no entry")
-            });
-        }
-        report.check(listed == self.lru.len(), S, "list-link-count", || {
-            format!(
-                "walking the list visits {listed} nodes but len() says {}",
-                self.lru.len()
-            )
-        });
-        report.check(self.map.len() <= self.capacity, S, "entry-capacity", || {
-            format!(
-                "{} entries cached against a capacity of {}",
-                self.map.len(),
-                self.capacity
-            )
-        });
     }
 }
 
@@ -169,13 +138,13 @@ impl ListMeta {
 /// The L1 inverted-list cache, keyed by [`TermKey`].
 #[derive(Debug, Clone)]
 pub struct MemListCache {
-    lru: SegmentedLru<TermKey>,
-    map: FxHashMap<TermKey, ListMeta>,
+    lru: SegmentedLru<TermKey, ListMeta>,
     budget: ByteBudget,
     policy: PolicyKind,
-    /// Entries displaced by prefix growth inside [`MemListCache::touch`],
-    /// awaiting collection by the manager's selection management.
-    pending_evictions: Vec<(TermKey, ListMeta)>,
+    /// Entries displaced by [`MemListCache::insert`] or by prefix growth
+    /// inside [`MemListCache::touch`], selection order first, awaiting
+    /// the manager's selection decision.
+    evicted: VecDeque<(TermKey, ListMeta)>,
 }
 
 impl MemListCache {
@@ -184,28 +153,26 @@ impl MemListCache {
     pub fn new(capacity_bytes: u64, policy: PolicyKind, window: usize) -> Self {
         MemListCache {
             lru: SegmentedLru::new(window),
-            map: FxHashMap::default(),
             budget: ByteBudget::new(capacity_bytes),
             policy,
-            pending_evictions: Vec::new(),
+            evicted: VecDeque::new(),
         }
     }
 
-    /// Take the entries displaced by prefix growth during recent
-    /// [`MemListCache::touch`] calls; the caller owes them a selection
-    /// decision exactly like insert-time evictions.
-    pub fn drain_evicted(&mut self) -> Vec<(TermKey, ListMeta)> {
-        std::mem::take(&mut self.pending_evictions)
+    /// Take the oldest displaced entry; the caller owes each one a
+    /// selection decision.
+    pub fn pop_evicted(&mut self) -> Option<(TermKey, ListMeta)> {
+        self.evicted.pop_front()
     }
 
     /// Entries cached.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.lru.len()
     }
 
     /// Whether empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.lru.is_empty()
     }
 
     /// Bytes in use.
@@ -213,14 +180,14 @@ impl MemListCache {
         self.budget.used()
     }
 
-    /// Metadata of a cached term (no recency effect).
+    /// Every cached term, LRU first.
     pub fn keys(&self) -> Vec<TermKey> {
-        self.map.keys().copied().collect()
+        self.lru.iter_lru().map(|(&term, _)| term).collect()
     }
 
     /// The cached metadata of `term` without touching recency.
     pub fn peek(&self, term: TermKey) -> Option<&ListMeta> {
-        self.map.get(&term)
+        self.lru.get(&term)
     }
 
     /// Hit path: bump recency + frequency, and grow the cached prefix /
@@ -232,86 +199,68 @@ impl MemListCache {
         needed_bytes: u64,
         observed_pu: f64,
     ) -> Option<ListMeta> {
-        if !self.lru.touch(&term) {
-            return None;
-        }
-        // Growing the prefix may exceed the budget; make room first.
-        let meta = self.map[&term];
+        let meta = self.lru.touch(&term)?;
         let grow = needed_bytes.saturating_sub(meta.si_bytes);
-        if grow > 0 {
-            if !self.budget.admissible(meta.si_bytes + grow) {
-                // Cannot ever hold the grown prefix: serve the hit but keep
-                // the old footprint.
-                let m = self.map.get_mut(&term).expect("touched");
-                m.freq += 1;
-                m.pu = running_pu(m.pu, m.freq, observed_pu);
-                let out = *m;
-                audit!(self, "MemListCache::touch(capped)");
-                return Some(out);
-            }
-            // Eviction of other entries to make room never selects `term`
-            // itself; the displaced entries are parked for the manager to
-            // flush (they deserve the same SM decision as insert-time
-            // evictions).
-            let evicted = self.make_room(grow, Some(term));
-            self.pending_evictions.extend(evicted);
-            self.budget.charge(grow);
+        // A prefix the cache could never hold is served at the old
+        // footprint.
+        if grow == 0 || !self.budget.admissible(meta.si_bytes + grow) {
+            let out = count_hit(meta, observed_pu);
+            audit!(self, "MemListCache::touch");
+            return Some(out);
         }
-        let m = self.map.get_mut(&term).expect("touched");
-        m.si_bytes = m.si_bytes.max(needed_bytes);
-        m.freq += 1;
-        m.pu = running_pu(m.pu, m.freq, observed_pu);
-        let out = *m;
-        audit!(self, "MemListCache::touch");
+        // Eviction of other entries to make room never selects `term`
+        // itself; the displaced entries are queued for the manager to
+        // flush (they deserve the same SM decision as insert-time
+        // evictions).
+        self.make_room(grow, Some(term));
+        self.budget.charge(grow);
+        let meta = self.lru.get_mut(&term).expect("make_room keeps `term`");
+        meta.si_bytes = needed_bytes;
+        let out = count_hit(meta, observed_pu);
+        audit!(self, "MemListCache::touch(grow)");
         Some(out)
     }
 
-    /// Insert a new list entry; returns evicted `(term, meta)` pairs,
-    /// selection-order first. Entries larger than the whole cache are
-    /// refused: the rejected metadata comes back as `Err` so the caller
-    /// can flush it onward.
+    /// Insert a new list entry (panics if `term` is cached); returns the
+    /// entries it evicted, selection order first, which also stay queued
+    /// for [`MemListCache::pop_evicted`]. Entries larger than the whole
+    /// cache are refused: the rejected metadata comes back as `Err` so
+    /// the caller can flush it onward.
     pub fn insert(
         &mut self,
         term: TermKey,
         meta: ListMeta,
-    ) -> Result<Vec<(TermKey, ListMeta)>, ListMeta> {
-        assert!(
-            !self.map.contains_key(&term),
-            "insert of cached key {term:?}"
-        );
+    ) -> Result<&[(TermKey, ListMeta)], ListMeta> {
+        assert!(!self.lru.contains(&term), "insert of cached key {term:?}");
         if !self.budget.admissible(meta.si_bytes) {
             return Err(meta);
         }
-        let evicted = self.make_room(meta.si_bytes, None);
+        let queued = self.evicted.len();
+        self.make_room(meta.si_bytes, None);
         self.budget.charge(meta.si_bytes);
-        self.map.insert(term, meta);
-        self.lru.insert_mru(term);
+        self.lru.insert_mru(term, meta);
         audit!(self, "MemListCache::insert");
-        Ok(evicted)
+        Ok(&self.evicted.make_contiguous()[queued..])
     }
 
     /// Remove an entry outright (e.g. invalidation).
     pub fn remove(&mut self, term: TermKey) -> Option<ListMeta> {
-        let meta = self.map.remove(&term)?;
-        self.lru.remove(&term);
+        let meta = self.lru.remove(&term)?;
         self.budget.credit(meta.si_bytes);
         audit!(self, "MemListCache::remove");
         Some(meta)
     }
 
     /// Evict until `bytes` fit, excluding `keep` from victim selection.
-    fn make_room(&mut self, bytes: u64, keep: Option<TermKey>) -> Vec<(TermKey, ListMeta)> {
-        let mut evicted = Vec::new();
+    fn make_room(&mut self, bytes: u64, keep: Option<TermKey>) {
         while !self.budget.fits(bytes) {
             let victim = self
                 .pick_victim(keep)
                 .expect("budget full but no evictable entry");
-            let meta = self.map.remove(&victim).expect("victim is cached");
-            self.lru.remove(&victim);
+            let meta = self.lru.remove(&victim).expect("victim is cached");
             self.budget.credit(meta.si_bytes);
-            evicted.push((victim, meta));
+            self.evicted.push_back((victim, meta));
         }
-        evicted
     }
 
     /// Victim selection per policy.
@@ -322,44 +271,31 @@ impl MemListCache {
             // score is negated EV because the primitive maximizes.
             let candidate = self
                 .lru
-                .best_in_replace_first(|t| {
+                .best_in_replace_first(|t, meta| {
                     if excluded(t) {
                         f64::NEG_INFINITY
                     } else {
-                        -self.map[t].ev()
+                        -meta.ev()
                     }
                 })
                 .copied();
             // All-window-excluded corner: fall back to strict LRU scan.
             candidate
                 .filter(|t| !excluded(t))
-                .or_else(|| self.lru.find_anywhere(|t| !excluded(t)).copied())
+                .or_else(|| self.lru.find_anywhere(|t, _| !excluded(t)).copied())
         } else {
-            self.lru.find_anywhere(|t| !excluded(t)).copied()
+            self.lru.find_anywhere(|t, _| !excluded(t)).copied()
         }
     }
 }
 
 impl Validate for MemListCache {
-    /// Re-derives the L1 list cache's bookkeeping (paper Fig. 6(b) and
-    /// Fig. 12) and cross-checks it: the recency list and metadata table
-    /// hold the same terms, and the byte budget equals the sum of cached
-    /// prefixes.
+    /// Re-derives the L1 list cache's byte accounting (paper Fig. 6(b)
+    /// and Fig. 12): the budget equals the sum of cached prefixes and
+    /// stays within capacity.
     fn validate(&self, report: &mut Report) {
         const S: &str = "MemListCache";
-        report.check(self.lru.len() == self.map.len(), S, "lru-map-agree", || {
-            format!(
-                "recency list tracks {} terms, metadata table {}",
-                self.lru.len(),
-                self.map.len()
-            )
-        });
-        for term in self.lru.iter_lru() {
-            report.check(self.map.contains_key(term), S, "lru-map-agree", || {
-                format!("{term:?} is on the recency list but has no metadata")
-            });
-        }
-        let stored: u64 = self.map.values().map(|m| m.si_bytes).sum();
+        let stored: u64 = self.lru.iter_lru().map(|(_, m)| m.si_bytes).sum();
         report.check(stored == self.budget.used(), S, "budget-accounting", || {
             format!(
                 "cached prefixes sum to {stored} bytes but the budget charges {}",
@@ -379,6 +315,13 @@ impl Validate for MemListCache {
             },
         );
     }
+}
+
+/// Count one access of a cached list: frequency and the running PU.
+fn count_hit(meta: &mut ListMeta, observed_pu: f64) -> ListMeta {
+    meta.freq += 1;
+    meta.pu = running_pu(meta.pu, meta.freq, observed_pu);
+    *meta
 }
 
 /// Running mean of PU over the entry's accesses.
@@ -408,13 +351,13 @@ mod tests {
         #[test]
         fn insert_and_evict_lru_order() {
             let mut c: MemResultCache<&str> = MemResultCache::new(40_000);
-            assert!(c.insert(1, "a").is_empty());
-            assert!(c.insert(2, "b").is_empty());
-            let ev = c.insert(3, "c");
-            assert_eq!(ev.len(), 1);
-            assert_eq!(ev[0].0, 1);
-            assert_eq!(ev[0].1, "a");
-            assert_eq!(ev[0].2, 1, "frequency travels with the eviction");
+            assert_eq!(c.insert(1, "a"), None);
+            assert_eq!(c.insert(2, "b"), None);
+            assert_eq!(
+                c.insert(3, "c"),
+                Some((1, "a", 1)),
+                "the LRU entry leaves with its payload and frequency"
+            );
             assert!(c.contains(3));
         }
 
@@ -425,11 +368,11 @@ mod tests {
             c.insert(2, "b");
             assert_eq!(c.get(1), Some(&"a")); // freq 2, now MRU
             assert_eq!(c.get(9), None);
-            let ev = c.insert(3, "c");
-            assert_eq!(ev[0].0, 2, "2 is now the LRU entry");
-            let ev = c.insert(4, "d");
-            assert_eq!(ev[0].0, 1);
-            assert_eq!(ev[0].2, 2, "the get was counted");
+            let ev = c.insert(3, "c").expect("full");
+            assert_eq!(ev.0, 2, "2 is now the LRU entry");
+            let ev = c.insert(4, "d").expect("full");
+            assert_eq!(ev.0, 1);
+            assert_eq!(ev.2, 2, "the get was counted");
         }
 
         #[test]

@@ -28,7 +28,6 @@ struct ListEntry {
     cached_bytes: u64,
     freq: u64,
     state: EntryState,
-    is_static: bool,
 }
 
 /// Store-level counters.
@@ -55,8 +54,10 @@ pub struct ListStoreStats {
 pub struct ListStore {
     region: SlotRegion,
     cost_based: bool,
-    entries: FxHashMap<TermKey, ListEntry>,
-    lru: SegmentedLru<TermKey>,
+    /// Dynamic entries in recency order: the victim domain.
+    lru: SegmentedLru<TermKey, ListEntry>,
+    /// Static (pinned) entries, outside the recency list.
+    statics: FxHashMap<TermKey, ListEntry>,
     /// Blocks reserved for the static partition (consumed as seeded).
     static_blocks: u32,
     static_used: u32,
@@ -70,8 +71,8 @@ impl ListStore {
         ListStore {
             region,
             cost_based,
-            entries: FxHashMap::default(),
             lru: SegmentedLru::new(window),
+            statics: FxHashMap::default(),
             static_blocks,
             static_used: 0,
             stats: ListStoreStats::default(),
@@ -85,27 +86,36 @@ impl ListStore {
 
     /// Cached entry count.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.lru.len() + self.statics.len()
     }
 
     /// Whether nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
+    }
+
+    /// The cached entry of `term`, dynamic or static.
+    fn entry(&self, term: TermKey) -> Option<&ListEntry> {
+        self.lru.get(&term).or_else(|| self.statics.get(&term))
     }
 
     /// Whether `term` is cached, and how many bytes of it.
     pub fn cached_bytes(&self, term: TermKey) -> Option<u64> {
-        self.entries.get(&term).map(|e| e.cached_bytes)
+        self.entry(term).map(|e| e.cached_bytes)
     }
 
     /// Every cached key, in no particular order.
     pub fn keys(&self) -> Vec<TermKey> {
-        self.entries.keys().copied().collect()
+        self.lru
+            .iter_lru()
+            .map(|(&term, _)| term)
+            .chain(self.statics.keys().copied())
+            .collect()
     }
 
     /// The `(cached_bytes, freq)` profile of a cached entry.
     pub fn entry_profile(&self, term: TermKey) -> Option<(u64, u64)> {
-        self.entries.get(&term).map(|e| (e.cached_bytes, e.freq))
+        self.entry(term).map(|e| (e.cached_bytes, e.freq))
     }
 
     /// Blocks currently unallocated in the dynamic partition.
@@ -125,7 +135,10 @@ impl ListStore {
         device: &mut D,
         mark_replaceable: bool,
     ) -> Option<(u64, SimDuration)> {
-        let entry = self.entries.get_mut(&term)?;
+        let (entry, is_static) = match self.lru.touch(&term) {
+            Some(entry) => (entry, false),
+            None => (self.statics.get_mut(&term)?, true),
+        };
         let served = needed_bytes.min(entry.cached_bytes);
         let mut latency = SimDuration::ZERO;
         let mut remaining = served;
@@ -138,14 +151,10 @@ impl ListStore {
             latency += device.read(extent).expect("list extent is in-region");
             remaining -= take;
         }
-        if mark_replaceable && !entry.is_static {
+        if mark_replaceable && !is_static {
             entry.state = EntryState::Replaceable;
         }
-        let is_static = entry.is_static;
         entry.freq += 1;
-        if !is_static {
-            self.lru.touch(&term);
-        }
         audit!(self, "ListStore::lookup");
         Some((served, latency))
     }
@@ -166,13 +175,17 @@ impl ListStore {
         debug_assert!(cached_bytes <= blocks_needed * BLOCK_BYTES);
         // Dedup: the same term's replaceable copy still covers this data —
         // flip it back to normal, no write.
-        if let Some(entry) = self.entries.get_mut(&term) {
+        let cached = match self.lru.get_mut(&term) {
+            Some(entry) => Some((entry, false)),
+            None => self.statics.get_mut(&term).map(|entry| (entry, true)),
+        };
+        if let Some((entry, is_static)) = cached {
             if entry.blocks.len() as u64 >= blocks_needed {
                 entry.state = EntryState::Normal;
                 entry.freq = entry.freq.max(freq);
                 entry.cached_bytes = entry.cached_bytes.max(cached_bytes);
                 self.stats.rewrites_avoided += 1;
-                if !entry.is_static {
+                if !is_static {
                     self.lru.touch(&term);
                 }
                 audit!(self, "ListStore::offer(dedup)");
@@ -204,17 +217,15 @@ impl ListStore {
             self.stats.block_writes += 1;
             blocks.push(slot);
         }
-        self.entries.insert(
+        self.lru.insert_mru(
             term,
             ListEntry {
                 blocks,
                 cached_bytes,
                 freq,
                 state: EntryState::Normal,
-                is_static: false,
             },
         );
-        self.lru.insert_mru(term);
         audit!(self, "ListStore::offer(write)");
         (true, latency)
     }
@@ -222,40 +233,45 @@ impl ListStore {
     /// Fig. 13's victim cascade.
     fn pick_victim(&self, blocks_needed: u64) -> Option<TermKey> {
         if !self.cost_based {
-            return self.lru.find_anywhere(|_| true).copied();
+            return self.lru.find_anywhere(|_, _| true).copied();
         }
         // 1. Replaceable entry in the replace-first region.
         if let Some(t) = self
             .lru
-            .find_in_replace_first(|t| self.entries[t].state == EntryState::Replaceable)
+            .find_in_replace_first(|_, e| e.state == EntryState::Replaceable)
         {
             return Some(*t);
         }
         // 2. Same-size normal entry in the replace-first region.
         if let Some(t) = self
             .lru
-            .find_in_replace_first(|t| self.entries[t].blocks.len() as u64 == blocks_needed)
+            .find_in_replace_first(|_, e| e.blocks.len() as u64 == blocks_needed)
         {
             return Some(*t);
         }
         // 3. Assembly: take replace-first entries LRU-first (the caller
         //    loops until enough blocks are free).
-        if let Some(t) = self.lru.find_in_replace_first(|_| true) {
+        if let Some(t) = self.lru.find_in_replace_first(|_, _| true) {
             return Some(*t);
         }
         // 4. Worst case: anywhere in the list.
-        self.lru.find_anywhere(|_| true).copied()
+        self.lru.find_anywhere(|_, _| true).copied()
     }
 
     /// Evict one entry, releasing its blocks (no trim: the blocks are
     /// about to be overwritten).
     fn evict(&mut self, term: TermKey) {
-        let entry = self.entries.remove(&term).expect("victim exists");
-        debug_assert!(!entry.is_static, "static entries are never evicted");
+        debug_assert!(self.lru.contains(&term), "static entries are never evicted");
+        let in_window = self.cost_based && self.lru.in_replace_first(&term);
+        let entry = self
+            .lru
+            .remove(&term)
+            .or_else(|| self.statics.remove(&term))
+            .expect("victim exists");
         match entry.state {
             EntryState::Replaceable => self.stats.replaceable_victims += 1,
             EntryState::Normal => {
-                if self.cost_based && self.lru.in_replace_first(&term) {
+                if in_window {
                     // Counted as a size-match or assembly victim; the
                     // distinction is which cascade step chose it — recorded
                     // by the caller via pick order. Size-match bookkeeping:
@@ -266,7 +282,6 @@ impl ListStore {
         for block in entry.blocks {
             self.region.release(block);
         }
-        self.lru.remove(&term);
         self.stats.evictions += 1;
     }
 
@@ -274,8 +289,12 @@ impl ListStore {
     /// delete the cold data at a proper time … some types of SSD support
     /// Trim").
     pub fn invalidate<D: BlockDevice>(&mut self, term: TermKey, device: &mut D) -> SimDuration {
-        let Some(entry) = self.entries.remove(&term) else {
-            return SimDuration::ZERO;
+        let (entry, is_static) = match self.lru.remove(&term) {
+            Some(entry) => (entry, false),
+            None => match self.statics.remove(&term) {
+                Some(entry) => (entry, true),
+                None => return SimDuration::ZERO,
+            },
         };
         let mut latency = SimDuration::ZERO;
         for block in entry.blocks {
@@ -285,10 +304,9 @@ impl ListStore {
             self.stats.trims += 1;
             self.region.release(block);
         }
-        if entry.is_static {
+        if is_static {
             self.static_used -= entry.cached_bytes.div_ceil(BLOCK_BYTES) as u32;
         }
-        self.lru.remove(&term);
         audit!(self, "ListStore::invalidate");
         latency
     }
@@ -306,7 +324,7 @@ impl ListStore {
             if self.static_used + blocks_needed as u32 > self.static_blocks {
                 continue;
             }
-            if self.entries.contains_key(&term) {
+            if self.entry(term).is_some() {
                 continue;
             }
             let mut blocks = Vec::with_capacity(blocks_needed as usize);
@@ -319,14 +337,13 @@ impl ListStore {
                 blocks.push(slot);
             }
             self.static_used += blocks_needed as u32;
-            self.entries.insert(
+            self.statics.insert(
                 term,
                 ListEntry {
                     blocks,
                     cached_bytes,
                     freq,
                     state: EntryState::Normal,
-                    is_static: true,
                 },
             );
         }
@@ -341,7 +358,11 @@ impl ListStore {
     /// leave Normal).
     #[doc(hidden)]
     pub fn debug_force_state(&mut self, term: TermKey, state: EntryState) {
-        self.entries.get_mut(&term).expect("entry cached").state = state;
+        let entry = match self.lru.get_mut(&term) {
+            Some(entry) => entry,
+            None => self.statics.get_mut(&term).expect("entry cached"),
+        };
+        entry.state = state;
     }
 }
 
@@ -349,9 +370,10 @@ impl Validate for ListStore {
     /// Re-derives the list store's redundant bookkeeping (paper Sec.
     /// VI-B/C, Figs. 7(c) and 13) and cross-checks it:
     ///
-    /// * the entry table, the recency list and the block allocator agree
-    ///   (every cached block belongs to exactly one entry, every entry's
-    ///   blocks are allocated region slots);
+    /// * the entries and the block allocator agree (every cached block
+    ///   belongs to exactly one entry, every entry's blocks are allocated
+    ///   region slots), and no term is both static and on the recency
+    ///   list;
     /// * entries cover whole 128 KB blocks — `cached_bytes` never exceeds
     ///   the blocks that were written for it;
     /// * static (pinned) entries never leave Normal and stay within the
@@ -363,7 +385,9 @@ impl Validate for ListStore {
         let mut used_blocks = 0usize;
         let mut block_owners = FxHashMap::default();
         let mut static_used = 0u64;
-        for (&term, entry) in &self.entries {
+        let dynamic = self.lru.iter_lru().map(|(t, e)| (t, e, false));
+        let pinned = self.statics.iter().map(|(t, e)| (t, e, true));
+        for (&term, entry, is_static) in dynamic.chain(pinned) {
             report.check(!entry.blocks.is_empty(), S, "block-accounting", || {
                 format!("entry {term:?} is cached with zero blocks")
             });
@@ -395,7 +419,7 @@ impl Validate for ListStore {
                     );
                 }
             }
-            if entry.is_static {
+            if is_static {
                 static_used += entry.blocks.len() as u64;
                 report.check(
                     entry.state == EntryState::Normal,
@@ -408,18 +432,10 @@ impl Validate for ListStore {
                         )
                     },
                 );
+                report.check(!self.lru.contains(&term), S, "lru-membership", || {
+                    format!("static (pinned) entry {term:?} is also on the recency list")
+                });
             }
-            report.check(
-                self.lru.contains(&term) != entry.is_static,
-                S,
-                "lru-membership",
-                || {
-                    format!(
-                        "entry {term:?} (static: {}) has wrong recency-list membership",
-                        entry.is_static
-                    )
-                },
-            );
         }
         report.check(
             self.region.used_count() as usize == used_blocks,
@@ -451,18 +467,6 @@ impl Validate for ListStore {
                 format!(
                     "{} static blocks exceed the {}-block budget",
                     self.static_used, self.static_blocks
-                )
-            },
-        );
-        report.check(
-            self.lru.len() == self.entries.values().filter(|e| !e.is_static).count(),
-            S,
-            "lru-membership",
-            || {
-                format!(
-                    "recency list tracks {} terms but {} dynamic entries exist",
-                    self.lru.len(),
-                    self.entries.values().filter(|e| !e.is_static).count()
                 )
             },
         );
@@ -513,7 +517,7 @@ mod tests {
         let (served, _) = s.lookup(1, 10 * BLOCK, &mut dev, true).expect("hit");
         assert_eq!(served, 2 * BLOCK);
         // Entry is replaceable but still serving.
-        assert_eq!(s.entries[&1].state, EntryState::Replaceable);
+        assert_eq!(s.entry(1).unwrap().state, EntryState::Replaceable);
     }
 
     #[test]
@@ -535,7 +539,7 @@ mod tests {
         assert_eq!(t, SimDuration::ZERO);
         assert_eq!(dev.stats().ops(IoKind::Write), writes);
         assert_eq!(s.stats().rewrites_avoided, 1);
-        assert_eq!(s.entries[&1].state, EntryState::Normal);
+        assert_eq!(s.entry(1).unwrap().state, EntryState::Normal);
     }
 
     #[test]
@@ -657,7 +661,7 @@ mod tests {
         assert!(s.cached_bytes(101).is_some());
         // Static lookups never go replaceable.
         s.lookup(100, BLOCK, &mut dev, true);
-        assert_eq!(s.entries[&100].state, EntryState::Normal);
+        assert_eq!(s.entry(100).unwrap().state, EntryState::Normal);
     }
 
     #[test]

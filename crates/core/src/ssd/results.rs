@@ -52,6 +52,21 @@ impl Rb {
     }
 }
 
+/// The RB in `slot`, if the slot is in range and mapped.
+fn rb_at(rbs: &[Option<Rb>], slot: SlotId) -> Option<&Rb> {
+    rbs.get(slot as usize)?.as_ref()
+}
+
+/// Mapped RB `slot`.
+fn rb(rbs: &[Option<Rb>], slot: SlotId) -> &Rb {
+    rb_at(rbs, slot).expect("slot holds an RB")
+}
+
+/// Mapped RB `slot`, for update.
+fn rb_mut(rbs: &mut [Option<Rb>], slot: SlotId) -> &mut Rb {
+    rbs[slot as usize].as_mut().expect("slot holds an RB")
+}
+
 /// The extent of entry position `idx` inside RB `slot`.
 fn entry_extent(region: &SlotRegion, slot: SlotId, idx: u8) -> Extent {
     region.sub_extent(slot, idx as u64 * RESULT_ENTRY_BYTES, RESULT_ENTRY_BYTES)
@@ -78,10 +93,11 @@ pub struct ResultStore<V> {
     region: SlotRegion,
     cost_based: bool,
     /// RB recency list (cost-based victim domain; static RBs excluded).
-    rb_lru: SegmentedLru<SlotId>,
+    rb_lru: SegmentedLru<SlotId, ()>,
     /// Entry recency list (LRU-baseline victim domain).
-    entry_lru: SegmentedLru<QueryId>,
-    rbs: FxHashMap<SlotId, Rb>,
+    entry_lru: SegmentedLru<QueryId, ()>,
+    /// The RB of each slot, indexed by [`SlotId`]; `None` while free.
+    rbs: Vec<Option<Rb>>,
     /// The result mapping table: query → its RB position and payload.
     map: FxHashMap<QueryId, Stored<V>>,
     /// LRU mode: open entry positions available for small writes.
@@ -100,11 +116,11 @@ impl<V: Clone> ResultStore<V> {
     pub fn new(region: SlotRegion, cost_based: bool, window: usize, static_fraction: f64) -> Self {
         let static_slots = (region.capacity() as f64 * static_fraction).floor() as u32;
         ResultStore {
+            rbs: vec![None; region.capacity() as usize],
             region,
             cost_based,
             rb_lru: SegmentedLru::new(window),
             entry_lru: SegmentedLru::new(window),
-            rbs: FxHashMap::default(),
             map: FxHashMap::default(),
             free_entries: Vec::new(),
             write_buffer: Vec::new(),
@@ -148,7 +164,7 @@ impl<V: Clone> ResultStore<V> {
         let latency = device
             .read(entry_extent(&self.region, slot, stored.idx))
             .expect("result extent is in-region");
-        let is_static = self.rbs[&slot].is_static;
+        let is_static = rb(&self.rbs, slot).is_static;
         if mark_replaceable && !is_static {
             stored.state = EntryState::Replaceable;
         }
@@ -182,7 +198,7 @@ impl<V: Clone> ResultStore<V> {
             stored.freq = stored.freq.max(freq);
             self.stats.rewrites_avoided += 1;
             let slot = stored.slot;
-            if !self.rbs[&slot].is_static {
+            if !rb(&self.rbs, slot).is_static {
                 if self.cost_based {
                     self.rb_lru.touch(&slot);
                 } else {
@@ -243,8 +259,8 @@ impl<V: Clone> ResultStore<V> {
                 },
             );
         }
-        self.rbs.insert(slot, rb);
-        self.rb_lru.insert_mru(slot);
+        self.rbs[slot as usize] = Some(rb);
+        self.rb_lru.insert_mru(slot, ());
         self.stats.rb_writes += 1;
         device
             .request(&IoRequest::write(self.region.extent(slot)).background())
@@ -254,7 +270,7 @@ impl<V: Clone> ResultStore<V> {
     /// Fig. 11's IREN of RB `slot`: its free positions plus its
     /// replaceable entries, counted off the validity bitmap.
     fn iren(&self, slot: SlotId) -> usize {
-        self.rbs[&slot]
+        rb(&self.rbs, slot)
             .entries
             .iter()
             .filter(|e| e.is_none_or(|q| self.map[&q].state == EntryState::Replaceable))
@@ -273,8 +289,8 @@ impl<V: Clone> ResultStore<V> {
         // LRU-most; with an empty window (`W` = 0), the strict LRU RB.
         let victim = self
             .rb_lru
-            .best_in_replace_first(|&s| self.iren(s))
-            .or_else(|| self.rb_lru.peek_lru())
+            .best_in_replace_first(|&s, _| self.iren(s))
+            .or_else(|| self.rb_lru.find_anywhere(|_, _| true))
             .copied()?;
         self.destroy_rb(victim);
         Some(victim)
@@ -288,7 +304,7 @@ impl<V: Clone> ResultStore<V> {
     /// Drop an RB's remaining valid entries and unmap it (the slot is
     /// reused by the caller, so no trim).
     fn destroy_rb(&mut self, slot: SlotId) {
-        let rb = self.rbs.remove(&slot).expect("victim exists");
+        let rb = self.rbs[slot as usize].take().expect("victim exists");
         for id in rb.entries.into_iter().flatten() {
             let stored = self.map.remove(&id).expect("bitmap entries are mapped");
             if stored.state == EntryState::Normal {
@@ -309,21 +325,21 @@ impl<V: Clone> ResultStore<V> {
     ) -> SimDuration {
         let position = self.free_entries.pop().or_else(|| {
             if let Some(slot) = self.region.alloc() {
-                self.rbs.insert(slot, Rb::new(false));
+                self.rbs[slot as usize] = Some(Rb::new(false));
                 self.free_entries
                     .extend((1..ENTRIES_PER_RB as u8).map(|i| (slot, i)));
                 return Some((slot, 0));
             }
-            let victim = self.entry_lru.pop_lru()?;
+            let (victim, ()) = self.entry_lru.pop_lru()?;
             let stored = self.map.remove(&victim).expect("victim mapped");
-            self.rbs.get_mut(&stored.slot).expect("rb exists").entries[stored.idx as usize] = None;
+            rb_mut(&mut self.rbs, stored.slot).entries[stored.idx as usize] = None;
             self.stats.collateral_evictions += 1;
             Some((stored.slot, stored.idx))
         });
         let Some((slot, idx)) = position else {
             return SimDuration::ZERO; // zero-capacity region
         };
-        self.rbs.get_mut(&slot).expect("rb exists").entries[idx as usize] = Some(id);
+        rb_mut(&mut self.rbs, slot).entries[idx as usize] = Some(id);
         self.map.insert(
             id,
             Stored {
@@ -334,7 +350,7 @@ impl<V: Clone> ResultStore<V> {
                 state: EntryState::Normal,
             },
         );
-        self.entry_lru.insert_mru(id);
+        self.entry_lru.insert_mru(id, ());
         self.stats.entry_writes += 1;
         device
             .request(&IoRequest::write(entry_extent(&self.region, slot, idx)).background())
@@ -348,11 +364,11 @@ impl<V: Clone> ResultStore<V> {
         let Some(Stored { slot, idx, .. }) = self.map.remove(&id) else {
             return SimDuration::ZERO;
         };
-        let rb = self.rbs.get_mut(&slot).expect("rb exists");
+        let rb = rb_mut(&mut self.rbs, slot);
         rb.entries[idx as usize] = None;
         if self.cost_based {
             if !rb.is_static && rb.entries.iter().all(Option::is_none) {
-                self.rbs.remove(&slot);
+                self.rbs[slot as usize] = None;
                 self.rb_lru.remove(&slot);
                 self.stats.trims += 1;
                 let t = device
@@ -403,7 +419,7 @@ impl<V: Clone> ResultStore<V> {
                     },
                 );
             }
-            self.rbs.insert(slot, rb);
+            self.rbs[slot as usize] = Some(rb);
             self.static_used += 1;
             self.stats.rb_writes += 1;
             latency += device
@@ -451,7 +467,7 @@ impl<V> Validate for ResultStore<V> {
         // Mapping table ↔ RB bitmaps form a bijection.
         for (&id, stored) in &self.map {
             let (slot, idx) = (stored.slot, stored.idx);
-            let Some(rb) = self.rbs.get(&slot) else {
+            let Some(rb) = rb_at(&self.rbs, slot) else {
                 report.violation(
                     S,
                     "map-rb-agree",
@@ -478,7 +494,8 @@ impl<V> Validate for ResultStore<V> {
         }
         let bitmap_valid: usize = self
             .rbs
-            .values()
+            .iter()
+            .flatten()
             .map(|rb| rb.entries.iter().flatten().count())
             .sum();
         report.check(bitmap_valid == self.map.len(), S, "map-rb-agree", || {
@@ -490,13 +507,13 @@ impl<V> Validate for ResultStore<V> {
 
         // Per-RB checks: slot allocation, static pinning.
         let mut static_rbs = 0u32;
-        for (&slot, rb) in &self.rbs {
-            report.check(
-                slot < self.region.capacity() && !self.region.is_free(slot),
-                S,
-                "slot-allocated",
-                || format!("RB slot {slot} is not an allocated region slot"),
-            );
+        let mut mapped_rbs = 0usize;
+        for (slot, rb) in (0..).zip(&self.rbs) {
+            let Some(rb) = rb else { continue };
+            mapped_rbs += 1;
+            report.check(!self.region.is_free(slot), S, "slot-allocated", || {
+                format!("RB slot {slot} is not an allocated region slot")
+            });
             if rb.is_static {
                 static_rbs += 1;
                 for id in rb.entries.iter().flatten() {
@@ -541,14 +558,14 @@ impl<V> Validate for ResultStore<V> {
             )
         });
         report.check(
-            self.region.used_count() as usize == self.rbs.len(),
+            self.region.used_count() as usize == mapped_rbs,
             S,
             "slot-accounting",
             || {
                 format!(
                     "region reports {} used slots but {} RBs exist",
                     self.region.used_count(),
-                    self.rbs.len()
+                    mapped_rbs
                 )
             },
         );
@@ -580,7 +597,7 @@ impl<V> Validate for ResultStore<V> {
                 )
             });
             for (&id, stored) in &self.map {
-                let is_static = self.rbs.get(&stored.slot).is_some_and(|rb| rb.is_static);
+                let is_static = rb_at(&self.rbs, stored.slot).is_some_and(|rb| rb.is_static);
                 report.check(
                     self.entry_lru.contains(&id) != is_static,
                     S,
@@ -597,9 +614,7 @@ impl<V> Validate for ResultStore<V> {
                 report.check(seen.insert((slot, idx)), S, "free-entry-accounting", || {
                     format!("position RB {slot}[{idx}] is free-listed twice")
                 });
-                let open = self
-                    .rbs
-                    .get(&slot)
+                let open = rb_at(&self.rbs, slot)
                     .and_then(|rb| rb.entries.get(idx as usize))
                     .is_some_and(Option::is_none);
                 report.check(open, S, "free-entry-accounting", || {
@@ -608,7 +623,8 @@ impl<V> Validate for ResultStore<V> {
             }
             let open_dynamic: usize = self
                 .rbs
-                .values()
+                .iter()
+                .flatten()
                 .filter(|rb| !rb.is_static)
                 .map(|rb| rb.entries.iter().filter(|e| e.is_none()).count())
                 .sum();

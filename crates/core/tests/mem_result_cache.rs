@@ -5,7 +5,10 @@
 //! — an entry is admissible iff it fits the whole capacity, and victims go
 //! while `used + RESULT_ENTRY_BYTES > capacity` — so agreement after every
 //! operation, at capacities that are not whole entries too, shows that
-//! counting entries evicts exactly as charging bytes does.
+//! counting entries evicts exactly as charging bytes does. Three pinned
+//! cases spell out the eviction contract: a full cache hands back its LRU
+//! entry with that entry's frequency, a capacity-0 cache the insertion
+//! itself, and a re-insert replaces without evicting.
 
 use hybridcache::mem::MemResultCache;
 use hybridcache::{QueryId, RESULT_ENTRY_BYTES};
@@ -87,7 +90,12 @@ proptest! {
         let mut model = Model { capacity, entries: Vec::new() };
         for op in ops {
             match op {
-                Op::Insert(id, v) => prop_assert_eq!(cache.insert(id, v), model.insert(id, v)),
+                Op::Insert(id, v) => {
+                    // Equal-size entries: one insertion evicts at most one.
+                    let evicted = model.insert(id, v);
+                    prop_assert!(evicted.len() <= 1);
+                    prop_assert_eq!(cache.insert(id, v), evicted.into_iter().next());
+                }
                 Op::Get(id) => prop_assert_eq!(cache.get(id).copied(), model.get(id)),
                 Op::Remove(id) => prop_assert_eq!(cache.remove(id), model.remove(id)),
             }
@@ -99,4 +107,41 @@ proptest! {
             prop_assert!(report.is_clean(), "{}", report.summary());
         }
     }
+}
+
+#[test]
+fn full_cache_evicts_exactly_the_lru_entry_with_its_frequency() {
+    let mut c: MemResultCache<u32> = MemResultCache::new(3 * RESULT_ENTRY_BYTES);
+    for id in 0..3 {
+        assert_eq!(c.insert(id, 10 * id as u32), None);
+    }
+    c.get(0);
+    c.get(0);
+    c.get(1); // recency now 2 (LRU), 0, 1 (MRU); 0 has freq 3
+    assert_eq!(c.insert(3, 30), Some((2, 20, 1)));
+    assert_eq!(c.insert(4, 40), Some((0, 0, 3)));
+    assert_eq!(c.len(), 3);
+    assert!(c.validation_report().is_clean());
+}
+
+#[test]
+fn zero_capacity_returns_the_insertion_itself() {
+    let mut c: MemResultCache<&str> = MemResultCache::new(RESULT_ENTRY_BYTES - 1);
+    assert_eq!(c.insert(7, "x"), Some((7, "x", 1)));
+    assert!(c.is_empty());
+    assert!(!c.contains(7));
+}
+
+#[test]
+fn reinsert_replaces_without_evicting() {
+    let mut c: MemResultCache<&str> = MemResultCache::new(2 * RESULT_ENTRY_BYTES);
+    c.insert(1, "a");
+    c.insert(2, "b");
+    c.get(1);
+    assert_eq!(c.insert(2, "b2"), None, "a cached id is replaced in place");
+    assert_eq!(c.len(), 2);
+    assert_eq!(c.get(2), Some(&"b2"));
+    // The re-insert reset 2's frequency and made it MRU, then the
+    // get above touched it again: 1 is the LRU entry, freq 2.
+    assert_eq!(c.insert(3, "c"), Some((1, "a", 2)));
 }

@@ -96,9 +96,9 @@ proptest! {
                         freq: 1,
                         full_bytes: units * 512,
                     };
-                    let evicted = cache.insert(t, meta).expect("units fit the cache");
+                    cache.insert(t, meta).expect("units fit the cache");
                     prop_assert_eq!(cache.peek(t), Some(&meta));
-                    for (victim, _) in evicted {
+                    while let Some((victim, _)) = cache.pop_evicted() {
                         prop_assert!(victim != t && cache.peek(victim).is_none());
                     }
                 }
@@ -108,7 +108,7 @@ proptest! {
                     prop_assert_eq!(after, cache.peek(t).copied());
                     prop_assert_eq!(before.map(|m| m.freq + 1), after.map(|m| m.freq));
                     // Prefix growth displaces others, never the touched entry.
-                    for (victim, _) in cache.drain_evicted() {
+                    while let Some((victim, _)) = cache.pop_evicted() {
                         prop_assert!(victim != t && cache.peek(victim).is_none());
                     }
                 }
